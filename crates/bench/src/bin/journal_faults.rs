@@ -5,10 +5,10 @@
 //! quantifies what that plumbing costs when no fault ever fires, against
 //! a *seed-style* inline append loop that calls the raw `Disk`'s
 //! infallible inherent methods exactly the way the pre-fault journal
-//! did — same record encoding, same read-modify-write sector walk, same
-//! commit cadence. Two more series show the trait-object wrapper
-//! (`FaultyDisk` with an all-zero plan) and a live ~1.5% transient fault
-//! rate being absorbed by retries.
+//! did — same frame encoding as [`ShardWriter`], read-modify-write
+//! sector walk, same commit cadence. Two more series show the
+//! trait-object wrapper (`FaultyDisk` with an all-zero plan) and a live
+//! ~1.5% transient fault rate being absorbed by retries.
 //!
 //! The acceptance bar is fault-free overhead < 5% vs the seed-style
 //! loop. Prints a table and writes machine-readable `BENCH_journal.json`
@@ -22,8 +22,8 @@ use std::time::Instant;
 
 use atomfs_bench::report::Table;
 use atomfs_journal::device::{BlockDevice, Sector, SECTOR_SIZE};
-use atomfs_journal::wire::encode_record;
-use atomfs_journal::{Disk, FaultPlan, FaultyDisk, Journal, RetryPolicy};
+use atomfs_journal::wire::{encode_frame_parts, FrameKind};
+use atomfs_journal::{Disk, FaultPlan, FaultyDisk, ShardConfig, ShardWriter};
 use atomfs_trace::MicroOp;
 
 /// Commit (flush) every this many batches — sync-every-op would measure
@@ -31,24 +31,30 @@ use atomfs_trace::MicroOp;
 const COMMIT_EVERY: u64 = 64;
 const REPS: usize = 3;
 
-fn batch() -> Vec<MicroOp> {
+/// One stamped batch, as the group commit hands it to a shard writer.
+fn batch() -> Vec<(u64, MicroOp)> {
     (0..8)
-        .map(|i| MicroOp::Ins {
-            parent: 1,
-            name: format!("entry{i}"),
-            child: 100 + i,
+        .map(|i| {
+            (
+                i,
+                MicroOp::Ins {
+                    parent: 1,
+                    name: format!("entry{i}"),
+                    child: 100 + i,
+                },
+            )
         })
         .collect()
 }
 
 /// The seed path, inlined: encode + RMW sector walk + flush cadence on
 /// the raw disk's infallible inherent methods.
-fn seed_style(batches: u64, ops: &[MicroOp]) -> f64 {
+fn seed_style(batches: u64, ops: &[(u64, MicroOp)]) -> f64 {
     let disk = Disk::new();
     let start = Instant::now();
     let mut pos = 0usize;
     for seq in 0..batches {
-        let rec = encode_record(1, seq, ops);
+        let rec = encode_frame_parts(1, 0, FrameKind::Batch, 1, seq, 0, ops);
         let mut written = 0usize;
         while written < rec.len() {
             let lba = ((pos + written) / SECTOR_SIZE) as u64;
@@ -69,16 +75,30 @@ fn seed_style(batches: u64, ops: &[MicroOp]) -> f64 {
 }
 
 /// The fallible path over an arbitrary device.
-fn fallible(device: Arc<dyn BlockDevice>, batches: u64, ops: &[MicroOp]) -> f64 {
-    let mut j = Journal::create_with(device, 1, RetryPolicy::default());
+fn fallible(device: Arc<dyn BlockDevice>, batches: u64, ops: &[(u64, MicroOp)]) -> f64 {
+    // One region sized for any run length: the simulated disk only
+    // materializes written sectors.
+    let cfg = ShardConfig {
+        shards: 1,
+        region_sectors: 1 << 22,
+        ..ShardConfig::default()
+    };
+    let mut w = ShardWriter::new(Arc::clone(&device), 0, 1, &cfg);
+    let counters = w.counters();
+    let flush = || {
+        cfg.policy
+            .run(&counters, || device.flush())
+            .expect("bench device never exhausts retries")
+    };
     let start = Instant::now();
     for seq in 0..batches {
-        j.append(ops).expect("bench device never exhausts retries");
+        w.append_frame(FrameKind::Batch, 1, 0, ops)
+            .expect("bench device never exhausts retries");
         if (seq + 1) % COMMIT_EVERY == 0 {
-            j.commit().expect("bench device never exhausts retries");
+            flush();
         }
     }
-    j.commit().expect("bench device never exhausts retries");
+    flush();
     batches as f64 / start.elapsed().as_secs_f64()
 }
 

@@ -69,9 +69,10 @@ pub fn build(name: &str) -> Arc<dyn FileSystem> {
             RetryFs::new(),
             OverheadProfile::fuse(),
         )),
-        "atomfs-journaled" => Arc::new(atomfs_journal::JournaledFs::create(Arc::new(
-            atomfs_journal::Disk::new(),
-        ))),
+        "atomfs-journaled" => Arc::new(atomfs_journal::JournaledFs::create_sharded(
+            Arc::new(atomfs_journal::Disk::new()),
+            atomfs_journal::ShardConfig::default(),
+        )),
         other => panic!("unknown file system configuration: {other}"),
     }
 }

@@ -67,7 +67,7 @@ impl PairingReport {
 
 /// Match rename intents against seals by transaction id, requiring
 /// epoch agreement. Inputs may list the same transaction more than once
-/// (a multi-op intent written eagerly becomes several records); ids are
+/// (a seal redirected off a dead shard is written to every survivor); ids are
 /// deduplicated, and for a duplicated id the *epochs must agree* among
 /// themselves too, or the transaction lands in `epoch_mismatches`.
 pub fn verify_pairing(intents: &[TxnRecord], seals: &[TxnRecord]) -> PairingReport {
@@ -403,8 +403,7 @@ mod tests {
 
     #[test]
     fn pairing_merges_split_intents() {
-        // An eager-mode rename writes one intent record per micro-op;
-        // the id must still pair once.
+        // The same transaction listed twice must still pair once.
         let i = [TxnRecord { txn: 3, epoch: 7 }, TxnRecord { txn: 3, epoch: 7 }];
         let s = [TxnRecord { txn: 3, epoch: 7 }];
         let r = verify_pairing(&i, &s);

@@ -1,172 +1,38 @@
 //! The journaled file system: AtomFS over an operation log.
 //!
-//! [`JournaledFs`] wires an instrumented [`AtomFs`] to a [`Journal`]
-//! through its trace sink: every inode-granularity mutation the file
-//! system performs is appended to the log in the global mutation order
-//! (the same order the CRL-H shadow state replays, so the log always
-//! replays cleanly). `sync()` is the durability barrier.
+//! [`JournaledFs`] wires an instrumented [`AtomFs`] to a
+//! [`ShardedJournalSink`] through its trace sink: every inode-granularity
+//! mutation the file system performs is staged for the log in the global
+//! mutation order (the same order the CRL-H shadow state replays, so the
+//! log always replays cleanly). `sync()` is the durability barrier — it
+//! group-commits the open epoch across every shard.
 //!
 //! The write path is fallible: when the device defeats the journal's
-//! retry policy the mount flips to read-only **degraded mode** — reads
-//! keep serving from the in-memory AtomFS, mutations return
-//! [`FsError::ReadOnly`] *before* touching AtomFS (so the trace the
-//! CRL-H checker sees stays exactly the trace of the mutations that
+//! retry policy on every shard the mount flips to read-only **degraded
+//! mode** — reads keep serving from the in-memory AtomFS, mutations
+//! return [`FsError::ReadOnly`] *before* touching AtomFS (so the trace
+//! the CRL-H checker sees stays exactly the trace of the mutations that
 //! happened), and `sync()` reports the failure so callers never treat
 //! non-durable data as acked. [`JournaledFs::health`] exposes the state.
 //!
-//! [`JournaledFs::recover`] implements the crash path: scan the log,
-//! replay the surviving prefix into an abstract state, and *materialize*
-//! that state through a fresh instrumented AtomFS — whose mutations,
-//! logged under a higher epoch, become the new generation's checkpoint.
-//! Recovery therefore doubles as log compaction.
+//! [`JournaledFs::recover_sharded`] implements the crash path: scan the
+//! log, replay the surviving prefix into an abstract state, and
+//! *materialize* that state through a fresh instrumented AtomFS — whose
+//! mutations, logged under a higher generation, become the new
+//! generation's checkpoint. Recovery therefore doubles as log compaction.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use atomfs::AtomFs;
 use atomfs_trace::{Event, FanoutSink, MicroOp, TraceSink};
 use atomfs_vfs::fs::FileSystemExt;
 use atomfs_vfs::{FileSystem, FsError, FsResult, Metadata};
-use parking_lot::Mutex;
 
-use crate::device::{BlockDevice, Disk, DiskError};
+use crate::device::{BlockDevice, Disk};
 use crate::group_commit::ShardedJournalSink;
-use crate::health::{Health, HealthCounters, HealthReport, RecoverySummary, RetryPolicy};
-use crate::journal::{recover, Journal, SkipTotals, SkippedRecord};
+use crate::health::{Health, HealthReport, RecoverySummary};
+use crate::recovery::{SkipTotals, SkippedRecord};
 use crate::shard::ShardConfig;
-
-/// Trace sink that appends every mutation to the journal, degrading the
-/// mount instead of panicking when the device defeats the retry policy.
-pub struct JournalSink {
-    journal: Mutex<Journal>,
-    health: Mutex<Health>,
-    /// Lock-free mirror of `health.is_degraded()`, so the per-mutation
-    /// and per-call degraded checks never touch the health mutex.
-    degraded: AtomicBool,
-    counters: Arc<HealthCounters>,
-    /// Mutation events that arrived while already degraded (the FS above
-    /// should be refusing mutations by then, so this staying 0 is itself
-    /// a checked invariant of the degraded-mode tests).
-    dropped: AtomicU64,
-    /// How this mount generation was produced: set by recovery, `None`
-    /// for a freshly created mount.
-    recovery: Mutex<Option<RecoverySummary>>,
-}
-
-impl JournalSink {
-    /// Wrap a journal writer.
-    pub fn new(journal: Journal) -> Self {
-        let counters = journal.counters();
-        JournalSink {
-            journal: Mutex::new(journal),
-            health: Mutex::new(Health::Healthy),
-            degraded: AtomicBool::new(false),
-            counters,
-            dropped: AtomicU64::new(0),
-            recovery: Mutex::new(None),
-        }
-    }
-
-    /// Durability barrier. Errors when the mount is (or just became)
-    /// degraded: an `Err` here means *nothing since the last `Ok` sync
-    /// is guaranteed durable*, so callers must not ack that data.
-    pub fn sync(&self) -> Result<(), DiskError> {
-        if self.degraded.load(Ordering::Relaxed) {
-            if let Health::Degraded { cause, .. } = *self.health.lock() {
-                return Err(cause);
-            }
-        }
-        let result = self.journal.lock().commit();
-        if let Err(cause) = result {
-            let failed_at_seq = self.journal.lock().next_seq();
-            self.degrade(cause, failed_at_seq);
-        }
-        result
-    }
-
-    /// Current mount health.
-    pub fn health(&self) -> Health {
-        *self.health.lock()
-    }
-
-    /// Health plus the fault/retry counters behind it and, for a mount
-    /// produced by recovery, the scrub's skipped-record breakdown.
-    pub fn health_report(&self) -> HealthReport {
-        HealthReport {
-            health: self.health(),
-            device_faults: self.counters.device_faults(),
-            retries: self.counters.retries(),
-            degraded_flips: self.counters.degraded_flips(),
-            dropped_events: self.dropped.load(Ordering::Relaxed),
-            recovery: *self.recovery.lock(),
-        }
-    }
-
-    /// The fault/retry/flip counters (shared with the journal).
-    pub fn counters(&self) -> Arc<HealthCounters> {
-        Arc::clone(&self.counters)
-    }
-
-    /// Events dropped while degraded.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    fn set_recovery(&self, summary: RecoverySummary) {
-        *self.recovery.lock() = Some(summary);
-    }
-
-    /// Bytes appended to the log so far.
-    pub fn log_bytes(&self) -> u64 {
-        self.journal.lock().position()
-    }
-
-    fn degrade(&self, cause: DiskError, failed_at_seq: u64) {
-        let mut health = self.health.lock();
-        // First failure wins: keep the original cause for the report.
-        if !health.is_degraded() {
-            *health = Health::Degraded {
-                cause,
-                failed_at_seq,
-            };
-            self.degraded.store(true, Ordering::Relaxed);
-            self.counters.degraded_flips.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Lock-free degraded check for per-operation fast paths.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
-    }
-}
-
-impl TraceSink for JournalSink {
-    fn emit(&self, event: Event) {
-        self.emit_ref(&event);
-    }
-
-    /// The journal serializes the micro-op straight out of the borrowed
-    /// event, so fanning out to checker + journal never deep-clones the
-    /// event for the journal's sake.
-    fn emit_ref(&self, event: &Event) {
-        if let Event::Mutate { mop, .. } = event {
-            if self.degraded.load(Ordering::Relaxed) {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            let result = {
-                let mut journal = self.journal.lock();
-                let at_seq = journal.next_seq();
-                journal
-                    .append(std::slice::from_ref(mop))
-                    .map_err(|e| (e, at_seq))
-            };
-            if let Err((cause, failed_at_seq)) = result {
-                self.degrade(cause, failed_at_seq);
-            }
-        }
-    }
-}
 
 /// Statistics from a recovery.
 #[derive(Debug, Clone)]
@@ -188,8 +54,8 @@ pub struct RecoveryStats {
     /// cap-independent, so a heavily damaged region cannot undercount.
     pub skip_totals: SkipTotals,
     /// Stamps skipped under the license of recovered quarantine windows:
-    /// mutations known lost with a dead shard (sharded mounts only;
-    /// always 0 for a run that saw no quarantine).
+    /// mutations known lost with a dead shard (always 0 for a run that
+    /// saw no quarantine).
     pub lost_ops: usize,
     /// Admitted ops the tolerant replay had to skip because a lost
     /// window orphaned them (e.g. a link whose target's creation died
@@ -207,53 +73,13 @@ impl RecoveryStats {
     }
 }
 
-/// Which log implementation a [`JournaledFs`] mount writes through: the
-/// original single-stream [`JournalSink`] or the sharded, group-committed
-/// [`ShardedJournalSink`]. Internal — callers reach the concrete sink via
-/// [`JournaledFs::sink`] / [`JournaledFs::sharded_sink`].
-pub(crate) enum SinkKind {
-    Single(Arc<JournalSink>),
-    Sharded(Arc<ShardedJournalSink>),
-}
-
 /// AtomFS with an operation log under it.
 pub struct JournaledFs {
     fs: Arc<AtomFs>,
-    sink: SinkKind,
+    pub(crate) sink: Arc<ShardedJournalSink>,
 }
 
 impl JournaledFs {
-    /// Format `device` with a fresh (epoch-1) log and mount an empty
-    /// file system over it.
-    pub fn create(device: Arc<dyn BlockDevice>) -> Self {
-        Self::create_with(device, RetryPolicy::default())
-    }
-
-    /// [`JournaledFs::create`] with an explicit retry policy.
-    pub fn create_with(device: Arc<dyn BlockDevice>, policy: RetryPolicy) -> Self {
-        Self::with_journal(Journal::create_with(device, 1, policy), None)
-    }
-
-    /// [`JournaledFs::create_with`] plus an extra trace sink observing
-    /// the same event stream the journal logs — this is how the fault
-    /// tests keep the CRL-H checker watching a mount that may degrade.
-    pub fn create_observed(
-        device: Arc<dyn BlockDevice>,
-        policy: RetryPolicy,
-        observer: Arc<dyn TraceSink>,
-    ) -> Self {
-        Self::with_journal(Journal::create_with(device, 1, policy), Some(observer))
-    }
-
-    fn with_journal(journal: Journal, observer: Option<Arc<dyn TraceSink>>) -> Self {
-        let sink = Arc::new(JournalSink::new(journal));
-        let fs = Self::traced_over(Arc::clone(&sink) as Arc<dyn TraceSink>, observer);
-        JournaledFs {
-            fs,
-            sink: SinkKind::Single(sink),
-        }
-    }
-
     /// Format `device` with a fresh sharded (generation-1) log laid out
     /// per `cfg` and mount an empty file system over it. Writers stage
     /// into per-shard buffers; [`FileSystem::sync`] group-commits an
@@ -292,91 +118,44 @@ impl JournaledFs {
 
     fn with_sharded(sink: ShardedJournalSink, observer: Option<Arc<dyn TraceSink>>) -> Self {
         let sink = Arc::new(sink);
-        let fs = Self::traced_over(Arc::clone(&sink) as Arc<dyn TraceSink>, observer);
+        let journal = Arc::clone(&sink) as Arc<dyn TraceSink>;
+        let tap: Arc<dyn TraceSink> = match observer {
+            None => journal,
+            Some(observer) => Arc::new(FanoutSink(vec![journal, observer])),
+        };
         JournaledFs {
-            fs,
-            sink: SinkKind::Sharded(sink),
+            fs: Arc::new(AtomFs::traced(tap)),
+            sink,
         }
     }
 
-    fn traced_over(sink: Arc<dyn TraceSink>, observer: Option<Arc<dyn TraceSink>>) -> Arc<AtomFs> {
-        let tap: Arc<dyn TraceSink> = match observer {
-            None => sink,
-            Some(observer) => Arc::new(FanoutSink(vec![sink, observer])),
-        };
-        Arc::new(AtomFs::traced(tap))
-    }
-
-    /// Recover after a crash: replay the surviving log prefix and mount
-    /// a file system with that content, checkpointing it into a new log
-    /// generation (which is committed before this returns).
+    /// Recover after a crash: scan every shard region (in parallel),
+    /// pair rename intents with their seals, replay the surviving
+    /// global-stamp prefix, and mount a file system with that content,
+    /// checkpointing it into a new log generation (committed before this
+    /// returns). The checkpoint commit is *forced*, so every shard
+    /// carries at least an `EpochSeal` frame of the new generation —
+    /// which is how the next recovery detects that older-generation
+    /// frames are stale.
     ///
     /// Fails with [`FsError::InvalidArgument`] only if the surviving
-    /// prefix does not replay — which the append order makes impossible
+    /// prefix does not replay — which the stamp order makes impossible
     /// for logs this crate wrote, so it indicates a foreign or tampered
     /// disk.
-    pub fn recover(disk: Arc<Disk>) -> FsResult<(Self, RecoveryStats)> {
-        let device = Arc::clone(&disk) as Arc<dyn BlockDevice>;
-        Self::recover_with(disk, device, RetryPolicy::default())
-    }
-
-    /// [`JournaledFs::recover`] writing the new generation's checkpoint
-    /// through `device` (which may be fault-injected) under `policy`.
-    /// The *scan* always reads the raw platter: recovery models a fresh
-    /// power session, so the previous session's fault plan is gone while
-    /// the corruption it left behind is exactly what the scrub reports.
-    ///
-    /// If the device defeats the checkpoint, the mount comes up already
-    /// degraded — readable, refusing mutations, acking nothing — rather
-    /// than failing the recovery.
-    pub fn recover_with(
-        disk: Arc<Disk>,
-        device: Arc<dyn BlockDevice>,
-        policy: RetryPolicy,
-    ) -> FsResult<(Self, RecoveryStats)> {
-        let recovered = recover(&disk);
-        let state = recovered.replay().map_err(|_| FsError::InvalidArgument)?;
-        let stats = RecoveryStats {
-            epoch: recovered.epoch,
-            ops_replayed: recovered.ops().count(),
-            log_bytes: recovered.end_pos,
-            inodes: state.map.len(),
-            skipped: recovered.skipped.clone(),
-            skip_totals: recovered.skip_totals,
-            lost_ops: 0,
-            unreplayable_ops: 0,
-        };
-        let journal = Journal::create_with(device, recovered.epoch + 1, policy);
-        let journaled = Self::with_journal(journal, None);
-        if let SinkKind::Single(sink) = &journaled.sink {
-            sink.set_recovery(stats.summary());
-        }
-        materialize(&*journaled.fs, &state)?;
-        // Checkpoint barrier. On failure the sink has already flipped to
-        // degraded: the mount is served from memory and acks nothing.
-        if let SinkKind::Single(sink) = &journaled.sink {
-            let _ = sink.sync();
-        }
-        Ok((journaled, stats))
-    }
-
-    /// Recover a sharded log after a crash: scan every shard region (in
-    /// parallel), pair rename intents with their seals, replay the
-    /// surviving global-stamp prefix, and mount a file system with that
-    /// content, checkpointing it into a new log generation. The
-    /// checkpoint commit is *forced*, so every shard carries at least an
-    /// `EpochSeal` frame of the new generation — which is how the next
-    /// recovery detects that older-generation frames are stale.
     pub fn recover_sharded(disk: Arc<Disk>, cfg: ShardConfig) -> FsResult<(Self, RecoveryStats)> {
         let device = Arc::clone(&disk) as Arc<dyn BlockDevice>;
         Self::recover_sharded_with(disk, device, cfg)
     }
 
     /// [`JournaledFs::recover_sharded`] writing the new generation's
-    /// checkpoint through `device` (which may be fault-injected). As with
-    /// [`JournaledFs::recover_with`], the scan reads the raw platter and
-    /// a defeated checkpoint degrades the mount rather than failing the
-    /// recovery.
+    /// checkpoint through `device` (which may be fault-injected). The
+    /// *scan* always reads the raw platter: recovery models a fresh
+    /// power session, so the previous session's fault plan is gone while
+    /// the corruption it left behind is exactly what the scrub reports.
+    ///
+    /// If the device defeats the checkpoint, the mount comes up already
+    /// degraded — readable, refusing mutations, acking nothing — rather
+    /// than failing the recovery.
     pub fn recover_sharded_with(
         disk: Arc<Disk>,
         device: Arc<dyn BlockDevice>,
@@ -410,11 +189,10 @@ impl JournaledFs {
         sink.set_recovery(stats.summary());
         let journaled = Self::with_sharded(sink, None);
         materialize(&*journaled.fs, &state)?;
-        if let SinkKind::Sharded(sink) = &journaled.sink {
-            // Forced checkpoint barrier: every shard gets a frame of the
-            // new generation. On failure the sink has already degraded.
-            let _ = sink.commit(true);
-        }
+        // Forced checkpoint barrier: every shard gets a frame of the new
+        // generation. On failure the sink has already degraded: the
+        // mount is served from memory and acks nothing.
+        let _ = journaled.sink.commit(true);
         Ok((journaled, stats))
     }
 
@@ -423,66 +201,32 @@ impl JournaledFs {
         &self.fs
     }
 
-    /// The single-stream journal sink under the mount (for health
-    /// inspection and metrics bridging).
-    ///
-    /// # Panics
-    ///
-    /// On a sharded mount — use [`JournaledFs::sharded_sink`] there.
-    pub fn sink(&self) -> &Arc<JournalSink> {
-        match &self.sink {
-            SinkKind::Single(sink) => sink,
-            SinkKind::Sharded(_) => panic!("sink(): this is a sharded mount"),
-        }
-    }
-
-    /// The sharded journal sink under the mount, or `None` for a
-    /// single-stream mount.
+    /// The journal sink under the mount (for health inspection and
+    /// per-shard reports). Always `Some`.
     pub fn sharded_sink(&self) -> Option<&Arc<ShardedJournalSink>> {
-        match &self.sink {
-            SinkKind::Single(_) => None,
-            SinkKind::Sharded(sink) => Some(sink),
-        }
-    }
-
-    pub(crate) fn sink_kind(&self) -> &SinkKind {
-        &self.sink
+        Some(&self.sink)
     }
 
     /// Current storage health of the mount.
     pub fn health(&self) -> Health {
-        match &self.sink {
-            SinkKind::Single(sink) => sink.health(),
-            SinkKind::Sharded(sink) => sink.health(),
-        }
+        self.sink.health()
     }
 
     /// Health plus fault/retry counters.
     pub fn health_report(&self) -> HealthReport {
-        match &self.sink {
-            SinkKind::Single(sink) => sink.health_report(),
-            SinkKind::Sharded(sink) => sink.health_report(),
-        }
+        self.sink.health_report()
     }
 
-    /// Bytes in the current log generation (summed over shards for a
-    /// sharded mount).
+    /// Bytes in the current log generation, summed over shards.
     pub fn log_bytes(&self) -> u64 {
-        match &self.sink {
-            SinkKind::Single(sink) => sink.log_bytes(),
-            SinkKind::Sharded(sink) => sink.log_bytes(),
-        }
+        self.sink.log_bytes()
     }
 
     /// Refuse mutations on a degraded mount *before* they reach AtomFS,
     /// so the in-memory tree (and the trace the checker replays) only
     /// ever contains mutations the journal accepted for logging.
     fn guard_writable(&self) -> FsResult<()> {
-        let degraded = match &self.sink {
-            SinkKind::Single(sink) => sink.is_degraded(),
-            SinkKind::Sharded(sink) => sink.is_degraded(),
-        };
-        if degraded {
+        if self.sink.is_degraded() {
             return Err(FsError::ReadOnly);
         }
         Ok(())
@@ -535,10 +279,7 @@ impl FileSystem for JournaledFs {
     /// yields a prefix). Exhausted retries surface as [`FsError::Io`]
     /// and flip the mount to degraded mode.
     fn sync(&self) -> FsResult<()> {
-        match &self.sink {
-            SinkKind::Single(sink) => sink.sync().map_err(FsError::from),
-            SinkKind::Sharded(sink) => sink.sync().map_err(FsError::from),
-        }
+        self.sink.sync().map_err(FsError::from)
     }
 }
 
@@ -591,83 +332,91 @@ pub fn mutations_of(events: &[Event]) -> Vec<MicroOp> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::SECTOR_SIZE;
     use crate::faults::{FaultPlan, FaultyDisk};
 
-    #[test]
-    fn create_sync_recover_roundtrip() {
+    /// Every mount-level behaviour is pinned at one stream and at the
+    /// default fan-out.
+    const SHARD_COUNTS: [usize; 2] = [1, 4];
+
+    fn fresh(shards: usize) -> (Arc<Disk>, ShardConfig, JournaledFs) {
         let disk = Arc::new(Disk::new());
-        let jfs = JournaledFs::create(Arc::clone(&disk) as Arc<dyn BlockDevice>);
-        jfs.mkdir("/docs").unwrap();
-        jfs.mknod("/docs/a").unwrap();
-        jfs.write("/docs/a", 0, b"durable").unwrap();
-        jfs.sync().unwrap();
-        drop(jfs);
-        // Clean power cut after sync: everything survives.
-        disk.crash(|_| false);
-        let (r, stats) = JournaledFs::recover(Arc::clone(&disk)).unwrap();
-        assert_eq!(r.read_to_vec("/docs/a").unwrap(), b"durable");
-        assert_eq!(stats.epoch, 1);
-        assert!(stats.ops_replayed >= 3);
-        assert!(stats.inodes >= 3);
-        assert!(stats.skipped.is_empty());
+        let cfg = ShardConfig::with_shards(shards);
+        let jfs = JournaledFs::create_sharded(Arc::clone(&disk) as Arc<dyn BlockDevice>, cfg);
+        (disk, cfg, jfs)
+    }
+
+    #[test]
+    fn create_sync_recover_roundtrip_and_generations_increase() {
+        for shards in SHARD_COUNTS {
+            let (disk, cfg, jfs) = fresh(shards);
+            jfs.mkdir("/docs").unwrap();
+            jfs.mknod("/docs/a").unwrap();
+            jfs.write("/docs/a", 0, b"durable").unwrap();
+            jfs.rename("/docs/a", "/a").unwrap();
+            jfs.sync().unwrap();
+            assert!(jfs.sink.sealed_epoch() >= 1, "sync seals an epoch");
+            drop(jfs);
+            // Clean power cut after sync: everything survives.
+            disk.crash(|_| false);
+            let (r, stats) = JournaledFs::recover_sharded(Arc::clone(&disk), cfg).unwrap();
+            assert_eq!(r.read_to_vec("/a").unwrap(), b"durable");
+            assert_eq!(r.stat("/docs/a"), Err(FsError::NotFound));
+            assert_eq!(stats.epoch, 1);
+            assert!(stats.ops_replayed >= 4);
+            assert!(stats.inodes >= 3);
+            assert!(stats.skipped.is_empty());
+            // Second-generation mount keeps working and re-recovers.
+            r.mkdir("/gen2").unwrap();
+            r.sync().unwrap();
+            drop(r);
+            disk.crash(|_| false);
+            let (r2, s2) = JournaledFs::recover_sharded(disk, cfg).unwrap();
+            assert_eq!(s2.epoch, 2, "checkpoint bumped the generation");
+            assert!(r2.stat("/a").is_ok());
+            assert!(r2.stat("/gen2").is_ok());
+        }
     }
 
     #[test]
     fn unsynced_tail_is_lost_cleanly() {
-        let disk = Arc::new(Disk::new());
-        let jfs = JournaledFs::create(Arc::clone(&disk) as Arc<dyn BlockDevice>);
-        jfs.mkdir("/kept").unwrap();
-        jfs.sync().unwrap();
-        jfs.mkdir("/lost").unwrap();
-        drop(jfs);
-        disk.crash(|_| false);
-        let (r, _) = JournaledFs::recover(disk).unwrap();
-        assert!(r.stat("/kept").is_ok());
-        assert_eq!(r.stat("/lost"), Err(FsError::NotFound));
+        for shards in SHARD_COUNTS {
+            let (disk, cfg, jfs) = fresh(shards);
+            jfs.mkdir("/kept").unwrap();
+            jfs.sync().unwrap();
+            jfs.mkdir("/lost").unwrap();
+            drop(jfs);
+            disk.crash(|_| false);
+            let (r, _) = JournaledFs::recover_sharded(disk, cfg).unwrap();
+            assert!(r.stat("/kept").is_ok());
+            assert_eq!(r.stat("/lost"), Err(FsError::NotFound));
+        }
     }
 
     #[test]
     fn recovery_checkpoint_compacts_the_log() {
-        let disk = Arc::new(Disk::new());
-        let jfs = JournaledFs::create(Arc::clone(&disk) as Arc<dyn BlockDevice>);
-        jfs.mknod("/f").unwrap();
-        // Lots of history on one file...
-        for i in 0..200 {
-            jfs.write("/f", 0, &[i as u8; 64]).unwrap();
+        for shards in SHARD_COUNTS {
+            let (disk, cfg, jfs) = fresh(shards);
+            jfs.mknod("/f").unwrap();
+            // Lots of history on one file...
+            for i in 0..200 {
+                jfs.write("/f", 0, &[i as u8; 64]).unwrap();
+            }
+            jfs.sync().unwrap();
+            let history_bytes = jfs.log_bytes();
+            drop(jfs);
+            let (r, _) = JournaledFs::recover_sharded(Arc::clone(&disk), cfg).unwrap();
+            // ...compacts to a checkpoint holding only the final state.
+            assert!(
+                r.log_bytes() < history_bytes / 4,
+                "checkpoint {} should be much smaller than history {}",
+                r.log_bytes(),
+                history_bytes
+            );
+            let mut buf = [0u8; 64];
+            r.read("/f", 0, &mut buf).unwrap();
+            assert_eq!(buf, [199u8; 64]);
         }
-        jfs.sync().unwrap();
-        let history_bytes = jfs.log_bytes();
-        drop(jfs);
-        let (r, _) = JournaledFs::recover(Arc::clone(&disk)).unwrap();
-        // ...compacts to a checkpoint holding only the final state.
-        assert!(
-            r.log_bytes() < history_bytes / 4,
-            "checkpoint {} should be much smaller than history {}",
-            r.log_bytes(),
-            history_bytes
-        );
-        let mut buf = [0u8; 64];
-        r.read("/f", 0, &mut buf).unwrap();
-        assert_eq!(buf, [199u8; 64]);
-    }
-
-    #[test]
-    fn double_recovery_epochs_increase() {
-        let disk = Arc::new(Disk::new());
-        let jfs = JournaledFs::create(Arc::clone(&disk) as Arc<dyn BlockDevice>);
-        jfs.mkdir("/gen1").unwrap();
-        jfs.sync().unwrap();
-        drop(jfs);
-        let (r1, s1) = JournaledFs::recover(Arc::clone(&disk)).unwrap();
-        assert_eq!(s1.epoch, 1);
-        r1.mkdir("/gen2").unwrap();
-        r1.sync().unwrap();
-        drop(r1);
-        disk.crash(|_| false);
-        let (r2, s2) = JournaledFs::recover(Arc::clone(&disk)).unwrap();
-        assert_eq!(s2.epoch, 2, "second recovery sees the checkpoint epoch");
-        assert!(r2.stat("/gen1").is_ok());
-        assert!(r2.stat("/gen2").is_ok());
     }
 
     #[test]
@@ -707,193 +456,137 @@ mod tests {
     /// Fresh-disk recovery mounts an empty file system.
     #[test]
     fn recover_empty_disk() {
-        let disk = Arc::new(Disk::new());
-        let (r, stats) = JournaledFs::recover(disk).unwrap();
-        assert_eq!(stats.ops_replayed, 0);
-        assert!(r.readdir("/").unwrap().is_empty());
-        r.mkdir("/works").unwrap();
+        for shards in SHARD_COUNTS {
+            let disk = Arc::new(Disk::new());
+            let (r, stats) =
+                JournaledFs::recover_sharded(disk, ShardConfig::with_shards(shards)).unwrap();
+            assert_eq!(stats.ops_replayed, 0);
+            assert!(r.readdir("/").unwrap().is_empty());
+            r.mkdir("/works").unwrap();
+        }
     }
 
     #[test]
     fn dead_device_degrades_the_mount_instead_of_panicking() {
-        let disk = Arc::new(Disk::new());
-        let dev = Arc::new(FaultyDisk::new(
-            Arc::clone(&disk),
-            // One device write per appended event (the writer caches its
-            // tail sector, so appends never read). A budget of 7 puts the
-            // failure on the final event of a two-event mknod — a mutation
-            // boundary — so the health gate stops everything after it and
-            // nothing is dropped mid-mutation.
-            FaultPlan::none(0).with_permanent_failure_after(7),
-        ));
-        let jfs = JournaledFs::create(dev);
-        // Mutate until the device dies under the journal.
-        let mut hit_degraded = false;
-        for i in 0..100 {
-            match jfs.mknod(&format!("/f{i}")) {
-                Ok(()) => {}
-                Err(FsError::ReadOnly) => {
-                    hit_degraded = true;
-                    break;
+        for shards in SHARD_COUNTS {
+            let disk = Arc::new(Disk::new());
+            let dev = Arc::new(FaultyDisk::new(
+                Arc::clone(&disk),
+                FaultPlan::none(0).with_permanent_failure_after(6),
+            ));
+            let jfs = JournaledFs::create_sharded(dev, ShardConfig::with_shards(shards));
+            assert_eq!(jfs.health_report().degraded_flips, 0);
+            // Mutate and commit until the device dies under the journal.
+            let mut hit_degraded = false;
+            for i in 0..200 {
+                match jfs.mknod(&format!("/f{i}")).and_then(|_| jfs.sync()) {
+                    Ok(()) => {}
+                    Err(FsError::ReadOnly) | Err(FsError::Io) => {
+                        hit_degraded = true;
+                        break;
+                    }
+                    Err(e) => panic!("unexpected error {e}"),
                 }
-                Err(e) => panic!("unexpected error {e}"),
             }
+            assert!(hit_degraded, "the mount never degraded");
+            assert!(jfs.health().is_degraded());
+            // Reads still serve from memory; /f0 was created pre-failure.
+            assert!(jfs.stat("/f0").is_ok());
+            assert!(jfs.readdir("/").is_ok());
+            // Every mutating op is refused.
+            assert_eq!(jfs.mkdir("/d"), Err(FsError::ReadOnly));
+            assert_eq!(jfs.write("/f0", 0, b"x"), Err(FsError::ReadOnly));
+            assert_eq!(jfs.truncate("/f0", 0), Err(FsError::ReadOnly));
+            assert_eq!(jfs.unlink("/f0"), Err(FsError::ReadOnly));
+            assert_eq!(jfs.rename("/f0", "/f1"), Err(FsError::ReadOnly));
+            // And sync refuses to ack anything, with the EIO mapping.
+            assert_eq!(jfs.sync(), Err(FsError::Io));
+            let report = jfs.health_report();
+            assert!(report.health.is_degraded());
+            assert_eq!(report.dropped_events, 0, "gating beat the sink to it");
+            // Several shards and several syncs failed, but the
+            // healthy→degraded transition is counted once.
+            assert_eq!(report.degraded_flips, 1);
         }
-        assert!(hit_degraded, "the mount never degraded");
-        assert!(jfs.health().is_degraded());
-        // Reads still serve from memory; /f0 was created pre-failure.
-        assert!(jfs.stat("/f0").is_ok());
-        assert!(jfs.readdir("/").is_ok());
-        // Every mutating op is refused.
-        assert_eq!(jfs.mkdir("/d"), Err(FsError::ReadOnly));
-        assert_eq!(jfs.write("/f0", 0, b"x"), Err(FsError::ReadOnly));
-        assert_eq!(jfs.truncate("/f0", 0), Err(FsError::ReadOnly));
-        assert_eq!(jfs.unlink("/f0"), Err(FsError::ReadOnly));
-        assert_eq!(jfs.rename("/f0", "/f1"), Err(FsError::ReadOnly));
-        // And sync refuses to ack anything, with the EIO mapping.
-        assert_eq!(jfs.sync(), Err(FsError::Io));
-        let report = jfs.health_report();
-        assert!(report.health.is_degraded());
-        assert_eq!(report.dropped_events, 0, "gating beat the sink to it");
     }
 
     #[test]
     fn recovery_onto_a_dead_device_comes_up_degraded_but_readable() {
-        let disk = Arc::new(Disk::new());
-        let jfs = JournaledFs::create(Arc::clone(&disk) as Arc<dyn BlockDevice>);
-        jfs.mkdir("/survives").unwrap();
-        jfs.sync().unwrap();
-        drop(jfs);
-        disk.crash(|_| false);
-        // The replacement controller is dead on arrival.
-        let dev = Arc::new(FaultyDisk::new(
-            Arc::clone(&disk),
-            FaultPlan::none(0).with_permanent_failure_after(0),
-        ));
-        let (r, stats) = JournaledFs::recover_with(disk, dev, RetryPolicy::default()).unwrap();
-        assert!(stats.ops_replayed >= 1);
-        assert!(r.health().is_degraded(), "checkpoint failure must degrade");
-        assert!(r.stat("/survives").is_ok(), "reads still serve from memory");
-        assert_eq!(r.mkdir("/new"), Err(FsError::ReadOnly));
-        assert_eq!(r.sync(), Err(FsError::Io));
+        for shards in SHARD_COUNTS {
+            let (disk, cfg, jfs) = fresh(shards);
+            jfs.mkdir("/survives").unwrap();
+            jfs.sync().unwrap();
+            drop(jfs);
+            disk.crash(|_| false);
+            // The replacement controller is dead on arrival.
+            let dev = Arc::new(FaultyDisk::new(
+                Arc::clone(&disk),
+                FaultPlan::none(0).with_permanent_failure_after(0),
+            ));
+            let (r, stats) = JournaledFs::recover_sharded_with(disk, dev, cfg).unwrap();
+            assert!(stats.ops_replayed >= 1);
+            assert!(r.health().is_degraded(), "checkpoint failure must degrade");
+            assert!(r.stat("/survives").is_ok(), "reads still serve from memory");
+            assert_eq!(r.mkdir("/new"), Err(FsError::ReadOnly));
+            assert_eq!(r.sync(), Err(FsError::Io));
+        }
     }
 
     #[test]
     fn health_report_carries_recovery_breakdown() {
-        use crate::device::SECTOR_SIZE;
-        let disk = Arc::new(Disk::new());
-        let jfs = JournaledFs::create(Arc::clone(&disk) as Arc<dyn BlockDevice>);
-        // A fresh mount was not produced by recovery.
-        assert_eq!(jfs.health_report().recovery, None);
-        for i in 0..5 {
-            jfs.mknod(&format!("/f{i}")).unwrap();
-        }
-        jfs.sync().unwrap();
-        let tail = jfs.log_bytes() as usize;
-        drop(jfs);
-        disk.crash(|_| false);
-        // Bit-rot the log's last few bytes: the scrub classifies the final
-        // record as corrupt and recovery proceeds with the prefix.
-        let byte = tail - 10;
-        disk.corrupt_durable((byte / SECTOR_SIZE) as u64, byte % SECTOR_SIZE, 0x40);
-        let (r, stats) = JournaledFs::recover(Arc::clone(&disk)).unwrap();
-        assert!(!stats.skipped.is_empty(), "corruption was not detected");
-        let report = r.health_report();
-        let summary = report.recovery.expect("recovered mount carries summary");
-        assert_eq!(summary, stats.summary(), "report and stats agree");
-        assert_eq!(summary.epoch, stats.epoch);
-        assert_eq!(summary.ops_replayed, stats.ops_replayed as u64);
-        assert_eq!(summary.skipped_total, stats.skipped.len() as u64);
-        // The per-class counts partition the total.
-        assert_eq!(
-            summary.torn
-                + summary.checksum_mismatch
-                + summary.stale_epoch
-                + summary.orphaned
-                + summary.garbage,
-            summary.skipped_total
-        );
-        assert!(summary.checksum_mismatch >= 1, "bit rot shows in its class");
-    }
-
-    #[test]
-    fn degraded_flips_counts_exactly_one_transition() {
-        let disk = Arc::new(Disk::new());
-        let dev = Arc::new(FaultyDisk::new(
-            Arc::clone(&disk),
-            FaultPlan::none(0).with_permanent_failure_after(4),
-        ));
-        let jfs = JournaledFs::create(dev);
-        assert_eq!(jfs.health_report().degraded_flips, 0);
-        for i in 0..100 {
-            if jfs.mknod(&format!("/f{i}")).is_err() {
-                break;
+        for shards in SHARD_COUNTS {
+            let (disk, cfg, jfs) = fresh(shards);
+            // A fresh mount was not produced by recovery.
+            assert_eq!(jfs.health_report().recovery, None);
+            for i in 0..5 {
+                jfs.mknod(&format!("/f{i}")).unwrap();
             }
+            jfs.sync().unwrap();
+            let victim = jfs
+                .sink
+                .shard_reports()
+                .into_iter()
+                .find(|r| r.log_bytes > 0)
+                .expect("the sync wrote somewhere");
+            drop(jfs);
+            disk.crash(|_| false);
+            // Bit-rot the last few bytes of one shard's stream: the scrub
+            // classifies its final frame as corrupt and recovery proceeds
+            // with the prefix.
+            let byte = cfg.region_base(victim.shard) as usize * SECTOR_SIZE
+                + victim.log_bytes as usize
+                - 10;
+            disk.corrupt_durable((byte / SECTOR_SIZE) as u64, byte % SECTOR_SIZE, 0x40);
+            let (r, stats) = JournaledFs::recover_sharded(Arc::clone(&disk), cfg).unwrap();
+            assert!(!stats.skipped.is_empty(), "corruption was not detected");
+            let report = r.health_report();
+            let summary = report.recovery.expect("recovered mount carries summary");
+            assert_eq!(summary, stats.summary(), "report and stats agree");
+            assert_eq!(summary.epoch, stats.epoch);
+            assert_eq!(summary.ops_replayed, stats.ops_replayed as u64);
+            assert_eq!(summary.skipped_total, stats.skipped.len() as u64);
+            // The per-class counts partition the total.
+            assert_eq!(
+                summary.torn
+                    + summary.checksum_mismatch
+                    + summary.stale_epoch
+                    + summary.orphaned
+                    + summary.garbage,
+                summary.skipped_total
+            );
+            assert!(summary.checksum_mismatch >= 1, "bit rot shows in its class");
         }
-        let _ = jfs.sync();
-        assert!(jfs.health().is_degraded());
-        // Several appends may fail, but the transition is counted once.
-        assert_eq!(jfs.health_report().degraded_flips, 1);
-    }
-
-    #[test]
-    fn sharded_create_sync_recover_roundtrip() {
-        let disk = Arc::new(Disk::new());
-        let cfg = ShardConfig::default();
-        let jfs = JournaledFs::create_sharded(Arc::clone(&disk) as Arc<dyn BlockDevice>, cfg);
-        jfs.mkdir("/docs").unwrap();
-        jfs.mknod("/docs/a").unwrap();
-        jfs.write("/docs/a", 0, b"durable").unwrap();
-        jfs.rename("/docs/a", "/a").unwrap();
-        jfs.sync().unwrap();
-        let sink = jfs.sharded_sink().unwrap();
-        assert!(sink.sealed_epoch() >= 1, "sync seals an epoch");
-        drop(jfs);
-        disk.crash(|_| false);
-        let (r, stats) = JournaledFs::recover_sharded(Arc::clone(&disk), cfg).unwrap();
-        assert_eq!(r.read_to_vec("/a").unwrap(), b"durable");
-        assert_eq!(r.stat("/docs/a"), Err(FsError::NotFound));
-        assert_eq!(stats.epoch, 1);
-        assert!(stats.ops_replayed >= 4);
-        assert!(stats.skipped.is_empty());
-        // Second-generation mount keeps working and re-recovers.
-        r.mkdir("/gen2").unwrap();
-        r.sync().unwrap();
-        drop(r);
-        disk.crash(|_| false);
-        let (r2, s2) = JournaledFs::recover_sharded(disk, ShardConfig::default()).unwrap();
-        assert_eq!(s2.epoch, 2, "checkpoint bumped the generation");
-        assert!(r2.stat("/a").is_ok());
-        assert!(r2.stat("/gen2").is_ok());
-    }
-
-    #[test]
-    fn sharded_unsynced_tail_is_lost_cleanly() {
-        let disk = Arc::new(Disk::new());
-        let cfg = ShardConfig::default();
-        let jfs = JournaledFs::create_sharded(Arc::clone(&disk) as Arc<dyn BlockDevice>, cfg);
-        jfs.mkdir("/kept").unwrap();
-        jfs.sync().unwrap();
-        jfs.mkdir("/lost").unwrap();
-        drop(jfs);
-        disk.crash(|_| false);
-        let (r, _) = JournaledFs::recover_sharded(disk, cfg).unwrap();
-        assert!(r.stat("/kept").is_ok());
-        assert_eq!(r.stat("/lost"), Err(FsError::NotFound));
     }
 
     #[test]
     fn sharded_mount_spreads_load_and_reports_per_shard() {
-        let disk = Arc::new(Disk::new());
-        let cfg = ShardConfig::with_shards(4);
-        let jfs = JournaledFs::create_sharded(Arc::clone(&disk) as Arc<dyn BlockDevice>, cfg);
+        let (_disk, _cfg, jfs) = fresh(4);
         for i in 0..32 {
             jfs.mkdir(&format!("/d{i}")).unwrap();
             jfs.mknod(&format!("/d{i}/f")).unwrap();
         }
         jfs.sync().unwrap();
-        let sink = jfs.sharded_sink().unwrap();
-        let reports = sink.shard_reports();
+        let reports = jfs.sink.shard_reports();
         assert_eq!(reports.len(), 4);
         let busy = reports.iter().filter(|r| r.log_bytes > 0).count();
         assert!(busy >= 2, "files under distinct parents hit >1 shard");
@@ -901,56 +594,32 @@ mod tests {
     }
 
     #[test]
-    fn sharded_dead_device_degrades_instead_of_panicking() {
-        let disk = Arc::new(Disk::new());
-        let dev = Arc::new(FaultyDisk::new(
-            Arc::clone(&disk),
-            FaultPlan::none(0).with_permanent_failure_after(6),
-        ));
-        let jfs = JournaledFs::create_sharded(dev, ShardConfig::default());
-        let mut hit_degraded = false;
-        for i in 0..200 {
-            match jfs.mkdir(&format!("/d{i}")).and_then(|_| jfs.sync()) {
-                Ok(()) => {}
-                Err(FsError::ReadOnly) | Err(FsError::Io) => {
-                    hit_degraded = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected error {e}"),
-            }
-        }
-        assert!(hit_degraded, "the mount never degraded");
-        assert!(jfs.health().is_degraded());
-        assert_eq!(jfs.mkdir("/more"), Err(FsError::ReadOnly));
-        assert_eq!(jfs.sync(), Err(FsError::Io));
-        assert!(jfs.readdir("/").is_ok(), "reads still serve from memory");
-        let report = jfs.health_report();
-        assert!(report.health.is_degraded());
-        assert_eq!(report.degraded_flips, 1);
-    }
-
-    #[test]
     fn transient_faults_stay_healthy_and_durable() {
-        let disk = Arc::new(Disk::new());
-        let dev = Arc::new(FaultyDisk::new(
-            Arc::clone(&disk),
-            FaultPlan::none(5).with_transient(6_000, 6_000, 6_000),
-        ));
-        let jfs = JournaledFs::create(dev);
-        for i in 0..40 {
-            jfs.mknod(&format!("/f{i}")).unwrap();
-        }
-        jfs.sync().unwrap();
-        assert_eq!(jfs.health(), Health::Healthy);
-        assert!(
-            jfs.health_report().retries > 0,
-            "a ~9% fault rate should have forced retries"
-        );
-        drop(jfs);
-        disk.crash(|_| false);
-        let (r, _) = JournaledFs::recover(disk).unwrap();
-        for i in 0..40 {
-            assert!(r.stat(&format!("/f{i}")).is_ok(), "/f{i} was acked");
+        for shards in SHARD_COUNTS {
+            let disk = Arc::new(Disk::new());
+            let dev = Arc::new(FaultyDisk::new(
+                Arc::clone(&disk),
+                FaultPlan::none(5).with_transient(6_000, 6_000, 6_000),
+            ));
+            let cfg = ShardConfig::with_shards(shards);
+            let jfs = JournaledFs::create_sharded(dev, cfg);
+            for i in 0..40 {
+                jfs.mknod(&format!("/f{i}")).unwrap();
+                if i % 4 == 3 {
+                    jfs.sync().unwrap();
+                }
+            }
+            assert_eq!(jfs.health(), Health::Healthy);
+            assert!(
+                jfs.health_report().retries > 0,
+                "a ~9% fault rate should have forced retries"
+            );
+            drop(jfs);
+            disk.crash(|_| false);
+            let (r, _) = JournaledFs::recover_sharded(disk, cfg).unwrap();
+            for i in 0..40 {
+                assert!(r.stat(&format!("/f{i}")).is_ok(), "/f{i} was acked");
+            }
         }
     }
 }

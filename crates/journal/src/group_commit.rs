@@ -1,9 +1,8 @@
 //! Epoch group commit over the sharded journal.
 //!
-//! [`ShardedJournalSink`] is the sharded counterpart of
-//! [`crate::fs::JournalSink`]: a trace sink that turns every
-//! [`Event::Mutate`] into log state, but into `N` independent append
-//! streams instead of one. Writers *stage* stamped micro-ops into
+//! [`ShardedJournalSink`] is the journal's trace sink: it turns every
+//! [`Event::Mutate`] into log state, spread over `N` independent append
+//! streams (`N` may be 1). Writers *stage* stamped micro-ops into
 //! per-shard in-memory buffers (one brief shard-buffer lock plus one
 //! atomic stamp each — no device I/O on the mutation path); `sync()`
 //! runs the **group commit**: it atomically cuts epoch `E` across all
@@ -57,8 +56,7 @@
 //! errseq-style loss counter is sampled at entry and re-checked before
 //! any `Ok`, so no caller is told "durable" across an event that may
 //! have discarded its stamps. The whole mount flips to sticky degraded
-//! mode only when *every* shard is dead (or in eager mode, which keeps
-//! the single-stream semantics as the ablation baseline).
+//! mode only when *every* shard is dead.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -205,7 +203,6 @@ impl TxnGate {
 pub struct ShardedJournalSink {
     cfg: ShardConfig,
     gen: u32,
-    disk: Arc<dyn BlockDevice>,
     shards: Vec<ShardState>,
     /// Global mutation stamp, contiguous from 0 for this generation.
     stamp: AtomicU64,
@@ -294,7 +291,6 @@ impl ShardedJournalSink {
             cfg.shard_count(),
             "one device per shard (clone the Arc to share one)"
         );
-        let device = Arc::clone(&devices[0]);
         let shards = devices
             .into_iter()
             .enumerate()
@@ -314,7 +310,6 @@ impl ShardedJournalSink {
         ShardedJournalSink {
             cfg,
             gen,
-            disk: device,
             shards,
             stamp: AtomicU64::new(0),
             txn_ids: AtomicU64::new(1),
@@ -460,8 +455,9 @@ impl ShardedJournalSink {
             + self.shards.iter().map(|s| s.counters.retries()).sum::<u64>()
     }
 
-    /// Health plus aggregate counters (shape-compatible with the
-    /// single-stream sink's report).
+    /// Health plus the fault/retry counters behind it (summed over
+    /// shards) and, for a mount produced by recovery, the scrub's
+    /// skipped-record breakdown.
     pub fn health_report(&self) -> crate::health::HealthReport {
         crate::health::HealthReport {
             health: self.health(),
@@ -626,126 +622,75 @@ impl ShardedJournalSink {
 
     /// Stage one plain (non-rename) micro-op into `shard`.
     fn stage_plain(&self, shard: usize, mop: MicroOp) {
-        if self.cfg.group_commit {
-            // Shared-held barrier: the stamp and the push land atomically
-            // with respect to the epoch cut. The phase span (child of the
-            // sampled op root, inert otherwise) reads the open epoch under
-            // the same guard, so its (shard, epoch, stamp) triple is the
-            // one the next cut will assign.
-            let mut sp = Span::child(SpanKind::ShardAppend, "stage_plain");
-            sp.set_shard(shard as u32);
-            let _r = self.cut.read();
-            if self.shard_dead(shard) {
-                // Quarantined range — the op raced the admission gate.
-                // Count it dropped and consume no stamp, so the global
-                // stamp stream stays gap-free for everyone else.
-                sp.fail();
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            let mut buf = self.shards[shard].buf.lock();
-            let stamp = self.stamp.fetch_add(1, Ordering::Relaxed);
-            sp.set_stamp(stamp);
-            sp.set_epoch(self.open_epoch.load(Ordering::Relaxed));
-            buf.plain.push((stamp, mop));
-        } else {
-            // Eager mode (the ablation baseline): one frame per micro-op,
-            // written immediately under the shard's writer lock.
-            let s = &self.shards[shard];
-            let mut w = s.writer.lock();
-            let stamp = self.stamp.fetch_add(1, Ordering::Relaxed);
-            let epoch = self.open_epoch.load(Ordering::Relaxed);
-            let at = w.next_seq();
-            let r = w.append_frame(FrameKind::Batch, epoch, 0, &[(stamp, mop)]);
-            s.gauges.log_bytes.store(w.position(), Ordering::Relaxed);
-            drop(w);
-            if let Err(cause) = r {
-                s.gauges.dead.store(true, Ordering::Relaxed);
-                self.degrade(cause, at);
-            }
+        // Shared-held barrier: the stamp and the push land atomically
+        // with respect to the epoch cut. The phase span (child of the
+        // sampled op root, inert otherwise) reads the open epoch under
+        // the same guard, so its (shard, epoch, stamp) triple is the
+        // one the next cut will assign.
+        let mut sp = Span::child(SpanKind::ShardAppend, "stage_plain");
+        sp.set_shard(shard as u32);
+        let _r = self.cut.read();
+        if self.shard_dead(shard) {
+            // Quarantined range — the op raced the admission gate.
+            // Count it dropped and consume no stamp, so the global
+            // stamp stream stays gap-free for everyone else.
+            sp.fail();
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
         }
+        let mut buf = self.shards[shard].buf.lock();
+        let stamp = self.stamp.fetch_add(1, Ordering::Relaxed);
+        sp.set_stamp(stamp);
+        sp.set_epoch(self.open_epoch.load(Ordering::Relaxed));
+        buf.plain.push((stamp, mop));
     }
 
     /// Stage one micro-op of the open rename transaction `txn`.
     fn stage_intent(&self, txn: &mut OpenTxn, mop: MicroOp) {
-        if self.cfg.group_commit {
-            if txn.dropped || self.shard_dead(txn.src) {
-                // Source shard quarantined mid-rename: the intent can
-                // never become durable, so the whole transaction drops —
-                // ops take no stamps (no gap) and the seal is suppressed.
-                txn.dropped = true;
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            // No cut guard needed: the transaction gate keeps the cut out
-            // until this transaction seals.
-            let mut sp = Span::child(SpanKind::ShardAppend, "stage_intent");
-            sp.set_shard(txn.src as u32);
-            let mut buf = self.shards[txn.src].buf.lock();
-            let stamp = self.stamp.fetch_add(1, Ordering::Relaxed);
-            sp.set_stamp(stamp);
-            sp.set_epoch(self.open_epoch.load(Ordering::Relaxed));
-            match buf.intents.iter_mut().find(|(id, _)| *id == txn.id) {
-                Some((_, ops)) => ops.push((stamp, mop)),
-                None => buf.intents.push((txn.id, vec![(stamp, mop)])),
-            }
-        } else {
-            let s = &self.shards[txn.src];
-            let mut w = s.writer.lock();
-            let stamp = self.stamp.fetch_add(1, Ordering::Relaxed);
-            let epoch = self.open_epoch.load(Ordering::Relaxed);
-            let at = w.next_seq();
-            let r = w.append_frame(
-                FrameKind::RenameIntent,
-                epoch,
-                txn.id,
-                &[(stamp, mop)],
-            );
-            s.gauges.log_bytes.store(w.position(), Ordering::Relaxed);
-            drop(w);
-            if let Err(cause) = r {
-                s.gauges.dead.store(true, Ordering::Relaxed);
-                self.degrade(cause, at);
-            }
+        if txn.dropped || self.shard_dead(txn.src) {
+            // Source shard quarantined mid-rename: the intent can
+            // never become durable, so the whole transaction drops —
+            // ops take no stamps (no gap) and the seal is suppressed.
+            txn.dropped = true;
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        // No cut guard needed: the transaction gate keeps the cut out
+        // until this transaction seals.
+        let mut sp = Span::child(SpanKind::ShardAppend, "stage_intent");
+        sp.set_shard(txn.src as u32);
+        let mut buf = self.shards[txn.src].buf.lock();
+        let stamp = self.stamp.fetch_add(1, Ordering::Relaxed);
+        sp.set_stamp(stamp);
+        sp.set_epoch(self.open_epoch.load(Ordering::Relaxed));
+        match buf.intents.iter_mut().find(|(id, _)| *id == txn.id) {
+            Some((_, ops)) => ops.push((stamp, mop)),
+            None => buf.intents.push((txn.id, vec![(stamp, mop)])),
         }
     }
 
     /// Seal the rename transaction in its destination shard.
     fn stage_seal(&self, txn: &OpenTxn) {
-        let dst = txn.dst.unwrap_or(txn.src);
-        if self.cfg.group_commit {
-            if txn.dropped || self.shard_dead(txn.src) {
-                // The intent never reached (or will never reach) disk: a
-                // seal would only show up as an orphan at recovery.
-                return;
-            }
-            let dst = if self.shard_dead(dst) {
-                // Redirect to any survivor: recovery pairs intents
-                // against seals found on *any* shard, so placement is
-                // free — what matters is that the seal lands in the same
-                // epoch as its intent, which the transaction gate holds
-                // open until this push completes.
-                match self.first_live_shard() {
-                    Some(i) => i,
-                    None => return,
-                }
-            } else {
-                dst
-            };
-            self.shards[dst].buf.lock().seals.push(txn.id);
-        } else if !self.degraded.load(Ordering::Relaxed) {
-            let s = &self.shards[dst];
-            let mut w = s.writer.lock();
-            let epoch = self.open_epoch.load(Ordering::Relaxed);
-            let at = w.next_seq();
-            let r = w.append_frame(FrameKind::RenameSeal, epoch, txn.id, &[]);
-            s.gauges.log_bytes.store(w.position(), Ordering::Relaxed);
-            drop(w);
-            if let Err(cause) = r {
-                s.gauges.dead.store(true, Ordering::Relaxed);
-                self.degrade(cause, at);
-            }
+        if txn.dropped || self.shard_dead(txn.src) {
+            // The intent never reached (or will never reach) disk: a
+            // seal would only show up as an orphan at recovery.
+            return;
         }
+        let dst = txn.dst.unwrap_or(txn.src);
+        let dst = if self.shard_dead(dst) {
+            // Redirect to any survivor: recovery pairs intents
+            // against seals found on *any* shard, so placement is
+            // free — what matters is that the seal lands in the same
+            // epoch as its intent, which the transaction gate holds
+            // open until this push completes.
+            match self.first_live_shard() {
+                Some(i) => i,
+                None => return,
+            }
+        } else {
+            dst
+        };
+        self.shards[dst].buf.lock().seals.push(txn.id);
     }
 
     fn on_mutate(&self, tid: Tid, mop: MicroOp) {
@@ -812,9 +757,6 @@ impl ShardedJournalSink {
             if let Health::Degraded { cause, .. } = *self.health.lock() {
                 return Err(cause);
             }
-        }
-        if !self.cfg.group_commit {
-            return self.commit(false);
         }
         // The group commit proper: the barrier is satisfied once a flushed
         // cut covers every stamp issued before this call. One syncer at a
@@ -933,9 +875,6 @@ impl ShardedJournalSink {
     fn commit_locked_inner(&self, force: bool, sp: &mut Span) -> Result<(), DiskError> {
         if let Health::Degraded { cause, .. } = *self.health.lock() {
             return Err(cause);
-        }
-        if !self.cfg.group_commit {
-            return self.commit_eager(force);
         }
 
         // Phase 1 — the cut. Drain open rename transactions (so no
@@ -1206,49 +1145,6 @@ impl ShardedJournalSink {
         failed
     }
 
-    /// Commit in eager (group-commit-off) mode: frames are already on the
-    /// device, so a sync is the epoch bump plus the flush barrier.
-    fn commit_eager(&self, force: bool) -> Result<(), DiskError> {
-        // Intent/seal pairs must not straddle the epoch bump either.
-        self.txns.drain();
-        let epoch = self.open_epoch.fetch_add(1, Ordering::Relaxed);
-        self.txns.release();
-        if force {
-            for s in &self.shards {
-                let mut w = s.writer.lock();
-                let at = w.next_seq();
-                let r = w.append_frame(FrameKind::EpochSeal, epoch, 0, &[]);
-                s.gauges.log_bytes.store(w.position(), Ordering::Relaxed);
-                drop(w);
-                if let Err(cause) = r {
-                    s.gauges.dead.store(true, Ordering::Relaxed);
-                    self.degrade(cause, at);
-                    return Err(cause);
-                }
-            }
-        }
-        self.flush_device()?;
-        self.sealed_epoch.store(epoch, Ordering::Relaxed);
-        for s in &self.shards {
-            s.gauges.seal(epoch);
-        }
-        Ok(())
-    }
-
-    fn flush_device(&self) -> Result<(), DiskError> {
-        let disk = &*self.disk;
-        let r = self.counters.clone();
-        let result = self.cfg.policy.run(&r, || disk.flush());
-        if let Err(cause) = result {
-            let appended: u64 = self
-                .shards
-                .iter()
-                .map(|s| s.writer.lock().next_seq())
-                .sum();
-            self.degrade(cause, appended);
-        }
-        result
-    }
 }
 
 impl TraceSink for ShardedJournalSink {
@@ -1468,20 +1364,6 @@ mod tests {
         for (i, (stamp, _)) in r.ops.iter().enumerate() {
             assert_eq!(*stamp, i as u64, "merged stream is stamp-contiguous");
         }
-    }
-
-    #[test]
-    fn eager_mode_writes_and_recovers_without_group_commit() {
-        let disk = Arc::new(Disk::new());
-        let cfg = ShardConfig::default().without_group_commit();
-        let sink = ShardedJournalSink::new(Arc::clone(&disk) as Arc<dyn BlockDevice>, cfg);
-        for i in 0..10u64 {
-            emit_op(&sink, Tid(1), &[create(100 + i)]);
-        }
-        assert!(sink.log_bytes() > 0, "eager mode writes at stage time");
-        sink.sync().unwrap();
-        let r = recover_sharded(&disk, sink.config());
-        assert_eq!(r.ops.len(), 10);
     }
 
     #[test]

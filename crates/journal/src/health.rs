@@ -217,10 +217,13 @@ pub struct RecoverySummary {
 
 impl RecoverySummary {
     /// Build from the scrub's cap-independent census
-    /// ([`crate::journal::SkipTotals`]) — the preferred constructor:
-    /// unlike [`RecoverySummary::new`], the counts stay complete even
-    /// when the itemized list overflowed its budget.
-    pub fn from_totals(epoch: u64, ops_replayed: u64, totals: &crate::journal::SkipTotals) -> Self {
+    /// ([`crate::recovery::SkipTotals`]): the counts stay complete even
+    /// when the itemized skip list overflowed its budget.
+    pub fn from_totals(
+        epoch: u64,
+        ops_replayed: u64,
+        totals: &crate::recovery::SkipTotals,
+    ) -> Self {
         RecoverySummary {
             epoch,
             ops_replayed,
@@ -231,28 +234,6 @@ impl RecoverySummary {
             orphaned: totals.orphaned,
             garbage: totals.garbage,
         }
-    }
-
-    /// Collapse an itemized skip list into per-class counts. Undercounts
-    /// when the list was capped; prefer [`RecoverySummary::from_totals`].
-    pub fn new(epoch: u64, ops_replayed: u64, skipped: &[crate::journal::SkippedRecord]) -> Self {
-        use crate::journal::RecordClass;
-        let mut s = RecoverySummary {
-            epoch,
-            ops_replayed,
-            skipped_total: skipped.len() as u64,
-            ..RecoverySummary::default()
-        };
-        for rec in skipped {
-            match rec.class {
-                RecordClass::Torn => s.torn += 1,
-                RecordClass::ChecksumMismatch => s.checksum_mismatch += 1,
-                RecordClass::StaleEpoch => s.stale_epoch += 1,
-                RecordClass::Orphaned => s.orphaned += 1,
-                RecordClass::Garbage => s.garbage += 1,
-            }
-        }
-        s
     }
 }
 

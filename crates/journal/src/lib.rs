@@ -7,29 +7,30 @@
 //!
 //! * [`device::Disk`] — a simulated block device whose crash model
 //!   includes out-of-order partial persistence of unflushed writes;
-//! * [`wire`] — a checksummed, epoch-stamped binary record format for
-//!   micro-operation batches;
-//! * [`journal`] — an append-only log with prefix-exact recovery: the
-//!   scan stops at the first torn/corrupt/stale record, so what survives
-//!   a crash is always a *prefix* of the appended history;
+//! * [`wire`] — a checksummed, generation- and epoch-stamped binary
+//!   frame format for micro-operation batches;
+//! * [`shard`] / [`group_commit`] — the log: `N` independent append
+//!   streams (`ShardConfig { shards: 1.. }`, shard chosen by inode
+//!   hash), each with its own device region, sequence space, and
+//!   retry/quarantine state, coordinated by epoch-based group commit.
+//!   Mutations are staged in memory; `sync()` cuts an epoch across all
+//!   shards, writes one frame batch per shard and issues one flush
+//!   barrier. Renames emit a two-phase intent/seal record pair;
+//! * [`recovery`] — scans shards in parallel, stops each scan at the
+//!   first torn/corrupt/stale frame, pairs intents with seals, and
+//!   admits only the contiguous global stamp prefix, so what survives a
+//!   crash is always a *prefix* of the logged history;
 //! * [`fs::JournaledFs`] — AtomFS wired to the log through its trace
 //!   sink (every inode-granularity mutation is a log record, in global
 //!   mutation order), with `sync()` as the durability barrier and
 //!   recovery-as-checkpoint (log compaction);
-//! * [`shard`] / [`group_commit`] / [`recovery`] — a sharded journal:
-//!   N independent append streams (shard chosen by inode hash), each
-//!   with its own device region, sequence space, and retry/degrade
-//!   state, coordinated by epoch-based group commit. Cross-shard
-//!   renames emit a two-phase intent/seal record pair; recovery scans
-//!   shards in parallel, pairs intents with seals, and admits only the
-//!   contiguous global stamp prefix, so prefix-exactness survives
-//!   sharding;
 //! * [`faults::FaultyDisk`] — seeded, deterministic fault injection
 //!   behind the [`device::BlockDevice`] trait (transient errors,
 //!   permanent device failure, torn writes, bit rot), which the
 //!   journal's retry/degrade machinery ([`health`]) is tested against:
-//!   exhausted retries flip the mount to read-only degraded mode
-//!   instead of losing acked data or panicking.
+//!   exhausted retries quarantine the shard (and, once every shard is
+//!   dead, flip the mount to read-only degraded mode) instead of losing
+//!   acked data or panicking.
 //!
 //! The correctness story composes with CRL-H: because the log records
 //! the same micro-operation stream the checker's shadow state replays,
@@ -46,7 +47,6 @@ pub mod faults;
 pub mod fs;
 pub mod group_commit;
 pub mod health;
-pub mod journal;
 pub mod metrics;
 pub mod recovery;
 pub mod shard;
@@ -54,12 +54,12 @@ pub mod wire;
 
 pub use device::{BlockDevice, Disk, DiskError, DiskOp};
 pub use faults::{FaultPlan, FaultStats, FaultyDisk};
-pub use fs::{materialize, mutations_of, JournalSink, JournaledFs, RecoveryStats};
+pub use fs::{materialize, mutations_of, JournaledFs, RecoveryStats};
 pub use group_commit::ShardedJournalSink;
 pub use health::{Health, HealthCounters, HealthReport, RecoverySummary, RetryPolicy};
-pub use metrics::{register_journal_metrics, register_sharded_journal_metrics};
-pub use journal::{recover, Journal, RecordClass, Recovered, SkipTotals, SkippedRecord};
+pub use metrics::register_sharded_journal_metrics;
 pub use recovery::{
-    recover_sharded, recover_sharded_sequential, scan_shard, ShardScan, ShardedRecovered,
+    recover_sharded, recover_sharded_sequential, scan_shard, RecordClass, ShardScan,
+    ShardedRecovered, SkipTotals, SkippedRecord,
 };
 pub use shard::{shard_of, ShardConfig, ShardGauges, ShardReport, ShardWriter};

@@ -13,112 +13,21 @@ use std::sync::Arc;
 
 use atomfs_obs::{FnKind, Registry};
 
-use crate::fs::{JournalSink, JournaledFs, SinkKind};
+use crate::fs::JournaledFs;
 use crate::group_commit::ShardedJournalSink;
-use crate::health::HealthCounters;
 
 /// Register the journal metric family for `sink` in `registry`.
 ///
-/// Exposes: `journal_device_faults_total`, `journal_retries_total`,
-/// `journal_degraded_flips_total`, `journal_dropped_events_total`
-/// (counters); `journal_degraded`, `journal_log_bytes`, and — when the
-/// mount was produced by recovery — `journal_recovery_ops_replayed` and
-/// `journal_recovery_skipped{class=...}` (gauges).
-pub fn register_journal_metrics(registry: &Registry, sink: &Arc<JournalSink>) {
-    let counters: Arc<HealthCounters> = sink.counters();
-    let c = Arc::clone(&counters);
-    registry.register_fn(
-        "journal_device_faults_total",
-        &[],
-        "Device errors observed (before retry absorption).",
-        FnKind::Counter,
-        move || c.device_faults.load(Ordering::Relaxed) as f64,
-    );
-    let c = Arc::clone(&counters);
-    registry.register_fn(
-        "journal_retries_total",
-        &[],
-        "Retries issued after transient device errors.",
-        FnKind::Counter,
-        move || c.retries.load(Ordering::Relaxed) as f64,
-    );
-    let c = Arc::clone(&counters);
-    registry.register_fn(
-        "journal_degraded_flips_total",
-        &[],
-        "Healthy-to-degraded transitions of the mount.",
-        FnKind::Counter,
-        move || c.degraded_flips.load(Ordering::Relaxed) as f64,
-    );
-    let s = Arc::clone(sink);
-    registry.register_fn(
-        "journal_dropped_events_total",
-        &[],
-        "Mutation events dropped while degraded (invariant: stays 0).",
-        FnKind::Counter,
-        move || s.dropped_events() as f64,
-    );
-    let s = Arc::clone(sink);
-    registry.register_fn(
-        "journal_degraded",
-        &[],
-        "1 when the mount is read-only degraded, else 0.",
-        FnKind::Gauge,
-        move || {
-            if s.health().is_degraded() {
-                1.0
-            } else {
-                0.0
-            }
-        },
-    );
-    let s = Arc::clone(sink);
-    registry.register_fn(
-        "journal_log_bytes",
-        &[],
-        "Bytes appended to the current log generation.",
-        FnKind::Gauge,
-        move || s.log_bytes() as f64,
-    );
-    let s = Arc::clone(sink);
-    registry.register_fn(
-        "journal_recovery_ops_replayed",
-        &[],
-        "Mutations replayed by the recovery that produced this mount (0 for a fresh mount).",
-        FnKind::Gauge,
-        move || {
-            s.health_report()
-                .recovery
-                .map_or(0.0, |r| r.ops_replayed as f64)
-        },
-    );
-    for (class, get) in [
-        ("torn", (|r| r.torn) as fn(crate::health::RecoverySummary) -> u64),
-        ("checksum_mismatch", |r| r.checksum_mismatch),
-        ("stale_epoch", |r| r.stale_epoch),
-        ("orphaned", |r| r.orphaned),
-        ("garbage", |r| r.garbage),
-    ] {
-        let s = Arc::clone(sink);
-        registry.register_fn(
-            "journal_recovery_skipped",
-            &[("class", class)],
-            "Records the recovery scrub refused, by classification.",
-            FnKind::Gauge,
-            move || s.health_report().recovery.map_or(0.0, |r| get(r) as f64),
-        );
-    }
-}
-
-/// Register the sharded-journal metric family for `sink` in `registry`.
-///
-/// Exposes the same mount-level family as [`register_journal_metrics`]
-/// (`journal_device_faults_total`, `journal_retries_total`,
-/// `journal_degraded_flips_total`, `journal_dropped_events_total`,
-/// `journal_degraded`, `journal_log_bytes`, recovery gauges) plus the
-/// epoch machinery (`journal_open_epoch`, `journal_sealed_epoch`) and a
-/// per-shard family labeled `shard="i"`: `journal_shard_log_bytes`,
-/// `journal_shard_sealed_epoch`, `journal_shard_epoch_lag`,
+/// Exposes the mount-level family — `journal_device_faults_total`,
+/// `journal_retries_total`, `journal_degraded_flips_total`,
+/// `journal_dropped_events_total` (counters); `journal_degraded`,
+/// `journal_log_bytes`, and — when the mount was produced by recovery —
+/// `journal_recovery_ops_replayed` and
+/// `journal_recovery_skipped{class=...}` (gauges) — plus the epoch
+/// machinery (`journal_open_epoch`, `journal_sealed_epoch`), the
+/// quarantine gauges, and a per-shard family labeled `shard="i"`:
+/// `journal_shard_log_bytes`, `journal_shard_sealed_epoch`,
+/// `journal_shard_epoch_lag`,
 /// `journal_shard_faults_total`, `journal_shard_retries_total`, and
 /// `journal_shard_dead`.
 pub fn register_sharded_journal_metrics(registry: &Registry, sink: &Arc<ShardedJournalSink>) {
@@ -314,13 +223,9 @@ pub fn register_sharded_journal_metrics(registry: &Registry, sink: &Arc<ShardedJ
 
 impl JournaledFs {
     /// Bridge this mount's health state into `registry` (see
-    /// [`register_journal_metrics`] and
     /// [`register_sharded_journal_metrics`]).
     pub fn register_metrics(&self, registry: &Registry) {
-        match self.sink_kind() {
-            SinkKind::Single(sink) => register_journal_metrics(registry, sink),
-            SinkKind::Sharded(sink) => register_sharded_journal_metrics(registry, sink),
-        }
+        register_sharded_journal_metrics(registry, &self.sink);
     }
 }
 
@@ -328,12 +233,12 @@ impl JournaledFs {
 mod tests {
     use super::*;
     use crate::device::{BlockDevice, Disk};
+    use crate::shard::ShardConfig;
     use atomfs_vfs::FileSystem;
 
     #[test]
     fn fresh_mount_renders_zeros() {
-        let disk = Arc::new(Disk::new());
-        let jfs = JournaledFs::create(Arc::clone(&disk) as Arc<dyn BlockDevice>);
+        let jfs = JournaledFs::create_sharded(Arc::new(Disk::new()), ShardConfig::with_shards(1));
         let reg = Registry::new();
         jfs.register_metrics(&reg);
         let text = reg.render_prometheus();
@@ -344,7 +249,6 @@ mod tests {
 
     #[test]
     fn sharded_mount_renders_per_shard_family() {
-        use crate::shard::ShardConfig;
         let disk = Arc::new(Disk::new());
         let jfs = JournaledFs::create_sharded(
             Arc::clone(&disk) as Arc<dyn BlockDevice>,
@@ -375,7 +279,6 @@ mod tests {
     #[test]
     fn shard_epoch_lag_tracks_a_dead_shard() {
         use crate::faults::{FaultPlan, FaultyDisk};
-        use crate::shard::ShardConfig;
         let dev = Arc::new(FaultyDisk::new(
             Arc::new(Disk::new()),
             FaultPlan::none(0).with_permanent_failure_after(4),
@@ -403,7 +306,7 @@ mod tests {
     #[test]
     fn quarantine_gauges_track_a_dead_shard() {
         use crate::faults::{FaultPlan, FaultyDisk};
-        use crate::shard::{shard_of, ShardConfig};
+        use crate::shard::shard_of;
         let cfg = ShardConfig::default();
         let shards = cfg.shard_count();
         let root_shard = shard_of(atomfs_trace::ROOT_INUM, shards);
@@ -473,14 +376,14 @@ mod tests {
     }
 
     #[test]
-    fn log_bytes_gauge_tracks_appends() {
-        let disk = Arc::new(Disk::new());
-        let jfs = JournaledFs::create(Arc::clone(&disk) as Arc<dyn BlockDevice>);
+    fn log_bytes_gauge_tracks_commits() {
+        let jfs = JournaledFs::create_sharded(Arc::new(Disk::new()), ShardConfig::with_shards(1));
         let reg = Registry::new();
         jfs.register_metrics(&reg);
         assert_eq!(reg.snapshot().gauge("journal_log_bytes"), Some(0.0));
         jfs.mkdir("/d").unwrap();
+        jfs.sync().unwrap();
         let bytes = reg.snapshot().gauge("journal_log_bytes").unwrap();
-        assert!(bytes > 0.0, "append did not move the gauge");
+        assert!(bytes > 0.0, "commit did not move the gauge");
     }
 }

@@ -7,8 +7,8 @@
 //! 1. **Scan** ([`scan_shard`]): walk the shard's region from byte 0,
 //!    admitting checksummed frames with contiguous sequence numbers and
 //!    a single generation (the first frame fixes it). Past the valid
-//!    prefix, a scrub classifies what was left behind — same taxonomy
-//!    as the single-stream journal, budgeted *per shard*.
+//!    prefix, a scrub classifies what was left behind ([`RecordClass`]),
+//!    budgeted *per shard*.
 //! 2. **Resolve** ([`resolve`]): the mount generation is the maximum
 //!    over shards (a shard whose newest frames are older was simply not
 //!    written since the last checkpoint — it contributes nothing).
@@ -40,9 +40,97 @@ use atomfs_obs::{Span, SpanKind};
 use atomfs_trace::MicroOp;
 
 use crate::device::{Disk, SECTOR_SIZE};
-use crate::journal::{RecordClass, SkipTotals, SkippedRecord, MAX_PAYLOAD};
 use crate::shard::ShardConfig;
 use crate::wire::{decode_frame, Frame, FrameKind, FRAME_HEADER, MAGIC2};
+
+/// Why the recovery scrub refused a record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecordClass {
+    /// The record frame is intact but its tail reads as zeroes: a write
+    /// that persisted only a prefix (torn by a crash or a faulty drive).
+    Torn,
+    /// The record frame is intact but the checksum disagrees: silent
+    /// corruption of durable bytes (bit rot).
+    ChecksumMismatch,
+    /// A validly checksummed record from an older, overwritten log
+    /// generation showing through past the current generation's end.
+    StaleEpoch,
+    /// A validly checksummed record of the current generation stranded
+    /// past a corruption hole — unusable because the history it extends
+    /// is incomplete.
+    Orphaned,
+    /// Bytes that are not a record frame at all; the scrub cannot size
+    /// them and must stop.
+    Garbage,
+}
+
+/// One record the recovery scrub skipped, with where and why.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SkippedRecord {
+    /// Byte offset of the record frame, relative to its shard's region
+    /// base.
+    pub offset: u64,
+    /// Why it was skipped.
+    pub class: RecordClass,
+    /// Frame length in bytes (0 when the frame could not be sized).
+    pub len: usize,
+    /// Which shard's scrub reported it.
+    pub shard: u32,
+}
+
+/// Per-class totals of everything a scrub classified — including
+/// records past the itemization cap. The itemized [`SkippedRecord`]
+/// list is bounded evidence; these counters are the complete census, so
+/// a noisy region cannot silently undercount its damage.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SkipTotals {
+    /// Everything the scrub refused.
+    pub total: u64,
+    /// Frame intact, tail zeroed (torn write).
+    pub torn: u64,
+    /// Frame intact, checksum mismatch (bit rot).
+    pub checksum_mismatch: u64,
+    /// Valid record of an older, overwritten generation.
+    pub stale_epoch: u64,
+    /// Valid current-generation record stranded past a hole.
+    pub orphaned: u64,
+    /// Unframeable bytes (the scan stops there).
+    pub garbage: u64,
+}
+
+impl SkipTotals {
+    /// Count one classified record.
+    pub fn count(&mut self, class: RecordClass) {
+        self.total += 1;
+        match class {
+            RecordClass::Torn => self.torn += 1,
+            RecordClass::ChecksumMismatch => self.checksum_mismatch += 1,
+            RecordClass::StaleEpoch => self.stale_epoch += 1,
+            RecordClass::Orphaned => self.orphaned += 1,
+            RecordClass::Garbage => self.garbage += 1,
+        }
+    }
+
+    /// Fold another census in (summing per-shard totals).
+    pub fn merge(&mut self, other: &SkipTotals) {
+        self.total += other.total;
+        self.torn += other.torn;
+        self.checksum_mismatch += other.checksum_mismatch;
+        self.stale_epoch += other.stale_epoch;
+        self.orphaned += other.orphaned;
+        self.garbage += other.garbage;
+    }
+}
+
+/// Largest payload a recovery scan will trust; garbage that happens to
+/// carry the magic bytes cannot make the scanner allocate unboundedly.
+const MAX_PAYLOAD: usize = 1 << 26;
+
+/// Default bound on how many records a scrub will itemize past the
+/// valid prefix (a bounded report, not a full forensic pass). The limit
+/// is *per shard*, so one noisy shard cannot evict another shard's skip
+/// evidence. Override via `ShardConfig::max_skipped`.
+pub const DEFAULT_MAX_SKIPPED: usize = 64;
 
 /// Result of scanning one shard's region.
 #[derive(Debug)]
@@ -136,10 +224,11 @@ pub fn scan_shard(disk: &Disk, shard: usize, cfg: &ShardConfig) -> ShardScan {
     }
 }
 
-/// Classify the frames (if any) past the valid prefix at `pos`, same
-/// taxonomy as the single-stream scrub. Itemization stops at the
-/// per-shard budget; classification runs to the end of the debris so
-/// the returned totals are a complete census.
+/// Classify the frames (if any) past the valid prefix at `pos`.
+/// Itemization stops at the per-shard budget; classification runs to
+/// the end of the debris so the returned totals are a complete census
+/// (the walk is bounded by the log's own framing: it stops at zeroed
+/// space or the first unsizeable bytes).
 #[allow(clippy::too_many_arguments)]
 fn scrub(
     disk: &Disk,
@@ -197,6 +286,11 @@ fn scrub(
             // shard / broken sequence).
             Some(_) => RecordClass::Orphaned,
             None => {
+                // A torn write persists a prefix of the frame; the rest
+                // reads as whatever was there before — zeroes, in the
+                // append-only region past the tail. A frame whose last
+                // bytes are zero therefore tore; a frame that is fully
+                // populated but fails its checksum was flipped.
                 if raw[total - 8..].iter().all(|&b| b == 0) {
                     RecordClass::Torn
                 } else {
@@ -653,11 +747,43 @@ mod tests {
         disk.corrupt_durable((byte / SECTOR_SIZE) as u64, byte % SECTOR_SIZE, 0x01);
         let r = recover_sharded(&disk, &cfg);
         assert!(r.ops.is_empty());
-        assert_eq!(r.skipped().len(), 4, "itemization honors the budget");
+        let skipped = r.skipped();
+        assert_eq!(skipped.len(), 4, "itemization honors the budget");
+        assert_eq!(
+            (skipped[0].offset, skipped[0].class),
+            (0, RecordClass::ChecksumMismatch)
+        );
+        // The next frame is intact but stranded past the hole.
+        assert_eq!(skipped[1].class, RecordClass::Orphaned);
+        assert_eq!(skipped[1].offset, skipped[0].len as u64);
         let totals = r.skip_totals();
         assert_eq!(totals.total, 10, "the census counts past the cap");
         assert_eq!(totals.checksum_mismatch, 1);
         assert_eq!(totals.orphaned, 9);
+    }
+
+    #[test]
+    fn non_frame_bytes_past_the_prefix_are_garbage() {
+        let disk = Arc::new(Disk::new());
+        let cfg = ShardConfig::with_shards(1);
+        let mut ws = writers(&disk, &cfg, 1);
+        ws[0]
+            .append_frame(FrameKind::Batch, 1, 0, &[op(0)])
+            .unwrap();
+        ws[0]
+            .append_frame(FrameKind::Batch, 1, 0, &[op(1)])
+            .unwrap();
+        let end = ws[0].position() as usize;
+        Disk::flush(&disk);
+        // Stamp junk (not MAGIC2) right past the valid prefix.
+        disk.corrupt_durable((end / SECTOR_SIZE) as u64, end % SECTOR_SIZE, 0xDE);
+        let r = recover_sharded(&disk, &cfg);
+        assert_eq!(r.ops.len(), 2, "valid prefix is untouched");
+        let skipped = r.skipped();
+        assert_eq!(skipped.len(), 1);
+        assert_eq!(skipped[0].class, RecordClass::Garbage);
+        assert_eq!(skipped[0].offset, end as u64);
+        assert_eq!(skipped[0].len, 0, "unsizeable: the scrub stops there");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use atomfs_trace::{Inum, MicroOp};
 
 use crate::device::{BlockDevice, DiskError, Sector, SECTOR_SIZE};
 use crate::health::{HealthCounters, RetryPolicy};
-use crate::journal::DEFAULT_MAX_SKIPPED;
+use crate::recovery::DEFAULT_MAX_SKIPPED;
 use crate::wire::{encode_frame_parts, encode_quarantine_parts, FrameKind};
 
 /// Hard ceiling on shard count (the on-disk layout stores the shard
@@ -39,22 +39,17 @@ pub struct ShardConfig {
     /// its own budget, so one noisy shard cannot evict another shard's
     /// skip evidence.
     pub max_skipped: usize,
-    /// Whether writers stage into per-epoch buffers flushed as one group
-    /// commit (`true`), or append every micro-op to its shard eagerly
-    /// (`false` — sharding without batching, the ablation baseline).
-    pub group_commit: bool,
     /// Retry policy every shard's sector operations run under.
     pub policy: RetryPolicy,
 }
 
 impl Default for ShardConfig {
-    /// Four shards of 16 MiB, group commit on.
+    /// Four shards of 16 MiB.
     fn default() -> Self {
         ShardConfig {
             shards: 4,
             region_sectors: 1 << 15,
             max_skipped: DEFAULT_MAX_SKIPPED,
-            group_commit: true,
             policy: RetryPolicy::default(),
         }
     }
@@ -67,12 +62,6 @@ impl ShardConfig {
             shards,
             ..ShardConfig::default()
         }
-    }
-
-    /// Builder: disable epoch group commit (eager per-op appends).
-    pub fn without_group_commit(mut self) -> Self {
-        self.group_commit = false;
-        self
     }
 
     /// Builder: set the retry policy.
@@ -117,9 +106,11 @@ pub fn shard_of_op(op: &MicroOp, shards: usize) -> usize {
 
 /// One shard's live write state: an append cursor into its region.
 ///
-/// Mirrors the single-stream `Journal` writer (RMW sector appends under
-/// a retry policy; position/sequence do not advance on failure) but is
-/// bounded by the region and charges a *per-shard* counter set.
+/// Frames are packed back-to-back into a byte stream laid over the
+/// region's sectors; appends rewrite the tail sector as it fills (write
+/// amplification traded for simplicity) under the retry policy, and
+/// position/sequence do not advance on failure. Each writer charges
+/// its own *per-shard* counter set.
 pub struct ShardWriter {
     disk: Arc<dyn BlockDevice>,
     shard: u16,
@@ -256,11 +247,10 @@ pub struct ShardReport {
     pub faults: u64,
     /// Retries charged to this shard.
     pub retries: u64,
-    /// Whether this shard's device region has failed permanently. Under
-    /// group commit the shard is *quarantined*: its inode range turns
-    /// read-only while the surviving shards keep accepting writes (the
-    /// whole mount degrades only when every shard is dead, or in eager
-    /// mode, which keeps the old whole-mount semantics).
+    /// Whether this shard's device region has failed permanently. The
+    /// shard is *quarantined*: its inode range turns read-only while the
+    /// surviving shards keep accepting writes (the whole mount degrades
+    /// only when every shard is dead).
     pub dead: bool,
 }
 

@@ -1,14 +1,12 @@
-//! Binary encoding of micro-operations for the on-disk log.
+//! Binary encoding of micro-operations and log frames for the on-disk
+//! log.
 //!
 //! Hand-rolled little-endian encoding (no format crates in the dependency
-//! budget): every record is self-describing and checksummed, so recovery
+//! budget): every frame is self-describing and checksummed, so recovery
 //! can detect torn writes and out-of-order partial persistence.
 
 use atomfs_trace::MicroOp;
 use atomfs_vfs::FileType;
-
-/// Record magic: "AJRN" little-endian.
-pub const MAGIC: u32 = 0x4e524a41;
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -151,10 +149,10 @@ fn decode_op(r: &mut Reader<'_>) -> Option<MicroOp> {
 
 /// Smallest encoding of any micro-op: a `Create`/`Remove` is
 /// tag(1) + ino(8) + ftype(1) bytes. Used to sanity-bound the op count
-/// a record header claims.
+/// a frame payload claims.
 const MIN_OP_BYTES: usize = 10;
 
-/// The record checksum: an FNV-style multiply-xor absorbing 64-bit words
+/// The frame checksum: an FNV-style multiply-xor absorbing 64-bit words
 /// (with a length fold and a splitmix64 finalizer) instead of single
 /// bytes. Byte-at-a-time FNV-1a was the single largest slice of the
 /// group-commit path — three dependent ops per byte — and a word-wise
@@ -189,89 +187,14 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     h ^ (h >> 31)
 }
 
-/// Encode one journal record: an epoch (log generation — a recovery
-/// checkpoint rewrites the log under a higher epoch, so stale records
-/// from the previous generation can never be replayed), a sequence
-/// number, and a batch of ops.
-///
-/// Layout: `MAGIC u32 | epoch u64 | seq u64 | payload_len u32 | payload | fnv u64`
-/// where the checksum covers everything before it.
-pub fn encode_record(epoch: u64, seq: u64, ops: &[MicroOp]) -> Vec<u8> {
-    let mut payload = Vec::new();
-    put_u32(&mut payload, ops.len() as u32);
-    for op in ops {
-        encode_op(op, &mut payload);
-    }
-    let mut rec = Vec::with_capacity(payload.len() + 32);
-    put_u32(&mut rec, MAGIC);
-    put_u64(&mut rec, epoch);
-    put_u64(&mut rec, seq);
-    put_u32(&mut rec, payload.len() as u32);
-    rec.extend_from_slice(&payload);
-    let sum = checksum(&rec);
-    put_u64(&mut rec, sum);
-    rec
-}
-
-/// Try to decode one record at the start of `buf`.
-///
-/// Returns the record's `(epoch, seq, ops, total_len)` or `None` when the
-/// bytes are not a complete, checksummed record (recovery stops there).
-pub fn decode_record(buf: &[u8]) -> Option<(u64, u64, Vec<MicroOp>, usize)> {
-    let mut r = Reader { buf, pos: 0 };
-    if r.u32()? != MAGIC {
-        return None;
-    }
-    let epoch = r.u64()?;
-    let seq = r.u64()?;
-    let payload_len = r.u32()? as usize;
-    // The length came off the wire: clamp it against the bytes actually
-    // present before using it for anything, so a corrupted field can
-    // never drive a huge allocation or an overflowing index.
-    if payload_len > buf.len().saturating_sub(r.pos) {
-        return None;
-    }
-    let payload_start = r.pos;
-    let payload = r.take(payload_len)?;
-    let stored_sum = r.u64()?;
-    let total = r.pos;
-    if checksum(&buf[..payload_start + payload_len]) != stored_sum {
-        return None;
-    }
-    let mut pr = Reader {
-        buf: payload,
-        pos: 0,
-    };
-    let count = pr.u32()? as usize;
-    // Same clamp for the op count: every op encodes to at least
-    // MIN_OP_BYTES, so a count the remaining payload cannot possibly
-    // hold is corrupt — reject it before `Vec::with_capacity`.
-    if count > payload.len().saturating_sub(pr.pos) / MIN_OP_BYTES {
-        return None;
-    }
-    let mut ops = Vec::with_capacity(count);
-    for _ in 0..count {
-        ops.push(decode_op(&mut pr)?);
-    }
-    if pr.pos != payload.len() {
-        return None; // trailing garbage inside the payload
-    }
-    Some((epoch, seq, ops, total))
-}
-
-// ---------------------------------------------------------------------------
-// Sharded-journal frames (wire format v2)
-// ---------------------------------------------------------------------------
-
-/// Frame magic for the sharded log: "AJS2" little-endian. Distinct from
-/// [`MAGIC`] so a scan can never misparse one format as the other.
+/// Frame magic: "AJS2" little-endian.
 pub const MAGIC2: u32 = 0x32534a41;
 
 /// Fixed frame header size:
 /// `MAGIC2 u32 | gen u32 | shard u16 | kind u8 | pad u8 | epoch u64 | seq u64 | txn u64 | payload_len u32`.
 pub const FRAME_HEADER: usize = 40;
 
-/// What a sharded-log frame carries.
+/// What a log frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
     /// A batch of stamped micro-ops staged by ordinary (single-shard) ops.
@@ -327,11 +250,11 @@ impl FrameKind {
     }
 }
 
-/// One frame of a sharded log stream.
+/// One frame of a shard's log stream.
 ///
-/// `gen` is the log generation (bumped by recovery checkpoints, the role
-/// `epoch` plays in the v1 single-stream format); `epoch` is the group-
-/// commit epoch; `seq` is the per-shard frame sequence number; `stamp`s
+/// `gen` is the log generation (a recovery checkpoint rewrites the log
+/// under a higher generation, so stale frames from the previous one can
+/// never be replayed); `epoch` is the group-commit epoch; `seq` is the per-shard frame sequence number; `stamp`s
 /// on the ops come from the mount-wide staging counter, so merging every
 /// shard's ops by stamp reconstructs one legal total order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -351,8 +274,8 @@ pub struct Frame {
 /// Smallest encoding of one stamped op: stamp(8) + MIN_OP_BYTES.
 const MIN_STAMPED_OP_BYTES: usize = 8 + MIN_OP_BYTES;
 
-/// Encode one sharded-log frame (header | payload | fnv trailer, checksum
-/// over everything before the trailer — same discipline as v1 records).
+/// Encode one frame (header | payload | checksum trailer, the checksum
+/// covering everything before the trailer).
 pub fn encode_frame(f: &Frame) -> Vec<u8> {
     if f.kind.carries_windows() {
         encode_quarantine_parts(f.gen, f.shard, f.epoch, f.seq, f.txn, &f.windows)
@@ -438,10 +361,11 @@ fn assemble_frame(
 /// Try to decode one frame at the start of `buf`.
 ///
 /// Returns the frame and its total encoded length, or `None` when the
-/// bytes are not a complete, checksummed, well-formed frame. The same
-/// clamping rules as [`decode_record`] apply: wire-supplied lengths and
-/// counts are bounded by the bytes actually present before any
-/// allocation. Seal frames (`EpochSeal`, `RenameSeal`) must carry zero
+/// bytes are not a complete, checksummed, well-formed frame (recovery
+/// stops there). Lengths and counts came off the wire: they are clamped
+/// against the bytes actually present before any allocation, so a
+/// corrupted field can never drive a huge allocation or an overflowing
+/// index. Seal frames (`EpochSeal`, `RenameSeal`) must carry zero
 /// ops — a "seal" smuggling ops is corrupt by definition.
 pub fn decode_frame(buf: &[u8]) -> Option<(Frame, usize)> {
     let mut r = Reader { buf, pos: 0 };
@@ -496,6 +420,9 @@ pub fn decode_frame(buf: &[u8]) -> Option<(Frame, usize)> {
             windows.push((lo, hi));
         }
     } else {
+        // Every stamped op encodes to at least MIN_STAMPED_OP_BYTES, so
+        // a count the remaining payload cannot possibly hold is corrupt
+        // — reject it before reserving.
         if count > payload.len().saturating_sub(pr.pos) / MIN_STAMPED_OP_BYTES {
             return None;
         }
@@ -558,183 +485,6 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn record_roundtrip() {
-        let ops = sample_ops();
-        let rec = encode_record(3, 42, &ops);
-        let (epoch, seq, decoded, len) = decode_record(&rec).expect("valid record");
-        assert_eq!(epoch, 3);
-        assert_eq!(seq, 42);
-        assert_eq!(decoded, ops);
-        assert_eq!(len, rec.len());
-    }
-
-    #[test]
-    fn empty_batch_roundtrip() {
-        let rec = encode_record(1, 0, &[]);
-        let (_, seq, ops, _) = decode_record(&rec).unwrap();
-        assert_eq!(seq, 0);
-        assert!(ops.is_empty());
-    }
-
-    #[test]
-    fn corruption_is_detected() {
-        let ops = sample_ops();
-        let rec = encode_record(1, 1, &ops);
-        for i in 0..rec.len() {
-            let mut bad = rec.clone();
-            bad[i] ^= 0xFF;
-            assert!(
-                decode_record(&bad).is_none(),
-                "flipping byte {i} must invalidate the record"
-            );
-        }
-    }
-
-    #[test]
-    fn truncation_is_detected() {
-        let rec = encode_record(1, 1, &sample_ops());
-        for cut in 0..rec.len() {
-            assert!(decode_record(&rec[..cut]).is_none(), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn back_to_back_records_parse_sequentially() {
-        let a = encode_record(1, 1, &sample_ops());
-        let b = encode_record(1, 2, &[]);
-        let mut stream = a.clone();
-        stream.extend_from_slice(&b);
-        let (_, s1, _, l1) = decode_record(&stream).unwrap();
-        assert_eq!(s1, 1);
-        let (_, s2, _, _) = decode_record(&stream[l1..]).unwrap();
-        assert_eq!(s2, 2);
-    }
-
-    #[test]
-    fn zeros_are_not_a_record() {
-        assert!(decode_record(&[0u8; 64]).is_none());
-    }
-
-    #[test]
-    fn huge_wire_length_is_rejected_without_allocating() {
-        // A frame whose header claims a payload far past the buffer end.
-        let mut rec = Vec::new();
-        put_u32(&mut rec, MAGIC);
-        put_u64(&mut rec, 1);
-        put_u64(&mut rec, 0);
-        put_u32(&mut rec, u32::MAX);
-        rec.extend_from_slice(&[0xAB; 64]);
-        assert!(decode_record(&rec).is_none());
-    }
-
-    #[test]
-    fn huge_op_count_with_valid_checksum_is_rejected() {
-        // The checksum only covers the bytes as written, so a record
-        // *encoded* with a lying count field checksums fine — the count
-        // clamp is the only thing standing between it and a huge
-        // `Vec::with_capacity`.
-        let mut rec = Vec::new();
-        put_u32(&mut rec, MAGIC);
-        put_u64(&mut rec, 1);
-        put_u64(&mut rec, 0);
-        put_u32(&mut rec, 4); // payload = just the count field
-        put_u32(&mut rec, u32::MAX); // claims 4 billion ops
-        let sum = checksum(&rec);
-        put_u64(&mut rec, sum);
-        assert!(decode_record(&rec).is_none());
-    }
-
-    /// splitmix64 — the same deterministic stream the fault layer uses.
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    #[test]
-    fn fuzz_arbitrary_bytes_never_panic() {
-        let mut s = 0xF00Du64;
-        for _ in 0..2000 {
-            let len = (splitmix(&mut s) % 300) as usize;
-            let mut buf = vec![0u8; len];
-            for b in &mut buf {
-                *b = splitmix(&mut s) as u8;
-            }
-            // Half the runs get a plausible frame start, so the fuzz
-            // exercises the post-magic paths too.
-            if buf.len() >= 4 && splitmix(&mut s) & 1 == 0 {
-                buf[..4].copy_from_slice(&MAGIC.to_le_bytes());
-            }
-            if let Some((_, _, _, total)) = decode_record(&buf) {
-                assert!(total <= buf.len());
-            }
-        }
-    }
-
-    #[test]
-    fn every_single_bit_flip_is_caught() {
-        let rec = encode_record(2, 5, &sample_ops());
-        let original = decode_record(&rec).unwrap();
-        for byte in 0..rec.len() {
-            for bit in 0..8 {
-                let mut bad = rec.clone();
-                bad[byte] ^= 1 << bit;
-                match decode_record(&bad) {
-                    None => {}
-                    Some(got) => panic!(
-                        "flip of byte {byte} bit {bit} decoded as {:?} (original {:?})",
-                        got, original
-                    ),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fuzz_multi_flip_never_yields_a_different_record() {
-        let mut s = 0xBEEFu64;
-        let rec = encode_record(9, 77, &sample_ops());
-        let original = decode_record(&rec).unwrap();
-        for _ in 0..2000 {
-            let mut bad = rec.clone();
-            let flips = 1 + (splitmix(&mut s) % 6) as usize;
-            for _ in 0..flips {
-                let byte = (splitmix(&mut s) as usize) % bad.len();
-                let bit = splitmix(&mut s) % 8;
-                bad[byte] ^= 1 << bit;
-            }
-            if let Some(got) = decode_record(&bad) {
-                // Flips may cancel out back to the original encoding —
-                // but a *different* record must never surface.
-                assert_eq!(got, original, "corruption produced a forged record");
-            }
-        }
-    }
-
-    #[test]
-    fn fuzz_truncations_and_extensions_never_panic() {
-        let mut s = 0xCAFEu64;
-        let rec = encode_record(1, 3, &sample_ops());
-        for cut in 0..rec.len() {
-            assert!(decode_record(&rec[..cut]).is_none());
-        }
-        for _ in 0..500 {
-            let mut extended = rec.clone();
-            let extra = (splitmix(&mut s) % 64) as usize;
-            for _ in 0..extra {
-                extended.push(splitmix(&mut s) as u8);
-            }
-            // Trailing junk past a complete record is not this record's
-            // problem; the parse must still succeed and size itself.
-            let (_, _, ops, total) = decode_record(&extended).unwrap();
-            assert_eq!(total, rec.len());
-            assert_eq!(ops, sample_ops());
-        }
-    }
-
     fn sample_frame(kind: FrameKind) -> Frame {
         let ops = if kind.carries_ops() {
             sample_ops()
@@ -780,11 +530,29 @@ mod tests {
     }
 
     #[test]
-    fn frame_formats_do_not_cross_parse() {
-        let rec = encode_record(1, 0, &sample_ops());
-        assert!(decode_frame(&rec).is_none(), "v1 record parsed as frame");
-        let frame = encode_frame(&sample_frame(FrameKind::Batch));
-        assert!(decode_record(&frame).is_none(), "frame parsed as v1 record");
+    fn zeros_are_not_a_frame() {
+        // The scan's clean-end-of-log rule: never-written space is zeros.
+        assert!(decode_frame(&[0u8; 64]).is_none());
+    }
+
+    #[test]
+    fn huge_wire_length_is_rejected_without_allocating() {
+        // A frame whose header claims a payload far past the buffer end.
+        let mut bytes = encode_frame(&sample_frame(FrameKind::Batch));
+        bytes[FRAME_HEADER - 4..FRAME_HEADER].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_frame(&bytes).is_none());
+    }
+
+    #[test]
+    fn huge_op_count_with_valid_checksum_is_rejected() {
+        // The checksum only covers the bytes as written, so a frame
+        // *encoded* with a lying count field checksums fine — the count
+        // clamp is the only thing standing between it and a huge
+        // `Vec::reserve`.
+        let mut payload = Vec::new();
+        put_u32(&mut payload, u32::MAX); // claims 4 billion ops
+        let bytes = assemble_frame(3, 2, FrameKind::Batch, 17, 42, 0, payload);
+        assert!(decode_frame(&bytes).is_none());
     }
 
     #[test]

@@ -7,62 +7,58 @@
 //! the CRL-H shadow state feeds the journal, so "crash consistency"
 //! reduces to prefix consistency of the recorded micro-operation
 //! sequence, checkable exactly with `crlh::FsState`.
+//!
+//! Mount-level properties run at one stream and at the default fan-out
+//! ([`SHARD_COUNTS`]).
 
 use std::sync::Arc;
 
-use atomfs_journal::{Disk, JournaledFs};
-use atomfs_trace::{BufferSink, Event, FanoutSink, MicroOp, TraceSink};
+use atomfs_journal::{mutations_of, BlockDevice, Disk, JournaledFs, ShardConfig};
+use atomfs_trace::{BufferSink, MicroOp, TraceSink};
 use atomfs_vfs::FileSystem;
 use crlh::FsState;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+const SHARD_COUNTS: [usize; 2] = [1, 4];
+
 /// A JournaledFs whose mutation stream is also recorded in memory, so
 /// tests can compute every prefix state.
 struct Harness {
     disk: Arc<Disk>,
-    fs: Arc<atomfs::AtomFs>,
-    journal_sink: Arc<atomfs_journal::JournalSink>,
+    cfg: ShardConfig,
+    fs: JournaledFs,
     recorder: Arc<BufferSink>,
 }
 
 impl Harness {
-    fn new() -> Self {
+    fn new(shards: usize) -> Self {
         let disk = Arc::new(Disk::new());
-        let journal_sink = Arc::new(atomfs_journal::JournalSink::new(
-            atomfs_journal::Journal::create(
-                Arc::clone(&disk) as Arc<dyn atomfs_journal::BlockDevice>
-            ),
-        ));
+        let cfg = ShardConfig::with_shards(shards);
         let recorder = Arc::new(BufferSink::new());
-        let fanout = Arc::new(FanoutSink(vec![
-            Arc::clone(&journal_sink) as Arc<dyn TraceSink>,
+        let fs = JournaledFs::create_sharded_observed(
+            Arc::clone(&disk) as Arc<dyn BlockDevice>,
+            cfg,
             Arc::clone(&recorder) as Arc<dyn TraceSink>,
-        ]));
-        let fs = Arc::new(atomfs::AtomFs::traced(fanout as Arc<dyn TraceSink>));
+        );
         Harness {
             disk,
+            cfg,
             fs,
-            journal_sink,
             recorder,
         }
     }
 
     fn sync(&self) {
-        self.journal_sink
-            .sync()
-            .expect("perfect disk never degrades");
+        self.fs.sync().expect("perfect disk never degrades");
     }
 
     fn mutations(&self) -> Vec<MicroOp> {
-        self.recorder
-            .snapshot()
-            .iter()
-            .filter_map(|e| match e {
-                Event::Mutate { mop, .. } => Some(mop.clone()),
-                _ => None,
-            })
-            .collect()
+        mutations_of(&self.recorder.snapshot())
+    }
+
+    fn recover(&self) -> (JournaledFs, atomfs_journal::RecoveryStats) {
+        JournaledFs::recover_sharded(Arc::clone(&self.disk), self.cfg).expect("recovery succeeds")
     }
 }
 
@@ -153,9 +149,10 @@ fn run_workload(h: &Harness, rng: &mut StdRng, ops: usize) -> Vec<usize> {
 
 #[test]
 fn recovery_is_prefix_consistent_and_durable() {
-    for seed in 0..12u64 {
+    for (seed, shards) in (0..12u64).flat_map(|seed| SHARD_COUNTS.map(|n| (seed, n))) {
+        eprintln!("crash: seed {seed}, {shards} shard(s)");
         let mut rng = StdRng::seed_from_u64(seed);
-        let h = Harness::new();
+        let h = Harness::new(shards);
         let sync_points = run_workload(&h, &mut rng, 120);
         let muts = h.mutations();
 
@@ -163,8 +160,7 @@ fn recovery_is_prefix_consistent_and_durable() {
         let keep_mod = rng.random_range(2..6u64);
         h.disk.crash(|i| (i as u64).is_multiple_of(keep_mod));
 
-        let (recovered, stats) =
-            JournaledFs::recover(Arc::clone(&h.disk)).expect("recovery succeeds");
+        let (recovered, stats) = h.recover();
 
         // Prefix consistency: the recovered tree equals the state after
         // exactly `ops_replayed` mutations of the recorded history.
@@ -195,58 +191,80 @@ fn recovery_is_prefix_consistent_and_durable() {
 
 #[test]
 fn clean_crash_recovers_exactly_the_synced_prefix() {
-    let h = Harness::new();
-    h.fs.mkdir("/a").unwrap();
-    h.fs.mknod("/a/f").unwrap();
-    h.fs.write("/a/f", 0, b"before sync").unwrap();
-    h.sync();
-    let synced = h.mutations().len();
-    h.fs.write("/a/f", 0, b"AFTER sync!").unwrap();
-    h.fs.mkdir("/late").unwrap();
+    for shards in SHARD_COUNTS {
+        let h = Harness::new(shards);
+        h.fs.mkdir("/a").unwrap();
+        h.fs.mknod("/a/f").unwrap();
+        h.fs.write("/a/f", 0, b"before sync").unwrap();
+        h.sync();
+        let synced = h.mutations().len();
+        h.fs.write("/a/f", 0, b"AFTER sync!").unwrap();
+        h.fs.mkdir("/late").unwrap();
 
-    h.disk.crash(|_| false);
-    let (recovered, stats) = JournaledFs::recover(Arc::clone(&h.disk)).unwrap();
-    assert_eq!(stats.ops_replayed, synced);
-    let muts = h.mutations();
-    assert!(fs_matches_state(&recovered, &prefix_states(&muts)[synced]));
-    let mut buf = [0u8; 11];
-    recovered.read("/a/f", 0, &mut buf).unwrap();
-    assert_eq!(&buf, b"before sync");
-    assert!(recovered.stat("/late").is_err());
+        h.disk.crash(|_| false);
+        let (recovered, stats) = h.recover();
+        assert_eq!(stats.ops_replayed, synced);
+        let muts = h.mutations();
+        assert!(fs_matches_state(&recovered, &prefix_states(&muts)[synced]));
+        let mut buf = [0u8; 11];
+        recovered.read("/a/f", 0, &mut buf).unwrap();
+        assert_eq!(&buf, b"before sync");
+        assert!(recovered.stat("/late").is_err());
+    }
 }
 
 #[test]
 fn recovered_fs_passes_the_linearizability_checker() {
-    // After recovery, mount with an online checker attached and keep
-    // going: the recovered instance is a full AtomFS.
-    let disk = Arc::new(Disk::new());
-    let jfs = JournaledFs::create(Arc::clone(&disk) as Arc<dyn atomfs_journal::BlockDevice>);
-    jfs.mkdir("/base").unwrap();
-    jfs.mknod("/base/f").unwrap();
-    jfs.sync().unwrap();
-    drop(jfs);
-    disk.crash(|_| false);
-    let (recovered, _) = JournaledFs::recover(disk).unwrap();
+    use crlh::{CheckerConfig, HelperMode, OnlineChecker, RelationCadence};
+    for shards in SHARD_COUNTS {
+        let h = Harness::new(shards);
+        h.fs.mkdir("/base").unwrap();
+        h.fs.mknod("/base/f").unwrap();
+        h.sync();
+        h.disk.crash(|_| false);
 
-    // Drive it concurrently; the wrapper delegates to a real AtomFs, so
-    // every linearizability property continues to hold.
-    let fs = Arc::new(recovered);
-    let mut handles = Vec::new();
-    for t in 0..4u8 {
-        let fs = Arc::clone(&fs);
-        handles.push(std::thread::spawn(move || {
-            for i in 0..50 {
-                let p = format!("/base/t{t}_{i}");
-                fs.mknod(&p).unwrap();
-                fs.write(&p, 0, &[t; 8]).unwrap();
-                let _ = fs.rename(&p, &format!("/base/r{t}_{i}"));
-            }
+        // The recovered mount keeps going under a fresh generation.
+        let (recovered, _) = h.recover();
+        recovered.mknod("/base/g").unwrap();
+        recovered.sync().unwrap();
+        drop(recovered);
+
+        // The same pipeline `recover_sharded` runs — scan, replay,
+        // materialize — through an AtomFS the checker observes, then
+        // concurrent traffic on top: the recovered instance is a full
+        // AtomFS and every recorded interleaving linearizes.
+        let state = atomfs_journal::recover_sharded(&h.disk, &h.cfg)
+            .replay()
+            .expect("recovered prefix replays");
+        let checker = Arc::new(OnlineChecker::new(CheckerConfig {
+            mode: HelperMode::Helpers,
+            relation: RelationCadence::AtUnlock,
+            invariants: true,
         }));
+        let fs = Arc::new(atomfs::AtomFs::traced(
+            Arc::clone(&checker) as Arc<dyn TraceSink>
+        ));
+        atomfs_journal::materialize(&*fs, &state).unwrap();
+        let mut handles = Vec::new();
+        for t in 0..4u8 {
+            let fs = Arc::clone(&fs);
+            handles.push(std::thread::spawn(move || {
+                for i in 0..50 {
+                    let p = format!("/base/t{t}_{i}");
+                    fs.mknod(&p).unwrap();
+                    fs.write(&p, 0, &[t; 8]).unwrap();
+                    let _ = fs.rename(&p, &format!("/base/r{t}_{i}"));
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(fs.readdir("/base").unwrap().len(), 2 + 200);
+        drop(fs);
+        let report = Arc::into_inner(checker).expect("sole owner").finish();
+        report.assert_ok();
     }
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert_eq!(fs.readdir("/base").unwrap().len(), 1 + 200);
 }
 
 /// A cross-shard rename writes its intent record to the source parent's
@@ -257,7 +275,7 @@ fn recovered_fs_passes_the_linearizability_checker() {
 /// whole point: a half-present rename can never replay.
 #[test]
 fn crash_between_rename_intent_and_seal_discards_the_rename() {
-    use atomfs_journal::{FaultPlan, FaultyDisk, ShardConfig};
+    use atomfs_journal::{FaultPlan, FaultyDisk};
 
     // One deterministic run of the workload; `keep_seal` decides whether
     // the destination shard's queued writes survive the crash.
@@ -302,7 +320,7 @@ fn crash_between_rename_intent_and_seal_discards_the_rename() {
         // The commit appends the epoch's frames — intent to the source
         // shard, seal to the destination shard — then fails the flush.
         assert!(jfs.sync().is_err(), "flush cannot succeed under this plan");
-        let muts = atomfs_journal::mutations_of(&recorder.snapshot());
+        let muts = mutations_of(&recorder.snapshot());
         drop(jfs);
         let (lo, hi) = (cfg.region_base(seal_shard), cfg.region_base(seal_shard + 1));
         disk.crash_keep_lbas(|lba| keep_seal || !(lo..hi).contains(&lba));
@@ -353,28 +371,26 @@ fn deep_tree_recovery_does_not_overflow_the_stack() {
     // through the 256 KiB thread stack below; shallower in debug builds
     // only to keep the O(depth²) path resolution cost reasonable.
     let depth: usize = if cfg!(debug_assertions) { 1200 } else { 2500 };
-    let disk = Arc::new(Disk::new());
-    {
-        let jfs = JournaledFs::create(Arc::clone(&disk) as Arc<dyn atomfs_journal::BlockDevice>);
+    for shards in SHARD_COUNTS {
+        let h = Harness::new(shards);
         let mut path = String::new();
         for _ in 0..depth {
             path.push_str("/d");
-            jfs.mkdir(&path).unwrap();
+            h.fs.mkdir(&path).unwrap();
         }
-        jfs.sync().unwrap();
+        h.sync();
+        h.disk.crash(|_| false);
+        let handle = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                let (recovered, stats) = h.recover();
+                assert_eq!(stats.inodes, depth + 1, "root plus every chain link");
+                let deepest = "/d".repeat(depth);
+                assert!(recovered.stat(&deepest).unwrap().ftype.is_dir());
+            })
+            .unwrap();
+        handle
+            .join()
+            .expect("recovery thread must not die (stack overflow aborts)");
     }
-    disk.crash(|_| false);
-    let handle = std::thread::Builder::new()
-        .stack_size(256 * 1024)
-        .spawn(move || {
-            let (recovered, stats) =
-                JournaledFs::recover(Arc::clone(&disk)).expect("deep tree recovers");
-            assert_eq!(stats.inodes, depth + 1, "root plus every chain link");
-            let deepest = "/d".repeat(depth);
-            assert!(recovered.stat(&deepest).unwrap().ftype.is_dir());
-        })
-        .unwrap();
-    handle
-        .join()
-        .expect("recovery thread must not die (stack overflow aborts)");
 }

@@ -9,16 +9,13 @@
 //!
 //! `FAULT_STORM_SEED=<n>` pins the run to a single seed (the CI fault-
 //! storm matrix fans one job out per seed); unset, a fixed sweep runs.
-//! `FAULT_STORM_LAYOUT=sharded` re-runs the storm suite against the
-//! sharded journal layout (epoch group commit, default shard count)
-//! instead of the single-stream journal.
+//! Every storm runs at each shard count in [`SHARD_COUNTS`]: one stream
+//! (a dead shard is a dead mount) and the default fan-out (a dead shard
+//! is a quarantined inode range).
 
 use std::sync::Arc;
 
-use atomfs_journal::{
-    BlockDevice, Disk, FaultPlan, FaultyDisk, Health, JournaledFs, RecoveryStats, RetryPolicy,
-    ShardConfig,
-};
+use atomfs_journal::{Disk, FaultPlan, FaultyDisk, Health, JournaledFs, ShardConfig};
 use atomfs_trace::{BufferSink, Event, MicroOp, TraceSink};
 use atomfs_vfs::{FileSystem, FsError};
 use crlh::FsState;
@@ -32,26 +29,16 @@ fn seeds() -> Vec<u64> {
     }
 }
 
-fn layout_sharded() -> bool {
-    std::env::var("FAULT_STORM_LAYOUT").map_or(false, |v| v == "sharded")
-}
+const SHARD_COUNTS: [usize; 2] = [1, 4];
 
-/// Mount per the selected layout, with `observer` watching the stream.
-fn mount_observed(dev: Arc<dyn BlockDevice>, observer: Arc<dyn TraceSink>) -> JournaledFs {
-    if layout_sharded() {
-        JournaledFs::create_sharded_observed(dev, ShardConfig::default(), observer)
-    } else {
-        JournaledFs::create_observed(dev, RetryPolicy::default(), observer)
-    }
-}
-
-/// Recover per the selected layout.
-fn remount(disk: Arc<Disk>) -> (JournaledFs, RecoveryStats) {
-    if layout_sharded() {
-        JournaledFs::recover_sharded(disk, ShardConfig::default()).expect("recovery never fails")
-    } else {
-        JournaledFs::recover(disk).expect("recovery never fails")
-    }
+/// Every (seed, layout) pair a storm runs under. Each pair is announced
+/// as its turn comes, so a failure's captured output names the layout
+/// next to the seed in the assertion message.
+fn schedules() -> impl Iterator<Item = (u64, ShardConfig)> {
+    seeds()
+        .into_iter()
+        .flat_map(|seed| SHARD_COUNTS.map(|n| (seed, ShardConfig::with_shards(n))))
+        .inspect(|(seed, cfg)| eprintln!("storm: seed {seed}, {} shard(s)", cfg.shards))
 }
 
 /// All states reachable by prefixes of `muts` (index = prefix length).
@@ -115,14 +102,14 @@ fn mutations(recorder: &BufferSink) -> Vec<MicroOp> {
 struct StormOutcome {
     /// Mutation count at the last `sync()` that returned `Ok` (acked).
     acked: Option<usize>,
-    /// Whether the run was impaired: mount degraded, or (sharded layout)
-    /// at least one shard quarantined while the mount stayed writable.
+    /// Whether the run was impaired: mount degraded, or at least one
+    /// shard quarantined while the mount stayed writable.
     degraded: bool,
 }
 
 /// Whether storage has lawfully impaired this mount: whole-mount
-/// degradation, or — sharded layout only — a quarantined shard whose
-/// inode range refuses mutations while the mount stays healthy.
+/// degradation, or a quarantined shard whose inode range refuses
+/// mutations while the mount stays healthy.
 fn impaired(jfs: &JournaledFs) -> bool {
     jfs.health().is_degraded()
         || jfs
@@ -181,12 +168,16 @@ fn drive(jfs: &JournaledFs, recorder: &BufferSink, rng: &mut StdRng, ops: usize)
 
 #[test]
 fn fault_storm_every_schedule_terminates_in_a_lawful_state() {
-    for seed in seeds() {
+    for (seed, cfg) in schedules() {
         let plan = FaultPlan::storm(seed);
         let disk = Arc::new(Disk::new());
         let dev = Arc::new(FaultyDisk::new(Arc::clone(&disk), plan));
         let recorder = Arc::new(BufferSink::new());
-        let jfs = mount_observed(dev, Arc::clone(&recorder) as Arc<dyn TraceSink>);
+        let jfs = JournaledFs::create_sharded_observed(
+            dev,
+            cfg,
+            Arc::clone(&recorder) as Arc<dyn TraceSink>,
+        );
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
         let out = drive(&jfs, &recorder, &mut rng, 160);
         if let Health::Healthy = jfs.health() {
@@ -215,7 +206,8 @@ fn fault_storm_every_schedule_terminates_in_a_lawful_state() {
         let keep_mod = 2 + (seed % 4);
         disk.crash(|i| (i as u64) % keep_mod == 0);
 
-        let (recovered, stats) = remount(Arc::clone(&disk));
+        let (recovered, stats) =
+            JournaledFs::recover_sharded(Arc::clone(&disk), cfg).expect("recovery never fails");
         let k = stats.ops_replayed;
         assert!(k <= muts.len(), "seed {seed}: replayed invented history");
         let states = prefix_states(&muts);
@@ -243,12 +235,16 @@ fn fault_storm_every_schedule_terminates_in_a_lawful_state() {
 
 #[test]
 fn transient_only_schedules_stay_healthy_and_lose_nothing() {
-    for seed in seeds() {
+    for (seed, cfg) in schedules() {
         let plan = FaultPlan::none(seed).with_transient(3_000, 3_000, 3_000);
         let disk = Arc::new(Disk::new());
         let dev = Arc::new(FaultyDisk::new(Arc::clone(&disk), plan));
         let recorder = Arc::new(BufferSink::new());
-        let jfs = mount_observed(dev, Arc::clone(&recorder) as Arc<dyn TraceSink>);
+        let jfs = JournaledFs::create_sharded_observed(
+            dev,
+            cfg,
+            Arc::clone(&recorder) as Arc<dyn TraceSink>,
+        );
         let mut rng = StdRng::seed_from_u64(seed);
         let out = drive(&jfs, &recorder, &mut rng, 120);
         assert!(
@@ -259,17 +255,17 @@ fn transient_only_schedules_stay_healthy_and_lose_nothing() {
         let muts = mutations(&recorder);
         drop(jfs);
         disk.crash(|_| false);
-        let (recovered, stats) = remount(Arc::clone(&disk));
+        let (recovered, stats) =
+            JournaledFs::recover_sharded(Arc::clone(&disk), cfg).expect("recovery never fails");
         let k = stats.ops_replayed;
         assert!(fs_matches_state(&recovered, &prefix_states(&muts)[k]));
         if let Some(acked) = out.acked {
             assert!(k >= acked, "seed {seed}: lost acked data under transients");
         }
-        // Skip offsets are absolute in the single-stream log but
-        // region-relative in the sharded layout, so the containment
-        // check only types against the former.
+        // Skip offsets are region-relative, so they compare against the
+        // mount's `log_bytes` only when there is one region.
         assert!(
-            layout_sharded() || stats.skipped.iter().all(|s| s.offset >= stats.log_bytes),
+            cfg.shards > 1 || stats.skipped.iter().all(|s| s.offset >= stats.log_bytes),
             "seed {seed}: a skipped record inside the replayed prefix"
         );
     }
@@ -277,18 +273,23 @@ fn transient_only_schedules_stay_healthy_and_lose_nothing() {
 
 #[test]
 fn bit_flip_storms_recover_to_an_itemized_prefix() {
-    for seed in seeds() {
+    for (seed, cfg) in schedules() {
         let plan = FaultPlan::none(seed).with_bit_flips(20_000);
         let disk = Arc::new(Disk::new());
         let dev = Arc::new(FaultyDisk::new(Arc::clone(&disk), plan));
         let recorder = Arc::new(BufferSink::new());
-        let jfs = mount_observed(dev, Arc::clone(&recorder) as Arc<dyn TraceSink>);
+        let jfs = JournaledFs::create_sharded_observed(
+            dev,
+            cfg,
+            Arc::clone(&recorder) as Arc<dyn TraceSink>,
+        );
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(31));
         let out = drive(&jfs, &recorder, &mut rng, 120);
         let muts = mutations(&recorder);
         drop(jfs);
         disk.crash(|_| false);
-        let (recovered, stats) = remount(Arc::clone(&disk));
+        let (recovered, stats) =
+            JournaledFs::recover_sharded(Arc::clone(&disk), cfg).expect("recovery never fails");
         let k = stats.ops_replayed;
         // Always prefix-exact, even when rot ate acked records...
         assert!(
@@ -310,7 +311,7 @@ fn bit_flip_storms_recover_to_an_itemized_prefix() {
 #[test]
 fn checker_accepts_the_trace_of_degraded_runs() {
     use crlh::{CheckerConfig, HelperMode, OnlineChecker, RelationCadence};
-    for seed in seeds() {
+    for (seed, cfg) in schedules() {
         let plan = FaultPlan::none(seed).with_permanent_failure_after(30 + seed * 7);
         let disk = Arc::new(Disk::new());
         let dev = Arc::new(FaultyDisk::new(Arc::clone(&disk), plan));
@@ -319,7 +320,11 @@ fn checker_accepts_the_trace_of_degraded_runs() {
             relation: RelationCadence::AtUnlock,
             invariants: true,
         }));
-        let jfs = mount_observed(dev, Arc::clone(&checker) as Arc<dyn TraceSink>);
+        let jfs = JournaledFs::create_sharded_observed(
+            dev,
+            cfg,
+            Arc::clone(&checker) as Arc<dyn TraceSink>,
+        );
         let mut rng = StdRng::seed_from_u64(seed);
         let mut degraded = false;
         for i in 0..200 {
@@ -344,13 +349,12 @@ fn checker_accepts_the_trace_of_degraded_runs() {
     }
 }
 
-/// The sharded layout under full storms: every seed recovers to an exact
-/// prefix of the recorded mutation history, and parallel recovery is
+/// Full storms, second schedule: every seed recovers to an exact prefix
+/// of the recorded mutation history, and parallel recovery is
 /// indistinguishable from the sequential one on the same platter.
 #[test]
-fn sharded_storms_recover_prefix_exact_and_parallel_equals_sequential() {
-    for seed in seeds() {
-        let cfg = ShardConfig::default();
+fn storms_recover_prefix_exact_and_parallel_equals_sequential() {
+    for (seed, cfg) in schedules() {
         let plan = FaultPlan::storm(seed);
         let disk = Arc::new(Disk::new());
         let dev = Arc::new(FaultyDisk::new(Arc::clone(&disk), plan));

@@ -1,14 +1,13 @@
-//! Property-based tests on the journal's wire formats: `decode_record`
-//! (v1 single-stream) and `decode_frame` (v2 sharded) fed arbitrary
-//! bytes, truncations, and bit-flipped encodings of valid records must
-//! never panic and never return a record that differs from the one
-//! encoded — the checksum (plus the clamped length/count fields) catches
-//! every corruption the fault layer can inject. For v2 the stakes are
-//! higher: a forged `RenameIntent`/`RenameSeal` with a different
-//! `(txn, epoch)` could pair with the wrong transaction at recovery, so
-//! the frame properties assert corruption can never *re-pair*.
+//! Property-based tests on the journal's wire format: `decode_frame` fed
+//! arbitrary bytes, truncations, and bit-flipped encodings of valid
+//! frames must never panic and never return a frame that differs from
+//! the one encoded — the checksum (plus the clamped length/count fields)
+//! catches every corruption the fault layer can inject. The stakes: a
+//! forged `RenameIntent`/`RenameSeal` with a different `(txn, epoch)`
+//! could pair with the wrong transaction at recovery, so the properties
+//! assert corruption can never *re-pair*.
 
-use atomfs_journal::wire::{decode_frame, decode_record, encode_frame, encode_record, Frame, FrameKind};
+use atomfs_journal::wire::{decode_frame, encode_frame, Frame, FrameKind};
 use atomfs_trace::MicroOp;
 use atomfs_vfs::FileType;
 use proptest::collection::vec;
@@ -49,11 +48,7 @@ fn op_strategy() -> impl Strategy<Value = MicroOp> {
     ]
 }
 
-fn record_strategy() -> impl Strategy<Value = (u64, u64, Vec<MicroOp>)> {
-    (any::<u64>(), any::<u64>(), vec(op_strategy(), 0..6))
-}
-
-/// Strategy for one v2 frame: seal kinds carry no ops (the format
+/// Strategy for one frame: seal kinds carry no ops (the format
 /// rejects a "seal" smuggling a payload), op-bearing kinds carry a small
 /// stamped batch.
 fn frame_strategy() -> impl Strategy<Value = Frame> {
@@ -102,67 +97,6 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn arbitrary_bytes_never_panic(buf in vec(any::<u8>(), 0..400)) {
-        if let Some((_, _, _, total)) = decode_record(&buf) {
-            prop_assert!(total <= buf.len());
-        }
-    }
-
-    #[test]
-    fn arbitrary_bytes_with_a_magic_prefix_never_panic(
-        tail in vec(any::<u8>(), 0..400)
-    ) {
-        // Force the interesting path: a valid magic over garbage.
-        let mut buf = atomfs_journal::wire::MAGIC.to_le_bytes().to_vec();
-        buf.extend_from_slice(&tail);
-        if let Some((_, _, _, total)) = decode_record(&buf) {
-            prop_assert!(total <= buf.len());
-        }
-    }
-
-    #[test]
-    fn roundtrip_is_exact((epoch, seq, ops) in record_strategy()) {
-        let rec = encode_record(epoch, seq, &ops);
-        let (e, s, decoded, total) = decode_record(&rec).expect("valid record decodes");
-        prop_assert_eq!(e, epoch);
-        prop_assert_eq!(s, seq);
-        prop_assert_eq!(decoded, ops);
-        prop_assert_eq!(total, rec.len());
-    }
-
-    #[test]
-    fn truncations_never_decode((epoch, seq, ops) in record_strategy(), frac in 0.0f64..1.0) {
-        let rec = encode_record(epoch, seq, &ops);
-        let cut = ((rec.len() as f64) * frac) as usize;
-        prop_assert!(cut < rec.len());
-        prop_assert!(decode_record(&rec[..cut]).is_none());
-    }
-
-    #[test]
-    fn bit_flips_never_forge_a_different_record(
-        (epoch, seq, ops) in record_strategy(),
-        flips in vec((any::<u16>(), 0u8..8), 1..5)
-    ) {
-        let rec = encode_record(epoch, seq, &ops);
-        let mut bad = rec.clone();
-        for (pos, bit) in &flips {
-            let byte = *pos as usize % bad.len();
-            bad[byte] ^= 1 << bit;
-        }
-        match decode_record(&bad) {
-            None => {}
-            Some((e, s, decoded, _)) => {
-                // Flips may cancel back to the original bytes; anything
-                // else surviving the checksum would be a forgery.
-                prop_assert_eq!(&bad, &rec, "corrupted bytes decoded");
-                prop_assert_eq!(e, epoch);
-                prop_assert_eq!(s, seq);
-                prop_assert_eq!(decoded, ops);
-            }
-        }
-    }
 
     #[test]
     fn frame_roundtrip_is_exact(frame in frame_strategy()) {
@@ -227,32 +161,5 @@ proptest! {
                 prev = *hi;
             }
         }
-    }
-
-    #[test]
-    fn v1_records_and_v2_frames_never_cross_decode(
-        (epoch, seq, ops) in record_strategy(),
-        frame in frame_strategy()
-    ) {
-        // Distinct magics: a scan can never misparse one format as the
-        // other, which is what keeps a sharded region scrub from
-        // "finding" v1 records and vice versa.
-        prop_assert!(decode_frame(&encode_record(epoch, seq, &ops)).is_none());
-        prop_assert!(decode_record(&encode_frame(&frame)).is_none());
-    }
-
-    #[test]
-    fn trailing_junk_does_not_change_the_decode(
-        (epoch, seq, ops) in record_strategy(),
-        junk in vec(any::<u8>(), 0..64)
-    ) {
-        let rec = encode_record(epoch, seq, &ops);
-        let mut extended = rec.clone();
-        extended.extend_from_slice(&junk);
-        let (e, s, decoded, total) = decode_record(&extended).expect("prefix still valid");
-        prop_assert_eq!(e, epoch);
-        prop_assert_eq!(s, seq);
-        prop_assert_eq!(decoded, ops);
-        prop_assert_eq!(total, rec.len());
     }
 }

@@ -10,13 +10,14 @@
 
 use std::sync::Arc;
 
-use atomfs_journal::{BlockDevice, Disk, JournaledFs};
+use atomfs_journal::{BlockDevice, Disk, JournaledFs, ShardConfig};
 use atomfs_vfs::fs::FileSystemExt;
 use atomfs_vfs::FileSystem;
 
 fn main() {
     let disk = Arc::new(Disk::new());
-    let fs = JournaledFs::create(Arc::clone(&disk) as Arc<dyn BlockDevice>);
+    let cfg = ShardConfig::default();
+    let fs = JournaledFs::create_sharded(Arc::clone(&disk) as Arc<dyn BlockDevice>, cfg);
 
     println!("mounting a journaled AtomFS on a fresh simulated disk\n");
     fs.mkdir("/projects").unwrap();
@@ -32,20 +33,23 @@ fn main() {
     fs.rename("/projects/notes.md", "/projects/notes-v2.md")
         .unwrap();
     println!("then, WITHOUT sync: created draft2.tex, renamed notes.md -> notes-v2.md");
-    println!("log size before crash: {} bytes", fs.log_bytes());
+    println!(
+        "log size before crash: {} bytes (the unsynced ops are staged in memory)",
+        fs.log_bytes()
+    );
     drop(fs);
 
     // Power cut: nothing queued after the last flush reaches the platter.
     // (The crash-consistency tests also exercise the nastier mode where
     // the drive persists an arbitrary subset of queued sectors out of
-    // order; the journal's checksums and epochs make recovery yield a
-    // clean prefix either way.)
+    // order; the journal's checksums, generations and stamps make
+    // recovery yield a clean prefix either way.)
     disk.crash(|_| false);
     println!("\n*** POWER CUT ***\n");
 
-    let (recovered, stats) = JournaledFs::recover(Arc::clone(&disk)).unwrap();
+    let (recovered, stats) = JournaledFs::recover_sharded(Arc::clone(&disk), cfg).unwrap();
     println!(
-        "recovered from epoch {}: replayed {} mutations from {} log bytes, {} inodes",
+        "recovered from generation {}: replayed {} mutations from {} log bytes, {} inodes",
         stats.epoch, stats.ops_replayed, stats.log_bytes, stats.inodes
     );
     println!(
@@ -53,7 +57,7 @@ fn main() {
         stats.skipped.len()
     );
     println!(
-        "checkpointed into epoch {} ({} bytes — recovery doubles as log compaction)\n",
+        "checkpointed into generation {} ({} bytes — recovery doubles as log compaction)\n",
         stats.epoch + 1,
         recovered.log_bytes()
     );

@@ -10,49 +10,45 @@
 
 use std::sync::Arc;
 
-use atomfs::AtomFs;
-use atomfs_journal::{Disk, Journal, JournaledFs};
-use atomfs_trace::{set_current_tid, FanoutSink, Tid, TraceSink};
+use atomfs_journal::{BlockDevice, Disk, JournaledFs, ShardConfig};
+use atomfs_trace::{set_current_tid, Tid, TraceSink};
 use atomfs_vfs::FileSystem;
 use atomfs_workloads::opmix::OpMix;
 use crlh::{CheckerConfig, HelperMode, OnlineChecker, RelationCadence};
 
 #[test]
 fn concurrent_checked_and_journaled_then_crash() {
-    for seed in 0..3u64 {
+    for (seed, shards) in (0..3u64).flat_map(|seed| [1, 4].map(|n| (seed, n))) {
+        let cfg = ShardConfig::with_shards(shards);
         let disk = Arc::new(Disk::new());
-        let journal_sink = Arc::new(atomfs_journal::JournalSink::new(Journal::create(
-            Arc::clone(&disk) as Arc<dyn atomfs_journal::BlockDevice>,
-        )));
         let checker = Arc::new(OnlineChecker::new(CheckerConfig {
             mode: HelperMode::Helpers,
             relation: RelationCadence::AtUnlock,
             invariants: true,
         }));
-        let fanout = Arc::new(FanoutSink(vec![
-            Arc::clone(&journal_sink) as Arc<dyn TraceSink>,
+        let fs = Arc::new(JournaledFs::create_sharded_observed(
+            Arc::clone(&disk) as Arc<dyn BlockDevice>,
+            cfg,
             Arc::clone(&checker) as Arc<dyn TraceSink>,
-        ]));
-        let fs = Arc::new(AtomFs::traced(fanout as Arc<dyn TraceSink>));
+        ));
 
         let mix = OpMix::default();
         mix.setup(&*fs);
         let mut handles = Vec::new();
         for t in 0..6u32 {
             let fs = Arc::clone(&fs);
-            let js = Arc::clone(&journal_sink);
             handles.push(std::thread::spawn(move || {
                 set_current_tid(Tid(8800 + seed as u32 * 10 + t));
                 mix.run(&*fs, seed * 7 + u64::from(t), 60);
                 if t == 0 {
-                    js.sync().expect("perfect disk never degrades");
+                    fs.sync().expect("perfect disk never degrades");
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        journal_sink.sync().expect("perfect disk never degrades");
+        fs.sync().expect("perfect disk never degrades");
 
         // The concurrent execution was linearizable.
         drop(fs);
@@ -62,8 +58,11 @@ fn concurrent_checked_and_journaled_then_crash() {
         // Crash (adversarial) and recover: the journal replays cleanly
         // into a mountable file system.
         disk.crash(|i| i % 2 == 0);
-        let (recovered, stats) = JournaledFs::recover(Arc::clone(&disk)).unwrap();
-        assert!(stats.ops_replayed > 0, "seed {seed}: nothing recovered");
+        let (recovered, stats) = JournaledFs::recover_sharded(Arc::clone(&disk), cfg).unwrap();
+        assert!(
+            stats.ops_replayed > 0,
+            "seed {seed} x{shards}: nothing recovered"
+        );
         // Fully synced before the crash: the recovered tree matches the
         // final in-memory tree (compare via the checker's final afs).
         for d in mix.dirs() {
@@ -78,7 +77,10 @@ fn concurrent_checked_and_journaled_then_crash() {
             live.sort();
             let mut rec = recovered.readdir(&d).unwrap();
             rec.sort();
-            assert_eq!(rec, live, "seed {seed}: {d} differs after recovery");
+            assert_eq!(
+                rec, live,
+                "seed {seed} x{shards}: {d} differs after recovery"
+            );
         }
     }
 }

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use atomfs::{AtomFs, FsMetrics};
-use atomfs_journal::{Disk, JournaledFs};
+use atomfs_journal::{Disk, JournaledFs, ShardConfig};
 use atomfs_obs::{ClockSource, Registry};
 use atomfs_trace::{set_current_tid, ShardedSink, Tid, TraceSink};
 use atomfs_vfs::FileSystem;
@@ -72,7 +72,7 @@ fn eight_thread_opmix_renders_contended_locks_and_journal_health() {
 
     // A journaled mount bridged into the same registry, with enough
     // traffic to move the gauges.
-    let jfs = JournaledFs::create(Arc::new(Disk::new()));
+    let jfs = JournaledFs::create_sharded(Arc::new(Disk::new()), ShardConfig::default());
     jfs.register_metrics(&reg);
     for i in 0..4 {
         jfs.mknod(&format!("/j{i}")).unwrap();

@@ -1,19 +1,20 @@
-//! The full stack over the *sharded* journal: concurrent operations on
-//! AtomFS with the CRL-H checker and the sharded, group-committed log
-//! both attached to the same trace stream, followed by crashes and
+//! The full stack over the journal: concurrent operations on AtomFS
+//! with the CRL-H checker and the sharded, group-committed log both
+//! attached to the same trace stream, followed by crashes and
 //! recoveries.
 //!
-//! The composition argument is the same as for the single-stream
-//! journal — the checker certifies the in-memory execution linearizable,
-//! the log captures the same micro-op order — except that the order now
-//! lives as per-shard stamped streams that recovery re-merges. These
-//! tests pin the properties that make that sound: the merged stream is a
+//! The composition argument: the checker certifies the in-memory
+//! execution linearizable, the log captures the same micro-op order —
+//! as per-shard stamped streams that recovery re-merges. These tests
+//! pin the properties that make that sound: the merged stream is a
 //! contiguous stamp prefix, every rename intent pairs with a seal,
-//! parallel recovery equals sequential recovery, and a degraded sharded
-//! run still produces a checker-accepted trace.
+//! parallel recovery equals sequential recovery, a degraded sharded
+//! run still produces a checker-accepted trace, and the one-shard
+//! layout is the degenerate case of the same protocol.
 
 use std::sync::Arc;
 
+use atomfs_journal::wire::FrameKind;
 use atomfs_journal::{
     recover_sharded, recover_sharded_sequential, shard_of, BlockDevice, Disk, FaultPlan,
     FaultyDisk, JournaledFs, ShardConfig,
@@ -104,6 +105,130 @@ fn concurrent_sharded_run_is_checker_accepted_and_recovers_exactly() {
             JournaledFs::recover_sharded(Arc::clone(&disk), cfg).expect("recovery never fails");
         assert_eq!(stats.ops_replayed, par.ops.len());
         for (d, names) in &final_dirs {
+            let mut rec = recovered.readdir(d).unwrap();
+            rec.sort();
+            assert_eq!(&rec, names, "seed {seed}: {d} differs after recovery");
+        }
+    }
+}
+
+/// A rename storm on the layout that stands in for a single-stream
+/// journal, `ShardConfig::with_shards(1)`: the two-phase rename protocol
+/// degenerates — intent and seal land in the same epoch of the *same*
+/// stream — but nothing else changes: the trace is checker-accepted, a
+/// crash loses exactly the unsynced tail, and the parallel scan (of one
+/// region) equals the sequential reference.
+#[test]
+fn one_shard_rename_storm_pairs_every_intent_inside_the_one_stream() {
+    let mix = OpMix {
+        dirs: 2,
+        names: 3,
+        rename_weight: 20,
+    };
+    for seed in 0..3u64 {
+        let cfg = ShardConfig::with_shards(1);
+        let disk = Arc::new(Disk::new());
+        let checker = checker();
+        let jfs = Arc::new(JournaledFs::create_sharded_observed(
+            Arc::clone(&disk) as Arc<dyn BlockDevice>,
+            cfg,
+            Arc::clone(&checker) as Arc<dyn TraceSink>,
+        ));
+        mix.setup(&*jfs);
+        let mut handles = Vec::new();
+        for t in 0..6u32 {
+            let jfs = Arc::clone(&jfs);
+            handles.push(std::thread::spawn(move || {
+                set_current_tid(Tid(9600 + seed as u32 * 10 + t));
+                // Mid-run syncs spread the renames over several epochs.
+                for half in 0..2u64 {
+                    mix.run(&*jfs, seed * 17 + u64::from(t) * 2 + half, 40);
+                    if t % 2 == 0 {
+                        jfs.sync().expect("perfect disk never degrades");
+                    }
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        jfs.sync().unwrap();
+        let acked = jfs.sharded_sink().expect("journal sink").stamps_issued();
+        let synced_dirs: Vec<(String, Vec<String>)> = mix
+            .dirs()
+            .iter()
+            .map(|d| {
+                let mut names = jfs.readdir(d).unwrap();
+                names.sort();
+                (d.clone(), names)
+            })
+            .collect();
+        // An unsynced tail the crash must drop.
+        jfs.mknod("/m0/tail").unwrap();
+        let _ = jfs.rename("/m0/tail", "/m1/tail");
+        drop(Arc::into_inner(jfs).expect("threads joined"));
+
+        let report = Arc::into_inner(checker).expect("sole owner").finish();
+        report.assert_ok();
+
+        disk.crash(|_| false);
+        let par = recover_sharded(&disk, &cfg);
+        let seq = recover_sharded_sequential(&disk, &cfg);
+        assert_eq!(par.ops, seq.ops, "seed {seed}: parallel != sequential");
+        assert_eq!(par.scans.len(), 1, "seed {seed}: one stream");
+        // Prefix-exact: the admitted history is stamps 0..acked, whole.
+        assert_eq!(par.truncated_at, None, "seed {seed}: clean log truncated");
+        assert_eq!(
+            par.ops.len() as u64,
+            acked,
+            "seed {seed}: not the synced prefix"
+        );
+        for (i, (stamp, _)) in par.ops.iter().enumerate() {
+            assert_eq!(*stamp, i as u64, "seed {seed}: stamp stream has a hole");
+        }
+
+        // Every intent pairs with its seal inside the one stream: same
+        // transaction id, same epoch, same (only) shard, seal after intent.
+        assert!(
+            par.pairing.is_clean(),
+            "seed {seed}: rename pairing not clean: {:?}",
+            par.pairing
+        );
+        let frames = &par.scans[0].frames;
+        let mut intents = 0usize;
+        for (at, f) in frames.iter().enumerate() {
+            if f.kind != FrameKind::RenameIntent {
+                continue;
+            }
+            intents += 1;
+            let seal = frames[at..]
+                .iter()
+                .find(|s| s.kind == FrameKind::RenameSeal && s.txn == f.txn)
+                .unwrap_or_else(|| {
+                    panic!("seed {seed}: txn {} has no seal behind its intent", f.txn)
+                });
+            assert_eq!(
+                seal.epoch, f.epoch,
+                "seed {seed}: txn {} straddles epochs",
+                f.txn
+            );
+            assert_eq!(
+                (seal.shard, f.shard),
+                (0, 0),
+                "seed {seed}: one stream, shard 0"
+            );
+        }
+        assert!(intents > 0, "seed {seed}: the storm renamed nothing");
+        assert_eq!(
+            par.pairing.sealed.len(),
+            intents,
+            "seed {seed}: a rename went unpaired"
+        );
+
+        let (recovered, stats) =
+            JournaledFs::recover_sharded(Arc::clone(&disk), cfg).expect("recovery never fails");
+        assert_eq!(stats.ops_replayed as u64, acked);
+        for (d, names) in &synced_dirs {
             let mut rec = recovered.readdir(d).unwrap();
             rec.sort();
             assert_eq!(&rec, names, "seed {seed}: {d} differs after recovery");
