@@ -1,20 +1,17 @@
 //! Client-observed throughput of the RPC serving layer: pipelined
-//! versus serial request submission, with the sharded executor ablated.
+//! versus serial request submission.
 //!
 //! N client threads each hold one connection to a served AtomFS and
 //! drive a cheap-op mix (70% `stat`, 30% 256-byte `read`) over a
-//! pre-created tree. Three serving modes:
+//! pre-created tree. Two submission modes:
 //!
 //! * `serial` — one request in flight per connection: every op is
 //!   submit-then-wait, so each pays a full wire round trip (pipelining
 //!   off — the baseline the tentpole exists to beat);
 //! * `pipelined` — requests submitted in windows of [`WINDOW`], encoded
-//!   into one `write` per window; the sharded executor and the batched
-//!   reply flusher overlap execution with framing and socket I/O;
-//! * `pipelined_1shard` — same client behaviour, but the executor is
-//!   collapsed to a single shard (same total worker count), so every
-//!   connection funnels through one queue: the ablation for shard
-//!   routing, isolating head-of-line blocking from pipelining itself.
+//!   into one `write` per window; the connection thread reads the window
+//!   in one go, executes it inline, and answers it with one batched
+//!   `write`.
 //!
 //! A metered pass (serial, `MeteredFs` over the remote adapter) reports
 //! client-observed p50/p99 per op — the latency a caller of the client
@@ -33,17 +30,13 @@ use std::time::Instant;
 use atomfs::AtomFs;
 use atomfs_bench::report::Table;
 use atomfs_obs::{ClockSource, Registry};
-use atomfs_server::{
-    serve, ExecutorConfig, RemoteFs, Request, RpcClient, Server, ServerConfig,
-};
+use atomfs_server::{serve, RemoteFs, Request, RpcClient, Server, ServerConfig};
 use atomfs_vfs::{FileSystem, MeteredFs};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const REPS: usize = 3;
 const GATE_BAR: f64 = 2.0;
-/// In-flight requests per connection in pipelined mode. Matches the
-/// server's default backpressure window, so the client can saturate the
-/// pipeline without ever parking the server-side reader.
+/// In-flight requests per connection in pipelined mode.
 const WINDOW: usize = 64;
 const DIRS: usize = 4;
 const FILES: usize = 16;
@@ -52,7 +45,6 @@ const FILES: usize = 16;
 enum Mode {
     Serial,
     Pipelined,
-    Pipelined1Shard,
 }
 
 impl Mode {
@@ -60,29 +52,11 @@ impl Mode {
         match self {
             Mode::Serial => "serial",
             Mode::Pipelined => "pipelined",
-            Mode::Pipelined1Shard => "pipelined_1shard",
-        }
-    }
-
-    fn server_config(self) -> ServerConfig {
-        let executor = match self {
-            // 4 shards x 2 workers: the default routing topology.
-            Mode::Serial | Mode::Pipelined => ExecutorConfig::default(),
-            // Sharding off, parallelism kept: 1 shard x 8 workers.
-            Mode::Pipelined1Shard => ExecutorConfig {
-                shards: 1,
-                workers_per_shard: 8,
-                queue_cap: 2048,
-            },
-        };
-        ServerConfig {
-            executor,
-            ..ServerConfig::default()
         }
     }
 }
 
-fn start_server(mode: Mode) -> (Server<AtomFs>, SocketAddr) {
+fn start_server() -> (Server<AtomFs>, SocketAddr) {
     let fs = Arc::new(AtomFs::new());
     for d in 0..DIRS {
         fs.mkdir(&format!("/d{d}")).unwrap();
@@ -92,7 +66,7 @@ fn start_server(mode: Mode) -> (Server<AtomFs>, SocketAddr) {
             fs.write(&path, 0, &[f as u8; 1024]).unwrap();
         }
     }
-    let srv = serve(fs, None, mode.server_config()).expect("bind loopback");
+    let srv = serve(fs, None, ServerConfig::default()).expect("bind loopback");
     let addr = srv.local_addr();
     (srv, addr)
 }
@@ -112,7 +86,7 @@ fn op_request(i: usize) -> Request {
 
 /// One timed run: total client-observed ops per second across threads.
 fn run(mode: Mode, threads: usize, ops_per_thread: usize) -> f64 {
-    let (srv, addr) = start_server(mode);
+    let (srv, addr) = start_server();
     let start = Instant::now();
     let mut handles = Vec::new();
     for _ in 0..threads {
@@ -121,19 +95,15 @@ fn run(mode: Mode, threads: usize, ops_per_thread: usize) -> f64 {
             match mode {
                 Mode::Serial => {
                     for i in 0..ops_per_thread {
-                        client
-                            .call(&op_request(i).view())
-                            .expect("serial call");
+                        client.call(&op_request(i).view()).expect("serial call");
                     }
                 }
-                Mode::Pipelined | Mode::Pipelined1Shard => {
+                Mode::Pipelined => {
                     let mut i = 0;
                     while i < ops_per_thread {
                         let n = WINDOW.min(ops_per_thread - i);
-                        let batch: Vec<Request> =
-                            (i..i + n).map(op_request).collect();
-                        let pendings =
-                            client.submit_batch(&batch).expect("batch submit");
+                        let batch: Vec<Request> = (i..i + n).map(op_request).collect();
+                        let pendings = client.submit_batch(&batch).expect("batch submit");
                         for p in pendings {
                             p.wait().expect("batch reply");
                         }
@@ -161,18 +131,14 @@ fn best(mut f: impl FnMut() -> f64) -> f64 {
 /// Client-observed latency: a serial metered pass at 8 threads, p50/p99
 /// from the shared `fs_op_ns` histograms.
 fn latency_pass(ops_per_thread: usize) -> Vec<(String, u64, u64)> {
-    let (srv, addr) = start_server(Mode::Serial);
+    let (srv, addr) = start_server();
     let registry = Arc::new(Registry::new());
     let mut handles = Vec::new();
     for _ in 0..8 {
         let registry = Arc::clone(&registry);
         handles.push(std::thread::spawn(move || {
             let client = Arc::new(RpcClient::connect(addr).expect("connect"));
-            let fs = MeteredFs::new(
-                RemoteFs::new(client),
-                &registry,
-                ClockSource::monotonic(),
-            );
+            let fs = MeteredFs::new(RemoteFs::new(client), &registry, ClockSource::monotonic());
             let mut buf = [0u8; 256];
             for i in 0..ops_per_thread {
                 let path = format!("/d{}/f{}", i % DIRS, i % FILES);
@@ -210,7 +176,6 @@ fn write_json(
     series: &[Series],
     latency: &[(String, u64, u64)],
     speedup: f64,
-    speedup_1shard: f64,
 ) {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"serve_storm\",\n");
@@ -231,15 +196,10 @@ fn write_json(
     out.push_str("  \"client_latency_ns\": [\n");
     let lrows: Vec<String> = latency
         .iter()
-        .map(|(op, p50, p99)| {
-            format!("    {{\"op\": \"{op}\", \"p50\": {p50}, \"p99\": {p99}}}")
-        })
+        .map(|(op, p50, p99)| format!("    {{\"op\": \"{op}\", \"p50\": {p50}, \"p99\": {p99}}}"))
         .collect();
     out.push_str(&lrows.join(",\n"));
     out.push_str("\n  ],\n");
-    out.push_str(&format!(
-        "  \"ablation\": {{\"pipelined_1shard_vs_serial_8t\": {speedup_1shard:.2}}},\n"
-    ));
     out.push_str(&format!(
         "  \"gate\": {{\"metric\": \"pipelined vs serial, 8 client threads\", \"speedup\": {speedup:.2}, \"bar\": {GATE_BAR}}}\n"
     ));
@@ -262,7 +222,7 @@ fn main() {
     );
 
     let mut series = Vec::new();
-    for mode in [Mode::Serial, Mode::Pipelined, Mode::Pipelined1Shard] {
+    for mode in [Mode::Serial, Mode::Pipelined] {
         for &threads in &THREAD_COUNTS {
             let ops = best(|| run(mode, threads, ops_per_thread));
             series.push(Series {
@@ -282,7 +242,7 @@ fn main() {
             .ops_per_sec
     };
     let mut table = Table::new(&["mode", "1T kop/s", "2T kop/s", "4T kop/s", "8T kop/s"]);
-    for mode in [Mode::Serial, Mode::Pipelined, Mode::Pipelined1Shard] {
+    for mode in [Mode::Serial, Mode::Pipelined] {
         let mut cells = vec![mode.name().to_string()];
         for &threads in &THREAD_COUNTS {
             cells.push(format!("{:.1}", lookup(mode, threads) / 1e3));
@@ -297,18 +257,14 @@ fn main() {
     }
 
     let speedup = lookup(Mode::Pipelined, 8) / lookup(Mode::Serial, 8);
-    let speedup_1shard = lookup(Mode::Pipelined1Shard, 8) / lookup(Mode::Serial, 8);
     println!();
-    println!(
-        "pipelined vs serial at 8 threads: {speedup:.2}x (1-shard ablation: {speedup_1shard:.2}x, gate bar {GATE_BAR}x)"
-    );
+    println!("pipelined vs serial at 8 threads: {speedup:.2}x (gate bar {GATE_BAR}x)");
     write_json(
         "BENCH_serve.json",
         ops_per_thread,
         &series,
         &latency,
         speedup,
-        speedup_1shard,
     );
     println!("wrote BENCH_serve.json");
 

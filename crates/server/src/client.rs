@@ -3,11 +3,13 @@
 //! [`RpcClient`] owns one TCP connection. Requests are tagged and may be
 //! kept in flight in any number (`submit` returns a [`Pending`] handle;
 //! `call` is submit-then-wait); a dedicated reader thread matches
-//! response frames back to their waiters by tag, so responses arriving
-//! out of order complete the right callers. [`submit_batch`] encodes a
-//! whole run of requests into one buffer and hands it to the kernel with
-//! a single `write_all` — the client half of the pipelined fast path the
-//! `serve_storm` benchmark measures.
+//! response frames back to their waiters by tag, so each reply completes
+//! the right caller whatever order it arrives in. The reader pulls the
+//! socket through a 64 KiB buffer, so a window of replies the server
+//! wrote in one batch is read back in about one syscall.
+//! [`submit_batch`] encodes a whole run of requests into one buffer and
+//! hands it to the kernel with a single `write_all` — the client half of
+//! the pipelined fast path the `serve_storm` benchmark measures.
 //!
 //! [`RemoteFs`] wraps an `Arc<RpcClient>` as a [`FileSystem`], so every
 //! existing workload, wrapper (`MeteredFs`), and conformance check runs
@@ -18,7 +20,7 @@
 //! [`submit_batch`]: RpcClient::submit_batch
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -206,7 +208,8 @@ impl Drop for RpcClient {
     }
 }
 
-fn reader_loop(inner: Arc<ClientInner>, mut stream: TcpStream) {
+fn reader_loop(inner: Arc<ClientInner>, stream: TcpStream) {
+    let mut stream = BufReader::with_capacity(64 << 10, stream);
     let mut hdr = [0u8; HDR_LEN];
     loop {
         if stream.read_exact(&mut hdr).is_err() {

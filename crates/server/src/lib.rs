@@ -7,12 +7,12 @@
 //!
 //! * [`wire`] — framed binary RPC protocol (wire v1): tagged,
 //!   checksummed frames with every length clamped before allocation.
-//! * [`executor`] — sharded worker pool with bounded queues; requests
-//!   from unrelated connections never queue behind each other.
-//! * [`server`] — accept loop, per-connection FD tables on `vfs`,
-//!   bounded in-flight windows (backpressure), batched reply flushing
-//!   through a [`pool::BufPool`] (zero-allocation steady state), and a
-//!   `/metrics` + `/spans` HTTP scrape path on the same listener.
+//! * [`server`] — accept loop and one thread per connection that reads,
+//!   executes and answers its own requests: per-connection FD tables on
+//!   `vfs`, TCP flow control as backpressure, replies batched into one
+//!   `write` before any read that may block, buffers recycled through a
+//!   [`pool::BufPool`] (zero-allocation steady state), and a `/metrics`
+//!   + `/spans` HTTP scrape path on the same listener.
 //! * [`client`] — pipelined [`client::RpcClient`] and the
 //!   [`client::RemoteFs`] adapter that makes a remote server look like
 //!   any other [`FileSystem`](atomfs_vfs::FileSystem).
@@ -29,14 +29,12 @@
 
 pub mod check;
 pub mod client;
-pub mod executor;
 pub mod pool;
 pub mod server;
 pub mod wire;
 
 pub use check::{CheckerPump, PumpConfig};
 pub use client::{Pending, RemoteFs, RpcClient};
-pub use executor::{Executor, ExecutorConfig};
 pub use pool::BufPool;
 pub use server::{serve, serve_checked, serve_on, Server, ServerConfig, StatsSnapshot};
 pub use wire::{

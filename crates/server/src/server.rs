@@ -1,34 +1,38 @@
-//! The TCP server: accept loop, per-connection readers, reply flushing.
+//! The TCP server: accept loop and one thread per connection.
 //!
-//! One OS thread per connection *reads* frames (cheap, mostly parked in
-//! `read_exact`); execution happens on the sharded [`Executor`], so a
-//! slow operation never stalls unrelated connections. Each connection
-//! carries its own [`FdTable`] layered on the shared [`FileSystem`] —
-//! exactly the paper's FUSE split, with the network connection standing
-//! in for the FUSE session.
+//! Each accepted connection gets its own OS thread, which reads,
+//! executes and answers that connection's requests in arrival order.
+//! Each connection carries its own [`FdTable`] layered on the shared
+//! [`FileSystem`] — exactly the paper's FUSE split, with the network
+//! connection standing in for the FUSE session. Connections are isolated
+//! by their threads: a slow operation delays only its own connection.
 //!
 //! **Pipelining.** A client may keep many tagged requests in flight on
-//! one connection; responses complete in whatever order the executor
-//! finishes them and are matched by tag. Per-connection order is only
-//! guaranteed for requests a client serializes itself (await response
-//! before sending the next); the specification boundary is the
-//! linearizability of each operation, not connection FIFO — the same
-//! license BilbyFs's sequential specification gives its asynchronous
-//! implementation.
+//! one connection; replies are matched by tag. The connection thread
+//! runs them one at a time, so replies leave in request order —
+//! per-connection FIFO, a strictly smaller set of behaviours than the
+//! tagged protocol permits. The specification boundary stays the
+//! linearizability of each operation — the same license BilbyFs's
+//! sequential specification gives its asynchronous implementation.
 //!
-//! **Backpressure.** Each connection has a bounded in-flight window. The
-//! reader acquires a slot before admitting a request and the flusher
-//! returns slots as replies hit the socket; a full window parks the
-//! reader, the kernel receive buffer fills, and TCP flow control pushes
-//! back to the client. Memory per connection is bounded by
-//! `window × MAX_PAYLOAD` with no explicit rejection path.
+//! **Backpressure.** A connection thread that is executing or writing
+//! does not read, so the kernel receive buffer fills and TCP flow
+//! control pushes back to the client. Memory per connection is one
+//! `READ_BUF` read buffer, one request frame, and at most `FLUSH_AT`
+//! plus one reply of unsent output, with no explicit rejection path.
 //!
-//! **Reply batching.** Workers enqueue encoded replies on the
-//! connection's outbox; whichever worker wins the flusher flag drains
-//! the outbox and writes every queued frame with one `write_all`
-//! (writev-style coalescing via a pooled gather buffer). All buffers —
-//! request frames, reply frames, gather buffers — recycle through the
-//! [`BufPool`], so the steady-state reply path allocates nothing.
+//! **Reply batching.** Replies are encoded straight into one
+//! per-connection output buffer, which goes to the kernel with one
+//! `write_all` whenever the next read could block (the next header or
+//! body is not already in the read buffer) or the buffer has passed
+//! `FLUSH_AT`. A window of 64 pipelined requests thus costs about one
+//! `read`, 64 inline dispatches and one `write`. The frame, output and
+//! read-payload buffers come from the [`BufPool`], so the steady-state
+//! request path allocates nothing.
+//!
+//! **Panics.** Each request runs under `catch_unwind`: a panicking
+//! operation tears down its own connection (closing its whole FD table)
+//! and nothing else.
 //!
 //! **HTTP on the same listener.** A connection whose first four bytes
 //! are `"GET "` is served as an HTTP scrape connection: `/metrics`
@@ -42,8 +46,9 @@
 //! connection path gets a 404.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -52,34 +57,32 @@ use atomfs_obs::{FnKind, Registry, Span, SpanKind};
 use atomfs_trace::ShardedSink;
 use atomfs_vfs::{FdTable, FileSystem, FsError, OpenOptions};
 use crlh::CheckReport;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::check::{CheckerPump, PumpConfig};
-use crate::executor::{Executor, ExecutorConfig};
 use crate::pool::BufPool;
 use crate::wire::{
-    self, HDR_LEN, FLAG_APPEND, FLAG_CREATE, FLAG_READ, FLAG_TRUNC, FLAG_WRITE, MAX_IO_LEN,
+    self, FLAG_APPEND, FLAG_CREATE, FLAG_READ, FLAG_TRUNC, FLAG_WRITE, HDR_LEN, MAX_IO_LEN,
     REQ_MAGIC,
 };
+
+/// Capacity of each connection's socket read buffer.
+const READ_BUF: usize = 64 << 10;
+
+/// Unsent reply bytes past which a connection writes its output even
+/// though its next request is already buffered.
+const FLUSH_AT: usize = 64 << 10;
 
 /// Server sizing knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Executor shape (shards, workers, queue bound).
-    pub executor: ExecutorConfig,
-    /// Per-connection in-flight request window (backpressure bound).
-    pub window: usize,
     /// Buffers retained by the shared pool.
     pub pool_bufs: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            executor: ExecutorConfig::default(),
-            window: 64,
-            pool_bufs: 1024,
-        }
+        ServerConfig { pool_bufs: 1024 }
     }
 }
 
@@ -90,7 +93,7 @@ pub struct ServerStats {
     pub conns_opened: AtomicU64,
     /// Connections fully torn down.
     pub conns_closed: AtomicU64,
-    /// Request frames admitted past the window.
+    /// Request frames read off the wire.
     pub requests: AtomicU64,
     /// Reply frames handed to the kernel.
     pub replies_flushed: AtomicU64,
@@ -104,9 +107,12 @@ pub struct ServerStats {
     /// HTTP requests served on the listener (a kept-alive scrape
     /// connection counts once per GET).
     pub http_requests: AtomicU64,
+    /// Requests whose execution panicked (each tore down its own
+    /// connection).
+    pub panics: AtomicU64,
 }
 
-/// A point-in-time copy of [`ServerStats`] plus executor health.
+/// A point-in-time copy of [`ServerStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub struct StatsSnapshot {
@@ -118,62 +124,24 @@ pub struct StatsSnapshot {
     pub malformed: u64,
     pub fds_closed_on_teardown: u64,
     pub http_requests: u64,
+    /// [`ServerStats::panics`].
     pub worker_panics: u64,
 }
 
-/// Bounded in-flight window; `acquire` parks the connection reader when
-/// the pipeline is full.
-struct Window {
-    inflight: Mutex<usize>,
-    cv: Condvar,
-    cap: usize,
-}
-
-impl Window {
-    fn acquire(&self, dead: &AtomicBool) -> bool {
-        let mut n = self.inflight.lock();
-        while *n >= self.cap {
-            if dead.load(Ordering::Acquire) {
-                return false;
-            }
-            self.cv.wait(&mut n);
-        }
-        if dead.load(Ordering::Acquire) {
-            return false;
-        }
-        *n += 1;
-        true
-    }
-
-    fn release(&self, k: usize) {
-        let mut n = self.inflight.lock();
-        *n = n.saturating_sub(k);
-        drop(n);
-        self.cv.notify_all();
-    }
-
-    fn wake_all(&self) {
-        self.cv.notify_all();
-    }
-}
-
-struct ConnState<F: FileSystem> {
-    id: u64,
-    shard: usize,
-    stream: TcpStream,
-    writer: Mutex<TcpStream>,
-    outbox: Mutex<Vec<Vec<u8>>>,
-    flushing: AtomicBool,
-    window: Window,
-    fds: FdTable<F>,
-    dead: AtomicBool,
+/// A connection's unsent replies.
+struct Outbox {
+    buf: Vec<u8>,
+    /// Complete reply frames in `buf`.
+    frames: u64,
 }
 
 struct Shared<F: FileSystem> {
     fs: Arc<F>,
     pool: BufPool,
     stats: Arc<ServerStats>,
-    conns: Mutex<HashMap<u64, Arc<ConnState<F>>>>,
+    /// A handle on every live connection's socket, so shutdown can
+    /// sever it.
+    conns: Mutex<HashMap<u64, TcpStream>>,
     registry: Option<Arc<Registry>>,
     /// Streaming-checker pump attached by [`serve_checked`]; `/check`
     /// renders its live verdict.
@@ -181,120 +149,134 @@ struct Shared<F: FileSystem> {
 }
 
 impl<F: FileSystem + 'static> Shared<F> {
-    /// Idempotently kill a connection: close every descriptor in its FD
-    /// table, sever the socket (unblocking its reader), wake anything
-    /// parked on its window, and recycle queued replies. Runs on
-    /// disconnect, malformed frames, write errors, worker panics, and
-    /// server shutdown — all paths converge here, so "disconnect closes
-    /// every handle" holds no matter which end died first.
-    fn teardown(&self, conn: &Arc<ConnState<F>>) {
-        if conn.dead.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let closed = conn.fds.close_all();
+    /// Serve one connection until it ends, then tear it down: close
+    /// every descriptor in its FD table and sever the socket. Every way
+    /// a connection ends — client EOF, an I/O error, a malformed frame,
+    /// a panicking request, server shutdown severing the socket — leaves
+    /// the serving loop and lands here, so "disconnect closes every
+    /// handle" holds no matter which end died first.
+    fn conn_loop(&self, id: u64, stream: TcpStream) {
+        let mut rd = BufReader::with_capacity(READ_BUF, stream);
+        let fds = FdTable::new(Arc::clone(&self.fs));
+        self.serve_conn(&mut rd, &fds);
+        let closed = fds.close_all();
         self.stats
             .fds_closed_on_teardown
             .fetch_add(closed as u64, Ordering::Relaxed);
-        let _ = conn.stream.shutdown(Shutdown::Both);
-        conn.window.wake_all();
-        for buf in conn.outbox.lock().drain(..) {
-            self.pool.put(buf);
-        }
-        self.conns.lock().remove(&conn.id);
+        let _ = rd.get_ref().shutdown(Shutdown::Both);
+        self.conns.lock().remove(&id);
         self.stats.conns_closed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Queue one encoded reply and batch-flush the outbox. Whichever
-    /// worker wins `flushing` writes *everything* queued at that point
-    /// in one syscall; losers just leave their frame behind.
-    fn enqueue_and_flush(&self, conn: &Arc<ConnState<F>>, reply: Vec<u8>) {
-        conn.outbox.lock().push(reply);
+    /// Read, execute and answer frames until the connection ends.
+    fn serve_conn(&self, rd: &mut BufReader<TcpStream>, fds: &FdTable<F>) {
+        // Sniff the first four bytes: "GET " means this connection is an
+        // HTTP scrape, anything else must open an RPC frame.
+        let mut hdr = [0u8; HDR_LEN];
+        if rd.read_exact(&mut hdr[..4]).is_err() {
+            return;
+        }
+        if &hdr[..4] == b"GET " {
+            self.serve_http(rd);
+            return;
+        }
+        let mut have = 4; // header bytes already read (the sniff)
+        let mut frame = self.pool.get();
+        let mut out = Outbox {
+            buf: self.pool.get(),
+            frames: 0,
+        };
         loop {
-            if conn.flushing.swap(true, Ordering::AcqRel) {
-                return; // active flusher will pick our frame up
+            // Flush before any read that may block: replies never wait
+            // behind a client that is waiting for them.
+            if rd.buffer().len() < HDR_LEN - have && self.flush(rd, &mut out).is_err() {
+                break;
             }
-            let batch = std::mem::take(&mut *conn.outbox.lock());
-            if batch.is_empty() {
-                conn.flushing.store(false, Ordering::Release);
-                // Recheck: a frame may have been queued between the take
-                // and the flag reset by a worker that saw us flushing.
-                if conn.outbox.lock().is_empty() {
-                    return;
-                }
-                continue;
+            if rd.read_exact(&mut hdr[have..]).is_err() {
+                break; // EOF or error: client is gone
             }
-            let frames = batch.len();
-            let res = if frames == 1 {
-                let res = conn.writer.lock().write_all(&batch[0]);
-                self.pool.put(batch.into_iter().next().expect("one"));
-                res
-            } else {
-                let mut gather = self.pool.get();
-                for b in &batch {
-                    gather.extend_from_slice(b);
-                }
-                for b in batch {
-                    self.pool.put(b);
-                }
-                let res = conn.writer.lock().write_all(&gather);
-                self.pool.put(gather);
-                res
-            };
-            conn.window.release(frames);
-            self.stats.flush_batches.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .replies_flushed
-                .fetch_add(frames as u64, Ordering::Relaxed);
-            if res.is_err() {
-                self.teardown(conn);
-                return;
-            }
-            conn.flushing.store(false, Ordering::Release);
-            if conn.outbox.lock().is_empty() {
-                return;
-            }
-        }
-    }
-
-    /// Decode, execute, and answer one admitted request frame.
-    /// `rpc_span` is the id of the reader-side request root span (0 when
-    /// that request was not sampled): the decode and dispatch children
-    /// link to it across the thread hop, and the fs-op spans opened
-    /// inside `dispatch` nest under the open dispatch child — one
-    /// accept→decode→dispatch→op chain per tagged request.
-    fn execute(&self, conn: &Arc<ConnState<F>>, frame: Vec<u8>, rpc_span: u64) {
-        if conn.dead.load(Ordering::Acquire) {
-            self.pool.put(frame);
-            return;
-        }
-        let mut reply = self.pool.get();
-        let decoded = {
-            let _sp = Span::child_of(rpc_span, SpanKind::Rpc, "decode");
-            wire::decode_request_frame(&frame)
-        };
-        let ok = match decoded {
-            None => {
+            have = 0;
+            let Some((_, total)) = wire::frame_size_hint(&hdr, REQ_MAGIC) else {
+                // Bad magic/version or a forged length: framing is
+                // unrecoverable on this connection.
                 self.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                false
+                break;
+            };
+            if rd.buffer().len() < total - HDR_LEN && self.flush(rd, &mut out).is_err() {
+                break;
             }
-            Some((tag, req, _)) => {
-                let mut sp = Span::child_of(rpc_span, SpanKind::Rpc, "dispatch");
-                sp.set_stamp(tag);
-                sp.set_shard(conn.shard as u32);
-                self.dispatch(conn, tag, req, &mut reply);
-                true
+            // One sampled root per tagged request: payload read, decode,
+            // dispatch and the fs-op spans all nest under it on this
+            // thread.
+            let mut rpc_sp = Span::op_root(SpanKind::Rpc, "rpc_request");
+            frame.clear();
+            frame.extend_from_slice(&hdr);
+            frame.resize(total, 0);
+            if rd.read_exact(&mut frame[HDR_LEN..]).is_err() {
+                rpc_sp.fail();
+                break;
             }
-        };
-        self.pool.put(frame);
-        if !ok {
-            self.pool.put(reply);
-            self.teardown(conn);
-            return;
+            self.stats.requests.fetch_add(1, Ordering::Relaxed);
+            let mark = out.buf.len();
+            match catch_unwind(AssertUnwindSafe(|| self.execute(fds, &frame, &mut out.buf))) {
+                Ok(true) => out.frames += 1,
+                Ok(false) => {
+                    rpc_sp.fail();
+                    self.stats.malformed.fetch_add(1, Ordering::Relaxed);
+                    break;
+                }
+                Err(_) => {
+                    rpc_sp.fail();
+                    self.stats.panics.fetch_add(1, Ordering::Relaxed);
+                    out.buf.truncate(mark); // drop the half-encoded reply
+                    break;
+                }
+            }
+            drop(rpc_sp);
+            if out.buf.len() >= FLUSH_AT && self.flush(rd, &mut out).is_err() {
+                break;
+            }
         }
-        self.enqueue_and_flush(conn, reply);
+        // Replies of requests that did execute still go out.
+        let _ = self.flush(rd, &mut out);
+        self.pool.put(frame);
+        self.pool.put(out.buf);
     }
 
-    fn dispatch(&self, conn: &Arc<ConnState<F>>, tag: u64, req: wire::ReqView<'_>, out: &mut Vec<u8>) {
+    /// Write every buffered reply with one `write_all`. Counted before
+    /// the write, so a client that has read a reply also sees it
+    /// counted.
+    fn flush(&self, rd: &mut BufReader<TcpStream>, out: &mut Outbox) -> std::io::Result<()> {
+        if out.frames == 0 {
+            return Ok(());
+        }
+        self.stats.flush_batches.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .replies_flushed
+            .fetch_add(out.frames, Ordering::Relaxed);
+        let res = rd.get_mut().write_all(&out.buf);
+        out.buf.clear();
+        out.frames = 0;
+        res
+    }
+
+    /// Decode one request frame and append its reply to `out`. `false`
+    /// when the frame fails strict decoding.
+    fn execute(&self, fds: &FdTable<F>, frame: &[u8], out: &mut Vec<u8>) -> bool {
+        let decoded = {
+            let _sp = Span::child(SpanKind::Rpc, "decode");
+            wire::decode_request_frame(frame)
+        };
+        let Some((tag, req, _)) = decoded else {
+            return false;
+        };
+        let mut sp = Span::child(SpanKind::Rpc, "dispatch");
+        sp.set_stamp(tag);
+        self.dispatch(fds, tag, req, out);
+        true
+    }
+
+    fn dispatch(&self, fds: &FdTable<F>, tag: u64, req: wire::ReqView<'_>, out: &mut Vec<u8>) {
         use wire::ReqView as R;
         let fs = &*self.fs;
         match req {
@@ -338,23 +320,23 @@ impl<F: FileSystem + 'static> Shared<F> {
                     truncate: flags & FLAG_TRUNC != 0,
                     append: flags & FLAG_APPEND != 0,
                 };
-                match conn.fds.open(path, opts) {
+                match fds.open(path, opts) {
                     Ok(fd) => wire::encode_response_fd(out, tag, fd.0),
                     Err(e) => wire::encode_response_err(out, tag, e),
                 }
             }
-            R::Close { fd } => unit(out, tag, conn.fds.close(atomfs_vfs::Fd(fd))),
+            R::Close { fd } => unit(out, tag, fds.close(atomfs_vfs::Fd(fd))),
             R::PRead { fd, offset, len } => {
                 let mut data = self.pool.get();
                 data.resize((len as usize).min(MAX_IO_LEN), 0);
-                match conn.fds.read_at(atomfs_vfs::Fd(fd), offset, &mut data) {
+                match fds.read_at(atomfs_vfs::Fd(fd), offset, &mut data) {
                     Ok(n) => wire::encode_response_data(out, tag, &data[..n]),
                     Err(e) => wire::encode_response_err(out, tag, e),
                 }
                 self.pool.put(data);
             }
             R::PWrite { fd, offset, data } => {
-                match conn.fds.write_at(atomfs_vfs::Fd(fd), offset, data) {
+                match fds.write_at(atomfs_vfs::Fd(fd), offset, data) {
                     Ok(n) => wire::encode_response_len(out, tag, n as u64),
                     Err(e) => wire::encode_response_err(out, tag, e),
                 }
@@ -366,10 +348,12 @@ impl<F: FileSystem + 'static> Shared<F> {
     /// serves sequential GETs until the client closes it or asks for
     /// `Connection: close`. The first request's method (`"GET "`) was
     /// consumed by the protocol sniff; later requests are read whole.
-    fn serve_http(&self, mut stream: TcpStream) {
+    /// Reads go through the connection's buffered reader, which may
+    /// already hold bytes past the sniff.
+    fn serve_http(&self, rd: &mut BufReader<TcpStream>) {
         let mut first = true;
         // Ends at EOF between requests, an error, or an oversized head.
-        while let Some(head) = read_http_head(&mut stream) {
+        while let Some(head) = read_http_head(rd) {
             let mut fields = head.split(|&b| b == b' ');
             let method: &[u8] = if first {
                 b"GET" // the sniffed bytes
@@ -395,7 +379,8 @@ impl<F: FileSystem + 'static> Shared<F> {
             // the response and reuse the connection.
             let close = wants_close(&head);
             let conn_hdr = if close { "close" } else { "keep-alive" };
-            if stream
+            if rd
+                .get_mut()
                 .write_all(
                     format!(
                         "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: {conn_hdr}\r\n\r\n{body}",
@@ -409,7 +394,6 @@ impl<F: FileSystem + 'static> Shared<F> {
                 break;
             }
         }
-        let _ = stream.shutdown(Shutdown::Both);
     }
 
     /// Route one GET.
@@ -423,7 +407,11 @@ impl<F: FileSystem + 'static> Shared<F> {
                     None => String::new(),
                 },
             ),
-            "/spans" => ("200 OK", "application/json", atomfs_obs::render_spans_json()),
+            "/spans" => (
+                "200 OK",
+                "application/json",
+                atomfs_obs::render_spans_json(),
+            ),
             "/check" => match self.checker.lock().as_ref().and_then(|p| p.status_json()) {
                 Some(json) => ("200 OK", "application/json", json),
                 None => (
@@ -439,11 +427,11 @@ impl<F: FileSystem + 'static> Shared<F> {
 
 /// Read one request head through the blank line, bounded (scrape
 /// requests are tiny). `None` on EOF, error, or an oversized head.
-fn read_http_head(stream: &mut TcpStream) -> Option<Vec<u8>> {
+fn read_http_head(rd: &mut impl Read) -> Option<Vec<u8>> {
     let mut head = Vec::with_capacity(256);
     let mut byte = [0u8; 1];
     while head.len() < 4096 && !head.ends_with(b"\r\n\r\n") {
-        match stream.read(&mut byte) {
+        match rd.read(&mut byte) {
             Ok(1) => head.push(byte[0]),
             _ => return None,
         }
@@ -466,32 +454,14 @@ fn unit(out: &mut Vec<u8>, tag: u64, r: Result<(), FsError>) {
     }
 }
 
-/// Tears the connection down if the wrapped job panics mid-operation, so
-/// a panicked worker still closes every handle in the connection's FD
-/// table. Disarmed on orderly completion.
-struct PanicGuard<F: FileSystem + 'static> {
-    shared: Arc<Shared<F>>,
-    conn: Arc<ConnState<F>>,
-    armed: bool,
-}
-
-impl<F: FileSystem + 'static> Drop for PanicGuard<F> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.shared.teardown(&self.conn);
-        }
-    }
-}
-
 /// A running server; dropping it does *not* stop it — call
 /// [`Server::shutdown`].
 pub struct Server<F: FileSystem + 'static> {
     shared: Arc<Shared<F>>,
-    executor: Arc<Executor>,
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Mutex<Option<JoinHandle<()>>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 /// Bind an ephemeral loopback port and serve `fs`. When a
@@ -546,16 +516,13 @@ pub fn serve_on<F: FileSystem + 'static>(
         registry,
         checker: Mutex::new(None),
     });
-    let executor = Arc::new(Executor::start(cfg.executor));
     let stop = Arc::new(AtomicBool::new(false));
-    let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+    let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
     let accept = {
         let shared = Arc::clone(&shared);
-        let executor = Arc::clone(&executor);
         let stop = Arc::clone(&stop);
-        let readers = Arc::clone(&readers);
-        let window = cfg.window.max(1);
+        let conn_threads = Arc::clone(&conn_threads);
         std::thread::Builder::new()
             .name("afs-srv-accept".into())
             .spawn(move || {
@@ -566,52 +533,31 @@ pub fn serve_on<F: FileSystem + 'static>(
                     }
                     let Ok(stream) = stream else { continue };
                     let _ = stream.set_nodelay(true);
-                    let id = next_id;
-                    next_id += 1;
-                    // Fibonacci-hash the connection id over the shards so
-                    // sequential accepts spread instead of clustering.
-                    let shard =
-                        (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % executor.shards();
-                    let Ok(wstream) = stream.try_clone() else {
+                    let Ok(handle) = stream.try_clone() else {
                         continue;
                     };
-                    let conn = Arc::new(ConnState {
-                        id,
-                        shard,
-                        stream,
-                        writer: Mutex::new(wstream),
-                        outbox: Mutex::new(Vec::new()),
-                        flushing: AtomicBool::new(false),
-                        window: Window {
-                            inflight: Mutex::new(0),
-                            cv: Condvar::new(),
-                            cap: window,
-                        },
-                        fds: FdTable::new(Arc::clone(&shared.fs)),
-                        dead: AtomicBool::new(false),
-                    });
+                    let id = next_id;
+                    next_id += 1;
                     shared.stats.conns_opened.fetch_add(1, Ordering::Relaxed);
-                    shared.conns.lock().insert(id, Arc::clone(&conn));
+                    shared.conns.lock().insert(id, handle);
                     let shared = Arc::clone(&shared);
-                    let executor = Arc::clone(&executor);
-                    let handle = std::thread::Builder::new()
+                    let thread = std::thread::Builder::new()
                         .name(format!("afs-conn-{id}"))
-                        .spawn(move || reader_loop(shared, executor, conn))
-                        .expect("spawn reader");
-                    let mut rs = readers.lock();
-                    rs.retain(|h| !h.is_finished()); // reap exited readers
-                    rs.push(handle);
+                        .spawn(move || shared.conn_loop(id, stream))
+                        .expect("spawn connection thread");
+                    let mut ts = conn_threads.lock();
+                    ts.retain(|h| !h.is_finished()); // reap exited connections
+                    ts.push(thread);
                 }
             })?
     };
 
     Ok(Server {
         shared,
-        executor,
         addr,
         stop,
         accept_thread: Mutex::new(Some(accept)),
-        readers,
+        conn_threads,
     })
 }
 
@@ -667,96 +613,6 @@ fn register_stat_fns(reg: &Registry, stats: &Arc<ServerStats>) {
     }
 }
 
-fn reader_loop<F: FileSystem + 'static>(
-    shared: Arc<Shared<F>>,
-    executor: Arc<Executor>,
-    conn: Arc<ConnState<F>>,
-) {
-    let mut rstream = match conn.stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            shared.teardown(&conn);
-            return;
-        }
-    };
-    // Sniff the first four bytes: "GET " means this connection is a
-    // one-shot HTTP scrape, anything else must open an RPC frame.
-    let mut first = [0u8; 4];
-    if rstream.read_exact(&mut first).is_err() {
-        shared.teardown(&conn);
-        return;
-    }
-    if &first == b"GET " {
-        shared.serve_http(rstream);
-        shared.teardown(&conn);
-        return;
-    }
-    let mut hdr = [0u8; HDR_LEN];
-    let mut sniffed = Some(first);
-    loop {
-        // Assemble the fixed header (reusing the sniffed bytes once).
-        let ok = match sniffed.take() {
-            Some(four) => {
-                hdr[..4].copy_from_slice(&four);
-                rstream.read_exact(&mut hdr[4..]).is_ok()
-            }
-            None => rstream.read_exact(&mut hdr).is_ok(),
-        };
-        if !ok {
-            break; // EOF or error: client is gone
-        }
-        let Some((_, total)) = wire::frame_size_hint(&hdr, REQ_MAGIC) else {
-            // Bad magic/version or a forged length: framing is
-            // unrecoverable on this connection.
-            shared.stats.malformed.fetch_add(1, Ordering::Relaxed);
-            break;
-        };
-        // One sampled root per tagged request. It covers admission
-        // (window acquire) and the payload read on this thread and then
-        // closes; the worker-side decode/dispatch/fs-op spans link to
-        // it by id (`Span::child_of`) across the thread hop, so the
-        // whole accept→decode→dispatch→op chain hangs under one root.
-        // (Span guards must not cross threads — drop pops the creating
-        // thread's active stack — hence id linking, not moving.)
-        let mut rpc_sp = Span::op_root(SpanKind::Rpc, "rpc_request");
-        rpc_sp.set_shard(conn.shard as u32);
-        let rpc_id = rpc_sp.id();
-        // Backpressure: park until the pipeline has room (or the
-        // connection died under us).
-        if !conn.window.acquire(&conn.dead) {
-            break;
-        }
-        let mut frame = shared.pool.get();
-        frame.extend_from_slice(&hdr);
-        frame.resize(total, 0);
-        if rstream.read_exact(&mut frame[HDR_LEN..]).is_err() {
-            rpc_sp.fail();
-            shared.pool.put(frame);
-            break;
-        }
-        shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        drop(rpc_sp);
-        let job_shared = Arc::clone(&shared);
-        let job_conn = Arc::clone(&conn);
-        let submitted = executor.submit(
-            conn.shard,
-            Box::new(move || {
-                let mut guard = PanicGuard {
-                    shared: Arc::clone(&job_shared),
-                    conn: Arc::clone(&job_conn),
-                    armed: true,
-                };
-                job_shared.execute(&job_conn, frame, rpc_id);
-                guard.armed = false;
-            }),
-        );
-        if !submitted {
-            break; // executor shutting down
-        }
-    }
-    shared.teardown(&conn);
-}
-
 impl<F: FileSystem + 'static> Server<F> {
     /// The bound address clients should connect to.
     pub fn local_addr(&self) -> SocketAddr {
@@ -775,7 +631,7 @@ impl<F: FileSystem + 'static> Server<F> {
             malformed: s.malformed.load(Ordering::Relaxed),
             fds_closed_on_teardown: s.fds_closed_on_teardown.load(Ordering::Relaxed),
             http_requests: s.http_requests.load(Ordering::Relaxed),
-            worker_panics: self.executor.panics(),
+            worker_panics: s.panics.load(Ordering::Relaxed),
         }
     }
 
@@ -800,11 +656,11 @@ impl<F: FileSystem + 'static> Server<F> {
         (snap, report)
     }
 
-    /// Stop accepting, tear down every connection (closing its FD
-    /// table), drain the executor, and join all threads. Every admitted
-    /// request has either executed or been dropped with its connection
-    /// by the time this returns — so a trace sink attached to the
-    /// served file system is quiescent and safe to drain.
+    /// Stop accepting, sever every connection, and join all threads.
+    /// Each connection thread closes its FD table on the way out, and
+    /// every request it read has either executed or died with its
+    /// connection by the time this returns — so a trace sink attached to
+    /// the served file system is quiescent and safe to drain.
     pub fn shutdown(self) -> StatsSnapshot {
         self.stop.store(true, Ordering::Release);
         // Unblock the accept loop with a throwaway connection.
@@ -812,14 +668,12 @@ impl<F: FileSystem + 'static> Server<F> {
         if let Some(h) = self.accept_thread.lock().take() {
             let _ = h.join();
         }
-        let conns: Vec<_> = self.shared.conns.lock().values().cloned().collect();
-        for conn in conns {
-            self.shared.teardown(&conn);
+        for stream in self.shared.conns.lock().values() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
-        for h in self.readers.lock().drain(..) {
+        for h in self.conn_threads.lock().drain(..) {
             let _ = h.join();
         }
-        self.executor.shutdown();
         // A pump left attached (plain shutdown, not `shutdown_checked`)
         // must still be joined or its thread leaks past the server.
         if let Some(pump) = self.shared.checker.lock().take() {

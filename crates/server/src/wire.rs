@@ -273,21 +273,60 @@ pub enum ReqView<'a> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum Request {
-    Mknod { path: String },
-    Mkdir { path: String },
-    Unlink { path: String },
-    Rmdir { path: String },
-    Rename { src: String, dst: String },
-    Stat { path: String },
-    Readdir { path: String },
-    Read { path: String, offset: u64, len: u32 },
-    Write { path: String, offset: u64, data: Vec<u8> },
-    Truncate { path: String, size: u64 },
+    Mknod {
+        path: String,
+    },
+    Mkdir {
+        path: String,
+    },
+    Unlink {
+        path: String,
+    },
+    Rmdir {
+        path: String,
+    },
+    Rename {
+        src: String,
+        dst: String,
+    },
+    Stat {
+        path: String,
+    },
+    Readdir {
+        path: String,
+    },
+    Read {
+        path: String,
+        offset: u64,
+        len: u32,
+    },
+    Write {
+        path: String,
+        offset: u64,
+        data: Vec<u8>,
+    },
+    Truncate {
+        path: String,
+        size: u64,
+    },
     Sync,
-    Open { path: String, flags: u8 },
-    Close { fd: u32 },
-    PRead { fd: u32, offset: u64, len: u32 },
-    PWrite { fd: u32, offset: u64, data: Vec<u8> },
+    Open {
+        path: String,
+        flags: u8,
+    },
+    Close {
+        fd: u32,
+    },
+    PRead {
+        fd: u32,
+        offset: u64,
+        len: u32,
+    },
+    PWrite {
+        fd: u32,
+        offset: u64,
+        data: Vec<u8>,
+    },
 }
 
 impl Request {
@@ -311,10 +350,7 @@ impl Request {
                 offset: *offset,
                 data,
             },
-            Request::Truncate { path, size } => ReqView::Truncate {
-                path,
-                size: *size,
-            },
+            Request::Truncate { path, size } => ReqView::Truncate { path, size: *size },
             Request::Sync => ReqView::Sync,
             Request::Open { path, flags } => ReqView::Open {
                 path,
@@ -801,7 +837,9 @@ mod tests {
 
     #[test]
     fn request_roundtrips() {
-        roundtrip_req(Request::Mknod { path: "/a/b".into() });
+        roundtrip_req(Request::Mknod {
+            path: "/a/b".into(),
+        });
         roundtrip_req(Request::Rename {
             src: "/x".into(),
             dst: "/y".into(),
@@ -852,11 +890,7 @@ mod tests {
     fn frames_concatenate() {
         let mut buf = Vec::new();
         encode_request_frame(&mut buf, 1, &Request::Sync.view());
-        encode_request_frame(
-            &mut buf,
-            2,
-            &Request::Stat { path: "/p".into() }.view(),
-        );
+        encode_request_frame(&mut buf, 2, &Request::Stat { path: "/p".into() }.view());
         let (tag1, _, n1) = decode_request_frame(&buf).unwrap();
         let (tag2, _, n2) = decode_request_frame(&buf[n1..]).unwrap();
         assert_eq!((tag1, tag2), (1, 2));

@@ -1,18 +1,18 @@
 //! Steady-state allocation test for the reply hot path.
 //!
 //! A counting global allocator wraps `System`; after warming the
-//! [`BufPool`] so every buffer has the capacity its role needs, the
-//! request-decode → dispatch-encode → batch-gather → recycle cycle is
-//! run many more times and the allocation counter must not move at all.
+//! connection's buffers to the capacity their roles need, the serving
+//! cycle — refill the reused frame buffer, decode it borrowed, append
+//! the reply to the connection's output buffer, `clear()` that buffer
+//! once a window is flushed — is run many more times and the allocation
+//! counter must not move at all.
 //! This pins the "pooled reply buffers, zero allocation in steady state"
 //! claim as a regression test rather than a code comment.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use atomfs_server::wire::{
-    self, decode_request_frame, encode_request_frame, ReqView,
-};
+use atomfs_server::wire::{self, decode_request_frame, encode_request_frame, ReqView};
 use atomfs_server::BufPool;
 
 struct Counting;
@@ -40,31 +40,48 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static A: Counting = Counting;
 
-/// One iteration of the serving hot path, sans socket: take a pooled
-/// frame holding an encoded request, decode it borrowed, encode the
-/// reply into a pooled buffer, coalesce into a pooled gather buffer,
-/// recycle everything.
-fn hot_cycle(pool: &BufPool, request_bytes: &[u8], payload: &[u8]) {
-    // Reader side: pooled frame buffer filled from the socket.
-    let mut frame = pool.get();
+/// Requests answered per flush of the output buffer.
+const WINDOW: usize = 4;
+
+/// One request through the connection thread's hot path, sans socket:
+/// refill the reused frame buffer, decode it borrowed, read into a
+/// pooled payload buffer, and append the reply to the output buffer.
+fn one_request(
+    pool: &BufPool,
+    frame: &mut Vec<u8>,
+    out: &mut Vec<u8>,
+    request_bytes: &[u8],
+    payload: &[u8],
+) {
+    frame.clear();
     frame.extend_from_slice(request_bytes);
-    // Worker side: borrowed decode, no field allocation.
-    let (tag, req, _) = decode_request_frame(&frame).expect("valid");
-    let mut reply = pool.get();
+    // Borrowed decode, no field allocation.
+    let (tag, req, _) = decode_request_frame(frame).expect("valid");
     match req {
         ReqView::Read { len, .. } => {
+            let mut data = pool.get();
             let n = (len as usize).min(payload.len());
-            wire::encode_response_data(&mut reply, tag, &payload[..n]);
+            data.extend_from_slice(&payload[..n]);
+            wire::encode_response_data(out, tag, &data);
+            pool.put(data);
         }
-        _ => wire::encode_response_unit(&mut reply, tag),
+        _ => wire::encode_response_unit(out, tag),
     }
-    pool.put(frame);
-    // Flusher side: writev-style gather of a 2-frame batch.
-    let mut gather = pool.get();
-    gather.extend_from_slice(&reply);
-    gather.extend_from_slice(&reply);
-    pool.put(reply);
-    pool.put(gather);
+}
+
+/// One flush cycle: [`WINDOW`] replies appended, then the output buffer
+/// cleared as the flush leaves it.
+fn hot_cycle(
+    pool: &BufPool,
+    frame: &mut Vec<u8>,
+    out: &mut Vec<u8>,
+    request_bytes: &[u8],
+    payload: &[u8],
+) {
+    for _ in 0..WINDOW {
+        one_request(pool, frame, out, request_bytes, payload);
+    }
+    out.clear();
 }
 
 #[test]
@@ -82,15 +99,20 @@ fn steady_state_reply_path_allocates_nothing() {
         },
     );
 
-    // Warm: let every pooled buffer reach its working capacity.
+    // The connection thread takes its frame and output buffers from the
+    // pool once and reuses them for every request.
+    let mut frame = pool.get();
+    let mut out = pool.get();
+
+    // Warm: let every buffer reach its working capacity.
     for _ in 0..64 {
-        hot_cycle(&pool, &request_bytes, &payload);
+        hot_cycle(&pool, &mut frame, &mut out, &request_bytes, &payload);
     }
 
     let before = ALLOCS.load(Ordering::Relaxed);
     let misses_before = pool.misses();
     for _ in 0..1000 {
-        hot_cycle(&pool, &request_bytes, &payload);
+        hot_cycle(&pool, &mut frame, &mut out, &request_bytes, &payload);
     }
     let delta = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(

@@ -4,8 +4,8 @@
 //! in-process, the storm goes through the serving layer: every
 //! connection is an `RpcClient` wrapped in `RemoteFs` wrapped in
 //! `MeteredFs`, so the `fs_op_ns{op=...}` histograms record latency *as
-//! a client observes it* — wire framing, executor queueing, and reply
-//! flushing included, exactly the vantage point the paper's FUSE-mounted
+//! a client observes it* — wire framing, execution, and reply flushing
+//! included, exactly the vantage point the paper's FUSE-mounted
 //! benchmarks measure from.
 //!
 //! The mix is deliberately hostile to per-connection cleanup: FD

@@ -4,9 +4,9 @@
 //! while other connections still hold descriptors on them — must yield
 //! a stamped trace the full checker (helpers + roll-back relation + all
 //! invariants) replays cleanly. This is the end-to-end claim of the
-//! serving PR: network framing, sharded execution, backpressure, and
-//! disconnect teardown add *no* new interleavings the specification
-//! cannot explain.
+//! serving layer: network framing, per-connection execution,
+//! backpressure, and disconnect teardown add *no* new interleavings the
+//! specification cannot explain.
 
 use std::sync::Arc;
 
@@ -37,7 +37,11 @@ fn client_storm_trace_passes_full_checker() {
     let stats = run_storm(addr, &registry, cfg);
     assert_eq!(stats.conns, 48);
     assert!(stats.ops > 3000, "storm ran {} ops", stats.ops);
-    assert!(stats.dropped_conns >= 8, "only {} drops", stats.dropped_conns);
+    assert!(
+        stats.dropped_conns >= 8,
+        "only {} drops",
+        stats.dropped_conns
+    );
 
     // Unlink-while-open across a dropped connection: one connection
     // opens and then vanishes; a second unlinks the file while the
