@@ -107,9 +107,19 @@ fn run_raw(rounds: usize) -> (u64, f64) {
     (events, events as f64 / elapsed.as_secs_f64())
 }
 
+/// What the pumped phase measured.
+struct Pumped {
+    events: u64,
+    /// Events per second the storm emitted while the pump raced it.
+    emit_eps: f64,
+    /// Events per second checked, clocked to the checker's last event.
+    pump_eps: f64,
+    ret: Retained,
+}
+
 /// Pumped phase: same storm with a consuming cursor + streaming checker
 /// racing it, clocked until the checker has validated everything.
-fn run_pumped(rounds: usize) -> (u64, f64, f64, Retained) {
+fn run_pumped(rounds: usize) -> Pumped {
     let sink = Arc::new(ShardedSink::new());
     let fs = Arc::new(AtomFs::traced(Arc::clone(&sink) as Arc<dyn TraceSink>));
     for t in 0..THREADS {
@@ -155,26 +165,23 @@ fn run_pumped(rounds: usize) -> (u64, f64, f64, Retained) {
     let emit_elapsed = storm(&fs, rounds);
     drop(fs);
     done.store(true, Ordering::Release);
-    let (events, retained) = pump.join().unwrap();
+    let (events, ret) = pump.join().unwrap();
     let checked_elapsed = start.elapsed();
-    (
+    Pumped {
         events,
-        events as f64 / emit_elapsed.as_secs_f64(),
-        events as f64 / checked_elapsed.as_secs_f64(),
-        retained,
-    )
+        emit_eps: events as f64 / emit_elapsed.as_secs_f64(),
+        pump_eps: events as f64 / checked_elapsed.as_secs_f64(),
+        ret,
+    }
 }
 
-fn write_json(
-    path: &str,
-    rounds: usize,
-    raw_events: u64,
-    raw_eps: f64,
-    pumped_events: u64,
-    emit_eps: f64,
-    pump_eps: f64,
-    ret: &Retained,
-) {
+fn write_json(path: &str, rounds: usize, raw_events: u64, raw_eps: f64, pumped: &Pumped) {
+    let Pumped {
+        events: pumped_events,
+        emit_eps,
+        pump_eps,
+        ref ret,
+    } = *pumped;
     let out = format!(
         "{{\n  \"bench\": \"checker_stream\",\n  \"host_parallelism\": {},\n  \"threads\": {THREADS},\n  \"rounds_per_thread\": {rounds},\n  \"raw\": {{\"events\": {raw_events}, \"events_per_sec\": {raw_eps:.1}}},\n  \"pumped\": {{\"events\": {pumped_events}, \"emit_events_per_sec\": {emit_eps:.1}, \"pump_events_per_sec\": {pump_eps:.1}}},\n  \"pump_over_raw\": {:.3},\n  \"retained_max\": {{\"descriptors\": {}, \"window_total\": {}, \"narration\": {}}}\n}}\n",
         std::thread::available_parallelism()
@@ -204,7 +211,13 @@ fn main() {
             .unwrap_or(1)
     );
     let (raw_events, raw_eps) = run_raw(rounds);
-    let (pumped_events, emit_eps, pump_eps, ret) = run_pumped(rounds);
+    let pumped = run_pumped(rounds);
+    let Pumped {
+        events: pumped_events,
+        emit_eps,
+        pump_eps,
+        ref ret,
+    } = pumped;
 
     let mut table = Table::new(&["phase", "events", "Mev/s", "vs raw"]);
     table.row(vec![
@@ -230,16 +243,7 @@ fn main() {
         "retained max: descriptors {}, window_total {}, narration {}",
         ret.max_descriptors, ret.max_window_total, ret.max_narration
     );
-    write_json(
-        "BENCH_check.json",
-        rounds,
-        raw_events,
-        raw_eps,
-        pumped_events,
-        emit_eps,
-        pump_eps,
-        &ret,
-    );
+    write_json("BENCH_check.json", rounds, raw_events, raw_eps, &pumped);
     println!("wrote BENCH_check.json");
 
     if gate {

@@ -113,7 +113,7 @@ fn run(cfg: ShardConfig, mix: Mix, threads: usize, ops_per_thread: usize) -> f64
                 if is_write {
                     jfs.write(path, offset, &payload).unwrap();
                     writes += 1;
-                    if writes % SYNC_EVERY == 0 {
+                    if writes.is_multiple_of(SYNC_EVERY) {
                         jfs.sync().unwrap();
                     }
                 } else {

@@ -82,7 +82,7 @@ fn run_stream_mixed(fs: &dyn FileSystem, seed: u64, ops: usize, write_one_in: u6
     for i in 0..ops {
         let x = rng.next_u64();
         let p = format!("/w{}/f{}", x % DIRS, (x >> 8) % FILES);
-        if write_one_in != 0 && x % write_one_in == 0 {
+        if write_one_in != 0 && x.is_multiple_of(write_one_in) {
             let _ = fs.write(&p, x % 32, b"wf");
         } else {
             match i % 3 {
@@ -139,9 +139,12 @@ fn series(ops: usize, optimistic: bool) -> Vec<f64> {
         .collect()
 }
 
+/// Fast-path counters: attempts, hits, retries, fallbacks.
+type OptCounters = (u64, u64, u64, u64);
+
 /// Fast-path counters from a real metered 8-thread run (sample = 1, so
 /// attempts/hits are exact too) at the given write ratio.
-fn metered_counters(ops: usize, write_one_in: u64) -> (u64, u64, u64, u64) {
+fn metered_counters(ops: usize, write_one_in: u64) -> OptCounters {
     let reg = Registry::new();
     let fs = Arc::new(AtomFs::new().with_metrics(FsMetrics::register_sampled(
         &reg,
@@ -193,8 +196,8 @@ fn write_json(
     pess: &[f64],
     speedup: f64,
     pass: bool,
-    counters: (u64, u64, u64, u64),
-    sweep: &[(&str, (u64, u64, u64, u64))],
+    counters: OptCounters,
+    sweep: &[(&str, OptCounters)],
 ) {
     let (attempts, hits, retries, fallbacks) = counters;
     let hit_rate = if attempts > 0 {
@@ -271,7 +274,7 @@ fn main() {
     }
     table.print();
 
-    let sweep: Vec<(&str, (u64, u64, u64, u64))> = SWEEP
+    let sweep: Vec<(&str, OptCounters)> = SWEEP
         .iter()
         .map(|&(one_in, label)| (label, metered_counters(SWEEP_OPS, one_in)))
         .collect();

@@ -1,14 +1,15 @@
 //! Admission of *sharded* stamped mutation streams.
 //!
 //! The sharded journal (crate `atomfs-journal`) splits the mutation log
-//! into per-shard streams of `(stamp, MicroOp)` pairs, where the stamps
+//! into per-shard streams of `(stamp, op)` pairs, where the stamps
 //! come from one global counter taken inside the emitter's critical
 //! sections — so stamp order is a legal total order of the execution's
 //! mutations, contiguous from 0 per mount generation. This module is
 //! the checker-side counterpart: it re-admits such a collection of
-//! streams into the single totally-ordered mutation history the CRL-H
-//! shadow state replays, and enforces the two properties sharding could
-//! silently break:
+//! streams into the single totally-ordered mutation history recovery
+//! replays, and enforces the two properties sharding could silently
+//! break. It reads only stamps and transaction records, so the op
+//! payload is generic (the journal's is its redo-only record):
 //!
 //! 1. **Prefix exactness** ([`merge_stamped`]): the k-way merge accepts
 //!    only the contiguous stamp prefix `0, 1, 2, …`. The first missing
@@ -25,10 +26,6 @@
 //!    intent may be replayed only when its seal exists with the same
 //!    transaction id *and the same epoch*. Anything else (seal-less
 //!    intent, intent-less seal, epoch mismatch) is reported.
-
-use atomfs_trace::MicroOp;
-
-use crate::state::{FsState, StateError};
 
 /// One side of a rename's two-phase record, as recovered from a shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -114,11 +111,11 @@ pub fn verify_pairing(intents: &[TxnRecord], seals: &[TxnRecord]) -> PairingRepo
     report
 }
 
-/// Result of merging per-shard stamped streams.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MergedLog {
+/// Result of merging per-shard stamped streams of `T` payloads.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MergedLog<T> {
     /// The admitted history: stamps `0..ops.len()`, contiguous, in order.
-    pub ops: Vec<(u64, MicroOp)>,
+    pub ops: Vec<(u64, T)>,
     /// The first missing stamp, when the merge stopped at a gap (`None`
     /// when every present stamp was admitted).
     pub truncated_at: Option<u64>,
@@ -139,8 +136,8 @@ pub struct MergedLog {
 ///
 /// Streams need not be sorted (each is sorted here first) and may be
 /// empty. Duplicate stamps are a protocol violation; the merge keeps
-/// the first and counts the rest as dropped.
-pub fn merge_stamped(streams: Vec<Vec<(u64, MicroOp)>>) -> MergedLog {
+/// the first and skips the rest.
+pub fn merge_stamped<T>(streams: Vec<Vec<(u64, T)>>) -> MergedLog<T> {
     merge_stamped_with_windows(streams, &[])
 }
 
@@ -150,56 +147,58 @@ pub fn merge_stamped(streams: Vec<Vec<(u64, MicroOp)>>) -> MergedLog {
 /// quarantined shard's journal wrote when it discarded a buffer. Present
 /// stamps always replay (a window never suppresses found data), and any
 /// missing stamp *outside* the windows truncates as before.
-pub fn merge_stamped_with_windows(
-    mut streams: Vec<Vec<(u64, MicroOp)>>,
+///
+/// The merge reads only stamps: payloads are moved, never cloned.
+pub fn merge_stamped_with_windows<T>(
+    mut streams: Vec<Vec<(u64, T)>>,
     windows: &[(u64, u64)],
-) -> MergedLog {
+) -> MergedLog<T> {
     for s in &mut streams {
         s.sort_by_key(|(stamp, _)| *stamp);
     }
     let total: usize = streams.iter().map(Vec::len).sum();
-    let mut merged: Vec<(u64, MicroOp)> = Vec::with_capacity(total);
+    let mut heads: Vec<_> = streams
+        .into_iter()
+        .map(|s| s.into_iter().peekable())
+        .collect();
+    let covered = |stamp: u64| windows.iter().any(|&(lo, hi)| stamp >= lo && stamp < hi);
+    let mut ops = Vec::with_capacity(total);
+    let mut next = 0u64;
+    let mut lost = 0usize;
     // K-way merge by repeatedly taking the smallest head. Shard counts
     // are small (≤ 64), so a linear head scan beats heap bookkeeping.
-    let mut heads = vec![0usize; streams.len()];
+    // Each op is admitted as it is taken: contiguous, except that
+    // window-covered missing stamps are skipped (and counted as lost).
     loop {
         let mut best: Option<(u64, usize)> = None;
-        for (i, s) in streams.iter().enumerate() {
-            if let Some((stamp, _)) = s.get(heads[i]) {
+        for (i, h) in heads.iter_mut().enumerate() {
+            if let Some((stamp, _)) = h.peek() {
                 if best.map(|(b, _)| *stamp < b).unwrap_or(true) {
                     best = Some((*stamp, i));
                 }
             }
         }
-        let Some((_, i)) = best else { break };
-        merged.push(streams[i][heads[i]].clone());
-        heads[i] += 1;
-    }
-    // Admit the stamp prefix: contiguous, except that window-covered
-    // missing stamps are skipped (and counted as lost).
-    let covered = |stamp: u64| windows.iter().any(|&(lo, hi)| stamp >= lo && stamp < hi);
-    let mut ops = Vec::with_capacity(merged.len());
-    let mut next = 0u64;
-    let mut lost = 0usize;
-    for (idx, (stamp, op)) in merged.iter().enumerate() {
-        if *stamp < next {
+        let Some((stamp, i)) = best else { break };
+        if stamp < next {
             // Duplicate stamp: protocol violation; skip it.
+            heads[i].next();
             continue;
         }
-        while next < *stamp && covered(next) {
+        while next < stamp && covered(next) {
             lost += 1;
             next += 1;
         }
-        if next < *stamp {
+        if next < stamp {
             return MergedLog {
-                dropped: merged.len() - idx,
+                // Everything not yet taken, this head included.
+                dropped: heads.iter().map(ExactSizeIterator::len).sum(),
                 ops,
                 truncated_at: Some(next),
                 lost,
                 next_stamp: next,
             };
         }
-        ops.push((*stamp, op.clone()));
+        ops.push(heads[i].next().expect("peeked"));
         next += 1;
     }
     MergedLog {
@@ -211,38 +210,10 @@ pub fn merge_stamped_with_windows(
     }
 }
 
-/// Replay an admitted history into an abstract file system state.
-/// Because the merge admits only a stamp-prefix of a legal total order,
-/// this cannot fail for histories a conforming journal wrote.
-pub fn replay(ops: &[(u64, MicroOp)]) -> Result<FsState, StateError> {
-    let mut state = FsState::new();
-    for (_, op) in ops {
-        state.apply_micro(op)?;
-    }
-    Ok(state)
-}
-
-/// Replay a history that may step over quarantine-lost stamps: ops the
-/// shadow state rejects are skipped and counted instead of failing the
-/// replay. With window-covered losses in the prefix, an admitted op can
-/// reference state that died with a dead shard (an `Ins` whose `Create`
-/// sat in a lost window); this is the fsck-style answer — apply what is
-/// consistent, report the rest. Deterministic: same history, same skips.
-pub fn replay_tolerant(ops: &[(u64, MicroOp)]) -> (FsState, usize) {
-    let mut state = FsState::new();
-    let mut skipped = 0usize;
-    for (_, op) in ops {
-        if state.apply_micro(op).is_err() {
-            skipped += 1;
-        }
-    }
-    (state, skipped)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomfs_trace::ROOT_INUM;
+    use atomfs_trace::MicroOp;
     use atomfs_vfs::FileType;
 
     fn op(i: u64) -> (u64, MicroOp) {
@@ -292,7 +263,7 @@ mod tests {
 
     #[test]
     fn merge_of_nothing_is_empty() {
-        let m = merge_stamped(Vec::new());
+        let m = merge_stamped::<MicroOp>(Vec::new());
         assert!(m.ops.is_empty());
         assert_eq!(m.truncated_at, None);
     }
@@ -335,44 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn tolerant_replay_skips_ops_orphaned_by_a_loss() {
-        // The Create of dir 5 sat in a lost window; the Ins that links
-        // it survives on a healthy shard. Strict replay fails; tolerant
-        // replay applies the rest and counts the skip.
-        let ops = vec![
-            (
-                0,
-                MicroOp::Create {
-                    ino: 2,
-                    ftype: FileType::Dir,
-                },
-            ),
-            (
-                1,
-                MicroOp::Ins {
-                    parent: ROOT_INUM,
-                    name: "d".into(),
-                    child: 2,
-                },
-            ),
-            (
-                3,
-                MicroOp::Ins {
-                    parent: 5,
-                    name: "x".into(),
-                    child: 6,
-                },
-            ),
-        ];
-        assert!(replay(&ops).is_err());
-        let (state, skipped) = replay_tolerant(&ops);
-        assert_eq!(skipped, 1);
-        let (trail, err) = state.resolve(&["d".to_string()]);
-        assert!(err.is_none());
-        assert_eq!(trail.last(), Some(&2));
-    }
-
-    #[test]
     fn pairing_clean_roundtrip() {
         let i = [TxnRecord { txn: 1, epoch: 4 }, TxnRecord { txn: 2, epoch: 5 }];
         let s = [TxnRecord { txn: 2, epoch: 5 }, TxnRecord { txn: 1, epoch: 4 }];
@@ -409,30 +342,5 @@ mod tests {
         let r = verify_pairing(&i, &s);
         assert_eq!(r.sealed, vec![3]);
         assert!(r.is_clean());
-    }
-
-    #[test]
-    fn replay_builds_state_from_merged_prefix() {
-        let ops = vec![
-            (
-                0,
-                MicroOp::Create {
-                    ino: 2,
-                    ftype: FileType::Dir,
-                },
-            ),
-            (
-                1,
-                MicroOp::Ins {
-                    parent: ROOT_INUM,
-                    name: "d".into(),
-                    child: 2,
-                },
-            ),
-        ];
-        let state = replay(&ops).unwrap();
-        let (trail, err) = state.resolve(&["d".to_string()]);
-        assert!(err.is_none());
-        assert_eq!(trail.last(), Some(&2));
     }
 }

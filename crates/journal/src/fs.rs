@@ -622,4 +622,107 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn one_block_overwrites_log_about_one_byte_per_user_byte() {
+        const BLOCK: usize = 4096;
+        for shards in SHARD_COUNTS {
+            let (_disk, _cfg, jfs) = fresh(shards);
+            for i in 0..16 {
+                jfs.mknod(&format!("/f{i}")).unwrap();
+                jfs.write(&format!("/f{i}"), 0, &[0xA5; BLOCK]).unwrap();
+            }
+            jfs.sync().unwrap();
+            let before = jfs.log_bytes();
+            let mut user = 0u64;
+            for round in 0..4u8 {
+                for i in 0..16 {
+                    jfs.write(&format!("/f{i}"), 0, &[round; BLOCK]).unwrap();
+                    user += BLOCK as u64;
+                }
+                jfs.sync().unwrap();
+            }
+            let ratio = (jfs.log_bytes() - before) as f64 / user as f64;
+            assert!(
+                ratio <= 1.15,
+                "{shards} shard(s): {ratio:.3} log bytes per user byte"
+            );
+        }
+    }
+
+    /// A correctly checksummed `Batch` on shard 0: create and link `/f`,
+    /// then at stamp `write_at` a redo write whose recorded old contents
+    /// are not what the file holds.
+    fn log_write_over_wrong_base(disk: &Arc<Disk>, cfg: &ShardConfig, write_at: u64) {
+        use crate::shard::ShardWriter;
+        use crate::wire::FrameKind;
+        use atomfs_trace::MicroOp;
+        use atomfs_vfs::FileType;
+        let device = Arc::clone(disk) as Arc<dyn BlockDevice>;
+        let mut w = ShardWriter::new(device, 0, 1, cfg);
+        let ops = [
+            (
+                0,
+                MicroOp::Create {
+                    ino: 5,
+                    ftype: FileType::File,
+                },
+            ),
+            (
+                1,
+                MicroOp::Ins {
+                    parent: atomfs_trace::ROOT_INUM,
+                    name: "f".into(),
+                    child: 5,
+                },
+            ),
+            (
+                write_at,
+                MicroOp::SetData {
+                    ino: 5,
+                    old: b"not what the file holds".to_vec(),
+                    new: b"forged".to_vec(),
+                },
+            ),
+        ];
+        w.append_frame(FrameKind::Batch, 1, 0, &ops).unwrap();
+        if write_at > 2 {
+            // The stamps between died with shard 1, and the log says so.
+            w.append_quarantine(1, 1 << 1, &[(2, write_at)]).unwrap();
+        }
+        Disk::flush(disk);
+    }
+
+    #[test]
+    fn redo_write_over_a_mismatched_base_is_refused() {
+        let disk = Arc::new(Disk::new());
+        let cfg = ShardConfig::default();
+        log_write_over_wrong_base(&disk, &cfg, 2);
+        assert!(crate::recovery::recover_sharded(&disk, &cfg)
+            .replay()
+            .is_err());
+        assert!(matches!(
+            JournaledFs::recover_sharded(disk, cfg),
+            Err(FsError::InvalidArgument)
+        ));
+    }
+
+    #[test]
+    fn redo_write_over_a_mismatched_base_is_skipped_under_a_lost_window() {
+        let disk = Arc::new(Disk::new());
+        let cfg = ShardConfig::default();
+        log_write_over_wrong_base(&disk, &cfg, 3);
+        let (r, stats) = JournaledFs::recover_sharded(disk, cfg).unwrap();
+        assert_eq!(stats.lost_ops, 1);
+        assert_eq!(
+            stats.unreplayable_ops, 1,
+            "the write is skipped and counted"
+        );
+        assert_eq!(stats.ops_replayed, 2);
+        assert_eq!(
+            r.read_to_vec("/f").unwrap(),
+            b"",
+            "its new bytes are not installed"
+        );
+    }
 }

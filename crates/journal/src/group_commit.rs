@@ -1209,6 +1209,7 @@ mod tests {
     use super::*;
     use crate::device::Disk;
     use crate::recovery::recover_sharded;
+    use crate::wire::RedoOp;
     use atomfs_trace::{OpDesc, OpRet};
     use atomfs_vfs::FileType;
 
@@ -1262,7 +1263,7 @@ mod tests {
         assert_eq!(r.ops.len(), 10);
         for (i, (stamp, op)) in r.ops.iter().enumerate() {
             assert_eq!(*stamp, i as u64);
-            assert_eq!(*op, create(100 + i as u64));
+            assert_eq!(*op, RedoOp::Ns(create(100 + i as u64)));
         }
     }
 
@@ -1329,12 +1330,15 @@ mod tests {
         assert_eq!(r.unsealed_txns(), Vec::<u64>::new());
         // All 8 mutates replay, in stamp order, rename included.
         assert_eq!(r.ops.len(), 8);
-        assert_eq!(r.ops[6].1, MicroOp::Del {
-            parent: 2,
-            name: "f".into(),
-            child: 9,
-        });
-        assert_eq!(r.ops[7].1, ins(3, "g", 9));
+        assert_eq!(
+            r.ops[6].1,
+            RedoOp::Ns(MicroOp::Del {
+                parent: 2,
+                name: "f".into(),
+                child: 9,
+            })
+        );
+        assert_eq!(r.ops[7].1, RedoOp::Ns(ins(3, "g", 9)));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * [`device::Disk`] — a simulated block device whose crash model
 //!   includes out-of-order partial persistence of unflushed writes;
 //! * [`wire`] — a checksummed, generation- and epoch-stamped binary
-//!   frame format for micro-operation batches;
+//!   frame format for micro-operation batches, logged redo-only (a
+//!   write keeps its new bytes and a digest of the old);
 //! * [`shard`] / [`group_commit`] — the log: `N` independent append
 //!   streams (`ShardConfig { shards: 1.. }`, shard chosen by inode
 //!   hash), each with its own device region, sequence space, and
@@ -33,10 +34,10 @@
 //!   acked data or panicking.
 //!
 //! The correctness story composes with CRL-H: because the log records
-//! the same micro-operation stream the checker's shadow state replays,
-//! crash consistency reduces to prefix consistency of that stream, which
-//! the `crash_consistency` integration tests assert under randomized
-//! crash injection.
+//! the redo projection of the micro-operation stream the checker's
+//! shadow state replays, crash consistency reduces to prefix
+//! consistency of that stream, which the `crash_consistency`
+//! integration tests assert under randomized crash injection.
 //!
 //! Like the paper's discussion, this extension is *outside* the
 //! linearizability-checked core: the checker validates in-memory

@@ -20,6 +20,10 @@
 //!    half-committed rename replays — prefix exactness at mutation
 //!    granularity, mount-wide.
 //!
+//! 3. **Replay** ([`replay`]): namespace ops apply as traced; a redo
+//!    `SetData` installs its new bytes only once the file's length and
+//!    digest match what the write overwrote ([`crate::wire::RedoOp`]).
+//!
 //! **Quarantine windows** relax the gap rule in exactly one, explicitly
 //! licensed way: when a shard was quarantined at run time, the commit
 //! that caught the failure wrote a `Quarantine` frame to every survivor
@@ -37,11 +41,11 @@
 
 use atomfs_obs::dump::{self, TriggerCause};
 use atomfs_obs::{Span, SpanKind};
-use atomfs_trace::MicroOp;
+use crlh::state::{FsState, Node, StateError};
 
 use crate::device::{Disk, SECTOR_SIZE};
 use crate::shard::ShardConfig;
-use crate::wire::{decode_frame, Frame, FrameKind, FRAME_HEADER, MAGIC2};
+use crate::wire::{checksum, decode_frame, Frame, FrameKind, RedoOp, FRAME_HEADER, MAGIC};
 
 /// Why the recovery scrub refused a record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,7 +143,9 @@ pub struct ShardScan {
     pub shard: usize,
     /// Generation of the shard's valid frames (0 when it has none).
     pub gen: u32,
-    /// The valid frame prefix, in append (sequence) order.
+    /// The valid frame prefix, in append (sequence) order. [`resolve`]
+    /// moves the ops of the frames it admits into
+    /// [`ShardedRecovered::ops`], leaving those frames' `ops` empty.
     pub frames: Vec<Frame>,
     /// Byte offset just past the last valid frame, relative to the
     /// region base.
@@ -172,7 +178,7 @@ pub fn scan_shard(disk: &Disk, shard: usize, cfg: &ShardConfig) -> ShardScan {
             break; // a frame can't start this close to the region end
         }
         ensure(disk, base_lba, &mut bytes, pos + FRAME_HEADER);
-        if bytes[pos..pos + 4] != MAGIC2.to_le_bytes() {
+        if bytes[pos..pos + 4] != MAGIC.to_le_bytes() {
             break;
         }
         let payload_len = u32::from_le_bytes(
@@ -254,7 +260,7 @@ fn scrub(
         if header.iter().all(|&b| b == 0) {
             break; // never-written space: the clean end of the shard
         }
-        let magic_ok = header[..4] == MAGIC2.to_le_bytes();
+        let magic_ok = header[..4] == MAGIC.to_le_bytes();
         let payload_len = u32::from_le_bytes(
             header[FRAME_HEADER - 4..FRAME_HEADER]
                 .try_into()
@@ -318,7 +324,7 @@ pub struct ShardedRecovered {
     /// The mount generation (max over shards; 1 for a blank disk).
     pub gen: u32,
     /// The admitted history: stamp-contiguous from 0, in stamp order.
-    pub ops: Vec<(u64, MicroOp)>,
+    pub ops: Vec<(u64, RedoOp)>,
     /// First missing stamp when the merge hit a gap.
     pub truncated_at: Option<u64>,
     /// Ops present on disk but behind the gap (not replayed).
@@ -370,17 +376,15 @@ impl ShardedRecovered {
         totals
     }
 
-    /// Replay the admitted history into an abstract state.
-    pub fn replay(&self) -> Result<crlh::FsState, crlh::state::StateError> {
-        crlh::shardlog::replay(&self.ops)
+    /// Replay the admitted history into an abstract state ([`replay`]).
+    pub fn replay(&self) -> Result<FsState, StateError> {
+        replay(&self.ops)
     }
 
-    /// Tolerant replay for histories with quarantine losses: ops
-    /// orphaned by a lost window (e.g. a link whose target's creation
-    /// died with the dead shard) are skipped and counted instead of
-    /// failing recovery. Returns the state and the skip count.
-    pub fn replay_tolerant(&self) -> (crlh::FsState, usize) {
-        crlh::shardlog::replay_tolerant(&self.ops)
+    /// Tolerant replay for histories with quarantine losses
+    /// ([`replay_tolerant`]). Returns the state and the skip count.
+    pub fn replay_tolerant(&self) -> (FsState, usize) {
+        replay_tolerant(&self.ops)
     }
 
     /// Shards named dead by the recovered quarantine records.
@@ -423,7 +427,7 @@ pub fn recover_sharded_sequential(disk: &Disk, cfg: &ShardConfig) -> ShardedReco
 
 /// Combine per-shard scans into one replayable history. Deterministic:
 /// the parallel and sequential scanners feed it identical inputs.
-pub fn resolve(scans: Vec<ShardScan>) -> ShardedRecovered {
+pub fn resolve(mut scans: Vec<ShardScan>) -> ShardedRecovered {
     let gen = scans.iter().map(|s| s.gen).max().unwrap_or(0).max(1);
     // Shards whose frames are all from an older generation were not
     // written since the checkpoint that started `gen`: the checkpoint
@@ -483,17 +487,15 @@ pub fn resolve(scans: Vec<ShardScan>) -> ShardedRecovered {
     // one of them is covered by a lost window, in which case the loss is
     // already licensed and accounted).
     let mut discarded_stamps: Vec<u64> = Vec::new();
-    let streams: Vec<Vec<(u64, MicroOp)>> = scans
-        .iter()
-        .filter(current)
+    let streams: Vec<Vec<(u64, RedoOp)>> = scans
+        .iter_mut()
+        .filter(|s| s.gen == gen)
         .map(|scan| {
             let mut ops = Vec::new();
-            for f in &scan.frames {
+            for f in &mut scan.frames {
                 match f.kind {
-                    FrameKind::Batch => ops.extend(f.ops.iter().cloned()),
-                    FrameKind::RenameIntent if sealed.contains(&f.txn) => {
-                        ops.extend(f.ops.iter().cloned())
-                    }
+                    FrameKind::Batch => ops.append(&mut f.ops),
+                    FrameKind::RenameIntent if sealed.contains(&f.txn) => ops.append(&mut f.ops),
                     FrameKind::RenameIntent => {
                         discarded_stamps.extend(f.ops.iter().map(|(s, _)| *s))
                     }
@@ -569,11 +571,67 @@ pub fn resolve(scans: Vec<ShardScan>) -> ShardedRecovered {
     recovered
 }
 
+/// Apply one recovered op. A namespace op goes through
+/// [`FsState::apply_micro`]. A redo `SetData` first checks the replay
+/// precondition `apply_micro` checks with full bytes: the file holds what
+/// the write overwrote, here its length and digest. Only then does it
+/// install `new`. A failing apply leaves the state untouched.
+fn apply_redo(state: &mut FsState, op: &RedoOp) -> Result<(), StateError> {
+    match op {
+        RedoOp::Ns(mop) => state.apply_micro(mop),
+        RedoOp::SetData {
+            ino,
+            old_len,
+            old_digest,
+            new,
+        } => match state.map.get_mut(ino) {
+            Some(Node::File(f)) if f.len() == *old_len as usize && checksum(f) == *old_digest => {
+                f.clone_from(new);
+                Ok(())
+            }
+            Some(Node::File(_)) => Err(StateError(format!(
+                "setdata on {ino}: current contents differ from recorded old"
+            ))),
+            _ => Err(StateError(format!("setdata on non-file {ino}"))),
+        },
+    }
+}
+
+/// Replay an admitted history into an abstract file system state.
+/// Because the merge admits only a stamp-prefix of a legal total order,
+/// this cannot fail for histories a conforming journal wrote.
+pub fn replay(ops: &[(u64, RedoOp)]) -> Result<FsState, StateError> {
+    let mut state = FsState::new();
+    for (_, op) in ops {
+        apply_redo(&mut state, op)?;
+    }
+    Ok(state)
+}
+
+/// Replay a history that may step over quarantine-lost stamps: ops the
+/// state rejects are skipped and counted instead of failing the replay.
+/// With window-covered losses in the prefix, an admitted op can
+/// reference state that died with a dead shard (an `Ins` whose `Create`
+/// sat in a lost window, a `SetData` whose base write did); this is the
+/// fsck-style answer — apply what is consistent, report the rest.
+/// Deterministic: same history, same skips.
+pub fn replay_tolerant(ops: &[(u64, RedoOp)]) -> (FsState, usize) {
+    let mut state = FsState::new();
+    let mut skipped = 0usize;
+    for (_, op) in ops {
+        if apply_redo(&mut state, op).is_err() {
+            skipped += 1;
+        }
+    }
+    (state, skipped)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::BlockDevice;
     use crate::shard::{ShardConfig, ShardWriter};
+    use atomfs_trace::{MicroOp, ROOT_INUM};
     use atomfs_vfs::FileType;
     use std::sync::Arc;
 
@@ -734,8 +792,10 @@ mod tests {
     #[test]
     fn per_shard_census_counts_past_the_itemization_cap() {
         let disk = Arc::new(Disk::new());
-        let mut cfg = ShardConfig::default();
-        cfg.max_skipped = 4;
+        let cfg = ShardConfig {
+            max_skipped: 4,
+            ..ShardConfig::default()
+        };
         let mut ws = writers(&disk, &cfg, 1);
         for s in 0..10u64 {
             ws[1].append_frame(FrameKind::Batch, 1, 0, &[op(s)]).unwrap();
@@ -775,7 +835,7 @@ mod tests {
             .unwrap();
         let end = ws[0].position() as usize;
         Disk::flush(&disk);
-        // Stamp junk (not MAGIC2) right past the valid prefix.
+        // Stamp junk (not MAGIC) right past the valid prefix.
         disk.corrupt_durable((end / SECTOR_SIZE) as u64, end % SECTOR_SIZE, 0xDE);
         let r = recover_sharded(&disk, &cfg);
         assert_eq!(r.ops.len(), 2, "valid prefix is untouched");
@@ -851,16 +911,7 @@ mod tests {
         let cfg = ShardConfig::default();
         // A frame stamped shard=1 sitting in shard 0's region (e.g. a
         // firmware misdirected write): the scan must not admit it.
-        let frame = crate::wire::encode_frame(&Frame {
-            gen: 1,
-            shard: 1,
-            kind: FrameKind::Batch,
-            epoch: 1,
-            seq: 0,
-            txn: 0,
-            ops: vec![op(0)],
-            windows: Vec::new(),
-        });
+        let frame = crate::wire::encode_frame_parts(1, 1, FrameKind::Batch, 1, 0, 0, &[op(0)]);
         let mut sector = [0u8; SECTOR_SIZE];
         sector[..frame.len()].copy_from_slice(&frame);
         Disk::write(&disk, cfg.region_base(0), &sector);
@@ -870,5 +921,97 @@ mod tests {
         let skipped = r.skipped();
         assert_eq!(skipped.len(), 1);
         assert_eq!(skipped[0].class, RecordClass::Orphaned);
+    }
+
+    fn ns(stamp: u64, op: MicroOp) -> (u64, RedoOp) {
+        (stamp, RedoOp::Ns(op))
+    }
+
+    /// `mkdir /d` as stamps 0 and 1.
+    fn mkdir_d() -> Vec<(u64, RedoOp)> {
+        vec![
+            ns(
+                0,
+                MicroOp::Create {
+                    ino: 2,
+                    ftype: FileType::Dir,
+                },
+            ),
+            ns(
+                1,
+                MicroOp::Ins {
+                    parent: ROOT_INUM,
+                    name: "d".into(),
+                    child: 2,
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn replay_builds_state_from_merged_prefix() {
+        let state = replay(&mkdir_d()).unwrap();
+        let (trail, err) = state.resolve(&["d".to_string()]);
+        assert!(err.is_none());
+        assert_eq!(trail.last(), Some(&2));
+    }
+
+    #[test]
+    fn tolerant_replay_skips_ops_orphaned_by_a_loss() {
+        // The Create of dir 5 sat in a lost window; the Ins that links
+        // it survives on a healthy shard. Strict replay fails; tolerant
+        // replay applies the rest and counts the skip.
+        let mut ops = mkdir_d();
+        ops.push(ns(
+            3,
+            MicroOp::Ins {
+                parent: 5,
+                name: "x".into(),
+                child: 6,
+            },
+        ));
+        assert!(replay(&ops).is_err());
+        let (state, skipped) = replay_tolerant(&ops);
+        assert_eq!(skipped, 1);
+        let (trail, err) = state.resolve(&["d".to_string()]);
+        assert!(err.is_none());
+        assert_eq!(trail.last(), Some(&2));
+    }
+
+    #[test]
+    fn redo_set_data_checks_length_and_digest_of_the_old_contents() {
+        let write = |old: &[u8], new: &[u8]| {
+            RedoOp::from(&MicroOp::SetData {
+                ino: 7,
+                old: old.to_vec(),
+                new: new.to_vec(),
+            })
+        };
+        let mut state = FsState::new();
+        state
+            .apply_micro(&MicroOp::Create {
+                ino: 7,
+                ftype: FileType::File,
+            })
+            .unwrap();
+        apply_redo(&mut state, &write(b"", b"first")).unwrap();
+        apply_redo(&mut state, &write(b"first", b"second")).unwrap();
+        // Same length, other bytes; other length; a directory target.
+        let before = state.clone();
+        assert!(apply_redo(&mut state, &write(b"FIRST!", b"x")).is_err());
+        assert!(apply_redo(&mut state, &write(b"second!", b"x")).is_err());
+        assert!(apply_redo(&mut state, &write(b"", b"x")).is_err());
+        assert_eq!(state, before, "a refused redo leaves the state untouched");
+        assert_eq!(
+            state.node(7).and_then(Node::as_file),
+            Some(&b"second".to_vec())
+        );
+        let on_dir = RedoOp::SetData {
+            ino: ROOT_INUM,
+            old_len: 0,
+            old_digest: checksum(b""),
+            new: b"x".to_vec(),
+        };
+        assert!(apply_redo(&mut state, &on_dir).is_err());
     }
 }

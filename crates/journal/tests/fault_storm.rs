@@ -15,6 +15,7 @@
 
 use std::sync::Arc;
 
+use atomfs_journal::wire::RedoOp;
 use atomfs_journal::{Disk, FaultPlan, FaultyDisk, Health, JournaledFs, ShardConfig};
 use atomfs_trace::{BufferSink, Event, MicroOp, TraceSink};
 use atomfs_vfs::{FileSystem, FsError, SplitMix64};
@@ -207,7 +208,7 @@ fn fault_storm_every_schedule_terminates_in_a_lawful_state() {
 
         // Crash with a seeded adversarial subset of queued writes kept.
         let keep_mod = 2 + (seed % 4);
-        disk.crash(|i| (i as u64) % keep_mod == 0);
+        disk.crash(|i| (i as u64).is_multiple_of(keep_mod));
 
         let (recovered, stats) =
             JournaledFs::recover_sharded(Arc::clone(&disk), cfg).expect("recovery never fails");
@@ -370,7 +371,7 @@ fn storms_recover_prefix_exact_and_parallel_equals_sequential() {
         drop(jfs);
 
         let keep_mod = 2 + (seed % 4);
-        disk.crash(|i| (i as u64) % keep_mod == 0);
+        disk.crash(|i| (i as u64).is_multiple_of(keep_mod));
 
         // Parallel and sequential shard scans resolve identically.
         let par = atomfs_journal::recover_sharded(&disk, &cfg);
@@ -481,7 +482,7 @@ fn one_dead_shard_quarantines_only_its_inode_range() {
         let in_window = |s: u64| par.lost_windows.iter().any(|&(lo, hi)| s >= lo && s < hi);
         for (s, m) in &par.ops {
             assert_eq!(
-                muts.get(*s as usize),
+                muts.get(*s as usize).map(RedoOp::from).as_ref(),
                 Some(m),
                 "seed {seed}: stamp {s} replays something never recorded"
             );
@@ -499,7 +500,7 @@ fn one_dead_shard_quarantines_only_its_inode_range() {
         let (recovered, stats) =
             JournaledFs::recover_sharded(Arc::clone(&disk), cfg).expect("recovery never fails");
         assert_eq!(stats.lost_ops, par.lost_ops, "seed {seed}: loss accounting diverges");
-        let (expected_state, _) = crlh::shardlog::replay_tolerant(&par.ops);
+        let (expected_state, _) = par.replay_tolerant();
         assert!(
             fs_matches_state(&recovered, &expected_state),
             "seed {seed}: recovered tree must be the tolerant replay of the admitted history"
@@ -550,7 +551,7 @@ fn cross_shard_renames_are_atomic_across_fault_and_crash_schedules() {
             }
             let muts = mutations(&recorder);
             drop(jfs);
-            disk.crash(|i| (i as u64) % keep_mod == 0);
+            disk.crash(|i| (i as u64).is_multiple_of(keep_mod));
 
             let par = atomfs_journal::recover_sharded(&disk, &cfg);
             let seq = atomfs_journal::recover_sharded_sequential(&disk, &cfg);

@@ -1,16 +1,21 @@
 //! Seeded property tests on the journal's wire format: `decode_frame` fed
 //! arbitrary bytes, truncations, and bit-flipped encodings of valid
 //! frames must never panic and never return a frame that differs from
-//! the one encoded — the checksum (plus the clamped length/count fields)
-//! catches every corruption the fault layer can inject. The stakes: a
-//! forged `RenameIntent`/`RenameSeal` with a different `(txn, epoch)`
-//! could pair with the wrong transaction at recovery, so the properties
-//! assert corruption can never *re-pair*.
+//! the redo projection of the one encoded — the checksum (plus the
+//! clamped length/count fields) catches every corruption the fault layer
+//! can inject. The stakes: a forged `RenameIntent`/`RenameSeal` with a
+//! different `(txn, epoch)` could pair with the wrong transaction at
+//! recovery, and a forged `old_len`/`old_digest` would change which base
+//! a redo write accepts, so the properties assert corruption can do
+//! neither.
 //!
 //! Each property runs over seeds `0..CASES` through [`check_seeds`],
 //! drawing its input from a [`SplitMix64`]; a failure names its seed.
 
-use atomfs_journal::wire::{decode_frame, encode_frame, Frame, FrameKind};
+use atomfs_journal::wire::{
+    decode_frame, encode_frame_parts, encode_quarantine_parts, Frame, FrameKind, RedoOp,
+    FRAME_HEADER, MAGIC,
+};
 use atomfs_trace::MicroOp;
 use atomfs_vfs::rng::check_seeds;
 use atomfs_vfs::{FileType, SplitMix64};
@@ -69,9 +74,11 @@ fn gen_op(rng: &mut SplitMix64) -> MicroOp {
     }
 }
 
-/// One frame: seal kinds carry no ops (the format rejects a "seal"
-/// smuggling a payload), op-bearing kinds carry a small stamped batch.
-fn gen_frame(rng: &mut SplitMix64) -> Frame {
+/// One frame's encoding and the frame decoding must yield: seal kinds
+/// carry no ops (the format rejects a "seal" smuggling a payload),
+/// op-bearing kinds carry a small stamped batch of traced ops, which
+/// decode to their redo projection.
+fn gen_frame(rng: &mut SplitMix64) -> (Vec<u8>, Frame) {
     let kind = match rng.random_range(0..5) {
         0 => FrameKind::Batch,
         1 => FrameKind::EpochSeal,
@@ -99,23 +106,28 @@ fn gen_frame(rng: &mut SplitMix64) -> Frame {
             lo += width;
         }
     }
-    Frame {
+    let bytes = if kind == FrameKind::Quarantine {
+        encode_quarantine_parts(gen, shard, epoch, seq, txn, &windows)
+    } else {
+        encode_frame_parts(gen, shard, kind, epoch, seq, txn, &ops)
+    };
+    let frame = Frame {
         gen,
         shard,
         kind,
         epoch,
         seq,
         txn,
-        ops,
+        ops: ops.iter().map(|(s, op)| (*s, RedoOp::from(op))).collect(),
         windows,
-    }
+    };
+    (bytes, frame)
 }
 
 #[test]
-fn frame_roundtrip_is_exact() {
+fn frame_roundtrip_is_the_redo_projection() {
     check_seeds(CASES, |rng| {
-        let frame = gen_frame(rng);
-        let bytes = encode_frame(&frame);
+        let (bytes, frame) = gen_frame(rng);
         let (decoded, total) = decode_frame(&bytes).expect("valid frame decodes");
         assert_eq!(&decoded, &frame);
         assert_eq!(total, bytes.len());
@@ -129,7 +141,7 @@ fn frame_roundtrip_is_exact() {
 #[test]
 fn frame_truncations_never_decode() {
     check_seeds(CASES, |rng| {
-        let bytes = encode_frame(&gen_frame(rng));
+        let (bytes, _) = gen_frame(rng);
         let cut = rng.random_range(0..bytes.len());
         assert!(
             decode_frame(&bytes[..cut]).is_none(),
@@ -143,8 +155,7 @@ fn frame_truncations_never_decode() {
 #[test]
 fn frame_bit_flips_never_forge_a_pairable_transaction() {
     check_seeds(CASES, |rng| {
-        let frame = gen_frame(rng);
-        let bytes = encode_frame(&frame);
+        let (bytes, frame) = gen_frame(rng);
         let mut bad = bytes.clone();
         for _ in 0..rng.random_range(1..5) {
             let byte = rng.random_range(0..bad.len());
@@ -166,7 +177,7 @@ fn frame_bit_flips_never_forge_a_pairable_transaction() {
 #[test]
 fn frame_arbitrary_bytes_never_panic() {
     check_seeds(CASES, |rng| {
-        let mut buf = atomfs_journal::wire::MAGIC2.to_le_bytes().to_vec();
+        let mut buf = MAGIC.to_le_bytes().to_vec();
         buf.extend_from_slice(&byte_vec(rng, 0..400));
         if let Some((frame, total)) = decode_frame(&buf) {
             assert!(total <= buf.len());
@@ -177,6 +188,31 @@ fn frame_arbitrary_bytes_never_panic() {
             for (lo, hi) in &frame.windows {
                 assert!(lo < hi && *lo >= prev);
                 prev = *hi;
+            }
+        }
+    });
+}
+
+#[test]
+fn old_len_and_old_digest_bit_flips_never_forge_a_frame() {
+    check_seeds(CASES, |rng| {
+        let op = MicroOp::SetData {
+            ino: rng.next_u64(),
+            old: byte_vec(rng, 0..40),
+            new: byte_vec(rng, 0..40),
+        };
+        let bytes = encode_frame_parts(1, 0, FrameKind::Batch, 1, 0, 0, &[(rng.next_u64(), op)]);
+        // count u32 | stamp u64 | tag u8 | ino u64, then old_len u32 and
+        // old_digest u64.
+        let field = FRAME_HEADER + 4 + 8 + 1 + 8;
+        for byte in field..field + 4 + 8 {
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[byte] ^= 1 << bit;
+                assert!(
+                    decode_frame(&bad).is_none(),
+                    "flip of byte {byte} bit {bit} forged a redo write"
+                );
             }
         }
     });

@@ -256,54 +256,41 @@ fn retryfs_small_histories_are_linearizable() {
                 for _ in 0..4 {
                     let a = format!("/d/x{}", rng.random_range(0..3));
                     let b = format!("/d/y{}", rng.random_range(0..2));
-                    let (op, ret) = match rng.random_range(0..4) {
-                        0 => (
-                            OpDesc::Mknod {
-                                path: vec!["d".into(), a[3..].into()],
-                            },
-                            match fs.mknod(&a) {
-                                Ok(()) => OpRet::Ok,
-                                Err(e) => OpRet::Err(e),
-                            },
-                        ),
-                        1 => (
-                            OpDesc::Rename {
-                                src: vec!["d".into(), a[3..].into()],
-                                dst: vec!["d".into(), b[3..].into()],
-                            },
-                            match fs.rename(&a, &b) {
-                                Ok(()) => OpRet::Ok,
-                                Err(e) => OpRet::Err(e),
-                            },
-                        ),
-                        2 => (
-                            OpDesc::Unlink {
-                                path: vec!["d".into(), a[3..].into()],
-                            },
-                            match fs.unlink(&a) {
-                                Ok(()) => OpRet::Ok,
-                                Err(e) => OpRet::Err(e),
-                            },
-                        ),
-                        _ => (
-                            OpDesc::Readdir {
-                                path: vec!["d".into()],
-                            },
-                            match fs.readdir("/d") {
-                                Ok(names) => OpRet::names(names),
-                                Err(e) => OpRet::Err(e),
-                            },
-                        ),
+                    let kind = rng.random_range(0..4);
+                    let op = match kind {
+                        0 => OpDesc::Mknod {
+                            path: vec!["d".into(), a[3..].into()],
+                        },
+                        1 => OpDesc::Rename {
+                            src: vec!["d".into(), a[3..].into()],
+                            dst: vec!["d".into(), b[3..].into()],
+                        },
+                        2 => OpDesc::Unlink {
+                            path: vec!["d".into(), a[3..].into()],
+                        },
+                        _ => OpDesc::Readdir {
+                            path: vec!["d".into()],
+                        },
                     };
                     // Record inv strictly before the call and res after:
-                    // this widens intervals, which only makes the check
-                    // more permissive, never unsound... except it must be
-                    // recorded atomically around the call; we bracket as
-                    // tightly as the log lock allows.
-                    log.lock().push(HEvent::Inv {
-                        tid,
-                        op: op.clone(),
-                    });
+                    // the interval then contains the call's linearization
+                    // point. (Recording both after the call shrinks it to
+                    // the recording instant, and two threads can record in
+                    // the opposite order to their linearization points.)
+                    log.lock().push(HEvent::Inv { tid, op });
+                    let done = |r: Result<(), _>| match r {
+                        Ok(()) => OpRet::Ok,
+                        Err(e) => OpRet::Err(e),
+                    };
+                    let ret = match kind {
+                        0 => done(fs.mknod(&a)),
+                        1 => done(fs.rename(&a, &b)),
+                        2 => done(fs.unlink(&a)),
+                        _ => match fs.readdir("/d") {
+                            Ok(names) => OpRet::names(names),
+                            Err(e) => OpRet::Err(e),
+                        },
+                    };
                     log.lock().push(HEvent::Res { tid, ret });
                 }
             }));
