@@ -1,10 +1,8 @@
 //! The AtomFS file system object.
 
-use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 use atomfs_trace::{Event, TraceSink};
-use parking_lot::RwLock;
 
 use crate::blocks::BlockStore;
 use crate::metrics::FsMetrics;
@@ -66,15 +64,6 @@ pub struct AtomFs {
     pub(crate) sink: Option<Arc<dyn TraceSink>>,
     pub(crate) metrics: Option<Arc<FsMetrics>>,
     pub(crate) optimistic: bool,
-    /// Traced builds only: keeps rename LPs out of fast-path mutation
-    /// claims, so a rename never helps a claim that is then taken back
-    /// (see [`crate::optwalk`]). A claim holds this shared from its first
-    /// event to its decision and falls back while `rename_lps` is
-    /// non-zero; a rename takes it exclusively only to count itself into
-    /// `rename_lps`, which waits out the claims in flight.
-    pub(crate) claim_gate: RwLock<()>,
-    /// Rename LPs being emitted (see `claim_gate`).
-    pub(crate) rename_lps: AtomicUsize,
 }
 
 impl Default for AtomFs {
@@ -97,8 +86,6 @@ impl AtomFs {
             sink: None,
             metrics: None,
             optimistic: cfg.optimistic,
-            claim_gate: RwLock::new(()),
-            rename_lps: AtomicUsize::new(0),
         }
     }
 
@@ -115,8 +102,6 @@ impl AtomFs {
             sink: Some(sink),
             metrics: None,
             optimistic: cfg.optimistic,
-            claim_gate: RwLock::new(()),
-            rename_lps: AtomicUsize::new(0),
         }
     }
 

@@ -30,8 +30,6 @@
 //! Renames never take the fast path: they are the helper-mechanism case
 //! and keep the full two-phase pessimistic traversal.
 
-use std::sync::atomic::Ordering;
-
 use atomfs_obs::{Span, SpanKind};
 use atomfs_trace::{current_tid, Event, MicroOp, OpDesc, OpRet, PathTag, StatRet, Tid};
 use atomfs_vfs::path::normalize_ref;
@@ -107,39 +105,6 @@ impl AtomFs {
         self.emit(|| Event::Lp { tid });
     }
 
-    /// A rename's LP, where the checker's `linothers` may help a claimed
-    /// fast-path mutation: emitted with such claims held off.
-    fn rename_lp(&self, tid: Tid) {
-        self.holding_off_claims(|| self.emit(|| Event::Lp { tid }));
-    }
-
-    /// [`AtomFs::fail`] for a rename, whose failure LP helps like any
-    /// other rename LP.
-    fn rename_fail(
-        &self,
-        tid: Tid,
-        err: FsError,
-        held: impl IntoIterator<Item = Locked>,
-    ) -> FsError {
-        self.holding_off_claims(|| self.fail(tid, err, held))
-    }
-
-    /// Run `lp`, a rename LP's emission, after waiting out the fast-path
-    /// mutation claims in flight; new ones fall back until it is done
-    /// ([`AtomFs::claim_gate`]).
-    fn holding_off_claims<T>(&self, lp: impl FnOnce() -> T) -> T {
-        if !self.is_traced() {
-            return lp();
-        }
-        {
-            let _drained = self.claim_gate.write();
-            self.rename_lps.fetch_add(1, Ordering::SeqCst);
-        }
-        let out = lp();
-        self.rename_lps.fetch_sub(1, Ordering::SeqCst);
-        out
-    }
-
     fn create_entry(&self, path: &str, ftype: FileType) -> FsResult<()> {
         let comps = normalize_ref(path)?;
         let tid = current_tid();
@@ -207,6 +172,7 @@ impl AtomFs {
         let pino = p.ino;
         let inserted = p.dir_insert(name, &iref, ftype.is_dir());
         debug_assert!(inserted, "existence was checked under the same lock");
+        debug_assert!(p.slot.seq_read() % 2 == 1, "seq moves before the Ins");
         self.emit(|| Event::Mutate {
             tid,
             mop: MicroOp::Ins {
@@ -302,6 +268,7 @@ impl AtomFs {
         let pino = p.ino;
         let removed = p.dir_remove(name, cftype.is_dir());
         debug_assert_eq!(removed, Some(child_ino));
+        debug_assert!(p.slot.seq_read() % 2 == 1, "seq moves before the Del");
         self.emit(|| Event::Mutate {
             tid,
             mop: MicroOp::Del {
@@ -349,12 +316,12 @@ impl AtomFs {
 
     fn rename_inner(&self, tid: Tid, src: &[&str], dst: &[&str]) -> FsResult<()> {
         if src.is_empty() || dst.is_empty() {
-            self.rename_lp(tid);
+            self.emit(|| Event::Lp { tid });
             return Err(FsError::Busy);
         }
         if src.len() < dst.len() && dst[..src.len()] == src[..] {
             // Renaming a directory into its own subtree.
-            self.rename_lp(tid);
+            self.emit(|| Event::Lp { tid });
             return Err(FsError::InvalidArgument);
         }
         let dst_is_ancestor_of_src = dst.len() < src.len() && src[..dst.len()] == dst[..];
@@ -365,15 +332,15 @@ impl AtomFs {
             // POSIX: renaming a path to itself succeeds iff it exists.
             let p = self
                 .walk(tid, sp, PathTag::Common)
-                .map_err(|(e, held)| self.rename_fail(tid, e, [held]))?;
+                .map_err(|(e, held)| self.fail(tid, e, [held]))?;
             let exists = match p.as_dir() {
                 Ok(d) => d.lookup(sn).is_some(),
-                Err(e) => return Err(self.rename_fail(tid, e, [p])),
+                Err(e) => return Err(self.fail(tid, e, [p])),
             };
             if !exists {
-                return Err(self.rename_fail(tid, FsError::NotFound, [p]));
+                return Err(self.fail(tid, FsError::NotFound, [p]));
             }
-            self.rename_lp(tid);
+            self.emit(|| Event::Lp { tid });
             self.unlock(tid, p);
             return Ok(());
         }
@@ -382,7 +349,7 @@ impl AtomFs {
         let clen = sp.iter().zip(dp.iter()).take_while(|(a, b)| a == b).count();
         let common = self
             .walk(tid, &sp[..clen], PathTag::Common)
-            .map_err(|(e, held)| self.rename_fail(tid, e, [held]))?;
+            .map_err(|(e, held)| self.fail(tid, e, [held]))?;
 
         // Phase 2: walk both branches while `common` stays locked.
         let send = match self.branch_walk(tid, &common, &sp[clen..], PathTag::Src) {
@@ -390,7 +357,7 @@ impl AtomFs {
             Err((e, held)) => {
                 let mut locks: Vec<Locked> = held.into_iter().collect();
                 locks.push(common);
-                return Err(self.rename_fail(tid, e, locks));
+                return Err(self.fail(tid, e, locks));
             }
         };
         let dend = match self.branch_walk(tid, &common, &dp[clen..], PathTag::Dst) {
@@ -399,7 +366,7 @@ impl AtomFs {
                 let mut locks: Vec<Locked> = held.into_iter().collect();
                 locks.extend(send);
                 locks.push(common);
-                return Err(self.rename_fail(tid, e, locks));
+                return Err(self.fail(tid, e, locks));
             }
         };
 
@@ -426,22 +393,22 @@ impl AtomFs {
         }
 
         if sdir.as_dir().is_err() || ddir.as_ref().is_some_and(|d| d.as_dir().is_err()) {
-            return Err(self.rename_fail(tid, FsError::NotDir, held!()));
+            return Err(self.fail(tid, FsError::NotDir, held!()));
         }
         let Some(snode_ino) = sdir.as_dir().expect("checked").lookup(sn) else {
-            return Err(self.rename_fail(tid, FsError::NotFound, held!()));
+            return Err(self.fail(tid, FsError::NotFound, held!()));
         };
         if dst_is_ancestor_of_src {
             // The destination is a directory on the source's own path; it
             // necessarily exists and is non-empty.
-            return Err(self.rename_fail(tid, FsError::NotEmpty, held!()));
+            return Err(self.fail(tid, FsError::NotEmpty, held!()));
         }
         let ddir_dir = ddir.as_ref().unwrap_or(&sdir);
         let dnode_ino = ddir_dir.as_dir().expect("checked").lookup(dn);
         if dnode_ino == Some(snode_ino) {
             // Same inode under both names (only possible with hard links,
             // which AtomFS does not support; kept for POSIX conformance).
-            self.rename_lp(tid);
+            self.emit(|| Event::Lp { tid });
             for l in held!() {
                 self.unlock(tid, l);
             }
@@ -473,7 +440,7 @@ impl AtomFs {
                 locks.extend(dnode);
                 locks.push(sdir);
                 locks.extend(ddir);
-                return Err(self.rename_fail(tid, e, locks));
+                return Err(self.fail(tid, e, locks));
             }
         }
 
@@ -494,13 +461,14 @@ impl AtomFs {
             locks.extend(dnode);
             locks.push(sdir);
             locks.extend(ddir);
-            return Err(self.rename_fail(tid, e, locks));
+            return Err(self.fail(tid, e, locks));
         }
         let mut dnode_freed = None;
         if let Some(mut d) = dnode {
             let d_is_dir = d.ftype().is_dir();
             let removed = ddir.as_mut().unwrap_or(&mut sdir).dir_remove(dn, d_is_dir);
             debug_assert_eq!(removed, Some(d.ino));
+            debug_assert!(ddir.as_ref().unwrap_or(&sdir).slot.seq_read() % 2 == 1);
             let (dino, dft) = (d.ino, d.ftype());
             self.emit(|| Event::Mutate {
                 tid,
@@ -537,6 +505,7 @@ impl AtomFs {
         }
         let removed = sdir.dir_remove(sn, s_is_dir);
         debug_assert_eq!(removed, Some(snode_ino));
+        debug_assert!(sdir.slot.seq_read() % 2 == 1);
         self.emit(|| Event::Mutate {
             tid,
             mop: MicroOp::Del {
@@ -550,6 +519,7 @@ impl AtomFs {
             .unwrap_or(&mut sdir)
             .dir_insert(dn, &snode_ref, s_is_dir);
         debug_assert!(inserted, "destination entry was removed or absent");
+        debug_assert!(ddir.as_ref().unwrap_or(&sdir).slot.seq_read() % 2 == 1);
         self.emit(|| Event::Mutate {
             tid,
             mop: MicroOp::Ins {
@@ -561,7 +531,7 @@ impl AtomFs {
 
         // The LP: here the checker runs `linothers`, helping every thread
         // whose traversed path this rename just broke (§3.4).
-        self.rename_lp(tid);
+        self.emit(|| Event::Lp { tid });
 
         // Phase 6: release (Figure 2's unlock order), then free the victim.
         self.unlock(tid, snode);

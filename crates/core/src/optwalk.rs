@@ -29,16 +29,30 @@
 //!   the fast path: it is the helper-mechanism case (§5.2) and keeps its
 //!   full two-phase pessimistic traversal.
 //!
-//! # Why validation is re-checked around the claim
+//! # Why the claim is decided inside its stamp
 //!
-//! In a traced build the claim is an event with a total-order stamp, and
-//! the CRL-H checker admits the validated chain as the descriptor's
-//! LockPath witness *at that stamp*. The runtime therefore validates both
-//! immediately before and immediately after emitting `OptValidate{ok}`:
-//! sequence counters only move forward, so "valid before ∧ valid after"
-//! proves the chain was valid at the instant the event was stamped,
-//! wherever in between that instant fell. Untraced builds have no stamp
-//! to certify and validate once.
+//! In a traced build the claim is an event with a place in the trace's
+//! total order, and the CRL-H checker admits the validated chain as the
+//! descriptor's LockPath witness *at that place*. The sink therefore
+//! fixes the claim's place first — its stamp, or its serialising lock —
+//! and only then runs the validation that decides `ok`
+//! ([`atomfs_trace::TraceSink::claim`]). Sequence counters only grow, the
+//! walk read them before the stamp, and the validation reads them after
+//! it, so equality proves the chain unchanged *at* the stamp. The
+//! checker's shadow state there agrees with it because **a directory's
+//! sequence counter changes before its `Mutate` is emitted**: the
+//! `Ins`/`Del` of a mutation stamped earlier on a chain directory has
+//! already made that directory's counter odd (asserted at each emit site). So an
+//! `OptValidate{ok:true}` is final — the claim is a lock acquire decided
+//! at its own stamp, a right-mover: a rename helping it later helps an
+//! operation that never takes it back, and nothing has to hold renames
+//! off. Untraced builds run the same validation once, with no stamp.
+//!
+//! A claim that announces a lock also validates once *before* emitting
+//! that `Lock`: a walker on a retired directory index may hold a freed
+//! incarnation of a recycled inode number, whose lock must never reach
+//! the trace. That check only decides whether to announce the lock; the
+//! claim is decided at its stamp like any other.
 //!
 //! # Why mutations probe ancestor locks and reads do not
 //!
@@ -50,24 +64,13 @@
 //! depends on (its sequence counters are still even: it has not mutated
 //! yet). Bypassing it would reorder us after a linearization we
 //! concretely preceded. The probe (`is_locked` on every strict ancestor
-//! of the locked node, checked at both claim validations) forces the fast
+//! of the locked node, part of the claim's validation) forces the fast
 //! path to fall back exactly when such a thread may exist, restoring the
 //! non-bypassable criterion (§5.1). Fully lockless *reads* linearize at
 //! the claim itself and commute with everything that linearizes later,
 //! so they skip the probe — that asymmetry is what makes the read path
-//! zero-cost under lock contention.
-//!
-//! # Why a mutation claim holds the claim gate
-//!
-//! A mutation's claim is its lock-path witness, so a rename reaching its
-//! LP after the claim may help it — and a helped operation cannot take
-//! its linearization back. A claim that fails its second validation
-//! aborts, and nothing bounds how long the thread may be descheduled
-//! between that validation and its `OptRetry`. In a traced build the
-//! claim therefore holds [`AtomFs::claim_gate`] shared from before its
-//! first validation to its decision, and falls back instead of claiming
-//! while a rename LP is being emitted; a rename LP first waits out the
-//! claims in flight. No helper can run between a claim and its abort.
+//! zero-cost under lock contention. Lock state is not monotone, so the
+//! stamp argument above does not cover this probe.
 
 use std::sync::atomic::{fence, Ordering};
 
@@ -172,32 +175,31 @@ impl AtomFs {
         Ok((chain, None))
     }
 
-    /// Record one abandoned attempt: emit `OptValidate{ok:false}` (unless
-    /// the attempt already claimed — then the claim event is on the trace
-    /// and only the retry marker is owed) followed by `OptRetry`, and
-    /// count it. The caller then either re-attempts or falls back to
-    /// pessimistic locking.
-    fn opt_attempt_failed(&self, tid: Tid, claimed: bool) {
-        if !claimed {
-            self.emit(|| Event::OptValidate { tid, ok: false });
-        }
+    /// Record one attempt abandoned before its claim: emit
+    /// `OptValidate{ok:false}`, then retry.
+    fn opt_attempt_failed(&self, tid: Tid) {
+        self.emit(|| Event::OptValidate { tid, ok: false });
+        self.opt_retry(tid);
+    }
+
+    /// Close an attempt whose `OptValidate{ok:false}` is on the trace. The
+    /// caller then either re-attempts or falls back to pessimistic locking.
+    fn opt_retry(&self, tid: Tid) {
         self.emit(|| Event::OptRetry { tid });
         if let Some(m) = self.m() {
             m.opt_retry();
         }
     }
 
-    /// Claim a fast-path completion: validate, emit `OptValidate{ok:true}`,
-    /// and validate again to certify the chain at the event's stamp
-    /// (module docs). A `mutation` claim also requires, at both
-    /// validations, every strict ancestor of the final chain node to be
-    /// unlocked, and holds the claim gate until its decision (module docs).
+    /// Claim a fast-path completion, decided by a validation at the
+    /// claim's own order point; a `mutation` claim also requires every
+    /// strict ancestor of the final chain node to be unlocked (module docs).
     ///
     /// `held` is the chain's last node, locked silently: its `Lock` event
-    /// is emitted only once the first validation passed, right before the
-    /// claim. A valid chain means every slot in it is still linked, and a
-    /// held slot cannot be freed, so from then on the inode number names
-    /// the incarnation actually locked. On failure the attempt's closing
+    /// is emitted only once the chain validates, right before the claim.
+    /// A valid chain means every slot in it is still linked, and a held
+    /// slot cannot be freed, so from then on the inode number names the
+    /// incarnation actually locked. On failure the attempt's closing
     /// events are emitted and `held` is released — without an `Unlock`
     /// if its `Lock` was never announced.
     fn opt_claim(
@@ -207,33 +209,27 @@ impl AtomFs {
         mutation: bool,
         held: Option<Locked>,
     ) -> Result<Option<Locked>, ()> {
-        // A traced mutation claim keeps rename LPs out until its decision
-        // and falls back while one is being emitted (module docs).
-        let gate = (mutation && self.is_traced()).then(|| self.claim_gate.read());
         let valid = || validate_chain(chain) && (!mutation || ancestors_unlocked(chain));
-        if !valid() || (gate.is_some() && self.rename_lps.load(Ordering::SeqCst) > 0) {
-            self.opt_attempt_failed(tid, false);
-            if let Some(l) = held {
-                self.release(l);
+        if let Some(ino) = held.as_ref().filter(|_| self.is_traced()).map(|l| l.ino) {
+            if !valid() {
+                self.opt_attempt_failed(tid);
+                self.release(held.expect("checked"));
+                return Err(());
             }
-            return Err(());
-        }
-        if !self.is_traced() {
-            // No stamp to certify: the validation above is the commit.
-            return Ok(held);
-        }
-        if let Some(l) = &held {
             self.emit(|| Event::Lock {
                 tid,
-                ino: l.ino,
+                ino,
                 tag: PathTag::Common,
             });
         }
-        self.emit(|| Event::OptValidate { tid, ok: true });
-        if valid() {
+        let ok = match &self.sink {
+            Some(sink) => sink.claim(tid, &valid),
+            None => valid(),
+        };
+        if ok {
             return Ok(held);
         }
-        self.opt_attempt_failed(tid, true);
+        self.opt_retry(tid);
         if let Some(l) = held {
             self.unlock(tid, l);
         }
@@ -270,7 +266,7 @@ impl AtomFs {
         self.count_attempt();
         for _ in 0..MAX_OPT_ATTEMPTS {
             let Ok((chain, end)) = self.opt_resolve(tid, comps) else {
-                self.opt_attempt_failed(tid, false);
+                self.opt_attempt_failed(tid);
                 continue;
             };
             let out = match end {
@@ -299,7 +295,7 @@ impl AtomFs {
         self.count_attempt();
         for _ in 0..MAX_OPT_ATTEMPTS {
             let Ok((chain, end)) = self.opt_resolve(tid, comps) else {
-                self.opt_attempt_failed(tid, false);
+                self.opt_attempt_failed(tid);
                 continue;
             };
             let out = match end {
@@ -338,7 +334,7 @@ impl AtomFs {
         self.count_attempt();
         for _ in 0..MAX_OPT_ATTEMPTS {
             let Ok((chain, end)) = self.opt_resolve(tid, comps) else {
-                self.opt_attempt_failed(tid, false);
+                self.opt_attempt_failed(tid);
                 continue;
             };
             let lockless_err = match end {
@@ -432,7 +428,7 @@ impl AtomFs {
         self.count_attempt();
         for _ in 0..MAX_OPT_ATTEMPTS {
             let Ok((chain, end)) = self.opt_resolve(tid, comps) else {
-                self.opt_attempt_failed(tid, false);
+                self.opt_attempt_failed(tid);
                 continue;
             };
             let &(node, _) = chain.last().expect("nonempty");

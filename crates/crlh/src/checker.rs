@@ -37,10 +37,12 @@
 //! stays pending until its own LP, or until a rename's `linothers` helps
 //! it (§5.1: a lock acquire is not a commit point). Only effect-free
 //! completions (reads, walk-decided errors) linearize *at the claim*,
-//! against the rolled-back (concrete-time) state. A failed validation
-//! must be followed by `OptRetry`; an `OptRetry` directly after a claim
-//! aborts it, which drops the admitted chain and — for an effect-free
-//! claim — restores the pending operation. There is nothing to undo.
+//! against the rolled-back (concrete-time) state. The runtime decides a
+//! claim's `ok` at the claim's own stamp, so a successful claim is
+//! committed there: a chain that disagrees with the shadow tree, an
+//! effect-free claim that would change state, and an `OptRetry` after a
+//! successful claim are violations outright. A failed validation must be
+//! followed by `OptRetry`.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -133,10 +135,10 @@ pub enum ViolationKind {
     /// Table 1: the LockPathPrefix relation has a cycle.
     LockpathWellformed,
     /// The optimistic-traversal protocol was broken: a claim with no
-    /// preceding opt-reads, a chain not starting at the root, a lockless
-    /// claim producing abstract effects, continuing after a failed
-    /// validation without `OptRetry`, aborting a claim a rename already
-    /// helped, or a rename on the fast path.
+    /// preceding opt-reads, a chain not starting at the root, a claimed
+    /// chain stale at its stamp, a lockless claim producing abstract
+    /// effects, continuing after a failed validation without `OptRetry`,
+    /// retrying after a successful claim, or a rename on the fast path.
     OptValidation,
 }
 
@@ -309,24 +311,17 @@ impl CheckReport {
 
 /// Optimistic-traversal admission state for one thread.
 ///
-/// Tracks the chain of `OptRead` events of the current attempt, whether
-/// the attempt took its single fast-path lock, and a successful-but-
-/// uncommitted claim. A claim *commits* at the thread's next event
-/// (the operation moved on) and *aborts* on `OptRetry` (the runtime's
-/// post-claim validation failed). A claim changes no abstract state
-/// except by linearizing an effect-free operation, so an abort only has
-/// to drop the admitted chain and restore that operation's pending state.
+/// Tracks the chain of `OptRead` events of the current attempt and
+/// whether the attempt took its single fast-path lock. A successful claim
+/// is committed at its stamp; a failed one obliges an `OptRetry` next.
 #[derive(Debug, Default)]
 struct OptState {
     /// Concrete inodes opt-read by the current attempt, root first.
     chain: Vec<Inum>,
     /// The attempt locked the chain's last node (fast-path lock).
     locked: bool,
-    /// An uncommitted successful claim; holds the operation so an abort
-    /// can restore an effect-free claim's pending state.
-    claim: Option<OpDesc>,
-    /// A validation failed or a claim was stale at its stamp: the next
-    /// same-thread event must be `OptRetry`.
+    /// A validation failed: the next same-thread event must be
+    /// `OptRetry`.
     must_retry: bool,
 }
 
@@ -662,31 +657,15 @@ impl LpChecker {
         self.idx += 1;
     }
 
-    /// Resolve pending optimistic state against the thread's next event:
-    /// an uncommitted claim commits on anything but `OptRetry` (which
-    /// aborts it in [`LpChecker::on_opt_retry`]), and a failed validation
-    /// must be followed immediately by `OptRetry`. Committing only counts
-    /// the claim: whatever it admitted (a lock path, or an effect-free
-    /// linearization) already happened at the claim's stamp.
+    /// A failed validation must be followed immediately by `OptRetry`.
     fn opt_gate(&mut self, ev: &Event) {
-        if matches!(ev, Event::OptRetry { .. }) {
-            return;
-        }
         let tid = ev.tid();
-        let Some(o) = self.opt.get_mut(&tid) else {
-            return;
-        };
-        let committed = o.claim.take().is_some();
-        let broken = std::mem::take(&mut o.must_retry);
-        if committed {
-            self.stats.opt_claims += 1;
-        }
-        if broken {
+        let retry = matches!(ev, Event::OptRetry { .. });
+        let o = self.opt.get_mut(&tid);
+        if !retry && o.is_some_and(|o| std::mem::take(&mut o.must_retry)) {
             self.flag(
                 ViolationKind::OptValidation,
-                format!(
-                    "{tid} continued after a failed or stale optimistic claim without OptRetry"
-                ),
+                format!("{tid} continued after a failed optimistic validation without OptRetry"),
             );
         }
     }
@@ -815,7 +794,7 @@ impl LpChecker {
         // skipped for this acquisition — and the lock path stays empty
         // until the claim admits the whole chain.
         if let Some(o) = self.opt.get_mut(&tid) {
-            if o.claim.is_none() && !o.must_retry && o.chain.last() == Some(&ino) {
+            if o.chain.last() == Some(&ino) {
                 o.locked = true;
                 return;
             }
@@ -1306,8 +1285,8 @@ impl LpChecker {
             return;
         };
         if !ok {
-            // `locked` is left for on_opt_retry, which drops the aborted
-            // attempt's lock path.
+            // `locked` is left for on_opt_retry, which drops the refused
+            // attempt's lock.
             let o = self.opt.entry(tid).or_default();
             o.chain.clear();
             o.must_retry = true;
@@ -1348,14 +1327,13 @@ impl LpChecker {
         // resolution trail (both stop at the same missing link).
         let (trail, _) = self.shadow.resolve(comps);
         if trail != chain {
-            // Stale at its stamp (a mutation landed between the runtime's
-            // pre-validation and the emission): legal only if the runtime
-            // aborts right away, which its post-validation guarantees.
-            let o = self.opt.entry(tid).or_default();
-            o.chain.clear();
-            o.must_retry = true;
+            self.flag(
+                ViolationKind::OptValidation,
+                format!("{tid} claimed chain {chain:?}, stale at its stamp (shadow {trail:?})"),
+            );
             return;
         }
+        self.stats.opt_claims += 1;
         self.narrate(format!(
             "{tid} claims a validated optimistic chain of {} node(s)",
             chain.len()
@@ -1383,7 +1361,6 @@ impl LpChecker {
             // the linearization point.
             self.lin_claim_effectless(tid, &op);
         }
-        self.opt.entry(tid).or_default().claim = Some(op);
     }
 
     /// Linearize an effect-free operation (a read, or a mutation that
@@ -1400,9 +1377,8 @@ impl LpChecker {
     ///
     /// An operation that would *change* that view cannot have been decided
     /// there: its chain ran through another operation's critical section,
-    /// whose mutations the shadow shows before that operation's LP. The
-    /// runtime's post-claim validation sees that write, so — like a stale
-    /// chain — the claim is legal only if `OptRetry` follows.
+    /// whose mutations the shadow shows before that operation's LP — and
+    /// the claim's validation, run after its stamp, sees those writes.
     fn lin_claim_effectless(&mut self, tid: Tid, op: &OpDesc) {
         if let Some(m) = &self.metrics {
             m.lin(false);
@@ -1415,7 +1391,10 @@ impl LpChecker {
                     0
                 });
                 if aerr.is_some() || minted || !effects.is_empty() {
-                    self.opt.entry(tid).or_default().must_retry = true;
+                    self.flag(
+                        ViolationKind::OptValidation,
+                        format!("{tid}'s lockless claim of {op} would change the abstract state"),
+                    );
                 }
                 ret
             }
@@ -1434,41 +1413,23 @@ impl LpChecker {
 
     fn on_opt_retry(&mut self, tid: Tid) {
         self.stats.opt_retries += 1;
-        let claim = {
+        let refused = {
             let o = self.opt.entry(tid).or_default();
             o.chain.clear();
             o.locked = false;
-            o.must_retry = false;
-            o.claim.take()
+            std::mem::take(&mut o.must_retry)
         };
-        let Some(entry) = self.pool.get_mut(tid) else {
+        if self.pool.get(tid).is_none() {
             self.flag(
                 ViolationKind::Protocol,
                 format!("{tid} opt-retried outside any operation"),
             );
-            return;
-        };
-        let Some(op) = claim else {
-            return;
-        };
-        // A post-claim validation failed. Drop the chain the claim
-        // admitted, so the retry starts a fresh traversal (the lock itself
-        // is released by the following Unlock). The claim changed no
-        // abstract state unless it linearized an effect-free operation,
-        // whose pending state comes back. A mutation is still pending —
-        // unless a rename helped it in the meantime, which only a
-        // committed claim may be (a helped operation cannot take its
-        // effects back; the runtime's claim gate rules this out).
-        entry.desc.common.clear();
-        if entry.desc.helped {
+        } else if !refused {
             self.flag(
                 ViolationKind::OptValidation,
-                format!("{tid} aborted an optimistic claim after a rename helped it"),
+                format!("{tid} retried without a failed validation (a successful claim is final)"),
             );
-        } else {
-            entry.aop = AopState::Pending(op);
         }
-        self.narrate(format!("{tid} aborts its optimistic claim and retries"));
     }
 
     fn check_relation(&mut self) {
@@ -2282,79 +2243,98 @@ mod tests {
         assert_clean_and_linearizable(&trace);
     }
 
-    /// The write-claim-then-unlink twin: B's fast-path `write /f` claims
-    /// on the file, A's fast-path `unlink /f` claims on the root, and B's
-    /// post-claim validation then fails (the root is locked) — B aborts,
-    /// and its retry finds the file gone. An aborted claim had no
-    /// abstract effect, so there is nothing to undo.
+    /// The write-claim-then-unlink twin: B's fast-path `write /f` holds
+    /// the file and A's fast-path `unlink /f` claims on the root. A claim
+    /// is final at its stamp, so B claiming `ok` and then retrying is a
+    /// violation; B's claim decided after A's (refused by the ancestor
+    /// probe) is `ok: false`, and its retry finds the file gone.
     #[test]
-    fn aborted_write_claim_under_an_unlink_claim_leaves_nothing_to_undo() {
+    fn write_claim_retried_under_an_unlink_claim_is_a_violation() {
         let (a, b) = (Tid(1), Tid(2));
-        let mut trace = fast_create(a, "f", 2, FileType::File);
-        trace.extend([
-            Event::OpBegin {
+        let trace = |b_claimed_first: bool| {
+            let b_claim = Event::OptValidate {
                 tid: b,
-                op: OpDesc::Write {
-                    path: comps(&["f"]),
-                    offset: 0,
-                    data: b"abc".to_vec(),
+                ok: b_claimed_first,
+            };
+            let mut trace = fast_create(a, "f", 2, FileType::File);
+            trace.extend([
+                Event::OpBegin {
+                    tid: b,
+                    op: OpDesc::Write {
+                        path: comps(&["f"]),
+                        offset: 0,
+                        data: b"abc".to_vec(),
+                    },
                 },
-            },
-            Event::OptRead { tid: b, ino: 1 },
-            Event::OptRead { tid: b, ino: 2 },
-            lock(b, 2),
-            Event::OptValidate { tid: b, ok: true },
-            Event::OpBegin {
-                tid: a,
-                op: OpDesc::Unlink {
-                    path: comps(&["f"]),
+                Event::OptRead { tid: b, ino: 1 },
+                Event::OptRead { tid: b, ino: 2 },
+                lock(b, 2),
+            ]);
+            if b_claimed_first {
+                trace.push(b_claim.clone());
+            }
+            trace.extend([
+                Event::OpBegin {
+                    tid: a,
+                    op: OpDesc::Unlink {
+                        path: comps(&["f"]),
+                    },
                 },
-            },
-            Event::OptRead { tid: a, ino: 1 },
-            lock(a, 1),
-            Event::OptValidate { tid: a, ok: true },
-            Event::OptRetry { tid: b },
-            Event::Unlock { tid: b, ino: 2 },
-            lock(a, 2),
-            mutate(
-                a,
-                MicroOp::Del {
-                    parent: 1,
-                    name: "f".into(),
-                    child: 2,
+                Event::OptRead { tid: a, ino: 1 },
+                lock(a, 1),
+                Event::OptValidate { tid: a, ok: true },
+            ]);
+            if !b_claimed_first {
+                trace.push(b_claim);
+            }
+            trace.extend([
+                Event::OptRetry { tid: b },
+                Event::Unlock { tid: b, ino: 2 },
+                lock(a, 2),
+                mutate(
+                    a,
+                    MicroOp::Del {
+                        parent: 1,
+                        name: "f".into(),
+                        child: 2,
+                    },
+                ),
+                Event::Lp { tid: a },
+                Event::Unlock { tid: a, ino: 1 },
+                mutate(
+                    a,
+                    MicroOp::Remove {
+                        ino: 2,
+                        ftype: FileType::File,
+                    },
+                ),
+                Event::Unlock { tid: a, ino: 2 },
+                Event::OpEnd {
+                    tid: a,
+                    ret: OpRet::Ok,
                 },
-            ),
-            Event::Lp { tid: a },
-            Event::Unlock { tid: a, ino: 1 },
-            mutate(
-                a,
-                MicroOp::Remove {
-                    ino: 2,
-                    ftype: FileType::File,
+                Event::OptRead { tid: b, ino: 1 },
+                Event::OptValidate { tid: b, ok: true },
+                Event::OpEnd {
+                    tid: b,
+                    ret: OpRet::Err(atomfs_vfs::FsError::NotFound),
                 },
-            ),
-            Event::Unlock { tid: a, ino: 2 },
-            Event::OpEnd {
-                tid: a,
-                ret: OpRet::Ok,
-            },
-            Event::OptRead { tid: b, ino: 1 },
-            Event::OptValidate { tid: b, ok: true },
-            Event::OpEnd {
-                tid: b,
-                ret: OpRet::Err(atomfs_vfs::FsError::NotFound),
-            },
-        ]);
-        let report = assert_clean_and_linearizable(&trace);
+            ]);
+            trace
+        };
+        let report = LpChecker::check(cfg_full(), &trace(true));
+        assert!(!report.of_kind(ViolationKind::OptValidation).is_empty());
+        let report = assert_clean_and_linearizable(&trace(false));
         assert_eq!(report.stats.opt_retries, 1);
     }
 
     /// A lockless claim stamped inside a rename's critical section: the
     /// shadow has lost `/a` (the rename's `Del` is in), the abstract state
     /// has not (its LP is still ahead), so the walk-decided `ENOENT`
-    /// cannot linearize there. Legal only as an aborted claim.
+    /// cannot linearize there — whether the claim then completes or
+    /// retries. Validated at its stamp, the claim is refused.
     #[test]
-    fn lockless_claim_inside_a_critical_section_must_abort() {
+    fn lockless_claim_inside_a_critical_section_is_a_violation() {
         let (a, b, r) = (Tid(1), Tid(2), Tid(3));
         let unlink = |tid| Event::OpBegin {
             tid,
@@ -2418,8 +2398,8 @@ mod tests {
             ),
             unlink(b),
             Event::OptRead { tid: b, ino: 1 },
-            Event::OptValidate { tid: b, ok: true },
         ]);
+        let claim = |ok| Event::OptValidate { tid: b, ok };
         let enoent = Event::OpEnd {
             tid: b,
             ret: OpRet::Err(atomfs_vfs::FsError::NotFound),
@@ -2442,21 +2422,28 @@ mod tests {
             },
         ];
 
+        let retried = |ok| {
+            let mut trace = head.clone();
+            trace.extend([claim(ok), Event::OptRetry { tid: b }]);
+            trace.extend(rename_tail.clone());
+            trace.extend([
+                Event::OptRead { tid: b, ino: 1 },
+                claim(true),
+                enoent.clone(),
+            ]);
+            trace
+        };
+
         let mut committed = head.clone();
-        committed.push(enoent.clone());
+        committed.extend([claim(true), enoent.clone()]);
         committed.extend(rename_tail.clone());
         let report = LpChecker::check(cfg_full(), &committed);
         assert!(!report.of_kind(ViolationKind::OptValidation).is_empty());
 
-        let mut aborted = head;
-        aborted.push(Event::OptRetry { tid: b });
-        aborted.extend(rename_tail);
-        aborted.extend([
-            Event::OptRead { tid: b, ino: 1 },
-            Event::OptValidate { tid: b, ok: true },
-            enoent,
-        ]);
-        assert_clean_and_linearizable(&aborted);
+        let report = LpChecker::check(cfg_full(), &retried(true));
+        assert!(!report.of_kind(ViolationKind::OptValidation).is_empty());
+
+        assert_clean_and_linearizable(&retried(false));
     }
 
     #[test]
@@ -2553,77 +2540,88 @@ mod tests {
     }
 
     #[test]
-    fn aborted_claim_has_nothing_to_undo() {
-        // A fast-path mkdir claims, then aborts (post-claim validation
-        // failure) and re-runs pessimistically. The claim only admitted a
-        // lock path, so the retry's own LP is the one linearization and
+    fn retry_after_a_successful_claim_is_a_violation() {
+        // A fast-path mkdir announces its lock and claims, then retries
+        // and re-runs pessimistically. A claim decided at its stamp is
+        // final, so retrying after `ok: true` is a violation; refused
+        // (`ok: false`), the retry's own LP is the one linearization and
         // the final relation check sees /a once.
         let t = Tid(1);
-        let trace = vec![
-            Event::OpBegin {
-                tid: t,
-                op: OpDesc::Mkdir {
-                    path: comps(&["a"]),
+        let trace = |ok| {
+            vec![
+                Event::OpBegin {
+                    tid: t,
+                    op: OpDesc::Mkdir {
+                        path: comps(&["a"]),
+                    },
                 },
-            },
-            Event::OptRead { tid: t, ino: 1 },
-            Event::Lock {
-                tid: t,
-                ino: 1,
-                tag: PathTag::Common,
-            },
-            Event::OptValidate { tid: t, ok: true },
-            Event::OptRetry { tid: t },
-            Event::Unlock { tid: t, ino: 1 },
-            // Pessimistic retry performs the mkdir for real.
-            Event::Lock {
-                tid: t,
-                ino: 1,
-                tag: PathTag::Common,
-            },
-            Event::Mutate {
-                tid: t,
-                mop: MicroOp::Create {
-                    ino: 2,
-                    ftype: FileType::Dir,
+                Event::OptRead { tid: t, ino: 1 },
+                Event::Lock {
+                    tid: t,
+                    ino: 1,
+                    tag: PathTag::Common,
                 },
-            },
-            Event::Mutate {
-                tid: t,
-                mop: MicroOp::Ins {
-                    parent: 1,
-                    name: "a".to_string(),
-                    child: 2,
+                Event::OptValidate { tid: t, ok },
+                Event::OptRetry { tid: t },
+                Event::Unlock { tid: t, ino: 1 },
+                // Pessimistic retry performs the mkdir for real.
+                Event::Lock {
+                    tid: t,
+                    ino: 1,
+                    tag: PathTag::Common,
                 },
-            },
-            Event::Lp { tid: t },
-            Event::Unlock { tid: t, ino: 1 },
-            Event::OpEnd { tid: t, ret: OpRet::Ok },
-        ];
-        let report = LpChecker::check(cfg_full(), &trace);
+                Event::Mutate {
+                    tid: t,
+                    mop: MicroOp::Create {
+                        ino: 2,
+                        ftype: FileType::Dir,
+                    },
+                },
+                Event::Mutate {
+                    tid: t,
+                    mop: MicroOp::Ins {
+                        parent: 1,
+                        name: "a".to_string(),
+                        child: 2,
+                    },
+                },
+                Event::Lp { tid: t },
+                Event::Unlock { tid: t, ino: 1 },
+                Event::OpEnd {
+                    tid: t,
+                    ret: OpRet::Ok,
+                },
+            ]
+        };
+        let report = LpChecker::check(cfg_full(), &trace(true));
+        assert!(!report.of_kind(ViolationKind::OptValidation).is_empty());
+        let report = LpChecker::check(cfg_full(), &trace(false));
         report.assert_ok();
         assert_eq!(report.stats.opt_claims, 0);
         assert_eq!(report.stats.opt_retries, 1);
     }
 
     #[test]
-    fn stale_chain_claim_must_be_followed_by_retry() {
-        // The emitted chain does not match the shadow resolution (a
-        // concurrent mutation landed between the runtime's validation and
-        // the claim reaching the trace). Legal only if the runtime aborts.
+    fn stale_chain_claim_is_a_violation() {
+        // The claimed chain does not match the shadow resolution at the
+        // claim's stamp. The runtime validates after the stamp, so such a
+        // claim is refused (`ok: false`); claimed `ok`, it is a violation
+        // whether the operation then completes or retries.
         let t = Tid(1);
-        let head = vec![
-            Event::OpBegin {
-                tid: t,
-                op: OpDesc::Stat {
-                    path: comps(&["a"]),
+        let head = |ok| {
+            vec![
+                Event::OpBegin {
+                    tid: t,
+                    op: OpDesc::Stat {
+                        path: comps(&["a"]),
+                    },
                 },
-            },
-            Event::OptRead { tid: t, ino: 1 },
-            Event::OptRead { tid: t, ino: 99 },
-            Event::OptValidate { tid: t, ok: true },
-        ];
-        let mut bad = head.clone();
+                Event::OptRead { tid: t, ino: 1 },
+                Event::OptRead { tid: t, ino: 99 },
+                Event::OptValidate { tid: t, ok },
+            ]
+        };
+        let mut bad = head(true);
         bad.push(Event::OpEnd {
             tid: t,
             ret: OpRet::Err(atomfs_vfs::FsError::NotFound),
@@ -2632,22 +2630,27 @@ mod tests {
         assert!(!report.is_ok());
         assert!(!report.of_kind(ViolationKind::OptValidation).is_empty());
 
-        let mut good = head;
-        good.extend([
-            Event::OptRetry { tid: t },
-            Event::Lock {
-                tid: t,
-                ino: 1,
-                tag: PathTag::Common,
-            },
-            Event::Lp { tid: t },
-            Event::Unlock { tid: t, ino: 1 },
-            Event::OpEnd {
-                tid: t,
-                ret: OpRet::Err(atomfs_vfs::FsError::NotFound),
-            },
-        ]);
-        LpChecker::check(cfg_full(), &good).assert_ok();
+        let retried = |ok| {
+            let mut trace = head(ok);
+            trace.extend([
+                Event::OptRetry { tid: t },
+                Event::Lock {
+                    tid: t,
+                    ino: 1,
+                    tag: PathTag::Common,
+                },
+                Event::Lp { tid: t },
+                Event::Unlock { tid: t, ino: 1 },
+                Event::OpEnd {
+                    tid: t,
+                    ret: OpRet::Err(atomfs_vfs::FsError::NotFound),
+                },
+            ]);
+            trace
+        };
+        let report = LpChecker::check(cfg_full(), &retried(true));
+        assert!(!report.of_kind(ViolationKind::OptValidation).is_empty());
+        LpChecker::check(cfg_full(), &retried(false)).assert_ok();
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use parking_lot::Mutex;
 
-use atomfs_trace::{Event, TraceSink};
+use atomfs_trace::{Event, Tid, TraceSink};
 
 use crate::checker::{CheckReport, CheckerConfig, LpChecker};
 
@@ -65,12 +65,20 @@ impl TraceSink for OnlineChecker {
     fn emit_ref(&self, event: &Event) {
         self.inner.lock().feed(event);
     }
+
+    /// Decided under the checker mutex, which orders every event.
+    fn claim(&self, tid: Tid, valid: &dyn Fn() -> bool) -> bool {
+        let mut inner = self.inner.lock();
+        let ok = valid();
+        inner.feed(&Event::OptValidate { tid, ok });
+        ok
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomfs_trace::{OpDesc, OpRet, Tid};
+    use atomfs_trace::{OpDesc, OpRet};
 
     #[test]
     fn online_checker_accumulates() {

@@ -1202,6 +1202,11 @@ impl TraceSink for ShardedJournalSink {
     fn admit_mutation(&self, primary: Inum) -> bool {
         !self.degraded.load(Ordering::Relaxed) && !self.shard_dead(self.shard_of_ino(primary))
     }
+
+    /// Claims carry nothing to log: the decision is just `valid()`.
+    fn claim(&self, _tid: Tid, valid: &dyn Fn() -> bool) -> bool {
+        valid()
+    }
 }
 
 #[cfg(test)]

@@ -51,13 +51,14 @@ pub enum Event {
     /// validation chain; no ghost lock state changes.
     OptRead { tid: Tid, ino: Inum },
     /// Thread `tid` finished an optimistic traversal and re-validated the
-    /// whole chain. `ok: true` admits the chain as a legal `LockPath`
-    /// witness (the checker retrofits it as the descriptor's common path);
-    /// `ok: false` discards it — the thread must follow with [`Event::OptRetry`]
-    /// or a pessimistic fallback ([`Event::Lock`]).
+    /// whole chain, *after* this event's place in the total order was
+    /// fixed ([`crate::TraceSink::claim`]). `ok: true` admits the chain as
+    /// a legal `LockPath` witness (the checker retrofits it as the
+    /// descriptor's common path) and is final; `ok: false` discards it —
+    /// the thread must follow with [`Event::OptRetry`].
     OptValidate { tid: Tid, ok: bool },
-    /// Thread `tid` abandons its optimistic attempt (after a failed
-    /// validation, or after a post-claim re-check failed) and starts over.
+    /// Thread `tid` abandons its optimistic attempt after a failed
+    /// validation and starts over.
     OptRetry { tid: Tid },
 }
 

@@ -21,7 +21,7 @@
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::{Event, TraceSink};
+use crate::{Event, Tid, TraceSink};
 
 /// Identifies a registered gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,12 +138,19 @@ impl<S: TraceSink> TraceSink for GateSink<S> {
         self.pass_gates(event);
         self.inner.emit_ref(event);
     }
+
+    /// Gates see the *attempted* claim, `OptValidate{tid, ok: true}`, and
+    /// park it before the inner sink decides it.
+    fn claim(&self, tid: Tid, valid: &dyn Fn() -> bool) -> bool {
+        self.pass_gates(&Event::OptValidate { tid, ok: true });
+        self.inner.claim(tid, valid)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BufferSink, Tid};
+    use crate::BufferSink;
     use std::sync::Arc;
 
     #[test]
@@ -177,6 +184,34 @@ mod tests {
         sink.open(gate);
         h.join().unwrap();
         assert_eq!(sink.inner().len(), 1);
+    }
+
+    #[test]
+    fn gate_parks_a_claim_before_it_is_decided() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let sink = Arc::new(GateSink::new(BufferSink::new()));
+        let gate = sink.add_gate(|e| matches!(e, Event::OptValidate { ok: true, .. }));
+        let ran = Arc::new(AtomicBool::new(false));
+        let (s2, r2) = (Arc::clone(&sink), Arc::clone(&ran));
+        let h = std::thread::spawn(move || {
+            s2.claim(Tid(3), &|| {
+                r2.store(true, Ordering::SeqCst);
+                false
+            })
+        });
+        sink.wait_parked(gate);
+        assert!(!ran.load(Ordering::SeqCst), "parked before valid() ran");
+        assert!(sink.inner().is_empty());
+        sink.open(gate);
+        assert!(!h.join().unwrap());
+        assert!(ran.load(Ordering::SeqCst));
+        assert_eq!(
+            sink.inner().take(),
+            vec![Event::OptValidate {
+                tid: Tid(3),
+                ok: false
+            }]
+        );
     }
 
     #[test]

@@ -37,6 +37,10 @@
 //! shard's segment sorted, so [`ShardedSink::take`] can k-way merge the
 //! segments by stamp instead of sorting.
 //!
+//! A claim ([`TraceSink::claim`]) also needs the converse, so stamps are
+//! `AcqRel`: a counter move published before an earlier stamp is visible
+//! to a validation run after a later one.
+//!
 //! # Draining
 //!
 //! [`ShardedSink::take`]/[`ShardedSink::snapshot`] are meant for
@@ -52,7 +56,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
-use crate::{Event, TraceSink};
+use crate::{Event, Tid, TraceSink};
 
 /// A recorded event with its global sequence stamp.
 pub type Stamped = (u64, Event);
@@ -211,8 +215,19 @@ impl TraceSink for ShardedSink {
         // when two threads share a shard. The stamp is still taken
         // inside the emitter's critical section (we are inside
         // `emit`), which is what makes stamp order legal.
-        let stamp = self.seq.fetch_add(1, Ordering::Relaxed);
+        let stamp = self.seq.fetch_add(1, Ordering::AcqRel);
         segment.push((stamp, event));
+    }
+
+    /// The claim's stamp is taken first and `valid` runs after it, still
+    /// under the shard lock: an `ok: true` claim was valid at its stamp.
+    fn claim(&self, tid: Tid, valid: &dyn Fn() -> bool) -> bool {
+        let shard = &self.shards[thread_slot() & self.mask];
+        let mut segment = shard.events.lock();
+        let stamp = self.seq.fetch_add(1, Ordering::AcqRel);
+        let ok = valid();
+        segment.push((stamp, Event::OptValidate { tid, ok }));
+        ok
     }
 }
 
@@ -259,7 +274,6 @@ fn merge_by_stamp(segments: Vec<Vec<Stamped>>) -> Vec<Stamped> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tid;
     use std::sync::Arc;
 
     #[test]
@@ -317,6 +331,36 @@ mod tests {
         assert_eq!(sink.take().len(), 1);
         assert!(sink.take().is_empty());
         assert_eq!(sink.stamps_issued(), 1);
+    }
+
+    #[test]
+    fn claim_is_decided_after_its_stamp() {
+        let sink = ShardedSink::with_shards(2);
+        sink.emit(Event::Lp { tid: Tid(1) });
+        // The validator already sees its own event's stamp issued.
+        assert!(sink.claim(Tid(1), &|| sink.stamps_issued() == 2));
+        assert!(!sink.claim(Tid(1), &|| false));
+        let stamped = sink.take_stamped();
+        assert_eq!(
+            stamped[1],
+            (
+                1,
+                Event::OptValidate {
+                    tid: Tid(1),
+                    ok: true
+                }
+            )
+        );
+        assert_eq!(
+            stamped[2],
+            (
+                2,
+                Event::OptValidate {
+                    tid: Tid(1),
+                    ok: false
+                }
+            )
+        );
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! [`crate::ShardedSink`]) for offline replay, or an online checking sink
 //! defined in the `crlh` crate.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
@@ -21,10 +22,25 @@ use crate::{Event, Inum, Tid};
 /// [`Event::Lock`] reports), so a sink that serializes its callers — or
 /// stamps each call from a single atomic counter, as
 /// [`crate::ShardedSink`] does — observes a legal total order of the
-/// execution.
+/// execution. A claim is decided at its order point ([`TraceSink::claim`]).
 pub trait TraceSink: Send + Sync {
     /// Record one event, taking ownership.
     fn emit(&self, event: Event);
+
+    /// Record thread `tid`'s optimistic claim `OptValidate{tid, ok}` and
+    /// return `ok`, where `ok` is `valid()` evaluated *after* the event's
+    /// place in the total order is fixed (after its stamp, or under the
+    /// lock that serializes this sink's callers). An `ok: true` claim is
+    /// then valid at its own order point, and final. `valid` only reads
+    /// the emitter's atomics.
+    ///
+    /// The default records `ok: false` without calling `valid`: the only
+    /// sound answer for a wrapper that does not forward this method. The
+    /// emitter then falls back to the pessimistic walk.
+    fn claim(&self, tid: Tid, _valid: &dyn Fn() -> bool) -> bool {
+        self.emit(Event::OptValidate { tid, ok: false });
+        false
+    }
 
     /// Record one event by reference.
     ///
@@ -71,6 +87,9 @@ pub struct NullSink;
 impl TraceSink for NullSink {
     fn emit(&self, _event: Event) {}
     fn emit_ref(&self, _event: &Event) {}
+    fn claim(&self, _tid: Tid, valid: &dyn Fn() -> bool) -> bool {
+        valid()
+    }
 }
 
 /// A sink that appends events to an in-memory buffer under a mutex.
@@ -127,6 +146,15 @@ impl TraceSink for BufferSink {
         guard.push(event);
         self.count.fetch_add(1, Ordering::Relaxed);
     }
+
+    /// Decided under the buffer mutex, which orders every event.
+    fn claim(&self, tid: Tid, valid: &dyn Fn() -> bool) -> bool {
+        let mut guard = self.events.lock();
+        let ok = valid();
+        guard.push(Event::OptValidate { tid, ok });
+        self.count.fetch_add(1, Ordering::Relaxed);
+        ok
+    }
 }
 
 /// A sink that forwards every event to several sinks, in order.
@@ -137,6 +165,9 @@ impl TraceSink for BufferSink {
 /// the owned event — so inspecting consumers (checker, journal) cost no
 /// clone at all, and the single owned event should go to the recording
 /// sink by placing it last.
+///
+/// A claim is decided inside the last sink's order point, and the decided
+/// event is forwarded by reference to the others from there.
 pub struct FanoutSink(pub Vec<std::sync::Arc<dyn TraceSink>>);
 
 impl TraceSink for FanoutSink {
@@ -148,6 +179,29 @@ impl TraceSink for FanoutSink {
             sink.emit_ref(&event);
         }
         last.emit(event);
+    }
+
+    fn claim(&self, tid: Tid, valid: &dyn Fn() -> bool) -> bool {
+        let Some((last, rest)) = self.0.split_last() else {
+            return valid();
+        };
+        let forward = |ok| {
+            for sink in rest {
+                sink.emit_ref(&Event::OptValidate { tid, ok });
+            }
+            ok
+        };
+        let decided = Cell::new(false);
+        let ok = last.claim(tid, &|| {
+            decided.set(true);
+            forward(valid())
+        });
+        // A last sink on the trait default records `ok:false` unasked.
+        if decided.get() {
+            ok
+        } else {
+            forward(ok)
+        }
     }
 
     fn emit_ref(&self, event: &Event) {
@@ -246,6 +300,78 @@ mod tests {
         fan.emit(Event::Lp { tid: Tid(1) });
         fan.emit_ref(&Event::Lp { tid: Tid(2) });
         assert_eq!(a.take(), b.take());
+    }
+
+    #[test]
+    fn buffer_sink_decides_claims_under_its_mutex() {
+        let sink = BufferSink::new();
+        assert!(sink.claim(Tid(1), &|| sink.events.is_locked()));
+        assert_eq!(
+            sink.take(),
+            vec![Event::OptValidate {
+                tid: Tid(1),
+                ok: true
+            }]
+        );
+    }
+
+    /// Records, with each event, whether `order`'s mutex was held then.
+    struct UnderLock {
+        order: Arc<BufferSink>,
+        seen: Mutex<Vec<(Event, bool)>>,
+    }
+
+    impl TraceSink for UnderLock {
+        fn emit(&self, event: Event) {
+            let held = self.order.events.is_locked();
+            self.seen.lock().push((event, held));
+        }
+    }
+
+    #[test]
+    fn fanout_decides_inside_the_last_sink_and_forwards_from_there() {
+        let last = Arc::new(BufferSink::new());
+        let first = Arc::new(UnderLock {
+            order: Arc::clone(&last),
+            seen: Mutex::new(Vec::new()),
+        });
+        let fan = FanoutSink(vec![
+            Arc::clone(&first) as Arc<dyn TraceSink>,
+            Arc::clone(&last) as Arc<dyn TraceSink>,
+        ]);
+        assert!(fan.claim(Tid(1), &|| last.events.is_locked()));
+        assert!(!fan.claim(Tid(1), &|| false));
+        let claims = [true, false].map(|ok| Event::OptValidate { tid: Tid(1), ok });
+        assert_eq!(last.take(), claims);
+        let seen: Vec<_> = claims.into_iter().map(|c| (c, true)).collect();
+        assert_eq!(*first.seen.lock(), seen);
+        assert!(FanoutSink(Vec::new()).claim(Tid(1), &|| true));
+    }
+
+    /// Forwards `emit` only, so claims fall to the trait default.
+    struct EmitOnly(Arc<BufferSink>);
+
+    impl TraceSink for EmitOnly {
+        fn emit(&self, event: Event) {
+            self.0.emit(event);
+        }
+    }
+
+    #[test]
+    fn fanout_forwards_a_default_refusal_too() {
+        let first = Arc::new(BufferSink::new());
+        let last = Arc::new(BufferSink::new());
+        let fan = FanoutSink(vec![
+            Arc::clone(&first) as Arc<dyn TraceSink>,
+            Arc::new(EmitOnly(Arc::clone(&last))) as Arc<dyn TraceSink>,
+        ]);
+        assert!(!fan.claim(Tid(2), &|| panic!("the default never validates")));
+        let refused = vec![Event::OptValidate {
+            tid: Tid(2),
+            ok: false,
+        }];
+        assert_eq!(first.take(), refused);
+        assert_eq!(last.take(), refused);
     }
 
     #[test]

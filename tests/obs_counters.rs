@@ -147,16 +147,9 @@ fn rename_storm_online_helped_counter_matches_offline_checker() {
     let mut saw_help = false;
     for attempt in 0..40u64 {
         let sink = Arc::new(ShardedSink::new());
-        // Pessimistic config: an aborted effect-free optimistic claim is
-        // counted twice (at the claim and again on retry), breaking the
-        // lins == completed-ops accounting below.
-        let fs = Arc::new(AtomFs::traced_with_config(
-            sink.clone() as Arc<dyn TraceSink>,
-            atomfs::AtomFsConfig {
-                optimistic: false,
-                ..atomfs::AtomFsConfig::default()
-            },
-        ));
+        // Default (optimistic) config: a successful claim is final, so an
+        // effect-free claim linearizes its operation exactly once.
+        let fs = Arc::new(AtomFs::traced(sink.clone() as Arc<dyn TraceSink>));
         mix.setup(&*fs);
         spawn_mix(
             Arc::clone(&fs),

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use atomfs::AtomFs;
-use atomfs_trace::{set_current_tid, BufferSink, Tid, TraceSink};
+use atomfs_trace::{set_current_tid, BufferSink, Event, ShardedSink, Tid, TraceSink};
 use atomfs_vfs::{FileSystem, SplitMix64};
 use atomfs_workloads::opmix::OpMix;
 use crlh::history::History;
@@ -137,64 +137,85 @@ fn online_checked_deep_tree_stress() {
 /// truncate 1 over 3 directories x 3 names.
 #[test]
 fn write_vs_namespace_storm_checks_clean() {
-    storm(
-        "write-vs-namespace",
-        1500,
-        &["/s0", "/s1", "/s2"],
-        |fs, next| {
-            let (x, y) = (next(), next());
-            let path = |v: u64| format!("/s{}/n{}", v % 3, (v >> 8) % 3);
-            let (a, b) = (path(x), path(y));
-            match next() % 13 {
-                0..=2 => drop(fs.mknod(&a)),
-                3..=4 => drop(fs.unlink(&a)),
-                5..=7 => drop(fs.write(&a, y % 8, b"abc")),
-                8..=9 => drop(fs.rename(&a, &b)),
-                10 => drop(fs.read(&a, 0, &mut [0u8; 16])),
-                11 => drop(fs.stat(&a)),
-                _ => drop(fs.truncate(&a, y % 6)),
-            }
-        },
-    );
+    fn op(fs: &dyn FileSystem, next: &mut dyn FnMut() -> u64) {
+        let (x, y) = (next(), next());
+        let path = |v: u64| format!("/s{}/n{}", v % 3, (v >> 8) % 3);
+        let (a, b) = (path(x), path(y));
+        match next() % 13 {
+            0..=2 => drop(fs.mknod(&a)),
+            3..=4 => drop(fs.unlink(&a)),
+            5..=7 => drop(fs.write(&a, y % 8, b"abc")),
+            8..=9 => drop(fs.rename(&a, &b)),
+            10 => drop(fs.read(&a, 0, &mut [0u8; 16])),
+            11 => drop(fs.stat(&a)),
+            _ => drop(fs.truncate(&a, y % 6)),
+        }
+    }
+    let dirs = ["/s0", "/s1", "/s2"];
+    storm::<BufferSink>("write-vs-namespace", 1500, &dirs, op);
+    storm::<ShardedSink>("write-vs-namespace (sharded)", 1500, &dirs, op);
 }
 
 /// Fast-path mutations claimed below a directory that renames keep moving
-/// (`/r/a` <-> `/r/c/a`): a rename LP helps any claim it finds, so a claim
-/// that then fails its post-claim validation must abort before that LP —
-/// the runtime's claim gate. Without it a descheduled claimer is helped
-/// and then retries (about one round in a thousand, debug build).
+/// (`/r/a` <-> `/r/c/a`): a rename LP helps any claim it finds, so every
+/// successful claim must be final. Each claim is decided at its own stamp,
+/// after which the chain it validated cannot have changed: no claim a
+/// rename helped is ever taken back. Run over both recorders: the mutex
+/// recorder decides a claim under its lock, the shipped stamped recorder
+/// after its stamp.
 #[test]
 fn dir_rename_storm_checks_clean() {
-    storm(
-        "dir-rename",
-        1000,
-        &["/r", "/r/a", "/r/a/b", "/r/c"],
-        |fs, next| {
-            let x = next();
-            let base = ["/r/a/b", "/r/c/a/b", "/r/a", "/r/c/a"][(x % 4) as usize];
-            let f = format!("{base}/f{}", (x >> 8) % 3);
-            match (x >> 16) % 8 {
-                0 => drop(fs.rename("/r/a", "/r/c/a")),
-                1 => drop(fs.rename("/r/c/a", "/r/a")),
-                2 | 3 => drop(fs.mknod(&f)),
-                4 => drop(fs.unlink(&f)),
-                5 => drop(fs.write(&f, 0, b"xy")),
-                6 => drop(fs.truncate(&f, 1)),
-                _ => drop(fs.stat(&f)),
-            }
-        },
-    );
+    fn op(fs: &dyn FileSystem, next: &mut dyn FnMut() -> u64) {
+        let x = next();
+        let base = ["/r/a/b", "/r/c/a/b", "/r/a", "/r/c/a"][(x % 4) as usize];
+        let f = format!("{base}/f{}", (x >> 8) % 3);
+        match (x >> 16) % 8 {
+            0 => drop(fs.rename("/r/a", "/r/c/a")),
+            1 => drop(fs.rename("/r/c/a", "/r/a")),
+            2 | 3 => drop(fs.mknod(&f)),
+            4 => drop(fs.unlink(&f)),
+            5 => drop(fs.write(&f, 0, b"xy")),
+            6 => drop(fs.truncate(&f, 1)),
+            _ => drop(fs.stat(&f)),
+        }
+    }
+    let dirs = ["/r", "/r/a", "/r/a/b", "/r/c"];
+    storm::<BufferSink>("dir-rename", 1000, &dirs, op);
+    storm::<ShardedSink>("dir-rename (sharded)", 1000, &dirs, op);
 }
 
-/// Run `rounds` rounds of 4 threads x 60 `op`s over a fresh traced AtomFs
-/// holding `dirs`, checking each round (helpers, invariants). Every round
-/// must check clean; the summed help count is printed.
-fn storm(name: &str, rounds: u64, dirs: &[&str], op: fn(&dyn FileSystem, &mut dyn FnMut() -> u64)) {
+/// A recorder a storm can drain into one totally ordered trace.
+trait Recorder: TraceSink + Default + 'static {
+    fn drain(&self) -> Vec<Event>;
+}
+
+impl Recorder for BufferSink {
+    fn drain(&self) -> Vec<Event> {
+        self.take()
+    }
+}
+
+impl Recorder for ShardedSink {
+    fn drain(&self) -> Vec<Event> {
+        self.take()
+    }
+}
+
+/// Run `rounds` rounds of 4 threads x 60 `op`s over a fresh AtomFs traced
+/// into a new `S` and holding `dirs`, checking each round (helpers,
+/// invariants). Every round must check clean; the summed help count is
+/// printed.
+fn storm<S: Recorder>(
+    name: &str,
+    rounds: u64,
+    dirs: &[&str],
+    op: fn(&dyn FileSystem, &mut dyn FnMut() -> u64),
+) {
     const THREADS: u64 = 4;
     let mut flagged = Vec::new();
     let mut helps = 0u64;
     for round in 0..rounds {
-        let sink = Arc::new(BufferSink::new());
+        let sink = Arc::new(S::default());
         let fs = Arc::new(AtomFs::traced(sink.clone() as Arc<dyn TraceSink>));
         set_current_tid(Tid(5000));
         for d in dirs {
@@ -216,7 +237,7 @@ fn storm(name: &str, rounds: u64, dirs: &[&str], op: fn(&dyn FileSystem, &mut dy
         for h in handles {
             h.join().unwrap();
         }
-        let report = crlh::LpChecker::check(CheckerConfig::default(), &sink.take());
+        let report = crlh::LpChecker::check(CheckerConfig::default(), &sink.drain());
         helps += report.stats.helps;
         if let Some(v) = report.violations.first() {
             flagged.push((round, v.to_string()));

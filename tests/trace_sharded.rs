@@ -11,15 +11,20 @@
 //!    which thread is emitting at every instant), the sharded recorder
 //!    reproduces the reference [`BufferSink`] order event for event.
 //! 3. `len()` stays consistent with the stamps issued and with `take()`.
+//!
+//! A fourth pins the claim contract's default: a wrapper that does not
+//! forward `TraceSink::claim` turns every claim into a refusal, which is
+//! always safe.
 
 use std::sync::Arc;
 
 use atomfs::AtomFs;
 use atomfs_trace::{
-    set_current_tid, BufferSink, Event, FanoutSink, GateSink, ShardedSink, Tid, TraceSink,
+    set_current_tid, BufferSink, Event, FanoutSink, GateSink, Inum, ShardedSink, Tid, TraceSink,
 };
 use atomfs_vfs::FileSystem;
 use atomfs_workloads::opmix::OpMix;
+use crlh::history::History;
 use crlh::{CheckerConfig, HelperMode, LpChecker, RelationCadence};
 
 fn spawn_mix(fs: Arc<AtomFs>, mix: OpMix, threads: u32, ops: usize, tid_base: u32, seed_base: u64) {
@@ -158,4 +163,65 @@ fn sharded_matches_buffer_under_scripted_interleaving() {
         &merged,
     )
     .assert_ok();
+}
+
+/// A wrapper shaped like a metering sink that forwards every method but
+/// `claim`, so claims fall to the trait default: recorded `ok:false`.
+struct EmitOnly(Arc<ShardedSink>);
+
+impl TraceSink for EmitOnly {
+    fn emit(&self, event: Event) {
+        self.0.emit(event);
+    }
+    fn emit_ref(&self, event: &Event) {
+        self.0.emit_ref(event);
+    }
+    fn shard_hint(&self, tid: Tid, primary: Inum) {
+        self.0.shard_hint(tid, primary);
+    }
+    fn admit_mutation(&self, primary: Inum) -> bool {
+        self.0.admit_mutation(primary)
+    }
+}
+
+/// Behind a wrapper that does not forward `claim`, every fast-path claim
+/// is refused, every operation still completes through the pessimistic
+/// walk, and the trace checks clean with helpers and under WGL.
+#[test]
+fn claims_behind_an_emit_only_wrapper_fall_back_and_check_clean() {
+    let sharded = Arc::new(ShardedSink::with_shards(4));
+    let fs = Arc::new(AtomFs::traced(
+        Arc::new(EmitOnly(Arc::clone(&sharded))) as Arc<dyn TraceSink>
+    ));
+    let mix = OpMix {
+        dirs: 2,
+        names: 2,
+        rename_weight: 8,
+    };
+    set_current_tid(Tid(6100));
+    mix.setup(&*fs);
+    spawn_mix(Arc::clone(&fs), mix, 4, 14, 6101, 31);
+    let events = sharded.take();
+    let count = |pred: &dyn Fn(&Event) -> bool| events.iter().filter(|e| pred(e)).count();
+    assert!(count(&|e| matches!(e, Event::OptValidate { ok: false, .. })) > 0);
+    assert_eq!(
+        count(&|e| matches!(e, Event::OptValidate { ok: true, .. })),
+        0
+    );
+    assert_eq!(
+        count(&|e| matches!(e, Event::OpBegin { .. })),
+        count(&|e| matches!(e, Event::OpEnd { .. }))
+    );
+    let report = LpChecker::check(
+        CheckerConfig {
+            mode: HelperMode::Helpers,
+            relation: RelationCadence::EveryEvent,
+            invariants: true,
+        },
+        &events,
+    );
+    report.assert_ok();
+    assert_eq!(report.stats.opt_claims, 0);
+    crlh::wgl::check_linearizable(&History::from_trace(&events))
+        .unwrap_or_else(|e| panic!("WGL rejected the fallback trace: {e}"));
 }

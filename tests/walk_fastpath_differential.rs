@@ -186,10 +186,8 @@ fn contended_rename_storm_trace_checks_clean() {
         &events,
     );
     report.assert_ok();
-    // A claim followed by a post-claim abort (OptRetry) is not committed,
-    // so the committed count can trail the OptValidate{ok} count.
-    assert!(report.stats.opt_claims >= 1);
-    assert!(report.stats.opt_claims as usize <= claims);
+    // A claim is decided at its stamp, so every `ok` one is committed.
+    assert_eq!(report.stats.opt_claims as usize, claims);
 }
 
 /// A storm small enough for the WGL search: its mixed trace must also
@@ -230,8 +228,9 @@ fn small_mixed_storm_is_wgl_linearizable() {
         .unwrap_or_else(|e| panic!("WGL rejected the mixed trace: {e}"));
 }
 
-/// Stage one of ROADMAP item 1's schedules on the default (optimistic)
-/// config: B runs until it is parked at its first `park` event, holding
+/// Stage one of the pinned claim schedules on the default (optimistic)
+/// config: B runs until it is parked at its first `park` event (a claim
+/// parks before it is decided, matched as `OptValidate{ok:true}`), holding
 /// the file or directory lock it is pinned on; A's fast-path removal then
 /// claims on the root and blocks behind B; B is released once A's
 /// `OptValidate{ok:true}` is in the buffer. With `b_walks`, B is first
@@ -342,20 +341,27 @@ fn rmdir_claim_behind_a_pinned_create() {
     assert_eq!((ra, rb), (Err(FsError::NotEmpty), Ok(())));
 }
 
-/// The write-claim twin: B parks at its own claim, holding the file. A's
-/// unlink claims on the root; B's claim then fails its post-claim probe,
-/// aborts with nothing to undo, and its retry finds the file gone.
+/// The write-claim twin: B parks at its own claim, holding the file,
+/// before the claim is decided. A's unlink claims on the root; B's claim,
+/// decided after A's, fails the ancestor probe and is recorded `ok:false`,
+/// and its retry finds the file gone.
 #[test]
-fn aborted_write_claim_behind_an_unlink_claim() {
+fn refused_write_claim_behind_an_unlink_claim() {
     let (ra, rb, events) = pinned_schedule(
         |fs| fs.mknod("/f").unwrap(),
         |fs| fs.write("/f", 0, b"abc").map(drop),
         false,
-        |e| matches!(e, Event::OptValidate { ok: true, .. }),
+        |e| matches!(e, Event::OptValidate { .. }),
         |fs| fs.unlink("/f"),
     );
     assert_eq!((ra, rb), (Ok(()), Err(FsError::NotFound)));
-    assert!(events
+    let b_events: Vec<&Event> = events.iter().filter(|e| e.tid() == Tid(7201)).collect();
+    let at = b_events
         .iter()
-        .any(|e| matches!(e, Event::OptRetry { tid } if *tid == Tid(7201))));
+        .position(|e| matches!(e, Event::OptValidate { .. }))
+        .expect("B claimed");
+    assert!(matches!(
+        b_events[at..at + 2],
+        [Event::OptValidate { ok: false, .. }, Event::OptRetry { .. }]
+    ));
 }
