@@ -12,7 +12,7 @@
 //! | Invariants | `crlh/src/invariants.rs`, `crlh/src/rollback.rs` |
 //! | R-G conditions | `crlh/src/rg.rs` |
 //! | Verified code (the FS) | `crates/core/src/*` |
-//! | Proof (⇒ executable checking) | `crlh/src/{checker,helper,ghost,wgl,history,online}.rs` + tests |
+//! | Proof (⇒ executable checking) | `crlh/src/{checker,helper,ghost,wgl,history}.rs` + tests |
 
 use std::path::Path;
 
@@ -69,7 +69,6 @@ fn main() {
         + f("crates/crlh/src/ghost.rs")
         + f("crates/crlh/src/wgl.rs")
         + f("crates/crlh/src/history.rs")
-        + f("crates/crlh/src/online.rs")
         + d("crates/crlh/tests")
         + d("tests");
     let total = abstraction + invariants + rg + verified_code + proof;

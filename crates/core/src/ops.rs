@@ -5,8 +5,9 @@
 //! what the CRL-H checker replays:
 //!
 //! 1. `OpBegin` with the abstract operation description;
-//! 2. `Lock`/`Unlock` events for the lock-coupling walk — or
-//!    `OptRead`/`OptValidate`/`OptRetry` events for the optimistic walk
+//! 2. `Lock`/`Unlock` events for the lock-coupling walk — or one
+//!    `OptValidate { chain, locked, ok }` per optimistic attempt, whose
+//!    `ok: true` also announces the fast-path lock when `locked`
 //!    (see [`crate::optwalk`]);
 //! 3. `Mutate` events for each inode-granularity change, emitted inside
 //!    the critical section;
@@ -453,10 +454,7 @@ impl AtomFs {
         // but *both* parents' shards must be live: the destination shard
         // gets the seal, and a rename admitted over a quarantined
         // destination could never close its intent.
-        if let Err(e) = self
-            .admit(ddir_ino)
-            .and_then(|()| self.hint(tid, sdir_ino))
-        {
+        if let Err(e) = self.admit(ddir_ino).and_then(|()| self.hint(tid, sdir_ino)) {
             let mut locks = vec![snode];
             locks.extend(dnode);
             locks.push(sdir);

@@ -12,6 +12,11 @@
 //! operation falls back to the pessimistic lock-coupled walk, so the fast
 //! path is a pure optimization — never a liveness hazard.
 //!
+//! The walk itself emits nothing: its reads change no state. In a traced
+//! build each attempt is one event, `OptValidate { chain, locked, ok }`,
+//! carrying the inode numbers the walk resolved (root first). An attempt
+//! abandoned mid-walk records the prefix it reached with `ok: false`.
+//!
 //! # Completion modes
 //!
 //! * **Fully lockless** — `stat` and `readdir`, plus any operation whose
@@ -48,11 +53,13 @@
 //! operation that never takes it back, and nothing has to hold renames
 //! off. Untraced builds run the same validation once, with no stamp.
 //!
-//! A claim that announces a lock also validates once *before* emitting
-//! that `Lock`: a walker on a retired directory index may hold a freed
-//! incarnation of a recycled inode number, whose lock must never reach
-//! the trace. That check only decides whether to announce the lock; the
-//! claim is decided at its stamp like any other.
+//! A claim that holds the chain's last node announces that lock itself
+//! (`locked`), and only an `ok` claim takes it into the trace. A walker
+//! on a retired directory index may hold a freed incarnation of a
+//! recycled inode number, whose lock must never reach the trace; a chain
+//! valid at the stamp proves every slot in it still linked, and a held
+//! slot cannot be freed, so the announced number names the incarnation
+//! actually locked. A refused claim releases its lock silently.
 //!
 //! # Why mutations probe ancestor locks and reads do not
 //!
@@ -75,7 +82,7 @@
 use std::sync::atomic::{fence, Ordering};
 
 use atomfs_obs::{Span, SpanKind};
-use atomfs_trace::{Event, PathTag, Tid};
+use atomfs_trace::{Event, Inum, Tid};
 use atomfs_vfs::{FileType, FsError, FsResult, Metadata};
 
 use crate::fs::AtomFs;
@@ -93,6 +100,26 @@ pub(crate) const MAX_OPT_ATTEMPTS: usize = 3;
 /// read from `chain[i-1]`'s directory index.
 type Chain<'a> = Vec<(&'a InodeRef, u64)>;
 
+/// The inode numbers of `chain`, root first: what a claim records.
+fn inos(chain: &Chain<'_>) -> Vec<Inum> {
+    chain.iter().map(|&(slot, _)| slot.ino()).collect()
+}
+
+/// [`inos`], lent to `f` from the stack when the chain is no deeper than
+/// typical paths, so a claim allocates only in a sink that records it.
+fn with_inos<R>(chain: &Chain<'_>, f: impl FnOnce(&[Inum]) -> R) -> R {
+    let mut buf = [0; 16];
+    match buf.get_mut(..chain.len()) {
+        Some(head) => {
+            for (ino, &(slot, _)) in head.iter_mut().zip(chain) {
+                *ino = slot.ino();
+            }
+            f(head)
+        }
+        None => f(&inos(chain)),
+    }
+}
+
 /// Re-check every recorded sequence counter. Sequence numbers are
 /// recorded even (no writer inside) and only ever increase, so equality
 /// means each inode's published state is exactly what the walk read.
@@ -105,45 +132,50 @@ fn validate_chain(chain: &Chain<'_>) -> bool {
 /// chain node may be locked by anyone (module docs). The final node is
 /// excluded — the caller itself holds that lock.
 fn ancestors_unlocked(chain: &Chain<'_>) -> bool {
-    chain[..chain.len() - 1].iter().all(|&(slot, _)| !slot.is_locked())
+    chain[..chain.len() - 1]
+        .iter()
+        .all(|&(slot, _)| !slot.is_locked())
 }
 
 impl AtomFs {
-    /// Walk `comps` locklessly from the root. Returns the observed chain
-    /// plus `Some(error)` when the walk itself decided the outcome
-    /// (missing entry, file used as directory), or `Err(())` when a
-    /// hand-over-hand validation failed mid-walk.
-    fn opt_resolve<'a>(
-        &'a self,
-        tid: Tid,
-        comps: &[&str],
-    ) -> Result<(Chain<'a>, Option<FsError>), ()> {
+    /// One optimistic walk attempt ([`Self::opt_resolve`]). An attempt
+    /// abandoned mid-walk is recorded as one refused claim of the prefix
+    /// it reached, and yields `None`.
+    fn opt_walk<'a>(&'a self, tid: Tid, comps: &[&str]) -> Option<(Chain<'a>, Option<FsError>)> {
         // Phase span: one optimistic walk attempt under the (sampled)
         // operation root; a mid-walk validation failure marks it failed.
         let mut sp = Span::child(SpanKind::OptWalk, "opt_resolve");
-        let r = self.opt_resolve_inner(tid, comps);
-        if r.is_err() {
-            sp.fail();
+        match self.opt_resolve(comps) {
+            Ok(walked) => Some(walked),
+            Err(prefix) => {
+                sp.fail();
+                self.emit(|| Event::OptValidate {
+                    tid,
+                    chain: inos(&prefix),
+                    locked: false,
+                    ok: false,
+                });
+                self.count_retry();
+                None
+            }
         }
-        r
     }
 
-    fn opt_resolve_inner<'a>(
+    /// Walk `comps` locklessly from the root. Returns the observed chain
+    /// plus `Some(error)` when the walk itself decided the outcome
+    /// (missing entry, file used as directory), or `Err` with the prefix
+    /// it reached when a hand-over-hand validation failed mid-walk.
+    fn opt_resolve<'a>(
         &'a self,
-        tid: Tid,
         comps: &[&str],
-    ) -> Result<(Chain<'a>, Option<FsError>), ()> {
+    ) -> Result<(Chain<'a>, Option<FsError>), Chain<'a>> {
         let root = self.table.root_ref();
         let rseq = root.seq_read();
-        if rseq & 1 == 1 {
-            return Err(());
-        }
-        self.emit(|| Event::OptRead {
-            tid,
-            ino: root.ino(),
-        });
         let mut chain: Chain<'a> = Vec::with_capacity(comps.len() + 1);
         chain.push((root, rseq));
+        if rseq & 1 == 1 {
+            return Err(chain);
+        }
         for name in comps {
             let &(cur, cur_seq) = chain.last().expect("chain starts at root");
             let Some(fast) = cur.fast() else {
@@ -158,16 +190,15 @@ impl AtomFs {
                     // which the final chain validation re-checks.
                     return Ok((chain, Some(FsError::NotFound)));
                 }
-                Some((ino, child)) => {
+                Some((_, child)) => {
                     let cseq = child.seq_read();
                     // Hand-over-hand: re-check the parent *after* reading
                     // the child pointer and its sequence. An odd child
                     // sequence means a writer is mid-update in it.
                     fence(Ordering::Acquire);
                     if cseq & 1 == 1 || cur.seq_read() != cur_seq {
-                        return Err(());
+                        return Err(chain);
                     }
-                    self.emit(|| Event::OptRead { tid, ino });
                     chain.push((child, cseq));
                 }
             }
@@ -175,33 +206,13 @@ impl AtomFs {
         Ok((chain, None))
     }
 
-    /// Record one attempt abandoned before its claim: emit
-    /// `OptValidate{ok:false}`, then retry.
-    fn opt_attempt_failed(&self, tid: Tid) {
-        self.emit(|| Event::OptValidate { tid, ok: false });
-        self.opt_retry(tid);
-    }
-
-    /// Close an attempt whose `OptValidate{ok:false}` is on the trace. The
-    /// caller then either re-attempts or falls back to pessimistic locking.
-    fn opt_retry(&self, tid: Tid) {
-        self.emit(|| Event::OptRetry { tid });
-        if let Some(m) = self.m() {
-            m.opt_retry();
-        }
-    }
-
     /// Claim a fast-path completion, decided by a validation at the
     /// claim's own order point; a `mutation` claim also requires every
     /// strict ancestor of the final chain node to be unlocked (module docs).
     ///
-    /// `held` is the chain's last node, locked silently: its `Lock` event
-    /// is emitted only once the chain validates, right before the claim.
-    /// A valid chain means every slot in it is still linked, and a held
-    /// slot cannot be freed, so from then on the inode number names the
-    /// incarnation actually locked. On failure the attempt's closing
-    /// events are emitted and `held` is released — without an `Unlock`
-    /// if its `Lock` was never announced.
+    /// `held` is the chain's last node, locked silently: the claim itself
+    /// announces it (`locked`), and only an `ok` claim does. On refusal
+    /// `held` is released silently, and the caller retries or falls back.
     fn opt_claim(
         &self,
         tid: Tid,
@@ -210,28 +221,16 @@ impl AtomFs {
         held: Option<Locked>,
     ) -> Result<Option<Locked>, ()> {
         let valid = || validate_chain(chain) && (!mutation || ancestors_unlocked(chain));
-        if let Some(ino) = held.as_ref().filter(|_| self.is_traced()).map(|l| l.ino) {
-            if !valid() {
-                self.opt_attempt_failed(tid);
-                self.release(held.expect("checked"));
-                return Err(());
-            }
-            self.emit(|| Event::Lock {
-                tid,
-                ino,
-                tag: PathTag::Common,
-            });
-        }
         let ok = match &self.sink {
-            Some(sink) => sink.claim(tid, &valid),
+            Some(sink) => with_inos(chain, |inos| sink.claim(tid, inos, held.is_some(), &valid)),
             None => valid(),
         };
         if ok {
             return Ok(held);
         }
-        self.opt_retry(tid);
+        self.count_retry();
         if let Some(l) = held {
-            self.unlock(tid, l);
+            self.release(l);
         }
         Err(())
     }
@@ -251,6 +250,13 @@ impl AtomFs {
     }
 
     #[inline]
+    fn count_retry(&self) {
+        if let Some(m) = self.m() {
+            m.opt_retry();
+        }
+    }
+
+    #[inline]
     fn count_fallback(&self) {
         if let Some(m) = self.m() {
             m.opt_fallback();
@@ -265,8 +271,7 @@ impl AtomFs {
         }
         self.count_attempt();
         for _ in 0..MAX_OPT_ATTEMPTS {
-            let Ok((chain, end)) = self.opt_resolve(tid, comps) else {
-                self.opt_attempt_failed(tid);
+            let Some((chain, end)) = self.opt_walk(tid, comps) else {
                 continue;
             };
             let out = match end {
@@ -294,8 +299,7 @@ impl AtomFs {
         }
         self.count_attempt();
         for _ in 0..MAX_OPT_ATTEMPTS {
-            let Ok((chain, end)) = self.opt_resolve(tid, comps) else {
-                self.opt_attempt_failed(tid);
+            let Some((chain, end)) = self.opt_walk(tid, comps) else {
                 continue;
             };
             let out = match end {
@@ -333,8 +337,7 @@ impl AtomFs {
         }
         self.count_attempt();
         for _ in 0..MAX_OPT_ATTEMPTS {
-            let Ok((chain, end)) = self.opt_resolve(tid, comps) else {
-                self.opt_attempt_failed(tid);
+            let Some((chain, end)) = self.opt_walk(tid, comps) else {
                 continue;
             };
             let lockless_err = match end {
@@ -427,8 +430,7 @@ impl AtomFs {
         }
         self.count_attempt();
         for _ in 0..MAX_OPT_ATTEMPTS {
-            let Ok((chain, end)) = self.opt_resolve(tid, comps) else {
-                self.opt_attempt_failed(tid);
+            let Some((chain, end)) = self.opt_walk(tid, comps) else {
                 continue;
             };
             let &(node, _) = chain.last().expect("nonempty");
@@ -459,8 +461,9 @@ impl AtomFs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomfs_trace::current_tid;
+    use atomfs_trace::{current_tid, BufferSink, TraceSink};
     use atomfs_vfs::FileSystem;
+    use std::sync::Arc;
 
     fn fs() -> AtomFs {
         AtomFs::new()
@@ -479,7 +482,9 @@ mod tests {
         let names = fs.opt_readdir(tid, &["a", "b"]).expect("fast path");
         assert_eq!(names.unwrap(), vec!["f".to_string()]);
         let mut buf = [0u8; 3];
-        let n = fs.opt_read(tid, &["a", "b", "f"], 0, &mut buf).expect("fast path");
+        let n = fs
+            .opt_read(tid, &["a", "b", "f"], 0, &mut buf)
+            .expect("fast path");
         assert_eq!(n.unwrap(), 3);
         assert_eq!(&buf, b"xyz");
     }
@@ -536,14 +541,43 @@ mod tests {
         let a_ref = fs.table.get(a_ino).unwrap();
         let guard = a_ref.lock();
         // Mutations must refuse the fast path...
-        assert!(fs.opt_create(tid, &["a", "b"], "g", FileType::File).is_none());
+        assert!(fs
+            .opt_create(tid, &["a", "b"], "g", FileType::File)
+            .is_none());
         assert!(fs.opt_remove(tid, &["a", "b"], "f", false).is_none());
         // ...while lockless reads still complete (no probe, and the lock
         // holder has not touched any sequence counter).
         assert!(fs.opt_stat(tid, &["a", "b", "f"]).is_some());
         drop(guard);
         // With the lock released the mutation fast path works again.
-        assert!(fs.opt_create(tid, &["a", "b"], "g", FileType::File).is_some());
+        assert!(fs
+            .opt_create(tid, &["a", "b"], "g", FileType::File)
+            .is_some());
+    }
+
+    /// An attempt abandoned mid-walk is one refused claim of the prefix
+    /// it reached: with `/a` inside a write window, every attempt stops
+    /// at the root, and the operation falls back.
+    #[test]
+    fn mid_walk_failure_records_one_refusal_per_attempt() {
+        let sink = Arc::new(BufferSink::new());
+        let fs = AtomFs::traced(Arc::clone(&sink) as Arc<dyn TraceSink>);
+        fs.mkdir("/a").unwrap();
+        fs.mkdir("/a/b").unwrap();
+        fs.mknod("/a/b/f").unwrap();
+        let a = fs.table.get(fs.stat("/a").unwrap().ino).unwrap();
+        sink.take();
+        let guard = a.lock();
+        a.write_begin();
+        assert!(fs.opt_stat(current_tid(), &["a", "b", "f"]).is_none());
+        a.write_end(&guard);
+        let refusal = Event::OptValidate {
+            tid: current_tid(),
+            chain: vec![atomfs_trace::ROOT_INUM],
+            locked: false,
+            ok: false,
+        };
+        assert_eq!(sink.take(), vec![refusal; MAX_OPT_ATTEMPTS]);
     }
 
     #[test]

@@ -457,14 +457,23 @@ mod tracing {
         let _ = fs.rename("/a", "/a/sub"); // EINVAL, stateless
         let mut held = std::collections::HashMap::new();
         for e in sink.take() {
-            match e {
-                Event::Lock { ino, .. } => {
-                    assert!(held.insert(ino, ()).is_none(), "double lock of {ino}");
-                }
+            let locked = match e {
+                Event::Lock { ino, .. } => Some(ino),
+                // A granted fast-path claim announces the lock it holds.
+                Event::OptValidate {
+                    chain,
+                    locked: true,
+                    ok: true,
+                    ..
+                } => chain.last().copied(),
                 Event::Unlock { ino, .. } => {
                     assert!(held.remove(&ino).is_some(), "unlock without lock of {ino}");
+                    None
                 }
-                _ => {}
+                _ => None,
+            };
+            if let Some(ino) = locked {
+                assert!(held.insert(ino, ()).is_none(), "double lock of {ino}");
             }
         }
         assert!(held.is_empty(), "locks left held: {held:?}");
@@ -500,10 +509,9 @@ mod tracing {
         assert_eq!(ends, 8);
     }
 
-
-    /// The optimistic fast-path protocol shapes (tentpole): a mutation
-    /// claims its validated chain after locking only the parent; a
-    /// fully lockless read has no `Lock` and no `Lp` at all — its
+    /// The optimistic fast-path protocol shapes: a mutation's one claim
+    /// carries its walked chain and announces the parent lock it holds;
+    /// a fully lockless read has no `Lock` and no `Lp` at all — its
     /// successful `OptValidate` is the linearization point.
     #[test]
     fn fast_path_emits_optimistic_protocol_shape() {
@@ -511,32 +519,32 @@ mod tracing {
         let fs = AtomFs::traced(Arc::clone(&sink) as Arc<dyn atomfs_trace::TraceSink>);
         fs.mkdir("/a").unwrap();
         let events = sink.take();
-        // OpBegin, OptRead(root), Lock(root), OptValidate(ok),
-        // Mutate(create), Mutate(ins), Lp, Unlock, OpEnd.
+        // OpBegin, OptValidate([root], locked), Mutate(create),
+        // Mutate(ins), Lp, Unlock, OpEnd.
         assert!(matches!(events[0], Event::OpBegin { .. }));
-        assert!(matches!(events[1], Event::OptRead { ino: ROOT_INUM, .. }));
-        assert!(matches!(events[2], Event::Lock { ino: ROOT_INUM, .. }));
-        assert!(matches!(events[3], Event::OptValidate { ok: true, .. }));
-        assert!(matches!(&events[4], Event::Mutate { mop, .. }
+        assert!(
+            matches!(&events[1], Event::OptValidate { chain, locked: true, ok: true, .. }
+            if *chain == [ROOT_INUM])
+        );
+        assert!(matches!(&events[2], Event::Mutate { mop, .. }
             if matches!(mop, atomfs_trace::MicroOp::Create { .. })));
-        assert!(matches!(&events[5], Event::Mutate { mop, .. }
+        assert!(matches!(&events[3], Event::Mutate { mop, .. }
             if matches!(mop, atomfs_trace::MicroOp::Ins { .. })));
-        assert!(matches!(events[6], Event::Lp { .. }));
-        assert!(matches!(events[7], Event::Unlock { ino: ROOT_INUM, .. }));
-        assert!(matches!(events[8], Event::OpEnd { .. }));
-        assert_eq!(events.len(), 9);
+        assert!(matches!(events[4], Event::Lp { .. }));
+        assert!(matches!(events[5], Event::Unlock { ino: ROOT_INUM, .. }));
+        assert!(matches!(events[6], Event::OpEnd { .. }));
+        assert_eq!(events.len(), 7);
 
-        fs.stat("/a").unwrap();
+        let a = fs.stat("/a").unwrap().ino;
         let events = sink.take();
-        // OpBegin, OptRead(root), OptRead(a), OptValidate(ok), OpEnd —
-        // zero locks, zero Lp.
+        // OpBegin, OptValidate([root, a]), OpEnd — zero locks, zero Lp.
         assert!(matches!(events[0], Event::OpBegin { .. }));
-        assert!(matches!(events[1], Event::OptRead { ino: ROOT_INUM, .. }));
-        assert!(matches!(events[2], Event::OptRead { .. }));
-        assert!(matches!(events[3], Event::OptValidate { ok: true, .. }));
-        assert!(matches!(events[4], Event::OpEnd { .. }));
-        assert_eq!(events.len(), 5);
-        assert!(!events.iter().any(|e| matches!(e, Event::Lock { .. } | Event::Lp { .. })));
+        assert!(
+            matches!(&events[1], Event::OptValidate { chain, locked: false, ok: true, .. }
+            if *chain == [ROOT_INUM, a])
+        );
+        assert!(matches!(events[2], Event::OpEnd { .. }));
+        assert_eq!(events.len(), 3);
     }
 
     /// Read-only fast-path completions linearize at their claim: one
@@ -552,7 +560,10 @@ mod tracing {
         let _ = fs.readdir("/a").unwrap();
         let _ = fs.stat("/missing");
         let events = sink.take();
-        let lps = events.iter().filter(|e| matches!(e, Event::Lp { .. })).count();
+        let lps = events
+            .iter()
+            .filter(|e| matches!(e, Event::Lp { .. }))
+            .count();
         let claims = events
             .iter()
             .filter(|e| matches!(e, Event::OptValidate { ok: true, .. }))

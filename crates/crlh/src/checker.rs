@@ -27,22 +27,23 @@
 //!
 //! # Optimistic-traversal admission
 //!
-//! Traces from the seqlock fast path interleave `OptRead` / `OptValidate`
-//! / `OptRetry` events with the pessimistic protocol. A successful
-//! validation (`OptValidate { ok: true }`) is admitted as a legal
-//! lock-path witness: the opt-read chain must be exactly the shadow
-//! state's resolution trail at that stamp. A claim that holds the chain's
-//! last node becomes the descriptor's `LockPath` — exactly what a
-//! lock-coupled walk holding that node would have — and a mutation then
-//! stays pending until its own LP, or until a rename's `linothers` helps
-//! it (§5.1: a lock acquire is not a commit point). Only effect-free
-//! completions (reads, walk-decided errors) linearize *at the claim*,
-//! against the rolled-back (concrete-time) state. The runtime decides a
-//! claim's `ok` at the claim's own stamp, so a successful claim is
-//! committed there: a chain that disagrees with the shadow tree, an
-//! effect-free claim that would change state, and an `OptRetry` after a
-//! successful claim are violations outright. A failed validation must be
-//! followed by `OptRetry`.
+//! A seqlock fast-path attempt is one event, `OptValidate { chain,
+//! locked, ok }`, whose `ok` the runtime decides at the event's own
+//! stamp. A refusal (`ok: false`) changes no state: the thread holds no
+//! announced lock and must retry or fall back. A thread that ignores it
+//! is caught anyway — it ends without a linearization, or it mutates
+//! without the lock. A successful claim is final and admits `chain` as a
+//! legal lock-path witness: the chain must be exactly the shadow state's
+//! resolution trail at that stamp. With `locked`, the claim also takes
+//! the lock of `chain.last()` and the chain becomes the descriptor's
+//! `LockPath` — exactly what a lock-coupled walk holding that node would
+//! have — and a mutation then stays pending until its own LP, or until a
+//! rename's `linothers` helps it (§5.1: a lock acquire is not a commit
+//! point). Only effect-free completions (reads, walk-decided errors)
+//! linearize *at the claim*, against the rolled-back (concrete-time)
+//! state. A chain that does not start at the root or disagrees with the
+//! shadow tree, and an effect-free claim that would change state, are
+//! violations outright.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -134,11 +135,10 @@ pub enum ViolationKind {
     FutureLockpath,
     /// Table 1: the LockPathPrefix relation has a cycle.
     LockpathWellformed,
-    /// The optimistic-traversal protocol was broken: a claim with no
-    /// preceding opt-reads, a chain not starting at the root, a claimed
-    /// chain stale at its stamp, a lockless claim producing abstract
-    /// effects, continuing after a failed validation without `OptRetry`,
-    /// retrying after a successful claim, or a rename on the fast path.
+    /// The optimistic-traversal protocol was broken: a chain not starting
+    /// at the root, a claimed chain stale at its stamp, a lockless claim
+    /// producing abstract effects, a claim by an already-linearized
+    /// operation, or a rename on the fast path.
     OptValidation,
 }
 
@@ -219,7 +219,7 @@ pub struct CheckerStats {
     /// Optimistic claims committed (operations admitted via a validated
     /// seqlock chain instead of a lock-coupled walk).
     pub opt_claims: u64,
-    /// Optimistic attempts abandoned (`OptRetry` events).
+    /// Optimistic attempts refused (`OptValidate { ok: false }` events).
     pub opt_retries: u64,
     /// Operations refused by the environment (`EROFS` from a quarantined
     /// shard range or a degraded sink) before reaching a linearization
@@ -247,7 +247,8 @@ pub struct RetainedState {
     pub private_inodes: usize,
     /// Concrete removals awaiting their owner's LP unbind.
     pub pending_unbinds: usize,
-    /// Threads with live optimistic-traversal state.
+    /// Always 0: an optimistic attempt is one event, so the checker
+    /// keeps no per-thread attempt state. Kept for readers of the census.
     pub opt_states: usize,
     /// Narration lines held (bounded when a cap is set).
     pub narration_lines: usize,
@@ -265,7 +266,6 @@ impl RetainedState {
             + self.locks_held
             + self.private_inodes
             + self.pending_unbinds
-            + self.opt_states
             + self.narration_lines
     }
 }
@@ -307,22 +307,6 @@ impl CheckReport {
     pub fn of_kind(&self, kind: ViolationKind) -> Vec<&Violation> {
         self.violations.iter().filter(|v| v.kind == kind).collect()
     }
-}
-
-/// Optimistic-traversal admission state for one thread.
-///
-/// Tracks the chain of `OptRead` events of the current attempt and
-/// whether the attempt took its single fast-path lock. A successful claim
-/// is committed at its stamp; a failed one obliges an `OptRetry` next.
-#[derive(Debug, Default)]
-struct OptState {
-    /// Concrete inodes opt-read by the current attempt, root first.
-    chain: Vec<Inum>,
-    /// The attempt locked the chain's last node (fast-path lock).
-    locked: bool,
-    /// A validation failed: the next same-thread event must be
-    /// `OptRetry`.
-    must_retry: bool,
 }
 
 /// Dirty-set bookkeeping behind the incremental relation and invariant
@@ -451,9 +435,8 @@ impl IncrState {
     }
 }
 
-/// The replaying checker. Feed events with [`LpChecker::feed`] (or install
-/// as an online [`atomfs_trace::TraceSink`] via `crate::online`), then call
-/// [`LpChecker::finish`].
+/// The replaying checker. Feed events with [`LpChecker::feed`] (or let a
+/// [`crate::StreamChecker`] feed it live), then call [`LpChecker::finish`].
 pub struct LpChecker {
     cfg: CheckerConfig,
     shadow: FsState,
@@ -467,8 +450,6 @@ pub struct LpChecker {
     /// Concrete inodes removed inside a critical section whose abstract
     /// removal happens later, at the owner's LP; unbound there.
     pending_unbinds: FastMap<Tid, Vec<Inum>>,
-    /// Per-thread optimistic-traversal state (see [`OptState`]).
-    opt: FastMap<Tid, OptState>,
     /// Dirty-set bookkeeping for the incremental relation and invariant
     /// checks (see [`IncrState`]).
     incr: IncrState,
@@ -509,7 +490,6 @@ impl LpChecker {
             locks: FastMap::default(),
             private: FastMap::default(),
             pending_unbinds: FastMap::default(),
-            opt: FastMap::default(),
             incr: IncrState::default(),
             next_provisional: crate::ghost::PROVISIONAL_BASE,
             violations: Vec::new(),
@@ -535,10 +515,7 @@ impl LpChecker {
 
     /// Attach live checker metrics (builder-style). Under `obs-off` the
     /// handles are inert and the hooks compile to nothing.
-    pub fn with_metrics(
-        mut self,
-        metrics: std::sync::Arc<crate::metrics::CheckerMetrics>,
-    ) -> Self {
+    pub fn with_metrics(mut self, metrics: std::sync::Arc<crate::metrics::CheckerMetrics>) -> Self {
         self.metrics = Some(metrics);
         self
     }
@@ -579,7 +556,7 @@ impl LpChecker {
 
     /// Measure the replay state currently held. On a clean trace every
     /// component retires on its own — descriptors at `OpEnd`, effect
-    /// logs and Helplist entries at discharge, opt states on commit — so
+    /// logs and Helplist entries at discharge, locks at unlock — so
     /// this is O(in-flight operations), not O(trace). The streaming
     /// checker exports these counts as gauges and the bench asserts they
     /// stay bounded; growth here under a steady workload means a
@@ -593,7 +570,7 @@ impl LpChecker {
             locks_held: self.locks.len(),
             private_inodes: self.private.len(),
             pending_unbinds: self.pending_unbinds.values().map(Vec::len).sum(),
-            opt_states: self.opt.len(),
+            opt_states: 0,
             narration_lines: self.narration.len(),
         }
     }
@@ -639,7 +616,6 @@ impl LpChecker {
 
     /// Process one event.
     pub fn feed(&mut self, ev: &Event) {
-        self.opt_gate(ev);
         match ev {
             Event::OpBegin { tid, op } => self.on_begin(*tid, op),
             Event::Lock { tid, ino, tag } => self.on_lock(*tid, *ino, *tag),
@@ -647,27 +623,17 @@ impl LpChecker {
             Event::Mutate { tid, mop } => self.on_mutate(*tid, mop),
             Event::Lp { tid } => self.on_lp(*tid),
             Event::OpEnd { tid, ret } => self.on_end(*tid, ret),
-            Event::OptRead { tid, ino } => self.on_opt_read(*tid, *ino),
-            Event::OptValidate { tid, ok } => self.on_opt_validate(*tid, *ok),
-            Event::OptRetry { tid } => self.on_opt_retry(*tid),
+            Event::OptValidate {
+                tid,
+                chain,
+                locked,
+                ok,
+            } => self.on_opt_validate(*tid, chain, *locked, *ok),
         }
         if self.cfg.relation == RelationCadence::EveryEvent {
             self.check_relation();
         }
         self.idx += 1;
-    }
-
-    /// A failed validation must be followed immediately by `OptRetry`.
-    fn opt_gate(&mut self, ev: &Event) {
-        let tid = ev.tid();
-        let retry = matches!(ev, Event::OptRetry { .. });
-        let o = self.opt.get_mut(&tid);
-        if !retry && o.is_some_and(|o| std::mem::take(&mut o.must_retry)) {
-            self.flag(
-                ViolationKind::OptValidation,
-                format!("{tid} continued after a failed optimistic validation without OptRetry"),
-            );
-        }
     }
 
     /// Process a whole trace.
@@ -762,7 +728,6 @@ impl LpChecker {
     }
 
     fn on_begin(&mut self, tid: Tid, op: &OpDesc) {
-        self.opt.remove(&tid);
         self.stats.ops_begun += 1;
         self.narrate(format!("{tid} invokes {op}"));
         if !self.pool.begin(tid, op.clone()) {
@@ -773,13 +738,18 @@ impl LpChecker {
         }
     }
 
-    fn on_lock(&mut self, tid: Tid, ino: Inum, tag: PathTag) {
+    /// Record `tid` as the holder of `ino`'s lock.
+    fn take_lock(&mut self, tid: Tid, ino: Inum) {
         if let Some(holder) = self.locks.insert(ino, tid) {
             self.flag(
                 ViolationKind::Protocol,
                 format!("{tid} locked {ino} already held by {holder}"),
             );
         }
+    }
+
+    fn on_lock(&mut self, tid: Tid, ino: Inum, tag: PathTag) {
+        self.take_lock(tid, ino);
         let Some(entry) = self.pool.get_mut(tid) else {
             self.flag(
                 ViolationKind::Protocol,
@@ -787,18 +757,6 @@ impl LpChecker {
             );
             return;
         };
-        // A lock on the last node of the thread's live optimistic chain is
-        // a fast-path lock: the seqlock chain the upcoming claim certifies
-        // subsumes the incremental non-bypass checks (the runtime's
-        // ancestor probe covers the pinned-thread hazard), so they are
-        // skipped for this acquisition — and the lock path stays empty
-        // until the claim admits the whole chain.
-        if let Some(o) = self.opt.get_mut(&tid) {
-            if o.chain.last() == Some(&ino) {
-                o.locked = true;
-                return;
-            }
-        }
         entry.desc.push_lock(ino, tag);
         let abs = self.binding.abs(ino);
         // Future-lockpath-validness for the locking thread itself.
@@ -1254,66 +1212,41 @@ impl LpChecker {
                 self.binding.unbind_concrete(ino);
             }
         }
-        self.opt.remove(&tid);
     }
 
-    fn on_opt_read(&mut self, tid: Tid, ino: Inum) {
+    fn on_opt_validate(&mut self, tid: Tid, chain: &[Inum], locked: bool, ok: bool) {
         if self.pool.get(tid).is_none() {
             self.flag(
                 ViolationKind::Protocol,
-                format!("{tid} opt-read {ino} outside any operation"),
+                format!("{tid} claimed outside any operation"),
             );
             return;
         }
-        let o = self.opt.entry(tid).or_default();
-        let bad_start = o.chain.is_empty() && ino != atomfs_trace::ROOT_INUM;
-        o.chain.push(ino);
-        if bad_start {
+        if chain.first() != Some(&atomfs_trace::ROOT_INUM) {
             self.flag(
                 ViolationKind::OptValidation,
-                format!("{tid} started an optimistic walk at {ino}, not the root"),
-            );
-        }
-    }
-
-    fn on_opt_validate(&mut self, tid: Tid, ok: bool) {
-        let Some(entry) = self.pool.get(tid) else {
-            self.flag(
-                ViolationKind::Protocol,
-                format!("{tid} opt-validated outside any operation"),
+                format!("{tid} claimed chain {chain:?}, which does not start at the root"),
             );
             return;
-        };
+        }
         if !ok {
-            // `locked` is left for on_opt_retry, which drops the refused
-            // attempt's lock.
-            let o = self.opt.entry(tid).or_default();
-            o.chain.clear();
-            o.must_retry = true;
+            // A refusal changes nothing: its lock was never announced.
+            self.stats.opt_retries += 1;
             return;
         }
-        let op = match &entry.aop {
+        if locked {
+            self.take_lock(tid, *chain.last().expect("starts at the root"));
+        }
+        let op = match &self.pool.get(tid).expect("checked above").aop {
             AopState::Pending(op) => op.clone(),
             AopState::Done(_) => {
                 self.flag(
                     ViolationKind::OptValidation,
                     format!("{tid} claimed optimistically but is already linearized"),
                 );
-                self.opt.remove(&tid);
                 return;
             }
         };
-        let (chain, locked) = {
-            let o = self.opt.entry(tid).or_default();
-            (o.chain.clone(), o.locked)
-        };
-        if chain.is_empty() {
-            self.flag(
-                ViolationKind::OptValidation,
-                format!("{tid} claimed a validation with no optimistic reads"),
-            );
-            return;
-        }
         let Some(comps) = opt_comps(&op) else {
             self.flag(
                 ViolationKind::OptValidation,
@@ -1345,7 +1278,7 @@ impl LpChecker {
             // lock-coupled walker holding the same node: it linearizes at
             // its own LP, or when a rename's `linothers` helps it.
             if let Some(e) = self.pool.get_mut(tid) {
-                e.desc.common = chain;
+                e.desc.common = chain.to_vec();
             }
             if matches!(
                 op,
@@ -1409,27 +1342,6 @@ impl LpChecker {
         self.narrate(format!("{tid} linearized at its optimistic claim => {ret}"));
         let entry = self.pool.get_mut(tid).expect("caller checked");
         entry.aop = AopState::Done(ret);
-    }
-
-    fn on_opt_retry(&mut self, tid: Tid) {
-        self.stats.opt_retries += 1;
-        let refused = {
-            let o = self.opt.entry(tid).or_default();
-            o.chain.clear();
-            o.locked = false;
-            std::mem::take(&mut o.must_retry)
-        };
-        if self.pool.get(tid).is_none() {
-            self.flag(
-                ViolationKind::Protocol,
-                format!("{tid} opt-retried outside any operation"),
-            );
-        } else if !refused {
-            self.flag(
-                ViolationKind::OptValidation,
-                format!("{tid} retried without a failed validation (a successful claim is final)"),
-            );
-        }
     }
 
     fn check_relation(&mut self) {
@@ -2041,8 +1953,8 @@ mod tests {
         }
     }
 
-    /// The instrumented fast-path mknod/mkdir grammar: opt-walk to the
-    /// parent, lock it, claim, mutate under the lock, LP, unlock.
+    /// The instrumented fast-path mknod/mkdir grammar: a claim that
+    /// announces the parent's lock, mutate under it, LP, unlock.
     fn fast_create(tid: Tid, name: &str, new_ino: Inum, ftype: FileType) -> Vec<Event> {
         let path = comps(&[name]);
         vec![
@@ -2053,9 +1965,7 @@ mod tests {
                     FileType::Dir => OpDesc::Mkdir { path },
                 },
             },
-            Event::OptRead { tid, ino: 1 },
-            lock(tid, 1),
-            Event::OptValidate { tid, ok: true },
+            claim(tid, &[1], true, true),
             Event::Mutate {
                 tid,
                 mop: MicroOp::Create {
@@ -2078,6 +1988,15 @@ mod tests {
                 ret: OpRet::Ok,
             },
         ]
+    }
+
+    fn claim(tid: Tid, chain: &[Inum], locked: bool, ok: bool) -> Event {
+        Event::OptValidate {
+            tid,
+            chain: chain.to_vec(),
+            locked,
+            ok,
+        }
     }
 
     fn lock(tid: Tid, ino: Inum) -> Event {
@@ -2130,9 +2049,7 @@ mod tests {
                     path: comps(&["f"]),
                 },
             },
-            Event::OptRead { tid: a, ino: 1 },
-            lock(a, 1),
-            Event::OptValidate { tid: a, ok: true },
+            claim(a, &[1], true, true),
             mutate(
                 b,
                 MicroOp::SetData {
@@ -2207,9 +2124,7 @@ mod tests {
                     path: comps(&["d"]),
                 },
             },
-            Event::OptRead { tid: a, ino: 1 },
-            lock(a, 1),
-            Event::OptValidate { tid: a, ok: true },
+            claim(a, &[1], true, true),
             mutate(
                 b,
                 MicroOp::Create {
@@ -2244,32 +2159,25 @@ mod tests {
     }
 
     /// The write-claim-then-unlink twin: B's fast-path `write /f` holds
-    /// the file and A's fast-path `unlink /f` claims on the root. A claim
-    /// is final at its stamp, so B claiming `ok` and then retrying is a
-    /// violation; B's claim decided after A's (refused by the ancestor
-    /// probe) is `ok: false`, and its retry finds the file gone.
+    /// the file and A's fast-path `unlink /f` claims on the root. B's
+    /// claim decided after A's (refused by the ancestor probe) is
+    /// `ok: false` and releases the file silently; its retry finds the
+    /// file gone. Had B's claim been granted, the lock it announced is
+    /// B's until an `Unlock`, so A locking the file is a violation.
     #[test]
-    fn write_claim_retried_under_an_unlink_claim_is_a_violation() {
+    fn write_claim_under_an_unlink_claim_is_refused_or_flagged() {
         let (a, b) = (Tid(1), Tid(2));
         let trace = |b_claimed_first: bool| {
-            let b_claim = Event::OptValidate {
-                tid: b,
-                ok: b_claimed_first,
-            };
+            let b_claim = claim(b, &[1, 2], true, b_claimed_first);
             let mut trace = fast_create(a, "f", 2, FileType::File);
-            trace.extend([
-                Event::OpBegin {
-                    tid: b,
-                    op: OpDesc::Write {
-                        path: comps(&["f"]),
-                        offset: 0,
-                        data: b"abc".to_vec(),
-                    },
+            trace.push(Event::OpBegin {
+                tid: b,
+                op: OpDesc::Write {
+                    path: comps(&["f"]),
+                    offset: 0,
+                    data: b"abc".to_vec(),
                 },
-                Event::OptRead { tid: b, ino: 1 },
-                Event::OptRead { tid: b, ino: 2 },
-                lock(b, 2),
-            ]);
+            });
             if b_claimed_first {
                 trace.push(b_claim.clone());
             }
@@ -2280,16 +2188,12 @@ mod tests {
                         path: comps(&["f"]),
                     },
                 },
-                Event::OptRead { tid: a, ino: 1 },
-                lock(a, 1),
-                Event::OptValidate { tid: a, ok: true },
+                claim(a, &[1], true, true),
             ]);
             if !b_claimed_first {
                 trace.push(b_claim);
             }
             trace.extend([
-                Event::OptRetry { tid: b },
-                Event::Unlock { tid: b, ino: 2 },
                 lock(a, 2),
                 mutate(
                     a,
@@ -2313,8 +2217,7 @@ mod tests {
                     tid: a,
                     ret: OpRet::Ok,
                 },
-                Event::OptRead { tid: b, ino: 1 },
-                Event::OptValidate { tid: b, ok: true },
+                claim(b, &[1], false, true),
                 Event::OpEnd {
                     tid: b,
                     ret: OpRet::Err(atomfs_vfs::FsError::NotFound),
@@ -2323,7 +2226,7 @@ mod tests {
             trace
         };
         let report = LpChecker::check(cfg_full(), &trace(true));
-        assert!(!report.of_kind(ViolationKind::OptValidation).is_empty());
+        assert!(!report.of_kind(ViolationKind::Protocol).is_empty());
         let report = assert_clean_and_linearizable(&trace(false));
         assert_eq!(report.stats.opt_retries, 1);
     }
@@ -2350,10 +2253,7 @@ mod tests {
                     path: comps(&["a", "f"]),
                 },
             },
-            Event::OptRead { tid: a, ino: 1 },
-            Event::OptRead { tid: a, ino: 2 },
-            lock(a, 2),
-            Event::OptValidate { tid: a, ok: true },
+            claim(a, &[1, 2], true, true),
             mutate(
                 a,
                 MicroOp::Create {
@@ -2397,9 +2297,8 @@ mod tests {
                 },
             ),
             unlink(b),
-            Event::OptRead { tid: b, ino: 1 },
         ]);
-        let claim = |ok| Event::OptValidate { tid: b, ok };
+        let b_claim = |ok| claim(b, &[1], false, ok);
         let enoent = Event::OpEnd {
             tid: b,
             ret: OpRet::Err(atomfs_vfs::FsError::NotFound),
@@ -2424,18 +2323,14 @@ mod tests {
 
         let retried = |ok| {
             let mut trace = head.clone();
-            trace.extend([claim(ok), Event::OptRetry { tid: b }]);
+            trace.push(b_claim(ok));
             trace.extend(rename_tail.clone());
-            trace.extend([
-                Event::OptRead { tid: b, ino: 1 },
-                claim(true),
-                enoent.clone(),
-            ]);
+            trace.extend([b_claim(true), enoent.clone()]);
             trace
         };
 
         let mut committed = head.clone();
-        committed.extend([claim(true), enoent.clone()]);
+        committed.extend([b_claim(true), enoent.clone()]);
         committed.extend(rename_tail.clone());
         let report = LpChecker::check(cfg_full(), &committed);
         assert!(!report.of_kind(ViolationKind::OptValidation).is_empty());
@@ -2467,9 +2362,7 @@ mod tests {
                     path: comps(&["a"]),
                 },
             },
-            Event::OptRead { tid: t, ino: 1 },
-            Event::OptRead { tid: t, ino: 2 },
-            Event::OptValidate { tid: t, ok: true },
+            claim(t, &[1, 2], false, true),
             Event::OpEnd {
                 tid: t,
                 ret: OpRet::Stat(atomfs_trace::StatRet {
@@ -2485,8 +2378,10 @@ mod tests {
         assert_eq!(report.stats.lps, 1);
     }
 
+    /// A refused claim linearizes nothing: ending the operation there
+    /// leaves it without a linearization.
     #[test]
-    fn failed_validation_without_retry_is_flagged() {
+    fn refused_claim_followed_by_op_end_is_flagged() {
         let t = Tid(1);
         let trace = vec![
             Event::OpBegin {
@@ -2495,16 +2390,52 @@ mod tests {
                     path: comps(&["a"]),
                 },
             },
-            Event::OptRead { tid: t, ino: 1 },
-            Event::OptValidate { tid: t, ok: false },
+            claim(t, &[1], false, false),
             Event::OpEnd {
                 tid: t,
                 ret: OpRet::Err(atomfs_vfs::FsError::NotFound),
             },
         ];
         let report = LpChecker::check(cfg_full(), &trace);
-        assert!(!report.is_ok());
-        assert!(!report.of_kind(ViolationKind::OptValidation).is_empty());
+        assert!(!report.of_kind(ViolationKind::NoLinearization).is_empty());
+    }
+
+    /// A refused claim announces no lock: mutating under it breaks the
+    /// guarantee condition.
+    #[test]
+    fn refused_claim_followed_by_mutate_is_flagged() {
+        let t = Tid(1);
+        let trace = vec![
+            Event::OpBegin {
+                tid: t,
+                op: OpDesc::Mkdir {
+                    path: comps(&["a"]),
+                },
+            },
+            claim(t, &[1], true, false),
+            mutate(
+                t,
+                MicroOp::Create {
+                    ino: 2,
+                    ftype: FileType::Dir,
+                },
+            ),
+            mutate(
+                t,
+                MicroOp::Ins {
+                    parent: 1,
+                    name: "a".into(),
+                    child: 2,
+                },
+            ),
+            Event::Lp { tid: t },
+            Event::OpEnd {
+                tid: t,
+                ret: OpRet::Ok,
+            },
+        ];
+        let report = LpChecker::check(cfg_full(), &trace);
+        assert!(!report.of_kind(ViolationKind::RelyGuarantee).is_empty());
     }
 
     #[test]
@@ -2517,9 +2448,7 @@ mod tests {
                     path: comps(&["a"]),
                 },
             },
-            Event::OptRead { tid: t, ino: 1 },
-            Event::OptValidate { tid: t, ok: false },
-            Event::OptRetry { tid: t },
+            claim(t, &[1], false, false),
             // Pessimistic fallback: lock-coupled walk fails at the root.
             Event::Lock {
                 tid: t,
@@ -2540,68 +2469,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_after_a_successful_claim_is_a_violation() {
-        // A fast-path mkdir announces its lock and claims, then retries
-        // and re-runs pessimistically. A claim decided at its stamp is
-        // final, so retrying after `ok: true` is a violation; refused
-        // (`ok: false`), the retry's own LP is the one linearization and
-        // the final relation check sees /a once.
-        let t = Tid(1);
-        let trace = |ok| {
-            vec![
-                Event::OpBegin {
-                    tid: t,
-                    op: OpDesc::Mkdir {
-                        path: comps(&["a"]),
-                    },
-                },
-                Event::OptRead { tid: t, ino: 1 },
-                Event::Lock {
-                    tid: t,
-                    ino: 1,
-                    tag: PathTag::Common,
-                },
-                Event::OptValidate { tid: t, ok },
-                Event::OptRetry { tid: t },
-                Event::Unlock { tid: t, ino: 1 },
-                // Pessimistic retry performs the mkdir for real.
-                Event::Lock {
-                    tid: t,
-                    ino: 1,
-                    tag: PathTag::Common,
-                },
-                Event::Mutate {
-                    tid: t,
-                    mop: MicroOp::Create {
-                        ino: 2,
-                        ftype: FileType::Dir,
-                    },
-                },
-                Event::Mutate {
-                    tid: t,
-                    mop: MicroOp::Ins {
-                        parent: 1,
-                        name: "a".to_string(),
-                        child: 2,
-                    },
-                },
-                Event::Lp { tid: t },
-                Event::Unlock { tid: t, ino: 1 },
-                Event::OpEnd {
-                    tid: t,
-                    ret: OpRet::Ok,
-                },
-            ]
-        };
-        let report = LpChecker::check(cfg_full(), &trace(true));
-        assert!(!report.of_kind(ViolationKind::OptValidation).is_empty());
-        let report = LpChecker::check(cfg_full(), &trace(false));
-        report.assert_ok();
-        assert_eq!(report.stats.opt_claims, 0);
-        assert_eq!(report.stats.opt_retries, 1);
-    }
-
-    #[test]
     fn stale_chain_claim_is_a_violation() {
         // The claimed chain does not match the shadow resolution at the
         // claim's stamp. The runtime validates after the stamp, so such a
@@ -2616,9 +2483,7 @@ mod tests {
                         path: comps(&["a"]),
                     },
                 },
-                Event::OptRead { tid: t, ino: 1 },
-                Event::OptRead { tid: t, ino: 99 },
-                Event::OptValidate { tid: t, ok },
+                claim(t, &[1, 99], false, ok),
             ]
         };
         let mut bad = head(true);
@@ -2633,7 +2498,6 @@ mod tests {
         let retried = |ok| {
             let mut trace = head(ok);
             trace.extend([
-                Event::OptRetry { tid: t },
                 Event::Lock {
                     tid: t,
                     ino: 1,
@@ -2664,8 +2528,7 @@ mod tests {
                     dst: comps(&["b"]),
                 },
             },
-            Event::OptRead { tid: t, ino: 1 },
-            Event::OptValidate { tid: t, ok: true },
+            claim(t, &[1], false, true),
         ];
         let report = LpChecker::check(cfg_full(), &trace);
         assert!(!report.is_ok());
@@ -2673,13 +2536,55 @@ mod tests {
     }
 
     #[test]
-    fn opt_read_outside_an_operation_is_a_protocol_violation() {
-        let trace = vec![Event::OptRead {
-            tid: Tid(1),
-            ino: 1,
-        }];
+    fn claim_outside_an_operation_is_a_protocol_violation() {
+        let trace = vec![claim(Tid(1), &[1], false, true)];
         let report = LpChecker::check(cfg_full(), &trace);
-        assert!(!report.is_ok());
         assert!(!report.of_kind(ViolationKind::Protocol).is_empty());
+    }
+
+    #[test]
+    fn chain_not_starting_at_the_root_is_flagged() {
+        let t = Tid(1);
+        for bad in [claim(t, &[2], false, true), claim(t, &[], false, false)] {
+            let trace = vec![
+                Event::OpBegin {
+                    tid: t,
+                    op: OpDesc::Stat {
+                        path: comps(&["a"]),
+                    },
+                },
+                bad,
+            ];
+            let report = LpChecker::check(cfg_full(), &trace);
+            assert!(!report.of_kind(ViolationKind::OptValidation).is_empty());
+        }
+    }
+
+    /// A granted `locked` claim takes its lock like a `Lock` event, with
+    /// the same holder check.
+    #[test]
+    fn locked_claim_on_a_node_held_by_another_thread_is_a_protocol_violation() {
+        let (a, b) = (Tid(1), Tid(2));
+        let trace = vec![
+            Event::OpBegin {
+                tid: b,
+                op: OpDesc::Stat {
+                    path: comps(&["x"]),
+                },
+            },
+            lock(b, 1),
+            Event::OpBegin {
+                tid: a,
+                op: OpDesc::Mkdir {
+                    path: comps(&["a"]),
+                },
+            },
+            claim(a, &[1], true, true),
+        ];
+        let report = LpChecker::check(cfg_full(), &trace);
+        let held = report.of_kind(ViolationKind::Protocol);
+        assert!(held
+            .iter()
+            .any(|v| v.message.contains("already held by t2")));
     }
 }

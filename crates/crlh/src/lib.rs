@@ -40,16 +40,15 @@
 //! ```
 //! use std::sync::Arc;
 //! use atomfs::AtomFs;
+//! use atomfs_trace::BufferSink;
 //! use atomfs_vfs::FileSystem;
-//! use crlh::online::OnlineChecker;
+//! use crlh::{CheckerConfig, LpChecker};
 //!
-//! let checker = Arc::new(OnlineChecker::default());
-//! let fs = AtomFs::traced(checker.clone());
+//! let sink = Arc::new(BufferSink::new());
+//! let fs = AtomFs::traced(sink.clone());
 //! fs.mkdir("/a").unwrap();
 //! fs.rename("/a", "/b").unwrap();
-//! drop(fs);
-//! let report = Arc::into_inner(checker).unwrap().finish();
-//! report.assert_ok();
+//! LpChecker::check(CheckerConfig::default(), &sink.take()).assert_ok();
 //! ```
 
 pub mod afs;
@@ -60,7 +59,6 @@ pub mod helper;
 pub mod history;
 pub mod invariants;
 pub mod metrics;
-pub mod online;
 pub mod rg;
 pub mod rollback;
 pub mod shardlog;
@@ -74,11 +72,10 @@ pub use checker::{
 };
 pub use history::History;
 pub use metrics::{CheckerMetrics, StreamCheckerMetrics};
-pub use online::OnlineChecker;
-pub use stream::{StreamChecker, StreamConfig, StreamStatus};
-#[doc(hidden)]
-pub use stream::stream_test_ops;
 pub use shardlog::{
     merge_stamped, merge_stamped_with_windows, verify_pairing, MergedLog, PairingReport, TxnRecord,
 };
 pub use state::{FsState, Node};
+#[doc(hidden)]
+pub use stream::stream_test_ops;
+pub use stream::{StreamChecker, StreamConfig, StreamStatus};

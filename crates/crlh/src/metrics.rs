@@ -108,7 +108,7 @@ impl CheckerMetrics {
 
 /// Retained-state components exported by [`StreamCheckerMetrics`], in
 /// the order of the `crlh_stream_retained` gauge family.
-const RETAINED_COMPONENTS: [&str; 9] = [
+const RETAINED_COMPONENTS: [&str; 8] = [
     "descriptors",
     "helplist",
     "effect_entries",
@@ -116,7 +116,6 @@ const RETAINED_COMPONENTS: [&str; 9] = [
     "locks",
     "private_inodes",
     "pending_unbinds",
-    "opt_states",
     "narration",
 ];
 
@@ -215,7 +214,8 @@ impl StreamCheckerMetrics {
     pub fn observe_window(&self, watermark: u64, frontier: u64, lag_ns: u64) {
         self.watermark.set(watermark as i64);
         self.frontier.set(frontier as i64);
-        self.lag_stamps.set(frontier.saturating_sub(watermark) as i64);
+        self.lag_stamps
+            .set(frontier.saturating_sub(watermark) as i64);
         self.lag_ns.set(lag_ns as i64);
     }
 
@@ -229,7 +229,6 @@ impl StreamCheckerMetrics {
             r.locks_held,
             r.private_inodes,
             r.pending_unbinds,
-            r.opt_states,
             r.narration_lines,
         ];
         for (g, v) in self.retained.iter().zip(vals) {

@@ -71,16 +71,14 @@ pub fn classify(ev: &Event) -> Transition {
             target: mop.target(),
             is_alloc: matches!(mop, MicroOp::Create { .. }),
         },
-        // Optimistic-walk events read shared state without writing it: a
-        // lockless read that later *validates* commutes with every guarantee
-        // transition (Mover Logic), so at the rely/guarantee level these are
-        // ghost steps — no concrete shared state changes.
+        // An optimistic attempt reads shared state without writing it: a
+        // lockless read that validates commutes with every guarantee
+        // transition (Mover Logic), so the whole attempt is one ghost
+        // step — no concrete shared state changes.
         Event::OpBegin { tid, .. }
         | Event::Lp { tid }
         | Event::OpEnd { tid, .. }
-        | Event::OptRead { tid, .. }
-        | Event::OptValidate { tid, .. }
-        | Event::OptRetry { tid } => Transition::Ghost { tid: *tid },
+        | Event::OptValidate { tid, .. } => Transition::Ghost { tid: *tid },
     }
 }
 
@@ -144,10 +142,18 @@ mod tests {
                 tid: t,
                 ret: OpRet::Ok,
             },
-            Event::OptRead { tid: t, ino: 4 },
-            Event::OptValidate { tid: t, ok: true },
-            Event::OptValidate { tid: t, ok: false },
-            Event::OptRetry { tid: t },
+            Event::OptValidate {
+                tid: t,
+                chain: vec![1, 4],
+                locked: false,
+                ok: true,
+            },
+            Event::OptValidate {
+                tid: t,
+                chain: vec![1],
+                locked: false,
+                ok: false,
+            },
         ] {
             assert_eq!(classify(&ev), Transition::Ghost { tid: t });
         }

@@ -321,7 +321,7 @@ impl StreamStatus {
              \"lag_stamps\":{},\"lag_ns\":{},\"violations\":{},\
              \"retained\":{{\"descriptors\":{},\"helplist\":{},\
              \"effect_entries\":{},\"bindings\":{},\"locks\":{},\
-             \"private_inodes\":{},\"pending_unbinds\":{},\"opt_states\":{},\
+             \"private_inodes\":{},\"pending_unbinds\":{},\
              \"narration\":{},\"window_total\":{}}},\
              \"stats\":{{\"ops_begun\":{},\"ops_completed\":{},\"lps\":{},\
              \"helps\":{},\"opt_claims\":{},\"opt_retries\":{},\"refused\":{}}}",
@@ -339,7 +339,6 @@ impl StreamStatus {
             r.locks_held,
             r.private_inodes,
             r.pending_unbinds,
-            r.opt_states,
             r.narration_lines,
             r.window_total(),
             self.stats.ops_begun,
@@ -426,7 +425,10 @@ pub mod stream_test_ops {
             },
             Event::Lp { tid: t },
             Event::Unlock { tid: t, ino: 1 },
-            Event::OpEnd { tid: t, ret: OpRet::Ok },
+            Event::OpEnd {
+                tid: t,
+                ret: OpRet::Ok,
+            },
         ]
     }
 }

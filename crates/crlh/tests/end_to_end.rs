@@ -300,12 +300,13 @@ fn helped_write_inside_moved_subtree() {
 #[test]
 fn random_stress_checks_clean() {
     for seed in 0..4u64 {
-        let checker = Arc::new(crlh::OnlineChecker::new(CheckerConfig {
+        let cfg = CheckerConfig {
             mode: HelperMode::Helpers,
             relation: RelationCadence::AtUnlock,
             invariants: true,
-        }));
-        let fs = Arc::new(AtomFs::traced(checker.clone() as Arc<dyn TraceSink>));
+        };
+        let sink = Arc::new(BufferSink::new());
+        let fs = Arc::new(AtomFs::traced(sink.clone() as Arc<dyn TraceSink>));
         for d in ["/d0", "/d1", "/d0/s0", "/d1/s1"] {
             let _ = fs.mkdir(d);
         }
@@ -358,7 +359,7 @@ fn random_stress_checks_clean() {
             h.join().unwrap();
         }
         drop(fs);
-        let report = Arc::into_inner(checker).expect("sole owner").finish();
+        let report = LpChecker::check(cfg, &sink.take());
         report.assert_ok();
         assert!(report.stats.ops_completed > 300);
     }

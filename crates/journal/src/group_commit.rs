@@ -65,7 +65,7 @@ use std::sync::Arc;
 use atomfs_obs::dump::{self, TriggerCause};
 use atomfs_obs::{Span, SpanKind};
 use atomfs_trace::{Event, Inum, MicroOp, Tid, TraceSink};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{ArcMutexGuard, Condvar, Mutex, RawMutex, RwLock};
 
 use crate::device::{BlockDevice, DiskError};
 use crate::health::{Health, HealthCounters, RecoverySummary};
@@ -92,18 +92,7 @@ impl ShardBuf {
     fn is_empty(&self) -> bool {
         self.plain.is_empty() && self.intents.is_empty() && self.seals.is_empty()
     }
-
-    /// Staged micro-ops in this buffer (the commit's parallelism gate).
-    fn op_count(&self) -> usize {
-        self.plain.len() + self.intents.iter().map(|(_, ops)| ops.len()).sum::<usize>()
-    }
 }
-
-/// Epochs staging at least this many micro-ops write their shard slices
-/// on scoped threads; smaller epochs encode inline. The crossover is
-/// where per-shard encode+checksum work clearly outweighs a thread
-/// spawn/join round trip.
-const PARALLEL_EPOCH_OPS: usize = 48;
 
 /// Upper bound on the leader's batching window (see
 /// [`ShardedJournalSink::batching_window`]). Sized to a realistic flush
@@ -222,7 +211,10 @@ pub struct ShardedJournalSink {
     /// device round-trip. This absorption is what makes the commit a
     /// *group* commit.
     sealed_stamp: AtomicU64,
-    commit_lock: Mutex<()>,
+    /// Held by the sync leader for its whole commit. An `Arc` so the
+    /// election can take it with `try_lock_arc`, whose guard exists only
+    /// on success.
+    commit_lock: Arc<Mutex<()>>,
     /// Group-commit rendezvous: bumped (under its lock) after every
     /// leader commit completes — success or failure — then broadcast.
     /// Followers whose stamps an in-flight commit cannot cover park here
@@ -318,7 +310,7 @@ impl ShardedJournalSink {
             open_epoch: AtomicU64::new(1),
             sealed_epoch: AtomicU64::new(0),
             sealed_stamp: AtomicU64::new(0),
-            commit_lock: Mutex::new(()),
+            commit_lock: Arc::new(Mutex::new(())),
             commit_gen: Mutex::new(0),
             commit_cv: Condvar::new(),
             gc_leads: AtomicU64::new(0),
@@ -333,7 +325,9 @@ impl ShardedJournalSink {
             counters: Arc::new(HealthCounters::default()),
             dropped: AtomicU64::new(0),
             recovery: Mutex::new(None),
-            tids: (0..TID_STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
+            tids: (0..TID_STRIPES)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
         }
     }
 
@@ -430,7 +424,9 @@ impl ShardedJournalSink {
 
     /// Reports for every shard.
     pub fn shard_reports(&self) -> Vec<ShardReport> {
-        (0..self.shards.len()).map(|i| self.shard_report(i)).collect()
+        (0..self.shards.len())
+            .map(|i| self.shard_report(i))
+            .collect()
     }
 
     /// Metrics handle: shard `i`'s live gauges.
@@ -446,13 +442,21 @@ impl ShardedJournalSink {
     /// Device faults summed over the mount: every shard plus the flush path.
     pub fn total_faults(&self) -> u64 {
         self.counters.device_faults()
-            + self.shards.iter().map(|s| s.counters.device_faults()).sum::<u64>()
+            + self
+                .shards
+                .iter()
+                .map(|s| s.counters.device_faults())
+                .sum::<u64>()
     }
 
     /// Retries summed over the mount.
     pub fn total_retries(&self) -> u64 {
         self.counters.retries()
-            + self.shards.iter().map(|s| s.counters.retries()).sum::<u64>()
+            + self
+                .shards
+                .iter()
+                .map(|s| s.counters.retries())
+                .sum::<u64>()
     }
 
     /// Health plus the fault/retry counters behind it (summed over
@@ -554,7 +558,9 @@ impl ShardedJournalSink {
 
     /// Shards currently quarantined.
     pub fn quarantined_shards(&self) -> Vec<usize> {
-        (0..self.shards.len()).filter(|&i| self.shard_dead(i)).collect()
+        (0..self.shards.len())
+            .filter(|&i| self.shard_dead(i))
+            .collect()
     }
 
     /// Why shard `i` was quarantined (`None` while healthy).
@@ -790,7 +796,7 @@ impl ShardedJournalSink {
                     return Err(cause);
                 }
             }
-            match self.commit_lock.try_lock() {
+            match self.elect() {
                 Some(guard) => {
                     led = true;
                     self.gc_leads.fetch_add(1, Ordering::Relaxed);
@@ -815,6 +821,12 @@ impl ShardedJournalSink {
                 }
             }
         }
+    }
+
+    /// Try to become the sync leader: the commit lock's guard, or `None`
+    /// (leaving the current leader's lock held) if a commit is running.
+    fn elect(&self) -> Option<ArcMutexGuard<RawMutex, ()>> {
+        self.commit_lock.try_lock_arc()
     }
 
     /// Wake every parked follower after a commit completed (successfully
@@ -863,7 +875,7 @@ impl ShardedJournalSink {
     fn commit_locked(&self, force: bool) -> Result<(), DiskError> {
         // Always-recorded commit span (one per group commit, not per op).
         // Children — the cut, per-shard slice writes, the flush barrier —
-        // hang off it, across threads via its id.
+        // hang off it.
         let mut sp = Span::root(SpanKind::EpochCut, "group_commit");
         let r = self.commit_locked_inner(force, &mut sp);
         if r.is_err() {
@@ -924,69 +936,24 @@ impl ShardedJournalSink {
         // Phase 2 — write each live shard's slice of the epoch. Staging
         // of the next epoch proceeds concurrently; the buffers here are
         // frozen. Encoding and checksumming a slice is byte-throughput
-        // work that is independent per shard, so big epochs fan it out
-        // across threads when the machine actually has them; small epochs
-        // (and single-core hosts) stay inline — a spawn costs more than
-        // the bytes it would parallelize. Every slice is attempted even
-        // after one fails: each healthy shard keeps as much durable
-        // history as its device allows.
+        // work that is independent per shard, but the leader writes every
+        // slice inline: a spawned writer costs more than the bytes of a
+        // typical epoch. Every slice is attempted even after one fails:
+        // each healthy shard keeps as much durable history as its device
+        // allows.
         let mut new_lost: Vec<u64> = Vec::new();
         let mut redirect_seals: Vec<u64> = Vec::new();
         let mut failed: Vec<(usize, DiskError, u64)> = Vec::new();
-        let slices: Vec<(usize, &ShardBuf)> = taken
-            .iter()
-            .enumerate()
-            .filter(|&(i, b)| {
-                if self.shard_dead(i) {
-                    Self::spill_buf(b, &mut new_lost, &mut redirect_seals);
-                    false
-                } else {
-                    true
-                }
-            })
-            .collect();
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let big = cores > 1
-            && slices.iter().map(|(_, b)| b.op_count()).sum::<usize>() >= PARALLEL_EPOCH_OPS;
-        // Slice writes link to the commit span by explicit id — the
-        // parallel branch runs them on scope threads, where the
-        // thread-local parent stack would not see it.
-        let commit_id = sp.id();
-        let spanned_slice = |i: usize, b: &ShardBuf| {
-            let mut ssp = Span::child_of(commit_id, SpanKind::ShardAppend, "epoch_slice");
+        for (i, b) in taken.iter().enumerate() {
+            if self.shard_dead(i) {
+                Self::spill_buf(b, &mut new_lost, &mut redirect_seals);
+                continue;
+            }
+            let mut ssp = Span::child(SpanKind::ShardAppend, "epoch_slice");
             ssp.set_shard(i as u32);
             ssp.set_epoch(epoch);
-            let r = self.write_epoch_slice(i, b, epoch);
-            if r.is_err() {
+            if let Err((cause, at)) = self.write_epoch_slice(i, b, epoch) {
                 ssp.fail();
-            }
-            r
-        };
-        type SliceOutcome = (usize, Result<(), (DiskError, u64)>);
-        let results: Vec<SliceOutcome> = if big && slices.len() > 1 {
-            let spanned_slice = &spanned_slice;
-            std::thread::scope(|sc| {
-                let handles: Vec<_> = slices[1..]
-                    .iter()
-                    .map(|&(i, b)| sc.spawn(move || (i, spanned_slice(i, b))))
-                    .collect();
-                let (i0, b0) = slices[0];
-                let mut out = vec![(i0, spanned_slice(i0, b0))];
-                out.extend(
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("shard slice writer panicked")),
-                );
-                out
-            })
-        } else {
-            slices
-                .iter()
-                .map(|&(i, b)| (i, spanned_slice(i, b)))
-                .collect()
-        };
-        for (i, r) in results {
-            if let Err((cause, at)) = r {
                 failed.push((i, cause, at));
             }
         }
@@ -1008,8 +975,9 @@ impl ShardedJournalSink {
                 // recovery cannot find, they never suppress found ones.
                 Self::spill_buf(&taken[i], &mut new_lost, &mut redirect_seals);
             }
-            let live: Vec<usize> =
-                (0..self.shards.len()).filter(|&i| !self.shard_dead(i)).collect();
+            let live: Vec<usize> = (0..self.shards.len())
+                .filter(|&i| !self.shard_dead(i))
+                .collect();
             if live.is_empty() {
                 let cause = first_err.unwrap_or(DiskError::Gone);
                 self.degrade(cause, 0);
@@ -1080,9 +1048,13 @@ impl ShardedJournalSink {
     /// Write one shard's frozen slice of epoch `epoch`: its batch frame,
     /// rename intents/seals, and the epoch seal. Returns the failing
     /// cause plus the sequence number it failed at; the *caller*
-    /// quarantines the shard (quarantine touches mount-wide state and
-    /// must not race between parallel slice writers).
-    fn write_epoch_slice(&self, i: usize, b: &ShardBuf, epoch: u64) -> Result<(), (DiskError, u64)> {
+    /// quarantines the shard once every slice has been attempted.
+    fn write_epoch_slice(
+        &self,
+        i: usize,
+        b: &ShardBuf,
+        epoch: u64,
+    ) -> Result<(), (DiskError, u64)> {
         let s = &self.shards[i];
         let mut w = s.writer.lock();
         let at = w.next_seq();
@@ -1145,7 +1117,6 @@ impl ShardedJournalSink {
         }
         failed
     }
-
 }
 
 impl TraceSink for ShardedJournalSink {
@@ -1203,8 +1174,9 @@ impl TraceSink for ShardedJournalSink {
         !self.degraded.load(Ordering::Relaxed) && !self.shard_dead(self.shard_of_ino(primary))
     }
 
-    /// Claims carry nothing to log: the decision is just `valid()`.
-    fn claim(&self, _tid: Tid, valid: &dyn Fn() -> bool) -> bool {
+    /// Claims carry nothing to log: the decision is just `valid()`, and
+    /// the chain is never copied.
+    fn claim(&self, _tid: Tid, _chain: &[Inum], _locked: bool, valid: &dyn Fn() -> bool) -> bool {
         valid()
     }
 }
@@ -1250,7 +1222,10 @@ mod tests {
             });
         }
         sink.emit(Event::Lp { tid });
-        sink.emit(Event::OpEnd { tid, ret: OpRet::Ok });
+        sink.emit(Event::OpEnd {
+            tid,
+            ret: OpRet::Ok,
+        });
     }
 
     #[test]
@@ -1270,6 +1245,20 @@ mod tests {
             assert_eq!(*stamp, i as u64);
             assert_eq!(*op, RedoOp::Ns(create(100 + i as u64)));
         }
+    }
+
+    /// A follower's failed election must leave the leader's commit lock
+    /// held: a guard built for a failed `try_lock` would release it on
+    /// drop and let two commits run at once.
+    #[test]
+    fn failed_election_leaves_the_leaders_commit_lock_held() {
+        let sink = ShardedJournalSink::new(Arc::new(Disk::new()) as Arc<dyn BlockDevice>, cfg());
+        let leader = sink.commit_lock.lock();
+        assert!(sink.elect().is_none());
+        assert!(sink.commit_lock.is_locked());
+        drop(leader);
+        assert!(sink.elect().is_some());
+        assert!(!sink.commit_lock.is_locked());
     }
 
     #[test]
@@ -1395,8 +1384,7 @@ mod tests {
         assert!(died, "the device never died");
         assert!(sink.health().is_degraded());
         assert!(
-            sink.shard_reports().iter().any(|r| r.dead)
-                || sink.counters().device_faults() > 0,
+            sink.shard_reports().iter().any(|r| r.dead) || sink.counters().device_faults() > 0,
             "either a shard died on append or the flush path was charged"
         );
         // Sticky: syncs keep failing with the original cause.
@@ -1428,7 +1416,11 @@ mod tests {
             })
             .collect();
         let sink = ShardedJournalSink::with_devices(devices, cfg());
-        let ino_for = |shard: usize| (2u64..).find(|&i| shard_of(i, 4) == shard).expect("some ino");
+        let ino_for = |shard: usize| {
+            (2u64..)
+                .find(|&i| shard_of(i, 4) == shard)
+                .expect("some ino")
+        };
         // One op per shard: staging order fixes stamp s on shard s's op.
         for s in 0..4 {
             emit_op(&sink, Tid(1), &[create(ino_for(s))]);
@@ -1437,7 +1429,10 @@ mod tests {
         // The committing sync reports the loss once...
         assert!(sink.sync().is_err(), "the loss must be reported");
         // ...but the mount survives: only the victim is quarantined.
-        assert!(!sink.health().is_degraded(), "one dead shard must not degrade the mount");
+        assert!(
+            !sink.health().is_degraded(),
+            "one dead shard must not degrade the mount"
+        );
         assert_eq!(sink.quarantined_shards(), vec![dead_shard]);
         assert_eq!(sink.quarantine_count(), 1);
         assert_eq!(sink.loss_events(), 1);
@@ -1453,7 +1448,8 @@ mod tests {
             .find(|&i| shard_of(i, 4) != dead_shard)
             .expect("some ino");
         emit_op(&sink, Tid(1), &[create(next_live)]);
-        sink.sync().expect("post-quarantine syncs on survivors succeed");
+        sink.sync()
+            .expect("post-quarantine syncs on survivors succeed");
         // Recovery surfaces the quarantine and replays around the window.
         let r = recover_sharded(&disk, sink.config());
         assert_eq!(r.quarantined_shards(), vec![dead_shard]);

@@ -213,7 +213,7 @@ fn clean_crash_recovers_exactly_the_synced_prefix() {
 
 #[test]
 fn recovered_fs_passes_the_linearizability_checker() {
-    use crlh::{CheckerConfig, HelperMode, OnlineChecker, RelationCadence};
+    use crlh::{CheckerConfig, HelperMode, LpChecker, RelationCadence};
     for shards in SHARD_COUNTS {
         let h = Harness::new(shards);
         h.fs.mkdir("/base").unwrap();
@@ -234,13 +234,14 @@ fn recovered_fs_passes_the_linearizability_checker() {
         let state = atomfs_journal::recover_sharded(&h.disk, &h.cfg)
             .replay()
             .expect("recovered prefix replays");
-        let checker = Arc::new(OnlineChecker::new(CheckerConfig {
+        let cfg = CheckerConfig {
             mode: HelperMode::Helpers,
             relation: RelationCadence::AtUnlock,
             invariants: true,
-        }));
+        };
+        let sink = Arc::new(BufferSink::new());
         let fs = Arc::new(atomfs::AtomFs::traced(
-            Arc::clone(&checker) as Arc<dyn TraceSink>
+            Arc::clone(&sink) as Arc<dyn TraceSink>
         ));
         atomfs_journal::materialize(&*fs, &state).unwrap();
         let mut handles = Vec::new();
@@ -260,7 +261,7 @@ fn recovered_fs_passes_the_linearizability_checker() {
         }
         assert_eq!(fs.readdir("/base").unwrap().len(), 2 + 200);
         drop(fs);
-        let report = Arc::into_inner(checker).expect("sole owner").finish();
+        let report = LpChecker::check(cfg, &sink.take());
         report.assert_ok();
     }
 }
@@ -330,7 +331,10 @@ fn crash_between_rename_intent_and_seal_discards_the_rename() {
     // file rename with no destination victim is two micro-ops).
     let (disk, cfg, muts, dst_dir) = run(false);
     let raw = atomfs_journal::recover_sharded(&disk, &cfg);
-    assert!(!raw.pairing.unsealed.is_empty(), "the intent must be seal-less");
+    assert!(
+        !raw.pairing.unsealed.is_empty(),
+        "the intent must be seal-less"
+    );
     assert!(raw.truncated_at.is_some(), "the unsealed intent truncates");
     let (recovered, stats) = JournaledFs::recover_sharded(Arc::clone(&disk), cfg).unwrap();
     assert_eq!(stats.ops_replayed, muts.len() - 2);
@@ -351,7 +355,10 @@ fn crash_between_rename_intent_and_seal_discards_the_rename() {
     assert!(!raw.pairing.sealed.is_empty(), "the pair is recognized");
     let (recovered, stats) = JournaledFs::recover_sharded(Arc::clone(&disk), cfg).unwrap();
     assert_eq!(stats.ops_replayed, muts.len());
-    assert!(fs_matches_state(&recovered, &prefix_states(&muts)[muts.len()]));
+    assert!(fs_matches_state(
+        &recovered,
+        &prefix_states(&muts)[muts.len()]
+    ));
     assert!(recovered.stat("/d0/f").is_err());
     let mut buf = [0u8; 7];
     recovered

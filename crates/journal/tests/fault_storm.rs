@@ -110,10 +110,7 @@ struct StormOutcome {
 /// degradation, or a quarantined shard whose inode range refuses
 /// mutations while the mount stays healthy.
 fn impaired(jfs: &JournaledFs) -> bool {
-    jfs.health().is_degraded()
-        || jfs
-            .sharded_sink()
-            .is_some_and(|s| s.quarantine_count() > 0)
+    jfs.health().is_degraded() || jfs.sharded_sink().is_some_and(|s| s.quarantine_count() > 0)
 }
 
 /// Drive a random workload, asserting the degraded-mode invariants as
@@ -314,21 +311,19 @@ fn bit_flip_storms_recover_to_an_itemized_prefix() {
 
 #[test]
 fn checker_accepts_the_trace_of_degraded_runs() {
-    use crlh::{CheckerConfig, HelperMode, OnlineChecker, RelationCadence};
+    use crlh::{CheckerConfig, HelperMode, LpChecker, RelationCadence};
     for (seed, cfg) in schedules() {
         let plan = FaultPlan::none(seed).with_permanent_failure_after(30 + seed * 7);
         let disk = Arc::new(Disk::new());
         let dev = Arc::new(FaultyDisk::new(Arc::clone(&disk), plan));
-        let checker = Arc::new(OnlineChecker::new(CheckerConfig {
+        let check_cfg = CheckerConfig {
             mode: HelperMode::Helpers,
             relation: RelationCadence::AtUnlock,
             invariants: true,
-        }));
-        let jfs = JournaledFs::create_sharded_observed(
-            dev,
-            cfg,
-            Arc::clone(&checker) as Arc<dyn TraceSink>,
-        );
+        };
+        let sink = Arc::new(BufferSink::new());
+        let jfs =
+            JournaledFs::create_sharded_observed(dev, cfg, Arc::clone(&sink) as Arc<dyn TraceSink>);
         let mut rng = SplitMix64::new(seed);
         let mut degraded = false;
         for i in 0..200 {
@@ -348,7 +343,7 @@ fn checker_accepts_the_trace_of_degraded_runs() {
         // The trace the checker saw contains exactly the mutations that
         // happened — degraded-mode gating refuses mutations *before*
         // AtomFS, so no half-performed op ever reaches the stream.
-        let report = Arc::into_inner(checker).expect("sole owner").finish();
+        let report = LpChecker::check(check_cfg, &sink.take());
         report.assert_ok();
     }
 }
@@ -363,8 +358,11 @@ fn storms_recover_prefix_exact_and_parallel_equals_sequential() {
         let disk = Arc::new(Disk::new());
         let dev = Arc::new(FaultyDisk::new(Arc::clone(&disk), plan));
         let recorder = Arc::new(BufferSink::new());
-        let jfs =
-            JournaledFs::create_sharded_observed(dev, cfg, Arc::clone(&recorder) as Arc<dyn TraceSink>);
+        let jfs = JournaledFs::create_sharded_observed(
+            dev,
+            cfg,
+            Arc::clone(&recorder) as Arc<dyn TraceSink>,
+        );
         let mut rng = SplitMix64::new(seed ^ 0x5A4D);
         let out = drive(&jfs, &recorder, &mut rng, 160);
         let muts = mutations(&recorder);
@@ -425,8 +423,11 @@ fn one_dead_shard_quarantines_only_its_inode_range() {
         let disk = Arc::new(Disk::new());
         let dev = Arc::new(FaultyDisk::new(Arc::clone(&disk), plan));
         let recorder = Arc::new(BufferSink::new());
-        let jfs =
-            JournaledFs::create_sharded_observed(dev, cfg, Arc::clone(&recorder) as Arc<dyn TraceSink>);
+        let jfs = JournaledFs::create_sharded_observed(
+            dev,
+            cfg,
+            Arc::clone(&recorder) as Arc<dyn TraceSink>,
+        );
         let mut rng = SplitMix64::new(seed ^ 0xDEAD);
         let out = drive(&jfs, &recorder, &mut rng, 200);
         assert!(out.degraded, "seed {seed}: the dead region was never hit");
@@ -499,7 +500,10 @@ fn one_dead_shard_quarantines_only_its_inode_range() {
 
         let (recovered, stats) =
             JournaledFs::recover_sharded(Arc::clone(&disk), cfg).expect("recovery never fails");
-        assert_eq!(stats.lost_ops, par.lost_ops, "seed {seed}: loss accounting diverges");
+        assert_eq!(
+            stats.lost_ops, par.lost_ops,
+            "seed {seed}: loss accounting diverges"
+        );
         let (expected_state, _) = par.replay_tolerant();
         assert!(
             fs_matches_state(&recovered, &expected_state),
@@ -560,8 +564,8 @@ fn cross_shard_renames_are_atomic_across_fault_and_crash_schedules() {
                 "seed {seed} keep {keep_mod}: parallel != sequential"
             );
 
-            let (recovered, stats) = JournaledFs::recover_sharded(Arc::clone(&disk), cfg)
-                .expect("recovery never fails");
+            let (recovered, stats) =
+                JournaledFs::recover_sharded(Arc::clone(&disk), cfg).expect("recovery never fails");
             let k = stats.ops_replayed;
             assert!(
                 fs_matches_state(&recovered, &prefix_states(&muts)[k]),

@@ -177,6 +177,17 @@ impl ScriptConverter {
                     tid: *tid,
                     ino: self.vid(*ino),
                 },
+                Event::OptValidate {
+                    tid,
+                    chain,
+                    locked,
+                    ok,
+                } => Event::OptValidate {
+                    tid: *tid,
+                    chain: chain.iter().map(|&ino| self.vid(ino)).collect(),
+                    locked: *locked,
+                    ok: *ok,
+                },
                 Event::Mutate { tid, mop } => {
                     if let MicroOp::Create { ino, .. } = mop {
                         let vid = self.next_vid;
@@ -245,19 +256,16 @@ fn weigh_op(index: usize, raw: &RawOp, model: &CostModel) -> OpScript {
 
     // Which lock intervals to keep: all of them, or (lockless walk) only
     // those with a mutation inside.
-    let keep = |body: &[Event], acquire_pos: usize| -> bool {
+    let keep = |body: &[Event], acquire_pos: usize, ino: u64| -> bool {
         if !model.lockless_walk {
             return true;
         }
-        let Event::Lock { ino, .. } = &body[acquire_pos] else {
-            unreachable!("caller passes Lock positions");
-        };
         // Find the matching unlock and look for a mutation in between.
         let mut depth = 0;
         for e in &body[acquire_pos + 1..] {
             match e {
-                Event::Lock { ino: i2, .. } if i2 == ino => depth += 1,
-                Event::Unlock { ino: i2, .. } if i2 == ino => {
+                Event::Lock { ino: i2, .. } if *i2 == ino => depth += 1,
+                Event::Unlock { ino: i2, .. } if *i2 == ino => {
                     if depth == 0 {
                         return false;
                     }
@@ -279,20 +287,23 @@ fn weigh_op(index: usize, raw: &RawOp, model: &CostModel) -> OpScript {
     }
     let mut dropped: std::collections::HashSet<u64> = std::collections::HashSet::new();
     for (pos, ev) in raw.body.iter().enumerate() {
-        match ev {
-            Event::Lock { ino, .. } => {
-                if keep(&raw.body, pos) {
-                    events.push(SimEvent::Acquire(*ino));
-                } else {
-                    dropped.insert(*ino);
-                }
-                // The lookup step costs the same either way.
-                events.push(SimEvent::Work(model.per_lock_step));
+        let acquired = match ev {
+            Event::Lock { ino, .. } => Some(*ino),
+            // An optimistic attempt: each lockless lookup on its chain
+            // costs the same per-component work as a locked step but
+            // takes no lock. A granted claim that announces its lock
+            // then takes it like a `Lock`.
+            Event::OptValidate {
+                chain, locked, ok, ..
+            } => {
+                events.push(SimEvent::Work(model.per_lock_step * chain.len() as u64));
+                chain.last().copied().filter(|_| *locked && *ok)
             }
             Event::Unlock { ino, .. } => {
                 if !dropped.remove(ino) {
                     events.push(SimEvent::Release(*ino));
                 }
+                None
             }
             Event::Mutate { mop, .. } => {
                 let mbytes = match mop {
@@ -302,14 +313,19 @@ fn weigh_op(index: usize, raw: &RawOp, model: &CostModel) -> OpScript {
                 events.push(SimEvent::Work(
                     model.per_mutation + mbytes * model.per_byte_milli / 1000,
                 ));
+                None
             }
-            Event::Lp { .. } => {}
-            // Optimistic-walk steps: a lockless lookup costs the same
-            // per-component work as a locked step but takes no lock;
-            // validation/retry bookkeeping is negligible at this scale.
-            Event::OptRead { .. } => events.push(SimEvent::Work(model.per_lock_step)),
-            Event::OptValidate { .. } | Event::OptRetry { .. } => {}
+            Event::Lp { .. } => None,
             Event::OpBegin { .. } | Event::OpEnd { .. } => unreachable!("split above"),
+        };
+        if let Some(ino) = acquired {
+            if keep(&raw.body, pos, ino) {
+                events.push(SimEvent::Acquire(ino));
+            } else {
+                dropped.insert(ino);
+            }
+            // The lookup step costs the same either way.
+            events.push(SimEvent::Work(model.per_lock_step));
         }
     }
     if model.big_lock {
@@ -364,20 +380,24 @@ mod tests {
             fs.mkdir("/a").unwrap();
             fs.mkdir("/a/b").unwrap();
         });
-        let scripts = scripts_from_trace(&trace, &no_cache(CostModel::atomfs_fuse()));
+        let model = no_cache(CostModel::atomfs_fuse());
+        let scripts = scripts_from_trace(&trace, &model);
         assert_eq!(scripts.len(), 2);
         // The optimistic walk reaches each parent locklessly, so every
         // mkdir acquires exactly one lock: the directory it mutates.
         assert_eq!(acquires(&scripts[0]), 1);
         assert_eq!(acquires(&scripts[1]), 1);
         // The deeper path still pays the extra per-component walk step.
-        let work = |s: &OpScript| {
+        let work = |s: &OpScript| -> u64 {
             s.events
                 .iter()
-                .filter(|e| matches!(e, SimEvent::Work(_)))
-                .count()
+                .map(|e| match e {
+                    SimEvent::Work(t) => *t,
+                    _ => 0,
+                })
+                .sum()
         };
-        assert_eq!(work(&scripts[1]), work(&scripts[0]) + 1);
+        assert_eq!(work(&scripts[1]), work(&scripts[0]) + model.per_lock_step);
     }
 
     #[test]

@@ -1,4 +1,11 @@
 //! Trace events — the atomic steps of an instrumented execution.
+//!
+//! Seven events describe everything the CRL-H checker replays: the
+//! operation envelope (`OpBegin`/`OpEnd`), the lock-coupling walk
+//! (`Lock`/`Unlock`), concrete mutations (`Mutate`), linearization
+//! points (`Lp`), and one `OptValidate` per optimistic attempt, which
+//! carries the whole walked chain — the walk's own reads change no state,
+//! so they need no events of their own.
 
 use serde::{Deserialize, Serialize};
 
@@ -44,22 +51,22 @@ pub enum Event {
     /// Thread `tid` returned `ret`. Must match the abstract result stored
     /// in the ghost state (`AopState::Done(ret)`).
     OpEnd { tid: Tid, ret: OpRet },
-    /// Thread `tid` visited inode `ino` on the optimistic (lockless) walk:
-    /// it read `ino`'s seqlock, resolved the next component from `ino`'s
-    /// directory without locking, and re-checked the seqlock afterwards
-    /// (hand-over-hand validation). Appends `ino` to the thread's candidate
-    /// validation chain; no ghost lock state changes.
-    OptRead { tid: Tid, ino: Inum },
-    /// Thread `tid` finished an optimistic traversal and re-validated the
-    /// whole chain, *after* this event's place in the total order was
-    /// fixed ([`crate::TraceSink::claim`]). `ok: true` admits the chain as
-    /// a legal `LockPath` witness (the checker retrofits it as the
-    /// descriptor's common path) and is final; `ok: false` discards it —
-    /// the thread must follow with [`Event::OptRetry`].
-    OptValidate { tid: Tid, ok: bool },
-    /// Thread `tid` abandons its optimistic attempt after a failed
-    /// validation and starts over.
-    OptRetry { tid: Tid },
+    /// Thread `tid`'s whole optimistic attempt, as one step. `chain` is
+    /// the inode numbers the lockless walk resolved, root first (a failed
+    /// attempt carries the prefix it reached); `locked` says the claimer
+    /// holds the lock of `chain.last()`. `ok` is decided *after* this
+    /// event's place in the total order is fixed
+    /// ([`crate::TraceSink::claim`]): `ok: true` is final, announces the
+    /// fast-path lock when `locked`, and admits the chain as a legal
+    /// `LockPath` witness (the checker retrofits it as the descriptor's
+    /// common path). `ok: false` changes no state: the claimer holds no
+    /// announced lock, and retries or falls back to the pessimistic walk.
+    OptValidate {
+        tid: Tid,
+        chain: Vec<Inum>,
+        locked: bool,
+        ok: bool,
+    },
 }
 
 impl Event {
@@ -72,9 +79,7 @@ impl Event {
             | Event::Mutate { tid, .. }
             | Event::Lp { tid }
             | Event::OpEnd { tid, .. }
-            | Event::OptRead { tid, .. }
-            | Event::OptValidate { tid, .. }
-            | Event::OptRetry { tid } => *tid,
+            | Event::OptValidate { tid, .. } => *tid,
         }
     }
 }
@@ -88,11 +93,17 @@ impl std::fmt::Display for Event {
             Event::Mutate { tid, mop } => write!(f, "{tid}: {mop}"),
             Event::Lp { tid } => write!(f, "{tid}: LP"),
             Event::OpEnd { tid, ret } => write!(f, "{tid}: end {ret}"),
-            Event::OptRead { tid, ino } => write!(f, "{tid}: opt-read {ino}"),
-            Event::OptValidate { tid, ok } => {
-                write!(f, "{tid}: opt-validate {}", if *ok { "ok" } else { "fail" })
-            }
-            Event::OptRetry { tid } => write!(f, "{tid}: opt-retry"),
+            Event::OptValidate {
+                tid,
+                chain,
+                locked,
+                ok,
+            } => write!(
+                f,
+                "{tid}: opt-validate {chain:?}{} {}",
+                if *locked { " locked" } else { "" },
+                if *ok { "ok" } else { "fail" }
+            ),
         }
     }
 }

@@ -21,7 +21,7 @@
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::{Event, Tid, TraceSink};
+use crate::{Event, Inum, Tid, TraceSink};
 
 /// Identifies a registered gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,11 +139,16 @@ impl<S: TraceSink> TraceSink for GateSink<S> {
         self.inner.emit_ref(event);
     }
 
-    /// Gates see the *attempted* claim, `OptValidate{tid, ok: true}`, and
+    /// Gates see the *attempted* claim, `OptValidate{.., ok: true}`, and
     /// park it before the inner sink decides it.
-    fn claim(&self, tid: Tid, valid: &dyn Fn() -> bool) -> bool {
-        self.pass_gates(&Event::OptValidate { tid, ok: true });
-        self.inner.claim(tid, valid)
+    fn claim(&self, tid: Tid, chain: &[Inum], locked: bool, valid: &dyn Fn() -> bool) -> bool {
+        self.pass_gates(&Event::OptValidate {
+            tid,
+            chain: chain.to_vec(),
+            locked,
+            ok: true,
+        });
+        self.inner.claim(tid, chain, locked, valid)
     }
 }
 
@@ -190,11 +195,13 @@ mod tests {
     fn gate_parks_a_claim_before_it_is_decided() {
         use std::sync::atomic::{AtomicBool, Ordering};
         let sink = Arc::new(GateSink::new(BufferSink::new()));
-        let gate = sink.add_gate(|e| matches!(e, Event::OptValidate { ok: true, .. }));
+        let gate = sink.add_gate(
+            |e| matches!(e, Event::OptValidate { chain, ok: true, .. } if *chain == [1, 2]),
+        );
         let ran = Arc::new(AtomicBool::new(false));
         let (s2, r2) = (Arc::clone(&sink), Arc::clone(&ran));
         let h = std::thread::spawn(move || {
-            s2.claim(Tid(3), &|| {
+            s2.claim(Tid(3), &[1, 2], true, &|| {
                 r2.store(true, Ordering::SeqCst);
                 false
             })
@@ -209,6 +216,8 @@ mod tests {
             sink.inner().take(),
             vec![Event::OptValidate {
                 tid: Tid(3),
+                chain: vec![1, 2],
+                locked: true,
                 ok: false
             }]
         );

@@ -56,7 +56,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
-use crate::{Event, Tid, TraceSink};
+use crate::{Event, Inum, Tid, TraceSink};
 
 /// A recorded event with its global sequence stamp.
 pub type Stamped = (u64, Event);
@@ -221,12 +221,19 @@ impl TraceSink for ShardedSink {
 
     /// The claim's stamp is taken first and `valid` runs after it, still
     /// under the shard lock: an `ok: true` claim was valid at its stamp.
-    fn claim(&self, tid: Tid, valid: &dyn Fn() -> bool) -> bool {
+    fn claim(&self, tid: Tid, chain: &[Inum], locked: bool, valid: &dyn Fn() -> bool) -> bool {
+        let chain = chain.to_vec();
         let shard = &self.shards[thread_slot() & self.mask];
         let mut segment = shard.events.lock();
         let stamp = self.seq.fetch_add(1, Ordering::AcqRel);
         let ok = valid();
-        segment.push((stamp, Event::OptValidate { tid, ok }));
+        let event = Event::OptValidate {
+            tid,
+            chain,
+            locked,
+            ok,
+        };
+        segment.push((stamp, event));
         ok
     }
 }
@@ -334,32 +341,24 @@ mod tests {
     }
 
     #[test]
-    fn claim_is_decided_after_its_stamp() {
+    fn claim_is_decided_after_its_stamp_and_stores_the_chain() {
         let sink = ShardedSink::with_shards(2);
         sink.emit(Event::Lp { tid: Tid(1) });
         // The validator already sees its own event's stamp issued.
-        assert!(sink.claim(Tid(1), &|| sink.stamps_issued() == 2));
-        assert!(!sink.claim(Tid(1), &|| false));
-        let stamped = sink.take_stamped();
+        assert!(sink.claim(Tid(1), &[1, 4], true, &|| sink.stamps_issued() == 2));
+        assert!(!sink.claim(Tid(1), &[1], false, &|| false));
+        let claim = |chain: Vec<Inum>, locked, ok| Event::OptValidate {
+            tid: Tid(1),
+            chain,
+            locked,
+            ok,
+        };
         assert_eq!(
-            stamped[1],
-            (
-                1,
-                Event::OptValidate {
-                    tid: Tid(1),
-                    ok: true
-                }
-            )
-        );
-        assert_eq!(
-            stamped[2],
-            (
-                2,
-                Event::OptValidate {
-                    tid: Tid(1),
-                    ok: false
-                }
-            )
+            sink.take_stamped()[1..],
+            [
+                (1, claim(vec![1, 4], true, true)),
+                (2, claim(vec![1], false, false))
+            ]
         );
     }
 

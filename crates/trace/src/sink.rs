@@ -4,8 +4,8 @@
 //! The default production configuration uses no sink at all (the emitting
 //! file system holds an `Option` and skips all instrumentation); tests and
 //! the CRL-H checker install a recorder ([`BufferSink`] or the sharded
-//! [`crate::ShardedSink`]) for offline replay, or an online checking sink
-//! defined in the `crlh` crate.
+//! [`crate::ShardedSink`]) and replay what it recorded, offline or live
+//! through a [`crate::TailCursor`].
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,18 +27,27 @@ pub trait TraceSink: Send + Sync {
     /// Record one event, taking ownership.
     fn emit(&self, event: Event);
 
-    /// Record thread `tid`'s optimistic claim `OptValidate{tid, ok}` and
-    /// return `ok`, where `ok` is `valid()` evaluated *after* the event's
-    /// place in the total order is fixed (after its stamp, or under the
-    /// lock that serializes this sink's callers). An `ok: true` claim is
-    /// then valid at its own order point, and final. `valid` only reads
-    /// the emitter's atomics.
+    /// Record thread `tid`'s optimistic attempt
+    /// `OptValidate{tid, chain, locked, ok}` and return `ok`, where `ok`
+    /// is `valid()` evaluated *after* the event's place in the total order
+    /// is fixed (after its stamp, or under the lock that serializes this
+    /// sink's callers). An `ok: true` claim is then valid at its own order
+    /// point, and final; with `locked` it is also the announcement of the
+    /// claimer's lock on `chain.last()`, so that lock enters the trace
+    /// only once a valid chain proves the slot is still linked. `valid`
+    /// only reads the emitter's atomics. `chain` is borrowed: only a sink
+    /// that records the event copies it.
     ///
     /// The default records `ok: false` without calling `valid`: the only
     /// sound answer for a wrapper that does not forward this method. The
     /// emitter then falls back to the pessimistic walk.
-    fn claim(&self, tid: Tid, _valid: &dyn Fn() -> bool) -> bool {
-        self.emit(Event::OptValidate { tid, ok: false });
+    fn claim(&self, tid: Tid, chain: &[Inum], locked: bool, _valid: &dyn Fn() -> bool) -> bool {
+        self.emit(Event::OptValidate {
+            tid,
+            chain: chain.to_vec(),
+            locked,
+            ok: false,
+        });
         false
     }
 
@@ -87,7 +96,7 @@ pub struct NullSink;
 impl TraceSink for NullSink {
     fn emit(&self, _event: Event) {}
     fn emit_ref(&self, _event: &Event) {}
-    fn claim(&self, _tid: Tid, valid: &dyn Fn() -> bool) -> bool {
+    fn claim(&self, _tid: Tid, _chain: &[Inum], _locked: bool, valid: &dyn Fn() -> bool) -> bool {
         valid()
     }
 }
@@ -148,10 +157,16 @@ impl TraceSink for BufferSink {
     }
 
     /// Decided under the buffer mutex, which orders every event.
-    fn claim(&self, tid: Tid, valid: &dyn Fn() -> bool) -> bool {
+    fn claim(&self, tid: Tid, chain: &[Inum], locked: bool, valid: &dyn Fn() -> bool) -> bool {
+        let chain = chain.to_vec();
         let mut guard = self.events.lock();
         let ok = valid();
-        guard.push(Event::OptValidate { tid, ok });
+        guard.push(Event::OptValidate {
+            tid,
+            chain,
+            locked,
+            ok,
+        });
         self.count.fetch_add(1, Ordering::Relaxed);
         ok
     }
@@ -181,18 +196,26 @@ impl TraceSink for FanoutSink {
         last.emit(event);
     }
 
-    fn claim(&self, tid: Tid, valid: &dyn Fn() -> bool) -> bool {
+    fn claim(&self, tid: Tid, chain: &[Inum], locked: bool, valid: &dyn Fn() -> bool) -> bool {
         let Some((last, rest)) = self.0.split_last() else {
             return valid();
         };
         let forward = |ok| {
-            for sink in rest {
-                sink.emit_ref(&Event::OptValidate { tid, ok });
+            if !rest.is_empty() {
+                let event = Event::OptValidate {
+                    tid,
+                    chain: chain.to_vec(),
+                    locked,
+                    ok,
+                };
+                for sink in rest {
+                    sink.emit_ref(&event);
+                }
             }
             ok
         };
         let decided = Cell::new(false);
-        let ok = last.claim(tid, &|| {
+        let ok = last.claim(tid, chain, locked, &|| {
             decided.set(true);
             forward(valid())
         });
@@ -302,17 +325,26 @@ mod tests {
         assert_eq!(a.take(), b.take());
     }
 
+    fn claim_event(tid: u32, ok: bool) -> Event {
+        Event::OptValidate {
+            tid: Tid(tid),
+            chain: vec![1, 7],
+            locked: true,
+            ok,
+        }
+    }
+
     #[test]
-    fn buffer_sink_decides_claims_under_its_mutex() {
+    fn buffer_sink_decides_claims_under_its_mutex_and_stores_the_chain() {
         let sink = BufferSink::new();
-        assert!(sink.claim(Tid(1), &|| sink.events.is_locked()));
-        assert_eq!(
-            sink.take(),
-            vec![Event::OptValidate {
-                tid: Tid(1),
-                ok: true
-            }]
-        );
+        assert!(sink.claim(Tid(1), &[1, 7], true, &|| sink.events.is_locked()));
+        assert_eq!(sink.take(), vec![claim_event(1, true)]);
+    }
+
+    #[test]
+    fn null_sink_claims_by_validating_alone() {
+        assert!(NullSink.claim(Tid(1), &[1], false, &|| true));
+        assert!(!NullSink.claim(Tid(1), &[1], false, &|| false));
     }
 
     /// Records, with each event, whether `order`'s mutex was held then.
@@ -339,13 +371,13 @@ mod tests {
             Arc::clone(&first) as Arc<dyn TraceSink>,
             Arc::clone(&last) as Arc<dyn TraceSink>,
         ]);
-        assert!(fan.claim(Tid(1), &|| last.events.is_locked()));
-        assert!(!fan.claim(Tid(1), &|| false));
-        let claims = [true, false].map(|ok| Event::OptValidate { tid: Tid(1), ok });
+        assert!(fan.claim(Tid(1), &[1, 7], true, &|| last.events.is_locked()));
+        assert!(!fan.claim(Tid(1), &[1, 7], true, &|| false));
+        let claims = [true, false].map(|ok| claim_event(1, ok));
         assert_eq!(last.take(), claims);
         let seen: Vec<_> = claims.into_iter().map(|c| (c, true)).collect();
         assert_eq!(*first.seen.lock(), seen);
-        assert!(FanoutSink(Vec::new()).claim(Tid(1), &|| true));
+        assert!(FanoutSink(Vec::new()).claim(Tid(1), &[1], false, &|| true));
     }
 
     /// Forwards `emit` only, so claims fall to the trait default.
@@ -365,11 +397,10 @@ mod tests {
             Arc::clone(&first) as Arc<dyn TraceSink>,
             Arc::new(EmitOnly(Arc::clone(&last))) as Arc<dyn TraceSink>,
         ]);
-        assert!(!fan.claim(Tid(2), &|| panic!("the default never validates")));
-        let refused = vec![Event::OptValidate {
-            tid: Tid(2),
-            ok: false,
-        }];
+        assert!(!fan.claim(Tid(2), &[1, 7], true, &|| {
+            panic!("the default never validates")
+        }));
+        let refused = vec![claim_event(2, false)];
         assert_eq!(first.take(), refused);
         assert_eq!(last.take(), refused);
     }

@@ -1,8 +1,9 @@
-//! Online linearizability checking of a concurrent stress run.
+//! Linearizability checking of a concurrent stress run.
 //!
 //! Runs a contended random operation mix from several threads against an
-//! instrumented AtomFS with the CRL-H checker attached *online* (every
-//! atomic step is validated as it happens), then prints the checker's
+//! instrumented AtomFS that records every atomic step into a
+//! `BufferSink` (its mutex order is a legal total order), replays the
+//! trace through the CRL-H checker, then prints the checker's
 //! statistics: how many operations ran, how many were linearized by
 //! helpers, how often the roll-back abstraction relation was validated.
 //!
@@ -13,9 +14,9 @@
 use std::sync::Arc;
 
 use atomfs::AtomFs;
-use atomfs_trace::{set_current_tid, Tid, TraceSink};
+use atomfs_trace::{set_current_tid, BufferSink, Tid, TraceSink};
 use atomfs_workloads::opmix::OpMix;
-use crlh::{CheckerConfig, HelperMode, OnlineChecker, RelationCadence};
+use crlh::{CheckerConfig, HelperMode, LpChecker, RelationCadence};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -29,12 +30,13 @@ fn main() {
     println!(
         "running {threads} threads x {ops} random ops over a 3-dir contended tree (seed {seed})"
     );
-    let checker = Arc::new(OnlineChecker::new(CheckerConfig {
+    let cfg = CheckerConfig {
         mode: HelperMode::Helpers,
         relation: RelationCadence::AtUnlock,
         invariants: true,
-    }));
-    let fs = Arc::new(AtomFs::traced(checker.clone() as Arc<dyn TraceSink>));
+    };
+    let sink = Arc::new(BufferSink::new());
+    let fs = Arc::new(AtomFs::traced(sink.clone() as Arc<dyn TraceSink>));
     let mix = OpMix {
         dirs: 3,
         names: 4,
@@ -57,7 +59,7 @@ fn main() {
     let elapsed = start.elapsed();
 
     drop(fs);
-    let report = Arc::into_inner(checker).expect("sole owner").finish();
+    let report = LpChecker::check(cfg, &sink.take());
     let s = report.stats;
     println!("\nexecution finished in {elapsed:?}");
     println!(

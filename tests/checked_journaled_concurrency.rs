@@ -11,25 +11,26 @@
 use std::sync::Arc;
 
 use atomfs_journal::{BlockDevice, Disk, JournaledFs, ShardConfig};
-use atomfs_trace::{set_current_tid, Tid, TraceSink};
+use atomfs_trace::{set_current_tid, BufferSink, Tid, TraceSink};
 use atomfs_vfs::FileSystem;
 use atomfs_workloads::opmix::OpMix;
-use crlh::{CheckerConfig, HelperMode, OnlineChecker, RelationCadence};
+use crlh::{CheckerConfig, HelperMode, LpChecker, RelationCadence};
 
 #[test]
 fn concurrent_checked_and_journaled_then_crash() {
     for (seed, shards) in (0..3u64).flat_map(|seed| [1, 4].map(|n| (seed, n))) {
         let cfg = ShardConfig::with_shards(shards);
         let disk = Arc::new(Disk::new());
-        let checker = Arc::new(OnlineChecker::new(CheckerConfig {
+        let check_cfg = CheckerConfig {
             mode: HelperMode::Helpers,
             relation: RelationCadence::AtUnlock,
             invariants: true,
-        }));
+        };
+        let sink = Arc::new(BufferSink::new());
         let fs = Arc::new(JournaledFs::create_sharded_observed(
             Arc::clone(&disk) as Arc<dyn BlockDevice>,
             cfg,
-            Arc::clone(&checker) as Arc<dyn TraceSink>,
+            Arc::clone(&sink) as Arc<dyn TraceSink>,
         ));
 
         let mix = OpMix::default();
@@ -52,7 +53,7 @@ fn concurrent_checked_and_journaled_then_crash() {
 
         // The concurrent execution was linearizable.
         drop(fs);
-        let report = Arc::into_inner(checker).expect("sole owner").finish();
+        let report = LpChecker::check(check_cfg, &sink.take());
         report.assert_ok();
 
         // Crash (adversarial) and recover: the journal replays cleanly

@@ -21,9 +21,9 @@ use atomfs_journal::{
 };
 use atomfs_obs::span::{set_sampling, DEFAULT_SPAN_SAMPLE, NO_SHARD, NO_U64};
 use atomfs_obs::{Registry, SpanKind, TriggerCause};
-use atomfs_trace::TraceSink;
+use atomfs_trace::{BufferSink, TraceSink};
 use atomfs_vfs::FileSystem;
-use crlh::{CheckerConfig, HelperMode, OnlineChecker, RelationCadence};
+use crlh::{CheckerConfig, HelperMode, LpChecker, RelationCadence};
 
 #[test]
 fn quarantine_dump_causally_covers_the_failing_op() {
@@ -52,15 +52,16 @@ fn quarantine_dump_causally_covers_the_failing_op() {
             }
         })
         .collect();
-    let checker = Arc::new(OnlineChecker::new(CheckerConfig {
+    let check_cfg = CheckerConfig {
         mode: HelperMode::Helpers,
         relation: RelationCadence::AtUnlock,
         invariants: true,
-    }));
+    };
+    let sink = Arc::new(BufferSink::new());
     let jfs = JournaledFs::create_sharded_observed_with_devices(
         devices,
         cfg,
-        Arc::clone(&checker) as Arc<dyn TraceSink>,
+        Arc::clone(&sink) as Arc<dyn TraceSink>,
     );
     // Attach a registry carrying the journal gauges so the dump embeds a
     // metrics snapshot alongside the spans.
@@ -106,7 +107,10 @@ fn quarantine_dump_causally_covers_the_failing_op() {
     };
     assert_eq!(*shard as usize, victim, "dump names the wrong shard");
     assert!(
-        qdump.health.as_deref().is_some_and(|h| h.contains("\"health\"")),
+        qdump
+            .health
+            .as_deref()
+            .is_some_and(|h| h.contains("\"health\"")),
         "dump carries no health report"
     );
     assert!(
@@ -140,7 +144,10 @@ fn quarantine_dump_causally_covers_the_failing_op() {
         assert_ne!(s.shard, NO_SHARD, "staged append without a shard");
         assert_ne!(s.stamp, NO_U64, "staged append without a stamp");
         assert_ne!(s.epoch, NO_U64, "staged append without an epoch");
-        assert!(s.epoch <= sealed_final + 1, "staged epoch beyond the open one");
+        assert!(
+            s.epoch <= sealed_final + 1,
+            "staged epoch beyond the open one"
+        );
     }
     // 3. The victim's slice write (or its flush barrier) failed, under a
     //    group-commit parent.
@@ -148,7 +155,10 @@ fn quarantine_dump_causally_covers_the_failing_op() {
         .iter()
         .find(|s| s.err && (s.label == "epoch_slice" || s.label == "flush_pass"))
         .expect("no failed slice/flush span in the dump");
-    assert_eq!(failed.shard as usize, victim, "failure attributed to wrong shard");
+    assert_eq!(
+        failed.shard as usize, victim,
+        "failure attributed to wrong shard"
+    );
     // The group-commit root is still open at capture time, so it may sit
     // in `active` (in-flight spans) rather than the completed rings.
     let commit = spans
@@ -156,7 +166,11 @@ fn quarantine_dump_causally_covers_the_failing_op() {
         .chain(qdump.active.iter())
         .find(|s| s.id == failed.parent)
         .expect("failed slice/flush has no parent span in the dump");
-    assert_eq!(commit.kind, SpanKind::EpochCut, "failure not under a group commit");
+    assert_eq!(
+        commit.kind,
+        SpanKind::EpochCut,
+        "failure not under a group commit"
+    );
     // 4. The quarantine trigger instant itself is in the rings.
     let trig = spans
         .iter()
@@ -175,7 +189,7 @@ fn quarantine_dump_causally_covers_the_failing_op() {
 
     // --- Stamp/epoch/shard consistency against recovery. ---
     drop(jfs);
-    let _ = Arc::into_inner(checker).expect("sole owner").finish();
+    LpChecker::check(check_cfg, &sink.take()).assert_ok();
     disk.crash(|_| false);
     let rec = recover_sharded(&disk, &cfg);
     assert_eq!(
@@ -183,16 +197,23 @@ fn quarantine_dump_causally_covers_the_failing_op() {
         vec![victim],
         "recovery disagrees with the dump about the quarantined shard"
     );
-    assert_eq!(rec.lost_windows, windows, "recovery windows != runtime windows");
+    assert_eq!(
+        rec.lost_windows, windows,
+        "recovery windows != runtime windows"
+    );
     let replayed: HashSet<u64> = rec.ops.iter().map(|(s, _)| *s).collect();
-    let in_window =
-        |st: u64| rec.lost_windows.iter().any(|&(lo, hi)| (lo..hi).contains(&st));
-    let horizon = replayed
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(0)
-        .max(rec.lost_windows.iter().map(|&(_, hi)| hi).max().unwrap_or(0));
+    let in_window = |st: u64| {
+        rec.lost_windows
+            .iter()
+            .any(|&(lo, hi)| (lo..hi).contains(&st))
+    };
+    let horizon = replayed.iter().copied().max().unwrap_or(0).max(
+        rec.lost_windows
+            .iter()
+            .map(|&(_, hi)| hi)
+            .max()
+            .unwrap_or(0),
+    );
     // Every stamp the dump attributed to an append is accounted for: it
     // was durably replayed, licensed as lost by a quarantine window, or
     // staged after the last commit the crash preserved.

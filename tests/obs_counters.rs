@@ -8,8 +8,8 @@
 //!    into the same registry, renders a Prometheus page that carries
 //!    real signal: non-zero lock-wait buckets (contention metrics are
 //!    exact, never sampled) and live journal health gauges.
-//! 2. The online helped-linearization counter agrees **exactly** with
-//!    the offline checker's help count over the same event stream: the
+//! 2. The live helped-linearization counter agrees **exactly** with
+//!    the checker's own help count over the same event stream: the
 //!    metrics hooks count what the checker derives, nothing more or
 //!    less. A rename storm maximizes helping so the count is non-zero.
 
@@ -23,7 +23,6 @@ use atomfs_vfs::FileSystem;
 use atomfs_workloads::opmix::OpMix;
 use crlh::checker::{CheckerConfig, HelperMode, LpChecker, RelationCadence};
 use crlh::metrics::CheckerMetrics;
-use crlh::OnlineChecker;
 
 fn spawn_mix(fs: Arc<AtomFs>, mix: OpMix, threads: u32, ops: usize, tid_base: u32, seed_base: u64) {
     let mut handles = Vec::new();
@@ -48,13 +47,11 @@ fn eight_thread_opmix_renders_contended_locks_and_journal_health() {
     let reg = Registry::new();
     // op_sample = 1: observe every op, so op histograms are exact too.
     // (Contended counts and wait times are exact at any sampling rate.)
-    let fs = Arc::new(
-        AtomFs::new().with_metrics(FsMetrics::register_sampled(
-            &reg,
-            ClockSource::monotonic(),
-            1,
-        )),
-    );
+    let fs = Arc::new(AtomFs::new().with_metrics(FsMetrics::register_sampled(
+        &reg,
+        ClockSource::monotonic(),
+        1,
+    )));
     let mix = OpMix::default();
     mix.setup(&*fs);
     // On a single-core host, contention needs a thread to be preempted
@@ -116,7 +113,10 @@ fn wait_class_with_samples(snap: &atomfs_obs::Snapshot) -> String {
             if h.count == 0 {
                 return None;
             }
-            e.labels.iter().find(|(k, _)| k == "class").map(|(_, v)| v.clone())
+            e.labels
+                .iter()
+                .find(|(k, _)| k == "class")
+                .map(|(_, v)| v.clone())
         })
         .expect("some lock class recorded waits")
 }
@@ -124,7 +124,7 @@ fn wait_class_with_samples(snap: &atomfs_obs::Snapshot) -> String {
 /// Helped-linearization agreement, online vs. offline, over one rename
 /// storm. The storm is recorded once (sharded, stamped); the offline
 /// checker derives how many operations helpers linearized, and the same
-/// stamped stream fed through [`OnlineChecker::with_metrics`] must leave
+/// stamped stream fed to a checker with [`LpChecker::with_metrics`] must leave
 /// exactly that number in the live `crlh_lins_total{kind="helped"}`
 /// counter.
 #[test]
@@ -165,11 +165,9 @@ fn rename_storm_online_helped_counter_matches_offline_checker() {
         offline.assert_ok();
 
         let reg = Registry::new();
-        let online = OnlineChecker::with_metrics(cfg, CheckerMetrics::register(&reg));
-        for (_, event) in &stamped {
-            online.emit_ref(event);
-        }
-        online.finish().assert_ok();
+        let mut metered = LpChecker::new(cfg).with_metrics(CheckerMetrics::register(&reg));
+        metered.feed_all_stamped(&stamped);
+        metered.finish().assert_ok();
 
         let snap = reg.snapshot();
         let helped = snap

@@ -125,7 +125,7 @@ fn every_operation_kind_can_be_helped() {
         // after its optimistic claim, and helped from there.
         let claimed = events
             .iter()
-            .any(|e| matches!(e, Event::OptValidate { tid: t, ok: true } if *t == tid));
+            .any(|e| matches!(e, Event::OptValidate { tid: t, ok: true, .. } if *t == tid));
         assert_eq!(claimed, case.name != "rename-within", "{}", case.name);
     }
 }

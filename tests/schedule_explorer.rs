@@ -224,11 +224,11 @@ fn explore_deep_rename_vs_readdir() {
     explore(&s);
 }
 
-/// A rename that lands in the middle of an optimistic walk must
+/// A rename that lands between an optimistic walk and its claim must
 /// invalidate it: at some park point the walker's seqlock validation
-/// fails and the trace shows the mandatory `OptRetry` before the
-/// operation completes (by a fresh attempt or the pessimistic
-/// fallback). Every such schedule still checks clean.
+/// fails and the trace shows a refused claim (`OptValidate{ok:false}`)
+/// before the operation completes (by a fresh attempt or the
+/// pessimistic fallback). Every such schedule still checks clean.
 #[test]
 fn explore_rename_invalidates_optimistic_walk() {
     let s = Scenario {
@@ -238,7 +238,10 @@ fn explore_rename_invalidates_optimistic_walk() {
         op_b: || Box::new(|fs| fs.rename("/a/b", "/other/b2")),
     };
     let n = count_events(&s);
-    assert!(n >= 4, "optimistic stat must emit a walk worth parking in");
+    assert!(
+        n >= 3,
+        "optimistic stat must emit a claim worth parking before"
+    );
     let mut retries_seen = 0u64;
     for k in 0..n {
         let events = run_with_park(&s, k);
@@ -258,7 +261,7 @@ fn explore_rename_invalidates_optimistic_walk() {
         );
         retries_seen += events
             .iter()
-            .filter(|e| matches!(e, Event::OptRetry { tid } if *tid == Tid(9001)))
+            .filter(|e| matches!(e, Event::OptValidate { tid, ok: false, .. } if *tid == Tid(9001)))
             .count() as u64;
         crlh::wgl::check_linearizable(&History::from_trace(&events))
             .unwrap_or_else(|e| panic!("{} (park at {k}/{n}): WGL rejected: {e}", s.name));

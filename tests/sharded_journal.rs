@@ -19,17 +19,19 @@ use atomfs_journal::{
     recover_sharded, recover_sharded_sequential, shard_of, BlockDevice, Disk, FaultPlan,
     FaultyDisk, JournaledFs, ShardConfig,
 };
-use atomfs_trace::{set_current_tid, Tid, TraceSink};
+use atomfs_trace::{set_current_tid, BufferSink, Tid, TraceSink};
 use atomfs_vfs::{FileSystem, FsError};
 use atomfs_workloads::opmix::OpMix;
-use crlh::{CheckerConfig, HelperMode, OnlineChecker, RelationCadence};
+use crlh::{CheckReport, CheckerConfig, HelperMode, LpChecker, RelationCadence};
 
-fn checker() -> Arc<OnlineChecker> {
-    Arc::new(OnlineChecker::new(CheckerConfig {
+/// Check everything `sink` recorded, with helpers and full invariants.
+fn check(sink: &BufferSink) -> CheckReport {
+    let cfg = CheckerConfig {
         mode: HelperMode::Helpers,
         relation: RelationCadence::AtUnlock,
         invariants: true,
-    }))
+    };
+    LpChecker::check(cfg, &sink.take())
 }
 
 #[test]
@@ -37,11 +39,11 @@ fn concurrent_sharded_run_is_checker_accepted_and_recovers_exactly() {
     for seed in 0..3u64 {
         let cfg = ShardConfig::default();
         let disk = Arc::new(Disk::new());
-        let checker = checker();
+        let sink = Arc::new(BufferSink::new());
         let jfs = Arc::new(JournaledFs::create_sharded_observed(
             Arc::clone(&disk) as Arc<dyn BlockDevice>,
             cfg,
-            Arc::clone(&checker) as Arc<dyn TraceSink>,
+            Arc::clone(&sink) as Arc<dyn TraceSink>,
         ));
         let mix = OpMix::default();
         mix.setup(&*jfs);
@@ -78,7 +80,7 @@ fn concurrent_sharded_run_is_checker_accepted_and_recovers_exactly() {
         drop(Arc::into_inner(jfs).expect("threads joined"));
 
         // The concurrent execution over the sharded sink linearizes.
-        let report = Arc::into_inner(checker).expect("sole owner").finish();
+        let report = check(&sink);
         report.assert_ok();
 
         // Clean power cut after a full sync: the per-shard streams merge
@@ -128,11 +130,11 @@ fn one_shard_rename_storm_pairs_every_intent_inside_the_one_stream() {
     for seed in 0..3u64 {
         let cfg = ShardConfig::with_shards(1);
         let disk = Arc::new(Disk::new());
-        let checker = checker();
+        let sink = Arc::new(BufferSink::new());
         let jfs = Arc::new(JournaledFs::create_sharded_observed(
             Arc::clone(&disk) as Arc<dyn BlockDevice>,
             cfg,
-            Arc::clone(&checker) as Arc<dyn TraceSink>,
+            Arc::clone(&sink) as Arc<dyn TraceSink>,
         ));
         mix.setup(&*jfs);
         let mut handles = Vec::new();
@@ -168,7 +170,7 @@ fn one_shard_rename_storm_pairs_every_intent_inside_the_one_stream() {
         let _ = jfs.rename("/m0/tail", "/m1/tail");
         drop(Arc::into_inner(jfs).expect("threads joined"));
 
-        let report = Arc::into_inner(checker).expect("sole owner").finish();
+        let report = check(&sink);
         report.assert_ok();
 
         disk.crash(|_| false);
@@ -264,11 +266,11 @@ fn one_dead_device_quarantines_its_shard_while_the_mount_and_checker_stay_health
                 }
             })
             .collect();
-        let checker = checker();
+        let sink = Arc::new(BufferSink::new());
         let jfs = JournaledFs::create_sharded_observed_with_devices(
             devices,
             cfg,
-            Arc::clone(&checker) as Arc<dyn TraceSink>,
+            Arc::clone(&sink) as Arc<dyn TraceSink>,
         );
         // Creates route by parent (root, live); each file's writes route
         // by its own inode, so ~1/shards of them land on the victim.
@@ -294,7 +296,10 @@ fn one_dead_device_quarantines_its_shard_while_the_mount_and_checker_stay_health
             loss_reported = true;
         }
         assert!(loss_reported, "seed {seed}: no sync ever reported the loss");
-        assert!(refused > 0, "seed {seed}: the dead range never refused a write");
+        assert!(
+            refused > 0,
+            "seed {seed}: the dead range never refused a write"
+        );
         assert!(
             accepted_after_refusal > 0,
             "seed {seed}: live ranges stopped accepting after the quarantine"
@@ -308,7 +313,11 @@ fn one_dead_device_quarantines_its_shard_while_the_mount_and_checker_stay_health
             assert_eq!(sink.quarantine_count(), 1, "seed {seed}: quarantine count");
             (sink.quarantined_shards(), sink.lost_stamp_windows())
         };
-        assert_eq!(quarantined, vec![victim], "seed {seed}: wrong shard quarantined");
+        assert_eq!(
+            quarantined,
+            vec![victim],
+            "seed {seed}: wrong shard quarantined"
+        );
         // Survivors still commit durably after the loss was reported once.
         jfs.mkdir("/still-alive").unwrap();
         jfs.sync()
@@ -317,7 +326,7 @@ fn one_dead_device_quarantines_its_shard_while_the_mount_and_checker_stay_health
 
         // The gated run linearizes: refusals happen before AtomFS mutates,
         // so the checker saw exactly the admitted history.
-        let report = Arc::into_inner(checker).expect("sole owner").finish();
+        let report = check(&sink);
         report.assert_ok();
 
         // Clean power cut: recovery must reproduce the runtime verdict —
@@ -341,7 +350,10 @@ fn one_dead_device_quarantines_its_shard_while_the_mount_and_checker_stay_health
         // Windows bound the loss; they need not be fully spent — a failed
         // slice can still be partially durable, and found stamps replay.
         let window_width: u64 = windows.iter().map(|&(lo, hi)| hi - lo).sum();
-        assert_eq!(stats.lost_ops, par.lost_ops, "seed {seed}: loss accounting diverges");
+        assert_eq!(
+            stats.lost_ops, par.lost_ops,
+            "seed {seed}: loss accounting diverges"
+        );
         assert!(
             stats.lost_ops as u64 <= window_width,
             "seed {seed}: lost more ops ({}) than the quarantine windows license ({window_width})",
@@ -364,11 +376,11 @@ fn degraded_sharded_run_still_produces_a_checker_accepted_trace() {
             Arc::clone(&disk),
             FaultPlan::none(seed).with_permanent_failure_after(40 + seed * 11),
         ));
-        let checker = checker();
+        let sink = Arc::new(BufferSink::new());
         let jfs = JournaledFs::create_sharded_observed(
             dev,
             ShardConfig::default(),
-            Arc::clone(&checker) as Arc<dyn TraceSink>,
+            Arc::clone(&sink) as Arc<dyn TraceSink>,
         );
         // Unique paths per iteration: every loop round actually mutates
         // (and every fourth one syncs), so device traffic accumulates
@@ -395,7 +407,7 @@ fn degraded_sharded_run_still_produces_a_checker_accepted_trace() {
         // trace the checker saw is exactly the mutations that happened —
         // including any rename whose intent/seal never made it to disk.
         drop(jfs);
-        let report = Arc::into_inner(checker).expect("sole owner").finish();
+        let report = check(&sink);
         report.assert_ok();
     }
 }

@@ -1,5 +1,5 @@
 //! Concurrency stress: many threads over a deliberately tiny, contended
-//! tree, with full online CRL-H checking (invariants + roll-back
+//! tree, with full CRL-H checking of each recorded trace (invariants + roll-back
 //! abstraction relation + return-value obligations) and WGL
 //! cross-validation of small histories — the executable analogue of
 //! running the paper's proofs against every interleaving the scheduler
@@ -12,7 +12,7 @@ use atomfs_trace::{set_current_tid, BufferSink, Event, ShardedSink, Tid, TraceSi
 use atomfs_vfs::{FileSystem, SplitMix64};
 use atomfs_workloads::opmix::OpMix;
 use crlh::history::History;
-use crlh::{CheckerConfig, HelperMode, OnlineChecker, RelationCadence};
+use crlh::{CheckerConfig, HelperMode, LpChecker, RelationCadence};
 
 fn spawn_mix(fs: Arc<AtomFs>, mix: OpMix, threads: u32, ops: usize, tid_base: u32, seed_base: u64) {
     let mut handles = Vec::new();
@@ -31,12 +31,13 @@ fn spawn_mix(fs: Arc<AtomFs>, mix: OpMix, threads: u32, ops: usize, tid_base: u3
 #[test]
 fn online_checked_stress_default_mix() {
     for seed in 0..3u64 {
-        let checker = Arc::new(OnlineChecker::new(CheckerConfig {
+        let cfg = CheckerConfig {
             mode: HelperMode::Helpers,
             relation: RelationCadence::AtUnlock,
             invariants: true,
-        }));
-        let fs = Arc::new(AtomFs::traced(checker.clone() as Arc<dyn TraceSink>));
+        };
+        let sink = Arc::new(BufferSink::new());
+        let fs = Arc::new(AtomFs::traced(sink.clone() as Arc<dyn TraceSink>));
         let mix = OpMix::default();
         mix.setup(&*fs);
         spawn_mix(
@@ -48,7 +49,7 @@ fn online_checked_stress_default_mix() {
             seed * 10,
         );
         drop(fs);
-        let report = Arc::into_inner(checker).expect("sole owner").finish();
+        let report = LpChecker::check(cfg, &sink.take());
         report.assert_ok();
         assert!(report.stats.ops_completed >= 8 * 80);
     }
@@ -57,12 +58,13 @@ fn online_checked_stress_default_mix() {
 #[test]
 fn online_checked_stress_rename_storm() {
     // Rename-only contention maximizes helping and recursive dependency.
-    let checker = Arc::new(OnlineChecker::new(CheckerConfig {
+    let cfg = CheckerConfig {
         mode: HelperMode::Helpers,
         relation: RelationCadence::AtUnlock,
         invariants: true,
-    }));
-    let fs = Arc::new(AtomFs::traced(checker.clone() as Arc<dyn TraceSink>));
+    };
+    let sink = Arc::new(BufferSink::new());
+    let fs = Arc::new(AtomFs::traced(sink.clone() as Arc<dyn TraceSink>));
     let mix = OpMix {
         dirs: 2,
         names: 3,
@@ -71,18 +73,19 @@ fn online_checked_stress_rename_storm() {
     mix.setup(&*fs);
     spawn_mix(Arc::clone(&fs), mix, 6, 120, 3500, 42);
     drop(fs);
-    let report = Arc::into_inner(checker).expect("sole owner").finish();
+    let report = LpChecker::check(cfg, &sink.take());
     report.assert_ok();
 }
 
 #[test]
 fn online_checked_deep_tree_stress() {
-    let checker = Arc::new(OnlineChecker::new(CheckerConfig {
+    let cfg = CheckerConfig {
         mode: HelperMode::Helpers,
         relation: RelationCadence::AtEnd, // cheaper: long trace
         invariants: false,
-    }));
-    let fs = Arc::new(AtomFs::traced(checker.clone() as Arc<dyn TraceSink>));
+    };
+    let sink = Arc::new(BufferSink::new());
+    let fs = Arc::new(AtomFs::traced(sink.clone() as Arc<dyn TraceSink>));
     // A deeper skeleton so renames move whole subtrees under walkers.
     for p in ["/r", "/r/a", "/r/a/b", "/r/c", "/r/c/d"] {
         fs.mkdir(p).unwrap();
@@ -124,7 +127,7 @@ fn online_checked_deep_tree_stress() {
         h.join().unwrap();
     }
     drop(fs);
-    let report = Arc::into_inner(checker).expect("sole owner").finish();
+    let report = LpChecker::check(cfg, &sink.take());
     report.assert_ok();
 }
 

@@ -278,7 +278,7 @@ fn pinned_schedule(
     if let Some((c_gate, c)) = c {
         // Three failed attempts (`MAX_OPT_ATTEMPTS`), then the walk.
         wait_until("B never fell back to the walk", &|| {
-            count(&|e| matches!(e, Event::OptRetry { tid } if *tid == tid_b)) == 3
+            count(&|e| matches!(e, Event::OptValidate { tid, ok: false, .. } if *tid == tid_b)) == 3
         });
         sink.open(c_gate);
         c.join().unwrap().unwrap();
@@ -286,7 +286,7 @@ fn pinned_schedule(
     sink.wait_parked(gate);
     let ha = spawn(tid_a, a);
     let a_claim =
-        move |e: &Event| matches!(e, Event::OptValidate { tid, ok: true } if *tid == tid_a);
+        move |e: &Event| matches!(e, Event::OptValidate { tid, ok: true, .. } if *tid == tid_a);
     wait_until("A never claimed on the fast path", &|| count(&a_claim) > 0);
     sink.open(gate);
     let (ra, rb) = (ha.join().unwrap(), hb.join().unwrap());
@@ -343,8 +343,8 @@ fn rmdir_claim_behind_a_pinned_create() {
 
 /// The write-claim twin: B parks at its own claim, holding the file,
 /// before the claim is decided. A's unlink claims on the root; B's claim,
-/// decided after A's, fails the ancestor probe and is recorded `ok:false`,
-/// and its retry finds the file gone.
+/// decided after A's, fails the ancestor probe and is recorded `ok:false`
+/// (its lock never announced), and its retry finds the file gone.
 #[test]
 fn refused_write_claim_behind_an_unlink_claim() {
     let (ra, rb, events) = pinned_schedule(
@@ -361,7 +361,7 @@ fn refused_write_claim_behind_an_unlink_claim() {
         .position(|e| matches!(e, Event::OptValidate { .. }))
         .expect("B claimed");
     assert!(matches!(
-        b_events[at..at + 2],
-        [Event::OptValidate { ok: false, .. }, Event::OptRetry { .. }]
+        b_events[at],
+        Event::OptValidate { chain, locked: true, ok: false, .. } if chain.len() == 2
     ));
 }
