@@ -12,11 +12,13 @@
 //!
 //! Never use this file system for anything but checker validation.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use atomfs::blocks::BlockStore;
+use atomfs::fastdir::FastDir;
 use atomfs::inode::InodeData;
-use atomfs::table::InodeTable;
+use atomfs::table::{InodeRef, InodeTable};
 use atomfs_trace::{
     current_tid, Event, Inum, MicroOp, OpDesc, OpRet, PathTag, StatRet, Tid, TraceSink, ROOT_INUM,
 };
@@ -32,33 +34,52 @@ pub type WalkHook = Arc<dyn Fn(Tid, Inum) + Send + Sync>;
 /// AtomFS without lock coupling. See the module docs.
 pub struct BypassFs {
     table: InodeTable,
+    /// Every live inode by number. A bypassing walk resumes at the inode
+    /// *number* it read before releasing its lock — whatever inode holds
+    /// that number by then, which is how Figure 8's recycled number
+    /// catches it. (A lock-coupled walk never needs this: it holds the
+    /// parent, so the child it read stays linked.)
+    inodes: parking_lot::Mutex<HashMap<Inum, InodeRef>>,
     store: BlockStore,
     sink: Option<Arc<dyn TraceSink>>,
     walk_hook: parking_lot::Mutex<Option<WalkHook>>,
 }
 
 struct Held {
-    ino: Inum,
+    slot: InodeRef,
     guard: parking_lot::ArcMutexGuard<parking_lot::RawMutex, InodeData>,
+}
+
+impl Held {
+    fn ino(&self) -> Inum {
+        self.slot.ino()
+    }
+
+    /// The held directory's index, or `ENOTDIR`.
+    fn dir(&self) -> FsResult<&FastDir> {
+        self.slot.dir().ok_or(FsError::NotDir)
+    }
 }
 
 impl BypassFs {
     /// Create an untraced instance.
     pub fn new() -> Self {
-        BypassFs {
-            table: InodeTable::new(1 << 20),
-            store: BlockStore::new(1 << 16),
-            sink: None,
-            walk_hook: parking_lot::Mutex::new(None),
-        }
+        Self::with_sink(None)
     }
 
     /// Create an instrumented instance.
     pub fn traced(sink: Arc<dyn TraceSink>) -> Self {
+        Self::with_sink(Some(sink))
+    }
+
+    fn with_sink(sink: Option<Arc<dyn TraceSink>>) -> Self {
+        let table = InodeTable::new(1 << 20);
+        let inodes = HashMap::from([(ROOT_INUM, table.root())]);
         BypassFs {
-            table: InodeTable::new(1 << 20),
+            table,
+            inodes: parking_lot::Mutex::new(inodes),
             store: BlockStore::new(1 << 16),
-            sink: Some(sink),
+            sink,
             walk_hook: parking_lot::Mutex::new(None),
         }
     }
@@ -74,15 +95,19 @@ impl BypassFs {
         }
     }
 
+    /// Lock whatever live inode currently has number `ino`.
     fn lock(&self, tid: Tid, ino: Inum, tag: PathTag) -> Option<Held> {
-        let iref = self.table.get(ino)?;
-        let guard = iref.lock_owned();
+        let slot = self.inodes.lock().get(&ino).cloned()?;
+        let guard = slot.lock_owned();
         self.emit(|| Event::Lock { tid, ino, tag });
-        Some(Held { ino, guard })
+        Some(Held { slot, guard })
     }
 
     fn unlock(&self, tid: Tid, held: Held) {
-        self.emit(|| Event::Unlock { tid, ino: held.ino });
+        self.emit(|| Event::Unlock {
+            tid,
+            ino: held.ino(),
+        });
         drop(held.guard);
     }
 
@@ -92,8 +117,8 @@ impl BypassFs {
             .lock(tid, ROOT_INUM, PathTag::Common)
             .ok_or(FsError::NotFound)?;
         for name in comps {
-            let child = match cur.guard.as_dir() {
-                Ok(d) => d.lookup(name),
+            let child = match cur.dir() {
+                Ok(d) => d.lookup(name).map(|(ino, _)| ino),
                 Err(e) => {
                     self.emit(|| Event::Lp { tid });
                     self.unlock(tid, cur);
@@ -191,7 +216,7 @@ impl FileSystem for BypassFs {
         });
         let result = (|| {
             let node = self.walk(tid, &comps)?;
-            let meta = node.guard.metadata(node.ino);
+            let meta = node.slot.metadata(&node.guard);
             self.emit(|| Event::Lp { tid });
             self.unlock(tid, node);
             Ok(meta)
@@ -211,10 +236,7 @@ impl FileSystem for BypassFs {
         });
         let result = (|| {
             let node = self.walk(tid, &comps)?;
-            let names = match node.guard.as_dir() {
-                Ok(d) => Ok(d.names()),
-                Err(e) => Err(e),
-            };
+            let names = node.dir().map(FastDir::names);
             self.emit(|| Event::Lp { tid });
             self.unlock(tid, node);
             names
@@ -262,7 +284,7 @@ impl FileSystem for BypassFs {
         let traced = self.sink.is_some();
         let result = (|| {
             let mut node = self.walk(tid, &comps)?;
-            let ino = node.ino;
+            let ino = node.ino();
             let r = match node.guard.as_file_mut() {
                 Ok(f) => {
                     let old = traced.then(|| f.snapshot(&self.store));
@@ -320,8 +342,8 @@ impl BypassFs {
             self.emit(|| Event::Lp { tid });
             return Err(FsError::Exists);
         };
-        let mut p = self.walk(tid, parent)?;
-        let outcome = match p.guard.as_dir() {
+        let p = self.walk(tid, parent)?;
+        let outcome = match p.dir() {
             Err(e) => Err(e),
             Ok(d) if d.lookup(name).is_some() => Err(FsError::Exists),
             Ok(_) => Ok(()),
@@ -331,7 +353,7 @@ impl BypassFs {
             self.unlock(tid, p);
             return Err(e);
         }
-        let (ino, _) = match self.table.alloc(ftype) {
+        let (ino, iref) = match self.table.alloc(ftype) {
             Ok(x) => x,
             Err(e) => {
                 self.emit(|| Event::Lp { tid });
@@ -343,11 +365,9 @@ impl BypassFs {
             tid,
             mop: MicroOp::Create { ino, ftype },
         });
-        let pino = p.ino;
-        p.guard
-            .as_dir_mut()
-            .expect("checked")
-            .insert(name, ino, ftype.is_dir());
+        self.inodes.lock().insert(ino, InodeRef::clone(&iref));
+        let pino = p.ino();
+        p.dir().expect("checked").insert(name, &iref);
         self.emit(|| Event::Mutate {
             tid,
             mop: MicroOp::Ins {
@@ -390,9 +410,9 @@ impl BypassFs {
                 FsError::IsDir
             });
         };
-        let mut p = self.walk(tid, parent)?;
-        let child_ino = match p.guard.as_dir() {
-            Ok(d) => d.lookup(name),
+        let p = self.walk(tid, parent)?;
+        let child_ino = match p.dir() {
+            Ok(d) => d.lookup(name).map(|(ino, _)| ino),
             Err(e) => {
                 self.emit(|| Event::Lp { tid });
                 self.unlock(tid, p);
@@ -414,7 +434,7 @@ impl BypassFs {
             Some(FsError::NotDir)
         } else if !want_dir && cftype == FileType::Dir {
             Some(FsError::IsDir)
-        } else if want_dir && !c.guard.as_dir().expect("dir").is_empty() {
+        } else if want_dir && !c.dir().expect("dir").is_empty() {
             Some(FsError::NotEmpty)
         } else {
             None
@@ -425,11 +445,8 @@ impl BypassFs {
             self.unlock(tid, p);
             return Err(e);
         }
-        let pino = p.ino;
-        p.guard
-            .as_dir_mut()
-            .expect("checked")
-            .remove(name, cftype.is_dir());
+        let pino = p.ino();
+        p.dir().expect("checked").remove(name);
         self.emit(|| Event::Mutate {
             tid,
             mop: MicroOp::Del {
@@ -463,6 +480,7 @@ impl BypassFs {
             },
         });
         self.unlock(tid, c);
+        self.inodes.lock().remove(&child_ino);
         self.table.free(child_ino);
         Ok(())
     }
@@ -473,11 +491,11 @@ impl BypassFs {
             self.emit(|| Event::Lp { tid });
             return Err(FsError::Unsupported);
         };
-        let mut p = self
+        let p = self
             .lock(tid, ROOT_INUM, PathTag::Common)
             .ok_or(FsError::NotFound)?;
-        let dir = p.guard.as_dir().expect("root is a dir");
-        let Some(snode) = dir.lookup(sn) else {
+        let dir = p.dir().expect("root is a dir");
+        let Some((snode, snode_ref)) = dir.lookup(sn) else {
             self.emit(|| Event::Lp { tid });
             self.unlock(tid, p);
             return Err(FsError::NotFound);
@@ -487,16 +505,14 @@ impl BypassFs {
             self.unlock(tid, p);
             return Err(FsError::Exists);
         }
-        let snode_ref = self.table.get(snode).expect("linked");
+        let snode_ref = InodeRef::clone(snode_ref);
         let sguard = snode_ref.lock_owned();
         self.emit(|| Event::Lock {
             tid,
             ino: snode,
             tag: PathTag::Src,
         });
-        let s_is_dir = sguard.ftype().is_dir();
-        let d = p.guard.as_dir_mut().expect("root");
-        d.remove(sn, s_is_dir);
+        dir.remove(sn);
         self.emit(|| Event::Mutate {
             tid,
             mop: MicroOp::Del {
@@ -505,10 +521,7 @@ impl BypassFs {
                 child: snode,
             },
         });
-        p.guard
-            .as_dir_mut()
-            .expect("root")
-            .insert(dn, snode, s_is_dir);
+        dir.insert(dn, &snode_ref);
         self.emit(|| Event::Mutate {
             tid,
             mop: MicroOp::Ins {

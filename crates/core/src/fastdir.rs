@@ -1,14 +1,17 @@
-//! Lock-free directory index for the optimistic walk.
+//! A directory's name→inode index.
 //!
-//! Each directory inode carries, next to its lock-protected [`DirHash`],
-//! a `FastDir`: an open-addressed, linear-probed table from name hashes to
-//! child [`InodeRef`]s that optimistic readers probe *without holding the
-//! inode lock*. Writers always mutate it while holding the inode's mutex
-//! (and inside the inode's seqlock write window), so writer/writer races
-//! do not exist; reader/writer races are benign by construction and any
-//! torn view is discarded by the caller's seqlock validation.
+//! Each directory inode carries one `FastDir`: an open-addressed,
+//! linear-probed table from name hashes to child [`InodeRef`]s. It is the
+//! directory's only entry store. Lock-coupled walks read it under the
+//! inode's lock; optimistic readers probe it *without holding the lock*.
+//! Writers always mutate it while holding the inode's mutex (inside the
+//! inode's seqlock write window, in AtomFS), so writer/writer races do not
+//! exist; reader/writer races are benign by construction and any torn
+//! view is discarded by the caller's seqlock validation.
 //!
-//! [`DirHash`]: crate::dirhash::DirHash
+//! The paper's prototype chains entries off a hash array (§6). The map
+//! semantics are the same — one child per name, `readdir` order
+//! unspecified — so the layout stays below the abstraction relation.
 //!
 //! # Publication protocol
 //!
@@ -35,13 +38,28 @@
 //! shared-cacheline RMWs. The borrow is sound because every table ever
 //! published stays allocated for the life of the `FastDir`.
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use atomfs_trace::Inum;
 
-use crate::dirhash::hash_name;
 use crate::table::InodeRef;
+
+/// A cheap deterministic string hash (fx-style multiply-rotate).
+///
+/// One rotate + xor + multiply per byte, fully deterministic across runs
+/// (a directory's layout is reproducible for the differential tests and
+/// the structure ablation benchmark).
+#[inline]
+fn hash_name(name: &str) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mut h: u64 = 0;
+    for b in name.as_bytes() {
+        h = (h.rotate_left(5) ^ u64::from(*b)).wrapping_mul(K);
+    }
+    // Finalize so single-byte names don't map tiny inputs to tiny outputs.
+    h ^ (h >> 32)
+}
 
 /// `meta` value of a never-used slot (terminates probes). Inode 0 is
 /// reserved (the table starts numbering at `ROOT_INUM == 1`), so 0 is
@@ -85,13 +103,15 @@ impl Table {
     }
 }
 
-/// The lock-free index of one directory. See the module docs for the
-/// reader/writer protocol.
-pub(crate) struct FastDir {
+/// The index of one directory. See the module docs for the reader/writer
+/// protocol.
+pub struct FastDir {
     /// Current table; readers `Acquire`-load and never write.
     cur: AtomicPtr<Table>,
     /// Live entries (writer-maintained, under the inode lock).
     live: AtomicUsize,
+    /// Live entries whose child is a directory (for `nlink`).
+    subdirs: AtomicU32,
     /// Tombstoned slots in the current table (writer-maintained).
     tombs: AtomicUsize,
     /// Superseded tables, kept allocated for still-running readers.
@@ -105,11 +125,19 @@ pub(crate) struct FastDir {
 unsafe impl Send for FastDir {}
 unsafe impl Sync for FastDir {}
 
+impl Default for FastDir {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl FastDir {
-    pub(crate) fn new() -> Self {
+    /// An empty directory index.
+    pub fn new() -> Self {
         FastDir {
             cur: AtomicPtr::new(Box::into_raw(Table::with_capacity(INITIAL_SLOTS))),
             live: AtomicUsize::new(0),
+            subdirs: AtomicU32::new(0),
             tombs: AtomicUsize::new(0),
             retired: parking_lot::Mutex::new(Vec::new()),
         }
@@ -124,12 +152,28 @@ impl FastDir {
         unsafe { &*self.cur.load(Ordering::Acquire) }
     }
 
-    /// Lock-free lookup. Returns the child's inode number and a borrow of
+    /// Number of entries. Exact under the inode lock.
+    pub fn len(&self) -> usize {
+        self.live.load(Ordering::Relaxed)
+    }
+
+    /// Whether the directory has no entries. Exact under the inode lock.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of entries that are directories. Exact under the inode lock.
+    pub fn subdirs(&self) -> u32 {
+        self.subdirs.load(Ordering::Relaxed)
+    }
+
+    /// Look up `name`, returning the child's inode number and a borrow of
     /// its `InodeRef` (no refcount traffic).
     ///
-    /// The result — including a `None` miss — is only meaningful if the
-    /// caller's subsequent seqlock validation of the owning inode passes.
-    pub(crate) fn lookup<'a>(&'a self, name: &str) -> Option<(Inum, &'a InodeRef)> {
+    /// Under the inode lock the result is exact. Without it the result —
+    /// including a `None` miss — is only meaningful if the caller's
+    /// subsequent seqlock validation of the owning inode passes.
+    pub fn lookup<'a>(&'a self, name: &str) -> Option<(Inum, &'a InodeRef)> {
         let hash = hash_name(name);
         let t = self.table();
         let mut idx = (hash as usize) & t.mask;
@@ -151,11 +195,18 @@ impl FastDir {
         }
     }
 
-    /// Insert `name -> child`. Writer-only (inode lock held, seq odd).
-    /// The caller has already checked against the authoritative `DirHash`
-    /// that the name is absent.
-    pub(crate) fn insert(&self, name: &str, ino: Inum, child: &InodeRef) {
-        debug_assert!(ino != EMPTY && ino != TOMB, "inode number collides with sentinel");
+    /// Insert `name -> child`. Returns `false` (without modifying
+    /// anything) if the name already exists. Writer-only (inode lock
+    /// held).
+    pub fn insert(&self, name: &str, child: &InodeRef) -> bool {
+        if self.lookup(name).is_some() {
+            return false;
+        }
+        let ino = child.ino();
+        debug_assert!(
+            ino != EMPTY && ino != TOMB,
+            "inode number collides with sentinel"
+        );
         let live = self.live.load(Ordering::Relaxed);
         let tombs = self.tombs.load(Ordering::Relaxed);
         let t = self.table();
@@ -174,31 +225,38 @@ impl FastDir {
                 assert!(claimed.is_ok(), "empty slot claimed once");
                 slot.meta.store(ino, Ordering::Release);
                 self.live.store(live + 1, Ordering::Relaxed);
-                return;
+                if child.dir().is_some() {
+                    self.subdirs.fetch_add(1, Ordering::Relaxed);
+                }
+                return true;
             }
             idx = (idx + 1) & t.mask;
         }
     }
 
-    /// Remove `name`. Writer-only (inode lock held, seq odd). The slot is
-    /// tombstoned, never reused; its child `Arc` stays pinned until the
-    /// next growth compaction (see module docs).
-    pub(crate) fn remove(&self, name: &str) {
+    /// Remove `name`, returning the inode number it mapped to. Writer-only
+    /// (inode lock held). The slot is tombstoned, never reused; its child
+    /// `Arc` stays pinned until the next growth compaction (see module
+    /// docs).
+    pub fn remove(&self, name: &str) -> Option<Inum> {
         let hash = hash_name(name);
         let t = self.table();
         let mut idx = (hash as usize) & t.mask;
         loop {
             let slot = &t.slots[idx];
             match slot.meta.load(Ordering::Relaxed) {
-                EMPTY => return, // absent; caller's DirHash is authoritative
+                EMPTY => return None,
                 TOMB => {}
-                _ => {
-                    let (h, n, _) = slot.entry.get().expect("meta published before entry");
+                ino => {
+                    let (h, n, child) = slot.entry.get().expect("meta published before entry");
                     if *h == hash && n.as_ref() == name {
                         slot.meta.store(TOMB, Ordering::Release);
                         self.live.fetch_sub(1, Ordering::Relaxed);
                         self.tombs.fetch_add(1, Ordering::Relaxed);
-                        return;
+                        if child.dir().is_some() {
+                            self.subdirs.fetch_sub(1, Ordering::Relaxed);
+                        }
+                        return Some(ino);
                     }
                 }
             }
@@ -206,9 +264,10 @@ impl FastDir {
         }
     }
 
-    /// Lock-free name scan for the `readdir` fast path. Order is
-    /// unspecified; validity is subject to the caller's seq validation.
-    pub(crate) fn names(&self) -> Vec<String> {
+    /// Entry names in unspecified order. Exact under the inode lock;
+    /// without it (the `readdir` fast path), validity is subject to the
+    /// caller's seq validation.
+    pub fn names(&self) -> Vec<String> {
         let t = self.table();
         let mut out = Vec::new();
         for slot in t.slots.iter() {
@@ -265,11 +324,12 @@ impl FastDir {
     /// still owns.
     pub(crate) fn drain_for_teardown(&self) -> Vec<InodeRef> {
         let mut tables: Vec<*mut Table> = self.retired.lock().drain(..).collect();
-        tables.push(
-            self.cur
-                .swap(Box::into_raw(Table::with_capacity(INITIAL_SLOTS)), Ordering::AcqRel),
-        );
+        tables.push(self.cur.swap(
+            Box::into_raw(Table::with_capacity(INITIAL_SLOTS)),
+            Ordering::AcqRel,
+        ));
         self.live.store(0, Ordering::Relaxed);
+        self.subdirs.store(0, Ordering::Relaxed);
         self.tombs.store(0, Ordering::Relaxed);
         let mut out = Vec::new();
         // SAFETY: each pointer came from `Box::into_raw` and was removed
@@ -306,8 +366,9 @@ impl std::fmt::Debug for FastDir {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "FastDir(live={}, tombs={})",
-            self.live.load(Ordering::Relaxed),
+            "FastDir(live={}, subdirs={}, tombs={})",
+            self.len(),
+            self.subdirs(),
             self.tombs.load(Ordering::Relaxed)
         )
     }
@@ -328,25 +389,31 @@ mod tests {
     fn insert_lookup_remove_roundtrip() {
         let f = FastDir::new();
         let c1 = child(10);
-        let c2 = child(11);
-        f.insert("a", 10, &c1);
-        f.insert("b", 11, &c2);
+        let c2 = Arc::new(InodeSlot::new(11, FileType::Dir));
+        assert!(f.insert("a", &c1));
+        assert!(f.insert("b", &c2));
+        assert!(!f.insert("a", &child(12)), "duplicate insert must fail");
         assert_eq!(f.lookup("a").map(|(i, _)| i), Some(10));
         assert_eq!(f.lookup("b").map(|(i, _)| i), Some(11));
         assert_eq!(f.lookup("c").map(|(i, _)| i), None);
-        f.remove("a");
+        assert_eq!((f.len(), f.subdirs()), (2, 1));
+        assert_eq!(f.remove("a"), Some(10));
+        assert_eq!(f.remove("a"), None);
         assert_eq!(f.lookup("a").map(|(i, _)| i), None);
         assert_eq!(f.lookup("b").map(|(i, _)| i), Some(11));
+        assert_eq!(f.remove("b"), Some(11));
+        assert!(f.is_empty());
+        assert_eq!(f.subdirs(), 0, "removing a directory entry drops the count");
     }
 
     #[test]
     fn tombstones_are_not_revived() {
         let f = FastDir::new();
         let c1 = child(5);
-        f.insert("x", 5, &c1);
+        f.insert("x", &c1);
         f.remove("x");
         let c2 = child(7);
-        f.insert("x", 7, &c2);
+        f.insert("x", &c2);
         let (ino, r) = f.lookup("x").expect("reinserted name resolves");
         assert_eq!(ino, 7);
         assert_eq!(r.ino(), 7, "must see the new child, not the tombstoned one");
@@ -357,7 +424,7 @@ mod tests {
         let f = FastDir::new();
         let kids: Vec<InodeRef> = (0..200).map(|i| child(100 + i)).collect();
         for (i, k) in kids.iter().enumerate() {
-            f.insert(&format!("n{i}"), 100 + i as Inum, k);
+            f.insert(&format!("n{i}"), k);
         }
         // Delete half, then insert more to force growth past tombstones.
         for i in (0..200).step_by(2) {
@@ -365,14 +432,17 @@ mod tests {
         }
         let more: Vec<InodeRef> = (0..100).map(|i| child(500 + i)).collect();
         for (i, k) in more.iter().enumerate() {
-            f.insert(&format!("m{i}"), 500 + i as Inum, k);
+            f.insert(&format!("m{i}"), k);
         }
         for i in 0..200 {
             let want = (i % 2 == 1).then_some(100 + i as Inum);
             assert_eq!(f.lookup(&format!("n{i}")).map(|(x, _)| x), want);
         }
         for i in 0..100 {
-            assert_eq!(f.lookup(&format!("m{i}")).map(|(x, _)| x), Some(500 + i as Inum));
+            assert_eq!(
+                f.lookup(&format!("m{i}")).map(|(x, _)| x),
+                Some(500 + i as Inum)
+            );
         }
         assert_eq!(f.names().len(), 200);
     }
@@ -405,10 +475,7 @@ mod tests {
                 let name = format!("k{i}");
                 if round % 2 == 0 {
                     gen += 1;
-                    let c = child(gen);
-                    if f.lookup(&name).is_none() {
-                        f.insert(&name, gen, &c);
-                    }
+                    f.insert(&name, &child(gen));
                 } else {
                     f.remove(&name);
                 }
@@ -418,5 +485,17 @@ mod tests {
         for r in readers {
             r.join().unwrap();
         }
+    }
+
+    #[test]
+    fn hash_name_is_deterministic_and_spreads() {
+        assert_eq!(hash_name("abc"), hash_name("abc"));
+        assert_ne!(hash_name("abc"), hash_name("abd"));
+        assert_ne!(hash_name("a"), hash_name("b"));
+        // Single-byte inputs must not collapse into a tiny range.
+        let hs: std::collections::HashSet<u64> = (b'a'..=b'z')
+            .map(|c| hash_name(&(c as char).to_string()))
+            .collect();
+        assert_eq!(hs.len(), 26);
     }
 }

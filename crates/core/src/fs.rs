@@ -37,8 +37,8 @@ impl Default for AtomFsConfig {
 /// Every operation takes per-inode locks along its path using lock
 /// coupling (hand-over-hand), which establishes the paper's
 /// *non-bypassable criterion* (§5.1) and makes every interface
-/// linearizable. File data lives in a shared [`BlockStore`]; directories
-/// are chained hash tables.
+/// linearizable. File data lives in a shared [`BlockStore`]; each
+/// directory's entries live in one hashed index.
 ///
 /// An instance built with [`AtomFs::traced`] additionally reports every
 /// atomic step (lock transitions, mutations, linearization points) to a

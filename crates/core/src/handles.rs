@@ -83,10 +83,7 @@ impl AtomFs {
             Err(e) => Err(e),
         };
         let ino = node.ino;
-        let iref = self
-            .table
-            .get(ino)
-            .expect("walked inode is live while its lock is held");
+        let iref = InodeRef::clone(&node.slot);
         self.unlock(tid, node);
         result.map(|()| Handle { ino, iref })
     }

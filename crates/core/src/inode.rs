@@ -1,16 +1,16 @@
 //! Inode contents: directories and files.
 //!
-//! An inode is either a directory (a [`DirHash`] of entries) or a file
-//! (a [`FileData`] index array over the shared [`BlockStore`]). The
-//! enclosing [`crate::table::InodeTable`] wraps each [`InodeData`] in a
+//! A file's contents are a [`FileData`] index array over the shared
+//! [`BlockStore`]. A directory's entries live in its slot's
+//! [`FastDir`](crate::fastdir::FastDir), outside the lock, so its
+//! [`InodeData`] carries nothing. The enclosing
+//! [`crate::table::InodeSlot`] wraps each [`InodeData`] in a
 //! `parking_lot::Mutex` — the paper's per-inode lock — so everything here
 //! is written for single-threaded access under that lock.
 
-use atomfs_trace::Inum;
-use atomfs_vfs::{FileType, FsError, FsResult, Metadata};
+use atomfs_vfs::{FileType, FsError, FsResult};
 
 use crate::blocks::{BlockIdx, BlockStore, BLOCK_SIZE, MAX_BLOCKS_PER_FILE};
-use crate::dirhash::DirHash;
 
 /// File contents: a size plus a bounded index array into the block store.
 ///
@@ -152,13 +152,13 @@ impl FileData {
     }
 }
 
-/// The contents of one inode.
+/// The lock-protected contents of one inode.
 #[derive(Debug)]
 pub enum InodeData {
     /// A regular file.
     File(FileData),
-    /// A directory.
-    Dir(DirHash),
+    /// A directory; its entries are its slot's index.
+    Dir,
 }
 
 impl InodeData {
@@ -166,7 +166,7 @@ impl InodeData {
     pub fn new(ftype: FileType) -> Self {
         match ftype {
             FileType::File => InodeData::File(FileData::default()),
-            FileType::Dir => InodeData::Dir(DirHash::new()),
+            FileType::Dir => InodeData::Dir,
         }
     }
 
@@ -174,23 +174,7 @@ impl InodeData {
     pub fn ftype(&self) -> FileType {
         match self {
             InodeData::File(_) => FileType::File,
-            InodeData::Dir(_) => FileType::Dir,
-        }
-    }
-
-    /// Directory view, or `ENOTDIR`.
-    pub fn as_dir(&self) -> FsResult<&DirHash> {
-        match self {
-            InodeData::Dir(d) => Ok(d),
-            InodeData::File(_) => Err(FsError::NotDir),
-        }
-    }
-
-    /// Mutable directory view, or `ENOTDIR`.
-    pub fn as_dir_mut(&mut self) -> FsResult<&mut DirHash> {
-        match self {
-            InodeData::Dir(d) => Ok(d),
-            InodeData::File(_) => Err(FsError::NotDir),
+            InodeData::Dir => FileType::Dir,
         }
     }
 
@@ -198,7 +182,7 @@ impl InodeData {
     pub fn as_file(&self) -> FsResult<&FileData> {
         match self {
             InodeData::File(f) => Ok(f),
-            InodeData::Dir(_) => Err(FsError::IsDir),
+            InodeData::Dir => Err(FsError::IsDir),
         }
     }
 
@@ -206,15 +190,7 @@ impl InodeData {
     pub fn as_file_mut(&mut self) -> FsResult<&mut FileData> {
         match self {
             InodeData::File(f) => Ok(f),
-            InodeData::Dir(_) => Err(FsError::IsDir),
-        }
-    }
-
-    /// Metadata for this inode under number `ino`.
-    pub fn metadata(&self, ino: Inum) -> Metadata {
-        match self {
-            InodeData::File(f) => Metadata::file(ino, f.size()),
-            InodeData::Dir(d) => Metadata::dir(ino, d.len() as u64, d.subdirs()),
+            InodeData::Dir => Err(FsError::IsDir),
         }
     }
 }
@@ -324,27 +300,34 @@ mod tests {
     #[test]
     fn inode_views() {
         let mut d = InodeData::new(FileType::Dir);
-        assert!(d.as_dir().is_ok());
+        assert_eq!(d.ftype(), FileType::Dir);
         assert_eq!(d.as_file().unwrap_err(), FsError::IsDir);
-        assert!(d.as_dir_mut().is_ok());
+        assert_eq!(d.as_file_mut().unwrap_err(), FsError::IsDir);
         let mut f = InodeData::new(FileType::File);
+        assert_eq!(f.ftype(), FileType::File);
         assert!(f.as_file().is_ok());
-        assert_eq!(f.as_dir().unwrap_err(), FsError::NotDir);
         assert!(f.as_file_mut().is_ok());
     }
 
     #[test]
     fn metadata_reflects_contents() {
+        use crate::table::InodeSlot;
+        use std::sync::Arc;
         let s = store();
-        let mut f = InodeData::new(FileType::File);
-        f.as_file_mut().unwrap().write(&s, 0, b"12345").unwrap();
-        let m = f.metadata(9);
+        let f = InodeSlot::new(9, FileType::File);
+        f.lock()
+            .as_file_mut()
+            .unwrap()
+            .write(&s, 0, b"12345")
+            .unwrap();
+        let m = f.metadata(&f.lock());
         assert_eq!(m.ino, 9);
         assert_eq!(m.size, 5);
-        let mut d = InodeData::new(FileType::Dir);
-        d.as_dir_mut().unwrap().insert("sub", 2, true);
-        d.as_dir_mut().unwrap().insert("f", 3, false);
-        let m = d.metadata(1);
+        let d = InodeSlot::new(1, FileType::Dir);
+        let index = d.dir().unwrap();
+        index.insert("sub", &Arc::new(InodeSlot::new(2, FileType::Dir)));
+        index.insert("f", &Arc::new(InodeSlot::new(3, FileType::File)));
+        let m = d.metadata(&d.lock());
         assert_eq!(m.size, 2);
         assert_eq!(m.nlink, 3);
     }

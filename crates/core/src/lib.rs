@@ -11,9 +11,11 @@
 //!   overtake another on the same path. This is what makes it sound for a
 //!   `rename` to logically linearize ("help") the in-flight operations
 //!   whose traversed paths it breaks.
-//! * **Chained-hash directories** ([`dirhash`]) and a **block store** with
-//!   per-file index arrays ([`blocks`]), matching the prototype layout the
-//!   paper describes (§6).
+//! * **Hashed directories** ([`fastdir`]): one open-addressed index per
+//!   directory, read under the lock by lock-coupled walks and without it
+//!   by the optimistic fast path. The paper's prototype chains entries off
+//!   a hash array (§6); both are the same name→inode map. File data lives
+//!   in a **block store** with per-file index arrays ([`blocks`]).
 //! * **Deadlock-free renames** (§5.2): couple down to the last common
 //!   inode of the two parent paths and hold it until both parent
 //!   directories are locked.
@@ -50,8 +52,7 @@
 //! ```
 
 pub mod blocks;
-pub mod dirhash;
-pub(crate) mod fastdir;
+pub mod fastdir;
 pub mod fs;
 pub mod handles;
 pub mod inode;

@@ -143,7 +143,7 @@ impl AtomFs {
         let p = self
             .walk(tid, parent, PathTag::Common)
             .map_err(|(e, held)| self.fail(tid, e, [held]))?;
-        if p.as_dir().is_err() {
+        if p.dir().is_err() {
             return Err(self.fail(tid, FsError::NotDir, [p]));
         }
         self.finish(tid, p, |p| self.create_tail(tid, name, p, ftype))
@@ -161,7 +161,7 @@ impl AtomFs {
         p: &mut Locked,
         ftype: FileType,
     ) -> FsResult<()> {
-        if p.as_dir().expect("caller verified").lookup(name).is_some() {
+        if p.dir().expect("caller verified").lookup(name).is_some() {
             return Err(FsError::Exists);
         }
         self.hint(tid, p.ino)?;
@@ -171,7 +171,7 @@ impl AtomFs {
             mop: MicroOp::Create { ino, ftype },
         });
         let pino = p.ino;
-        let inserted = p.dir_insert(name, &iref, ftype.is_dir());
+        let inserted = p.dir_insert(name, &iref);
         debug_assert!(inserted, "existence was checked under the same lock");
         debug_assert!(p.slot.seq_read() % 2 == 1, "seq moves before the Ins");
         self.emit(|| Event::Mutate {
@@ -226,7 +226,7 @@ impl AtomFs {
         let p = self
             .walk(tid, parent, PathTag::Common)
             .map_err(|(e, held)| self.fail(tid, e, [held]))?;
-        if p.as_dir().is_err() {
+        if p.dir().is_err() {
             return Err(self.fail(tid, FsError::NotDir, [p]));
         }
         self.remove_tail(tid, name, p, want_dir)
@@ -247,15 +247,11 @@ impl AtomFs {
         if let Err(e) = self.hint(tid, p.ino) {
             return Err(self.fail(tid, e, [p]));
         }
-        let Some(child_ino) = p.as_dir().expect("caller verified").lookup(name) else {
+        let Some((child_ino, child)) = p.dir().expect("caller verified").lookup(name) else {
             return Err(self.fail(tid, FsError::NotFound, [p]));
         };
-        let child_ref = self
-            .table
-            .get(child_ino)
-            .expect("directory entry points at a live inode");
         // Lock coupling continues into the victim (Figure 2's `lock(node)`).
-        let mut c = self.lock_inode(tid, child_ino, &child_ref, PathTag::Common);
+        let mut c = self.lock_inode(tid, child_ino, child, PathTag::Common);
         let cftype = c.ftype();
         if want_dir && cftype == FileType::File {
             return Err(self.fail(tid, FsError::NotDir, [c, p]));
@@ -263,11 +259,11 @@ impl AtomFs {
         if !want_dir && cftype == FileType::Dir {
             return Err(self.fail(tid, FsError::IsDir, [c, p]));
         }
-        if want_dir && !c.as_dir().expect("checked").is_empty() {
+        if want_dir && !c.dir().expect("checked").is_empty() {
             return Err(self.fail(tid, FsError::NotEmpty, [c, p]));
         }
         let pino = p.ino;
-        let removed = p.dir_remove(name, cftype.is_dir());
+        let removed = p.dir_remove(name);
         debug_assert_eq!(removed, Some(child_ino));
         debug_assert!(p.slot.seq_read() % 2 == 1, "seq moves before the Del");
         self.emit(|| Event::Mutate {
@@ -334,7 +330,7 @@ impl AtomFs {
             let p = self
                 .walk(tid, sp, PathTag::Common)
                 .map_err(|(e, held)| self.fail(tid, e, [held]))?;
-            let exists = match p.as_dir() {
+            let exists = match p.dir() {
                 Ok(d) => d.lookup(sn).is_some(),
                 Err(e) => return Err(self.fail(tid, e, [p])),
             };
@@ -393,10 +389,10 @@ impl AtomFs {
             }};
         }
 
-        if sdir.as_dir().is_err() || ddir.as_ref().is_some_and(|d| d.as_dir().is_err()) {
+        if sdir.dir().is_err() || ddir.as_ref().is_some_and(|d| d.dir().is_err()) {
             return Err(self.fail(tid, FsError::NotDir, held!()));
         }
-        let Some(snode_ino) = sdir.as_dir().expect("checked").lookup(sn) else {
+        let Some((snode_ino, snode_ref)) = sdir.dir().expect("checked").lookup(sn) else {
             return Err(self.fail(tid, FsError::NotFound, held!()));
         };
         if dst_is_ancestor_of_src {
@@ -404,9 +400,13 @@ impl AtomFs {
             // necessarily exists and is non-empty.
             return Err(self.fail(tid, FsError::NotEmpty, held!()));
         }
-        let ddir_dir = ddir.as_ref().unwrap_or(&sdir);
-        let dnode_ino = ddir_dir.as_dir().expect("checked").lookup(dn);
-        if dnode_ino == Some(snode_ino) {
+        let dnode_entry = ddir
+            .as_ref()
+            .unwrap_or(&sdir)
+            .dir()
+            .expect("checked")
+            .lookup(dn);
+        if dnode_entry.is_some_and(|(ino, _)| ino == snode_ino) {
             // Same inode under both names (only possible with hard links,
             // which AtomFS does not support; kept for POSIX conformance).
             self.emit(|| Event::Lp { tid });
@@ -417,12 +417,8 @@ impl AtomFs {
         }
 
         // Phase 4: lock destination victim then source node (Figure 2).
-        let dnode = dnode_ino.map(|ino| {
-            let r = self.table.get(ino).expect("live");
-            self.lock_inode(tid, ino, &r, PathTag::Dst)
-        });
-        let snode_ref = self.table.get(snode_ino).expect("live");
-        let snode = self.lock_inode(tid, snode_ino, &snode_ref, PathTag::Src);
+        let dnode = dnode_entry.map(|(ino, r)| self.lock_inode(tid, ino, r, PathTag::Dst));
+        let snode = self.lock_inode(tid, snode_ino, snode_ref, PathTag::Src);
 
         let s_is_dir = snode.ftype().is_dir();
         if let Some(d) = &dnode {
@@ -431,7 +427,7 @@ impl AtomFs {
                 Some(FsError::NotDir)
             } else if !s_is_dir && d_is_dir {
                 Some(FsError::IsDir)
-            } else if d_is_dir && !d.as_dir().expect("checked").is_empty() {
+            } else if d_is_dir && !d.dir().expect("checked").is_empty() {
                 Some(FsError::NotEmpty)
             } else {
                 None
@@ -463,8 +459,7 @@ impl AtomFs {
         }
         let mut dnode_freed = None;
         if let Some(mut d) = dnode {
-            let d_is_dir = d.ftype().is_dir();
-            let removed = ddir.as_mut().unwrap_or(&mut sdir).dir_remove(dn, d_is_dir);
+            let removed = ddir.as_mut().unwrap_or(&mut sdir).dir_remove(dn);
             debug_assert_eq!(removed, Some(d.ino));
             debug_assert!(ddir.as_ref().unwrap_or(&sdir).slot.seq_read() % 2 == 1);
             let (dino, dft) = (d.ino, d.ftype());
@@ -501,7 +496,7 @@ impl AtomFs {
             });
             dnode_freed = Some(d);
         }
-        let removed = sdir.dir_remove(sn, s_is_dir);
+        let removed = sdir.dir_remove(sn);
         debug_assert_eq!(removed, Some(snode_ino));
         debug_assert!(sdir.slot.seq_read() % 2 == 1);
         self.emit(|| Event::Mutate {
@@ -515,7 +510,7 @@ impl AtomFs {
         let inserted = ddir
             .as_mut()
             .unwrap_or(&mut sdir)
-            .dir_insert(dn, &snode_ref, s_is_dir);
+            .dir_insert(dn, &snode.slot);
         debug_assert!(inserted, "destination entry was removed or absent");
         debug_assert!(ddir.as_ref().unwrap_or(&sdir).slot.seq_read() % 2 == 1);
         self.emit(|| Event::Mutate {
@@ -690,7 +685,7 @@ impl AtomFs {
         });
         let result = match self.opt_stat(tid, &comps) {
             Some(r) => r,
-            None => self.with_node(tid, &comps, |node| Ok(node.metadata(node.ino))),
+            None => self.with_node(tid, &comps, |node| Ok(node.slot.metadata(&node.guard))),
         };
         self.emit(|| Event::OpEnd {
             tid,
@@ -713,7 +708,7 @@ impl AtomFs {
         });
         let result = match self.opt_readdir(tid, &comps) {
             Some(r) => r,
-            None => self.with_node(tid, &comps, |node| Ok(node.as_dir()?.names())),
+            None => self.with_node(tid, &comps, |node| Ok(node.dir()?.names())),
         };
         self.emit(|| Event::OpEnd {
             tid,

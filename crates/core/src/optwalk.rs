@@ -178,13 +178,13 @@ impl AtomFs {
         }
         for name in comps {
             let &(cur, cur_seq) = chain.last().expect("chain starts at root");
-            let Some(fast) = cur.fast() else {
+            let Some(index) = cur.dir() else {
                 // A file on the path: `ENOTDIR`, decided locklessly. The
                 // slot's type never changes, so this holds whenever the
                 // chain validates.
                 return Ok((chain, Some(FsError::NotDir)));
             };
-            match fast.lookup(name) {
+            match index.lookup(name) {
                 None => {
                     // Missing entry: trustworthy iff `cur` hasn't changed,
                     // which the final chain validation re-checks.
@@ -306,8 +306,8 @@ impl AtomFs {
                 Some(e) => Err(e),
                 None => {
                     let &(target, _) = chain.last().expect("nonempty");
-                    match target.fast() {
-                        Some(fast) => Ok(fast.names()),
+                    match target.dir() {
+                        Some(index) => Ok(index.names()),
                         None => Err(FsError::NotDir),
                     }
                 }
@@ -344,7 +344,7 @@ impl AtomFs {
                 Some(e) => Some(e),
                 None => {
                     let &(target, _) = chain.last().expect("nonempty");
-                    target.fast().is_some().then_some(FsError::IsDir)
+                    target.dir().is_some().then_some(FsError::IsDir)
                 }
             };
             if let Some(e) = lockless_err {
@@ -358,7 +358,7 @@ impl AtomFs {
             let locked = self.lock_silent(target.ino(), target);
             let n = locked
                 .as_file()
-                .expect("fast() is None, so this slot holds a file")
+                .expect("dir() is None, so this slot holds a file")
                 .read(&self.store, offset, buf);
             if let Ok(Some(locked)) = self.opt_claim(tid, &chain, false, Some(locked)) {
                 self.unlock(tid, locked);
@@ -434,7 +434,7 @@ impl AtomFs {
                 continue;
             };
             let &(node, _) = chain.last().expect("nonempty");
-            let lockless_err = end.or_else(|| match (dir, node.fast().is_some()) {
+            let lockless_err = end.or_else(|| match (dir, node.dir().is_some()) {
                 (true, false) => Some(FsError::NotDir),
                 (false, true) => Some(FsError::IsDir),
                 _ => None,
@@ -467,6 +467,12 @@ mod tests {
 
     fn fs() -> AtomFs {
         AtomFs::new()
+    }
+
+    /// The inode linked as `/name`.
+    fn root_child(fs: &AtomFs, name: &str) -> InodeRef {
+        let root = fs.table.root_ref().dir().unwrap();
+        InodeRef::clone(root.lookup(name).unwrap().1)
     }
 
     #[test]
@@ -537,8 +543,7 @@ mod tests {
         fs.mknod("/a/b/f").unwrap();
         let tid = current_tid();
         // Hold /a's lock (an ancestor of the mutation's parent /a/b).
-        let a_ino = fs.stat("/a").unwrap().ino;
-        let a_ref = fs.table.get(a_ino).unwrap();
+        let a_ref = root_child(&fs, "a");
         let guard = a_ref.lock();
         // Mutations must refuse the fast path...
         assert!(fs
@@ -565,7 +570,7 @@ mod tests {
         fs.mkdir("/a").unwrap();
         fs.mkdir("/a/b").unwrap();
         fs.mknod("/a/b/f").unwrap();
-        let a = fs.table.get(fs.stat("/a").unwrap().ino).unwrap();
+        let a = root_child(&fs, "a");
         sink.take();
         let guard = a.lock();
         a.write_begin();

@@ -1,17 +1,21 @@
-//! Inode table: a slab of per-inode-locked, seqlock-versioned inodes.
+//! Inodes and the inode-number allocator.
 //!
-//! Inode numbers index into a growable slab; freed numbers are recycled
-//! through a free list. Each slot is an [`InodeSlot`]: the paper's
-//! per-inode lock (`Arc<Mutex<InodeData>>`, whose `lock_arc` gives the
-//! owned guards the lock-coupling walker needs) plus the optimistic-walk
-//! state — a sequence counter (seqlock discipline: odd = write in
-//! progress), a packed metadata word for lockless `stat`, and, for
-//! directories, a lock-free [`FastDir`] index for lockless lookups.
+//! Each inode is an [`InodeSlot`]: the paper's per-inode lock
+//! (`Arc<Mutex<InodeData>>`, whose `lock_arc` gives the owned guards the
+//! lock-coupling walker needs) plus the optimistic-walk state — a
+//! sequence counter (seqlock discipline: odd = write in progress), a
+//! packed metadata word for lockless `stat`, and, for directories, the
+//! [`FastDir`] that is the directory's only name→inode index.
+//!
+//! Slots are reached by walking from the root through directory indexes,
+//! never by number: a parent's index owns its children's `Arc`s. The
+//! [`InodeTable`] only hands out inode numbers — recycled through a free
+//! list — and keeps a live bitmap that catches double frees.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard};
 
 use atomfs_trace::{Inum, ROOT_INUM};
 use atomfs_vfs::{FileType, FsError, FsResult, Metadata};
@@ -34,7 +38,7 @@ pub struct InodeSlot {
     pub(crate) data: Arc<Mutex<InodeData>>,
     /// Seqlock: even = stable, odd = a mutation is in progress under the
     /// inode lock. Bumped to odd at the first mutation of a critical
-    /// section and back to even (with `meta`/`fast` coherent) just before
+    /// section and back to even (with `meta`/`dir` coherent) just before
     /// the lock is released — so it stays odd across the *whole* mutation
     /// tail of a critical section, and a lockless reader can never
     /// validate across a half-done operation.
@@ -42,21 +46,20 @@ pub struct InodeSlot {
     /// Packed metadata for lockless `stat`: bit 63 = is-dir; directories
     /// pack `subdirs << 32 | len`, files pack the size (< 2^63).
     meta: AtomicU64,
-    /// Lock-free directory index (directories only).
-    fast: Option<FastDir>,
+    /// The directory's entries (directories only).
+    dir: Option<FastDir>,
 }
 
 impl InodeSlot {
     /// Fresh empty inode of the given type.
     pub fn new(ino: Inum, ftype: FileType) -> Self {
-        let data = InodeData::new(ftype);
-        let meta = pack_meta(&data);
+        let is_dir = ftype.is_dir();
         InodeSlot {
             ino,
-            data: Arc::new(Mutex::new(data)),
+            data: Arc::new(Mutex::new(InodeData::new(ftype))),
             seq: AtomicU64::new(0),
-            meta: AtomicU64::new(meta),
-            fast: matches!(ftype, FileType::Dir).then(FastDir::new),
+            meta: AtomicU64::new(if is_dir { META_DIR } else { 0 }),
+            dir: is_dir.then(FastDir::new),
         }
     }
 
@@ -83,9 +86,29 @@ impl InodeSlot {
         self.data.is_locked()
     }
 
-    /// The lock-free directory index, if this inode is a directory.
-    pub(crate) fn fast(&self) -> Option<&FastDir> {
-        self.fast.as_ref()
+    /// The directory index, if this inode is a directory.
+    pub fn dir(&self) -> Option<&FastDir> {
+        self.dir.as_ref()
+    }
+
+    /// Metadata of this inode; `data` is its contents, locked by the
+    /// caller (so a directory's counts are exact too).
+    pub fn metadata(&self, data: &InodeData) -> Metadata {
+        Self::metadata_of(self.ino, self.pack_meta(data))
+    }
+
+    /// Pack this inode's metadata into the lockless `meta` word.
+    fn pack_meta(&self, data: &InodeData) -> u64 {
+        match data {
+            InodeData::File(f) => {
+                debug_assert!(f.size() < META_DIR);
+                f.size()
+            }
+            InodeData::Dir => {
+                let d = self.dir().expect("a directory inode has an index");
+                META_DIR | (u64::from(d.subdirs()) << 32) | (d.len() as u64 & 0xffff_ffff)
+            }
+        }
     }
 
     /// `Acquire`-load the sequence counter.
@@ -106,9 +129,13 @@ impl InodeSlot {
     /// Leave the seqlock write window (inode lock still held): republish
     /// the packed metadata, then make seq even again.
     pub(crate) fn write_end(&self, data: &InodeData) {
-        self.meta.store(pack_meta(data), Ordering::Release);
+        self.meta.store(self.pack_meta(data), Ordering::Release);
         let prev = self.seq.fetch_add(1, Ordering::Release);
-        debug_assert!(prev % 2 == 1, "write_end without write_begin on {}", self.ino);
+        debug_assert!(
+            prev % 2 == 1,
+            "write_end without write_begin on {}",
+            self.ino
+        );
     }
 
     /// `Acquire`-load the packed metadata word (validate with the seqlock).
@@ -139,13 +166,13 @@ impl Drop for InodeSlot {
     /// popped slot's own index is emptied *before* the slot drops, so the
     /// nested `Drop` recursion bottoms out immediately.
     fn drop(&mut self) {
-        let Some(fast) = self.fast.as_ref() else {
+        let Some(dir) = self.dir.as_ref() else {
             return;
         };
-        let mut pending = fast.drain_for_teardown();
+        let mut pending = dir.drain_for_teardown();
         while let Some(child) = pending.pop() {
             if let Some(slot) = Arc::into_inner(child) {
-                if let Some(f) = slot.fast.as_ref() {
+                if let Some(f) = slot.dir.as_ref() {
                     pending.extend(f.drain_for_teardown());
                 }
                 // `slot` drops here: re-enters this impl with an already
@@ -161,52 +188,54 @@ impl std::fmt::Debug for InodeSlot {
     }
 }
 
-/// Pack an inode's metadata into the lockless `meta` word.
-fn pack_meta(data: &InodeData) -> u64 {
-    match data {
-        InodeData::File(f) => {
-            debug_assert!(f.size() < META_DIR);
-            f.size()
-        }
-        InodeData::Dir(d) => {
-            META_DIR | (u64::from(d.subdirs()) << 32) | (d.len() as u64 & 0xffff_ffff)
-        }
-    }
-}
-
-/// The inode slab.
+/// The root inode plus the inode-number allocator.
 pub struct InodeTable {
-    slots: RwLock<Vec<Option<InodeRef>>>,
     alloc: Mutex<AllocState>,
     capacity: usize,
-    /// The root, duplicated out of the slab so the optimistic walk can
-    /// start without taking the slab's reader lock.
+    /// The root directory; every other inode hangs off its index.
     root: InodeRef,
 }
 
-#[derive(Default)]
 struct AllocState {
     free: Vec<Inum>,
     next: Inum,
     live: usize,
+    /// One bit per inode number, set while the number is allocated.
+    bits: Vec<u64>,
+}
+
+impl AllocState {
+    /// Set `ino`'s live bit to `live`, returning its previous value.
+    fn set_live(&mut self, ino: Inum, live: bool) -> bool {
+        let (word, bit) = (ino as usize / 64, 1u64 << (ino % 64));
+        if self.bits.len() <= word {
+            self.bits.resize(word + 1, 0);
+        }
+        let was = self.bits[word] & bit != 0;
+        if live {
+            self.bits[word] |= bit;
+        } else {
+            self.bits[word] &= !bit;
+        }
+        was
+    }
 }
 
 impl InodeTable {
     /// Create a table with the root directory pre-allocated at
     /// [`ROOT_INUM`], able to hold up to `capacity` live inodes.
     pub fn new(capacity: usize) -> Self {
-        let root: InodeRef = Arc::new(InodeSlot::new(ROOT_INUM, FileType::Dir));
-        let mut slots = vec![None, Some(Arc::clone(&root))]; // index 0 unused; root at 1
-        slots.reserve(64);
+        let mut alloc = AllocState {
+            free: Vec::new(),
+            next: ROOT_INUM + 1,
+            live: 1,
+            bits: Vec::new(),
+        };
+        alloc.set_live(ROOT_INUM, true);
         InodeTable {
-            slots: RwLock::new(slots),
-            alloc: Mutex::new(AllocState {
-                free: Vec::new(),
-                next: ROOT_INUM + 1,
-                live: 1,
-            }),
+            alloc: Mutex::new(alloc),
             capacity,
-            root,
+            root: Arc::new(InodeSlot::new(ROOT_INUM, FileType::Dir)),
         }
     }
 
@@ -230,12 +259,6 @@ impl InodeTable {
         &self.root
     }
 
-    /// Fetch a live inode by number.
-    pub fn get(&self, ino: Inum) -> Option<InodeRef> {
-        let slots = self.slots.read();
-        slots.get(ino as usize).and_then(|s| s.clone())
-    }
-
     /// Allocate a fresh inode with empty contents of type `ftype`.
     pub fn alloc(&self, ftype: FileType) -> FsResult<(Inum, InodeRef)> {
         let ino = {
@@ -244,23 +267,19 @@ impl InodeTable {
                 return Err(FsError::NoSpace);
             }
             a.live += 1;
-            match a.free.pop() {
+            let ino = match a.free.pop() {
                 Some(ino) => ino,
                 None => {
                     let ino = a.next;
                     a.next += 1;
                     ino
                 }
-            }
+            };
+            let was_live = a.set_live(ino, true);
+            debug_assert!(!was_live, "inode {ino} double-allocated");
+            ino
         };
-        let inode: InodeRef = Arc::new(InodeSlot::new(ino, ftype));
-        let mut slots = self.slots.write();
-        if slots.len() <= ino as usize {
-            slots.resize(ino as usize + 1, None);
-        }
-        debug_assert!(slots[ino as usize].is_none(), "slot {ino} double-allocated");
-        slots[ino as usize] = Some(Arc::clone(&inode));
-        Ok((ino, inode))
+        Ok((ino, Arc::new(InodeSlot::new(ino, ftype))))
     }
 
     /// Free a live inode.
@@ -273,26 +292,17 @@ impl InodeTable {
     /// confuse an old inode with its successor.
     pub fn free(&self, ino: Inum) {
         assert_ne!(ino, ROOT_INUM, "cannot free the root");
-        let removed = {
-            let mut slots = self.slots.write();
-            slots
-                .get_mut(ino as usize)
-                .and_then(|slot| slot.take())
-                .is_some()
-        };
-        assert!(removed, "double free of inode {ino}");
         let mut a = self.alloc.lock();
+        assert!(a.set_live(ino, false), "double free of inode {ino}");
         a.live -= 1;
         a.free.push(ino);
     }
 
     /// Snapshot the numbers of all live inodes (diagnostics/tests only).
     pub fn live_inums(&self) -> Vec<Inum> {
-        let slots = self.slots.read();
-        slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| i as Inum))
+        let a = self.alloc.lock();
+        (0..a.bits.len() as Inum * 64)
+            .filter(|&ino| a.bits[ino as usize / 64] & (1 << (ino % 64)) != 0)
             .collect()
     }
 }
@@ -321,7 +331,7 @@ mod tests {
         assert_eq!(t.live(), 2);
         let (c, _) = t.alloc(FileType::File).unwrap();
         assert_eq!(c, a, "free list should recycle inums");
-        assert!(t.get(b).is_some());
+        assert_eq!(t.live_inums(), vec![ROOT_INUM, a, b]);
     }
 
     /// Deep parent→child `Arc` chains must be dismantled iteratively.
@@ -359,13 +369,6 @@ mod tests {
         let t = InodeTable::new(2);
         let (_a, _) = t.alloc(FileType::File).unwrap();
         assert_eq!(t.alloc(FileType::File).unwrap_err(), FsError::NoSpace);
-    }
-
-    #[test]
-    fn get_missing_is_none() {
-        let t = InodeTable::new(8);
-        assert!(t.get(99).is_none());
-        assert!(t.get(0).is_none());
     }
 
     #[test]
@@ -411,10 +414,11 @@ mod tests {
 
         let d = InodeSlot::new(9, FileType::Dir);
         {
-            let mut g = d.lock();
+            let g = d.lock();
             d.write_begin();
-            g.as_dir_mut().unwrap().insert("sub", 2, true);
-            g.as_dir_mut().unwrap().insert("f", 3, false);
+            let index = d.dir().unwrap();
+            index.insert("sub", &Arc::new(InodeSlot::new(2, FileType::Dir)));
+            index.insert("f", &Arc::new(InodeSlot::new(3, FileType::File)));
             d.write_end(&g);
         }
         let m = InodeSlot::metadata_of(9, d.meta_read());

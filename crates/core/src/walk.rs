@@ -23,13 +23,18 @@
 //! odd, and [`AtomFs::unlock`] republishes the packed metadata and flips
 //! it even again *before* releasing the mutex — so lockless readers can
 //! never validate across a half-finished critical section.
+//!
+//! Each step resolves the child in the locked directory's index
+//! ([`FastDir`]), which hands back the child's `InodeRef` directly: the
+//! walk never looks an inode up by number.
 
 use parking_lot::{ArcMutexGuard, RawMutex};
 
 use atomfs_obs::{Span, SpanKind};
 use atomfs_trace::{Event, Inum, PathTag, Tid, ROOT_INUM};
-use atomfs_vfs::FsError;
+use atomfs_vfs::{FsError, FsResult};
 
+use crate::fastdir::FastDir;
 use crate::fs::AtomFs;
 use crate::inode::InodeData;
 use crate::metrics::LockClass;
@@ -121,43 +126,25 @@ impl Locked {
         }
     }
 
-    /// Insert `name -> child` into this locked directory, keeping the
-    /// authoritative [`DirHash`] and the lock-free [`FastDir`] index in
-    /// sync. Returns `false` (no change) if the name exists.
-    ///
-    /// [`DirHash`]: crate::dirhash::DirHash
-    /// [`FastDir`]: crate::fastdir::FastDir
-    pub(crate) fn dir_insert(&mut self, name: &str, child: &InodeRef, is_dir: bool) -> bool {
-        self.touch();
-        let ino = child.ino();
-        let inserted = self
-            .guard
-            .as_dir_mut()
-            .expect("dir_insert on a directory")
-            .insert(name, ino, is_dir);
-        if inserted {
-            if let Some(fast) = self.slot.fast() {
-                fast.insert(name, ino, child);
-            }
-        }
-        inserted
+    /// This locked directory's index, or `ENOTDIR`.
+    pub(crate) fn dir(&self) -> FsResult<&FastDir> {
+        self.slot.dir().ok_or(FsError::NotDir)
     }
 
-    /// Remove `name` from this locked directory (both indexes), returning
-    /// the inode number it mapped to.
-    pub(crate) fn dir_remove(&mut self, name: &str, is_dir: bool) -> Option<Inum> {
+    /// Insert `name -> child` into this locked directory's index inside
+    /// the write window. Returns `false` (no change) if the name exists.
+    pub(crate) fn dir_insert(&mut self, name: &str, child: &InodeRef) -> bool {
         self.touch();
-        let removed = self
-            .guard
-            .as_dir_mut()
-            .expect("dir_remove on a directory")
-            .remove(name, is_dir);
-        if removed.is_some() {
-            if let Some(fast) = self.slot.fast() {
-                fast.remove(name);
-            }
-        }
-        removed
+        self.dir()
+            .expect("dir_insert on a directory")
+            .insert(name, child)
+    }
+
+    /// Remove `name` from this locked directory's index inside the write
+    /// window, returning the inode number it mapped to.
+    pub(crate) fn dir_remove(&mut self, name: &str) -> Option<Inum> {
+        self.touch();
+        self.dir().expect("dir_remove on a directory").remove(name)
     }
 }
 
@@ -317,13 +304,8 @@ impl AtomFs {
 
     /// Lock the child `name` of the locked directory `cur`.
     fn step(&self, tid: Tid, cur: &Locked, name: &str, tag: PathTag) -> Result<Locked, FsError> {
-        let dir = cur.guard.as_dir()?;
-        let child_ino = dir.lookup(name).ok_or(FsError::NotFound)?;
-        let child_ref = self
-            .table
-            .get(child_ino)
-            .expect("directory entry points at a live inode");
-        Ok(self.lock_inode(tid, child_ino, &child_ref, tag))
+        let (child_ino, child) = cur.dir()?.lookup(name).ok_or(FsError::NotFound)?;
+        Ok(self.lock_inode(tid, child_ino, child, tag))
     }
 }
 
@@ -340,7 +322,7 @@ mod tests {
         fs.mkdir("/a/b").unwrap();
         let tid = current_tid();
         let locked = fs.walk(tid, &["a", "b"], PathTag::Common).unwrap();
-        assert!(locked.guard.as_dir().is_ok());
+        assert!(locked.dir().is_ok());
         let ino = locked.ino;
         fs.unlock(tid, locked);
         assert_ne!(ino, ROOT_INUM);
@@ -356,7 +338,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, FsError::NotFound);
         // The deepest lock held is /a, where the failure was decided.
-        assert!(held.guard.as_dir().is_ok());
+        assert!(held.dir().is_ok());
         fs.unlock(tid, held);
     }
 
@@ -382,8 +364,8 @@ mod tests {
             .unwrap()
             .unwrap();
         // Both root and /a/b are held simultaneously.
-        assert!(start.guard.as_dir().is_ok());
-        assert!(end.guard.as_dir().is_ok());
+        assert!(start.dir().is_ok());
+        assert!(end.dir().is_ok());
         fs.unlock(tid, end);
         fs.unlock(tid, start);
     }
@@ -431,7 +413,7 @@ mod tests {
             let seq_before = locked.slot.seq_read();
             // Mutating through the guard enters the write window...
             let child = fs.table.alloc(atomfs_vfs::FileType::File).unwrap().1;
-            assert!(locked.dir_insert("f", &child, false));
+            assert!(locked.dir_insert("f", &child));
             let slot = InodeRef::clone(&locked.slot);
             assert_eq!(slot.seq_read(), seq_before + 1, "seq odd inside window");
             fs.unlock(tid, locked);

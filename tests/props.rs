@@ -9,14 +9,16 @@
 //!   unapplying them in reverse is the identity — the soundness core of
 //!   the abstraction relation;
 //! * **paths**: normalization is idempotent and round-trips;
-//! * **dirhash**: the chained hash table behaves like a model map;
+//! * **directory index**: a directory's hashed index behaves like a
+//!   model map;
 //! * **sequential refinement**: single-threaded AtomFS traces replayed
 //!   through the full checker are always clean, and the final abstract
 //!   state matches the shadow concrete state exactly.
 
 use std::sync::Arc;
 
-use atomfs::dirhash::DirHash;
+use atomfs::fastdir::FastDir;
+use atomfs::table::{InodeRef, InodeSlot};
 use atomfs::AtomFs;
 use atomfs_baselines::SeqFs;
 use atomfs_trace::{BufferSink, MicroOp, TraceSink, ROOT_INUM};
@@ -302,34 +304,39 @@ fn prefix_laws() {
     });
 }
 
-/// The chained hash directory behaves exactly like a model BTreeMap
-/// under `(insert?, key, is_dir)` commands.
-fn dirhash_agrees_with_model(cmds: &[(bool, u16, bool)]) {
-    let mut dir = DirHash::new();
-    // Model maps name -> (inum, is_dir); the is_dir flag passed to
-    // remove must match the one used at insert (the DirHash caller
-    // contract — AtomFS always knows the victim's type under lock).
-    let mut model = std::collections::BTreeMap::<String, (u64, bool)>::new();
-    for &(insert, key, is_dir) in cmds {
+/// A directory's index behaves exactly like a model BTreeMap under
+/// `(insert?, key, is_dir)` commands. Every insert links a fresh child
+/// of the given type (numbered by step, never reused), so a hit must
+/// return the very `InodeRef` inserted — not one a tombstone or a
+/// retired table still pins.
+fn fastdir_agrees_with_model(cmds: &[(bool, u16, bool)]) {
+    let dir = FastDir::new();
+    let mut model = std::collections::BTreeMap::<String, InodeRef>::new();
+    for (step, &(insert, key, is_dir)) in cmds.iter().enumerate() {
         let name = format!("k{key}");
         if insert {
+            let ftype = if is_dir {
+                FileType::Dir
+            } else {
+                FileType::File
+            };
+            let child: InodeRef = Arc::new(InodeSlot::new(step as u64 + 2, ftype));
             let expect = !model.contains_key(&name);
-            let got = dir.insert(&name, u64::from(key), is_dir);
-            assert_eq!(got, expect);
+            assert_eq!(dir.insert(&name, &child), expect);
             if expect {
-                model.insert(name, (u64::from(key), is_dir));
+                model.insert(name, child);
             }
-        } else if let Some(&(v, stored_is_dir)) = model.get(&name) {
-            assert_eq!(dir.remove(&name, stored_is_dir), Some(v));
-            model.remove(&name);
         } else {
-            assert_eq!(dir.remove(&name, is_dir), None);
+            let expect = model.remove(&name).map(|c| c.ino());
+            assert_eq!(dir.remove(&name), expect);
         }
         assert_eq!(dir.len(), model.len());
-        let expected_subdirs = model.values().filter(|(_, d)| *d).count() as u32;
+        let expected_subdirs = model.values().filter(|c| c.dir().is_some()).count() as u32;
         assert_eq!(dir.subdirs(), expected_subdirs);
-        for (k, (v, _)) in &model {
-            assert_eq!(dir.lookup(k), Some(*v));
+        for (k, child) in &model {
+            let (ino, got) = dir.lookup(k).expect("model entry resolves");
+            assert_eq!(ino, child.ino());
+            assert!(Arc::ptr_eq(got, child), "{k} resolves to a stale child");
         }
     }
     let mut names = dir.names();
@@ -338,10 +345,13 @@ fn dirhash_agrees_with_model(cmds: &[(bool, u16, bool)]) {
     assert_eq!(names, expected);
 }
 
+/// 400 to 1000 commands over 40 names: about one command in four
+/// tombstones an entry, and with ~20 live entries the index compacts
+/// every ~45 tombstones, so each run grows through several compactions.
 #[test]
-fn dirhash_matches_model() {
+fn fastdir_matches_model() {
     check_seeds(CASES, |rng| {
-        let cmds: Vec<(bool, u16, bool)> = (0..rng.random_range(1..200))
+        let cmds: Vec<(bool, u16, bool)> = (0..rng.random_range(400..1000))
             .map(|_| {
                 (
                     rng.random_bool(0.5),
@@ -350,7 +360,7 @@ fn dirhash_matches_model() {
                 )
             })
             .collect();
-        dirhash_agrees_with_model(&cmds);
+        fastdir_agrees_with_model(&cmds);
     });
 }
 
@@ -392,11 +402,12 @@ fn abstract_spec_refines_concrete() {
     check_seeds(CASES, |rng| spec_refines_concrete(&gen_ops(rng, 80)));
 }
 
-/// Once failed (insert `k12` as a file, remove the absent `k0`, remove
-/// `k12` with the wrong type flag): removal must use the stored flag.
+/// Once failed on the earlier chained-hash index (insert `k12` as a
+/// file, remove the absent `k0`, remove `k12` with the wrong type flag):
+/// removal must count the stored child's type, not the caller's.
 #[test]
-fn regression_dirhash_remove_uses_stored_dir_flag() {
-    dirhash_agrees_with_model(&[(true, 12, false), (false, 0, false), (false, 12, true)]);
+fn regression_fastdir_remove_uses_stored_child_type() {
+    fastdir_agrees_with_model(&[(true, 12, false), (false, 0, false), (false, 12, true)]);
 }
 
 /// Once failed as `seed = 17080449011586566976, steps = 32`; that input

@@ -28,8 +28,11 @@ fn fs_with(optimistic: bool) -> AtomFs {
 }
 
 /// Run one random op against `fs`, returning a comparable transcript
-/// entry. Readdir output is sorted: the fast path reads the lock-free
-/// index, whose iteration order may differ from the locked directory's.
+/// entry. Both `readdir` paths read the same directory index, but its
+/// order is unspecified (two instances may grow it differently), so the
+/// output is sorted. `stat` also stats the parent and records `size` and
+/// `nlink`: the entry and subdirectory counts the index publishes
+/// through the packed metadata word.
 fn exec_random(fs: &dyn FileSystem, sel: u64, x: u64) -> String {
     let d = (x % 3) as u8;
     let n = ((x >> 8) % 4) as u8;
@@ -43,7 +46,11 @@ fn exec_random(fs: &dyn FileSystem, sel: u64, x: u64) -> String {
             "rename {p} {:?}",
             fs.rename(&p, &format!("/d{}/f{}", (x >> 16) % 3, (x >> 24) % 4))
         ),
-        5 => format!("stat {p} {:?}", fs.stat(&p).map(|m| (m.ftype, m.size))),
+        5 => format!(
+            "stat {p} {:?} /d{d} {:?}",
+            fs.stat(&p).map(|m| (m.ftype, m.size, m.nlink)),
+            fs.stat(&format!("/d{d}")).map(|m| (m.size, m.nlink))
+        ),
         6 => format!(
             "readdir /d{d} {:?}",
             fs.readdir(&format!("/d{d}")).map(|mut v| {
