@@ -6,10 +6,9 @@
 //! [`DEFAULT_SPAN_SAMPLE`] sampling into the flight recorder, the
 //! *stripped* side sets the sampling kill switch
 //! ([`set_sampling`]`(0)`), which makes every span constructor return an
-//! inert guard — the same one-branch-per-site floor the `obs-off` build
-//! compiles to. The gate bounds the instrumented side's per-op slowdown
-//! at **5%**, using the same ABBA median-of-paired-ratios harness as
-//! `metrics_overhead`: each round times
+//! inert guard, so each site costs one branch. The gate bounds the
+//! instrumented side's per-op slowdown at **5%**, using the same ABBA
+//! median-of-paired-ratios harness as `metrics_overhead`: each round times
 //! stripped-instrumented-instrumented-stripped back-to-back, disturbed
 //! rounds (detected by self-inconsistency) are retried, and the gate
 //! reads the median admitted ratio.
@@ -65,7 +64,10 @@ fn thread_cpu_ns() -> u64 {
         fn clock_gettime(clockid: i32, tp: *mut Timespec) -> i32;
     }
     const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
-    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
     let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
     assert_eq!(rc, 0, "clock_gettime(CLOCK_THREAD_CPUTIME_ID)");
     ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
@@ -216,7 +218,6 @@ fn write_json(
             .map(|n| n.get())
             .unwrap_or(1)
     ));
-    out.push_str(&format!("  \"obs_enabled\": {},\n", atomfs_obs::ENABLED));
     out.push_str(&format!("  \"ops_per_round\": {ops},\n"));
     out.push_str(&format!("  \"rounds\": {rounds},\n"));
     out.push_str(&format!("  \"span_sample\": {span_sample},\n"));
@@ -251,24 +252,16 @@ fn main() {
         .first()
         .map(|s| s.parse().expect("ops_per_round"))
         .unwrap_or(200_000);
-    let rounds: usize = args
-        .get(1)
-        .map(|s| s.parse().expect("rounds"))
-        .unwrap_or(9);
+    let rounds: usize = args.get(1).map(|s| s.parse().expect("rounds")).unwrap_or(9);
     let span_sample: u32 = args
         .get(2)
         .map(|s| s.parse().expect("span_sample"))
         .unwrap_or(DEFAULT_SPAN_SAMPLE);
     println!(
-        "Flight-recorder overhead, {ops} ops/round x {rounds} ABBA rounds, 1-in-{span_sample} span sampling ({} cores, obs {})",
+        "Flight-recorder overhead, {ops} ops/round x {rounds} ABBA rounds, 1-in-{span_sample} span sampling ({} cores)",
         std::thread::available_parallelism()
             .map(|n| n.get())
-            .unwrap_or(1),
-        if atomfs_obs::ENABLED {
-            "enabled"
-        } else {
-            "compiled out"
-        }
+            .unwrap_or(1)
     );
     let mut rows = Vec::new();
     for threads in [1usize, 8] {
@@ -276,7 +269,12 @@ fn main() {
         rows.push((threads, base, instr, ratio));
     }
     eprintln!();
-    let mut table = Table::new(&["threads", "stripped ns/op", "instrumented ns/op", "overhead"]);
+    let mut table = Table::new(&[
+        "threads",
+        "stripped ns/op",
+        "instrumented ns/op",
+        "overhead",
+    ]);
     for (threads, base, instr, ratio) in &rows {
         table.row(vec![
             threads.to_string(),
@@ -289,7 +287,14 @@ fn main() {
     let (_, _, _, ratio) = rows[0];
     let overhead_pct = (ratio - 1.0) * 100.0;
     let pass = overhead_pct <= THRESHOLD_PCT;
-    write_json("BENCH_flightrec.json", ops, rounds, span_sample, &rows, pass);
+    write_json(
+        "BENCH_flightrec.json",
+        ops,
+        rounds,
+        span_sample,
+        &rows,
+        pass,
+    );
     println!("\nwrote BENCH_flightrec.json");
     match sample_dump() {
         Some((json, trace)) => {

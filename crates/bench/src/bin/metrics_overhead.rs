@@ -82,7 +82,10 @@ fn thread_cpu_ns() -> u64 {
         fn clock_gettime(clockid: i32, tp: *mut Timespec) -> i32;
     }
     const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
-    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
     let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
     assert_eq!(rc, 0, "clock_gettime(CLOCK_THREAD_CPUTIME_ID)");
     ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
@@ -215,10 +218,6 @@ fn write_json(
             .map(|n| n.get())
             .unwrap_or(1)
     ));
-    out.push_str(&format!(
-        "  \"obs_enabled\": {},\n",
-        atomfs_obs::ENABLED
-    ));
     out.push_str(&format!("  \"ops_per_round\": {ops},\n"));
     out.push_str(&format!("  \"rounds\": {rounds},\n"));
     out.push_str(&format!("  \"op_sample\": {op_sample},\n"));
@@ -251,24 +250,16 @@ fn main() {
         .first()
         .map(|s| s.parse().expect("ops_per_round"))
         .unwrap_or(200_000);
-    let rounds: usize = args
-        .get(1)
-        .map(|s| s.parse().expect("rounds"))
-        .unwrap_or(9);
+    let rounds: usize = args.get(1).map(|s| s.parse().expect("rounds")).unwrap_or(9);
     let op_sample: u32 = args
         .get(2)
         .map(|s| s.parse().expect("op_sample"))
         .unwrap_or(atomfs::DEFAULT_OP_SAMPLE);
     println!(
-        "Metrics overhead, {ops} ops/round x {rounds} ABBA rounds, 1-in-{op_sample} op sampling ({} cores, obs {})",
+        "Metrics overhead, {ops} ops/round x {rounds} ABBA rounds, 1-in-{op_sample} op sampling ({} cores)",
         std::thread::available_parallelism()
             .map(|n| n.get())
-            .unwrap_or(1),
-        if atomfs_obs::ENABLED {
-            "enabled"
-        } else {
-            "compiled out"
-        }
+            .unwrap_or(1)
     );
     let mut rows = Vec::new();
     for threads in [1usize, 8] {
@@ -276,7 +267,12 @@ fn main() {
         rows.push((threads, base, instr, ratio));
     }
     eprintln!();
-    let mut table = Table::new(&["threads", "stripped ns/op", "instrumented ns/op", "overhead"]);
+    let mut table = Table::new(&[
+        "threads",
+        "stripped ns/op",
+        "instrumented ns/op",
+        "overhead",
+    ]);
     for (threads, base, instr, ratio) in &rows {
         table.row(vec![
             threads.to_string(),

@@ -126,15 +126,11 @@ impl AtomFs {
         self.optimistic
     }
 
-    /// The attached metrics bundle, if any. Compiles to `None` under the
-    /// `obs-off` feature so every metrics branch is dead code.
+    /// The attached metrics bundle, if any. `None` (no bundle attached) is
+    /// the runtime off switch: every metrics site is then one branch.
     #[inline]
     pub(crate) fn m(&self) -> Option<&FsMetrics> {
-        if atomfs_obs::ENABLED {
-            self.metrics.as_deref()
-        } else {
-            None
-        }
+        self.metrics.as_deref()
     }
 
     /// Number of live inodes (including the root).

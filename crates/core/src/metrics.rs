@@ -446,7 +446,6 @@ mod tests {
         assert_eq!(labels.len(), OpKind::ALL.len());
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn register_is_idempotent_and_records() {
         let reg = Registry::new();
@@ -459,7 +458,6 @@ mod tests {
         assert_eq!(snap.counter("atomfs_op_errors_total"), 1);
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn op_sampling_observes_one_in_n() {
         let reg = Registry::new();
@@ -476,7 +474,6 @@ mod tests {
         assert_eq!(reg.snapshot().hist_merged("atomfs_op_ns").count, 4);
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn sample_of_one_observes_everything() {
         let reg = Registry::new();
@@ -494,7 +491,6 @@ mod tests {
         assert_eq!(snap.hist_merged("atomfs_walk_depth").count, 10);
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn unobserved_ops_skip_lock_and_walk_counting_but_not_errors() {
         let reg = Registry::new();

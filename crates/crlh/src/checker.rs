@@ -513,8 +513,8 @@ impl LpChecker {
         self
     }
 
-    /// Attach live checker metrics (builder-style). Under `obs-off` the
-    /// handles are inert and the hooks compile to nothing.
+    /// Attach live checker metrics (builder-style). A checker with none
+    /// attached skips every metrics hook.
     pub fn with_metrics(mut self, metrics: std::sync::Arc<crate::metrics::CheckerMetrics>) -> Self {
         self.metrics = Some(metrics);
         self

@@ -265,14 +265,9 @@ mod tests {
                 _ => 0.0,
             })
             .sum();
-        if atomfs_obs::ENABLED {
-            assert_eq!(total, ViolationKind::ALL.len() as f64);
-        } else {
-            assert_eq!(total, 0.0);
-        }
+        assert_eq!(total, ViolationKind::ALL.len() as f64);
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn lin_splits_self_and_helped() {
         let reg = Registry::new();

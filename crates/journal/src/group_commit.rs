@@ -70,7 +70,7 @@ use parking_lot::{ArcMutexGuard, Condvar, Mutex, RawMutex, RwLock};
 use crate::device::{BlockDevice, DiskError};
 use crate::health::{Health, HealthCounters, RecoverySummary};
 use crate::shard::{shard_of, ShardConfig, ShardGauges, ShardReport, ShardWriter};
-use crate::wire::FrameKind;
+use crate::wire::{coalesce_windows, FrameKind};
 
 /// Stripes of the thread-state map: per-mutate bookkeeping locks one of
 /// these instead of one global map mutex.
@@ -599,16 +599,8 @@ impl ShardedJournalSink {
     fn absorb_windows(&self, new_lost: &mut Vec<u64>) -> Vec<(u64, u64)> {
         let mut all = self.lost_windows.lock();
         all.extend(new_lost.drain(..).map(|s| (s, s + 1)));
-        all.sort_unstable();
-        let mut out: Vec<(u64, u64)> = Vec::with_capacity(all.len());
-        for &(lo, hi) in all.iter() {
-            match out.last_mut() {
-                Some((_, phi)) if lo <= *phi => *phi = (*phi).max(hi),
-                _ => out.push((lo, hi)),
-            }
-        }
-        *all = out.clone();
-        out
+        coalesce_windows(&mut all);
+        all.clone()
     }
 
     /// Spill a discarded staging buffer: every stamp it held becomes a

@@ -260,11 +260,7 @@ impl HealthReport {
         let mut s = format!(
             "{{\"health\":\"{:?}\",\"device_faults\":{},\"retries\":{},\
              \"degraded_flips\":{},\"dropped_events\":{}",
-            self.health,
-            self.device_faults,
-            self.retries,
-            self.degraded_flips,
-            self.dropped_events
+            self.health, self.device_faults, self.retries, self.degraded_flips, self.dropped_events
         );
         match &self.recovery {
             Some(r) => s.push_str(&format!(
@@ -284,8 +280,7 @@ impl HealthReport {
         }
         // Flight-recorder state rides along: a health scrape is exactly
         // when an operator wants to know whether the rings hold a usable
-        // last-moments record (and a static `{"rings":0,...}` under
-        // `obs-off`).
+        // last-moments record.
         s.push_str(",\"flightrec\":");
         s.push_str(&atomfs_obs::flightrec::stats_json());
         s.push('}');
@@ -393,7 +388,10 @@ mod tests {
             let base = 1u64 << (attempt - 1);
             let w = p.backoff_wait(attempt);
             assert_eq!(w, q.backoff_wait(attempt), "same seed, same schedule");
-            assert!(w >= base && w <= base + base / 2, "jitter stays in [0, base/2]");
+            assert!(
+                w >= base && w <= base + base / 2,
+                "jitter stays in [0, base/2]"
+            );
         }
     }
 

@@ -114,7 +114,10 @@ pub fn register_sharded_journal_metrics(registry: &Registry, sink: &Arc<ShardedJ
         },
     );
     for (class, get) in [
-        ("torn", (|r| r.torn) as fn(crate::health::RecoverySummary) -> u64),
+        (
+            "torn",
+            (|r| r.torn) as fn(crate::health::RecoverySummary) -> u64,
+        ),
         ("checksum_mismatch", |r| r.checksum_mismatch),
         ("stale_epoch", |r| r.stale_epoch),
         ("orphaned", |r| r.orphaned),
@@ -261,9 +264,6 @@ mod tests {
         }
         jfs.sync().unwrap();
         let text = reg.render_prometheus();
-        if !atomfs_obs::ENABLED {
-            return; // obs-off: the registry compiles to a no-op.
-        }
         assert!(text.contains("journal_shard_log_bytes{shard=\"0\"}"));
         assert!(text.contains("journal_shard_log_bytes{shard=\"1\"}"));
         assert!(text.contains("journal_shard_sealed_epoch{shard=\"0\"} 1"));
@@ -287,14 +287,15 @@ mod tests {
         let reg = Registry::new();
         jfs.register_metrics(&reg);
         for i in 0..50 {
-            if jfs.mkdir(&format!("/d{i}")).and_then(|_| jfs.sync()).is_err() {
+            if jfs
+                .mkdir(&format!("/d{i}"))
+                .and_then(|_| jfs.sync())
+                .is_err()
+            {
                 break;
             }
         }
         assert!(jfs.health().is_degraded());
-        if !atomfs_obs::ENABLED {
-            return;
-        }
         let text = reg.render_prometheus();
         assert!(text.contains("journal_degraded 1"));
         assert!(text.contains("journal_degraded_flips_total 1"));
@@ -354,7 +355,10 @@ mod tests {
                 },
             });
             sink.emit(Event::Lp { tid });
-            sink.emit(Event::OpEnd { tid, ret: OpRet::Ok });
+            sink.emit(Event::OpEnd {
+                tid,
+                ret: OpRet::Ok,
+            });
             if i % 5 == 4 && sink.sync().is_err() {
                 saw_err = true;
                 break;

@@ -45,7 +45,9 @@ use crlh::state::{FsState, Node, StateError};
 
 use crate::device::{Disk, SECTOR_SIZE};
 use crate::shard::ShardConfig;
-use crate::wire::{checksum, decode_frame, Frame, FrameKind, RedoOp, FRAME_HEADER, MAGIC};
+use crate::wire::{
+    checksum, coalesce_windows, decode_frame, Frame, FrameKind, RedoOp, FRAME_HEADER, MAGIC,
+};
 
 /// Why the recovery scrub refused a record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -469,15 +471,7 @@ pub fn resolve(mut scans: Vec<ShardScan>) -> ShardedRecovered {
             }
         }
     }
-    windows.sort_unstable();
-    let mut coalesced: Vec<(u64, u64)> = Vec::with_capacity(windows.len());
-    for (lo, hi) in windows {
-        match coalesced.last_mut() {
-            Some((_, phi)) if lo <= *phi => *phi = (*phi).max(hi),
-            _ => coalesced.push((lo, hi)),
-        }
-    }
-    let windows = coalesced;
+    coalesce_windows(&mut windows);
 
     // Per-shard stamped streams: batches plus sealed intents. Seal-less
     // intents are excluded — their ops are discarded — but they still
@@ -506,8 +500,7 @@ pub fn resolve(mut scans: Vec<ShardScan>) -> ShardedRecovered {
         })
         .collect();
     let mut merged = crlh::merge_stamped_with_windows(streams, &windows);
-    let in_window =
-        |s: u64| windows.iter().any(|&(lo, hi)| s >= lo && s < hi);
+    let in_window = |s: u64| windows.iter().any(|&(lo, hi)| s >= lo && s < hi);
     if merged.truncated_at.is_none() && discarded_stamps.iter().any(|&s| !in_window(s)) {
         // The admitted prefix cannot extend past the discarded intent's
         // first uncovered stamp; `next_stamp` is the first stamp the
@@ -689,9 +682,13 @@ mod tests {
         let disk = Arc::new(Disk::new());
         let cfg = ShardConfig::default();
         let mut ws = writers(&disk, &cfg, 1);
-        ws[0].append_frame(FrameKind::Batch, 1, 0, &[op(0), op(1)]).unwrap();
+        ws[0]
+            .append_frame(FrameKind::Batch, 1, 0, &[op(0), op(1)])
+            .unwrap();
         // Stamp 2 never made it to shard 1; stamps 3..5 did land on shard 2.
-        ws[2].append_frame(FrameKind::Batch, 1, 0, &[op(3), op(4), op(5)]).unwrap();
+        ws[2]
+            .append_frame(FrameKind::Batch, 1, 0, &[op(3), op(4), op(5)])
+            .unwrap();
         Disk::flush(&disk);
         let r = recover_sharded(&disk, &cfg);
         assert_eq!(r.ops.len(), 2, "only the contiguous prefix replays");
@@ -704,11 +701,17 @@ mod tests {
         let disk = Arc::new(Disk::new());
         let cfg = ShardConfig::default();
         let mut ws = writers(&disk, &cfg, 1);
-        ws[0].append_frame(FrameKind::Batch, 1, 0, &[op(0)]).unwrap();
+        ws[0]
+            .append_frame(FrameKind::Batch, 1, 0, &[op(0)])
+            .unwrap();
         // A rename intent (stamps 1,2) whose seal never became durable,
         // then a later plain op (stamp 3).
-        ws[1].append_frame(FrameKind::RenameIntent, 1, 7, &[op(1), op(2)]).unwrap();
-        ws[0].append_frame(FrameKind::Batch, 1, 0, &[op(3)]).unwrap();
+        ws[1]
+            .append_frame(FrameKind::RenameIntent, 1, 7, &[op(1), op(2)])
+            .unwrap();
+        ws[0]
+            .append_frame(FrameKind::Batch, 1, 0, &[op(3)])
+            .unwrap();
         Disk::flush(&disk);
         let r = recover_sharded(&disk, &cfg);
         assert_eq!(r.unsealed_txns(), vec![7]);
@@ -721,8 +724,12 @@ mod tests {
         let disk = Arc::new(Disk::new());
         let cfg = ShardConfig::default();
         let mut ws = writers(&disk, &cfg, 1);
-        ws[1].append_frame(FrameKind::RenameIntent, 1, 7, &[op(0), op(1)]).unwrap();
-        ws[3].append_frame(FrameKind::RenameSeal, 1, 7, &[]).unwrap();
+        ws[1]
+            .append_frame(FrameKind::RenameIntent, 1, 7, &[op(0), op(1)])
+            .unwrap();
+        ws[3]
+            .append_frame(FrameKind::RenameSeal, 1, 7, &[])
+            .unwrap();
         Disk::flush(&disk);
         let r = recover_sharded(&disk, &cfg);
         assert!(r.pairing.is_clean());
@@ -735,8 +742,12 @@ mod tests {
         let disk = Arc::new(Disk::new());
         let cfg = ShardConfig::default();
         let mut ws = writers(&disk, &cfg, 1);
-        ws[1].append_frame(FrameKind::RenameIntent, 1, 7, &[op(0)]).unwrap();
-        ws[3].append_frame(FrameKind::RenameSeal, 2, 7, &[]).unwrap();
+        ws[1]
+            .append_frame(FrameKind::RenameIntent, 1, 7, &[op(0)])
+            .unwrap();
+        ws[3]
+            .append_frame(FrameKind::RenameSeal, 2, 7, &[])
+            .unwrap();
         Disk::flush(&disk);
         let r = recover_sharded(&disk, &cfg);
         assert!(r.ops.is_empty());
@@ -749,12 +760,16 @@ mod tests {
         let cfg = ShardConfig::default();
         {
             let mut ws = writers(&disk, &cfg, 1);
-            ws[3].append_frame(FrameKind::Batch, 1, 0, &[op(0)]).unwrap();
+            ws[3]
+                .append_frame(FrameKind::Batch, 1, 0, &[op(0)])
+                .unwrap();
         }
         {
             // Generation 2 checkpoint wrote shards 0..3 but never 3.
             let mut ws = writers(&disk, &cfg, 2);
-            ws[0].append_frame(FrameKind::Batch, 1, 0, &[op(0)]).unwrap();
+            ws[0]
+                .append_frame(FrameKind::Batch, 1, 0, &[op(0)])
+                .unwrap();
             ws[1].append_frame(FrameKind::EpochSeal, 1, 0, &[]).unwrap();
             ws[2].append_frame(FrameKind::EpochSeal, 1, 0, &[]).unwrap();
         }
@@ -770,7 +785,9 @@ mod tests {
         let disk = Arc::new(Disk::new());
         let cfg = ShardConfig::default();
         let mut ws = writers(&disk, &cfg, 1);
-        ws[2].append_frame(FrameKind::Batch, 1, 0, &[op(0)]).unwrap();
+        ws[2]
+            .append_frame(FrameKind::Batch, 1, 0, &[op(0)])
+            .unwrap();
         let end = ws[2].position() as usize;
         Disk::flush(&disk);
         // Zero the trailing checksum of shard 2's only frame.
@@ -798,7 +815,9 @@ mod tests {
         };
         let mut ws = writers(&disk, &cfg, 1);
         for s in 0..10u64 {
-            ws[1].append_frame(FrameKind::Batch, 1, 0, &[op(s)]).unwrap();
+            ws[1]
+                .append_frame(FrameKind::Batch, 1, 0, &[op(s)])
+                .unwrap();
         }
         Disk::flush(&disk);
         // Flip a payload bit in shard 1's first frame: the whole stream
@@ -853,13 +872,21 @@ mod tests {
         let mut ws = writers(&disk, &cfg, 1);
         // Shard 1 died holding stamps 2..4; the survivors hold the rest
         // plus the Quarantine frame recording the loss.
-        ws[0].append_frame(FrameKind::Batch, 1, 0, &[op(0), op(1)]).unwrap();
-        ws[2].append_frame(FrameKind::Batch, 1, 0, &[op(4), op(5)]).unwrap();
+        ws[0]
+            .append_frame(FrameKind::Batch, 1, 0, &[op(0), op(1)])
+            .unwrap();
+        ws[2]
+            .append_frame(FrameKind::Batch, 1, 0, &[op(4), op(5)])
+            .unwrap();
         ws[0].append_quarantine(1, 1 << 1, &[(2, 4)]).unwrap();
         Disk::flush(&disk);
         let r = recover_sharded(&disk, &cfg);
         let stamps: Vec<u64> = r.ops.iter().map(|(s, _)| *s).collect();
-        assert_eq!(stamps, vec![0, 1, 4, 5], "merge steps over the recorded loss");
+        assert_eq!(
+            stamps,
+            vec![0, 1, 4, 5],
+            "merge steps over the recorded loss"
+        );
         assert_eq!(r.truncated_at, None);
         assert_eq!(r.lost_ops, 2);
         assert_eq!(r.quarantined_shards(), vec![1]);
@@ -877,8 +904,12 @@ mod tests {
         let mut ws = writers(&disk, &cfg, 1);
         // The quarantine licenses skipping stamp 1 only; stamp 2 is
         // missing without a record, so everything after it truncates.
-        ws[0].append_frame(FrameKind::Batch, 1, 0, &[op(0)]).unwrap();
-        ws[2].append_frame(FrameKind::Batch, 1, 0, &[op(3)]).unwrap();
+        ws[0]
+            .append_frame(FrameKind::Batch, 1, 0, &[op(0)])
+            .unwrap();
+        ws[2]
+            .append_frame(FrameKind::Batch, 1, 0, &[op(3)])
+            .unwrap();
         ws[0].append_quarantine(1, 1 << 1, &[(1, 2)]).unwrap();
         Disk::flush(&disk);
         let r = recover_sharded(&disk, &cfg);

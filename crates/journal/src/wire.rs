@@ -399,6 +399,22 @@ pub fn encode_quarantine_parts(
     )
 }
 
+/// Sort half-open `[lo, hi)` lost-stamp windows and merge every pair that
+/// overlaps or touches, leaving the one canonical list a
+/// [`FrameKind::Quarantine`] frame carries. Both the runtime's cumulative
+/// list and recovery's union over every frame go through here, so the two
+/// compare equal.
+pub(crate) fn coalesce_windows(windows: &mut Vec<(u64, u64)>) {
+    windows.sort_unstable();
+    windows.dedup_by(|next, kept| {
+        let merge = next.0 <= kept.1;
+        if merge {
+            kept.1 = kept.1.max(next.1);
+        }
+        merge
+    });
+}
+
 /// One buffer per frame: write the header with a placeholder payload
 /// length, let `payload` append straight after it, patch the length, then
 /// append the checksum. `payload_len` sizes the allocation up front.
@@ -530,6 +546,32 @@ pub fn decode_frame(buf: &[u8]) -> Option<(Frame, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn coalesce_windows_merges_touching_overlapping_and_nested() {
+        let run = |mut w: Vec<(u64, u64)>| {
+            coalesce_windows(&mut w);
+            w
+        };
+        assert_eq!(run(vec![]), vec![]);
+        assert_eq!(run(vec![(4, 6)]), vec![(4, 6)]);
+        // Touching half-open windows share no stamp but still merge.
+        assert_eq!(run(vec![(1, 2), (2, 3)]), vec![(1, 3)]);
+        // Overlapping.
+        assert_eq!(run(vec![(1, 5), (3, 8)]), vec![(1, 8)]);
+        // Nested: the outer window's end survives.
+        assert_eq!(run(vec![(1, 10), (2, 3), (4, 6)]), vec![(1, 10)]);
+        // Unsorted, with duplicates and a gap that must stay open.
+        assert_eq!(
+            run(vec![(20, 21), (5, 7), (1, 3), (6, 9), (5, 7), (2, 4)]),
+            vec![(1, 4), (5, 9), (20, 21)]
+        );
+        // Idempotent on its own output.
+        assert_eq!(
+            run(vec![(1, 4), (5, 9), (20, 21)]),
+            vec![(1, 4), (5, 9), (20, 21)]
+        );
+    }
 
     const KINDS: [FrameKind; 5] = [
         FrameKind::Batch,

@@ -14,9 +14,6 @@
 //!   `atomfs_journal::health::RetryPolicy`'s backoff accounting: tests
 //!   that assert on latency histograms advance the clock themselves and
 //!   replay bit-for-bit, never waiting on (or flaking with) a wall clock.
-//!
-//! Under `obs-off` the [`ClockSource`] constructors keep their signatures
-//! but `now()` is a constant 0, so instrumented code compiles away.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -118,72 +115,38 @@ impl Clock for VirtualClock {
     }
 }
 
-#[cfg(not(feature = "obs-off"))]
-mod source {
-    use super::*;
+/// The concrete clock behind a metrics struct — an enum so the hot
+/// path pays a predictable branch instead of a virtual call.
+#[derive(Debug, Clone)]
+pub enum ClockSource {
+    /// Calibrated hardware time in nanoseconds.
+    Monotonic(MonotonicClock),
+    /// Explicitly advanced test time.
+    Virtual(Arc<VirtualClock>),
+}
 
-    /// The concrete clock behind a metrics struct — an enum so the hot
-    /// path pays a predictable branch instead of a virtual call.
-    #[derive(Debug, Clone)]
-    pub enum ClockSource {
-        /// Calibrated hardware time in nanoseconds.
-        Monotonic(MonotonicClock),
-        /// Explicitly advanced test time.
-        Virtual(Arc<VirtualClock>),
+impl ClockSource {
+    /// The production clock.
+    pub fn monotonic() -> Self {
+        ClockSource::Monotonic(MonotonicClock::new())
     }
 
-    impl ClockSource {
-        /// The production clock.
-        pub fn monotonic() -> Self {
-            ClockSource::Monotonic(MonotonicClock::new())
-        }
+    /// A deterministic clock shared with the test that advances it.
+    pub fn virtual_clock(clock: Arc<VirtualClock>) -> Self {
+        ClockSource::Virtual(clock)
+    }
 
-        /// A deterministic clock shared with the test that advances it.
-        pub fn virtual_clock(clock: Arc<VirtualClock>) -> Self {
-            ClockSource::Virtual(clock)
-        }
-
-        /// Current time in ticks (nanoseconds for the monotonic clock).
-        #[inline]
-        pub fn now(&self) -> u64 {
-            match self {
-                ClockSource::Monotonic(c) => c.now(),
-                ClockSource::Virtual(c) => c.now(),
-            }
+    /// Current time in ticks (nanoseconds for the monotonic clock).
+    #[inline]
+    pub fn now(&self) -> u64 {
+        match self {
+            ClockSource::Monotonic(c) => c.now(),
+            ClockSource::Virtual(c) => c.now(),
         }
     }
 }
 
-#[cfg(feature = "obs-off")]
-mod source {
-    use super::*;
-
-    /// `obs-off` stand-in: same constructors, constant time.
-    #[derive(Debug, Clone)]
-    pub struct ClockSource;
-
-    impl ClockSource {
-        /// The production clock (inert under `obs-off`).
-        pub fn monotonic() -> Self {
-            ClockSource
-        }
-
-        /// A deterministic clock (inert under `obs-off`).
-        pub fn virtual_clock(_clock: Arc<VirtualClock>) -> Self {
-            ClockSource
-        }
-
-        /// Always 0: lets the compiler erase timing arithmetic.
-        #[inline]
-        pub fn now(&self) -> u64 {
-            0
-        }
-    }
-}
-
-pub use source::ClockSource;
-
-#[cfg(all(test, not(feature = "obs-off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -24,10 +24,16 @@
 //! caller callbacks — the metrics snapshot is taken through a `Weak`
 //! registry reference the process opted into with [`set_registry`].
 //!
-//! Under `obs-off` everything here is a stub: [`trigger`] is a no-op and
-//! [`drain`] is always empty.
+//! Dumps need no off switch of their own: only degradation paths trigger
+//! them, and with span sampling off
+//! ([`set_sampling(0)`](crate::span::set_sampling)) the rings they freeze
+//! stop filling.
 
+use crate::registry::Registry;
 use crate::span::SpanRecord;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock, Weak};
 
 /// Why a black-box dump was captured.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,7 +193,11 @@ impl BlackBox {
                 out.push(',');
             }
             first = false;
-            let end = if s.end == 0 { self.at.max(s.start) } else { s.end };
+            let end = if s.end == 0 {
+                self.at.max(s.start)
+            } else {
+                s.end
+            };
             let mut args = format!("\"id\":{},\"parent\":{}", s.id, s.parent);
             if s.shard != crate::span::NO_SHARD {
                 args.push_str(&format!(",\"shard\":{}", s.shard));
@@ -229,121 +239,71 @@ impl BlackBox {
     }
 }
 
-#[cfg(not(feature = "obs-off"))]
-mod imp {
-    use super::{BlackBox, TriggerCause};
-    use crate::registry::Registry;
-    use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Mutex, OnceLock, Weak};
+/// Captures retained in memory; older ones fall off the back.
+pub const MAX_RETAINED: usize = 8;
 
-    /// Captures retained in memory; older ones fall off the back.
-    pub const MAX_RETAINED: usize = 8;
-
-    struct State {
-        retained: Mutex<VecDeque<BlackBox>>,
-        registry: Mutex<Weak<Registry>>,
-        triggered: AtomicU64,
-    }
-
-    fn state() -> &'static State {
-        static S: OnceLock<State> = OnceLock::new();
-        S.get_or_init(|| State {
-            retained: Mutex::new(VecDeque::new()),
-            registry: Mutex::new(Weak::new()),
-            triggered: AtomicU64::new(0),
-        })
-    }
-
-    /// Attach the metrics registry whose snapshot future dumps should
-    /// embed. Held weakly: the dump layer never keeps a registry alive.
-    pub fn set_registry(r: &std::sync::Arc<Registry>) {
-        *state().registry.lock().unwrap() = std::sync::Arc::downgrade(r);
-    }
-
-    /// Capture a black-box dump now. `health_json` is the triggering
-    /// subsystem's own health report, if it has one — callers must NOT
-    /// hold locks that their registered metrics callbacks also take
-    /// (the metrics snapshot runs those callbacks).
-    pub fn trigger(cause: TriggerCause, health_json: Option<String>) -> BlackBox {
-        let s = state();
-        s.triggered.fetch_add(1, Ordering::Relaxed);
-        let metrics = {
-            let weak = s.registry.lock().unwrap().clone();
-            weak.upgrade().map(|r| r.snapshot().to_json())
-        };
-        let bb = BlackBox {
-            cause,
-            at: crate::span::imp_now(),
-            spans: crate::flightrec::freeze(),
-            active: crate::span::active_spans(),
-            metrics,
-            health: health_json,
-        };
-        let mut q = s.retained.lock().unwrap();
-        if q.len() >= MAX_RETAINED {
-            q.pop_front();
-        }
-        q.push_back(bb.clone());
-        bb
-    }
-
-    /// The most recent capture, if any (leaves it retained).
-    pub fn latest() -> Option<BlackBox> {
-        state().retained.lock().unwrap().back().cloned()
-    }
-
-    /// Take every retained capture, oldest first.
-    pub fn drain() -> Vec<BlackBox> {
-        state().retained.lock().unwrap().drain(..).collect()
-    }
-
-    /// Total triggers since process start.
-    pub fn triggered_total() -> u64 {
-        state().triggered.load(Ordering::Relaxed)
-    }
+struct State {
+    retained: Mutex<VecDeque<BlackBox>>,
+    registry: Mutex<Weak<Registry>>,
+    triggered: AtomicU64,
 }
 
-#[cfg(feature = "obs-off")]
-mod imp {
-    use super::{BlackBox, TriggerCause};
-    use crate::registry::Registry;
-
-    /// Captures retained (0 under `obs-off`).
-    pub const MAX_RETAINED: usize = 0;
-
-    /// No-op (`obs-off`).
-    pub fn set_registry(_r: &std::sync::Arc<Registry>) {}
-
-    /// Returns an empty capture and retains nothing (`obs-off`).
-    pub fn trigger(cause: TriggerCause, health_json: Option<String>) -> BlackBox {
-        BlackBox {
-            cause,
-            at: 0,
-            spans: Vec::new(),
-            active: Vec::new(),
-            metrics: None,
-            health: health_json,
-        }
-    }
-
-    /// Always `None` (`obs-off`).
-    pub fn latest() -> Option<BlackBox> {
-        None
-    }
-
-    /// Always empty (`obs-off`).
-    pub fn drain() -> Vec<BlackBox> {
-        Vec::new()
-    }
-
-    /// Always 0 (`obs-off`).
-    pub fn triggered_total() -> u64 {
-        0
-    }
+fn state() -> &'static State {
+    static S: OnceLock<State> = OnceLock::new();
+    S.get_or_init(|| State {
+        retained: Mutex::new(VecDeque::new()),
+        registry: Mutex::new(Weak::new()),
+        triggered: AtomicU64::new(0),
+    })
 }
 
-pub use imp::{drain, latest, set_registry, trigger, triggered_total, MAX_RETAINED};
+/// Attach the metrics registry whose snapshot future dumps should
+/// embed. Held weakly: the dump layer never keeps a registry alive.
+pub fn set_registry(r: &std::sync::Arc<Registry>) {
+    *state().registry.lock().unwrap() = std::sync::Arc::downgrade(r);
+}
+
+/// Capture a black-box dump now. `health_json` is the triggering
+/// subsystem's own health report, if it has one — callers must NOT
+/// hold locks that their registered metrics callbacks also take
+/// (the metrics snapshot runs those callbacks).
+pub fn trigger(cause: TriggerCause, health_json: Option<String>) -> BlackBox {
+    let s = state();
+    s.triggered.fetch_add(1, Ordering::Relaxed);
+    let metrics = {
+        let weak = s.registry.lock().unwrap().clone();
+        weak.upgrade().map(|r| r.snapshot().to_json())
+    };
+    let bb = BlackBox {
+        cause,
+        at: crate::span::now(),
+        spans: crate::flightrec::freeze(),
+        active: crate::span::active_spans(),
+        metrics,
+        health: health_json,
+    };
+    let mut q = s.retained.lock().unwrap();
+    if q.len() >= MAX_RETAINED {
+        q.pop_front();
+    }
+    q.push_back(bb.clone());
+    bb
+}
+
+/// The most recent capture, if any (leaves it retained).
+pub fn latest() -> Option<BlackBox> {
+    state().retained.lock().unwrap().back().cloned()
+}
+
+/// Take every retained capture, oldest first.
+pub fn drain() -> Vec<BlackBox> {
+    state().retained.lock().unwrap().drain(..).collect()
+}
+
+/// Total triggers since process start.
+pub fn triggered_total() -> u64 {
+    state().triggered.load(Ordering::Relaxed)
+}
 
 #[cfg(test)]
 mod tests {
@@ -352,13 +312,11 @@ mod tests {
     /// The retained-dump store is process-global: tests that assert on
     /// `latest()`/`drain()` take this lock so they never see each other's
     /// captures.
-    #[cfg(not(feature = "obs-off"))]
     fn store_lock() -> std::sync::MutexGuard<'static, ()> {
         static STORE: std::sync::Mutex<()> = std::sync::Mutex::new(());
         STORE.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn trigger_captures_spans_metrics_and_health() {
         use crate::span::{set_sampling, Span, SpanKind, DEFAULT_SPAN_SAMPLE};
@@ -406,7 +364,6 @@ mod tests {
         assert!(drain().is_empty());
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn retention_is_bounded() {
         let _store = store_lock();
@@ -423,21 +380,6 @@ mod tests {
             .filter(|b| matches!(&b.cause, TriggerCause::Manual { .. }))
             .collect();
         assert!(all.len() <= MAX_RETAINED);
-    }
-
-    #[cfg(feature = "obs-off")]
-    #[test]
-    fn dumps_are_compiled_out() {
-        let bb = trigger(
-            TriggerCause::Manual {
-                detail: "noop".into(),
-            },
-            None,
-        );
-        assert!(bb.spans.is_empty());
-        assert!(latest().is_none());
-        assert!(drain().is_empty());
-        assert_eq!(triggered_total(), 0);
     }
 
     #[test]

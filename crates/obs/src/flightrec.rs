@@ -18,175 +18,137 @@
 //! concurrent storm is acceptable — the recorder is a best-effort
 //! post-mortem window, not a durable log.
 //!
-//! Under `obs-off` the whole module compiles to empty stubs.
+//! The runtime off switch is [`set_sampling(0)`](crate::span::set_sampling):
+//! no span records, so nothing reaches the rings.
 
-#[cfg(not(feature = "obs-off"))]
-mod imp {
-    use crate::span::SpanRecord;
-    use std::cell::UnsafeCell;
-    use std::sync::atomic::{fence, AtomicU64, Ordering};
-    use std::sync::OnceLock;
+use crate::span::SpanRecord;
+use std::cell::UnsafeCell;
+use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-    /// Rings available (thread slots wrap onto these, like metric shards).
-    pub const RING_COUNT: usize = 16;
-    /// Records retained per ring. 16 × 512 × 96 B ≈ 768 KiB fixed budget.
-    pub const RING_CAP: usize = 512;
+/// Rings available (thread slots wrap onto these, like metric shards).
+pub const RING_COUNT: usize = 16;
+/// Records retained per ring. 16 × 512 × 96 B ≈ 768 KiB fixed budget.
+pub const RING_CAP: usize = 512;
 
-    struct Entry {
-        /// 0 = never written or write in progress; otherwise the 1-based
-        /// generation token `head_index + 1` of the write that produced
-        /// the data.
-        seq: AtomicU64,
-        data: UnsafeCell<SpanRecord>,
+struct Entry {
+    /// 0 = never written or write in progress; otherwise the 1-based
+    /// generation token `head_index + 1` of the write that produced
+    /// the data.
+    seq: AtomicU64,
+    data: UnsafeCell<SpanRecord>,
+}
+
+struct Ring {
+    head: AtomicU64,
+    entries: Box<[Entry]>,
+}
+
+// Safety: entry data is only read after validating `seq` around the
+// copy; torn reads are detected and discarded.
+unsafe impl Sync for Ring {}
+
+impl Ring {
+    fn new() -> Self {
+        Ring {
+            head: AtomicU64::new(0),
+            entries: (0..RING_CAP)
+                .map(|_| Entry {
+                    seq: AtomicU64::new(0),
+                    data: UnsafeCell::new(SpanRecord::empty()),
+                })
+                .collect(),
+        }
     }
 
-    struct Ring {
-        head: AtomicU64,
-        entries: Box<[Entry]>,
+    fn push(&self, rec: &SpanRecord) {
+        let n = self.head.fetch_add(1, Ordering::Relaxed);
+        let e = &self.entries[(n as usize) % RING_CAP];
+        e.seq.store(0, Ordering::Relaxed);
+        fence(Ordering::Release);
+        unsafe { *e.data.get() = *rec };
+        e.seq.store(n + 1, Ordering::Release);
     }
 
-    // Safety: entry data is only read after validating `seq` around the
-    // copy; torn reads are detected and discarded.
-    unsafe impl Sync for Ring {}
-
-    impl Ring {
-        fn new() -> Self {
-            Ring {
-                head: AtomicU64::new(0),
-                entries: (0..RING_CAP)
-                    .map(|_| Entry {
-                        seq: AtomicU64::new(0),
-                        data: UnsafeCell::new(SpanRecord::empty()),
-                    })
-                    .collect(),
+    fn drain_into(&self, out: &mut Vec<SpanRecord>) {
+        for e in self.entries.iter() {
+            let s1 = e.seq.load(Ordering::Acquire);
+            if s1 == 0 {
+                continue;
+            }
+            let copy = unsafe { *e.data.get() };
+            fence(Ordering::Acquire);
+            if e.seq.load(Ordering::Relaxed) == s1 {
+                out.push(copy);
             }
         }
-
-        fn push(&self, rec: &SpanRecord) {
-            let n = self.head.fetch_add(1, Ordering::Relaxed);
-            let e = &self.entries[(n as usize) % RING_CAP];
-            e.seq.store(0, Ordering::Relaxed);
-            fence(Ordering::Release);
-            unsafe { *e.data.get() = *rec };
-            e.seq.store(n + 1, Ordering::Release);
-        }
-
-        fn drain_into(&self, out: &mut Vec<SpanRecord>) {
-            for e in self.entries.iter() {
-                let s1 = e.seq.load(Ordering::Acquire);
-                if s1 == 0 {
-                    continue;
-                }
-                let copy = unsafe { *e.data.get() };
-                fence(Ordering::Acquire);
-                if e.seq.load(Ordering::Relaxed) == s1 {
-                    out.push(copy);
-                }
-            }
-        }
-    }
-
-    struct Recorder {
-        rings: Vec<Ring>,
-        recorded: AtomicU64,
-    }
-
-    fn recorder() -> &'static Recorder {
-        static REC: OnceLock<Recorder> = OnceLock::new();
-        REC.get_or_init(|| Recorder {
-            rings: (0..RING_COUNT).map(|_| Ring::new()).collect(),
-            recorded: AtomicU64::new(0),
-        })
-    }
-
-    /// Record one completed span (called from `Span::drop`). Two RMW-class
-    /// atomics on the hot path: the global tally and the ring-head claim.
-    pub(crate) fn record(rec: &SpanRecord) {
-        let r = recorder();
-        r.recorded.fetch_add(1, Ordering::Relaxed);
-        r.rings[(rec.slot as usize) % RING_COUNT].push(rec);
-    }
-
-    /// Snapshot every ring: all retained spans, sorted by start tick.
-    /// This is the "freeze" a black-box dump captures; it does not stop
-    /// concurrent writers (their entries simply land after the copy).
-    pub fn freeze() -> Vec<SpanRecord> {
-        let r = recorder();
-        let mut out = Vec::with_capacity(RING_COUNT * 64);
-        for ring in &r.rings {
-            ring.drain_into(&mut out);
-        }
-        out.sort_by_key(|s| (s.start, s.id));
-        out
-    }
-
-    /// Total spans ever recorded (including overwritten ones).
-    pub fn recorded_total() -> u64 {
-        recorder().recorded.load(Ordering::Relaxed)
-    }
-
-    /// Spans currently retained across all rings.
-    pub fn retained() -> usize {
-        let r = recorder();
-        r.rings
-            .iter()
-            .map(|ring| (ring.head.load(Ordering::Relaxed) as usize).min(RING_CAP))
-            .sum()
-    }
-
-    /// The `flightrec` health section: budget, fill level, lifetime tally.
-    pub fn stats_json() -> String {
-        format!(
-            "{{\"rings\":{},\"ring_cap\":{},\"retained\":{},\"recorded_total\":{},\"sampling\":{}}}",
-            RING_COUNT,
-            RING_CAP,
-            retained(),
-            recorded_total(),
-            crate::span::sampling()
-        )
     }
 }
 
-#[cfg(feature = "obs-off")]
-mod imp {
-    use crate::span::SpanRecord;
-
-    /// Rings available (0 under `obs-off`).
-    pub const RING_COUNT: usize = 0;
-    /// Records per ring (0 under `obs-off`).
-    pub const RING_CAP: usize = 0;
-
-    /// Always empty (`obs-off`).
-    pub fn freeze() -> Vec<SpanRecord> {
-        Vec::new()
-    }
-
-    /// Always 0 (`obs-off`).
-    pub fn recorded_total() -> u64 {
-        0
-    }
-
-    /// Always 0 (`obs-off`).
-    pub fn retained() -> usize {
-        0
-    }
-
-    /// Static empty stats (`obs-off`).
-    pub fn stats_json() -> String {
-        "{\"rings\":0,\"ring_cap\":0,\"retained\":0,\"recorded_total\":0,\"sampling\":0}".into()
-    }
+struct Recorder {
+    rings: Vec<Ring>,
+    recorded: AtomicU64,
 }
 
-pub use imp::{freeze, recorded_total, retained, stats_json, RING_CAP, RING_COUNT};
+fn recorder() -> &'static Recorder {
+    static REC: OnceLock<Recorder> = OnceLock::new();
+    REC.get_or_init(|| Recorder {
+        rings: (0..RING_COUNT).map(|_| Ring::new()).collect(),
+        recorded: AtomicU64::new(0),
+    })
+}
 
-#[cfg(not(feature = "obs-off"))]
-pub(crate) use imp::record;
+/// Record one completed span (called from `Span::drop`). Two RMW-class
+/// atomics on the hot path: the global tally and the ring-head claim.
+pub(crate) fn record(rec: &SpanRecord) {
+    let r = recorder();
+    r.recorded.fetch_add(1, Ordering::Relaxed);
+    r.rings[(rec.slot as usize) % RING_COUNT].push(rec);
+}
+
+/// Snapshot every ring: all retained spans, sorted by start tick.
+/// This is the "freeze" a black-box dump captures; it does not stop
+/// concurrent writers (their entries simply land after the copy).
+pub fn freeze() -> Vec<SpanRecord> {
+    let r = recorder();
+    let mut out = Vec::with_capacity(RING_COUNT * 64);
+    for ring in &r.rings {
+        ring.drain_into(&mut out);
+    }
+    out.sort_by_key(|s| (s.start, s.id));
+    out
+}
+
+/// Total spans ever recorded (including overwritten ones).
+pub fn recorded_total() -> u64 {
+    recorder().recorded.load(Ordering::Relaxed)
+}
+
+/// Spans currently retained across all rings.
+pub fn retained() -> usize {
+    let r = recorder();
+    r.rings
+        .iter()
+        .map(|ring| (ring.head.load(Ordering::Relaxed) as usize).min(RING_CAP))
+        .sum()
+}
+
+/// The `flightrec` health section: budget, fill level, lifetime tally.
+pub fn stats_json() -> String {
+    format!(
+        "{{\"rings\":{},\"ring_cap\":{},\"retained\":{},\"recorded_total\":{},\"sampling\":{}}}",
+        RING_COUNT,
+        RING_CAP,
+        retained(),
+        recorded_total(),
+        crate::span::sampling()
+    )
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn completed_spans_land_in_the_recorder() {
         use crate::span::{set_sampling, Span, SpanKind, DEFAULT_SPAN_SAMPLE};
@@ -207,7 +169,6 @@ mod tests {
         set_sampling(DEFAULT_SPAN_SAMPLE);
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn ring_overwrites_oldest_without_growing() {
         use crate::span::{set_sampling, Span, SpanKind, DEFAULT_SPAN_SAMPLE};
@@ -217,14 +178,6 @@ mod tests {
         }
         assert!(retained() <= RING_COUNT * RING_CAP);
         set_sampling(DEFAULT_SPAN_SAMPLE);
-    }
-
-    #[cfg(feature = "obs-off")]
-    #[test]
-    fn recorder_is_compiled_out() {
-        assert_eq!(RING_COUNT, 0);
-        assert!(freeze().is_empty());
-        assert_eq!(recorded_total(), 0);
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //! (cache-line aligned), merged only when a snapshot or render is taken:
 //! the record path touches memory only the recording thread writes.
 
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+
+use crate::shard::{default_shards, thread_slot};
+
 /// Linear sub-buckets per power-of-two octave, as a bit count.
 pub const SUB_BITS: u32 = 3;
 /// Linear sub-buckets per power-of-two octave.
@@ -26,8 +30,7 @@ pub const SUB: u64 = 1 << SUB_BITS;
 /// values land in the overflow bucket.
 const MAX_MSB: u32 = 38;
 /// Total bucket count (linear head + octaves + overflow).
-pub const BUCKETS: usize =
-    SUB as usize + ((MAX_MSB - SUB_BITS + 1) as usize) * (SUB as usize) + 1;
+pub const BUCKETS: usize = SUB as usize + ((MAX_MSB - SUB_BITS + 1) as usize) * (SUB as usize) + 1;
 
 /// Bucket index for a value: identity below [`SUB`], then log-linear.
 #[inline]
@@ -132,235 +135,159 @@ impl HistSnapshot {
     }
 }
 
-#[cfg(not(feature = "obs-off"))]
-mod imp {
-    use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+#[repr(align(64))]
+struct Pad(AtomicU64);
 
-    use super::{bucket_index, HistSnapshot, BUCKETS};
-    use crate::shard::{default_shards, thread_slot};
+/// A monotonically increasing event count, striped across thread
+/// slots so concurrent `inc`s don't share a cache line.
+pub struct Counter {
+    shards: Box<[Pad]>,
+    mask: usize,
+}
 
-    #[repr(align(64))]
-    struct Pad(AtomicU64);
-
-    /// A monotonically increasing event count, striped across thread
-    /// slots so concurrent `inc`s don't share a cache line.
-    pub struct Counter {
-        shards: Box<[Pad]>,
-        mask: usize,
+impl Default for Counter {
+    fn default() -> Self {
+        Self::new()
     }
+}
 
-    impl Default for Counter {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl Counter {
-        /// A zeroed counter sized for the host's parallelism.
-        pub fn new() -> Self {
-            let n = default_shards();
-            Counter {
-                shards: (0..n).map(|_| Pad(AtomicU64::new(0))).collect(),
-                mask: n - 1,
-            }
-        }
-
-        /// Add 1.
-        #[inline]
-        pub fn inc(&self) {
-            self.add(1);
-        }
-
-        /// Add `n`.
-        #[inline]
-        pub fn add(&self, n: u64) {
-            self.shards[thread_slot() & self.mask]
-                .0
-                .fetch_add(n, Ordering::Relaxed);
-        }
-
-        /// Current total (sums the stripes).
-        pub fn get(&self) -> u64 {
-            self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+impl Counter {
+    /// A zeroed counter sized for the host's parallelism.
+    pub fn new() -> Self {
+        let n = default_shards();
+        Counter {
+            shards: (0..n).map(|_| Pad(AtomicU64::new(0))).collect(),
+            mask: n - 1,
         }
     }
 
-    /// A value that can go up and down (one atomic: gauges are written
-    /// rarely compared with counters and must support `set`).
-    #[derive(Default)]
-    pub struct Gauge {
-        value: AtomicI64,
+    /// Add 1.
+    #[inline]
+    pub fn inc(&self) {
+        self.add(1);
     }
 
-    impl Gauge {
-        /// A gauge at 0.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Set the value.
-        #[inline]
-        pub fn set(&self, v: i64) {
-            self.value.store(v, Ordering::Relaxed);
-        }
-
-        /// Adjust the value by `delta`.
-        #[inline]
-        pub fn add(&self, delta: i64) {
-            self.value.fetch_add(delta, Ordering::Relaxed);
-        }
-
-        /// Current value.
-        pub fn get(&self) -> i64 {
-            self.value.load(Ordering::Relaxed)
-        }
+    /// Add `n`.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.shards[thread_slot() & self.mask]
+            .0
+            .fetch_add(n, Ordering::Relaxed);
     }
 
-    #[repr(align(64))]
-    struct HistShard {
-        buckets: [AtomicU64; BUCKETS],
-        // No separate count cell: the total is the sum of the buckets,
-        // computed at snapshot time, saving one RMW per record.
-        sum: AtomicU64,
+    /// Current total (sums the stripes).
+    pub fn get(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.0.load(Ordering::Relaxed))
+            .sum()
+    }
+}
+
+/// A value that can go up and down (one atomic: gauges are written
+/// rarely compared with counters and must support `set`).
+#[derive(Default)]
+pub struct Gauge {
+    value: AtomicI64,
+}
+
+impl Gauge {
+    /// A gauge at 0.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    impl HistShard {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: AtomicU64 = AtomicU64::new(0);
-
-        fn new() -> Self {
-            HistShard {
-                buckets: [Self::ZERO; BUCKETS],
-                sum: AtomicU64::new(0),
-            }
-        }
+    /// Set the value.
+    #[inline]
+    pub fn set(&self, v: i64) {
+        self.value.store(v, Ordering::Relaxed);
     }
 
-    /// A fixed-size, lock-free log-linear histogram (see module docs for
-    /// the bucket scheme), sharded per thread slot.
-    pub struct Histogram {
-        shards: Box<[HistShard]>,
-        mask: usize,
+    /// Adjust the value by `delta`.
+    #[inline]
+    pub fn add(&self, delta: i64) {
+        self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
-    impl Default for Histogram {
-        fn default() -> Self {
-            Self::new()
-        }
+    /// Current value.
+    pub fn get(&self) -> i64 {
+        self.value.load(Ordering::Relaxed)
     }
+}
 
-    impl Histogram {
-        /// An empty histogram sized for the host's parallelism.
-        pub fn new() -> Self {
-            let n = default_shards();
-            Histogram {
-                shards: (0..n).map(|_| HistShard::new()).collect(),
-                mask: n - 1,
-            }
-        }
+#[repr(align(64))]
+struct HistShard {
+    buckets: [AtomicU64; BUCKETS],
+    // No separate count cell: the total is the sum of the buckets,
+    // computed at snapshot time, saving one RMW per record.
+    sum: AtomicU64,
+}
 
-        /// Record one sample: two relaxed RMWs on this thread's shard.
-        #[inline]
-        pub fn record(&self, v: u64) {
-            let shard = &self.shards[thread_slot() & self.mask];
-            shard.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-            shard.sum.fetch_add(v, Ordering::Relaxed);
-        }
+impl HistShard {
+    #[allow(clippy::declare_interior_mutable_const)]
+    const ZERO: AtomicU64 = AtomicU64::new(0);
 
-        /// Total samples recorded.
-        pub fn count(&self) -> u64 {
-            self.shards
-                .iter()
-                .flat_map(|s| s.buckets.iter())
-                .map(|b| b.load(Ordering::Relaxed))
-                .sum()
-        }
-
-        /// Merge the shards into a point-in-time snapshot.
-        pub fn snapshot(&self) -> HistSnapshot {
-            let mut snap = HistSnapshot::empty();
-            for shard in self.shards.iter() {
-                for (i, b) in shard.buckets.iter().enumerate() {
-                    snap.counts[i] += b.load(Ordering::Relaxed);
-                }
-                snap.sum += shard.sum.load(Ordering::Relaxed);
-            }
-            snap.count = snap.counts.iter().sum();
-            snap
+    fn new() -> Self {
+        HistShard {
+            buckets: [Self::ZERO; BUCKETS],
+            sum: AtomicU64::new(0),
         }
     }
 }
 
-#[cfg(feature = "obs-off")]
-mod imp {
-    use super::HistSnapshot;
+/// A fixed-size, lock-free log-linear histogram (see module docs for
+/// the bucket scheme), sharded per thread slot.
+pub struct Histogram {
+    shards: Box<[HistShard]>,
+    mask: usize,
+}
 
-    /// `obs-off` stand-in: zero-sized, every operation a no-op.
-    #[derive(Default)]
-    pub struct Counter;
-
-    impl Counter {
-        /// Inert counter.
-        pub fn new() -> Self {
-            Counter
-        }
-        /// No-op.
-        #[inline]
-        pub fn inc(&self) {}
-        /// No-op.
-        #[inline]
-        pub fn add(&self, _n: u64) {}
-        /// Always 0.
-        pub fn get(&self) -> u64 {
-            0
-        }
-    }
-
-    /// `obs-off` stand-in: zero-sized, every operation a no-op.
-    #[derive(Default)]
-    pub struct Gauge;
-
-    impl Gauge {
-        /// Inert gauge.
-        pub fn new() -> Self {
-            Gauge
-        }
-        /// No-op.
-        #[inline]
-        pub fn set(&self, _v: i64) {}
-        /// No-op.
-        #[inline]
-        pub fn add(&self, _delta: i64) {}
-        /// Always 0.
-        pub fn get(&self) -> i64 {
-            0
-        }
-    }
-
-    /// `obs-off` stand-in: zero-sized, every operation a no-op.
-    #[derive(Default)]
-    pub struct Histogram;
-
-    impl Histogram {
-        /// Inert histogram.
-        pub fn new() -> Self {
-            Histogram
-        }
-        /// No-op.
-        #[inline]
-        pub fn record(&self, _v: u64) {}
-        /// Always 0.
-        pub fn count(&self) -> u64 {
-            0
-        }
-        /// Always empty.
-        pub fn snapshot(&self) -> HistSnapshot {
-            HistSnapshot::empty()
-        }
+impl Default for Histogram {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
-pub use imp::{Counter, Gauge, Histogram};
+impl Histogram {
+    /// An empty histogram sized for the host's parallelism.
+    pub fn new() -> Self {
+        let n = default_shards();
+        Histogram {
+            shards: (0..n).map(|_| HistShard::new()).collect(),
+            mask: n - 1,
+        }
+    }
+
+    /// Record one sample: two relaxed RMWs on this thread's shard.
+    #[inline]
+    pub fn record(&self, v: u64) {
+        let shard = &self.shards[thread_slot() & self.mask];
+        shard.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        shard.sum.fetch_add(v, Ordering::Relaxed);
+    }
+
+    /// Total samples recorded.
+    pub fn count(&self) -> u64 {
+        self.shards
+            .iter()
+            .flat_map(|s| s.buckets.iter())
+            .map(|b| b.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Merge the shards into a point-in-time snapshot.
+    pub fn snapshot(&self) -> HistSnapshot {
+        let mut snap = HistSnapshot::empty();
+        for shard in self.shards.iter() {
+            for (i, b) in shard.buckets.iter().enumerate() {
+                snap.counts[i] += b.load(Ordering::Relaxed);
+            }
+            snap.sum += shard.sum.load(Ordering::Relaxed);
+        }
+        snap.count = snap.counts.iter().sum();
+        snap
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -398,7 +325,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn counter_counts_across_threads() {
         use std::sync::Arc;
@@ -419,7 +345,6 @@ mod tests {
         assert_eq!(c.get(), 4000);
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn gauge_sets_and_adjusts() {
         let g = Gauge::new();
@@ -428,7 +353,6 @@ mod tests {
         assert_eq!(g.get(), 3);
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn histogram_records_and_quantiles() {
         let h = Histogram::new();
@@ -448,7 +372,6 @@ mod tests {
         assert!((snap.mean() - 500.5).abs() < 1e-9);
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn histogram_merges_across_threads_and_snapshots() {
         use std::sync::Arc;

@@ -61,12 +61,7 @@ impl Registry {
     }
 
     /// Register (or fetch the existing) counter `name{labels}`.
-    pub fn counter(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        help: &str,
-    ) -> Arc<Counter> {
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Arc<Counter> {
         let mut entries = self.entries.lock().unwrap();
         if let Some(e) = find(&entries, name, labels) {
             if let Handle::Counter(c) = &e.handle {
@@ -94,12 +89,7 @@ impl Registry {
     }
 
     /// Register (or fetch the existing) histogram `name{labels}`.
-    pub fn histogram(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        help: &str,
-    ) -> Arc<Histogram> {
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Arc<Histogram> {
         let mut entries = self.entries.lock().unwrap();
         if let Some(e) = find(&entries, name, labels) {
             if let Handle::Hist(h) = &e.handle {
@@ -153,15 +143,23 @@ impl Registry {
                 Handle::Counter(_) => ("counter", false),
                 Handle::Gauge(_) => ("gauge", false),
                 Handle::Hist(_) => ("histogram", true),
-                Handle::Fn { kind: FnKind::Counter, .. } => ("counter", false),
-                Handle::Fn { kind: FnKind::Gauge, .. } => ("gauge", false),
+                Handle::Fn {
+                    kind: FnKind::Counter,
+                    ..
+                } => ("counter", false),
+                Handle::Fn {
+                    kind: FnKind::Gauge,
+                    ..
+                } => ("gauge", false),
             };
             if seen.insert(e.name.as_str()) {
                 let _ = writeln!(out, "# HELP {} {}", e.name, e.help);
                 let _ = writeln!(out, "# TYPE {} {}", e.name, kind);
             }
             if is_hist {
-                let Handle::Hist(h) = &e.handle else { unreachable!() };
+                let Handle::Hist(h) = &e.handle else {
+                    unreachable!()
+                };
                 let snap = h.snapshot();
                 let mut cum = 0u64;
                 for (i, c) in snap.counts.iter().enumerate() {
@@ -231,10 +229,14 @@ impl Registry {
                         Handle::Counter(c) => SnapValue::Counter(c.get()),
                         Handle::Gauge(g) => SnapValue::Gauge(g.get() as f64),
                         Handle::Hist(h) => SnapValue::Hist(h.snapshot()),
-                        Handle::Fn { kind: FnKind::Counter, f } => {
-                            SnapValue::Counter(f() as u64)
-                        }
-                        Handle::Fn { kind: FnKind::Gauge, f } => SnapValue::Gauge(f()),
+                        Handle::Fn {
+                            kind: FnKind::Counter,
+                            f,
+                        } => SnapValue::Counter(f() as u64),
+                        Handle::Fn {
+                            kind: FnKind::Gauge,
+                            f,
+                        } => SnapValue::Gauge(f()),
                     },
                 })
                 .collect(),
@@ -254,11 +256,7 @@ fn entry(name: &str, labels: &[(&str, &str)], help: &str, handle: Handle) -> Ent
     }
 }
 
-fn find<'a>(
-    entries: &'a [Entry],
-    name: &str,
-    labels: &[(&str, &str)],
-) -> Option<&'a Entry> {
+fn find<'a>(entries: &'a [Entry], name: &str, labels: &[(&str, &str)]) -> Option<&'a Entry> {
     entries.iter().find(|e| {
         e.name == name
             && e.labels.len() == labels.len()
@@ -463,7 +461,6 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c));
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn prometheus_render_has_headers_and_series() {
         let r = Registry::new();
@@ -493,7 +490,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn help_and_type_emitted_once_per_name() {
         let r = Registry::new();
@@ -510,15 +506,18 @@ mod tests {
         let r = Registry::new();
         let v = Arc::new(AtomicU64::new(0));
         let vc = Arc::clone(&v);
-        r.register_fn("bridged_total", &[], "bridged", FnKind::Counter, move || {
-            vc.load(Ordering::Relaxed) as f64
-        });
+        r.register_fn(
+            "bridged_total",
+            &[],
+            "bridged",
+            FnKind::Counter,
+            move || vc.load(Ordering::Relaxed) as f64,
+        );
         v.store(7, Ordering::Relaxed);
         assert!(r.render_prometheus().contains("bridged_total 7"));
         assert_eq!(r.snapshot().counter("bridged_total"), 7);
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn snapshot_merges_and_serializes() {
         let r = Registry::new();
@@ -549,8 +548,7 @@ mod tests {
     fn prometheus_label_values_are_escaped() {
         let r = Registry::new();
         // A pathological label value exercising every escape the spec
-        // requires: backslash, double-quote, and newline. A callback
-        // metric so the value renders identically under obs-off.
+        // requires: backslash, double-quote, and newline.
         r.register_fn(
             "path_ops_total",
             &[("path", "a\\b\"c\nd")],

@@ -32,8 +32,15 @@
 //! the flight recorder's last-moments picture complete around a fault even
 //! at sparse sampling.
 //!
-//! Under the `obs-off` feature [`Span`] is a zero-sized type, every
-//! constructor is a no-op, and the compiler deletes the instrumentation.
+//! [`set_sampling(0)`](set_sampling) is the runtime off switch: root
+//! constructors then return an inert guard after one relaxed load, and
+//! children, finding no open parent, stay inert too. That is the floor
+//! the `flightrec_overhead` bench gates against.
+
+use crate::clock::ClockSource;
+use std::cell::{Cell, RefCell, UnsafeCell};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// The phase taxonomy. One variant per distinct layer transition; the
 /// free-form label on each span refines it (e.g. which operation, which
@@ -121,7 +128,6 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
-    #[cfg_attr(feature = "obs-off", allow(dead_code))]
     pub(crate) fn empty() -> Self {
         SpanRecord {
             id: 0,
@@ -179,373 +185,299 @@ impl SpanRecord {
 /// thread still lands hundreds of trees per second in the recorder.
 pub const DEFAULT_SPAN_SAMPLE: u32 = 64;
 
-#[cfg(not(feature = "obs-off"))]
-mod imp {
-    use super::{SpanKind, SpanRecord};
-    use crate::clock::ClockSource;
-    use std::cell::{Cell, RefCell, UnsafeCell};
-    use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-    use std::sync::{Arc, Mutex, OnceLock, Weak};
+/// Deepest span nesting kept per thread (vfs wrapper → core op →
+/// walk/lock → journal append is 4; recovery and checker trees are
+/// shallower; the slack absorbs future layers).
+const MAX_DEPTH: usize = 12;
 
-    /// Deepest span nesting kept per thread (vfs wrapper → core op →
-    /// walk/lock → journal append is 4; recovery and checker trees are
-    /// shallower; the slack absorbs future layers).
-    const MAX_DEPTH: usize = 12;
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+static SAMPLE: AtomicU32 = AtomicU32::new(DEFAULT_SPAN_SAMPLE);
 
-    static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-    static SAMPLE: AtomicU32 = AtomicU32::new(super::DEFAULT_SPAN_SAMPLE);
-
-    fn clock() -> &'static ClockSource {
-        static CLOCK: OnceLock<ClockSource> = OnceLock::new();
-        CLOCK.get_or_init(ClockSource::monotonic)
-    }
-
-    pub(crate) fn now() -> u64 {
-        clock().now()
-    }
-
-    /// Set the operation sampling period: record one in `n` op roots.
-    /// `0` disables span recording entirely (the kill switch the
-    /// `flightrec_overhead` bench strips with); `1` records every op.
-    pub fn set_sampling(n: u32) {
-        SAMPLE.store(n, Ordering::Relaxed);
-    }
-
-    /// The current sampling period (see [`set_sampling`]).
-    pub fn sampling() -> u32 {
-        SAMPLE.load(Ordering::Relaxed)
-    }
-
-    /// One thread's open-span stack, readable by other threads (the
-    /// in-flight rendering) under a seqlock: only the owning thread
-    /// writes, and it brackets every write with an odd/even `seq` bump.
-    struct ActiveSlot {
-        seq: AtomicU64,
-        depth: AtomicUsize,
-        slot: u32,
-        frames: [UnsafeCell<SpanRecord>; MAX_DEPTH],
-    }
-
-    // Safety: `frames` is only written by the owning thread, between an
-    // odd and an even `seq`; concurrent readers validate `seq` around
-    // their copy and discard torn reads.
-    unsafe impl Sync for ActiveSlot {}
-
-    impl ActiveSlot {
-        fn new(slot: u32) -> Self {
-            ActiveSlot {
-                seq: AtomicU64::new(0),
-                depth: AtomicUsize::new(0),
-                slot,
-                frames: std::array::from_fn(|_| UnsafeCell::new(SpanRecord::empty())),
-            }
-        }
-
-        /// Owner-thread push. Returns the depth the frame landed at.
-        fn push(&self, rec: SpanRecord) -> usize {
-            let d = self.depth.load(Ordering::Relaxed);
-            if d >= MAX_DEPTH {
-                return d; // overflow: deeper spans go unrendered, not UB
-            }
-            let s = self.seq.load(Ordering::Relaxed);
-            self.seq.store(s + 1, Ordering::Relaxed);
-            fence(Ordering::Release);
-            unsafe { *self.frames[d].get() = rec };
-            self.depth.store(d + 1, Ordering::Relaxed);
-            self.seq.store(s + 2, Ordering::Release);
-            d
-        }
-
-        /// Owner-thread pop back down to `depth`.
-        fn pop_to(&self, depth: usize) {
-            let s = self.seq.load(Ordering::Relaxed);
-            self.seq.store(s + 1, Ordering::Relaxed);
-            fence(Ordering::Release);
-            self.depth.store(depth, Ordering::Relaxed);
-            self.seq.store(s + 2, Ordering::Release);
-        }
-
-        /// Id of the innermost open span (0 when none) — owner thread.
-        fn top_id(&self) -> u64 {
-            let d = self.depth.load(Ordering::Relaxed);
-            if d == 0 {
-                0
-            } else {
-                unsafe { (*self.frames[d - 1].get()).id }
-            }
-        }
-
-        /// Seqlock read from any thread: a consistent copy of the open
-        /// frames, or `None` if the owner kept writing during the copy.
-        fn read(&self) -> Option<Vec<SpanRecord>> {
-            for _ in 0..8 {
-                let s1 = self.seq.load(Ordering::Acquire);
-                if s1 & 1 == 1 {
-                    std::hint::spin_loop();
-                    continue;
-                }
-                let d = self.depth.load(Ordering::Relaxed).min(MAX_DEPTH);
-                let copy: Vec<SpanRecord> =
-                    (0..d).map(|i| unsafe { *self.frames[i].get() }).collect();
-                fence(Ordering::Acquire);
-                if self.seq.load(Ordering::Relaxed) == s1 {
-                    return Some(copy);
-                }
-            }
-            None
-        }
-    }
-
-    fn registry() -> &'static Mutex<Vec<Weak<ActiveSlot>>> {
-        static REG: OnceLock<Mutex<Vec<Weak<ActiveSlot>>>> = OnceLock::new();
-        REG.get_or_init(|| Mutex::new(Vec::new()))
-    }
-
-    thread_local! {
-        static ACTIVE: RefCell<Option<Arc<ActiveSlot>>> = const { RefCell::new(None) };
-        static TICK: Cell<u32> = const { Cell::new(0) };
-    }
-
-    fn with_active<T>(f: impl FnOnce(&ActiveSlot) -> T) -> T {
-        ACTIVE.with(|a| {
-            let mut a = a.borrow_mut();
-            if a.is_none() {
-                let slot = Arc::new(ActiveSlot::new(crate::shard::thread_slot() as u32));
-                let mut reg = registry().lock().unwrap();
-                reg.retain(|w| w.strong_count() > 0); // prune dead threads
-                reg.push(Arc::downgrade(&slot));
-                *a = Some(slot);
-            }
-            f(a.as_ref().expect("just installed"))
-        })
-    }
-
-    /// The sampling countdown: `true` one call in `sampling()`.
-    fn sampled() -> bool {
-        let period = SAMPLE.load(Ordering::Relaxed);
-        match period {
-            0 => false,
-            1 => true,
-            _ => TICK.with(|t| {
-                let v = t.get();
-                if v == 0 {
-                    t.set(period - 1);
-                    true
-                } else {
-                    t.set(v - 1);
-                    false
-                }
-            }),
-        }
-    }
-
-    /// RAII span guard. `None` inside means inert: every method is a
-    /// branch on a local, and nothing was (or will be) recorded.
-    pub struct Span(Option<Inner>);
-
-    struct Inner {
-        rec: SpanRecord,
-        depth: usize,
-    }
-
-    impl Span {
-        fn begin(kind: SpanKind, label: &'static str, parent: u64) -> Span {
-            let mut rec = SpanRecord::empty();
-            rec.id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-            rec.parent = parent;
-            rec.kind = kind;
-            rec.label = label;
-            rec.start = now();
-            let depth = with_active(|a| {
-                rec.slot = a.slot;
-                a.push(rec)
-            });
-            Span(Some(Inner { rec, depth }))
-        }
-
-        /// An always-recorded root span (rare control points: journal
-        /// sync, recovery, triggers). Joins an open parent if the thread
-        /// has one.
-        pub fn root(kind: SpanKind, label: &'static str) -> Span {
-            if sampling() == 0 {
-                return Span(None);
-            }
-            let parent = with_active(|a| a.top_id());
-            Self::begin(kind, label, parent)
-        }
-
-        /// A sampled operation root: records one call in
-        /// [`sampling()`](sampling), unless an enclosing span is already
-        /// open on this thread — then it always joins as its child, so
-        /// one sampling decision covers a whole nested op tree.
-        pub fn op_root(kind: SpanKind, label: &'static str) -> Span {
-            if sampling() == 0 {
-                return Span(None);
-            }
-            let parent = with_active(|a| a.top_id());
-            if parent == 0 && !sampled() {
-                return Span(None);
-            }
-            Self::begin(kind, label, parent)
-        }
-
-        /// A child span: records exactly when an enclosing span is open
-        /// on this thread, otherwise inert.
-        pub fn child(kind: SpanKind, label: &'static str) -> Span {
-            let parent = with_active(|a| a.top_id());
-            if parent == 0 {
-                return Span(None);
-            }
-            Self::begin(kind, label, parent)
-        }
-
-        /// A child of an explicit parent id — for work handed to another
-        /// thread (parallel epoch-slice writers, recovery scan threads).
-        /// Inert when `parent` is 0 (i.e. the parent itself was inert).
-        pub fn child_of(parent: u64, kind: SpanKind, label: &'static str) -> Span {
-            if parent == 0 {
-                return Span(None);
-            }
-            Self::begin(kind, label, parent)
-        }
-
-        /// This span's id (0 when inert) — the handle for
-        /// [`Span::child_of`].
-        pub fn id(&self) -> u64 {
-            self.0.as_ref().map_or(0, |i| i.rec.id)
-        }
-
-        /// Whether this guard is actually recording.
-        pub fn is_recording(&self) -> bool {
-            self.0.is_some()
-        }
-
-        /// Attribute a journal shard.
-        pub fn set_shard(&mut self, shard: u32) {
-            if let Some(i) = &mut self.0 {
-                i.rec.shard = shard;
-            }
-        }
-
-        /// Attribute a journal epoch.
-        pub fn set_epoch(&mut self, epoch: u64) {
-            if let Some(i) = &mut self.0 {
-                i.rec.epoch = epoch;
-            }
-        }
-
-        /// Attribute a trace stamp.
-        pub fn set_stamp(&mut self, stamp: u64) {
-            if let Some(i) = &mut self.0 {
-                i.rec.stamp = stamp;
-            }
-        }
-
-        /// Count one retry inside the phase.
-        pub fn retry(&mut self) {
-            if let Some(i) = &mut self.0 {
-                i.rec.retries += 1;
-            }
-        }
-
-        /// Mark the phase as having ended in an error.
-        pub fn fail(&mut self) {
-            if let Some(i) = &mut self.0 {
-                i.rec.err = true;
-            }
-        }
-    }
-
-    impl Drop for Span {
-        fn drop(&mut self) {
-            if let Some(mut i) = self.0.take() {
-                i.rec.end = now().max(i.rec.start + 1);
-                with_active(|a| a.pop_to(i.depth));
-                crate::flightrec::record(&i.rec);
-            }
-        }
-    }
-
-    /// A consistent copy of every thread's currently-open spans,
-    /// innermost last per thread.
-    pub fn active_spans() -> Vec<SpanRecord> {
-        let mut out = Vec::new();
-        let slots: Vec<Arc<ActiveSlot>> = {
-            let reg = registry().lock().unwrap();
-            reg.iter().filter_map(Weak::upgrade).collect()
-        };
-        for s in slots {
-            if let Some(frames) = s.read() {
-                out.extend(frames);
-            }
-        }
-        out
-    }
+fn clock() -> &'static ClockSource {
+    static CLOCK: OnceLock<ClockSource> = OnceLock::new();
+    CLOCK.get_or_init(ClockSource::monotonic)
 }
 
-#[cfg(feature = "obs-off")]
-mod imp {
-    use super::{SpanKind, SpanRecord};
+pub(crate) fn now() -> u64 {
+    clock().now()
+}
 
-    /// `obs-off` stand-in: zero-sized, every method a no-op the compiler
-    /// deletes.
-    pub struct Span;
+/// Set the operation sampling period: record one in `n` op roots.
+/// `0` disables span recording entirely (the kill switch the
+/// `flightrec_overhead` bench strips with); `1` records every op.
+pub fn set_sampling(n: u32) {
+    SAMPLE.store(n, Ordering::Relaxed);
+}
 
-    impl Span {
-        /// Inert (`obs-off`).
-        pub fn root(_kind: SpanKind, _label: &'static str) -> Span {
-            Span
+/// The current sampling period (see [`set_sampling`]).
+pub fn sampling() -> u32 {
+    SAMPLE.load(Ordering::Relaxed)
+}
+
+/// One thread's open-span stack, readable by other threads (the
+/// in-flight rendering) under a seqlock: only the owning thread
+/// writes, and it brackets every write with an odd/even `seq` bump.
+struct ActiveSlot {
+    seq: AtomicU64,
+    depth: AtomicUsize,
+    slot: u32,
+    frames: [UnsafeCell<SpanRecord>; MAX_DEPTH],
+}
+
+// Safety: `frames` is only written by the owning thread, between an
+// odd and an even `seq`; concurrent readers validate `seq` around
+// their copy and discard torn reads.
+unsafe impl Sync for ActiveSlot {}
+
+impl ActiveSlot {
+    fn new(slot: u32) -> Self {
+        ActiveSlot {
+            seq: AtomicU64::new(0),
+            depth: AtomicUsize::new(0),
+            slot,
+            frames: std::array::from_fn(|_| UnsafeCell::new(SpanRecord::empty())),
         }
-        /// Inert (`obs-off`).
-        pub fn op_root(_kind: SpanKind, _label: &'static str) -> Span {
-            Span
+    }
+
+    /// Owner-thread push. Returns the depth the frame landed at.
+    fn push(&self, rec: SpanRecord) -> usize {
+        let d = self.depth.load(Ordering::Relaxed);
+        if d >= MAX_DEPTH {
+            return d; // overflow: deeper spans go unrendered, not UB
         }
-        /// Inert (`obs-off`).
-        pub fn child(_kind: SpanKind, _label: &'static str) -> Span {
-            Span
-        }
-        /// Inert (`obs-off`).
-        pub fn child_of(_parent: u64, _kind: SpanKind, _label: &'static str) -> Span {
-            Span
-        }
-        /// Always 0 (`obs-off`).
-        pub fn id(&self) -> u64 {
+        let s = self.seq.load(Ordering::Relaxed);
+        self.seq.store(s + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        unsafe { *self.frames[d].get() = rec };
+        self.depth.store(d + 1, Ordering::Relaxed);
+        self.seq.store(s + 2, Ordering::Release);
+        d
+    }
+
+    /// Owner-thread pop back down to `depth`.
+    fn pop_to(&self, depth: usize) {
+        let s = self.seq.load(Ordering::Relaxed);
+        self.seq.store(s + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        self.depth.store(depth, Ordering::Relaxed);
+        self.seq.store(s + 2, Ordering::Release);
+    }
+
+    /// Id of the innermost open span (0 when none) — owner thread.
+    fn top_id(&self) -> u64 {
+        let d = self.depth.load(Ordering::Relaxed);
+        if d == 0 {
             0
+        } else {
+            unsafe { (*self.frames[d - 1].get()).id }
         }
-        /// Always false (`obs-off`).
-        pub fn is_recording(&self) -> bool {
-            false
-        }
-        /// No-op (`obs-off`).
-        pub fn set_shard(&mut self, _shard: u32) {}
-        /// No-op (`obs-off`).
-        pub fn set_epoch(&mut self, _epoch: u64) {}
-        /// No-op (`obs-off`).
-        pub fn set_stamp(&mut self, _stamp: u64) {}
-        /// No-op (`obs-off`).
-        pub fn retry(&mut self) {}
-        /// No-op (`obs-off`).
-        pub fn fail(&mut self) {}
     }
 
-    /// No-op (`obs-off`).
-    pub fn set_sampling(_n: u32) {}
-
-    /// Always 0 (`obs-off`): span recording is compiled out.
-    pub fn sampling() -> u32 {
-        0
-    }
-
-    /// Always empty (`obs-off`).
-    pub fn active_spans() -> Vec<SpanRecord> {
-        Vec::new()
+    /// Seqlock read from any thread: a consistent copy of the open
+    /// frames, or `None` if the owner kept writing during the copy.
+    fn read(&self) -> Option<Vec<SpanRecord>> {
+        for _ in 0..8 {
+            let s1 = self.seq.load(Ordering::Acquire);
+            if s1 & 1 == 1 {
+                std::hint::spin_loop();
+                continue;
+            }
+            let d = self.depth.load(Ordering::Relaxed).min(MAX_DEPTH);
+            let copy: Vec<SpanRecord> = (0..d).map(|i| unsafe { *self.frames[i].get() }).collect();
+            fence(Ordering::Acquire);
+            if self.seq.load(Ordering::Relaxed) == s1 {
+                return Some(copy);
+            }
+        }
+        None
     }
 }
 
-pub use imp::{active_spans, sampling, set_sampling, Span};
+fn registry() -> &'static Mutex<Vec<Weak<ActiveSlot>>> {
+    static REG: OnceLock<Mutex<Vec<Weak<ActiveSlot>>>> = OnceLock::new();
+    REG.get_or_init(|| Mutex::new(Vec::new()))
+}
 
-#[cfg(not(feature = "obs-off"))]
-pub(crate) use imp::now as imp_now;
+thread_local! {
+    static ACTIVE: RefCell<Option<Arc<ActiveSlot>>> = const { RefCell::new(None) };
+    static TICK: Cell<u32> = const { Cell::new(0) };
+}
+
+fn with_active<T>(f: impl FnOnce(&ActiveSlot) -> T) -> T {
+    ACTIVE.with(|a| {
+        let mut a = a.borrow_mut();
+        if a.is_none() {
+            let slot = Arc::new(ActiveSlot::new(crate::shard::thread_slot() as u32));
+            let mut reg = registry().lock().unwrap();
+            reg.retain(|w| w.strong_count() > 0); // prune dead threads
+            reg.push(Arc::downgrade(&slot));
+            *a = Some(slot);
+        }
+        f(a.as_ref().expect("just installed"))
+    })
+}
+
+/// The sampling countdown: `true` one call in `sampling()`.
+fn sampled() -> bool {
+    let period = SAMPLE.load(Ordering::Relaxed);
+    match period {
+        0 => false,
+        1 => true,
+        _ => TICK.with(|t| {
+            let v = t.get();
+            if v == 0 {
+                t.set(period - 1);
+                true
+            } else {
+                t.set(v - 1);
+                false
+            }
+        }),
+    }
+}
+
+/// RAII span guard. `None` inside means inert: every method is a
+/// branch on a local, and nothing was (or will be) recorded.
+pub struct Span(Option<Inner>);
+
+struct Inner {
+    rec: SpanRecord,
+    depth: usize,
+}
+
+impl Span {
+    fn begin(kind: SpanKind, label: &'static str, parent: u64) -> Span {
+        let mut rec = SpanRecord::empty();
+        rec.id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+        rec.parent = parent;
+        rec.kind = kind;
+        rec.label = label;
+        rec.start = now();
+        let depth = with_active(|a| {
+            rec.slot = a.slot;
+            a.push(rec)
+        });
+        Span(Some(Inner { rec, depth }))
+    }
+
+    /// An always-recorded root span (rare control points: journal
+    /// sync, recovery, triggers). Joins an open parent if the thread
+    /// has one.
+    pub fn root(kind: SpanKind, label: &'static str) -> Span {
+        if sampling() == 0 {
+            return Span(None);
+        }
+        let parent = with_active(|a| a.top_id());
+        Self::begin(kind, label, parent)
+    }
+
+    /// A sampled operation root: records one call in
+    /// [`sampling()`](sampling), unless an enclosing span is already
+    /// open on this thread — then it always joins as its child, so
+    /// one sampling decision covers a whole nested op tree.
+    pub fn op_root(kind: SpanKind, label: &'static str) -> Span {
+        if sampling() == 0 {
+            return Span(None);
+        }
+        let parent = with_active(|a| a.top_id());
+        if parent == 0 && !sampled() {
+            return Span(None);
+        }
+        Self::begin(kind, label, parent)
+    }
+
+    /// A child span: records exactly when an enclosing span is open
+    /// on this thread, otherwise inert.
+    pub fn child(kind: SpanKind, label: &'static str) -> Span {
+        let parent = with_active(|a| a.top_id());
+        if parent == 0 {
+            return Span(None);
+        }
+        Self::begin(kind, label, parent)
+    }
+
+    /// A child of an explicit parent id — for work handed to another
+    /// thread (parallel epoch-slice writers, recovery scan threads).
+    /// Inert when `parent` is 0 (i.e. the parent itself was inert).
+    pub fn child_of(parent: u64, kind: SpanKind, label: &'static str) -> Span {
+        if parent == 0 {
+            return Span(None);
+        }
+        Self::begin(kind, label, parent)
+    }
+
+    /// This span's id (0 when inert) — the handle for
+    /// [`Span::child_of`].
+    pub fn id(&self) -> u64 {
+        self.0.as_ref().map_or(0, |i| i.rec.id)
+    }
+
+    /// Whether this guard is actually recording.
+    pub fn is_recording(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Attribute a journal shard.
+    pub fn set_shard(&mut self, shard: u32) {
+        if let Some(i) = &mut self.0 {
+            i.rec.shard = shard;
+        }
+    }
+
+    /// Attribute a journal epoch.
+    pub fn set_epoch(&mut self, epoch: u64) {
+        if let Some(i) = &mut self.0 {
+            i.rec.epoch = epoch;
+        }
+    }
+
+    /// Attribute a trace stamp.
+    pub fn set_stamp(&mut self, stamp: u64) {
+        if let Some(i) = &mut self.0 {
+            i.rec.stamp = stamp;
+        }
+    }
+
+    /// Count one retry inside the phase.
+    pub fn retry(&mut self) {
+        if let Some(i) = &mut self.0 {
+            i.rec.retries += 1;
+        }
+    }
+
+    /// Mark the phase as having ended in an error.
+    pub fn fail(&mut self) {
+        if let Some(i) = &mut self.0 {
+            i.rec.err = true;
+        }
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        if let Some(mut i) = self.0.take() {
+            i.rec.end = now().max(i.rec.start + 1);
+            with_active(|a| a.pop_to(i.depth));
+            crate::flightrec::record(&i.rec);
+        }
+    }
+}
+
+/// A consistent copy of every thread's currently-open spans,
+/// innermost last per thread.
+pub fn active_spans() -> Vec<SpanRecord> {
+    let mut out = Vec::new();
+    let slots: Vec<Arc<ActiveSlot>> = {
+        let reg = registry().lock().unwrap();
+        reg.iter().filter_map(Weak::upgrade).collect()
+    };
+    for s in slots {
+        if let Some(frames) = s.read() {
+            out.extend(frames);
+        }
+    }
+    out
+}
 
 /// JSON array of every currently-open span across all threads — the live
 /// in-flight-operations view, exposed alongside
@@ -567,24 +499,6 @@ pub fn render_spans_json() -> String {
 mod tests {
     use super::*;
 
-    #[cfg(feature = "obs-off")]
-    #[test]
-    fn span_is_zero_sized_and_inert() {
-        assert_eq!(std::mem::size_of::<Span>(), 0);
-        let mut s = Span::root(SpanKind::Op, "x");
-        s.set_shard(1);
-        s.set_epoch(2);
-        s.set_stamp(3);
-        s.retry();
-        s.fail();
-        assert_eq!(s.id(), 0);
-        assert!(!s.is_recording());
-        drop(s);
-        assert_eq!(sampling(), 0);
-        assert_eq!(render_spans_json(), "[]");
-    }
-
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn children_nest_under_roots_and_sample_together() {
         set_sampling(1);
@@ -605,7 +519,6 @@ mod tests {
         set_sampling(DEFAULT_SPAN_SAMPLE);
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn orphan_children_are_inert_and_sampling_zero_disables() {
         set_sampling(1);
@@ -619,7 +532,6 @@ mod tests {
         set_sampling(DEFAULT_SPAN_SAMPLE);
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn explicit_parent_links_across_threads() {
         set_sampling(1);

@@ -30,8 +30,7 @@ impl RunResult {
     }
 
     /// (p50, p99) in ticks of the named latency histogram, merged across
-    /// its label sets — `None` for an unobserved run or an empty series
-    /// (e.g. under `obs-off`).
+    /// its label sets — `None` for an unobserved run or an empty series.
     pub fn latency_ns(&self, name: &str) -> Option<(u64, u64)> {
         let h = self.snapshot.as_ref()?.hist_merged(name);
         if h.count == 0 {
@@ -137,15 +136,9 @@ mod tests {
         });
         assert_eq!(r.ops, 4);
         let snap = r.snapshot.as_ref().expect("observed run has a snapshot");
-        // Under obs-off the histogram is inert: the snapshot is still
-        // present but empty, and latency_ns reports None.
-        if atomfs_obs::ENABLED {
-            assert_eq!(snap.hist_merged("work_ns").count, 4);
-            let (p50, p99) = r.latency_ns("work_ns").unwrap();
-            assert!(p50 <= p99);
-        } else {
-            assert_eq!(r.latency_ns("work_ns"), None);
-        }
+        assert_eq!(snap.hist_merged("work_ns").count, 4);
+        let (p50, p99) = r.latency_ns("work_ns").unwrap();
+        assert!(p50 <= p99);
     }
 
     #[test]

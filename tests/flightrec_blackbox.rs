@@ -5,32 +5,109 @@
 //! slice / flush that failed on the dead device under its group-commit
 //! parent, and the quarantine trigger instant — and whose shard, epoch,
 //! and stamp attributions agree with what recovery later reports about
-//! the same disk.
-//!
-//! Under `obs-off` all of this is compiled out (see `obs_off_chain.rs`),
-//! so the whole file is gated.
-
-#![cfg(not(feature = "obs-off"))]
+//! the same disk. Smaller tests pin the pieces that chain rests on: spans
+//! record with parent links, a trigger retains a serializable dump, and a
+//! journal sync always records its root span.
 
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use atomfs_journal::{
     recover_sharded, register_sharded_journal_metrics, shard_of, BlockDevice, Disk, FaultPlan,
     FaultyDisk, JournaledFs, ShardConfig,
 };
 use atomfs_obs::span::{set_sampling, DEFAULT_SPAN_SAMPLE, NO_SHARD, NO_U64};
-use atomfs_obs::{Registry, SpanKind, TriggerCause};
+use atomfs_obs::{dump, flightrec, Registry, Span, SpanKind, TriggerCause};
 use atomfs_trace::{BufferSink, TraceSink};
 use atomfs_vfs::FileSystem;
 use crlh::{CheckerConfig, HelperMode, LpChecker, RelationCadence};
 
+/// The flight recorder, the sampling period and the dump store are
+/// process-global: every test here takes this lock, so none drains
+/// another's captures or floods the rings under another's probe.
+fn recorder_lock() -> MutexGuard<'static, ()> {
+    static RECORDER: Mutex<()> = Mutex::new(());
+    RECORDER.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+#[test]
+fn spans_record_with_parent_links_and_retries() {
+    let _recorder = recorder_lock();
+    let before = flightrec::recorded_total();
+    {
+        let mut root = Span::root(SpanKind::Op, "probe");
+        root.set_shard(3);
+        let mut child = Span::child(SpanKind::Lock, "probe_child");
+        child.retry();
+        drop(child);
+        drop(root);
+    }
+    let delta = flightrec::recorded_total() - before;
+    assert!(delta >= 2, "root + child should both record, got {delta}");
+    // Both ends of the parent link survived into the rings.
+    let frozen = flightrec::freeze();
+    let root = frozen
+        .iter()
+        .find(|s| s.label == "probe")
+        .expect("root span not in rings");
+    assert_eq!(root.shard, 3);
+    let child = frozen
+        .iter()
+        .find(|s| s.label == "probe_child")
+        .expect("child span not in rings");
+    assert_eq!(child.parent, root.id);
+    assert_eq!(child.retries, 1);
+}
+
+#[test]
+fn dump_trigger_retains_and_serializes() {
+    let _recorder = recorder_lock();
+    let bb = dump::trigger(
+        TriggerCause::Manual {
+            detail: "chain probe".into(),
+        },
+        Some("{\"health\":\"Ok\"}".into()),
+    );
+    assert!(dump::latest().is_some(), "trigger retained nothing");
+    assert!(dump::triggered_total() >= 1);
+    assert_eq!(bb.health.as_deref(), Some("{\"health\":\"Ok\"}"));
+    assert!(bb.to_json().starts_with('{'));
+    assert!(bb.to_chrome_trace().starts_with("{\"traceEvents\":["));
+}
+
+/// `journal_sync` opens an always-recorded root span, so one sync
+/// records regardless of op sampling.
+#[test]
+fn journal_sync_records_a_root_span() {
+    let _recorder = recorder_lock();
+    let disk = Arc::new(Disk::new());
+    let jfs = JournaledFs::create_sharded(
+        Arc::clone(&disk) as Arc<dyn BlockDevice>,
+        ShardConfig::default(),
+    );
+    let before = flightrec::recorded_total();
+    jfs.mknod("/chain-probe").unwrap();
+    jfs.write("/chain-probe", 0, b"x").unwrap();
+    jfs.sync().unwrap();
+    assert!(
+        flightrec::recorded_total() > before,
+        "a sync should always record its root span"
+    );
+    assert!(
+        flightrec::freeze()
+            .iter()
+            .any(|s| s.label == "journal_sync"),
+        "journal_sync span missing from the rings"
+    );
+}
+
 #[test]
 fn quarantine_dump_causally_covers_the_failing_op() {
+    let _recorder = recorder_lock();
     // Record every operation: the dump must show the op that hit the
     // fault, not a 1-in-64 sample that may have missed it.
     set_sampling(1);
-    let _ = atomfs_obs::dump::drain();
+    let _ = dump::drain();
 
     let seed = 1u64;
     let cfg = ShardConfig::default();
@@ -67,7 +144,7 @@ fn quarantine_dump_causally_covers_the_failing_op() {
     // metrics snapshot alongside the spans.
     let registry = Arc::new(Registry::new());
     register_sharded_journal_metrics(&registry, jfs.sharded_sink().expect("sharded mount"));
-    atomfs_obs::dump::set_registry(&registry);
+    dump::set_registry(&registry);
 
     // The storm: creates route by parent (root, live); each file's
     // writes route by its own inode, so ~1/shards land on the victim.
@@ -97,7 +174,7 @@ fn quarantine_dump_causally_covers_the_failing_op() {
     assert_eq!(quarantined, vec![victim], "wrong shard quarantined");
 
     // --- The dump exists and names the victim. ---
-    let dumps = atomfs_obs::dump::drain();
+    let dumps = dump::drain();
     let qdump = dumps
         .iter()
         .find(|d| matches!(d.cause, TriggerCause::ShardQuarantine { .. }))
@@ -227,7 +304,7 @@ fn quarantine_dump_causally_covers_the_failing_op() {
     }
     // And the in-process recovery loss fired its own trigger.
     if rec.lost_ops > 0 {
-        let post = atomfs_obs::dump::drain();
+        let post = dump::drain();
         assert!(
             post.iter()
                 .any(|d| matches!(d.cause, TriggerCause::RecoveryLoss { .. })),

@@ -42,7 +42,6 @@ fn spawn_mix(fs: Arc<AtomFs>, mix: OpMix, threads: u32, ops: usize, tid_base: u3
 /// non-zero lock-wait buckets, per-op latency histograms, and journal
 /// health gauges from a bridged mount — all on one registry.
 #[test]
-#[cfg_attr(feature = "obs-off", ignore = "metrics compiled out")]
 fn eight_thread_opmix_renders_contended_locks_and_journal_health() {
     let reg = Registry::new();
     // op_sample = 1: observe every op, so op histograms are exact too.
@@ -128,7 +127,6 @@ fn wait_class_with_samples(snap: &atomfs_obs::Snapshot) -> String {
 /// exactly that number in the live `crlh_lins_total{kind="helped"}`
 /// counter.
 #[test]
-#[cfg_attr(feature = "obs-off", ignore = "metrics compiled out")]
 fn rename_storm_online_helped_counter_matches_offline_checker() {
     let cfg = CheckerConfig {
         mode: HelperMode::Helpers,
