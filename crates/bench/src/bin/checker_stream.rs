@@ -8,8 +8,8 @@
 //! cost, constant while events flow at full instrumented-fs rate):
 //!
 //! * **raw** — no consumer on the sink; measures the emit rate the
-//!   instrumented file system actually achieves (the sink itself
-//!   sustains ~11M events/s of raw `emit`, see `BENCH_trace.json`; a
+//!   instrumented file system actually achieves (the sink's own cost per
+//!   raw `emit` is the repo benchmark's `trace.emit_ns_per_event`; a
 //!   real fs op emits several events around real locking, so the
 //!   op-driven rate is what a production pump must match).
 //! * **pumped** — a consuming [`TailCursor`] + [`StreamChecker`] (full
@@ -44,6 +44,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use atomfs::AtomFs;
+use atomfs_bench::harness::{host_parallelism, Args, Json};
 use atomfs_bench::report::{ratio, Table};
 use atomfs_trace::{ShardedSink, TraceSink};
 use atomfs_vfs::FileSystem;
@@ -175,40 +176,13 @@ fn run_pumped(rounds: usize) -> Pumped {
     }
 }
 
-fn write_json(path: &str, rounds: usize, raw_events: u64, raw_eps: f64, pumped: &Pumped) {
-    let Pumped {
-        events: pumped_events,
-        emit_eps,
-        pump_eps,
-        ref ret,
-    } = *pumped;
-    let out = format!(
-        "{{\n  \"bench\": \"checker_stream\",\n  \"host_parallelism\": {},\n  \"threads\": {THREADS},\n  \"rounds_per_thread\": {rounds},\n  \"raw\": {{\"events\": {raw_events}, \"events_per_sec\": {raw_eps:.1}}},\n  \"pumped\": {{\"events\": {pumped_events}, \"emit_events_per_sec\": {emit_eps:.1}, \"pump_events_per_sec\": {pump_eps:.1}}},\n  \"pump_over_raw\": {:.3},\n  \"retained_max\": {{\"descriptors\": {}, \"window_total\": {}, \"narration\": {}}}\n}}\n",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        pump_eps / raw_eps,
-        ret.max_descriptors,
-        ret.max_window_total,
-        ret.max_narration,
-    );
-    std::fs::write(path, out).expect("write BENCH_check.json");
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let gate = args.iter().any(|a| a == "--gate");
-    let rounds: usize = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(|s| s.parse().expect("rounds_per_thread"))
-        .unwrap_or(20_000);
+    let args = Args::parse();
+    let rounds: usize = args.get(0, "rounds_per_thread", 20_000);
 
     println!(
         "Streaming-checker pump vs raw emit, {THREADS} threads x {rounds} mkdir/rmdir rounds ({} cores)",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        host_parallelism()
     );
     let (raw_events, raw_eps) = run_raw(rounds);
     let pumped = run_pumped(rounds);
@@ -243,16 +217,40 @@ fn main() {
         "retained max: descriptors {}, window_total {}, narration {}",
         ret.max_descriptors, ret.max_window_total, ret.max_narration
     );
-    write_json("BENCH_check.json", rounds, raw_events, raw_eps, &pumped);
-    println!("wrote BENCH_check.json");
+    Json::new()
+        .str("bench", "checker_stream")
+        .num("host_parallelism", host_parallelism())
+        .num("threads", THREADS)
+        .num("rounds_per_thread", rounds)
+        .obj(
+            "raw",
+            Json::new()
+                .num("events", raw_events)
+                .fixed("events_per_sec", raw_eps, 1),
+        )
+        .obj(
+            "pumped",
+            Json::new()
+                .num("events", pumped_events)
+                .fixed("emit_events_per_sec", emit_eps, 1)
+                .fixed("pump_events_per_sec", pump_eps, 1),
+        )
+        .fixed("pump_over_raw", pump_eps / raw_eps, 3)
+        .obj(
+            "retained_max",
+            Json::new()
+                .num("descriptors", ret.max_descriptors)
+                .num("window_total", ret.max_window_total)
+                .num("narration", ret.max_narration),
+        )
+        .write("check");
 
-    if gate {
+    if args.gate {
         let ok_rate = pump_eps >= 0.15 * raw_eps;
         // O(window): never more open descriptors than emitting threads
         // (+1 for the setup thread), narration within twice its cap.
         let cap = full_config().narration_cap;
-        let ok_retained =
-            ret.max_descriptors <= THREADS + 1 && ret.max_narration <= 2 * cap;
+        let ok_retained = ret.max_descriptors <= THREADS + 1 && ret.max_narration <= 2 * cap;
         if !ok_rate {
             eprintln!(
                 "GATE FAIL: pump at {:.2} Mev/s is below 15% of raw {:.2} Mev/s",

@@ -20,13 +20,12 @@
 
 use std::sync::Arc;
 
-use atomfs::{AtomFs, AtomFsConfig};
+use atomfs_bench::harness::{host_parallelism, trace_plans, Args};
 use atomfs_bench::report::{ratio, Table};
 use atomfs_bench::setups::{build, FIG11_SYSTEMS};
-use atomfs_locksim::{plan_from_scripts, simulate, CostModel, ScriptConverter, ThreadPlan};
+use atomfs_locksim::{simulate, CostModel};
 use atomfs_obs::{ClockSource, Registry};
-use atomfs_trace::{BufferSink, TraceSink};
-use atomfs_vfs::MeteredFs;
+use atomfs_vfs::{FileSystem, MeteredFs};
 use atomfs_workloads::filebench::{Fileserver, Webproxy};
 use atomfs_workloads::run_threads_observed;
 
@@ -47,6 +46,25 @@ fn webproxy_cfg() -> Webproxy {
     }
 }
 
+fn setup(personality: &str, fs: &dyn FileSystem) {
+    if personality == "fileserver" {
+        fileserver_cfg().setup(fs)
+    } else {
+        webproxy_cfg().setup(fs)
+    }
+    .expect("setup");
+}
+
+/// Worker `t`'s `iters` iterations of the personality's flowop loop;
+/// returns the operations it ran.
+fn run_thread(personality: &str, fs: &dyn FileSystem, t: usize, iters: usize) -> u64 {
+    if personality == "fileserver" {
+        fileserver_cfg().run_thread(fs, t, iters, 1234)
+    } else {
+        webproxy_cfg().run_thread(fs, t, iters, 1234)
+    }
+}
+
 /// Simulated mode adds the fast-path ablation row: the same cost model
 /// as "atomfs" but with the optimistic walk disabled at capture time, so
 /// its plans carry the full lock-coupled footprint.
@@ -61,50 +79,21 @@ fn cost_model(system: &str) -> CostModel {
     }
 }
 
-/// Capture each virtual worker's operation stream on real instrumented
-/// AtomFS and convert it into simulator plans under `model`.
-fn capture_plans(
-    personality: &str,
-    threads: usize,
-    iters: usize,
-    model: &CostModel,
-    optimistic: bool,
-) -> Vec<ThreadPlan> {
-    let sink = Arc::new(BufferSink::new());
-    let fs = AtomFs::traced_with_config(
-        sink.clone() as Arc<dyn TraceSink>,
-        AtomFsConfig {
-            optimistic,
-            ..AtomFsConfig::default()
-        },
-    );
-    if personality == "fileserver" {
-        fileserver_cfg().setup(&fs).expect("setup");
-    } else {
-        webproxy_cfg().setup(&fs).expect("setup");
-    }
-    sink.take(); // discard setup events
-    let mut converter = ScriptConverter::new(*model);
-    let mut plans = Vec::new();
-    for t in 0..threads {
-        if personality == "fileserver" {
-            fileserver_cfg().run_thread(&fs, t, iters, 1234);
-        } else {
-            webproxy_cfg().run_thread(&fs, t, iters, 1234);
-        }
-        let scripts = converter.convert(&sink.take());
-        plans.push(plan_from_scripts(&scripts));
-    }
-    plans
-}
-
-fn simulated_series(personality: &str, system: &str, iters: usize) -> Vec<f64> {
+fn simulated_series(personality: &'static str, system: &str, iters: usize) -> Vec<f64> {
     let model = cost_model(system);
     let optimistic = system != "atomfs-nofast";
     THREADS
         .iter()
         .map(|&threads| {
-            let plans = capture_plans(personality, threads, iters, &model, optimistic);
+            let plans = trace_plans(
+                threads,
+                optimistic,
+                model,
+                |fs| setup(personality, fs),
+                |fs, t| {
+                    run_thread(personality, fs, t, iters);
+                },
+            );
             let r = simulate(&plans);
             eprint!(".");
             r.throughput()
@@ -114,43 +103,32 @@ fn simulated_series(personality: &str, system: &str, iters: usize) -> Vec<f64> {
 
 /// One measured point: throughput plus (p50, p99) op latency in ns, taken
 /// by a [`MeteredFs`] wrapped around the full deployment stack.
-fn measured_series(personality: &str, system: &str, iters: usize) -> Vec<(f64, Option<(u64, u64)>)> {
+fn measured_series(
+    personality: &'static str,
+    system: &str,
+    iters: usize,
+) -> Vec<(f64, Option<(u64, u64)>)> {
     THREADS
         .iter()
         .map(|&threads| {
             // A fresh registry per point: each cell's histogram is its own.
             let reg = Registry::new();
             let fs = MeteredFs::new(build(system), &reg, ClockSource::monotonic());
-            let result = if personality == "fileserver" {
-                let cfg = fileserver_cfg();
-                cfg.setup(&fs).expect("setup");
-                run_threads_observed(Arc::new(fs), threads, &reg, move |fs, t| {
-                    cfg.run_thread(&*fs, t, iters, 1234)
-                })
-            } else {
-                let cfg = webproxy_cfg();
-                cfg.setup(&fs).expect("setup");
-                run_threads_observed(Arc::new(fs), threads, &reg, move |fs, t| {
-                    cfg.run_thread(&*fs, t, iters, 1234)
-                })
-            };
+            setup(personality, &fs);
+            let result = run_threads_observed(Arc::new(fs), threads, &reg, move |fs, t| {
+                run_thread(personality, &*fs, t, iters)
+            });
             eprint!(".");
             (result.throughput(), result.latency_ns("fs_op_ns"))
         })
         .collect()
 }
 
-fn run_personality(name: &str, iters: usize, measured: bool) {
+fn run_personality(name: &'static str, iters: usize, measured: bool) {
     println!(
         "\nFigure 11({}) — {name} speedup over 1 thread ({} cores{})",
         if name == "fileserver" { 'a' } else { 'b' },
-        if measured {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            16
-        },
+        if measured { host_parallelism() } else { 16 },
         if measured {
             ", measured"
         } else {
@@ -235,12 +213,10 @@ fn run_personality(name: &str, iters: usize, measured: bool) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let measured = args.iter().any(|a| a == "--measured");
-    let pos: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let which = pos.first().map(|s| s.as_str()).unwrap_or("both");
-    let iters: usize = pos.get(1).map(|s| s.parse().expect("iters")).unwrap_or(200);
-    match which {
+    let args = Args::parse();
+    let measured = args.flag("--measured");
+    let iters: usize = args.get(1, "iters", 200);
+    match args.positional.first().map_or("both", String::as_str) {
         "fileserver" => run_personality("fileserver", iters, measured),
         "webproxy" => run_personality("webproxy", iters, measured),
         "both" => {

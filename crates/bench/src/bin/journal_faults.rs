@@ -20,6 +20,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use atomfs_bench::harness::{best_of, Args, Json};
 use atomfs_bench::report::Table;
 use atomfs_journal::device::{BlockDevice, Sector, SECTOR_SIZE};
 use atomfs_journal::wire::{encode_frame_parts, FrameKind};
@@ -29,6 +30,8 @@ use atomfs_trace::MicroOp;
 /// Commit (flush) every this many batches — sync-every-op would measure
 /// the flush, not the append plumbing under test.
 const COMMIT_EVERY: u64 = 64;
+/// Runs per path; the best is kept (allocator/cache warmup dominates the
+/// noise on a bare-metal single-core runner).
 const REPS: usize = 3;
 
 /// One stamped batch, as the group commit hands it to a shard writer.
@@ -102,59 +105,27 @@ fn fallible(device: Arc<dyn BlockDevice>, batches: u64, ops: &[(u64, MicroOp)]) 
     batches as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Best of [`REPS`] runs (allocator/cache warmup dominates the noise on
-/// a bare-metal single-core runner).
-fn best(mut run: impl FnMut() -> f64) -> f64 {
-    (0..REPS).map(|_| run()).fold(f64::MIN, f64::max)
-}
-
 fn overhead_pct(seed: f64, path: f64) -> f64 {
     (seed / path - 1.0) * 100.0
 }
 
-fn write_json(path: &str, batches: u64, series: &[(&str, f64)], seed_bps: f64) {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"journal_faults\",\n");
-    out.push_str(&format!("  \"batches\": {batches},\n"));
-    out.push_str("  \"ops_per_batch\": 8,\n");
-    out.push_str(&format!("  \"commit_every\": {COMMIT_EVERY},\n"));
-    out.push_str("  \"series\": [\n");
-    let rows: Vec<String> = series
-        .iter()
-        .map(|(name, bps)| {
-            format!(
-                "    {{\"path\": \"{}\", \"batches_per_sec\": {:.1}, \"overhead_vs_seed_pct\": {:.2}}}",
-                name,
-                bps,
-                overhead_pct(seed_bps, *bps)
-            )
-        })
-        .collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    std::fs::write(path, out).expect("write BENCH_journal.json");
-}
-
 fn main() {
-    let batches: u64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("batches"))
-        .unwrap_or(30_000);
+    let batches: u64 = Args::parse().get(0, "batches", 30_000);
     let ops = batch();
     println!(
         "Journal fault-path overhead, {batches} batches of 8 ops, commit every {COMMIT_EVERY}"
     );
 
-    let seed = best(|| seed_style(batches, &ops));
-    let direct = best(|| fallible(Arc::new(Disk::new()), batches, &ops));
-    let wrapped = best(|| {
+    let seed = best_of(REPS, || seed_style(batches, &ops));
+    let direct = best_of(REPS, || fallible(Arc::new(Disk::new()), batches, &ops));
+    let wrapped = best_of(REPS, || {
         fallible(
             Arc::new(FaultyDisk::new(Arc::new(Disk::new()), FaultPlan::none(1))),
             batches,
             &ops,
         )
     });
-    let transient = best(|| {
+    let transient = best_of(REPS, || {
         fallible(
             Arc::new(FaultyDisk::new(
                 Arc::new(Disk::new()),
@@ -180,8 +151,21 @@ fn main() {
         ]);
     }
     table.print();
-    write_json("BENCH_journal.json", batches, &series, seed);
-    println!("\nwrote BENCH_journal.json");
+    Json::new()
+        .str("bench", "journal_faults")
+        .num("batches", batches)
+        .num("ops_per_batch", ops.len())
+        .num("commit_every", COMMIT_EVERY)
+        .list(
+            "series",
+            series.iter().map(|(name, bps)| {
+                Json::new()
+                    .str("path", name)
+                    .fixed("batches_per_sec", *bps, 1)
+                    .fixed("overhead_vs_seed_pct", overhead_pct(seed, *bps), 2)
+            }),
+        )
+        .write("journal");
     let fault_free = overhead_pct(seed, direct);
     println!("fault-free fallible overhead: {fault_free:+.2}% (acceptance bar: < 5%)");
 }

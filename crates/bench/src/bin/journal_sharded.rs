@@ -22,6 +22,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use atomfs_bench::harness::{best_of, Args, Json};
 use atomfs_bench::report::Table;
 use atomfs_journal::{BlockDevice, Disk, JournaledFs, ShardConfig};
 use atomfs_trace::{set_current_tid, Tid};
@@ -30,6 +31,7 @@ use atomfs_vfs::FileSystem;
 const SYNC_EVERY: usize = 16;
 const FILES_PER_THREAD: usize = 16;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// Runs per cell; the best is kept.
 const REPS: usize = 3;
 const GATE_BAR: f64 = 2.0;
 
@@ -128,102 +130,67 @@ fn run(cfg: ShardConfig, mix: Mix, threads: usize, ops_per_thread: usize) -> f64
     committed as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Best of [`REPS`] runs.
-fn best(mut f: impl FnMut() -> f64) -> f64 {
-    (0..REPS).map(|_| f()).fold(f64::MIN, f64::max)
-}
-
-struct Series {
-    layout: &'static str,
-    mix: &'static str,
-    threads: usize,
-    writes_per_sec: f64,
-}
-
-fn write_json(path: &str, ops_per_thread: usize, series: &[Series], speedup: f64) {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"journal_sharded\",\n");
-    out.push_str(&format!("  \"ops_per_thread\": {ops_per_thread},\n"));
-    out.push_str(&format!("  \"sync_every\": {SYNC_EVERY},\n"));
-    out.push_str(&format!("  \"files_per_thread\": {FILES_PER_THREAD},\n"));
-    out.push_str("  \"series\": [\n");
-    let rows: Vec<String> = series
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"layout\": \"{}\", \"mix\": \"{}\", \"threads\": {}, \"committed_writes_per_sec\": {:.1}}}",
-                s.layout, s.mix, s.threads, s.writes_per_sec
-            )
-        })
-        .collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ],\n");
-    out.push_str(&format!(
-        "  \"gate\": {{\"metric\": \"sharded4 write_heavy, 8 threads vs 1 thread\", \"speedup\": {:.2}, \"bar\": {GATE_BAR}}}\n",
-        speedup
-    ));
-    out.push_str("}\n");
-    std::fs::write(path, out).expect("write BENCH_journal_sharded.json");
-}
-
 fn main() {
-    let mut ops_per_thread = 4_000usize;
-    let mut gate = false;
-    for arg in std::env::args().skip(1) {
-        if arg == "--gate" {
-            gate = true;
-        } else {
-            ops_per_thread = arg.parse().expect("ops_per_thread");
-        }
-    }
+    let args = Args::parse();
+    let ops_per_thread: usize = args.get(0, "ops_per_thread", 4_000);
     println!(
         "Sharded journal group-commit throughput, {ops_per_thread} ops/thread, sync every {SYNC_EVERY} writes"
     );
 
-    let mut series = Vec::new();
+    // One row of committed writes/s per (mix, layout), one cell per
+    // thread count.
+    let mut rows = Vec::new();
     for mix in [Mix::WriteHeavy, Mix::Mixed5050] {
         for (name, cfg) in layouts() {
-            for &threads in &THREAD_COUNTS {
-                let wps = best(|| run(cfg, mix, threads, ops_per_thread));
-                series.push(Series {
-                    layout: name,
-                    mix: mix.name(),
-                    threads,
-                    writes_per_sec: wps,
-                });
-            }
+            let rates: Vec<f64> = THREAD_COUNTS
+                .iter()
+                .map(|&threads| best_of(REPS, || run(cfg, mix, threads, ops_per_thread)))
+                .collect();
+            rows.push((mix, name, rates));
         }
     }
 
-    let lookup = |layout: &str, mix: Mix, threads: usize| {
-        series
-            .iter()
-            .find(|s| s.layout == layout && s.mix == mix.name() && s.threads == threads)
-            .expect("series present")
-            .writes_per_sec
-    };
     let mut table = Table::new(&["mix", "layout", "1T kw/s", "2T kw/s", "4T kw/s", "8T kw/s"]);
-    for mix in [Mix::WriteHeavy, Mix::Mixed5050] {
-        for (name, _) in layouts() {
-            let mut cells = vec![mix.name().to_string(), name.to_string()];
-            for &threads in &THREAD_COUNTS {
-                cells.push(format!("{:.1}", lookup(name, mix, threads) / 1e3));
-            }
-            table.row(cells);
-        }
+    for (mix, layout, rates) in &rows {
+        let mut cells = vec![mix.name().to_string(), layout.to_string()];
+        cells.extend(rates.iter().map(|r| format!("{:.1}", r / 1e3)));
+        table.row(cells);
     }
     table.print();
 
-    let speedup = lookup("sharded4", Mix::WriteHeavy, 8) / lookup("sharded4", Mix::WriteHeavy, 1);
-    write_json(
-        "BENCH_journal_sharded.json",
-        ops_per_thread,
-        &series,
-        speedup,
-    );
-    println!("\nwrote BENCH_journal_sharded.json");
+    let (_, _, gated) = rows
+        .iter()
+        .find(|(mix, layout, _)| *mix == Mix::WriteHeavy && *layout == "sharded4")
+        .expect("sharded4 write-heavy row");
+    // THREAD_COUNTS runs from 1 to 8 threads.
+    let speedup = gated[THREAD_COUNTS.len() - 1] / gated[0];
+    Json::new()
+        .str("bench", "journal_sharded")
+        .num("ops_per_thread", ops_per_thread)
+        .num("sync_every", SYNC_EVERY)
+        .num("files_per_thread", FILES_PER_THREAD)
+        .list(
+            "series",
+            rows.iter().flat_map(|(mix, layout, rates)| {
+                THREAD_COUNTS.iter().zip(rates).map(|(threads, wps)| {
+                    Json::new()
+                        .str("layout", layout)
+                        .str("mix", mix.name())
+                        .num("threads", threads)
+                        .fixed("committed_writes_per_sec", *wps, 1)
+                })
+            }),
+        )
+        .obj(
+            "gate",
+            Json::new()
+                .str("metric", "sharded4 write_heavy, 8 threads vs 1 thread")
+                .fixed("speedup", speedup, 2)
+                .num("bar", GATE_BAR),
+        )
+        .write("journal_sharded");
     println!("sharded4 write-heavy, 8 threads vs 1 thread: {speedup:.2}x (gate: >= {GATE_BAR}x)");
-    if gate && speedup < GATE_BAR {
+    if args.gate && speedup < GATE_BAR {
         eprintln!("GATE FAILED: {speedup:.2}x < {GATE_BAR}x");
         std::process::exit(1);
     }

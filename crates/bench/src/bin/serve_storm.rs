@@ -28,12 +28,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use atomfs::AtomFs;
+use atomfs_bench::harness::{best_of, Args, Json};
 use atomfs_bench::report::Table;
 use atomfs_obs::{ClockSource, Registry};
 use atomfs_server::{serve, RemoteFs, Request, RpcClient, Server, ServerConfig};
 use atomfs_vfs::{FileSystem, MeteredFs};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// Runs per cell; the best is kept.
 const REPS: usize = 3;
 const GATE_BAR: f64 = 2.0;
 /// In-flight requests per connection in pipelined mode.
@@ -123,11 +125,6 @@ fn run(mode: Mode, threads: usize, ops_per_thread: usize) -> f64 {
     (threads * ops_per_thread) as f64 / elapsed
 }
 
-/// Best of [`REPS`] runs.
-fn best(mut f: impl FnMut() -> f64) -> f64 {
-    (0..REPS).map(|_| f()).fold(f64::MIN, f64::max)
-}
-
 /// Client-observed latency: a serial metered pass at 8 threads, p50/p99
 /// from the shared `fs_op_ns` histograms.
 fn latency_pass(ops_per_thread: usize) -> Vec<(String, u64, u64)> {
@@ -164,89 +161,30 @@ fn latency_pass(ops_per_thread: usize) -> Vec<(String, u64, u64)> {
         .collect()
 }
 
-struct Series {
-    mode: &'static str,
-    threads: usize,
-    ops_per_sec: f64,
-}
-
-fn write_json(
-    path: &str,
-    ops_per_thread: usize,
-    series: &[Series],
-    latency: &[(String, u64, u64)],
-    speedup: f64,
-) {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"serve_storm\",\n");
-    out.push_str(&format!("  \"ops_per_thread\": {ops_per_thread},\n"));
-    out.push_str(&format!("  \"window\": {WINDOW},\n"));
-    out.push_str("  \"series\": [\n");
-    let rows: Vec<String> = series
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"mode\": \"{}\", \"threads\": {}, \"ops_per_sec\": {:.1}}}",
-                s.mode, s.threads, s.ops_per_sec
-            )
-        })
-        .collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ],\n");
-    out.push_str("  \"client_latency_ns\": [\n");
-    let lrows: Vec<String> = latency
-        .iter()
-        .map(|(op, p50, p99)| format!("    {{\"op\": \"{op}\", \"p50\": {p50}, \"p99\": {p99}}}"))
-        .collect();
-    out.push_str(&lrows.join(",\n"));
-    out.push_str("\n  ],\n");
-    out.push_str(&format!(
-        "  \"gate\": {{\"metric\": \"pipelined vs serial, 8 client threads\", \"speedup\": {speedup:.2}, \"bar\": {GATE_BAR}}}\n"
-    ));
-    out.push_str("}\n");
-    std::fs::write(path, out).expect("write BENCH_serve.json");
-}
-
 fn main() {
-    let mut ops_per_thread = 20_000usize;
-    let mut gate = false;
-    for arg in std::env::args().skip(1) {
-        if arg == "--gate" {
-            gate = true;
-        } else {
-            ops_per_thread = arg.parse().expect("ops_per_thread");
-        }
-    }
+    let args = Args::parse();
+    let ops_per_thread: usize = args.get(0, "ops_per_thread", 20_000);
     println!(
         "RPC serving throughput, {ops_per_thread} ops/thread, window {WINDOW}, mix 70% stat / 30% read-256B"
     );
 
-    let mut series = Vec::new();
-    for mode in [Mode::Serial, Mode::Pipelined] {
-        for &threads in &THREAD_COUNTS {
-            let ops = best(|| run(mode, threads, ops_per_thread));
-            series.push(Series {
-                mode: mode.name(),
-                threads,
-                ops_per_sec: ops,
-            });
-        }
-    }
+    // Ops/s per mode, one cell per thread count.
+    let modes = [Mode::Serial, Mode::Pipelined];
+    let rates: Vec<Vec<f64>> = modes
+        .iter()
+        .map(|&mode| {
+            THREAD_COUNTS
+                .iter()
+                .map(|&threads| best_of(REPS, || run(mode, threads, ops_per_thread)))
+                .collect()
+        })
+        .collect();
     let latency = latency_pass(ops_per_thread / 4);
 
-    let lookup = |mode: Mode, threads: usize| {
-        series
-            .iter()
-            .find(|s| s.mode == mode.name() && s.threads == threads)
-            .expect("series present")
-            .ops_per_sec
-    };
     let mut table = Table::new(&["mode", "1T kop/s", "2T kop/s", "4T kop/s", "8T kop/s"]);
-    for mode in [Mode::Serial, Mode::Pipelined] {
+    for (mode, row) in modes.iter().zip(&rates) {
         let mut cells = vec![mode.name().to_string()];
-        for &threads in &THREAD_COUNTS {
-            cells.push(format!("{:.1}", lookup(mode, threads) / 1e3));
-        }
+        cells.extend(row.iter().map(|r| format!("{:.1}", r / 1e3)));
         table.row(cells);
     }
     table.print();
@@ -256,19 +194,41 @@ fn main() {
         println!("  {op:8} p50 {p50:>8} ns   p99 {p99:>8} ns");
     }
 
-    let speedup = lookup(Mode::Pipelined, 8) / lookup(Mode::Serial, 8);
+    // The last cell is 8 client threads.
+    let speedup = rates[1][THREAD_COUNTS.len() - 1] / rates[0][THREAD_COUNTS.len() - 1];
     println!();
     println!("pipelined vs serial at 8 threads: {speedup:.2}x (gate bar {GATE_BAR}x)");
-    write_json(
-        "BENCH_serve.json",
-        ops_per_thread,
-        &series,
-        &latency,
-        speedup,
-    );
-    println!("wrote BENCH_serve.json");
+    Json::new()
+        .str("bench", "serve_storm")
+        .num("ops_per_thread", ops_per_thread)
+        .num("window", WINDOW)
+        .list(
+            "series",
+            modes.iter().zip(&rates).flat_map(|(mode, row)| {
+                THREAD_COUNTS.iter().zip(row).map(|(threads, ops)| {
+                    Json::new()
+                        .str("mode", mode.name())
+                        .num("threads", threads)
+                        .fixed("ops_per_sec", *ops, 1)
+                })
+            }),
+        )
+        .list(
+            "client_latency_ns",
+            latency
+                .iter()
+                .map(|(op, p50, p99)| Json::new().str("op", op).num("p50", p50).num("p99", p99)),
+        )
+        .obj(
+            "gate",
+            Json::new()
+                .str("metric", "pipelined vs serial, 8 client threads")
+                .fixed("speedup", speedup, 2)
+                .num("bar", GATE_BAR),
+        )
+        .write("serve");
 
-    if gate && speedup < GATE_BAR {
+    if args.gate && speedup < GATE_BAR {
         eprintln!("GATE FAIL: pipelined speedup {speedup:.2}x < {GATE_BAR}x");
         std::process::exit(1);
     }

@@ -29,13 +29,11 @@
 //! `--gate` exits nonzero if the 8-thread speedup is below 1.5x
 //! (the CI criterion); the default only reports.
 
-use std::sync::Arc;
-
-use atomfs::{AtomFs, AtomFsConfig, FsMetrics};
+use atomfs::{AtomFs, FsMetrics};
+use atomfs_bench::harness::{trace_plans, Args, Json};
 use atomfs_bench::report::{ratio, Table};
-use atomfs_locksim::{plan_from_scripts, simulate, CostModel, ScriptConverter, ThreadPlan};
+use atomfs_locksim::{simulate, CostModel};
 use atomfs_obs::{ClockSource, Registry};
-use atomfs_trace::{BufferSink, TraceSink};
 use atomfs_vfs::{FileSystem, SplitMix64};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -76,7 +74,7 @@ fn setup(fs: &dyn FileSystem) {
 
 /// One worker's seeded op stream: reads (stat/read/readdir) with one
 /// write in every `write_one_in` ops (0 = no writes at all).
-fn run_stream_mixed(fs: &dyn FileSystem, seed: u64, ops: usize, write_one_in: u64) {
+fn run_stream(fs: &dyn FileSystem, seed: u64, ops: usize, write_one_in: u64) {
     let mut rng = SplitMix64::new(seed);
     let mut buf = [0u8; 64];
     for i in 0..ops {
@@ -100,39 +98,18 @@ fn run_stream_mixed(fs: &dyn FileSystem, seed: u64, ops: usize, write_one_in: u6
     }
 }
 
-/// The gated 95/5 mix.
-fn run_stream(fs: &dyn FileSystem, seed: u64, ops: usize) {
-    run_stream_mixed(fs, seed, ops, WRITE_ONE_IN);
-}
-
-/// Capture per-worker streams on an instrumented AtomFS with the fast
-/// path on or off, and convert them into simulator plans.
-fn capture_plans(threads: usize, ops: usize, optimistic: bool) -> Vec<ThreadPlan> {
-    let sink = Arc::new(BufferSink::new());
-    let fs = AtomFs::traced_with_config(
-        sink.clone() as Arc<dyn TraceSink>,
-        AtomFsConfig {
-            optimistic,
-            ..AtomFsConfig::default()
-        },
-    );
-    setup(&fs);
-    sink.take(); // discard setup events
-    let mut converter = ScriptConverter::new(walk_model());
-    let mut plans = Vec::new();
-    for t in 0..threads {
-        run_stream(&fs, 0xC0FFEE ^ (t as u64 * 7919), ops);
-        let scripts = converter.convert(&sink.take());
-        plans.push(plan_from_scripts(&scripts));
-    }
-    plans
-}
-
 fn series(ops: usize, optimistic: bool) -> Vec<f64> {
     THREADS
         .iter()
         .map(|&threads| {
-            let r = simulate(&capture_plans(threads, ops, optimistic));
+            let plans = trace_plans(
+                threads,
+                optimistic,
+                walk_model(),
+                |fs| setup(fs),
+                |fs, t| run_stream(fs, 0xC0FFEE ^ (t as u64 * 7919), ops, WRITE_ONE_IN),
+            );
+            let r = simulate(&plans);
             eprint!(".");
             r.throughput()
         })
@@ -146,22 +123,18 @@ type OptCounters = (u64, u64, u64, u64);
 /// attempts/hits are exact too) at the given write ratio.
 fn metered_counters(ops: usize, write_one_in: u64) -> OptCounters {
     let reg = Registry::new();
-    let fs = Arc::new(AtomFs::new().with_metrics(FsMetrics::register_sampled(
+    let fs = AtomFs::new().with_metrics(FsMetrics::register_sampled(
         &reg,
         ClockSource::monotonic(),
         1,
-    )));
-    setup(&*fs);
-    let mut handles = Vec::new();
-    for t in 0..GATE_THREADS as u64 {
-        let fs = Arc::clone(&fs);
-        handles.push(std::thread::spawn(move || {
-            run_stream_mixed(&*fs, 0xC0FFEE ^ (t * 7919), ops, write_one_in);
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+    ));
+    setup(&fs);
+    std::thread::scope(|s| {
+        for t in 0..GATE_THREADS as u64 {
+            let fs = &fs;
+            s.spawn(move || run_stream(fs, 0xC0FFEE ^ (t * 7919), ops, write_one_in));
+        }
+    });
     let snap = reg.snapshot();
     (
         snap.counter("atomfs_opt_attempts_total"),
@@ -188,75 +161,17 @@ const SWEEP: [(u64, &str); 6] = [
     (1, "100%"),
 ];
 
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &str,
-    ops: usize,
-    opt: &[f64],
-    pess: &[f64],
-    speedup: f64,
-    pass: bool,
-    counters: OptCounters,
-    sweep: &[(&str, OptCounters)],
-) {
-    let (attempts, hits, retries, fallbacks) = counters;
-    let hit_rate = if attempts > 0 {
+fn hit_rate(attempts: u64, hits: u64) -> f64 {
+    if attempts > 0 {
         hits as f64 / attempts as f64
     } else {
         0.0
-    };
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"walk_fastpath\",\n");
-    out.push_str("  \"mix\": \"95/5 read-mostly\",\n");
-    out.push_str(&format!("  \"ops_per_thread\": {ops},\n"));
-    out.push_str(&format!("  \"gate_threads\": {GATE_THREADS},\n"));
-    out.push_str(&format!("  \"gate\": {GATE},\n"));
-    out.push_str(&format!("  \"speedup\": {speedup:.3},\n"));
-    out.push_str(&format!("  \"pass\": {pass},\n"));
-    out.push_str(&format!("  \"opt_attempts\": {attempts},\n"));
-    out.push_str(&format!("  \"opt_hits\": {hits},\n"));
-    out.push_str(&format!("  \"opt_retries\": {retries},\n"));
-    out.push_str(&format!("  \"opt_fallbacks\": {fallbacks},\n"));
-    out.push_str(&format!("  \"hit_rate\": {hit_rate:.4},\n"));
-    out.push_str("  \"series\": [\n");
-    let body: Vec<String> = THREADS
-        .iter()
-        .enumerate()
-        .map(|(i, threads)| {
-            format!(
-                "    {{\"threads\": {}, \"optimistic_ops_s\": {:.0}, \"pessimistic_ops_s\": {:.0}, \"speedup\": {:.3}}}",
-                threads,
-                opt[i],
-                pess[i],
-                opt[i] / pess[i]
-            )
-        })
-        .collect();
-    out.push_str(&body.join(",\n"));
-    out.push_str("\n  ],\n");
-    out.push_str("  \"hit_rate_by_write_ratio\": [\n");
-    let sweep_body: Vec<String> = sweep
-        .iter()
-        .map(|(label, (a, h, r, f))| {
-            let rate = if *a > 0 { *h as f64 / *a as f64 } else { 0.0 };
-            format!(
-                "    {{\"writes\": \"{label}\", \"attempts\": {a}, \"hits\": {h}, \"retries\": {r}, \"fallbacks\": {f}, \"hit_rate\": {rate:.4}}}"
-            )
-        })
-        .collect();
-    out.push_str(&sweep_body.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    std::fs::write(path, out).expect("write BENCH_walk.json");
+    }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let gate = args.iter().any(|a| a == "--gate");
-    let ops: usize = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(|s| s.parse().expect("ops"))
-        .unwrap_or(400);
+    let args = Args::parse();
+    let ops: usize = args.get(0, "ops", 400);
 
     println!("walk_fastpath — optimistic vs pessimistic walk, 95/5 mix, {ops} ops/thread (simulated cores)");
     let opt = series(ops, true);
@@ -286,11 +201,7 @@ fn main() {
     let (attempts, hits, retries, fallbacks) = counters;
     println!(
         "\nfast path at the gated mix: {hits}/{attempts} hits ({:.1}%), {retries} retries, {fallbacks} fallbacks",
-        if attempts > 0 {
-            100.0 * hits as f64 / attempts as f64
-        } else {
-            0.0
-        }
+        100.0 * hit_rate(attempts, hits)
     );
     let mut ts = Table::new(&["writes", "attempts", "hit rate", "retries", "fallbacks"]);
     for (label, (a, h, r, f)) in &sweep {
@@ -316,18 +227,43 @@ fn main() {
         ratio(speedup),
         if pass { "PASS" } else { "FAIL" }
     );
-    write_json(
-        "BENCH_walk.json",
-        ops,
-        &opt,
-        &pess,
-        speedup,
-        pass,
-        counters,
-        &sweep,
-    );
-    println!("wrote BENCH_walk.json");
-    if gate && !pass {
+    Json::new()
+        .str("bench", "walk_fastpath")
+        .str("mix", "95/5 read-mostly")
+        .num("ops_per_thread", ops)
+        .num("gate_threads", GATE_THREADS)
+        .num("gate", GATE)
+        .fixed("speedup", speedup, 3)
+        .num("pass", pass)
+        .num("opt_attempts", attempts)
+        .num("opt_hits", hits)
+        .num("opt_retries", retries)
+        .num("opt_fallbacks", fallbacks)
+        .fixed("hit_rate", hit_rate(attempts, hits), 4)
+        .list(
+            "series",
+            THREADS.iter().enumerate().map(|(i, threads)| {
+                Json::new()
+                    .num("threads", threads)
+                    .fixed("optimistic_ops_s", opt[i], 0)
+                    .fixed("pessimistic_ops_s", pess[i], 0)
+                    .fixed("speedup", opt[i] / pess[i], 3)
+            }),
+        )
+        .list(
+            "hit_rate_by_write_ratio",
+            sweep.iter().map(|&(label, (a, h, r, f))| {
+                Json::new()
+                    .str("writes", label)
+                    .num("attempts", a)
+                    .num("hits", h)
+                    .num("retries", r)
+                    .num("fallbacks", f)
+                    .fixed("hit_rate", hit_rate(a, h), 4)
+            }),
+        )
+        .write("walk");
+    if args.gate && !pass {
         std::process::exit(1);
     }
 }

@@ -7,6 +7,8 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use crate::harness::median;
+
 /// A simple fixed-layout table builder.
 #[derive(Debug, Default)]
 pub struct Table {
@@ -97,11 +99,11 @@ pub fn time_case<R>(t: &mut Table, group: &str, case: &str, units: u64, mut f: i
     while batch(n) < BATCH_TARGET {
         n *= 2;
     }
-    let mut per_call: Vec<f64> = (0..TIMED_BATCHES)
-        .map(|_| batch(n).as_nanos() as f64 / n as f64)
-        .collect();
-    per_call.sort_by(f64::total_cmp);
-    let ns = per_call[TIMED_BATCHES / 2];
+    let ns = median(
+        (0..TIMED_BATCHES)
+            .map(|_| batch(n).as_nanos() as f64 / n as f64)
+            .collect(),
+    );
     t.row(vec![
         group.to_string(),
         case.to_string(),

@@ -61,5 +61,5 @@ pub mod hist {
 pub use clock::{ClockSource, MonotonicClock, VirtualClock};
 pub use dump::{BlackBox, TriggerCause};
 pub use metric::{Counter, Gauge, HistSnapshot, Histogram};
-pub use registry::{FnKind, Registry, SnapEntry, SnapValue, Snapshot};
+pub use registry::{json_escape, FnKind, Registry, SnapEntry, SnapValue, Snapshot};
 pub use span::{render_spans_json, Span, SpanKind, SpanRecord};

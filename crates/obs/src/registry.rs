@@ -431,13 +431,17 @@ impl Snapshot {
     }
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escape `s` for use inside a JSON string literal: quotes,
+/// backslashes and control characters.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
@@ -542,6 +546,8 @@ mod tests {
     #[test]
     fn json_escape_handles_specials() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("a\rb\tc"), "a\\rb\\tc");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]
