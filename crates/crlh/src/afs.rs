@@ -16,10 +16,12 @@
 //! operation (linearized before its concrete mutations exist) the checker
 //! mints a provisional id and binds it when the concrete `Create` arrives.
 
+use std::borrow::Cow;
+
 use atomfs_trace::{Inum, MicroOp, OpDesc, OpRet, StatRet};
 use atomfs_vfs::{FileType, FsError};
 
-use crate::state::{FsState, Node};
+use crate::state::{FsState, Node, StateView};
 
 /// The maximum file size shared with the concrete AtomFS
 /// (`MAX_BLOCKS_PER_FILE * BLOCK_SIZE` = 16384 × 4096 bytes). An
@@ -50,7 +52,7 @@ pub fn apply_aop(
     op: &OpDesc,
     alloc: &mut dyn FnMut(FileType) -> Inum,
 ) -> (Vec<MicroOp>, OpRet, Option<crate::state::StateError>) {
-    let (effects, ret) = compute(state, op, alloc);
+    let (effects, ret) = compute(&*state, op, alloc);
     for e in &effects {
         if let Err(err) = state.apply_micro(e) {
             return (effects, ret, Some(err));
@@ -59,29 +61,40 @@ pub fn apply_aop(
     (effects, ret, None)
 }
 
+/// Decide `op` against `state` without applying it: its return value,
+/// and whether it would change the state. Reads only the nodes the
+/// operation's paths name, so a view rolled back to concrete time
+/// serves as well as the abstract state itself.
+pub(crate) fn decide<S: StateView + ?Sized>(state: &S, op: &OpDesc) -> (OpRet, bool) {
+    let (effects, ret) = compute(state, op, &mut |_| 0);
+    (ret, !effects.is_empty())
+}
+
 /// Resolve the parent components with walk semantics, then return the
 /// parent id if it is a directory.
-fn walk_dir(state: &FsState, comps: &[String]) -> Result<Inum, FsError> {
-    let (trail, err) = state.resolve(comps);
-    if let Some(e) = err {
-        return Err(e);
-    }
-    let id = *trail.last().expect("trail includes the root");
-    match state.node(id) {
-        Some(Node::Dir(_)) => Ok(id),
-        _ => Err(FsError::NotDir),
+fn walk_dir<S: StateView + ?Sized>(state: &S, comps: &[String]) -> Result<Inum, FsError> {
+    let id = state.walk(comps)?;
+    if is_dir(state, id) {
+        Ok(id)
+    } else {
+        Err(FsError::NotDir)
     }
 }
 
-fn lookup(state: &FsState, dir: Inum, name: &str) -> Option<Inum> {
-    state
-        .node(dir)
-        .and_then(Node::as_dir)
-        .and_then(|d| d.get(name).copied())
+fn is_dir<S: StateView + ?Sized>(state: &S, id: Inum) -> bool {
+    matches!(state.get(id).as_deref(), Some(Node::Dir(_)))
 }
 
-fn compute(
-    state: &FsState,
+fn lookup<S: StateView + ?Sized>(state: &S, dir: Inum, name: &str) -> Option<Inum> {
+    let node = state.get(dir)?;
+    node.as_dir().and_then(|d| d.get(name).copied())
+}
+
+/// The effects and return value of `op` on `state`. A node a walk
+/// reached but the state cannot produce (a dangling link, or a node whose
+/// roll-back failed) decides `ENOENT`; the caller diagnoses the state.
+fn compute<S: StateView + ?Sized>(
+    state: &S,
     op: &OpDesc,
     alloc: &mut dyn FnMut(FileType) -> Inum,
 ) -> (Vec<MicroOp>, OpRet) {
@@ -103,8 +116,18 @@ fn err(e: FsError) -> (Vec<MicroOp>, OpRet) {
     (Vec::new(), OpRet::Err(e))
 }
 
-fn create_spec(
-    state: &FsState,
+/// Walk `comps` and fetch the node reached.
+fn resolve_node<'s, S: StateView + ?Sized>(
+    state: &'s S,
+    comps: &[String],
+) -> Result<(Inum, Cow<'s, Node>), FsError> {
+    let id = state.walk(comps)?;
+    let node = state.get(id).ok_or(FsError::NotFound)?;
+    Ok((id, node))
+}
+
+fn create_spec<S: StateView + ?Sized>(
+    state: &S,
     comps: &[String],
     ftype: FileType,
     alloc: &mut dyn FnMut(FileType) -> Inum,
@@ -133,30 +156,32 @@ fn create_spec(
     )
 }
 
-/// Effects that clear and remove an inode, preserving invertibility
-/// (non-empty files are emptied by a `SetData` first, matching the
-/// concrete trace protocol).
-fn removal_effects(state: &FsState, ino: Inum) -> Vec<MicroOp> {
+/// Effects that clear and remove inode `ino`, whose contents are `node`,
+/// preserving invertibility (non-empty files are emptied by a `SetData`
+/// first, matching the concrete trace protocol).
+fn removal_effects(ino: Inum, node: &Node) -> Vec<MicroOp> {
     let mut effects = Vec::new();
-    let ftype = match state.node(ino) {
-        Some(Node::File(f)) => {
-            if !f.is_empty() {
-                effects.push(MicroOp::SetData {
-                    ino,
-                    old: f.clone(),
-                    new: Vec::new(),
-                });
-            }
-            FileType::File
+    if let Node::File(f) = node {
+        if !f.is_empty() {
+            effects.push(MicroOp::SetData {
+                ino,
+                old: f.clone(),
+                new: Vec::new(),
+            });
         }
-        Some(Node::Dir(_)) => FileType::Dir,
-        None => unreachable!("removal of checked inode"),
-    };
-    effects.push(MicroOp::Remove { ino, ftype });
+    }
+    effects.push(MicroOp::Remove {
+        ino,
+        ftype: node.ftype(),
+    });
     effects
 }
 
-fn remove_spec(state: &FsState, comps: &[String], want_dir: bool) -> (Vec<MicroOp>, OpRet) {
+fn remove_spec<S: StateView + ?Sized>(
+    state: &S,
+    comps: &[String],
+    want_dir: bool,
+) -> (Vec<MicroOp>, OpRet) {
     let Some((name, parent)) = comps.split_last() else {
         return err(if want_dir {
             FsError::Busy
@@ -171,33 +196,29 @@ fn remove_spec(state: &FsState, comps: &[String], want_dir: bool) -> (Vec<MicroO
     let Some(child) = lookup(state, pid, name) else {
         return err(FsError::NotFound);
     };
-    let cftype = state.node(child).expect("linked").ftype();
-    if want_dir && cftype == FileType::File {
-        return err(FsError::NotDir);
-    }
-    if !want_dir && cftype == FileType::Dir {
-        return err(FsError::IsDir);
-    }
-    if want_dir {
-        let empty = state
-            .node(child)
-            .and_then(Node::as_dir)
-            .map(|d| d.is_empty())
-            .unwrap_or(false);
-        if !empty {
-            return err(FsError::NotEmpty);
-        }
+    let Some(cnode) = state.get(child) else {
+        return err(FsError::NotFound);
+    };
+    match &*cnode {
+        Node::File(_) if want_dir => return err(FsError::NotDir),
+        Node::Dir(_) if !want_dir => return err(FsError::IsDir),
+        Node::Dir(d) if !d.is_empty() => return err(FsError::NotEmpty),
+        _ => {}
     }
     let mut effects = vec![MicroOp::Del {
         parent: pid,
         name: name.clone(),
         child,
     }];
-    effects.extend(removal_effects(state, child));
+    effects.extend(removal_effects(child, &cnode));
     (effects, OpRet::Ok)
 }
 
-fn rename_spec(state: &FsState, src: &[String], dst: &[String]) -> (Vec<MicroOp>, OpRet) {
+fn rename_spec<S: StateView + ?Sized>(
+    state: &S,
+    src: &[String],
+    dst: &[String],
+) -> (Vec<MicroOp>, OpRet) {
     if src.is_empty() || dst.is_empty() {
         return err(FsError::Busy);
     }
@@ -223,16 +244,16 @@ fn rename_spec(state: &FsState, src: &[String], dst: &[String]) -> (Vec<MicroOp>
     // The concrete traversal resolves the common prefix, then the source
     // branch, then the destination branch; errors surface in that order.
     let clen = sp.iter().zip(dp.iter()).take_while(|(a, b)| a == b).count();
-    let (trail, werr) = state.resolve(&sp[..clen]);
-    if let Some(e) = werr {
-        return err(e);
-    }
-    let common = *trail.last().expect("root");
+    let common = match state.walk(&sp[..clen]) {
+        Ok(c) => c,
+        Err(e) => return err(e),
+    };
     let branch = |start: Inum, comps: &[String]| -> Result<Inum, FsError> {
         let mut cur = start;
         for name in comps {
-            let dir = state
-                .node(cur)
+            let node = state.get(cur);
+            let dir = node
+                .as_deref()
                 .and_then(Node::as_dir)
                 .ok_or(FsError::NotDir)?;
             cur = *dir.get(name).ok_or(FsError::NotFound)?;
@@ -247,9 +268,7 @@ fn rename_spec(state: &FsState, src: &[String], dst: &[String]) -> (Vec<MicroOp>
         Ok(d) => d,
         Err(e) => return err(e),
     };
-    if state.node(sdir).and_then(Node::as_dir).is_none()
-        || state.node(ddir).and_then(Node::as_dir).is_none()
-    {
+    if !is_dir(state, sdir) || !is_dir(state, ddir) {
         return err(FsError::NotDir);
     }
     let Some(snode) = lookup(state, sdir, sn) else {
@@ -262,9 +281,15 @@ fn rename_spec(state: &FsState, src: &[String], dst: &[String]) -> (Vec<MicroOp>
     if dnode == Some(snode) {
         return (Vec::new(), OpRet::Ok);
     }
-    let s_is_dir = state.node(snode).expect("linked").ftype().is_dir();
+    let Some(s_node) = state.get(snode) else {
+        return err(FsError::NotFound);
+    };
+    let s_is_dir = s_node.ftype().is_dir();
+    let mut effects = Vec::new();
     if let Some(d) = dnode {
-        let dn_node = state.node(d).expect("linked");
+        let Some(dn_node) = state.get(d) else {
+            return err(FsError::NotFound);
+        };
         let d_is_dir = dn_node.ftype().is_dir();
         if s_is_dir && !d_is_dir {
             return err(FsError::NotDir);
@@ -275,15 +300,12 @@ fn rename_spec(state: &FsState, src: &[String], dst: &[String]) -> (Vec<MicroOp>
         if d_is_dir && !dn_node.as_dir().expect("dir").is_empty() {
             return err(FsError::NotEmpty);
         }
-    }
-    let mut effects = Vec::new();
-    if let Some(d) = dnode {
         effects.push(MicroOp::Del {
             parent: ddir,
             name: dn.clone(),
             child: d,
         });
-        effects.extend(removal_effects(state, d));
+        effects.extend(removal_effects(d, &dn_node));
     }
     effects.push(MicroOp::Del {
         parent: sdir,
@@ -298,13 +320,12 @@ fn rename_spec(state: &FsState, src: &[String], dst: &[String]) -> (Vec<MicroOp>
     (effects, OpRet::Ok)
 }
 
-fn stat_spec(state: &FsState, comps: &[String]) -> (Vec<MicroOp>, OpRet) {
-    let (trail, werr) = state.resolve(comps);
-    if let Some(e) = werr {
-        return err(e);
-    }
-    let node = state.node(*trail.last().expect("root")).expect("resolved");
-    let ret = match node {
+fn stat_spec<S: StateView + ?Sized>(state: &S, comps: &[String]) -> (Vec<MicroOp>, OpRet) {
+    let node = match resolve_node(state, comps) {
+        Ok((_, n)) => n,
+        Err(e) => return err(e),
+    };
+    let ret = match &*node {
         Node::File(f) => StatRet {
             is_dir: false,
             size: f.len() as u64,
@@ -317,24 +338,22 @@ fn stat_spec(state: &FsState, comps: &[String]) -> (Vec<MicroOp>, OpRet) {
     (Vec::new(), OpRet::Stat(ret))
 }
 
-fn readdir_spec(state: &FsState, comps: &[String]) -> (Vec<MicroOp>, OpRet) {
-    let (trail, werr) = state.resolve(comps);
-    if let Some(e) = werr {
-        return err(e);
-    }
-    match state.node(*trail.last().expect("root")).expect("resolved") {
-        Node::Dir(d) => (Vec::new(), OpRet::names(d.keys().cloned().collect())),
-        Node::File(_) => err(FsError::NotDir),
+fn readdir_spec<S: StateView + ?Sized>(state: &S, comps: &[String]) -> (Vec<MicroOp>, OpRet) {
+    match resolve_node(state, comps).as_ref().map(|(_, n)| &**n) {
+        Ok(Node::Dir(d)) => (Vec::new(), OpRet::names(d.keys().cloned().collect())),
+        Ok(Node::File(_)) => err(FsError::NotDir),
+        Err(e) => err(*e),
     }
 }
 
-fn read_spec(state: &FsState, comps: &[String], offset: u64, len: usize) -> (Vec<MicroOp>, OpRet) {
-    let (trail, werr) = state.resolve(comps);
-    if let Some(e) = werr {
-        return err(e);
-    }
-    match state.node(*trail.last().expect("root")).expect("resolved") {
-        Node::File(f) => {
+fn read_spec<S: StateView + ?Sized>(
+    state: &S,
+    comps: &[String],
+    offset: u64,
+    len: usize,
+) -> (Vec<MicroOp>, OpRet) {
+    match resolve_node(state, comps).as_ref().map(|(_, n)| &**n) {
+        Ok(Node::File(f)) => {
             let off = offset as usize;
             let data = if off >= f.len() {
                 Vec::new()
@@ -343,22 +362,22 @@ fn read_spec(state: &FsState, comps: &[String], offset: u64, len: usize) -> (Vec
             };
             (Vec::new(), OpRet::Data(data))
         }
-        Node::Dir(_) => err(FsError::IsDir),
+        Ok(Node::Dir(_)) => err(FsError::IsDir),
+        Err(e) => err(*e),
     }
 }
 
-fn write_spec(
-    state: &FsState,
+fn write_spec<S: StateView + ?Sized>(
+    state: &S,
     comps: &[String],
     offset: u64,
     data: &[u8],
 ) -> (Vec<MicroOp>, OpRet) {
-    let (trail, werr) = state.resolve(comps);
-    if let Some(e) = werr {
-        return err(e);
-    }
-    let ino = *trail.last().expect("root");
-    match state.node(ino).expect("resolved") {
+    let (ino, node) = match resolve_node(state, comps) {
+        Ok(r) => r,
+        Err(e) => return err(e),
+    };
+    match &*node {
         Node::File(f) => {
             if data.is_empty() {
                 // The concrete write returns early without mutating.
@@ -386,13 +405,16 @@ fn write_spec(
     }
 }
 
-fn truncate_spec(state: &FsState, comps: &[String], size: u64) -> (Vec<MicroOp>, OpRet) {
-    let (trail, werr) = state.resolve(comps);
-    if let Some(e) = werr {
-        return err(e);
-    }
-    let ino = *trail.last().expect("root");
-    match state.node(ino).expect("resolved") {
+fn truncate_spec<S: StateView + ?Sized>(
+    state: &S,
+    comps: &[String],
+    size: u64,
+) -> (Vec<MicroOp>, OpRet) {
+    let (ino, node) = match resolve_node(state, comps) {
+        Ok(r) => r,
+        Err(e) => return err(e),
+    };
+    match &*node {
         Node::File(f) => {
             if size > MAX_FILE_SIZE {
                 return err(FsError::FileTooBig);

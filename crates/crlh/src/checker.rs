@@ -44,19 +44,32 @@
 //! state. A chain that does not start at the root or disagrees with the
 //! shadow tree, and an effect-free claim that would change state, are
 //! violations outright.
+//!
+//! # Cost on a clean run
+//!
+//! A clean run pays for what each operation touches, not for the tree.
+//! An effect-free claim is decided read-only on the abstract state, or,
+//! while helped operations are undischarged, on a [`RolledView`] that
+//! copies only the nodes their effects name. The relation and `GoodAFS`
+//! checks revisit only dirty inodes (see `IncrState`); after a rename
+//! the tree shape is judged by walking up from each moved node. The
+//! whole-state roll-back and reachability sweep run only once a violation
+//! is found, and under [`LpChecker::with_full_scans`]. The narration
+//! transcript is built only when asked for ([`LpChecker::with_narration`],
+//! which [`LpChecker::check`] turns on).
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use atomfs_trace::{Event, Inum, MicroOp, OpDesc, OpRet, PathTag, Tid};
 use atomfs_vfs::FileType;
 
-use crate::afs::apply_aop;
-use crate::fastmap::FastMap;
+use crate::afs::{apply_aop, decide};
+use crate::fastmap::{FastMap, FastSet};
 use crate::ghost::{is_provisional, AopState, Binding, Descriptor, ThreadPool};
 use crate::helper::{help_set, linearize_before_set, total_order};
 use crate::invariants;
-use crate::rollback::{match_nodes, relation_violations, rolled_back, rolled_node};
-use crate::state::{FsState, Node};
+use crate::rollback::{match_nodes, relation_violations, rolled_back, rolled_node, RolledView};
+use crate::state::{FsState, Node, StateError};
 
 /// Whether rename LPs run the helper mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -250,7 +263,8 @@ pub struct RetainedState {
     /// Always 0: an optimistic attempt is one event, so the checker
     /// keeps no per-thread attempt state. Kept for readers of the census.
     pub opt_states: usize,
-    /// Narration lines held (bounded when a cap is set).
+    /// Narration lines held: 0 unless the checker narrates
+    /// ([`LpChecker::with_narration`]); a streaming checker never does.
     pub narration_lines: usize,
 }
 
@@ -319,7 +333,9 @@ impl CheckReport {
 /// the shadow state, the abstract state, the binding, or an exemption
 /// (lock/private status) taints the inodes whose verdict could have
 /// changed, and the checks revisit exactly those. Inodes nobody touched
-/// since the last clean check keep their verdict by construction.
+/// since the last clean check keep their verdict by construction. The
+/// dirty sets are hash sets cleared in place, so a steady run allocates
+/// nothing for them.
 ///
 /// The incremental paths are only trusted on a clean run: after the
 /// first violation (or if per-inode roll-back ever meets inconsistent
@@ -329,25 +345,37 @@ impl CheckReport {
 #[derive(Debug, Default)]
 struct IncrState {
     /// Concrete inodes whose relation verdict may have changed.
-    rel_conc: BTreeSet<Inum>,
+    rel_conc: FastSet<Inum>,
     /// Abstract inodes whose relation verdict may have changed.
-    rel_abs: BTreeSet<Inum>,
+    rel_abs: FastSet<Inum>,
     /// Abstract inodes whose local `GoodAFS` verdict may have changed.
-    afs_dirty: BTreeSet<Inum>,
-    /// Parent-link count per abstract inode (absent = 0). Maintained from
+    afs_dirty: FastSet<Inum>,
+    /// Parent links per abstract inode (absent = none). Maintained from
     /// every abstract-state mutation so the one-parent / no-orphan checks
-    /// need no recount.
-    parent_counts: FastMap<Inum, i64>,
-    /// A rename's effects were applied, or any effects were unwound,
-    /// since the last invariant check. Link counters stay consistent
-    /// across a detached cycle, so only these events force the next
-    /// check to run the full reachability sweep.
-    moved: bool,
+    /// need no recount, and the tree shape after a rename needs no sweep.
+    parents: FastMap<Inum, Links>,
+    /// Directories a rename linked somewhere new since the last invariant
+    /// check. Link counts stay consistent across a detached cycle, so the
+    /// next check walks up from each of these to the root.
+    moved: FastSet<Inum>,
     /// Sticky fallback: incremental state can no longer be trusted
     /// (per-inode roll-back hit corrupt metadata); use full scans only.
     full: bool,
     /// Scratch buffer for per-LP pending-thread collection.
     scratch_tids: Vec<Tid>,
+    /// Scratch buffer a dirty set is sorted in, so flags come out in the
+    /// full scan's order.
+    scratch_inos: Vec<Inum>,
+}
+
+/// The directory entries that link one abstract inode.
+#[derive(Debug, Clone, Copy)]
+struct Links {
+    /// How many entries name the inode: 1 on a tree (0 for the root).
+    count: i64,
+    /// The directory that linked it most recently, while that link
+    /// stands — the inode's parent whenever `count` is 1.
+    parent: Option<Inum>,
 }
 
 impl IncrState {
@@ -380,9 +408,8 @@ impl IncrState {
         }
     }
 
-    /// Record an abstract-state mutation: `sign` is +1 for an applied
-    /// effect, -1 for an unapplied one (parent counts move with it).
-    fn note_afs(&mut self, mop: &MicroOp, sign: i64, binding: &Binding) {
+    /// Record an effect applied to the abstract state.
+    fn note_afs(&mut self, mop: &MicroOp, binding: &Binding) {
         match mop {
             MicroOp::Create { ino, .. }
             | MicroOp::Remove { ino, .. }
@@ -390,31 +417,58 @@ impl IncrState {
                 self.taint_abs(*ino, binding);
                 self.afs_dirty.insert(*ino);
             }
-            MicroOp::Ins { parent, child, .. } => {
+            MicroOp::Ins { parent, child, .. } | MicroOp::Del { parent, child, .. } => {
                 self.taint_abs(*parent, binding);
                 self.taint_abs(*child, binding);
                 self.afs_dirty.insert(*parent);
                 self.afs_dirty.insert(*child);
-                self.bump_parent_count(*child, sign);
-            }
-            MicroOp::Del { parent, child, .. } => {
-                self.taint_abs(*parent, binding);
-                self.taint_abs(*child, binding);
-                self.afs_dirty.insert(*parent);
-                self.afs_dirty.insert(*child);
-                self.bump_parent_count(*child, -sign);
+                let linked = matches!(mop, MicroOp::Ins { .. });
+                self.relink(*child, *parent, linked);
             }
         }
     }
 
-    /// Adjust a parent-link counter, dropping zeroed entries so the map
-    /// stays proportional to the live tree, not to inodes ever created.
-    fn bump_parent_count(&mut self, child: Inum, delta: i64) {
-        let e = self.parent_counts.entry(child).or_insert(0);
-        *e += delta;
-        if *e == 0 {
-            self.parent_counts.remove(&child);
+    /// Count a link from `parent` to `child` in (`linked`) or out,
+    /// dropping an inode that no entry names so the map stays
+    /// proportional to the live tree, not to inodes ever created.
+    fn relink(&mut self, child: Inum, parent: Inum, linked: bool) {
+        let e = self.parents.entry(child).or_insert(Links {
+            count: 0,
+            parent: None,
+        });
+        if linked {
+            e.count += 1;
+            e.parent = Some(parent);
+        } else {
+            e.count -= 1;
+            if e.parent == Some(parent) {
+                e.parent = None;
+            }
         }
+        if e.count == 0 {
+            self.parents.remove(&child);
+        }
+    }
+
+    /// Whether walking up parent links from `moved` reaches `afs`'s root.
+    /// A directory moved under its own subtree meets itself first; any
+    /// other break (a missing or ambiguous link, a walk longer than the
+    /// tree) also answers `false`. O(depth) on a tree.
+    fn reaches_root(&self, afs: &FsState, moved: Inum) -> bool {
+        let mut cur = moved;
+        for _ in 0..=afs.map.len() {
+            if cur == afs.root {
+                return true;
+            }
+            match self.parents.get(&cur) {
+                Some(Links {
+                    count: 1,
+                    parent: Some(p),
+                }) if *p != moved => cur = *p,
+                _ => return false,
+            }
+        }
+        false
     }
 
     /// Effects leave the roll-back log at discharge: the rolled-back view
@@ -432,6 +486,14 @@ impl IncrState {
                 }
             }
         }
+    }
+
+    /// Move `set` into the sorted scratch buffer, leaving both sets'
+    /// capacity in place.
+    fn sorted(set: &mut FastSet<Inum>, scratch: &mut Vec<Inum>) {
+        scratch.clear();
+        scratch.extend(set.drain());
+        scratch.sort_unstable();
     }
 }
 
@@ -456,14 +518,9 @@ pub struct LpChecker {
     next_provisional: Inum,
     violations: Vec<Violation>,
     stats: CheckerStats,
+    /// Whether to build the narration transcript at all.
+    narrating: bool,
     narration: Vec<String>,
-    /// Bound on `narration` length (streaming mode): oldest lines are
-    /// dropped once the cap is hit, so a checker that runs for days does
-    /// not grow a trace-length transcript. `None` keeps everything (the
-    /// offline default).
-    narration_cap: Option<usize>,
-    /// Narration lines dropped under the cap (for the retained report).
-    narration_dropped: u64,
     /// Last stamp accepted by [`LpChecker::feed_stamped`]; persists
     /// across calls so a chunked (streaming) feed enforces the same
     /// strict monotonicity as one offline `feed_all_stamped` pass.
@@ -494,22 +551,21 @@ impl LpChecker {
             next_provisional: crate::ghost::PROVISIONAL_BASE,
             violations: Vec::new(),
             stats: CheckerStats::default(),
+            narrating: false,
             narration: Vec::new(),
-            narration_cap: None,
-            narration_dropped: 0,
             prev_stamp: None,
             idx: 0,
             metrics: None,
         }
     }
 
-    /// Keep at most `cap` narration lines, dropping the oldest
-    /// (builder-style). Streaming checkers set this so the transcript —
-    /// the one piece of replay state that otherwise grows with trace
-    /// length even on a clean run — stays a bounded ring holding the
-    /// most recent window.
-    pub fn with_narration_cap(mut self, cap: usize) -> Self {
-        self.narration_cap = Some(cap.max(1));
+    /// Build the linearization narrative into
+    /// [`CheckReport::narration`] (builder-style). It grows with the
+    /// trace and costs a formatted line per step, so a checker narrates
+    /// only when asked: [`LpChecker::check`] and
+    /// [`LpChecker::check_stamped`] do, a streaming checker does not.
+    pub fn with_narration(mut self) -> Self {
+        self.narrating = true;
         self
     }
 
@@ -575,16 +631,10 @@ impl LpChecker {
         }
     }
 
-    fn narrate(&mut self, line: String) {
-        self.narration.push(line);
-        if let Some(cap) = self.narration_cap {
-            // Drain in batches so the cap amortizes to O(1) per line
-            // instead of shifting the whole ring on every push.
-            if self.narration.len() > cap.saturating_mul(2) {
-                let drop = self.narration.len() - cap;
-                self.narration.drain(..drop);
-                self.narration_dropped += drop as u64;
-            }
+    /// Append a narration line, formatting it only if narrating.
+    fn narrate(&mut self, line: impl FnOnce() -> String) {
+        if self.narrating {
+            self.narration.push(line());
         }
     }
 
@@ -705,7 +755,7 @@ impl LpChecker {
     pub fn check(cfg: CheckerConfig, events: &[Event]) -> CheckReport {
         // Checker passes are rare and long: always-recorded phase span.
         let mut sp = atomfs_obs::Span::root(atomfs_obs::SpanKind::Checker, "check");
-        let mut c = LpChecker::new(cfg);
+        let mut c = LpChecker::new(cfg).with_narration();
         c.feed_all(events);
         let report = c.finish();
         if !report.violations.is_empty() {
@@ -718,7 +768,7 @@ impl LpChecker {
     /// including stamp monotonicity (see [`LpChecker::feed_all_stamped`]).
     pub fn check_stamped(cfg: CheckerConfig, events: &[(u64, Event)]) -> CheckReport {
         let mut sp = atomfs_obs::Span::root(atomfs_obs::SpanKind::Checker, "check_stamped");
-        let mut c = LpChecker::new(cfg);
+        let mut c = LpChecker::new(cfg).with_narration();
         c.feed_all_stamped(events);
         let report = c.finish();
         if !report.violations.is_empty() {
@@ -729,7 +779,7 @@ impl LpChecker {
 
     fn on_begin(&mut self, tid: Tid, op: &OpDesc) {
         self.stats.ops_begun += 1;
-        self.narrate(format!("{tid} invokes {op}"));
+        self.narrate(|| format!("{tid} invokes {op}"));
         if !self.pool.begin(tid, op.clone()) {
             self.flag(
                 ViolationKind::Protocol,
@@ -1032,14 +1082,14 @@ impl LpChecker {
         if let Some(m) = &self.metrics {
             m.helpset(order.len() as u64);
         }
-        let order_str = order
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(" then ");
-        self.narrate(format!(
-            "{rename_tid} reaches its LP and runs linothers: helping {order_str}"
-        ));
+        self.narrate(|| {
+            let order_str = order
+                .iter()
+                .map(|t| t.to_string())
+                .collect::<Vec<_>>()
+                .join(" then ");
+            format!("{rename_tid} reaches its LP and runs linothers: helping {order_str}")
+        });
         for h in order {
             self.lin(h, true);
         }
@@ -1058,8 +1108,10 @@ impl LpChecker {
         }
         let (op, mut created) = {
             let entry = self.pool.get_mut(tid).expect("linearized thread exists");
-            let op = match &entry.aop {
-                AopState::Pending(op) => op.clone(),
+            // The operation leaves the pool here; its result replaces it
+            // below, and nothing in between reads this thread's `aop`.
+            let op = match std::mem::replace(&mut entry.aop, AopState::Done(OpRet::Ok)) {
+                AopState::Pending(op) => op,
                 AopState::Done(_) => unreachable!("lin of an already-linearized op"),
             };
             (op, std::mem::take(&mut entry.desc.created))
@@ -1110,14 +1162,7 @@ impl LpChecker {
             );
         }
         if apply_err.is_none() {
-            for e in &effects {
-                self.incr.note_afs(e, 1, &self.binding);
-            }
-        }
-        if op.is_rename() {
-            // A rename can detach a whole subtree; parent counters alone
-            // cannot witness the resulting unreachability.
-            self.incr.moved = true;
+            self.note_effects(&effects, op.is_rename());
         }
         for ino in identity {
             self.binding.bind(ino, ino);
@@ -1129,10 +1174,12 @@ impl LpChecker {
                 self.private.remove(&ino);
             }
         }
-        self.narrate(if helped {
-            format!("  -> {tid} linearized by helper => {ret}")
-        } else {
-            format!("{tid} linearized at its own LP => {ret}")
+        self.narrate(|| {
+            if helped {
+                format!("  -> {tid} linearized by helper => {ret}")
+            } else {
+                format!("{tid} linearized at its own LP => {ret}")
+            }
         });
         let entry = self.pool.get_mut(tid).expect("exists");
         entry.aop = AopState::Done(ret);
@@ -1149,9 +1196,22 @@ impl LpChecker {
         }
     }
 
+    /// Record effects just applied to the abstract state, by a rename if
+    /// `rename`.
+    fn note_effects(&mut self, effects: &[MicroOp], rename: bool) {
+        for e in effects {
+            self.incr.note_afs(e, &self.binding);
+            if let (true, MicroOp::Ins { child, .. }) = (rename, e) {
+                // A rename could move a directory under its own subtree;
+                // link counts alone cannot witness the detached cycle.
+                self.incr.moved.insert(*child);
+            }
+        }
+    }
+
     fn on_end(&mut self, tid: Tid, ret: &OpRet) {
         self.stats.ops_completed += 1;
-        self.narrate(format!("{tid} returns {ret}"));
+        self.narrate(|| format!("{tid} returns {ret}"));
         let Some(entry) = self.pool.end(tid) else {
             self.flag(
                 ViolationKind::Protocol,
@@ -1180,7 +1240,7 @@ impl LpChecker {
                     // nothing, which any surviving creation falsifies.
                     if entry.desc.created.is_empty() {
                         self.stats.refused += 1;
-                        self.narrate(format!("{tid} refused by the environment (EROFS)"));
+                        self.narrate(|| format!("{tid} refused by the environment (EROFS)"));
                     } else {
                         self.flag(
                             ViolationKind::Protocol,
@@ -1237,17 +1297,14 @@ impl LpChecker {
         if locked {
             self.take_lock(tid, *chain.last().expect("starts at the root"));
         }
-        let op = match &self.pool.get(tid).expect("checked above").aop {
-            AopState::Pending(op) => op.clone(),
-            AopState::Done(_) => {
-                self.flag(
-                    ViolationKind::OptValidation,
-                    format!("{tid} claimed optimistically but is already linearized"),
-                );
-                return;
-            }
+        let AopState::Pending(op) = &self.pool.get(tid).expect("checked above").aop else {
+            self.flag(
+                ViolationKind::OptValidation,
+                format!("{tid} claimed optimistically but is already linearized"),
+            );
+            return;
         };
-        let Some(comps) = opt_comps(&op) else {
+        let Some(comps) = opt_comps(op) else {
             self.flag(
                 ViolationKind::OptValidation,
                 format!("{tid}: rename must not take the optimistic fast path"),
@@ -1258,19 +1315,31 @@ impl LpChecker {
         // resolution *at this stamp*; the shadow state is the concrete
         // state at this stamp, so the chain must be exactly the shadow's
         // resolution trail (both stop at the same missing link).
-        let (trail, _) = self.shadow.resolve(comps);
-        if trail != chain {
+        if !self.shadow.resolves_to(comps, chain) {
+            let (trail, _) = self.shadow.resolve(comps);
             self.flag(
                 ViolationKind::OptValidation,
                 format!("{tid} claimed chain {chain:?}, stale at its stamp (shadow {trail:?})"),
             );
             return;
         }
+        // A lockless completion has no trailing Lp: the claim is its
+        // linearization point. So is a locked read (`read` on the
+        // terminal file): the runtime unlocks and returns. A locked
+        // mutation stays pending (see below).
+        let effect_free = !locked
+            || matches!(
+                op,
+                OpDesc::Stat { .. } | OpDesc::Readdir { .. } | OpDesc::Read { .. }
+            );
+        let decided = effect_free.then(|| self.decide_claim(tid, op));
         self.stats.opt_claims += 1;
-        self.narrate(format!(
-            "{tid} claims a validated optimistic chain of {} node(s)",
-            chain.len()
-        ));
+        self.narrate(|| {
+            format!(
+                "{tid} claims a validated optimistic chain of {} node(s)",
+                chain.len()
+            )
+        });
         if locked {
             // The validated chain is admitted as the lock-path witness the
             // pessimistic walk would have produced (the fast-path lock is
@@ -1280,57 +1349,63 @@ impl LpChecker {
             if let Some(e) = self.pool.get_mut(tid) {
                 e.desc.common = chain.to_vec();
             }
-            if matches!(
-                op,
-                OpDesc::Stat { .. } | OpDesc::Readdir { .. } | OpDesc::Read { .. }
-            ) {
-                // A locked read (`read` on the terminal file) has no
-                // trailing LP: the runtime unlocks and returns, so —
-                // like a lockless completion — the claim linearizes it.
-                self.lin_claim_effectless(tid, &op);
-            }
-        } else {
-            // Fully lockless completion: no Lp will follow — the claim is
-            // the linearization point.
-            self.lin_claim_effectless(tid, &op);
+        }
+        if let Some(decided) = decided {
+            self.lin_claim_effectless(tid, decided);
         }
     }
 
-    /// Linearize an effect-free operation (a read, or a mutation that
-    /// fails without touching anything) at its optimistic claim.
+    /// Decide `tid`'s effect-free claim of `op`: its return value, and
+    /// the violation to report if it would change the state it was
+    /// decided on.
     ///
-    /// The return value is computed against the *rolled-back* abstract
-    /// state — the concrete-time view. A helped-but-undischarged
-    /// operation's effects are not concrete yet, so that view is what the
-    /// runtime actually read; ordering the effect-free operation before
-    /// those in-flight operations is a legal linearization because both
-    /// overlap it in real time and it changes nothing. Effect-free claims
-    /// never emit a trailing LP (the claim is the linearization point),
-    /// so the thread stays off the Helplist.
+    /// The decision is made against the *rolled-back* abstract state — the
+    /// concrete-time view. A helped-but-undischarged operation's effects
+    /// are not concrete yet, so that view is what the runtime actually
+    /// read. With no helped operation outstanding the view is the abstract
+    /// state itself; otherwise a [`RolledView`] rolls back only the nodes
+    /// the operation reads. Nothing is copied unless a helped effect
+    /// names a node on the operation's path.
+    fn decide_claim(&self, tid: Tid, op: &OpDesc) -> Result<(OpRet, Option<String>), StateError> {
+        let (ret, changes) = if self.pool.helplist.is_empty() {
+            decide(&self.afs, op)
+        } else {
+            let view = RolledView::new(&self.afs, &self.pool);
+            let decided = decide(&view, op);
+            if let Some(e) = view.into_error() {
+                return Err(e);
+            }
+            decided
+        };
+        let change = changes
+            .then(|| format!("{tid}'s lockless claim of {op} would change the abstract state"));
+        Ok((ret, change))
+    }
+
+    /// Linearize an effect-free operation (a read, or a mutation that
+    /// fails without touching anything) at its optimistic claim, with the
+    /// outcome [`LpChecker::decide_claim`] reached.
+    ///
+    /// Ordering the effect-free operation before the in-flight helped
+    /// operations is a legal linearization because both overlap it in
+    /// real time and it changes nothing. Effect-free claims never emit a
+    /// trailing LP (the claim is the linearization point), so the thread
+    /// stays off the Helplist.
     ///
     /// An operation that would *change* that view cannot have been decided
     /// there: its chain ran through another operation's critical section,
     /// whose mutations the shadow shows before that operation's LP — and
     /// the claim's validation, run after its stamp, sees those writes.
-    fn lin_claim_effectless(&mut self, tid: Tid, op: &OpDesc) {
+    fn lin_claim_effectless(
+        &mut self,
+        tid: Tid,
+        decided: Result<(OpRet, Option<String>), StateError>,
+    ) {
         if let Some(m) = &self.metrics {
             m.lin(false);
         }
-        let ret = match rolled_back(&self.afs, &self.pool) {
-            Ok(mut rolled) => {
-                let mut minted = false;
-                let (effects, ret, aerr) = apply_aop(&mut rolled, op, &mut |_| {
-                    minted = true;
-                    0
-                });
-                if aerr.is_some() || minted || !effects.is_empty() {
-                    self.flag(
-                        ViolationKind::OptValidation,
-                        format!("{tid}'s lockless claim of {op} would change the abstract state"),
-                    );
-                }
-                ret
-            }
+        let (ret, change) = match decided {
+            Ok(d) => d,
             Err(e) => {
                 self.flag(
                     ViolationKind::AbstractionRelation,
@@ -1339,7 +1414,10 @@ impl LpChecker {
                 return;
             }
         };
-        self.narrate(format!("{tid} linearized at its optimistic claim => {ret}"));
+        if let Some(msg) = change {
+            self.flag(ViolationKind::OptValidation, msg);
+        }
+        self.narrate(|| format!("{tid} linearized at its optimistic claim => {ret}"));
         let entry = self.pool.get_mut(tid).expect("caller checked");
         entry.aop = AopState::Done(ret);
     }
@@ -1361,13 +1439,13 @@ impl LpChecker {
         }
         // Clean run: only inodes touched since the last check can have
         // changed verdict. Both loops mirror `relation_violations` over
-        // the dirty subsets; at a first detection every violating inode is
-        // dirty (any change or exemption lift taints), so the emitted
-        // messages coincide with the full scan's.
-        let conc = std::mem::take(&mut self.incr.rel_conc);
-        let abs = std::mem::take(&mut self.incr.rel_abs);
+        // the dirty subsets, in its (sorted) order; at a first detection
+        // every violating inode is dirty (any change or exemption lift
+        // taints), so the emitted messages coincide with the full scan's.
+        let mut dirty = std::mem::take(&mut self.incr.scratch_inos);
+        IncrState::sorted(&mut self.incr.rel_conc, &mut dirty);
         let mut flags: Vec<String> = Vec::new();
-        for &cid in &conc {
+        for &cid in &dirty {
             if self.locks.contains_key(&cid) || self.private.contains_key(&cid) {
                 // Exempt while locked/private — no requeue needed: the
                 // unlock / publication taints it again.
@@ -1375,7 +1453,7 @@ impl LpChecker {
             }
             let Some(cnode) = self.shadow.map.get(&cid) else {
                 // Gone from the concrete state; the abstract side is
-                // judged through `abs`.
+                // judged through `rel_abs`.
                 continue;
             };
             let Some(aid) = self.binding.abs(cid) else {
@@ -1400,7 +1478,8 @@ impl LpChecker {
                 }
             }
         }
-        for &aid in &abs {
+        IncrState::sorted(&mut self.incr.rel_abs, &mut dirty);
+        for &aid in &dirty {
             match rolled_node(&self.afs, &self.pool, aid) {
                 Err(_) => {
                     self.incr.full = true;
@@ -1433,6 +1512,7 @@ impl LpChecker {
                 }
             }
         }
+        self.incr.scratch_inos = dirty;
         for msg in flags {
             self.flag(ViolationKind::AbstractionRelation, msg);
         }
@@ -1464,6 +1544,7 @@ impl LpChecker {
     fn check_invariants(&mut self) {
         if self.incr.full || !self.violations.is_empty() {
             self.incr.afs_dirty.clear();
+            self.incr.moved.clear();
             for v in invariants::check_all(&self.afs, &self.pool, &self.locks) {
                 self.flag(v.0, v.1);
             }
@@ -1480,50 +1561,42 @@ impl LpChecker {
     }
 
     /// Incremental `GoodAFS`: judge only dirty abstract inodes with the
-    /// maintained parent counters; a rename (or an effect undo) since the
-    /// last check additionally forces one reachability sweep. On any
-    /// suspicion the exact [`invariants::good_afs`] runs, so messages on
-    /// broken states are identical to the full check's.
+    /// maintained link counters, and walk up from each directory a rename
+    /// moved since the last check. On any suspicion the exact
+    /// [`invariants::good_afs`] runs, so messages on broken states are
+    /// identical to the full check's.
+    ///
+    /// A link to a missing inode needs no scan of the directory holding
+    /// it: such a link arises only from inserting a missing child or
+    /// removing a linked one, and either leaves that child dirty, absent
+    /// and counted as linked. A cycle detached from the root keeps every
+    /// count at 1; it can arise only from a rename moving a directory
+    /// under its own subtree, and walking up from that directory then
+    /// meets itself before the root.
     fn check_good_afs_incremental(&mut self) {
-        let dirty = std::mem::take(&mut self.incr.afs_dirty);
-        let mut suspicious = false;
-        for &id in &dirty {
-            let pc = self.incr.parent_counts.get(&id).copied().unwrap_or(0);
-            match self.afs.map.get(&id) {
-                Some(node) => {
-                    let want = if id == self.afs.root { 0 } else { 1 };
-                    if pc != want {
-                        suspicious = true;
-                        break;
-                    }
-                    if let Node::Dir(d) = node {
-                        if d.values().any(|c| !self.afs.map.contains_key(c)) {
-                            suspicious = true;
-                            break;
-                        }
-                    }
-                }
-                None => {
-                    if pc != 0 {
-                        suspicious = true;
-                        break;
-                    }
-                }
+        let afs = &self.afs;
+        let incr = &self.incr;
+        let mut suspicious = incr.afs_dirty.iter().any(|id| {
+            let count = incr.parents.get(id).map_or(0, |l| l.count);
+            match afs.map.get(id) {
+                Some(_) => count != i64::from(*id != afs.root),
+                None => count != 0,
             }
+        });
+        if !suspicious {
+            suspicious = incr.moved.iter().any(|&id| {
+                matches!(afs.map.get(&id), Some(Node::Dir(_))) && !incr.reaches_root(afs, id)
+            });
         }
-        if self.incr.moved {
-            self.incr.moved = false;
-            if !suspicious && self.afs.reachable().len() != self.afs.map.len() {
-                suspicious = true;
-            }
-        }
+        self.incr.afs_dirty.clear();
+        self.incr.moved.clear();
         if !suspicious {
             return;
         }
         let msgs = invariants::good_afs(&self.afs);
         if msgs.is_empty() {
             // Counter drift without a real violation (defensive): rebuild.
-            self.resync_parent_counts();
+            self.resync_parents();
             return;
         }
         for m in msgs {
@@ -1531,13 +1604,13 @@ impl LpChecker {
         }
     }
 
-    /// Rebuild `parent_counts` from the abstract state.
-    fn resync_parent_counts(&mut self) {
-        self.incr.parent_counts.clear();
-        for node in self.afs.map.values() {
+    /// Rebuild the link counters from the abstract state.
+    fn resync_parents(&mut self) {
+        self.incr.parents.clear();
+        for (&id, node) in &self.afs.map {
             if let Node::Dir(d) = node {
                 for &child in d.values() {
-                    *self.incr.parent_counts.entry(child).or_insert(0) += 1;
+                    self.incr.relink(child, id, true);
                 }
             }
         }
@@ -2558,6 +2631,111 @@ mod tests {
             let report = LpChecker::check(cfg_full(), &trace);
             assert!(!report.of_kind(ViolationKind::OptValidation).is_empty());
         }
+    }
+
+    /// The incremental `GoodAFS` check walks up from a moved directory.
+    /// The abstract rename refuses to move a directory under its own
+    /// subtree (`EINVAL`, decided on the paths), so no trace can make the
+    /// checker apply such a move; the test applies the move's effects
+    /// directly, as a linearization would, on top of a hand-built trace
+    /// that made `/a/b`. Both check paths must flag the detached cycle
+    /// with the exact full-scan messages.
+    #[test]
+    fn directory_moved_under_its_own_subtree_is_flagged_good_afs() {
+        let t = Tid(1);
+        let mut trace = fast_create(t, "a", 2, FileType::Dir);
+        trace.extend([
+            Event::OpBegin {
+                tid: t,
+                op: OpDesc::Mkdir {
+                    path: comps(&["a", "b"]),
+                },
+            },
+            lock(t, 1),
+            lock(t, 2),
+            Event::Unlock { tid: t, ino: 1 },
+            mutate(
+                t,
+                MicroOp::Create {
+                    ino: 3,
+                    ftype: FileType::Dir,
+                },
+            ),
+            mutate(
+                t,
+                MicroOp::Ins {
+                    parent: 2,
+                    name: "b".into(),
+                    child: 3,
+                },
+            ),
+            Event::Lp { tid: t },
+            Event::Unlock { tid: t, ino: 2 },
+            Event::OpEnd {
+                tid: t,
+                ret: OpRet::Ok,
+            },
+        ]);
+        let cyclic = [
+            MicroOp::Del {
+                parent: 1,
+                name: "a".into(),
+                child: 2,
+            },
+            MicroOp::Ins {
+                parent: 3,
+                name: "c".into(),
+                child: 2,
+            },
+        ];
+        let flagged = |full: bool| {
+            let mut c = LpChecker::new(cfg_full());
+            if full {
+                c = c.with_full_scans();
+            }
+            c.feed_all(&trace);
+            assert!(c.violations().is_empty(), "{:?}", c.violations());
+            for e in &cyclic {
+                c.afs.apply_micro(e).unwrap();
+            }
+            c.note_effects(&cyclic, true);
+            c.check_invariants();
+            let msgs: Vec<String> = c
+                .violations()
+                .iter()
+                .map(|v| {
+                    assert_eq!(v.kind, ViolationKind::GoodAfs);
+                    v.message.clone()
+                })
+                .collect();
+            (msgs, invariants::good_afs(&c.afs))
+        };
+        let (incremental, expected) = flagged(false);
+        assert!(!expected.is_empty());
+        assert_eq!(incremental, expected);
+        assert_eq!(flagged(true).0, expected);
+
+        // A legal move of the same directory walks to the root unflagged.
+        let mut c = LpChecker::new(cfg_full());
+        c.feed_all(&trace);
+        let legal = [
+            MicroOp::Del {
+                parent: 2,
+                name: "b".into(),
+                child: 3,
+            },
+            MicroOp::Ins {
+                parent: 1,
+                name: "b".into(),
+                child: 3,
+            },
+        ];
+        for e in &legal {
+            c.afs.apply_micro(e).unwrap();
+        }
+        c.note_effects(&legal, true);
+        c.check_invariants();
+        assert!(c.violations().is_empty(), "{:?}", c.violations());
     }
 
     /// A granted `locked` claim takes its lock like a `Lock` event, with

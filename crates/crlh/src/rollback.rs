@@ -16,17 +16,20 @@
 //! [`rolled_back`] rolls back the whole map — simplest to audit, and the
 //! reference the full-scan relation check uses. [`rolled_node`] is the
 //! paper's `rollback(Ino, effects)`: it reconstructs a *single* inode at
-//! concrete time without cloning the map, which is what lets the
-//! streaming checker validate the relation incrementally over only the
-//! inodes an event actually touched.
+//! concrete time, copying it only if an undischarged helped effect names
+//! it. That is what lets the checker validate the relation incrementally
+//! over only the inodes an event touched, and decide an effect-free
+//! claim on a [`RolledView`] instead of a rolled-back copy of the map.
 
+use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 
 use atomfs_trace::{Inum, MicroOp, Tid};
 
 use crate::ghost::{is_provisional, Binding, ThreadPool};
-use crate::state::{FsState, Node, StateError};
+use crate::state::{FsState, Node, StateError, StateView};
 
 /// Compute the abstract state rolled back to "concrete time": undo the
 /// effects of every helped, undischarged operation in reverse Helplist
@@ -51,27 +54,93 @@ pub fn rolled_back(afs: &FsState, pool: &ThreadPool) -> Result<FsState, StateErr
 /// `Helplist` order) every recorded effect of a helped, undischarged
 /// operation that touches `aid`, skipping effects that don't. `Ok(None)`
 /// means the inode does not exist at concrete time (e.g. a helped
-/// creation whose concrete mutations haven't run yet). Only this one
-/// node is cloned; the map is never copied.
+/// creation whose concrete mutations haven't run yet). The node is
+/// borrowed from `afs` unless some effect names it; then only this one
+/// node is copied. The map is never copied.
 ///
 /// Equivalent to `rolled_back(afs, pool)?.node(aid)` because a recorded
 /// effect mutates exactly the inodes it names: restricting the undo
 /// stream to effects naming `aid` reconstructs the same node.
-pub fn rolled_node(
-    afs: &FsState,
+pub fn rolled_node<'a>(
+    afs: &'a FsState,
     pool: &ThreadPool,
     aid: Inum,
-) -> Result<Option<Node>, StateError> {
-    let mut node = afs.node(aid).cloned();
+) -> Result<Option<Cow<'a, Node>>, StateError> {
+    let mut named = false;
     for tid in pool.helplist.iter().rev() {
         let entry = pool
             .get(*tid)
             .ok_or_else(|| StateError(format!("helplist references unknown thread {tid}")))?;
+        named |= entry.desc.effect.iter().any(|e| names(e, aid));
+    }
+    if !named {
+        return Ok(afs.node(aid).map(Cow::Borrowed));
+    }
+    let mut node = afs.node(aid).cloned();
+    for tid in pool.helplist.iter().rev() {
+        let entry = pool.get(*tid).expect("checked above");
         for e in entry.desc.effect.iter().rev() {
             unapply_on(&mut node, aid, e)?;
         }
     }
-    Ok(node)
+    Ok(node.map(Cow::Owned))
+}
+
+/// Whether undoing `mop` changes inode `aid` (the inode the micro-op
+/// writes: the directory of a link change, the inode itself otherwise).
+fn names(mop: &MicroOp, aid: Inum) -> bool {
+    match mop {
+        MicroOp::Create { ino, .. }
+        | MicroOp::Remove { ino, .. }
+        | MicroOp::SetData { ino, .. } => *ino == aid,
+        MicroOp::Ins { parent, .. } | MicroOp::Del { parent, .. } => *parent == aid,
+    }
+}
+
+/// The abstract state rolled back to concrete time, resolved one inode
+/// at a time through [`rolled_node`]: what an effect-free operation that
+/// overlaps the helped-but-undischarged operations actually read.
+///
+/// A node that fails to roll back reads as absent; the first such
+/// failure is kept for the caller ([`RolledView::into_error`]), which
+/// must report it before trusting anything decided on the view.
+pub struct RolledView<'a> {
+    afs: &'a FsState,
+    pool: &'a ThreadPool,
+    error: RefCell<Option<StateError>>,
+}
+
+impl<'a> RolledView<'a> {
+    /// View `afs` with the effects of every helped thread in `pool`
+    /// undone.
+    pub fn new(afs: &'a FsState, pool: &'a ThreadPool) -> Self {
+        RolledView {
+            afs,
+            pool,
+            error: RefCell::new(None),
+        }
+    }
+
+    /// The first roll-back failure a lookup met, if any.
+    pub fn into_error(self) -> Option<StateError> {
+        self.error.into_inner()
+    }
+}
+
+impl StateView for RolledView<'_> {
+    fn root_id(&self) -> Inum {
+        self.afs.root
+    }
+
+    fn get(&self, id: Inum) -> Option<Cow<'_, Node>> {
+        match rolled_node(self.afs, self.pool, id) {
+            Ok(node) => node,
+            Err(e) => {
+                self.error.borrow_mut().get_or_insert(e);
+                None
+            }
+        }
+    }
 }
 
 /// Undo one micro-op's action on a single inode's (optional) node,
@@ -128,7 +197,9 @@ fn unapply_on(node: &mut Option<Node>, aid: Inum, mop: &MicroOp) -> Result<(), S
         } if *parent == aid => match node {
             Some(Node::Dir(d)) => {
                 if d.contains_key(name) {
-                    return Err(StateError(format!("ins duplicate entry {name} in {parent}")));
+                    return Err(StateError(format!(
+                        "ins duplicate entry {name} in {parent}"
+                    )));
                 }
                 d.insert(name.clone(), *child);
                 Ok(())
@@ -488,12 +559,23 @@ mod tests {
         let rolled = rolled_back(&afs, &pool).unwrap();
         for id in afs.map.keys().copied().chain(rolled.map.keys().copied()) {
             assert_eq!(
-                rolled_node(&afs, &pool, id).unwrap().as_ref(),
+                rolled_node(&afs, &pool, id).unwrap().as_deref(),
                 rolled.node(id),
                 "per-inode roll-back diverged on {id}"
             );
+            assert_eq!(
+                RolledView::new(&afs, &pool).get(id).as_deref(),
+                rolled.node(id),
+                "the rolled view diverged on {id}"
+            );
         }
         assert_eq!(rolled_node(&afs, &pool, 4242).unwrap(), None);
+        // A node no helped effect names is lent, not copied.
+        assert!(matches!(
+            rolled_node(&afs, &ThreadPool::new(), p1).unwrap(),
+            Some(Cow::Borrowed(_))
+        ));
+        assert!(rolled_node(&afs, &pool, p1).unwrap().is_none());
     }
 
     #[test]
@@ -508,10 +590,14 @@ mod tests {
             child: 99,
         }];
         pool.push_helped(Tid(1));
-        assert!(rolled_back(&afs, &pool).is_err());
-        assert!(
-            rolled_node(&afs, &pool, ROOT_INUM).is_err(),
+        let whole = rolled_back(&afs, &pool).unwrap_err();
+        assert_eq!(
+            rolled_node(&afs, &pool, ROOT_INUM).unwrap_err(),
+            whole,
             "per-inode roll-back must reject the same corrupt metadata"
         );
+        let view = RolledView::new(&afs, &pool);
+        assert!(view.get(ROOT_INUM).is_none());
+        assert_eq!(view.into_error(), Some(whole));
     }
 }

@@ -273,10 +273,7 @@ mod tests {
         // Stamps 2..4 died with a quarantined shard, and the journal
         // recorded them: the merge steps over the gap instead of
         // truncating, and counts the loss.
-        let m = merge_stamped_with_windows(
-            vec![vec![op(0), op(1)], vec![op(4), op(5)]],
-            &[(2, 4)],
-        );
+        let m = merge_stamped_with_windows(vec![vec![op(0), op(1)], vec![op(4), op(5)]], &[(2, 4)]);
         let stamps: Vec<u64> = m.ops.iter().map(|(s, _)| *s).collect();
         assert_eq!(stamps, vec![0, 1, 4, 5]);
         assert_eq!(m.truncated_at, None);
@@ -307,8 +304,14 @@ mod tests {
 
     #[test]
     fn pairing_clean_roundtrip() {
-        let i = [TxnRecord { txn: 1, epoch: 4 }, TxnRecord { txn: 2, epoch: 5 }];
-        let s = [TxnRecord { txn: 2, epoch: 5 }, TxnRecord { txn: 1, epoch: 4 }];
+        let i = [
+            TxnRecord { txn: 1, epoch: 4 },
+            TxnRecord { txn: 2, epoch: 5 },
+        ];
+        let s = [
+            TxnRecord { txn: 2, epoch: 5 },
+            TxnRecord { txn: 1, epoch: 4 },
+        ];
         let r = verify_pairing(&i, &s);
         assert!(r.is_clean());
         assert_eq!(r.sealed, vec![1, 2]);
@@ -337,7 +340,10 @@ mod tests {
     #[test]
     fn pairing_merges_split_intents() {
         // The same transaction listed twice must still pair once.
-        let i = [TxnRecord { txn: 3, epoch: 7 }, TxnRecord { txn: 3, epoch: 7 }];
+        let i = [
+            TxnRecord { txn: 3, epoch: 7 },
+            TxnRecord { txn: 3, epoch: 7 },
+        ];
         let s = [TxnRecord { txn: 3, epoch: 7 }];
         let r = verify_pairing(&i, &s);
         assert_eq!(r.sealed, vec![3]);

@@ -18,12 +18,15 @@
 //!
 //! [`FsState::apply_micro`] / [`FsState::unapply_micro`] move a state
 //! forwards/backwards by one inode-granularity effect; roll-back
-//! (`crate::rollback`) is built on the latter.
+//! (`crate::rollback`) is built on the latter. Abstract operations read a
+//! state through [`StateView`], which the rolled-back view of the
+//! abstract state implements too.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use atomfs_trace::{Inum, MicroOp, ROOT_INUM};
-use atomfs_vfs::FileType;
+use atomfs_vfs::{FileType, FsError};
 
 /// One inode's contents.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,6 +83,45 @@ impl std::fmt::Display for StateError {
     }
 }
 
+/// Read access to a map-spec state, one inode at a time.
+///
+/// [`FsState`] lends its nodes as they are. The abstract state rolled
+/// back to concrete time ([`crate::rollback::RolledView`]) copies only a
+/// node that an undischarged helped effect names. Abstract operations
+/// are decided through this trait, so an effect-free claim is judged on
+/// the rolled-back state without copying the map.
+pub trait StateView {
+    /// The root directory's id.
+    fn root_id(&self) -> Inum;
+
+    /// Look up a node.
+    fn get(&self, id: Inum) -> Option<Cow<'_, Node>>;
+
+    /// Resolve path components from the root with the walk semantics of
+    /// [`FsState::resolve`], returning the id reached or the error the
+    /// walk stops with. Allocates nothing.
+    fn walk(&self, comps: &[String]) -> Result<Inum, FsError> {
+        self.walk_visiting(comps, |_| {})
+    }
+
+    /// [`StateView::walk`], handing each id reached past the root to
+    /// `visit`.
+    fn walk_visiting(
+        &self,
+        comps: &[String],
+        mut visit: impl FnMut(Inum),
+    ) -> Result<Inum, FsError> {
+        let mut cur = self.root_id();
+        for name in comps {
+            let node = self.get(cur).ok_or(FsError::NotFound)?;
+            let dir = node.as_dir().ok_or(FsError::NotDir)?;
+            cur = *dir.get(name).ok_or(FsError::NotFound)?;
+            visit(cur);
+        }
+        Ok(cur)
+    }
+}
+
 /// A file system state under the map spec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FsState {
@@ -117,27 +159,23 @@ impl FsState {
     /// error the traversal would produce if resolution stops early (the
     /// walk semantics of `atomfs::walk`): a non-directory interior node
     /// yields `NotDir`, a missing link `NotFound`.
-    pub fn resolve(&self, comps: &[String]) -> (Vec<Inum>, Option<atomfs_vfs::FsError>) {
+    pub fn resolve(&self, comps: &[String]) -> (Vec<Inum>, Option<FsError>) {
         let mut trail = vec![self.root];
-        let mut cur = self.root;
-        for name in comps {
-            let node = match self.map.get(&cur) {
-                Some(n) => n,
-                None => return (trail, Some(atomfs_vfs::FsError::NotFound)),
-            };
-            let dir = match node.as_dir() {
-                Some(d) => d,
-                None => return (trail, Some(atomfs_vfs::FsError::NotDir)),
-            };
-            match dir.get(name) {
-                Some(&child) => {
-                    trail.push(child);
-                    cur = child;
-                }
-                None => return (trail, Some(atomfs_vfs::FsError::NotFound)),
-            }
+        let err = self.walk_visiting(comps, |id| trail.push(id)).err();
+        (trail, err)
+    }
+
+    /// Whether resolving `comps` visits exactly the ids of `trail`, root
+    /// included — [`FsState::resolve`]'s trail, compared without
+    /// building it.
+    pub fn resolves_to(&self, comps: &[String], trail: &[Inum]) -> bool {
+        let mut rest = trail.iter();
+        if rest.next() != Some(&self.root) {
+            return false;
         }
-        (trail, None)
+        let mut same = true;
+        let _ = self.walk_visiting(comps, |id| same &= rest.next() == Some(&id));
+        same && rest.next().is_none()
     }
 
     /// Apply one micro-op, validating its preconditions.
@@ -278,6 +316,16 @@ impl FsState {
         let mut h = 0xcbf29ce484222325u64;
         hash_node(self, self.root, &mut h);
         h
+    }
+}
+
+impl StateView for FsState {
+    fn root_id(&self) -> Inum {
+        self.root
+    }
+
+    fn get(&self, id: Inum) -> Option<Cow<'_, Node>> {
+        self.map.get(&id).map(Cow::Borrowed)
     }
 }
 

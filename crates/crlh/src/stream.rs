@@ -10,15 +10,23 @@
 //!
 //! * the checker's replay state, whose every component retires as
 //!   operations discharge (descriptors at `OpEnd`, roll-back effect
-//!   logs and Helplist entries at discharge, opt states on commit) —
-//!   O(in-flight operations);
-//! * a bounded narration ring (`narration_cap`);
+//!   logs and Helplist entries at discharge) — O(in-flight operations);
 //! * a bounded ring of the most recent stamped events (`window_cap`),
 //!   frozen into the flight-recorder black box if a violation fires.
 //!
+//! It does not narrate: the violations and that ring are what a failed
+//! run reports, and a transcript would cost a formatted line per event.
 //! Memory is therefore proportional to the in-flight window, not the
 //! trace — [`RetainedState`](crate::checker::RetainedState) measures
 //! this and `benches`/CI enforce it.
+//!
+//! # Cost per event
+//!
+//! The wrapped checker pays for what an event touches, not for the tree
+//! (see the `checker` module docs): a lockless claim is decided on the
+//! abstract state in place, or on a rolled-back view that copies only the
+//! nodes undischarged helped effects name; relation and `GoodAFS` checks
+//! revisit only dirty inodes. So the pump's rate holds as the tree grows.
 //!
 //! # Verdict equivalence
 //!
@@ -49,8 +57,6 @@ use crate::metrics::StreamCheckerMetrics;
 pub struct StreamConfig {
     /// The wrapped checker's configuration.
     pub checker: CheckerConfig,
-    /// Narration lines retained (oldest dropped past this).
-    pub narration_cap: usize,
     /// Recent stamped events retained for the violation black box.
     pub window_cap: usize,
 }
@@ -59,7 +65,6 @@ impl Default for StreamConfig {
     fn default() -> Self {
         StreamConfig {
             checker: CheckerConfig::default(),
-            narration_cap: 256,
             window_cap: 256,
         }
     }
@@ -117,7 +122,7 @@ impl StreamChecker {
     /// Create a streaming checker.
     pub fn new(cfg: StreamConfig) -> Self {
         StreamChecker {
-            checker: LpChecker::new(cfg.checker).with_narration_cap(cfg.narration_cap),
+            checker: LpChecker::new(cfg.checker),
             window: VecDeque::with_capacity(cfg.window_cap.min(4096)),
             window_cap: cfg.window_cap.max(1),
             cursor: CursorStats {
@@ -143,24 +148,22 @@ impl StreamChecker {
 
     /// Feed one watermark-stable batch released by a tail cursor, with
     /// the cursor's progress counters from the same poll. Safe to call
-    /// with an empty batch (updates lag/retained gauges only).
+    /// with an empty batch (updates lag/retained gauges only). Only the
+    /// tail the window ring keeps is cloned.
     pub fn ingest(&mut self, batch: &[Stamped], cursor: CursorStats) {
         let mut sp = atomfs_obs::Span::op_root(atomfs_obs::SpanKind::Checker, "stream_ingest");
         self.cursor = cursor;
         for (stamp, ev) in batch {
             self.checker.feed_stamped(*stamp, ev);
-            if self.window.len() == self.window_cap {
-                self.window.pop_front();
-            }
-            self.window.push_back((*stamp, ev.clone()));
         }
+        let keep = &batch[batch.len().saturating_sub(self.window_cap)..];
+        self.remember(keep.iter().cloned());
         self.after_batch(batch.len(), batch.last().map(|(s, _)| *s), &mut sp);
     }
 
     /// [`StreamChecker::ingest`] for a caller that owns the batch (the
-    /// poll loop of a pump): the window ring takes the tail by move, so
-    /// the per-event `Event` clone — and its string allocations — are
-    /// skipped entirely. The production path.
+    /// poll loop of a pump): the window ring takes its tail by move, so
+    /// no event is cloned at all. The production path.
     pub fn ingest_owned(&mut self, batch: Vec<Stamped>, cursor: CursorStats) {
         let mut sp = atomfs_obs::Span::op_root(atomfs_obs::SpanKind::Checker, "stream_ingest");
         self.cursor = cursor;
@@ -169,14 +172,18 @@ impl StreamChecker {
         for (stamp, ev) in &batch {
             self.checker.feed_stamped(*stamp, ev);
         }
-        let skip = n.saturating_sub(self.window_cap);
-        for se in batch.into_iter().skip(skip) {
+        self.remember(batch.into_iter().skip(n.saturating_sub(self.window_cap)));
+        self.after_batch(n, last, &mut sp);
+    }
+
+    /// Push the newest events onto the window ring, oldest dropped.
+    fn remember(&mut self, events: impl Iterator<Item = Stamped>) {
+        for se in events {
             if self.window.len() == self.window_cap {
                 self.window.pop_front();
             }
             self.window.push_back(se);
         }
-        self.after_batch(n, last, &mut sp);
     }
 
     /// Shared post-feed tail of the ingest paths.
@@ -502,9 +509,10 @@ mod tests {
     }
 
     #[test]
-    fn narration_stays_bounded_and_state_retires() {
+    fn stream_does_not_narrate_and_state_retires() {
+        // A window smaller than a batch: each ingest keeps its batch's tail.
         let mut s = StreamChecker::new(StreamConfig {
-            narration_cap: 16,
+            window_cap: 4,
             ..StreamConfig::default()
         });
         for i in 0..200u64 {
@@ -516,11 +524,9 @@ mod tests {
         }
         let st = s.status();
         assert!(st.ok, "{:?}", s.violations());
-        assert!(
-            st.retained.narration_lines <= 32,
-            "narration ring grew to {}",
-            st.retained.narration_lines
-        );
+        assert_eq!(st.retained.narration_lines, 0);
+        let kept: Vec<u64> = s.window.iter().map(|(stamp, _)| *stamp).collect();
+        assert_eq!(kept, [1396, 1397, 1398, 1399]);
         assert_eq!(st.retained.descriptors, 0);
         assert_eq!(st.retained.effect_entries, 0);
         assert_eq!(st.retained.locks_held, 0);

@@ -29,7 +29,7 @@ use parking_lot::Mutex;
 /// How the pump follows the sink and how often it wakes when idle.
 #[derive(Debug, Clone)]
 pub struct PumpConfig {
-    /// Checker shape (criteria config, narration cap, window cap).
+    /// Checker shape (criteria config, window cap).
     pub stream: StreamConfig,
     /// Drain polled events out of the sink (`follow_consuming`) so sink
     /// memory stays bounded by the in-flight window. Turn off only for

@@ -36,12 +36,27 @@
 //! ([`ShardedSink::follow_consuming`]) drains segments as it goes, so
 //! sink memory stays proportional to the in-flight window — the mode a
 //! production checker pump runs in.
+//!
+//! A consuming poll holds each shard lock for O(1): it swaps the shard's
+//! segment with an empty spare `Vec` and reads the frontier, then moves
+//! the events into its buffers after unlocking. The drained segment
+//! becomes the next spare, so the vectors trade places poll after poll
+//! and keep their capacity, up to a cap that gives a burst's excess back.
+//! Emitters on that shard therefore never wait behind a copy of the
+//! events the cursor takes.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::shard::{ShardedSink, Stamped};
+
+/// Events' worth of capacity a cursor keeps in each buffer it recycles
+/// (a consuming cursor's spare, and the per-shard pending queues) once a
+/// poll has emptied it. Steady polls move far fewer events than this, so the
+/// buffers never regrow; a burst (set-up, a stalled consumer) grows them
+/// once, and this gives the excess back instead of holding it for good.
+const RETAINED_CAP: usize = 4096;
 
 /// Counters describing how far a [`TailCursor`] has progressed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,6 +93,8 @@ pub struct TailCursor {
     pending: Vec<VecDeque<Stamped>>,
     /// Drain segments instead of copying (production pump mode).
     consume: bool,
+    /// The empty vector a consuming poll swaps in for a shard's segment.
+    spare: Vec<Stamped>,
     watermark: u64,
     frontier: u64,
     released: u64,
@@ -113,6 +130,7 @@ impl TailCursor {
             positions: vec![0; n],
             pending: (0..n).map(|_| VecDeque::new()).collect(),
             consume,
+            spare: Vec::new(),
             watermark: 0,
             frontier: 0,
             released: 0,
@@ -134,8 +152,11 @@ impl TailCursor {
             // into this shard stamps itself >= this value.
             let low_i = self.sink.seq.load(Ordering::Acquire);
             if self.consume {
-                drained += segment.len() as u64;
-                self.pending[i].extend(segment.drain(..));
+                std::mem::swap(&mut *segment, &mut self.spare);
+                drop(segment);
+                drained += self.spare.len() as u64;
+                self.pending[i].extend(self.spare.drain(..));
+                self.spare.shrink_to(RETAINED_CAP);
             } else {
                 let pos = self.positions[i];
                 if pos > segment.len() {
@@ -223,14 +244,15 @@ impl TailCursor {
                 }
                 let (_, i) = best.expect("total > released so a head exists");
                 let q = &mut self.pending[i];
-                let run = q
-                    .partition_point(|&(s, _)| s < next)
-                    .min(take[i]);
+                let run = q.partition_point(|&(s, _)| s < next).min(take[i]);
                 take[i] -= run;
                 out.extend(q.drain(..run));
             }
         }
         self.released += out.len() as u64;
+        for q in &mut self.pending {
+            q.shrink_to(RETAINED_CAP);
+        }
         out
     }
 
@@ -318,6 +340,68 @@ mod tests {
         // The streamed trace equals the quiescent merge.
         let offline = sink.take_stamped();
         assert_eq!(all, offline);
+    }
+
+    #[test]
+    fn consuming_cursor_releases_each_event_once_under_live_emitters() {
+        let sink = Arc::new(ShardedSink::with_shards(4));
+        let mut cursor = sink.follow_consuming();
+        let threads = 4u32;
+        let per = 500u32;
+        let barrier = Arc::new(Barrier::new(threads as usize + 1));
+        let mut handles = Vec::new();
+        for t in 0..threads {
+            let sink = Arc::clone(&sink);
+            let barrier = Arc::clone(&barrier);
+            handles.push(std::thread::spawn(move || {
+                barrier.wait();
+                for i in 0..per {
+                    // The unlocked inode names the event: (thread, index).
+                    sink.emit(Event::Unlock {
+                        tid: Tid(t),
+                        ino: u64::from(i),
+                    });
+                }
+            }));
+        }
+        barrier.wait();
+        let total = (threads * per) as usize;
+        let mut all = Vec::new();
+        while all.len() < total {
+            all.extend(cursor.poll());
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        all.extend(cursor.finish());
+        assert!(sink.is_empty(), "a consuming cursor leaves nothing behind");
+        assert_eq!(all.len(), total, "every event is released exactly once");
+        for w in all.windows(2) {
+            assert!(w[0].0 < w[1].0, "released stamps must strictly increase");
+        }
+        let mut released: Vec<(u32, u64)> = all
+            .iter()
+            .map(|(_, e)| match e {
+                Event::Unlock { tid, ino } => (tid.0, *ino),
+                other => panic!("not emitted: {other:?}"),
+            })
+            .collect();
+        released.sort_unstable();
+        let emitted: Vec<(u32, u64)> = (0..threads)
+            .flat_map(|t| (0..per).map(move |i| (t, u64::from(i))))
+            .collect();
+        assert_eq!(released, emitted, "the released set is the emitted set");
+        // Each thread's events keep their emission order.
+        for t in 0..threads {
+            let mine: Vec<u64> = all
+                .iter()
+                .filter_map(|(_, e)| match e {
+                    Event::Unlock { tid, ino } if tid.0 == t => Some(*ino),
+                    _ => None,
+                })
+                .collect();
+            assert!(mine.windows(2).all(|w| w[0] < w[1]), "thread {t} reordered");
+        }
     }
 
     #[test]

@@ -24,11 +24,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use atomfs::AtomFs;
-use atomfs_journal::{shard_of, BlockDevice, Disk, FaultPlan, FaultyDisk, JournaledFs, ShardConfig};
+use atomfs_journal::{
+    shard_of, BlockDevice, Disk, FaultPlan, FaultyDisk, JournaledFs, ShardConfig,
+};
 use atomfs_obs::Registry;
 use atomfs_server::{serve_checked, PumpConfig, RemoteFs, RpcClient, ServerConfig};
-use atomfs_trace::{set_current_tid, Event, MicroOp, ShardedSink, Tid, TraceSink};
-use atomfs_vfs::{FileSystem, FsError};
+use atomfs_trace::{
+    set_current_tid, Event, Inum, MicroOp, OpDesc, OpRet, PathTag, ShardedSink, StatRet, Tid,
+    TraceSink,
+};
+use atomfs_vfs::{FileSystem, FileType, FsError};
 use atomfs_workloads::opmix::OpMix;
 use crlh::{
     CheckReport, CheckerConfig, HelperMode, LpChecker, RelationCadence, StreamChecker, StreamConfig,
@@ -97,13 +102,22 @@ fn assert_same_verdict(streaming: &CheckReport, offline: &CheckReport, ctx: &str
         assert_eq!(s.kind, o.kind, "{ctx}: criterion tags differ");
         assert_eq!(s.at, o.at, "{ctx}: violation positions differ");
     }
-    assert_eq!(streaming.final_afs, offline.final_afs, "{ctx}: final abstract state differs");
+    assert_eq!(
+        streaming.final_afs, offline.final_afs,
+        "{ctx}: final abstract state differs"
+    );
     assert_eq!(
         streaming.stats.ops_completed, offline.stats.ops_completed,
         "{ctx}: completed-op counts differ"
     );
-    assert_eq!(streaming.stats.lps, offline.stats.lps, "{ctx}: LP counts differ");
-    assert_eq!(streaming.stats.helps, offline.stats.helps, "{ctx}: help counts differ");
+    assert_eq!(
+        streaming.stats.lps, offline.stats.lps,
+        "{ctx}: LP counts differ"
+    );
+    assert_eq!(
+        streaming.stats.helps, offline.stats.helps,
+        "{ctx}: help counts differ"
+    );
 }
 
 #[test]
@@ -219,6 +233,250 @@ fn incremental_checking_matches_forced_full_scans() {
     }
 }
 
+/// Check `trace` incrementally and with forced full scans; the two
+/// verdicts must agree message for message.
+fn incremental_and_full(trace: &[Event]) -> CheckReport {
+    let incr = LpChecker::check(full_config(), trace);
+    let mut full = LpChecker::new(full_config()).with_full_scans();
+    full.feed_all(trace);
+    let full = full.finish();
+    assert_same_verdict(&incr, &full, "incr-vs-full");
+    for (a, b) in incr.violations.iter().zip(&full.violations) {
+        assert_eq!(a.message, b.message, "messages must match verbatim");
+    }
+    assert_eq!(incr.stats.relation_checks, full.stats.relation_checks);
+    incr
+}
+
+fn comps(path: &[&str]) -> Vec<String> {
+    path.iter().map(|c| c.to_string()).collect()
+}
+
+fn lock(tid: Tid, ino: Inum, tag: PathTag) -> Event {
+    Event::Lock { tid, ino, tag }
+}
+
+fn unlock(tid: Tid, ino: Inum) -> Event {
+    Event::Unlock { tid, ino }
+}
+
+fn mutate(tid: Tid, mop: MicroOp) -> Event {
+    Event::Mutate { tid, mop }
+}
+
+fn end(tid: Tid, ret: OpRet) -> Event {
+    Event::OpEnd { tid, ret }
+}
+
+/// A lockless claim of the whole `chain`, then the operation's return.
+fn lockless(tid: Tid, op: OpDesc, chain: &[Inum], ret: OpRet) -> [Event; 3] {
+    [
+        Event::OpBegin { tid, op },
+        Event::OptValidate {
+            tid,
+            chain: chain.to_vec(),
+            locked: false,
+            ok: true,
+        },
+        end(tid, ret),
+    ]
+}
+
+/// Figure 1's shape, with room for claims while the help is outstanding.
+/// `/a/f` exists; t2's `write /a/f "xyz"` holds the file's lock when
+/// t3's `rename /a /b` reaches its LP and helps it, so the write is
+/// applied abstractly but not yet concretely. Then `during` runs, and
+/// only after it does t2 write, pass its own LP (discharging the help)
+/// and return.
+fn helped_write_behind_a_rename(during: &[Event]) -> Vec<Event> {
+    let (setup, writer, renamer) = (Tid(1), Tid(2), Tid(3));
+    let data = b"xyz".to_vec();
+    let mut trace = vec![
+        Event::OpBegin {
+            tid: setup,
+            op: OpDesc::Mkdir {
+                path: comps(&["a"]),
+            },
+        },
+        lock(setup, 1, PathTag::Common),
+        mutate(
+            setup,
+            MicroOp::Create {
+                ino: 2,
+                ftype: FileType::Dir,
+            },
+        ),
+        mutate(
+            setup,
+            MicroOp::Ins {
+                parent: 1,
+                name: "a".into(),
+                child: 2,
+            },
+        ),
+        Event::Lp { tid: setup },
+        unlock(setup, 1),
+        end(setup, OpRet::Ok),
+        Event::OpBegin {
+            tid: setup,
+            op: OpDesc::Mknod {
+                path: comps(&["a", "f"]),
+            },
+        },
+        lock(setup, 1, PathTag::Common),
+        lock(setup, 2, PathTag::Common),
+        unlock(setup, 1),
+        mutate(
+            setup,
+            MicroOp::Create {
+                ino: 3,
+                ftype: FileType::File,
+            },
+        ),
+        mutate(
+            setup,
+            MicroOp::Ins {
+                parent: 2,
+                name: "f".into(),
+                child: 3,
+            },
+        ),
+        Event::Lp { tid: setup },
+        unlock(setup, 2),
+        end(setup, OpRet::Ok),
+        // The writer walks to the file and holds it.
+        Event::OpBegin {
+            tid: writer,
+            op: OpDesc::Write {
+                path: comps(&["a", "f"]),
+                offset: 0,
+                data: data.clone(),
+            },
+        },
+        lock(writer, 1, PathTag::Common),
+        lock(writer, 2, PathTag::Common),
+        unlock(writer, 1),
+        lock(writer, 3, PathTag::Common),
+        unlock(writer, 2),
+        // The rename moves /a and, at its LP, helps the writer.
+        Event::OpBegin {
+            tid: renamer,
+            op: OpDesc::Rename {
+                src: comps(&["a"]),
+                dst: comps(&["b"]),
+            },
+        },
+        lock(renamer, 1, PathTag::Common),
+        lock(renamer, 2, PathTag::Src),
+        mutate(
+            renamer,
+            MicroOp::Del {
+                parent: 1,
+                name: "a".into(),
+                child: 2,
+            },
+        ),
+        mutate(
+            renamer,
+            MicroOp::Ins {
+                parent: 1,
+                name: "b".into(),
+                child: 2,
+            },
+        ),
+        Event::Lp { tid: renamer },
+        unlock(renamer, 2),
+        unlock(renamer, 1),
+        end(renamer, OpRet::Ok),
+    ];
+    trace.extend_from_slice(during);
+    trace.extend([
+        mutate(
+            writer,
+            MicroOp::SetData {
+                ino: 3,
+                old: Vec::new(),
+                new: data,
+            },
+        ),
+        Event::Lp { tid: writer },
+        unlock(writer, 3),
+        end(writer, OpRet::Written(3)),
+    ]);
+    trace
+}
+
+#[test]
+fn lockless_claims_behind_an_undischarged_help_read_the_rolled_back_state() {
+    let reader = Tid(4);
+    let stat = |size| {
+        lockless(
+            reader,
+            OpDesc::Stat {
+                path: comps(&["b", "f"]),
+            },
+            &[1, 2, 3],
+            OpRet::Stat(StatRet {
+                is_dir: false,
+                size,
+            }),
+        )
+    };
+    let read = |data: &[u8]| {
+        lockless(
+            reader,
+            OpDesc::Read {
+                path: comps(&["b", "f"]),
+                offset: 0,
+                len: 16,
+            },
+            &[1, 2, 3],
+            OpRet::Data(data.to_vec()),
+        )
+    };
+    // While the write is helped but not yet concrete, the runtime reads
+    // the empty file: the claims must be decided on the rolled-back view.
+    let during = [stat(0), read(b"")].concat();
+    let mut trace = helped_write_behind_a_rename(&during);
+    // After the discharge the written bytes are concrete.
+    trace.extend([stat(3), read(b"xyz")].concat());
+    let report = incremental_and_full(&trace);
+    report.assert_ok();
+    assert_eq!(report.stats.helps, 1, "the rename must help the write");
+    assert_eq!(report.stats.opt_claims, 4);
+
+    // Reading the helped bytes early is what the abstract state says but
+    // not what the file held: a return mismatch, on both paths alike.
+    let report = incremental_and_full(&helped_write_behind_a_rename(&stat(3)));
+    assert!(!report
+        .of_kind(crlh::ViolationKind::ReturnMismatch)
+        .is_empty());
+}
+
+#[test]
+fn effect_changing_lockless_claim_is_flagged_through_the_rolled_view() {
+    // A lockless `mknod /b/g` would insert into /b: no lockless claim may
+    // do that, helped operations outstanding or not.
+    let mknod = lockless(
+        Tid(4),
+        OpDesc::Mknod {
+            path: comps(&["b", "g"]),
+        },
+        &[1, 2],
+        OpRet::Ok,
+    );
+    let report = incremental_and_full(&helped_write_behind_a_rename(&mknod));
+    let flagged = report.of_kind(crlh::ViolationKind::OptValidation);
+    assert_eq!(flagged.len(), 1, "{:?}", report.violations);
+    assert!(
+        flagged[0]
+            .message
+            .contains("would change the abstract state"),
+        "{}",
+        flagged[0].message
+    );
+}
+
 #[test]
 fn degraded_quarantine_run_streams_to_the_same_verdict() {
     let seed = 1u64;
@@ -264,7 +522,9 @@ fn degraded_quarantine_run_streams_to_the_same_verdict() {
     }
     assert!(refused > 0, "the dead shard never refused a write");
     assert_eq!(
-        jfs.sharded_sink().expect("sharded mount").quarantined_shards(),
+        jfs.sharded_sink()
+            .expect("sharded mount")
+            .quarantined_shards(),
         vec![victim]
     );
     drop(jfs);
@@ -309,14 +569,19 @@ fn injected_violation_is_caught_online_with_the_offline_criterion_tag() {
     let stats = cursor.stats();
     checker.ingest(&batch, stats);
     assert!(!checker.status().ok, "injected breach must flag online");
-    let dump = checker.violation_dump().expect("first violation freezes a black box");
+    let dump = checker
+        .violation_dump()
+        .expect("first violation freezes a black box");
     assert!(matches!(
         &dump.cause,
         atomfs_obs::TriggerCause::StreamViolation { .. }
     ));
     let health = dump.health.as_deref().expect("dump carries the window");
     assert!(health.contains("\"window\""), "{health}");
-    assert!(health.contains("ghost"), "window must hold the offending event: {health}");
+    assert!(
+        health.contains("ghost"),
+        "window must hold the offending event: {health}"
+    );
     let streaming = checker.finish();
 
     let offline = LpChecker::check_stamped(full_config(), &sink.take_stamped());
@@ -332,8 +597,10 @@ fn injected_violation_is_caught_online_with_the_offline_criterion_tag() {
 /// One `Connection: close` GET against the server's HTTP path.
 fn http_get(addr: std::net::SocketAddr, target: &str) -> String {
     let mut s = TcpStream::connect(addr).unwrap();
-    s.write_all(format!("GET {target} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").as_bytes())
-        .unwrap();
+    s.write_all(
+        format!("GET {target} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").as_bytes(),
+    )
+    .unwrap();
     let mut out = String::new();
     s.read_to_string(&mut out).unwrap();
     out
@@ -395,8 +662,16 @@ fn served_fs_exposes_live_verdict_and_flips_check_to_fail() {
     let flagged = prom
         .lines()
         .filter(|l| l.starts_with("crlh_stream_violations"))
-        .any(|l| l.split_whitespace().last().and_then(|v| v.parse::<f64>().ok()) > Some(0.0));
-    assert!(flagged, "no non-zero crlh_stream_violations series:\n{prom}");
+        .any(|l| {
+            l.split_whitespace()
+                .last()
+                .and_then(|v| v.parse::<f64>().ok())
+                > Some(0.0)
+        });
+    assert!(
+        flagged,
+        "no non-zero crlh_stream_violations series:\n{prom}"
+    );
 
     // Shutdown surfaces the failing end-of-run report too.
     let (stats, report) = srv.shutdown_checked();
