@@ -343,11 +343,62 @@ impl Json {
         format!("{{\n  {}\n}}\n", self.fields.join(",\n  "))
     }
 
-    /// Write the object to `BENCH_<name>.json` in the current directory.
+    /// Write the object to `BENCH_<name>.json` in the current directory,
+    /// and append it as one dated row to [`HISTORY`] there.
     pub fn write(&self, name: &str) {
         let path = format!("BENCH_{name}.json");
         std::fs::write(&path, self.render()).unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!("wrote {path}");
+        let bin = std::env::args()
+            .next()
+            .and_then(|a| Some(std::path::Path::new(&a).file_name()?.to_str()?.to_owned()))
+            .unwrap_or_else(|| name.to_owned());
+        let unix_s = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_secs());
+        let row = self.history_row(&bin, unix_s, &git_rev());
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(HISTORY)
+            .and_then(|mut f| std::io::Write::write_all(&mut f, row.as_bytes()))
+            .unwrap_or_else(|e| panic!("append {HISTORY}: {e}"));
+        println!("appended to {HISTORY}");
+    }
+
+    /// One [`HISTORY`] line: which bin, when, at which commit, and the
+    /// object as [`Json::render`] lays it out, folded onto the line.
+    fn history_row(&self, bin: &str, unix_s: u64, rev: &str) -> String {
+        // Every newline in a rendered object is layout: string values
+        // are escaped, so folding the lines keeps the JSON the same.
+        let result: String = self.render().lines().map(str::trim).collect();
+        let row = Json::new()
+            .str("bin", bin)
+            .num("unix_s", unix_s)
+            .str("rev", rev)
+            .num("result", result);
+        row.inline() + "\n"
+    }
+}
+
+/// Every `BENCH_*.json` written is also appended here, one row per run.
+pub const HISTORY: &str = "BENCH_history.jsonl";
+
+/// `git rev-parse --short HEAD`, with `-dirty` if tracked files differ
+/// from it, or `unknown` outside a git checkout.
+fn git_rev() -> String {
+    let git = |args: &[&str]| std::process::Command::new("git").args(args).output().ok();
+    match git(&["rev-parse", "--short", "HEAD"]) {
+        Some(out) if out.status.success() => {
+            let rev = String::from_utf8_lossy(&out.stdout).trim().to_owned();
+            let clean = git(&["diff", "--quiet", "HEAD"]).is_none_or(|o| o.status.success());
+            if clean {
+                rev
+            } else {
+                rev + "-dirty"
+            }
+        }
+        _ => "unknown".to_owned(),
     }
 }
 
@@ -537,6 +588,20 @@ mod tests {
             "{\n  \"bench\": \"a\\\"b\\\\c\\n\",\n  \"n\": 3,\n  \"x\": 1.23,\n  \
              \"bad\": null,\n  \"gate\": {\"pass\": true, \"m\": \"t\\tab\"},\n  \
              \"series\": [\n    {\"t\": 1},\n    {\"t\": 8}\n  ]\n}\n"
+        );
+    }
+
+    #[test]
+    fn history_row_is_one_line_of_the_same_object() {
+        let j = Json::new()
+            .str("bench", "x\ny")
+            .obj("gate", Json::new().num("pass", true))
+            .list("series", [Json::new().num("t", 1), Json::new().num("t", 8)]);
+        assert_eq!(
+            j.history_row("serve_storm", 1_700_000_000, "abc1234"),
+            "{\"bin\": \"serve_storm\", \"unix_s\": 1700000000, \"rev\": \"abc1234\", \
+             \"result\": {\"bench\": \"x\\ny\",\"gate\": {\"pass\": true},\
+             \"series\": [{\"t\": 1},{\"t\": 8}]}}\n"
         );
     }
 

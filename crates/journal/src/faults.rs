@@ -443,7 +443,9 @@ mod tests {
         for lba in [0u64, 1, 4, 5] {
             assert_eq!(disk.read(lba), sect(0), "flip escaped to LBA {lba}");
         }
-        let flipped: u32 = (2..4).map(|l| disk.read(l).iter().map(|b| b.count_ones()).sum::<u32>()).sum();
+        let flipped: u32 = (2..4)
+            .map(|l| disk.read(l).iter().map(|b| b.count_ones()).sum::<u32>())
+            .sum();
         assert_eq!(flipped, 1);
     }
 

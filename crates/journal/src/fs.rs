@@ -102,7 +102,10 @@ impl JournaledFs {
     /// distinct fault domains, so a failure confined to one device
     /// quarantines only that shard's inode range instead of degrading
     /// the whole mount. `devices.len()` must equal `cfg`'s shard count.
-    pub fn create_sharded_with_devices(devices: Vec<Arc<dyn BlockDevice>>, cfg: ShardConfig) -> Self {
+    pub fn create_sharded_with_devices(
+        devices: Vec<Arc<dyn BlockDevice>>,
+        cfg: ShardConfig,
+    ) -> Self {
         Self::with_sharded(ShardedJournalSink::with_devices(devices, cfg), None)
     }
 
@@ -113,7 +116,10 @@ impl JournaledFs {
         cfg: ShardConfig,
         observer: Arc<dyn TraceSink>,
     ) -> Self {
-        Self::with_sharded(ShardedJournalSink::with_devices(devices, cfg), Some(observer))
+        Self::with_sharded(
+            ShardedJournalSink::with_devices(devices, cfg),
+            Some(observer),
+        )
     }
 
     fn with_sharded(sink: ShardedJournalSink, observer: Option<Arc<dyn TraceSink>>) -> Self {
@@ -168,10 +174,7 @@ impl JournaledFs {
         // windows keeps the strict contract — any replay failure there
         // still indicates a foreign or tampered disk.
         let (state, unreplayable_ops) = if recovered.lost_windows.is_empty() {
-            (
-                recovered.replay().map_err(|_| FsError::InvalidArgument)?,
-                0,
-            )
+            (recovered.replay().map_err(|_| FsError::InvalidArgument)?, 0)
         } else {
             recovered.replay_tolerant()
         };

@@ -307,8 +307,7 @@ mod tests {
     fn shard_of_spreads_consecutive_inodes() {
         // The first handful of allocated inodes (2..10) must not all
         // collapse onto one shard, or small trees get zero parallelism.
-        let shards: std::collections::HashSet<usize> =
-            (2..10u64).map(|i| shard_of(i, 4)).collect();
+        let shards: std::collections::HashSet<usize> = (2..10u64).map(|i| shard_of(i, 4)).collect();
         assert!(
             shards.len() >= 3,
             "consecutive inodes clustered onto {shards:?}"

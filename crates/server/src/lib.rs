@@ -13,7 +13,8 @@
 //!   `write` before any read that may block, buffers recycled through a
 //!   [`pool::BufPool`] (zero-allocation steady state), and a `/metrics`
 //!   + `/spans` HTTP scrape path on the same listener.
-//! * [`client`] — pipelined [`client::RpcClient`] and the
+//! * [`client`] — pipelined [`client::RpcClient`], whose callers read
+//!   their own replies (no client thread), and the
 //!   [`client::RemoteFs`] adapter that makes a remote server look like
 //!   any other [`FileSystem`](atomfs_vfs::FileSystem).
 //! * [`check`] — the always-on [`check::CheckerPump`]: a thread that

@@ -254,7 +254,14 @@ mod tests {
     #[test]
     fn normalize_ref_matches_normalize() {
         for p in [
-            "/", "/a", "/a/b/c", "/a//b/./c", "/a/../b", "/..", "/../..", "/a/../../b",
+            "/",
+            "/a",
+            "/a/b/c",
+            "/a//b/./c",
+            "/a/../b",
+            "/..",
+            "/../..",
+            "/a/../../b",
         ] {
             assert_eq!(
                 normalize(p).unwrap(),

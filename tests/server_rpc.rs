@@ -2,8 +2,11 @@
 //! by the pipelined client. Covers the protocol surface (every op, error
 //! mapping, descriptor sessions), pipelining (batched submission, reply
 //! batching, backpressure), the HTTP scrape path sharing the RPC
-//! listener, and connection isolation: malformed frames, panicking and
-//! slow requests each affect only their own connection.
+//! listener, connection isolation (malformed frames, panicking and slow
+//! requests each affect only their own connection), and one client
+//! shared by many threads: replies reach the caller that holds their
+//! tag, dropped requests give their slots up, and a dead connection
+//! wakes every waiter.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -13,6 +16,7 @@ use std::time::{Duration, Instant};
 
 use atomfs::AtomFs;
 use atomfs_obs::Registry;
+use atomfs_server::wire::ReqView;
 use atomfs_server::{
     serve, wire, RemoteFs, Request, Response, RpcClient, ServerConfig, FLAG_CREATE, FLAG_READ,
     FLAG_WRITE,
@@ -501,4 +505,226 @@ fn disconnect_closes_every_descriptor_in_the_fd_table() {
         "teardown closed {} of 5 leaked descriptors",
         stats.fds_closed_on_teardown
     );
+}
+
+/// `/t/f{i}` for `i < n`, each `i + 1` bytes long: a `stat` reply says
+/// which file it answers.
+fn sized_files(fs: &RemoteFs, n: usize) {
+    fs.mkdir("/t").unwrap();
+    for i in 0..n {
+        let path = format!("/t/f{i}");
+        fs.mknod(&path).unwrap();
+        assert_eq!(fs.write(&path, 0, &vec![b'x'; i + 1]).unwrap(), i + 1);
+    }
+}
+
+#[test]
+fn shared_client_routes_each_reply_to_its_own_thread() {
+    let (srv, addr) = start(None);
+    let client = Arc::new(RpcClient::connect(addr).unwrap());
+    sized_files(&RemoteFs::new(Arc::clone(&client)), 8);
+
+    let threads: Vec<_> = (0..8)
+        .map(|t| {
+            let fs = RemoteFs::new(Arc::clone(&client));
+            std::thread::spawn(move || {
+                let path = format!("/t/f{t}");
+                for i in 0..300 {
+                    let size = fs.stat(&path).unwrap().size;
+                    assert_eq!(
+                        size,
+                        t as u64 + 1,
+                        "thread {t} call {i} got another's reply"
+                    );
+                }
+            })
+        })
+        .collect();
+    for h in threads {
+        h.join().unwrap();
+    }
+    assert_eq!(client.outstanding(), 0);
+    assert!(!client.is_dead());
+    let stats = srv.shutdown();
+    assert_eq!(stats.malformed, 0);
+    assert!(stats.requests >= 8 * 300);
+}
+
+#[test]
+fn interleaved_batch_windows_share_one_client() {
+    let (srv, addr) = start(None);
+    let client = Arc::new(RpcClient::connect(addr).unwrap());
+    sized_files(&RemoteFs::new(Arc::clone(&client)), 2);
+
+    // One thread awaits its window in order, the other in reverse, so
+    // the reverse waiter reads its earlier replies into their slots
+    // (and, as often as not, the other thread's too).
+    let threads: Vec<_> = (0..2)
+        .map(|t| {
+            let client = Arc::clone(&client);
+            std::thread::spawn(move || {
+                let reqs: Vec<Request> = (0..16)
+                    .map(|_| Request::Stat {
+                        path: format!("/t/f{t}"),
+                    })
+                    .collect();
+                for round in 0..100 {
+                    let mut window = client.submit_batch(&reqs).unwrap();
+                    if t == 1 {
+                        window.reverse();
+                    }
+                    for p in window {
+                        match p.wait().unwrap() {
+                            Response::Stat(m) => {
+                                assert_eq!(m.size, t as u64 + 1, "thread {t} round {round}")
+                            }
+                            other => panic!("thread {t} round {round}: {other:?}"),
+                        }
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in threads {
+        h.join().unwrap();
+    }
+    assert_eq!(client.outstanding(), 0);
+    srv.shutdown();
+}
+
+#[test]
+fn dropped_pendings_release_their_slots() {
+    let (srv, addr) = start(None);
+    let client = Arc::new(RpcClient::connect(addr).unwrap());
+    let fs = RemoteFs::new(Arc::clone(&client));
+    sized_files(&fs, 4);
+    let stat = |i: usize| Request::Stat {
+        path: format!("/t/f{i}"),
+    };
+
+    // Dropped before any reply is read.
+    for _ in 0..10 {
+        drop(client.submit(&ReqView::Stat { path: "/t/f0" }).unwrap());
+    }
+    drop(client.submit_batch(&(0..32).map(|i| stat(i % 4)).collect::<Vec<_>>()));
+    assert_eq!(client.outstanding(), 0);
+
+    // Dropped after their replies were read into their slots: awaiting
+    // the last of a window reads every earlier reply first.
+    let mut window = client
+        .submit_batch(&(0..32).map(|i| stat(i % 4)).collect::<Vec<_>>())
+        .unwrap();
+    assert_eq!(client.outstanding(), 32);
+    match window.pop().unwrap().wait().unwrap() {
+        Response::Stat(m) => assert_eq!(m.size, 4),
+        other => panic!("{other:?}"),
+    }
+    drop(window);
+    assert_eq!(client.outstanding(), 0);
+
+    // The connection carries on: the unclaimed replies still in the
+    // socket are read and discarded on the way to this call's.
+    for i in 0..4 {
+        assert_eq!(fs.stat(&format!("/t/f{i}")).unwrap().size, i as u64 + 1);
+    }
+    assert_eq!(client.outstanding(), 0);
+    assert!(!client.is_dead());
+    srv.shutdown();
+}
+
+/// Four threads blocked on `client`, each calling `stat("/f")`.
+fn blocked_callers(client: &Arc<RpcClient>) -> Vec<std::thread::JoinHandle<FsResult<Response>>> {
+    (0..4)
+        .map(|_| {
+            let client = Arc::clone(client);
+            std::thread::spawn(move || client.call(&ReqView::Stat { path: "/f" }))
+        })
+        .collect()
+}
+
+/// Spin until `client` has `n` requests in flight, or a deadline.
+fn await_outstanding(client: &RpcClient, n: usize) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while client.outstanding() < n && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn server_side_death_wakes_every_waiter_with_io() {
+    let fs = Arc::new(TrapFs::new());
+    fs.mknod("/f").unwrap();
+    let srv = serve(Arc::clone(&fs), None, ServerConfig::default()).expect("bind loopback");
+    let client = Arc::new(RpcClient::connect(srv.local_addr()).unwrap());
+
+    // The connection thread sleeps in `/slow`, then panics in `/boom`;
+    // the callers' requests queue behind both and are never answered.
+    let first = client
+        .submit_batch(&[
+            Request::Stat {
+                path: "/slow".into(),
+            },
+            Request::Stat {
+                path: "/boom".into(),
+            },
+        ])
+        .unwrap();
+    while !fs.slow_started.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
+    let callers = blocked_callers(&client);
+    await_outstanding(&client, 6);
+
+    for h in callers {
+        assert_eq!(h.join().unwrap(), Err(FsError::Io));
+    }
+    let mut first = first.into_iter();
+    let slow = first.next().unwrap().wait();
+    assert!(
+        matches!(
+            slow,
+            Err(FsError::Io) | Ok(Response::Err(FsError::NotFound))
+        ),
+        "{slow:?}"
+    );
+    assert_eq!(first.next().unwrap().wait(), Err(FsError::Io));
+    assert!(client.is_dead());
+    assert_eq!(client.outstanding(), 0);
+    assert_eq!(
+        RemoteFs::new(Arc::clone(&client)).stat("/f"),
+        Err(FsError::Io)
+    );
+    assert_eq!(srv.shutdown().worker_panics, 1);
+}
+
+#[test]
+fn abort_from_another_thread_wakes_every_waiter_with_io() {
+    let fs = Arc::new(TrapFs::new());
+    fs.mknod("/f").unwrap();
+    let srv = serve(Arc::clone(&fs), None, ServerConfig::default()).expect("bind loopback");
+    let client = Arc::new(RpcClient::connect(srv.local_addr()).unwrap());
+
+    let slow = client.submit(&ReqView::Stat { path: "/slow" }).unwrap();
+    while !fs.slow_started.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
+    let callers = blocked_callers(&client);
+    await_outstanding(&client, 5);
+    assert!(
+        !fs.slow_done.load(Ordering::Acquire),
+        "the callers took the whole slow request to block"
+    );
+    let aborter = {
+        let client = Arc::clone(&client);
+        std::thread::spawn(move || client.abort())
+    };
+    aborter.join().unwrap();
+
+    for h in callers {
+        assert_eq!(h.join().unwrap(), Err(FsError::Io));
+    }
+    assert_eq!(slow.wait(), Err(FsError::Io));
+    assert!(client.is_dead());
+    assert_eq!(client.outstanding(), 0);
+    srv.shutdown();
 }
