@@ -15,7 +15,6 @@
 //! | `flightrec_overhead` | spans + flight recorder on vs off, ABBA | `BENCH_flightrec.json`, `BLACKBOX_sample*.json` | `flightrec-overhead` |
 //! | `walk_fastpath` | optimistic vs lock-coupled walk, simulated cores | `BENCH_walk.json` | `walk-fastpath` |
 //! | `journal_sharded` | group-commit scaling over shards | `BENCH_journal_sharded.json` | `journal-sharded` |
-//! | `journal_faults` | fallible write path vs seed-style append | `BENCH_journal.json` | none |
 //! | `serve_storm` | pipelined vs serial RPC | `BENCH_serve.json` | `serving-throughput` |
 //! | `checker_stream` | streaming-checker pump vs raw emit | `BENCH_check.json` | `checker-stream` |
 //!

@@ -94,10 +94,35 @@ impl ShardBuf {
     }
 }
 
-/// Upper bound on the leader's batching window (see
-/// [`ShardedJournalSink::batching_window`]). Sized to a realistic flush
-/// barrier: holding the cut open longer than one barrier costs more
-/// latency than the barrier it would save.
+/// Cumulative commit-phase timings of one mount, added by the commit
+/// leader once per commit: where a group commit's time goes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CommitPhases {
+    /// Commits run: one per leader commit or explicit
+    /// [`ShardedJournalSink::commit`], empty ones included.
+    pub commits: u64,
+    /// Nanoseconds in the cut: draining open rename transactions and
+    /// swapping every shard's staging buffer.
+    pub cut_ns: u64,
+    /// Nanoseconds encoding frames and writing their sectors: the epoch
+    /// slices, plus any redirected seals and quarantine frames.
+    pub write_ns: u64,
+    /// Nanoseconds in flush barriers.
+    pub flush_ns: u64,
+}
+
+/// Add the wall time of `f` to `ns`.
+fn timed<R>(ns: &mut u64, f: impl FnOnce() -> R) -> R {
+    let t0 = std::time::Instant::now();
+    let r = f();
+    *ns += t0.elapsed().as_nanos() as u64;
+    r
+}
+
+/// Deadline of the leader's batching window (see
+/// [`ShardedJournalSink::batching_window`]), sized to a realistic flush
+/// barrier. It is read only after each yield returns, so it caps how
+/// many yields the window takes, not how long the window lasts.
 const BATCH_WINDOW_CAP: std::time::Duration = std::time::Duration::from_micros(200);
 
 /// One shard: its staging buffer, its region writer, its device (may be
@@ -227,6 +252,8 @@ pub struct ShardedJournalSink {
     gc_leads: AtomicU64,
     gc_parks: AtomicU64,
     gc_absorbed: AtomicU64,
+    /// Commit-phase totals; only the commit-lock holder adds to them.
+    phases: Mutex<CommitPhases>,
     health: Mutex<Health>,
     /// Fast-path mirror of `health.is_degraded()`.
     degraded: AtomicBool,
@@ -316,6 +343,7 @@ impl ShardedJournalSink {
             gc_leads: AtomicU64::new(0),
             gc_parks: AtomicU64::new(0),
             gc_absorbed: AtomicU64::new(0),
+            phases: Mutex::new(CommitPhases::default()),
             health: Mutex::new(Health::Healthy),
             degraded: AtomicBool::new(false),
             loss_seq: AtomicU64::new(0),
@@ -375,6 +403,11 @@ impl ShardedJournalSink {
             self.gc_parks.load(Ordering::Relaxed),
             self.gc_absorbed.load(Ordering::Relaxed),
         )
+    }
+
+    /// Commit-phase totals since the mount (see [`CommitPhases`]).
+    pub fn commit_phases(&self) -> CommitPhases {
+        *self.phases.lock()
     }
 
     /// Current mount health.
@@ -831,13 +864,22 @@ impl ShardedJournalSink {
     /// The group-commit batching window, run by a sync leader *before*
     /// its cut: give concurrently staging writers a chance to get their
     /// mutations into the epoch, so one device barrier covers them all
-    /// (jbd2's transaction-batching idea). Yield-based and adaptive: each
-    /// yield cedes the CPU to staging threads — on a single core this is
-    /// what lets them run at all — and the window closes as soon as the
-    /// global stamp stops moving (no writer mid-flight, so waiting longer
-    /// buys nothing). An idle or single-threaded mount pays one yield.
-    /// The wall-clock cap bounds the added latency when writers never go
-    /// quiet (e.g. threads that stage continuously and rarely sync).
+    /// (jbd2's transaction-batching idea). Yield-based: each yield cedes
+    /// the CPU to staging threads — on a single core this is what lets
+    /// them run at all — and the window closes after the first yield
+    /// across which the global stamp did not move, or after the first
+    /// yield that returns past [`BATCH_WINDOW_CAP`]. An idle or
+    /// single-threaded mount pays one yield.
+    ///
+    /// The cap does not bound the wait. `yield_now` returns only when the
+    /// threads it let run block or use up their time slice, and the
+    /// deadline is read after that. On one CPU with other busy threads
+    /// (the `rpc_serial_mixed` rounds: two connections' client and
+    /// server threads) the window is mostly a single yield that lasts
+    /// until the other connection's threads block, ~630–690 µs on
+    /// average, and in 55–63 % of windows the stamp is still moving when
+    /// the window closes. That wait is most of what a synced RPC pays
+    /// beyond the commit itself (ROADMAP, "Known debts").
     fn batching_window(&self) {
         let deadline = std::time::Instant::now() + BATCH_WINDOW_CAP;
         let mut prev = self.stamp.load(Ordering::Relaxed);
@@ -869,14 +911,26 @@ impl ShardedJournalSink {
         // Children — the cut, per-shard slice writes, the flush barrier —
         // hang off it.
         let mut sp = Span::root(SpanKind::EpochCut, "group_commit");
-        let r = self.commit_locked_inner(force, &mut sp);
+        let mut t = CommitPhases::default();
+        let r = self.commit_locked_inner(force, &mut sp, &mut t);
+        let mut total = self.phases.lock();
+        total.commits += 1;
+        total.cut_ns += t.cut_ns;
+        total.write_ns += t.write_ns;
+        total.flush_ns += t.flush_ns;
+        drop(total);
         if r.is_err() {
             sp.fail();
         }
         r
     }
 
-    fn commit_locked_inner(&self, force: bool, sp: &mut Span) -> Result<(), DiskError> {
+    fn commit_locked_inner(
+        &self,
+        force: bool,
+        sp: &mut Span,
+        t: &mut CommitPhases,
+    ) -> Result<(), DiskError> {
         if let Health::Degraded { cause, .. } = *self.health.lock() {
             return Err(cause);
         }
@@ -887,14 +941,14 @@ impl ShardedJournalSink {
         // buffers are taken too: anything staged into them (ops that
         // raced the quarantine) is discarded into recorded loss windows
         // below rather than silently forgotten.
-        self.txns.drain();
-        let cut = {
-            let _w = self.cut.write();
+        let cut = timed(&mut t.cut_ns, || {
+            self.txns.drain();
+            let w = self.cut.write();
             // Staging is quiesced: every issued stamp is in a buffer, so
             // this commit's flush makes all of them durable.
             let covered = self.stamp.load(Ordering::Relaxed);
             let empty = self.shards.iter().all(|s| s.buf.lock().is_empty());
-            if empty && !force {
+            let cut = if empty && !force {
                 (covered, None)
             } else {
                 let epoch = self.open_epoch.fetch_add(1, Ordering::Relaxed);
@@ -904,9 +958,11 @@ impl ShardedJournalSink {
                     .map(|s| std::mem::take(&mut *s.buf.lock()))
                     .collect();
                 (covered, Some((epoch, taken)))
-            }
-        };
-        self.txns.release();
+            };
+            drop(w);
+            self.txns.release();
+            cut
+        });
 
         let (covered, staged) = cut;
         if let Some((epoch, _)) = &staged {
@@ -914,7 +970,7 @@ impl ShardedJournalSink {
         }
         let Some((epoch, taken)) = staged else {
             // Nothing staged: sync degenerates to a flush barrier.
-            let flush_failed = self.flush_pass();
+            let flush_failed = timed(&mut t.flush_ns, || self.flush_pass());
             if let Some(&(_, cause, _)) = flush_failed.first() {
                 for (i, c, at) in flush_failed {
                     self.quarantine_shard(i, c, at);
@@ -936,19 +992,21 @@ impl ShardedJournalSink {
         let mut new_lost: Vec<u64> = Vec::new();
         let mut redirect_seals: Vec<u64> = Vec::new();
         let mut failed: Vec<(usize, DiskError, u64)> = Vec::new();
-        for (i, b) in taken.iter().enumerate() {
-            if self.shard_dead(i) {
-                Self::spill_buf(b, &mut new_lost, &mut redirect_seals);
-                continue;
+        timed(&mut t.write_ns, || {
+            for (i, b) in taken.iter().enumerate() {
+                if self.shard_dead(i) {
+                    Self::spill_buf(b, &mut new_lost, &mut redirect_seals);
+                    continue;
+                }
+                let mut ssp = Span::child(SpanKind::ShardAppend, "epoch_slice");
+                ssp.set_shard(i as u32);
+                ssp.set_epoch(epoch);
+                if let Err((cause, at)) = self.write_epoch_slice(i, b, epoch) {
+                    ssp.fail();
+                    failed.push((i, cause, at));
+                }
             }
-            let mut ssp = Span::child(SpanKind::ShardAppend, "epoch_slice");
-            ssp.set_shard(i as u32);
-            ssp.set_epoch(epoch);
-            if let Err((cause, at)) = self.write_epoch_slice(i, b, epoch) {
-                ssp.fail();
-                failed.push((i, cause, at));
-            }
-        }
+        });
 
         // Phase 3 — quarantine what failed, persist the losses to the
         // survivors, and flush. The loop re-runs when a survivor dies
@@ -989,28 +1047,30 @@ impl ShardedJournalSink {
                 // back.
                 let windows = self.absorb_windows(&mut new_lost);
                 let mask = self.dead_mask();
-                for &i in &live {
-                    let s = &self.shards[i];
-                    let mut w = s.writer.lock();
-                    let at = w.next_seq();
-                    let r = (|| {
-                        for txn in &redirect_seals {
-                            w.append_frame(FrameKind::RenameSeal, epoch, *txn, &[])?;
+                timed(&mut t.write_ns, || {
+                    for &i in &live {
+                        let s = &self.shards[i];
+                        let mut w = s.writer.lock();
+                        let at = w.next_seq();
+                        let r = (|| {
+                            for txn in &redirect_seals {
+                                w.append_frame(FrameKind::RenameSeal, epoch, *txn, &[])?;
+                            }
+                            w.append_quarantine(epoch, mask, &windows)
+                        })();
+                        s.gauges.log_bytes.store(w.position(), Ordering::Relaxed);
+                        drop(w);
+                        if let Err(cause) = r {
+                            failed.push((i, cause, at));
                         }
-                        w.append_quarantine(epoch, mask, &windows)
-                    })();
-                    s.gauges.log_bytes.store(w.position(), Ordering::Relaxed);
-                    drop(w);
-                    if let Err(cause) = r {
-                        failed.push((i, cause, at));
                     }
-                }
+                });
                 if !failed.is_empty() {
                     continue;
                 }
                 redirect_seals.clear();
             }
-            failed = self.flush_pass();
+            failed = timed(&mut t.flush_ns, || self.flush_pass());
             if failed.is_empty() {
                 // The loss event must be visible *before* the coverage
                 // mark: a concurrent syncer that sees the new

@@ -25,7 +25,10 @@ use crate::group_commit::ShardedJournalSink;
 /// `journal_recovery_ops_replayed` and
 /// `journal_recovery_skipped{class=...}` (gauges) — plus the epoch
 /// machinery (`journal_open_epoch`, `journal_sealed_epoch`), the
-/// quarantine gauges, and a per-shard family labeled `shard="i"`:
+/// commit-phase counters (`journal_commits_total` and
+/// `journal_commit_{cut,write,flush}_ns_total`, see
+/// [`crate::CommitPhases`]), the quarantine gauges, and a per-shard
+/// family labeled `shard="i"`:
 /// `journal_shard_log_bytes`, `journal_shard_sealed_epoch`,
 /// `journal_shard_epoch_lag`,
 /// `journal_shard_faults_total`, `journal_shard_retries_total`, and
@@ -101,6 +104,33 @@ pub fn register_sharded_journal_metrics(registry: &Registry, sink: &Arc<ShardedJ
         FnKind::Gauge,
         move || s.sealed_epoch() as f64,
     );
+    for (name, help, get) in [
+        (
+            "journal_commits_total",
+            "Group commits run by a sync leader or an explicit commit.",
+            (|p| p.commits) as fn(crate::CommitPhases) -> u64,
+        ),
+        (
+            "journal_commit_cut_ns_total",
+            "Nanoseconds commits spent cutting the epoch (transaction drain, buffer swap).",
+            |p| p.cut_ns,
+        ),
+        (
+            "journal_commit_write_ns_total",
+            "Nanoseconds commits spent encoding frames and writing their sectors.",
+            |p| p.write_ns,
+        ),
+        (
+            "journal_commit_flush_ns_total",
+            "Nanoseconds commits spent in device flush barriers.",
+            |p| p.flush_ns,
+        ),
+    ] {
+        let s = Arc::clone(sink);
+        registry.register_fn(name, &[], help, FnKind::Counter, move || {
+            get(s.commit_phases()) as f64
+        });
+    }
     let s = Arc::clone(sink);
     registry.register_fn(
         "journal_recovery_ops_replayed",
@@ -377,6 +407,32 @@ mod tests {
             .map(|&(lo, hi)| hi - lo)
             .sum();
         assert_eq!(width, expect);
+    }
+
+    #[test]
+    fn commit_phase_counters_advance_on_one_sync() {
+        use atomfs_vfs::fs::FileSystemExt;
+        let jfs = JournaledFs::create_sharded(Arc::new(Disk::new()), ShardConfig::with_shards(2));
+        let reg = Registry::new();
+        jfs.register_metrics(&reg);
+        let names = [
+            "journal_commits_total",
+            "journal_commit_cut_ns_total",
+            "journal_commit_write_ns_total",
+            "journal_commit_flush_ns_total",
+        ];
+        let read = || {
+            let snap = reg.snapshot();
+            names.map(|n| snap.gauge(n).unwrap_or_else(|| panic!("{n} missing")))
+        };
+        let before = read();
+        jfs.write_file("/f", &[7u8; 4096]).unwrap();
+        jfs.sync().unwrap();
+        let after = read();
+        assert_eq!(after[0], before[0] + 1.0, "one sync, one commit");
+        for (i, n) in names.iter().enumerate().skip(1) {
+            assert!(after[i] > before[i], "{n} did not advance");
+        }
     }
 
     #[test]

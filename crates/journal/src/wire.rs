@@ -24,6 +24,19 @@
 //! installs `new`. That precondition is what `FsState::apply_micro`
 //! checks with the full old bytes; length plus a 64-bit digest catches a
 //! mismatched base without logging it.
+//!
+//! # The checksum
+//!
+//! Both guards are [`checksum`]: the workspace's one word checksum
+//! ([`atomfs_vfs::checksum()`]) under the journal's own seed, so a server
+//! wire frame never verifies as a journal frame. On a page-sized write
+//! the commit sums the bytes twice — the old contents for the digest,
+//! then the whole frame — and recovery sums them again, so the sum runs
+//! eight independent lanes over 64-byte blocks instead of one chain of
+//! dependent multiplies. Frames shorter than a block (seals, most
+//! namespace batches) take the one-lane path. A change to the sum is a
+//! change of format: [`MAGIC`] names it, and older frames are refused
+//! by their header, not read.
 
 use atomfs_trace::{Inum, MicroOp};
 use atomfs_vfs::FileType;
@@ -216,45 +229,21 @@ fn decode_op(r: &mut Reader<'_>) -> Option<RedoOp> {
 /// a frame payload claims.
 const MIN_OP_BYTES: usize = 10;
 
-/// The frame checksum: an FNV-style multiply-xor absorbing 64-bit words
-/// (with a length fold and a splitmix64 finalizer) instead of single
-/// bytes. Byte-at-a-time FNV-1a was the single largest slice of the
-/// group-commit path — three dependent ops per byte — and a word-wise
-/// mix is ~8x faster at the same job. Every absorption step is bijective
-/// in the accumulator, so any single-bit flip provably changes the sum;
-/// the finalizer spreads the difference across all 64 output bits.
-///
-/// Only self-consistency matters: recovery verifies sums this same
-/// function produced. There is no cross-version log compatibility to
-/// preserve. It is also the digest a redo `SetData` keeps of the bytes
-/// it overwrote.
+/// Seed of the journal's [`checksum`]; the server's wire frames use
+/// another, so neither codec's bytes verify under the other.
+const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The frame checksum, and the digest a redo `SetData` keeps of the
+/// bytes it overwrote: [`atomfs_vfs::checksum()`] under the journal's
+/// seed. See the module docs.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    const M: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let w = u64::from_le_bytes(c.try_into().expect("8"));
-        h = (h ^ w).wrapping_mul(M);
-        h ^= h >> 29;
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut w = 0u64;
-        for (i, b) in rem.iter().enumerate() {
-            w |= u64::from(*b) << (8 * i);
-        }
-        h = (h ^ w).wrapping_mul(M);
-        h ^= h >> 29;
-    }
-    h ^= bytes.len() as u64;
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
+    atomfs_vfs::checksum(SEED, bytes)
 }
 
-/// Frame magic: "AJS3" little-endian. There is no reader for the
+/// Frame magic: "AJS4" little-endian (the 8-lane checksum; "AJS3"
+/// frames carried the one-lane sum). There is no reader for the
 /// earlier formats.
-pub const MAGIC: u32 = 0x33534a41;
+pub const MAGIC: u32 = 0x34534a41;
 
 /// Fixed frame header size:
 /// `MAGIC u32 | gen u32 | shard u16 | kind u8 | pad u8 | epoch u64 | seq u64 | txn u64 | payload_len u32`.
@@ -689,9 +678,9 @@ mod tests {
 
     #[test]
     fn previous_format_magic_is_not_a_frame() {
-        // An "AJS2" frame, otherwise well-formed and honestly checksummed.
+        // An "AJS3" frame, otherwise well-formed and honestly checksummed.
         let (mut bytes, _) = sample(FrameKind::Batch);
-        bytes[..4].copy_from_slice(&0x32534a41u32.to_le_bytes());
+        bytes[..4].copy_from_slice(&0x33534a41u32.to_le_bytes());
         let end = bytes.len() - 8;
         let sum = checksum(&bytes[..end]);
         bytes[end..].copy_from_slice(&sum.to_le_bytes());

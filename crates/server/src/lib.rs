@@ -5,7 +5,7 @@
 //! drive one file system instance and latency can be measured where a
 //! client actually observes it. The pieces:
 //!
-//! * [`wire`] — framed binary RPC protocol (wire v1): tagged,
+//! * [`wire`] — framed binary RPC protocol (wire v2): tagged,
 //!   checksummed frames with every length clamped before allocation.
 //! * [`server`] — accept loop and one thread per connection that reads,
 //!   executes and answers its own requests: per-connection FD tables on

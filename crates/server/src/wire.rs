@@ -1,4 +1,4 @@
-//! Framed binary RPC protocol, wire v1.
+//! Framed binary RPC protocol, wire v2.
 //!
 //! Both directions use the same frame shape, hand-rolled little-endian
 //! (no format crates in the dependency budget), mirroring the journal's
@@ -16,7 +16,14 @@
 //!   [`CODE_ERR`]) for responses.
 //! * `tag` is chosen by the client and echoed verbatim; responses to
 //!   pipelined requests complete in any order and are matched by tag.
-//! * `checksum` covers every preceding byte of the frame.
+//! * `checksum` covers every preceding byte of the frame. It is
+//!   [`checksum`], the workspace's one word checksum
+//!   ([`atomfs_vfs::checksum()`]) under the wire's own seed. Request
+//!   frames are mostly shorter than one 64-byte block and take its
+//!   one-lane path; `read`/`write` payloads run its eight lanes, so the
+//!   sum of a 4 KiB frame is not one chain of 512 dependent multiplies.
+//!   `version` names the checksum too: a peer that sums differently is
+//!   refused by its header, not by a mismatch.
 //!
 //! Decoding is strict: unknown codes, non-UTF-8 paths, trailing payload
 //! garbage, flag bits outside [`FLAG_MASK`], and any length or count a
@@ -31,8 +38,9 @@ use atomfs_vfs::{FileType, FsError, Metadata};
 pub const REQ_MAGIC: u32 = u32::from_le_bytes(*b"AFRQ");
 /// Response-frame magic: `"AFRS"` little-endian.
 pub const RSP_MAGIC: u32 = u32::from_le_bytes(*b"AFRS");
-/// Protocol version this module speaks.
-pub const VERSION: u8 = 1;
+/// Protocol version this module speaks: 2 since the 8-lane checksum
+/// (version 1 frames carried the one-lane sum and are refused).
+pub const VERSION: u8 = 2;
 /// Fixed byte length of the frame header (through `payload_len`).
 pub const HDR_LEN: usize = 4 + 1 + 1 + 8 + 4;
 /// Byte length of the checksum trailer.
@@ -63,27 +71,14 @@ pub const FLAG_APPEND: u8 = 1 << 4;
 /// All defined flag bits; a frame carrying any other bit is rejected.
 pub const FLAG_MASK: u8 = 0x1F;
 
-/// FNV-style multiply-xor checksum absorbing 64-bit words, finalized
-/// with an avalanche. Same family as the journal's record checksum;
-/// seeded differently so a journal record can never double as a frame.
+/// Seed of the wire [`checksum`]; the journal uses another, so a
+/// journal record can never double as a frame.
+const SEED: u64 = 0x5114_2b5c_9e1e_f00d;
+
+/// The frame checksum: [`atomfs_vfs::checksum()`] under the wire's seed.
+/// See the module docs.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    const M: u64 = 0x100_0000_01b3;
-    let mut h: u64 = 0x5114_2b5c_9e1e_f00d;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let w = u64::from_le_bytes(c.try_into().expect("8"));
-        h = (h ^ w).wrapping_mul(M);
-    }
-    let rest = chunks.remainder();
-    if !rest.is_empty() {
-        let mut w = [0u8; 8];
-        w[..rest.len()].copy_from_slice(rest);
-        h = (h ^ u64::from_le_bytes(w)).wrapping_mul(M);
-        h = h.wrapping_add(rest.len() as u64);
-    }
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
+    atomfs_vfs::checksum(SEED, bytes)
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -895,6 +890,19 @@ mod tests {
         let (tag2, _, n2) = decode_request_frame(&buf[n1..]).unwrap();
         assert_eq!((tag1, tag2), (1, 2));
         assert_eq!(n1 + n2, buf.len());
+    }
+
+    #[test]
+    fn previous_version_is_refused() {
+        // A version-1 frame, otherwise well-formed and honestly summed.
+        let mut buf = Vec::new();
+        encode_request_frame(&mut buf, 1, &Request::Sync.view());
+        buf[4] = 1;
+        let end = buf.len() - TRAILER_LEN;
+        let sum = checksum(&buf[..end]);
+        buf[end..].copy_from_slice(&sum.to_le_bytes());
+        assert!(decode_request_frame(&buf).is_none());
+        assert!(frame_size_hint(&buf, REQ_MAGIC).is_none());
     }
 
     #[test]

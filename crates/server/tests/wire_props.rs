@@ -13,6 +13,7 @@
 use atomfs_server::wire::{
     decode_request_frame, decode_response_frame, encode_request_frame, encode_response,
     frame_size_hint, Request, Response, FLAG_MASK, HDR_LEN, MAX_PAYLOAD, REQ_MAGIC, RSP_MAGIC,
+    VERSION,
 };
 use atomfs_vfs::rng::check_seeds;
 use atomfs_vfs::{FsError, Metadata, SplitMix64};
@@ -167,7 +168,7 @@ fn arbitrary_bytes_with_magic_prefix_never_panic() {
     check_seeds(CASES, |rng| {
         // Force the interesting path: a valid magic + version over garbage.
         let mut buf = REQ_MAGIC.to_le_bytes().to_vec();
-        buf.push(1); // VERSION
+        buf.push(VERSION);
         buf.extend_from_slice(&byte_vec(rng, 0..300));
         if let Some((_, _, total)) = decode_request_frame(&buf) {
             assert!(total <= buf.len());

@@ -8,11 +8,14 @@
 //! re-traversing the path, §5.4), a per-operation overhead shim used to model
 //! user/kernel crossing costs in the benchmarks, and a dentry cache used by
 //! the `ext4-sim` baseline. It also carries the workspace's one seeded
-//! PRNG, [`SplitMix64`], since every crate and test already depends on it.
+//! PRNG, [`SplitMix64`], since every crate and test already depends on it,
+//! and the one frame [`checksum()`] both binary codecs (journal records,
+//! server wire frames) seal their bytes with.
 //!
 //! Nothing in this crate knows about locking strategies or verification;
 //! those live in the `atomfs` and `crlh` crates respectively.
 
+pub mod checksum;
 pub mod dcache;
 pub mod error;
 pub mod fd;
@@ -22,6 +25,7 @@ pub mod overhead;
 pub mod path;
 pub mod rng;
 
+pub use checksum::checksum;
 pub use error::{FsError, FsResult};
 pub use fd::{Fd, FdTable, OpenOptions};
 pub use fs::{FileSystem, FileType, Metadata};
