@@ -30,7 +30,7 @@ use parking_lot::{Mutex, RwLock};
 use atomfs_vfs::path::normalize;
 use atomfs_vfs::{FileSystem, FileType, FsError, FsResult, Metadata};
 
-use crate::tree::TNode;
+use crate::tree::{self, TNode};
 
 const ROOT: u64 = 1;
 
@@ -297,27 +297,14 @@ impl FileSystem for RetryFs {
 
     fn write(&self, path: &str, offset: u64, data: &[u8]) -> FsResult<usize> {
         self.with_node(&normalize(path)?, |node| match node {
-            TNode::File(f) => {
-                if data.is_empty() {
-                    return Ok(0);
-                }
-                let end = offset as usize + data.len();
-                if f.len() < end {
-                    f.resize(end, 0);
-                }
-                f[offset as usize..end].copy_from_slice(data);
-                Ok(data.len())
-            }
+            TNode::File(f) => tree::write_bytes(f, offset, data),
             TNode::Dir(_) => Err(FsError::IsDir),
         })
     }
 
     fn truncate(&self, path: &str, size: u64) -> FsResult<()> {
         self.with_node(&normalize(path)?, |node| match node {
-            TNode::File(f) => {
-                f.resize(size as usize, 0);
-                Ok(())
-            }
+            TNode::File(f) => tree::truncate_bytes(f, size),
             TNode::Dir(_) => Err(FsError::IsDir),
         })
     }

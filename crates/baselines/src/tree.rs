@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 
+use atomfs::blocks::MAX_FILE_SIZE;
 use atomfs_vfs::{FileType, FsError, FsResult, Metadata};
 
 /// Inode id within a [`Tree`].
@@ -260,17 +261,7 @@ impl Tree {
     pub fn write(&mut self, comps: &[String], offset: u64, data: &[u8]) -> FsResult<usize> {
         let id = self.resolve(comps)?;
         match self.map.get_mut(&id).expect("resolved") {
-            TNode::File(f) => {
-                if data.is_empty() {
-                    return Ok(0);
-                }
-                let end = offset as usize + data.len();
-                if f.len() < end {
-                    f.resize(end, 0);
-                }
-                f[offset as usize..end].copy_from_slice(data);
-                Ok(data.len())
-            }
+            TNode::File(f) => write_bytes(f, offset, data),
             TNode::Dir(_) => Err(FsError::IsDir),
         }
     }
@@ -279,13 +270,36 @@ impl Tree {
     pub fn truncate(&mut self, comps: &[String], size: u64) -> FsResult<()> {
         let id = self.resolve(comps)?;
         match self.map.get_mut(&id).expect("resolved") {
-            TNode::File(f) => {
-                f.resize(size as usize, 0);
-                Ok(())
-            }
+            TNode::File(f) => truncate_bytes(f, size),
             TNode::Dir(_) => Err(FsError::IsDir),
         }
     }
+}
+
+/// Write `data` into a file's bytes at `offset`, zero-filling any hole,
+/// under AtomFS's maximum file size.
+pub(crate) fn write_bytes(f: &mut Vec<u8>, offset: u64, data: &[u8]) -> FsResult<usize> {
+    if data.is_empty() {
+        return Ok(0);
+    }
+    let end = offset
+        .checked_add(data.len() as u64)
+        .filter(|&end| end <= MAX_FILE_SIZE)
+        .ok_or(FsError::FileTooBig)? as usize;
+    if f.len() < end {
+        f.resize(end, 0);
+    }
+    f[offset as usize..end].copy_from_slice(data);
+    Ok(data.len())
+}
+
+/// Resize a file's bytes under AtomFS's maximum file size.
+pub(crate) fn truncate_bytes(f: &mut Vec<u8>, size: u64) -> FsResult<()> {
+    if size > MAX_FILE_SIZE {
+        return Err(FsError::FileTooBig);
+    }
+    f.resize(size as usize, 0);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //!   raw `emit` is the repo benchmark's `trace.emit_ns_per_event`; a
 //!   real fs op emits several events around real locking, so the
 //!   op-driven rate is what a production pump must match).
-//! * **pumped** — a consuming [`TailCursor`] + [`StreamChecker`] (full
+//! * **pumped** — a consuming [`TailCursor`](atomfs_trace::TailCursor) + [`StreamChecker`] (full
 //!   config: helpers, invariants, relation at unlock) drains the sink
 //!   while the storm runs, exactly like the server's `CheckerPump`. The
 //!   pump rate is total events over the time until the *checker* has

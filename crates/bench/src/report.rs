@@ -83,8 +83,8 @@ const BATCH_TARGET: Duration = Duration::from_millis(4);
 
 /// Time `f` and append a `group, case, ns/iter, units/s` row to `t`
 /// (a table built with [`TIMING_HEADER`]). The batch size doubles until
-/// one batch takes [`BATCH_TARGET`] (which also warms caches); then
-/// [`TIMED_BATCHES`] batches are timed and the median per-call time is
+/// one batch takes `BATCH_TARGET` (which also warms caches); then
+/// `TIMED_BATCHES` batches are timed and the median per-call time is
 /// reported. `units` is the work one call does — operations, bytes or
 /// events — so the last column is its throughput.
 pub fn time_case<R>(t: &mut Table, group: &str, case: &str, units: u64, mut f: impl FnMut() -> R) {

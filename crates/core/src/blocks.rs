@@ -24,6 +24,10 @@ pub const BLOCK_SIZE: usize = 4096;
 /// i.e. a maximum file size of 64 MiB.
 pub const MAX_BLOCKS_PER_FILE: usize = 16 * 1024;
 
+/// Maximum file size in bytes: a write ending past it, or a truncate to
+/// beyond it, fails with `EFBIG`.
+pub const MAX_FILE_SIZE: u64 = (MAX_BLOCKS_PER_FILE * BLOCK_SIZE) as u64;
+
 /// Blocks per lazily-allocated chunk.
 const CHUNK_BLOCKS: usize = 1024;
 

@@ -10,47 +10,24 @@
 
 use atomfs_vfs::{FileType, FsError, FsResult};
 
-use crate::blocks::{BlockIdx, BlockStore, BLOCK_SIZE, MAX_BLOCKS_PER_FILE};
+use crate::blocks::{BlockIdx, BlockStore, BLOCK_SIZE, MAX_FILE_SIZE};
 
 /// File contents: a size plus a bounded index array into the block store.
 ///
 /// The paper describes "a fixed-size array of indexes for file data
 /// storage" (§6); the array here grows on demand but is capped at
-/// [`MAX_BLOCKS_PER_FILE`], preserving the fixed maximum file size while
+/// [`MAX_FILE_SIZE`] bytes, preserving the fixed maximum file size while
 /// not charging every small file the full array.
 #[derive(Debug, Default)]
 pub struct FileData {
     size: u64,
     blocks: Vec<BlockIdx>,
-    /// Open inode handles pinning this file (§5.4 extension).
-    handles: u32,
-    /// Set when the file was unlinked while pinned; the last handle close
-    /// frees the data.
-    unlinked: bool,
 }
 
 impl FileData {
     /// Current size in bytes.
     pub fn size(&self) -> u64 {
         self.size
-    }
-
-    /// Number of open inode handles pinning this file.
-    pub fn handle_count(&self) -> u32 {
-        self.handles
-    }
-
-    pub(crate) fn set_handles(&mut self, n: u32) {
-        self.handles = n;
-    }
-
-    /// Whether the file was unlinked while handles were open.
-    pub fn is_unlinked(&self) -> bool {
-        self.unlinked
-    }
-
-    pub(crate) fn set_unlinked(&mut self, v: bool) {
-        self.unlinked = v;
     }
 
     /// Number of blocks currently referenced.
@@ -83,10 +60,10 @@ impl FileData {
         if data.is_empty() {
             return Ok(0);
         }
-        let end = offset as usize + data.len();
-        if end > MAX_BLOCKS_PER_FILE * BLOCK_SIZE {
-            return Err(FsError::FileTooBig);
-        }
+        let end = offset
+            .checked_add(data.len() as u64)
+            .filter(|&end| end <= MAX_FILE_SIZE)
+            .ok_or(FsError::FileTooBig)? as usize;
         let blocks_needed = end.div_ceil(BLOCK_SIZE);
         while self.blocks.len() < blocks_needed {
             // New blocks come zeroed, which implements hole filling.
@@ -107,7 +84,7 @@ impl FileData {
 
     /// Set the size, truncating (freeing blocks) or zero-extending.
     pub fn truncate(&mut self, store: &BlockStore, size: u64) -> FsResult<()> {
-        if size as usize > MAX_BLOCKS_PER_FILE * BLOCK_SIZE {
+        if size > MAX_FILE_SIZE {
             return Err(FsError::FileTooBig);
         }
         if size < self.size {
@@ -284,9 +261,11 @@ mod tests {
     fn file_too_big_rejected() {
         let s = store();
         let mut f = FileData::default();
-        let max = (MAX_BLOCKS_PER_FILE * BLOCK_SIZE) as u64;
-        assert_eq!(f.write(&s, max, b"x"), Err(FsError::FileTooBig));
-        assert_eq!(f.truncate(&s, max + 1), Err(FsError::FileTooBig));
+        assert_eq!(f.write(&s, MAX_FILE_SIZE, b"x"), Err(FsError::FileTooBig));
+        // The end offset would wrap past `u64::MAX`.
+        assert_eq!(f.write(&s, u64::MAX - 1, b"xy"), Err(FsError::FileTooBig));
+        assert_eq!(f.truncate(&s, MAX_FILE_SIZE + 1), Err(FsError::FileTooBig));
+        assert_eq!(f.size(), 0);
     }
 
     #[test]

@@ -54,7 +54,6 @@
 pub mod blocks;
 pub mod fastdir;
 pub mod fs;
-pub mod handles;
 pub mod inode;
 pub mod metrics;
 pub mod ops;
@@ -64,7 +63,6 @@ pub mod walk;
 
 pub use atomfs_trace::{Inum, ROOT_INUM};
 pub use fs::{AtomFs, AtomFsConfig};
-pub use handles::Handle;
 pub use metrics::{FsMetrics, LockClass, OpKind, DEFAULT_OP_SAMPLE};
 
 #[cfg(test)]

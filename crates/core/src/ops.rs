@@ -8,7 +8,7 @@
 //! 2. `Lock`/`Unlock` events for the lock-coupling walk — or one
 //!    `OptValidate { chain, locked, ok }` per optimistic attempt, whose
 //!    `ok: true` also announces the fast-path lock when `locked`
-//!    (see [`crate::optwalk`]);
+//!    (see the `optwalk` module);
 //! 3. `Mutate` events for each inode-granularity change, emitted inside
 //!    the critical section;
 //! 4. exactly one `Lp` event, emitted **at the instant the outcome is
@@ -276,39 +276,45 @@ impl AtomFs {
         });
         self.emit(|| Event::Lp { tid });
         self.unlock(tid, p);
-        // Free the victim's storage while still holding its lock (the
-        // paper's `free(node)`), then release and recycle the inode. The
-        // clear is itself a mutation: reporting it keeps every recorded
-        // effect invertible, which the roll-back mechanism requires.
-        // With open inode handles (§5.4 extension, untraced instances
-        // only) the clear is deferred to the last handle close.
-        let traced = self.is_traced();
-        let old = (traced && c.as_file().is_ok())
-            .then(|| c.as_file().expect("checked").snapshot(&self.store));
-        c.touch();
-        let cleared_now = crate::handles::release_or_defer(&mut c.guard, &self.store);
-        if cleared_now {
-            if let Some(old) = old.filter(|o| !o.is_empty()) {
-                self.emit(|| Event::Mutate {
-                    tid,
-                    mop: MicroOp::SetData {
-                        ino: child_ino,
-                        old,
-                        new: Vec::new(),
-                    },
-                });
-            }
-        }
-        self.emit(|| Event::Mutate {
-            tid,
-            mop: MicroOp::Remove {
-                ino: child_ino,
-                ftype: cftype,
-            },
-        });
+        // Free the victim while still holding its lock, then release and
+        // recycle the inode.
+        self.free_victim(tid, &mut c);
         self.unlock(tid, c);
         self.table.free(child_ino);
         Ok(())
+    }
+
+    /// Free a victim that its parent no longer names — the paper's
+    /// `free(node)`, shared by `unlink`/`rmdir` and `rename` over an
+    /// existing destination. `v` stays locked; the caller unlocks it and
+    /// recycles the inode. The clear is itself a mutation: reporting it
+    /// (a `SetData` to empty for a non-empty file, before the `Remove`)
+    /// keeps every recorded effect invertible, which the checker's
+    /// roll-back requires.
+    fn free_victim(&self, tid: Tid, v: &mut Locked) {
+        let (ino, ftype) = (v.ino, v.ftype());
+        let old = match v.as_file() {
+            Ok(f) if self.is_traced() => Some(f.snapshot(&self.store)),
+            _ => None,
+        };
+        v.touch();
+        if let Ok(f) = v.guard.as_file_mut() {
+            f.clear(&self.store);
+        }
+        if let Some(old) = old.filter(|o| !o.is_empty()) {
+            self.emit(|| Event::Mutate {
+                tid,
+                mop: MicroOp::SetData {
+                    ino,
+                    old,
+                    new: Vec::new(),
+                },
+            });
+        }
+        self.emit(|| Event::Mutate {
+            tid,
+            mop: MicroOp::Remove { ino, ftype },
+        });
     }
 
     fn rename_inner(&self, tid: Tid, src: &[&str], dst: &[&str]) -> FsResult<()> {
@@ -462,38 +468,15 @@ impl AtomFs {
             let removed = ddir.as_mut().unwrap_or(&mut sdir).dir_remove(dn);
             debug_assert_eq!(removed, Some(d.ino));
             debug_assert!(ddir.as_ref().unwrap_or(&sdir).slot.seq_read() % 2 == 1);
-            let (dino, dft) = (d.ino, d.ftype());
             self.emit(|| Event::Mutate {
                 tid,
                 mop: MicroOp::Del {
                     parent: ddir_ino,
                     name: dn.to_string(),
-                    child: dino,
+                    child: d.ino,
                 },
             });
-            let traced = self.is_traced();
-            let old = (traced && d.as_file().is_ok())
-                .then(|| d.as_file().expect("checked").snapshot(&self.store));
-            d.touch();
-            if crate::handles::release_or_defer(&mut d.guard, &self.store) {
-                if let Some(old) = old.filter(|o| !o.is_empty()) {
-                    self.emit(|| Event::Mutate {
-                        tid,
-                        mop: MicroOp::SetData {
-                            ino: dino,
-                            old,
-                            new: Vec::new(),
-                        },
-                    });
-                }
-            }
-            self.emit(|| Event::Mutate {
-                tid,
-                mop: MicroOp::Remove {
-                    ino: dino,
-                    ftype: dft,
-                },
-            });
+            self.free_victim(tid, &mut d);
             dnode_freed = Some(d);
         }
         let removed = sdir.dir_remove(sn);

@@ -69,7 +69,7 @@ impl InodeSlot {
     }
 
     /// Lock the contents (convenience for non-coupled single-inode
-    /// access; the walker uses `lock_arc` on [`InodeSlot::data`]).
+    /// access; the walker uses `lock_arc` on `InodeSlot::data`).
     pub fn lock(&self) -> MutexGuard<'_, InodeData> {
         self.data.lock()
     }

@@ -98,17 +98,67 @@ mod remove {
         assert_eq!(fs.unlink("/f"), Err(FsError::NotFound));
     }
 
+    /// Both callers of the victim free — `unlink` and `rename` over an
+    /// existing file — release exactly the victim's inode and blocks. The
+    /// traced rows pin the free's events after the victim's `Del`: the
+    /// clear of its bytes (`SetData` to empty), then its `Remove`.
     #[test]
-    fn unlink_frees_inode_and_blocks() {
-        let fs = fs();
-        fs.mknod("/f").unwrap();
-        fs.write("/f", 0, &vec![1u8; 10_000]).unwrap();
-        let live = fs.live_inodes();
-        let blocks = fs.allocated_blocks();
-        assert!(blocks >= 3);
-        fs.unlink("/f").unwrap();
-        assert_eq!(fs.live_inodes(), live - 1);
-        assert_eq!(fs.allocated_blocks(), 0);
+    fn victim_free_releases_inode_and_blocks() {
+        use atomfs_trace::{MicroOp, TraceSink};
+        type Op = fn(&AtomFs) -> atomfs_vfs::FsResult<()>;
+        let rows: [(&str, Op); 2] = [
+            ("unlink", |fs| fs.unlink("/victim")),
+            ("rename", |fs| fs.rename("/survivor", "/victim")),
+        ];
+        for (name, remove) in rows {
+            for traced in [false, true] {
+                let sink = Arc::new(BufferSink::new());
+                let fs = if traced {
+                    AtomFs::traced(Arc::clone(&sink) as Arc<dyn TraceSink>)
+                } else {
+                    fs()
+                };
+                fs.mknod("/survivor").unwrap();
+                fs.write("/survivor", 0, b"kept").unwrap();
+                let survivor_blocks = fs.allocated_blocks();
+                fs.mknod("/victim").unwrap();
+                fs.write("/victim", 0, &vec![1u8; 10_000]).unwrap();
+                let victim = fs.stat("/victim").unwrap().ino;
+                let live = fs.live_inodes();
+                assert!(fs.allocated_blocks() >= survivor_blocks + 3);
+                sink.take();
+
+                remove(&fs).unwrap();
+                assert_eq!(fs.live_inodes(), live - 1, "{name}");
+                assert_eq!(fs.allocated_blocks(), survivor_blocks, "{name}");
+                let mops: Vec<MicroOp> = sink
+                    .take()
+                    .into_iter()
+                    .filter_map(|e| match e {
+                        Event::Mutate { mop, .. } => Some(mop),
+                        _ => None,
+                    })
+                    .collect();
+                if !traced {
+                    assert!(mops.is_empty());
+                    continue;
+                }
+                let del = mops
+                    .iter()
+                    .position(|m| matches!(m, MicroOp::Del { child, .. } if *child == victim))
+                    .unwrap_or_else(|| panic!("{name}: no Del of the victim"));
+                assert!(
+                    matches!(&mops[del + 1], MicroOp::SetData { ino, old, new }
+                        if *ino == victim && old.len() == 10_000 && new.is_empty()),
+                    "{name}: {mops:?}"
+                );
+                assert!(
+                    matches!(&mops[del + 2], MicroOp::Remove { ino, ftype: FileType::File }
+                        if *ino == victim),
+                    "{name}: {mops:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,12 +15,12 @@
 //! point, which is what makes concurrent renames deadlock-free: any wait
 //! chain descends the tree.
 //!
-//! The optimistic fast path (see [`crate::optwalk`]) replaces the lock
+//! The optimistic fast path (see the `optwalk` module) replaces the lock
 //! handoffs with seqlock validation; this module remains the pessimistic
 //! slow path every fast-path failure falls back to, and supplies the
-//! [`Locked`] guard both paths mutate through. `Locked` maintains the
+//! `Locked` guard both paths mutate through. `Locked` maintains the
 //! seqlock write window: the first mutable access flips the inode's seq
-//! odd, and [`AtomFs::unlock`] republishes the packed metadata and flips
+//! odd, and `AtomFs::unlock` republishes the packed metadata and flips
 //! it even again *before* releasing the mutex — so lockless readers can
 //! never validate across a half-finished critical section.
 //!

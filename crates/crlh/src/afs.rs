@@ -24,7 +24,7 @@ use atomfs_vfs::{FileType, FsError};
 use crate::state::{FsState, Node, StateView};
 
 /// The maximum file size shared with the concrete AtomFS
-/// (`MAX_BLOCKS_PER_FILE * BLOCK_SIZE` = 16384 × 4096 bytes). An
+/// (`atomfs::blocks::MAX_FILE_SIZE` = 16384 × 4096 bytes). An
 /// integration test asserts the two constants agree.
 ///
 /// Note: the abstract state is otherwise *unbounded* — it models no
@@ -383,10 +383,12 @@ fn write_spec<S: StateView + ?Sized>(
                 // The concrete write returns early without mutating.
                 return (Vec::new(), OpRet::Written(0));
             }
-            let end = offset + data.len() as u64;
-            if end > MAX_FILE_SIZE {
+            let Some(end) = offset
+                .checked_add(data.len() as u64)
+                .filter(|&end| end <= MAX_FILE_SIZE)
+            else {
                 return err(FsError::FileTooBig);
-            }
+            };
             let mut new = f.clone();
             if new.len() < end as usize {
                 new.resize(end as usize, 0);

@@ -1,5 +1,5 @@
 //! Streaming (bounded-window) CRL-H checking — the always-on edition of
-//! [`LpChecker`](crate::checker::LpChecker).
+//! [`LpChecker`].
 //!
 //! The offline flow buffers a complete trace and replays it at a
 //! quiescent point, so both the buffered trace and the checker's
@@ -17,8 +17,7 @@
 //! It does not narrate: the violations and that ring are what a failed
 //! run reports, and a transcript would cost a formatted line per event.
 //! Memory is therefore proportional to the in-flight window, not the
-//! trace — [`RetainedState`](crate::checker::RetainedState) measures
-//! this and `benches`/CI enforce it.
+//! trace — [`RetainedState`] measures this and `benches`/CI enforce it.
 //!
 //! # Cost per event
 //!

@@ -416,10 +416,55 @@ fn wgl_cross_validation_on_small_histories() {
 /// The abstract spec and the concrete FS agree on the maximum file size.
 #[test]
 fn max_file_size_constants_agree() {
-    assert_eq!(
-        crlh::afs::MAX_FILE_SIZE,
-        (atomfs::blocks::MAX_BLOCKS_PER_FILE * atomfs::blocks::BLOCK_SIZE) as u64
-    );
+    assert_eq!(crlh::afs::MAX_FILE_SIZE, atomfs::blocks::MAX_FILE_SIZE);
+}
+
+/// Writes and truncates past the maximum file size — one of them at an
+/// offset whose end wraps `u64` — fail with `EFBIG` concretely and in the
+/// abstract spec alike.
+#[test]
+fn file_size_bound_checks_clean() {
+    let max = crlh::afs::MAX_FILE_SIZE;
+    let sink = Arc::new(BufferSink::new());
+    let fs = AtomFs::traced(sink.clone() as Arc<dyn TraceSink>);
+    fs.mknod("/f").unwrap();
+    fs.write("/f", 0, b"head").unwrap();
+    for offset in [max - 1, max, u64::MAX - 1] {
+        assert_eq!(
+            fs.write("/f", offset, b"xy"),
+            Err(FsError::FileTooBig),
+            "offset {offset}"
+        );
+    }
+    assert_eq!(fs.truncate("/f", max + 1), Err(FsError::FileTooBig));
+    assert_eq!(fs.stat("/f").unwrap().size, 4);
+    LpChecker::check(strict(), &sink.take()).assert_ok();
+}
+
+/// Both callers of the victim free — `unlink` and `rename` over an
+/// existing non-empty file — record effects the checker replays: each
+/// drops one inode and returns the store to the survivor's blocks.
+#[test]
+fn victim_frees_check_clean() {
+    type Op = fn(&AtomFs) -> atomfs_vfs::FsResult<()>;
+    let rows: [(&str, Op); 2] = [
+        ("unlink", |fs| fs.unlink("/victim")),
+        ("rename", |fs| fs.rename("/survivor", "/victim")),
+    ];
+    for (name, remove) in rows {
+        let sink = Arc::new(BufferSink::new());
+        let fs = AtomFs::traced(sink.clone() as Arc<dyn TraceSink>);
+        fs.mknod("/survivor").unwrap();
+        fs.write("/survivor", 0, b"kept").unwrap();
+        let survivor_blocks = fs.allocated_blocks();
+        fs.mknod("/victim").unwrap();
+        fs.write("/victim", 0, &vec![1u8; 10_000]).unwrap();
+        let live = fs.live_inodes();
+        remove(&fs).unwrap();
+        assert_eq!(fs.live_inodes(), live - 1, "{name}");
+        assert_eq!(fs.allocated_blocks(), survivor_blocks, "{name}");
+        LpChecker::check(strict(), &sink.take()).assert_ok();
+    }
 }
 
 /// Sanity for the scripted-interleaving machinery itself: a parked thread

@@ -1,6 +1,6 @@
 //! Bridge the journal's health state into an `atomfs_obs::Registry`.
 //!
-//! The journal already owns its counters ([`HealthCounters`] is shared
+//! The journal already owns its counters ([`HealthCounters`](crate::health::HealthCounters) is shared
 //! between the log writer and the mount), so rather than moving them the
 //! bridge registers **callback metrics**: closures over the sink's `Arc`s
 //! that are evaluated at render/snapshot time. One registry can therefore

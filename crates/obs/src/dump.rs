@@ -5,7 +5,7 @@
 //! violation, recovery that licensed loss) call [`trigger`] with a
 //! [`TriggerCause`]. The trigger freezes the flight recorder, copies the
 //! live span stacks, optionally snapshots a registered metrics
-//! [`Registry`](crate::Registry), attaches the caller's health report,
+//! [`Registry`], attaches the caller's health report,
 //! and retains the whole capture as a [`BlackBox`] — the last
 //! [`MAX_RETAINED`] captures are kept in memory for a supervisor (or a
 //! test) to [`drain`]. Each capture serializes two ways:

@@ -1,7 +1,7 @@
 //! The flight recorder: a fixed-budget, always-on ring of recently
 //! completed spans.
 //!
-//! Completed [`SpanRecord`](crate::span::SpanRecord)s are written into
+//! Completed [`SpanRecord`]s are written into
 //! one of a small set of lock-free rings (one per thread slot, the same
 //! round-robin slots the sharded metrics use). Each ring holds the last
 //! [`RING_CAP`] records for its slot and overwrites the oldest — so at

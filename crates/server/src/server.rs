@@ -482,7 +482,7 @@ pub fn serve<F: FileSystem + 'static>(
 /// the same listener, the checker's `crlh_stream_*` gauges land on
 /// `registry` when one is given, and
 /// [`Server::shutdown_checked`] returns the final
-/// [`CheckReport`](crlh::CheckReport).
+/// [`CheckReport`].
 pub fn serve_checked<F: FileSystem + 'static>(
     fs: Arc<F>,
     registry: Option<Arc<Registry>>,

@@ -112,6 +112,73 @@ fn differential_long_run() {
     diff_all(777, 3000);
 }
 
+/// Writes and truncates at the maximum file size and past it, including
+/// offsets whose end wraps `u64`.
+fn bound_script(fs: &dyn FileSystem) -> Vec<R> {
+    const MAX: u64 = atomfs::blocks::MAX_FILE_SIZE;
+    let f = "/d0/big";
+    let stat = |fs: &dyn FileSystem| R::Stat(fs.stat(f).map(|m| (m.ftype.is_dir(), m.size)));
+    let mut out = vec![R::Unit(fs.mknod(f))];
+    for offset in [MAX - 1, MAX, u64::MAX - 1] {
+        out.push(R::Len(fs.write(f, offset, b"x")));
+        out.push(R::Len(fs.write(f, offset, b"xy")));
+        out.push(stat(fs));
+    }
+    let mut buf = [0u8; 4];
+    out.push(R::Data(
+        fs.read(f, MAX - 1, &mut buf).map(|n| buf[..n].to_vec()),
+    ));
+    for size in [MAX + 1, u64::MAX, 2] {
+        out.push(R::Unit(fs.truncate(f, size)));
+        out.push(stat(fs));
+    }
+    out
+}
+
+#[test]
+fn differential_file_size_bound() {
+    use FsError::FileTooBig as Big;
+    const MAX: u64 = atomfs::blocks::MAX_FILE_SIZE;
+    let at_max = R::Stat(Ok((false, MAX)));
+    let expected = {
+        let oracle = SeqFs::new();
+        setup(&oracle);
+        bound_script(&oracle)
+    };
+    assert_eq!(
+        expected,
+        vec![
+            R::Unit(Ok(())),
+            R::Len(Ok(1)),
+            R::Len(Err(Big)),
+            at_max.clone(),
+            R::Len(Err(Big)),
+            R::Len(Err(Big)),
+            at_max.clone(),
+            R::Len(Err(Big)),
+            R::Len(Err(Big)),
+            at_max.clone(),
+            R::Data(Ok(b"x".to_vec())),
+            R::Unit(Err(Big)),
+            at_max.clone(),
+            R::Unit(Err(Big)),
+            at_max,
+            R::Unit(Ok(())),
+            R::Stat(Ok((false, 2))),
+        ],
+        "SeqFs at the file-size bound"
+    );
+    // One candidate at a time: each holds a maximum-size file.
+    let check = |name: &str, fs: &dyn FileSystem| {
+        setup(fs);
+        assert_eq!(bound_script(fs), expected, "{name} vs oracle");
+    };
+    check("atomfs", &AtomFs::new());
+    check("retryfs", &RetryFs::new());
+    check("rwtreefs", &RwTreeFs::new());
+    check("biglock", &BigLockFs::new(AtomFs::new()));
+}
+
 #[test]
 fn differential_rename_heavy() {
     // A rename-dominated script stresses the trickiest error precedence.

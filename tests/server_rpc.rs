@@ -56,6 +56,11 @@ fn every_operation_roundtrips_with_posix_errors() {
     assert_eq!(fs.mkdir("/d"), Err(FsError::Exists));
     assert_eq!(fs.rmdir("/d"), Err(FsError::NotEmpty));
     assert_eq!(fs.unlink("/d"), Err(FsError::IsDir));
+    // A write whose end offset wraps `u64` is refused, not a worker panic.
+    assert_eq!(
+        fs.write("/d/g", u64::MAX - 1, b"xy"),
+        Err(FsError::FileTooBig)
+    );
     fs.unlink("/d/g").unwrap();
     fs.rmdir("/d").unwrap();
 
@@ -64,6 +69,10 @@ fn every_operation_roundtrips_with_posix_errors() {
         .open("/h", FLAG_READ | FLAG_WRITE | FLAG_CREATE)
         .unwrap();
     assert_eq!(client.pwrite(fd, 0, b"fd-data").unwrap(), 7);
+    assert_eq!(
+        client.pwrite(fd, u64::MAX - 1, b"xy"),
+        Err(FsError::FileTooBig)
+    );
     assert_eq!(client.pread(fd, 3, 4).unwrap(), b"data");
     client.close_fd(fd).unwrap();
     assert_eq!(client.close_fd(fd), Err(FsError::BadFd));
