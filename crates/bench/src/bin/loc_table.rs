@@ -102,16 +102,16 @@ fn main() {
 
     println!("\nWhole-workspace inventory (non-blank, non-comment lines):");
     let mut t2 = Table::new(&["crate", "lines"]);
-    for c in [
-        "crates/vfs",
-        "crates/trace",
-        "crates/core",
-        "crates/crlh",
-        "crates/baselines",
-        "crates/workloads",
-        "crates/bench",
-    ] {
-        t2.row(vec![c.into(), d(c).to_string()]);
+    // Every crate directory, so a new crate cannot drop out of the count.
+    let mut crates: Vec<String> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/ directory")
+        .flatten()
+        .filter(|e| e.path().is_dir())
+        .map(|e| format!("crates/{}", e.file_name().to_string_lossy()))
+        .collect();
+    crates.sort();
+    for c in crates {
+        t2.row(vec![c.clone(), d(&c).to_string()]);
     }
     t2.row(vec!["tests/".into(), d("tests").to_string()]);
     t2.row(vec!["examples/".into(), d("examples").to_string()]);

@@ -30,11 +30,6 @@ impl FileData {
         self.size
     }
 
-    /// Number of blocks currently referenced.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Read up to `buf.len()` bytes at `offset`; returns bytes read.
     pub fn read(&self, store: &BlockStore, offset: u64, buf: &mut [u8]) -> usize {
         if offset >= self.size {

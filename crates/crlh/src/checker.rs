@@ -605,11 +605,6 @@ impl LpChecker {
         &self.stats
     }
 
-    /// Events processed so far.
-    pub fn events_processed(&self) -> usize {
-        self.idx
-    }
-
     /// Measure the replay state currently held. On a clean trace every
     /// component retires on its own — descriptors at `OpEnd`, effect
     /// logs and Helplist entries at discharge, locks at unlock — so

@@ -246,12 +246,6 @@ pub struct ShardedJournalSink {
     /// instead of queueing to run their own redundant commit.
     commit_gen: Mutex<u64>,
     commit_cv: Condvar,
-    /// Rendezvous gauges: syncs that led a commit, syncs that parked
-    /// behind one, and syncs a concurrent commit covered entirely (the
-    /// absorption ratio is the group in group commit).
-    gc_leads: AtomicU64,
-    gc_parks: AtomicU64,
-    gc_absorbed: AtomicU64,
     /// Commit-phase totals; only the commit-lock holder adds to them.
     phases: Mutex<CommitPhases>,
     health: Mutex<Health>,
@@ -340,9 +334,6 @@ impl ShardedJournalSink {
             commit_lock: Arc::new(Mutex::new(())),
             commit_gen: Mutex::new(0),
             commit_cv: Condvar::new(),
-            gc_leads: AtomicU64::new(0),
-            gc_parks: AtomicU64::new(0),
-            gc_absorbed: AtomicU64::new(0),
             phases: Mutex::new(CommitPhases::default()),
             health: Mutex::new(Health::Healthy),
             degraded: AtomicBool::new(false),
@@ -392,17 +383,6 @@ impl ShardedJournalSink {
     /// Highest epoch durable on all shards (0 before the first commit).
     pub fn sealed_epoch(&self) -> u64 {
         self.sealed_epoch.load(Ordering::Relaxed)
-    }
-
-    /// Rendezvous gauges: `(leads, parks, absorbed)` — syncs that ran a
-    /// commit, syncs that parked behind an in-flight one, and syncs that
-    /// returned because a concurrent commit already covered their stamps.
-    pub fn group_commit_stats(&self) -> (u64, u64, u64) {
-        (
-            self.gc_leads.load(Ordering::Relaxed),
-            self.gc_parks.load(Ordering::Relaxed),
-            self.gc_absorbed.load(Ordering::Relaxed),
-        )
     }
 
     /// Commit-phase totals since the mount (see [`CommitPhases`]).
@@ -799,7 +779,6 @@ impl ShardedJournalSink {
         // fastest of them leads the next cut, which covers the rest.
         let loss0 = self.loss_seq.load(Ordering::Acquire);
         let target = self.stamp.load(Ordering::Acquire);
-        let mut led = false;
         loop {
             if self.sealed_stamp.load(Ordering::Acquire) >= target {
                 // errseq re-check: a quarantine event since entry means
@@ -811,9 +790,6 @@ impl ShardedJournalSink {
                 if self.loss_seq.load(Ordering::Acquire) != loss0 {
                     return Err(self.loss_cause.lock().unwrap_or(DiskError::Gone));
                 }
-                if !led {
-                    self.gc_absorbed.fetch_add(1, Ordering::Relaxed);
-                }
                 return Ok(());
             }
             if self.degraded.load(Ordering::Relaxed) {
@@ -823,8 +799,6 @@ impl ShardedJournalSink {
             }
             match self.elect() {
                 Some(guard) => {
-                    led = true;
-                    self.gc_leads.fetch_add(1, Ordering::Relaxed);
                     self.batching_window();
                     let result = self.commit_locked(false);
                     drop(guard);
@@ -840,7 +814,6 @@ impl ShardedJournalSink {
                     if self.commit_lock.is_locked()
                         && self.sealed_stamp.load(Ordering::Acquire) < target
                     {
-                        self.gc_parks.fetch_add(1, Ordering::Relaxed);
                         self.commit_cv.wait(&mut gen);
                     }
                 }

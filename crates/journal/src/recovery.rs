@@ -41,6 +41,7 @@
 
 use atomfs_obs::dump::{self, TriggerCause};
 use atomfs_obs::{Span, SpanKind};
+use atomfs_vfs::frame;
 use crlh::state::{FsState, Node, StateError};
 
 use crate::device::{Disk, SECTOR_SIZE};
@@ -183,15 +184,9 @@ pub fn scan_shard(disk: &Disk, shard: usize, cfg: &ShardConfig) -> ShardScan {
         if bytes[pos..pos + 4] != MAGIC.to_le_bytes() {
             break;
         }
-        let payload_len = u32::from_le_bytes(
-            bytes[pos + FRAME_HEADER - 4..pos + FRAME_HEADER]
-                .try_into()
-                .expect("4"),
-        ) as usize;
-        if payload_len > MAX_PAYLOAD {
+        let Some(total) = frame::peek_total(&bytes[pos..], FRAME_HEADER, MAX_PAYLOAD) else {
             break;
-        }
-        let total = FRAME_HEADER + payload_len + 8;
+        };
         if pos + total > region_bytes {
             break; // claims to extend past the region: not ours
         }
@@ -262,14 +257,9 @@ fn scrub(
         if header.iter().all(|&b| b == 0) {
             break; // never-written space: the clean end of the shard
         }
-        let magic_ok = header[..4] == MAGIC.to_le_bytes();
-        let payload_len = u32::from_le_bytes(
-            header[FRAME_HEADER - 4..FRAME_HEADER]
-                .try_into()
-                .expect("4"),
-        ) as usize;
-        let total = FRAME_HEADER + payload_len + 8;
-        if !magic_ok || payload_len > MAX_PAYLOAD || pos + total > region_bytes {
+        let total = frame::peek_total(header, FRAME_HEADER, MAX_PAYLOAD)
+            .filter(|&t| header[..4] == MAGIC.to_le_bytes() && pos + t <= region_bytes);
+        let Some(total) = total else {
             // Not a sizeable frame of this region: the scrub cannot
             // step past it.
             note(
@@ -282,7 +272,7 @@ fn scrub(
                 &mut skipped,
             );
             break;
-        }
+        };
         ensure(disk, base_lba, bytes, pos + total);
         let raw = &bytes[pos..pos + total];
         let class = match decode_frame(raw) {
@@ -299,7 +289,7 @@ fn scrub(
                 // append-only region past the tail. A frame whose last
                 // bytes are zero therefore tore; a frame that is fully
                 // populated but fails its checksum was flipped.
-                if raw[total - 8..].iter().all(|&b| b == 0) {
+                if raw[total - frame::TRAILER_LEN..].iter().all(|&b| b == 0) {
                     RecordClass::Torn
                 } else {
                     RecordClass::ChecksumMismatch

@@ -64,12 +64,6 @@ impl ShardConfig {
         }
     }
 
-    /// Builder: set the retry policy.
-    pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Shard count clamped to the legal range.
     pub fn shard_count(&self) -> usize {
         self.shards.clamp(1, MAX_SHARDS)
@@ -96,12 +90,6 @@ pub fn shard_of(ino: Inum, shards: usize) -> usize {
     let shards = shards.clamp(1, MAX_SHARDS);
     let h = ino.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     ((h >> 32) as usize) % shards
-}
-
-/// Convenience: the shard of a micro-op's own target inode (the
-/// fallback when no operation-level hint was delivered).
-pub fn shard_of_op(op: &MicroOp, shards: usize) -> usize {
-    shard_of(op.target(), shards)
 }
 
 /// One shard's live write state: an append cursor into its region.

@@ -1,8 +1,13 @@
 //! Binary encoding of log frames for the on-disk journal.
 //!
-//! Hand-rolled little-endian encoding (no format crates in the dependency
-//! budget): every frame is self-describing and checksummed, so recovery
-//! can detect torn writes and out-of-order partial persistence.
+//! Every frame is self-describing and checksummed, so recovery can
+//! detect torn writes and out-of-order partial persistence. The byte
+//! layer — little-endian writers, the strict reader, and the sealed
+//! `header | payload | checksum` envelope — is [`atomfs_vfs::frame`],
+//! shared with the server's wire frames. This module keeps what is the
+//! journal's own: the header fields ([`FRAME_HEADER`]), [`MAGIC`], the
+//! checksum seed, the record schema, and the strictness rules (seal
+//! frames carry no ops, quarantine windows are well-formed).
 //!
 //! # Records are redo-only
 //!
@@ -39,60 +44,8 @@
 //! by their header, not read.
 
 use atomfs_trace::{Inum, MicroOp};
+use atomfs_vfs::frame::{self, put_len_prefixed, put_u16, put_u32, put_u64, Reader};
 use atomfs_vfs::FileType;
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes(s.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes(s.try_into().expect("8")))
-    }
-
-    fn bytes(&mut self) -> Option<Vec<u8>> {
-        let n = self.u32()? as usize;
-        self.take(n).map(<[u8]>::to_vec)
-    }
-
-    fn string(&mut self) -> Option<String> {
-        String::from_utf8(self.bytes()?).ok()
-    }
-}
 
 fn ftype_tag(f: FileType) -> u8 {
     match f {
@@ -169,7 +122,7 @@ fn encode_op(op: &MicroOp, out: &mut Vec<u8>) {
         } => {
             out.push(2);
             put_u64(out, *parent);
-            put_bytes(out, name.as_bytes());
+            put_len_prefixed(out, name.as_bytes());
             put_u64(out, *child);
         }
         MicroOp::Del {
@@ -179,7 +132,7 @@ fn encode_op(op: &MicroOp, out: &mut Vec<u8>) {
         } => {
             out.push(3);
             put_u64(out, *parent);
-            put_bytes(out, name.as_bytes());
+            put_len_prefixed(out, name.as_bytes());
             put_u64(out, *child);
         }
         MicroOp::SetData { ino, old, new } => {
@@ -187,7 +140,7 @@ fn encode_op(op: &MicroOp, out: &mut Vec<u8>) {
             put_u64(out, *ino);
             put_u32(out, old.len() as u32);
             put_u64(out, checksum(old));
-            put_bytes(out, new);
+            put_len_prefixed(out, new);
         }
     }
 }
@@ -204,12 +157,12 @@ fn decode_op(r: &mut Reader<'_>) -> Option<RedoOp> {
         },
         2 => MicroOp::Ins {
             parent: r.u64()?,
-            name: r.string()?,
+            name: r.str()?.into(),
             child: r.u64()?,
         },
         3 => MicroOp::Del {
             parent: r.u64()?,
-            name: r.string()?,
+            name: r.str()?.into(),
             child: r.u64()?,
         },
         4 => {
@@ -217,7 +170,7 @@ fn decode_op(r: &mut Reader<'_>) -> Option<RedoOp> {
                 ino: r.u64()?,
                 old_len: r.u32()?,
                 old_digest: r.u64()?,
-                new: r.bytes()?,
+                new: r.len_prefixed()?.to_vec(),
             })
         }
         _ => return None,
@@ -405,8 +358,8 @@ pub(crate) fn coalesce_windows(windows: &mut Vec<(u64, u64)>) {
 }
 
 /// One buffer per frame: write the header with a placeholder payload
-/// length, let `payload` append straight after it, patch the length, then
-/// append the checksum. `payload_len` sizes the allocation up front.
+/// length, let `payload` append straight after it, then [`frame::seal`]
+/// it. `payload_len` sizes the allocation up front.
 #[allow(clippy::too_many_arguments)]
 fn build_frame(
     gen: u32,
@@ -418,22 +371,19 @@ fn build_frame(
     payload_len: usize,
     payload: impl FnOnce(&mut Vec<u8>),
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload_len + 8);
+    let mut out = Vec::with_capacity(FRAME_HEADER + payload_len + frame::TRAILER_LEN);
     put_u32(&mut out, MAGIC);
     put_u32(&mut out, gen);
-    out.extend_from_slice(&shard.to_le_bytes());
+    put_u16(&mut out, shard);
     out.push(kind.tag());
     out.push(0); // pad — must be zero, checked on decode
     put_u64(&mut out, epoch);
     put_u64(&mut out, seq);
     put_u64(&mut out, txn);
-    put_u32(&mut out, 0); // payload_len, patched below
+    put_u32(&mut out, 0); // payload_len, patched by the seal
     debug_assert_eq!(out.len(), FRAME_HEADER);
     payload(&mut out);
-    let len = (out.len() - FRAME_HEADER) as u32;
-    out[FRAME_HEADER - 4..FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
-    let sum = checksum(&out);
-    put_u64(&mut out, sum);
+    frame::seal(&mut out, 0, FRAME_HEADER, SEED);
     out
 }
 
@@ -447,35 +397,23 @@ fn build_frame(
 /// index. Seal frames (`EpochSeal`, `RenameSeal`) must carry zero
 /// ops — a "seal" smuggling ops is corrupt by definition.
 pub fn decode_frame(buf: &[u8]) -> Option<(Frame, usize)> {
-    let mut r = Reader { buf, pos: 0 };
-    if r.u32()? != MAGIC {
+    // The magic before the sum: bytes that are not a frame (stale
+    // sectors, zeroed space) never have a forged length summed.
+    if Reader::new(buf).u32()? != MAGIC {
         return None;
     }
-    let gen = r.u32()?;
-    let shard = u16::from_le_bytes(r.take(2)?.try_into().expect("2"));
-    let kind = FrameKind::from_tag(r.u8()?)?;
-    if r.u8()? != 0 {
+    let (header, payload, total) = frame::open(buf, FRAME_HEADER, usize::MAX, SEED)?;
+    let mut h = Reader::new(&header[4..]);
+    let gen = h.u32()?;
+    let shard = h.u16()?;
+    let kind = FrameKind::from_tag(h.u8()?)?;
+    if h.u8()? != 0 {
         return None; // pad byte must be zero
     }
-    let epoch = r.u64()?;
-    let seq = r.u64()?;
-    let txn = r.u64()?;
-    let payload_len = r.u32()? as usize;
-    if payload_len > buf.len().saturating_sub(r.pos) {
-        return None;
-    }
-    let payload_start = r.pos;
-    let payload = r.take(payload_len)?;
-    let stored_sum = r.u64()?;
-    let total = r.pos;
-    if checksum(&buf[..payload_start + payload_len]) != stored_sum {
-        return None;
-    }
-    let mut pr = Reader {
-        buf: payload,
-        pos: 0,
-    };
-    let count = pr.u32()? as usize;
+    let epoch = h.u64()?;
+    let seq = h.u64()?;
+    let txn = h.u64()?;
+    let mut pr = Reader::new(payload);
     let mut ops = Vec::new();
     let mut windows = Vec::new();
     if kind.carries_windows() {
@@ -484,9 +422,7 @@ pub fn decode_frame(buf: &[u8]) -> Option<(Frame, usize)> {
         // strictness matters: these windows *license* recovery to skip
         // stamps, so a malformed list must fail the whole frame rather
         // than decode to something more permissive.
-        if count > payload.len().saturating_sub(pr.pos) / 16 {
-            return None;
-        }
+        let count = pr.count(16)?;
         windows.reserve(count);
         let mut prev_hi = 0u64;
         for _ in 0..count {
@@ -501,10 +437,8 @@ pub fn decode_frame(buf: &[u8]) -> Option<(Frame, usize)> {
     } else {
         // Every stamped op encodes to at least MIN_STAMPED_OP_BYTES, so
         // a count the remaining payload cannot possibly hold is corrupt
-        // — reject it before reserving.
-        if count > payload.len().saturating_sub(pr.pos) / MIN_STAMPED_OP_BYTES {
-            return None;
-        }
+        // — `count` rejects it before reserving.
+        let count = pr.count(MIN_STAMPED_OP_BYTES)?;
         if !kind.carries_ops() && count != 0 {
             return None;
         }
@@ -514,7 +448,7 @@ pub fn decode_frame(buf: &[u8]) -> Option<(Frame, usize)> {
             ops.push((stamp, decode_op(&mut pr)?));
         }
     }
-    if pr.pos != payload.len() {
+    if !pr.done() {
         return None;
     }
     Some((

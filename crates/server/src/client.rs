@@ -70,17 +70,17 @@ struct Writer {
 }
 
 /// The receive half, used only by the waiter holding the read role.
-struct Reader {
+struct Receiver {
     stream: BufReader<TcpStream>,
     /// Holds one frame at a time; grows to the largest frame seen.
     frame: Vec<u8>,
 }
 
-impl Reader {
+impl Receiver {
     /// The next reply off the socket; `None` on EOF, a read error, or a
     /// frame that fails its framing or checksum (unrecoverable).
     fn next_frame(&mut self) -> Option<(u64, Response)> {
-        let Reader { stream, frame } = self;
+        let Receiver { stream, frame } = self;
         stream.read_exact(&mut frame[..HDR_LEN]).ok()?;
         let (_, total) = wire::frame_size_hint(&frame[..HDR_LEN], RSP_MAGIC)?;
         if frame.len() < total {
@@ -96,7 +96,7 @@ struct ClientInner {
     /// Kept to shut the socket down without taking either half's lock.
     stream: TcpStream,
     writer: Mutex<Writer>,
-    reader: Mutex<Reader>,
+    reader: Mutex<Receiver>,
     state: Mutex<ReplyState>,
     wake: Condvar,
 }
@@ -254,7 +254,7 @@ impl RpcClient {
             stream: stream.try_clone()?,
             buf: Vec::with_capacity(HDR_LEN + 256),
         };
-        let reader = Reader {
+        let reader = Receiver {
             stream: BufReader::with_capacity(64 << 10, stream.try_clone()?),
             frame: vec![0; HDR_LEN + 256],
         };

@@ -6,12 +6,14 @@
 //! client actually observes it. The pieces:
 //!
 //! * [`wire`] — framed binary RPC protocol (wire v2): tagged,
-//!   checksummed frames with every length clamped before allocation.
+//!   checksummed frames with every length clamped before allocation,
+//!   built on the workspace's one framed codec, `atomfs_vfs::frame`.
 //! * [`server`] — accept loop and one thread per connection that reads,
 //!   executes and answers its own requests: per-connection FD tables on
 //!   `vfs`, TCP flow control as backpressure, replies batched into one
-//!   `write` before any read that may block, buffers recycled through a
-//!   [`pool::BufPool`] (zero-allocation steady state), and a `/metrics`
+//!   `write` before any read that may block, two buffers owned by each
+//!   connection thread and reused for every request, `read` replies
+//!   filled in place (zero-allocation steady state), and a `/metrics`
 //!   + `/spans` HTTP scrape path on the same listener.
 //! * [`client`] — pipelined [`client::RpcClient`], whose callers read
 //!   their own replies (no client thread), and the
@@ -30,13 +32,11 @@
 
 pub mod check;
 pub mod client;
-pub mod pool;
 pub mod server;
 pub mod wire;
 
 pub use check::{CheckerPump, PumpConfig};
 pub use client::{Pending, RemoteFs, RpcClient};
-pub use pool::BufPool;
 pub use server::{serve, serve_checked, serve_on, Server, ServerConfig, StatsSnapshot};
 pub use wire::{
     Request, Response, FLAG_APPEND, FLAG_CREATE, FLAG_READ, FLAG_TRUNC, FLAG_WRITE, MAX_IO_LEN,

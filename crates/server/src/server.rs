@@ -26,9 +26,11 @@
 //! `write_all` whenever the next read could block (the next header or
 //! body is not already in the read buffer) or the buffer has passed
 //! `FLUSH_AT`. A window of 64 pipelined requests thus costs about one
-//! `read`, 64 inline dispatches and one `write`. The frame, output and
-//! read-payload buffers come from the [`BufPool`], so the steady-state
-//! request path allocates nothing.
+//! `read`, 64 inline dispatches and one `write`. The connection thread
+//! owns its two buffers, the request frame and the output, and reuses
+//! them for every request; a `read` reply is filled in place in the
+//! output buffer. Once both have grown to the connection's largest
+//! frame, the request path allocates nothing.
 //!
 //! **Panics.** Each request runs under `catch_unwind`: a panicking
 //! operation tears down its own connection (closing its whole FD table)
@@ -60,10 +62,8 @@ use crlh::CheckReport;
 use parking_lot::Mutex;
 
 use crate::check::{CheckerPump, PumpConfig};
-use crate::pool::BufPool;
 use crate::wire::{
-    self, FLAG_APPEND, FLAG_CREATE, FLAG_READ, FLAG_TRUNC, FLAG_WRITE, HDR_LEN, MAX_IO_LEN,
-    REQ_MAGIC,
+    self, FLAG_APPEND, FLAG_CREATE, FLAG_READ, FLAG_TRUNC, FLAG_WRITE, HDR_LEN, REQ_MAGIC,
 };
 
 /// Capacity of each connection's socket read buffer.
@@ -73,18 +73,13 @@ const READ_BUF: usize = 64 << 10;
 /// though its next request is already buffered.
 const FLUSH_AT: usize = 64 << 10;
 
-/// Server sizing knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct ServerConfig {
-    /// Buffers retained by the shared pool.
-    pub pool_bufs: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig { pool_bufs: 1024 }
-    }
-}
+/// Server options. There are none: each connection thread owns its
+/// buffers, so nothing is left to size. The type stays, field-less, so
+/// callers keep passing `ServerConfig::default()` and a future option
+/// has a home.
+#[derive(Debug, Clone, Copy, Default)]
+#[non_exhaustive]
+pub struct ServerConfig {}
 
 /// Monotonic counters describing a server's lifetime so far.
 #[derive(Debug, Default)]
@@ -137,7 +132,6 @@ struct Outbox {
 
 struct Shared<F: FileSystem> {
     fs: Arc<F>,
-    pool: BufPool,
     stats: Arc<ServerStats>,
     /// A handle on every live connection's socket, so shutdown can
     /// sever it.
@@ -181,9 +175,9 @@ impl<F: FileSystem + 'static> Shared<F> {
             return;
         }
         let mut have = 4; // header bytes already read (the sniff)
-        let mut frame = self.pool.get();
+        let mut frame = Vec::new();
         let mut out = Outbox {
-            buf: self.pool.get(),
+            buf: Vec::new(),
             frames: 0,
         };
         loop {
@@ -239,8 +233,6 @@ impl<F: FileSystem + 'static> Shared<F> {
         }
         // Replies of requests that did execute still go out.
         let _ = self.flush(rd, &mut out);
-        self.pool.put(frame);
-        self.pool.put(out.buf);
     }
 
     /// Write every buffered reply with one `write_all`. Counted before
@@ -300,13 +292,7 @@ impl<F: FileSystem + 'static> Shared<F> {
                 Err(e) => wire::encode_response_err(out, tag, e),
             },
             R::Read { path, offset, len } => {
-                let mut data = self.pool.get();
-                data.resize((len as usize).min(MAX_IO_LEN), 0);
-                match fs.read(path, offset, &mut data) {
-                    Ok(n) => wire::encode_response_data(out, tag, &data[..n]),
-                    Err(e) => wire::encode_response_err(out, tag, e),
-                }
-                self.pool.put(data);
+                wire::encode_response_read(out, tag, len as usize, |buf| fs.read(path, offset, buf))
             }
             R::Write { path, offset, data } => match fs.write(path, offset, data) {
                 Ok(n) => wire::encode_response_len(out, tag, n as u64),
@@ -327,13 +313,9 @@ impl<F: FileSystem + 'static> Shared<F> {
             }
             R::Close { fd } => unit(out, tag, fds.close(atomfs_vfs::Fd(fd))),
             R::PRead { fd, offset, len } => {
-                let mut data = self.pool.get();
-                data.resize((len as usize).min(MAX_IO_LEN), 0);
-                match fds.read_at(atomfs_vfs::Fd(fd), offset, &mut data) {
-                    Ok(n) => wire::encode_response_data(out, tag, &data[..n]),
-                    Err(e) => wire::encode_response_err(out, tag, e),
-                }
-                self.pool.put(data);
+                wire::encode_response_read(out, tag, len as usize, |buf| {
+                    fds.read_at(atomfs_vfs::Fd(fd), offset, buf)
+                })
             }
             R::PWrite { fd, offset, data } => {
                 match fds.write_at(atomfs_vfs::Fd(fd), offset, data) {
@@ -501,7 +483,7 @@ pub fn serve_on<F: FileSystem + 'static>(
     listener: TcpListener,
     fs: Arc<F>,
     registry: Option<Arc<Registry>>,
-    cfg: ServerConfig,
+    _cfg: ServerConfig,
 ) -> std::io::Result<Server<F>> {
     let addr = listener.local_addr()?;
     let stats = Arc::new(ServerStats::default());
@@ -510,7 +492,6 @@ pub fn serve_on<F: FileSystem + 'static>(
     }
     let shared = Arc::new(Shared {
         fs,
-        pool: BufPool::new(cfg.pool_bufs),
         stats,
         conns: Mutex::new(HashMap::new()),
         registry,
@@ -633,11 +614,6 @@ impl<F: FileSystem + 'static> Server<F> {
             http_requests: s.http_requests.load(Ordering::Relaxed),
             worker_panics: s.panics.load(Ordering::Relaxed),
         }
-    }
-
-    /// Connections currently alive.
-    pub fn open_conns(&self) -> usize {
-        self.shared.conns.lock().len()
     }
 
     /// The attached streaming-checker pump, when this server was

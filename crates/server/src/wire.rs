@@ -1,9 +1,13 @@
 //! Framed binary RPC protocol, wire v2.
 //!
-//! Both directions use the same frame shape, hand-rolled little-endian
-//! (no format crates in the dependency budget), mirroring the journal's
-//! on-disk wire format discipline: self-describing, checksummed, and
-//! every length/count field clamped before it can drive an allocation.
+//! Both directions use the same frame shape: self-describing,
+//! checksummed, and every length/count field clamped before it can drive
+//! an allocation. The byte layer — little-endian writers, the strict
+//! reader, and the sealed `header | payload | checksum` envelope — is
+//! [`atomfs_vfs::frame`], shared with the journal's log frames. This
+//! module keeps what is the wire's own: the header fields, the two
+//! magics, [`VERSION`], the checksum seed, the request and response
+//! schemas, and the strictness rules below.
 //!
 //! ```text
 //! frame := magic u32 | version u8 | code u8 | tag u64 | payload_len u32
@@ -32,6 +36,7 @@
 //! be resynchronized), which the server answers by tearing the
 //! connection down.
 
+use atomfs_vfs::frame::{self, put_len_prefixed, put_u32, put_u64, Reader};
 use atomfs_vfs::{FileType, FsError, Metadata};
 
 /// Request-frame magic: `"AFRQ"` little-endian.
@@ -44,7 +49,7 @@ pub const VERSION: u8 = 2;
 /// Fixed byte length of the frame header (through `payload_len`).
 pub const HDR_LEN: usize = 4 + 1 + 1 + 8 + 4;
 /// Byte length of the checksum trailer.
-pub const TRAILER_LEN: usize = 8;
+pub const TRAILER_LEN: usize = frame::TRAILER_LEN;
 /// Hard ceiling on `payload_len`. A header claiming more is forged or
 /// corrupt; the server rejects it before allocating or reading further.
 pub const MAX_PAYLOAD: usize = 1 << 20;
@@ -81,67 +86,6 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     atomfs_vfs::checksum(SEED, bytes)
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes(s.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes(s.try_into().expect("8")))
-    }
-
-    fn str_ref(&mut self) -> Option<&'a str> {
-        // The length came off the wire; `take` clamps it against the
-        // bytes actually present before anything is built from it.
-        let n = self.u32()? as usize;
-        std::str::from_utf8(self.take(n)?).ok()
-    }
-
-    fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
 /// Opcodes, in wire order.
 mod op {
     pub const MKNOD: u8 = 0;
@@ -163,9 +107,9 @@ mod op {
 
 /// A request with payload fields borrowed from the frame buffer.
 ///
-/// This is the decode type the server's hot path uses: the pooled frame
-/// buffer outlives the dispatch, so paths and write payloads are served
-/// as slices into it — no per-request field allocation.
+/// This is the decode type the server's hot path uses: the connection's
+/// frame buffer outlives the dispatch, so paths and write payloads are
+/// served as slices into it — no per-request field allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReqView<'a> {
     /// `mknod(path)`.
@@ -430,21 +374,23 @@ impl ReqView<'_> {
     }
 }
 
+/// Start a frame at the end of `out`: its header with a placeholder
+/// payload length. Returns where the frame starts, for [`seal_frame`].
 fn begin_frame(out: &mut Vec<u8>, magic: u32, code: u8, tag: u64) -> usize {
     let start = out.len();
     put_u32(out, magic);
     out.push(VERSION);
     out.push(code);
     put_u64(out, tag);
-    put_u32(out, 0); // payload_len, patched in end_frame
+    put_u32(out, 0); // payload_len, patched by the seal
     start
 }
 
-fn end_frame(out: &mut Vec<u8>, start: usize) {
-    let payload_len = (out.len() - start - HDR_LEN) as u32;
-    out[start + HDR_LEN - 4..start + HDR_LEN].copy_from_slice(&payload_len.to_le_bytes());
-    let sum = checksum(&out[start..]);
-    put_u64(out, sum);
+/// Seal the frame begun at `start`: everything after its header is the
+/// payload.
+#[inline]
+fn seal_frame(out: &mut Vec<u8>, start: usize) {
+    frame::seal(out, start, HDR_LEN, SEED);
 }
 
 /// Append one encoded request frame to `out` (which may already hold
@@ -457,28 +403,28 @@ pub fn encode_request_frame(out: &mut Vec<u8>, tag: u64, req: &ReqView<'_>) {
         | ReqView::Unlink { path }
         | ReqView::Rmdir { path }
         | ReqView::Stat { path }
-        | ReqView::Readdir { path } => put_str(out, path),
+        | ReqView::Readdir { path } => put_len_prefixed(out, path.as_bytes()),
         ReqView::Rename { src, dst } => {
-            put_str(out, src);
-            put_str(out, dst);
+            put_len_prefixed(out, src.as_bytes());
+            put_len_prefixed(out, dst.as_bytes());
         }
         ReqView::Read { path, offset, len } => {
-            put_str(out, path);
+            put_len_prefixed(out, path.as_bytes());
             put_u64(out, offset);
             put_u32(out, len);
         }
         ReqView::Write { path, offset, data } => {
-            put_str(out, path);
+            put_len_prefixed(out, path.as_bytes());
             put_u64(out, offset);
             out.extend_from_slice(data);
         }
         ReqView::Truncate { path, size } => {
-            put_str(out, path);
+            put_len_prefixed(out, path.as_bytes());
             put_u64(out, size);
         }
         ReqView::Sync => {}
         ReqView::Open { path, flags } => {
-            put_str(out, path);
+            put_len_prefixed(out, path.as_bytes());
             out.push(flags);
         }
         ReqView::Close { fd } => put_u32(out, fd),
@@ -493,7 +439,7 @@ pub fn encode_request_frame(out: &mut Vec<u8>, tag: u64, req: &ReqView<'_>) {
             out.extend_from_slice(data);
         }
     }
-    end_frame(out, start);
+    seal_frame(out, start);
 }
 
 /// Parse a request payload once the frame envelope has been verified.
@@ -502,23 +448,20 @@ pub fn encode_request_frame(out: &mut Vec<u8>, tag: u64, req: &ReqView<'_>) {
 /// lengths are clamped ([`MAX_IO_LEN`]), and `Open` flags must stay
 /// within [`FLAG_MASK`].
 pub fn parse_request_payload(opcode: u8, payload: &[u8]) -> Option<ReqView<'_>> {
-    let mut r = Reader {
-        buf: payload,
-        pos: 0,
-    };
+    let mut r = Reader::new(payload);
     let req = match opcode {
-        op::MKNOD => ReqView::Mknod { path: r.str_ref()? },
-        op::MKDIR => ReqView::Mkdir { path: r.str_ref()? },
-        op::UNLINK => ReqView::Unlink { path: r.str_ref()? },
-        op::RMDIR => ReqView::Rmdir { path: r.str_ref()? },
+        op::MKNOD => ReqView::Mknod { path: r.str()? },
+        op::MKDIR => ReqView::Mkdir { path: r.str()? },
+        op::UNLINK => ReqView::Unlink { path: r.str()? },
+        op::RMDIR => ReqView::Rmdir { path: r.str()? },
         op::RENAME => ReqView::Rename {
-            src: r.str_ref()?,
-            dst: r.str_ref()?,
+            src: r.str()?,
+            dst: r.str()?,
         },
-        op::STAT => ReqView::Stat { path: r.str_ref()? },
-        op::READDIR => ReqView::Readdir { path: r.str_ref()? },
+        op::STAT => ReqView::Stat { path: r.str()? },
+        op::READDIR => ReqView::Readdir { path: r.str()? },
         op::READ => {
-            let path = r.str_ref()?;
+            let path = r.str()?;
             let offset = r.u64()?;
             let len = r.u32()?;
             if len as usize > MAX_IO_LEN {
@@ -527,7 +470,7 @@ pub fn parse_request_payload(opcode: u8, payload: &[u8]) -> Option<ReqView<'_>> 
             ReqView::Read { path, offset, len }
         }
         op::WRITE => {
-            let path = r.str_ref()?;
+            let path = r.str()?;
             let offset = r.u64()?;
             let data = r.rest();
             if data.len() > MAX_IO_LEN {
@@ -536,12 +479,12 @@ pub fn parse_request_payload(opcode: u8, payload: &[u8]) -> Option<ReqView<'_>> 
             ReqView::Write { path, offset, data }
         }
         op::TRUNCATE => ReqView::Truncate {
-            path: r.str_ref()?,
+            path: r.str()?,
             size: r.u64()?,
         },
         op::SYNC => ReqView::Sync,
         op::OPEN => {
-            let path = r.str_ref()?;
+            let path = r.str()?;
             let flags = r.u8()?;
             if flags & !FLAG_MASK != 0 {
                 return None;
@@ -575,35 +518,27 @@ pub fn parse_request_payload(opcode: u8, payload: &[u8]) -> Option<ReqView<'_>> 
     Some(req)
 }
 
-/// Verify a frame envelope at the start of `buf`: magic, version,
-/// clamped payload length, and checksum. Returns
+/// A reader past the frame's magic and version, or `None` when `buf`
+/// does not start with `magic` and [`VERSION`]. Checked before any
+/// length is trusted or any byte summed.
+fn header(buf: &[u8], magic: u32) -> Option<Reader<'_>> {
+    let mut r = Reader::new(buf);
+    (r.u32()? == magic && r.u8()? == VERSION).then_some(r)
+}
+
+/// Open a frame at the start of `buf`: magic, version, then
+/// [`frame::open`]'s clamped payload length and checksum. Returns
 /// `(code, tag, payload, total_len)`.
-fn verify_frame(buf: &[u8], magic: u32) -> Option<(u8, u64, &[u8], usize)> {
-    let mut r = Reader { buf, pos: 0 };
-    if r.u32()? != magic || r.u8()? != VERSION {
-        return None;
-    }
-    let code = r.u8()?;
-    let tag = r.u64()?;
-    let payload_len = r.u32()? as usize;
-    // Clamp before the length is used for anything: a forged header can
-    // never drive a huge allocation or an overflowing index.
-    if payload_len > MAX_PAYLOAD || payload_len > buf.len().saturating_sub(r.pos) {
-        return None;
-    }
-    let payload = r.take(payload_len)?;
-    let body_end = r.pos;
-    let stored = r.u64()?;
-    if checksum(&buf[..body_end]) != stored {
-        return None;
-    }
-    Some((code, tag, payload, r.pos))
+fn open_frame(buf: &[u8], magic: u32) -> Option<(u8, u64, &[u8], usize)> {
+    let mut r = header(buf, magic)?;
+    let (_, payload, total) = frame::open(buf, HDR_LEN, MAX_PAYLOAD, SEED)?;
+    Some((r.u8()?, r.u64()?, payload, total))
 }
 
 /// Decode one request frame at the start of `buf`, returning the tag,
 /// the borrowed request, and the frame's total encoded length.
 pub fn decode_request_frame(buf: &[u8]) -> Option<(u64, ReqView<'_>, usize)> {
-    let (opcode, tag, payload, total) = verify_frame(buf, REQ_MAGIC)?;
+    let (opcode, tag, payload, total) = open_frame(buf, REQ_MAGIC)?;
     let req = parse_request_payload(opcode, payload)?;
     Some((tag, req, total))
 }
@@ -637,37 +572,40 @@ pub enum Response {
     Err(FsError),
 }
 
+/// Append one response frame with `code`, its payload written by
+/// `payload`.
+fn respond(out: &mut Vec<u8>, tag: u64, code: u8, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = begin_frame(out, RSP_MAGIC, code, tag);
+    payload(out);
+    seal_frame(out, start);
+}
+
 /// Append an ok/unit response frame.
 pub fn encode_response_unit(out: &mut Vec<u8>, tag: u64) {
-    let start = begin_frame(out, RSP_MAGIC, kind::UNIT, tag);
-    end_frame(out, start);
+    respond(out, tag, kind::UNIT, |_| {});
 }
 
 /// Append an ok/fd response frame.
 pub fn encode_response_fd(out: &mut Vec<u8>, tag: u64, fd: u32) {
-    let start = begin_frame(out, RSP_MAGIC, kind::FD, tag);
-    put_u32(out, fd);
-    end_frame(out, start);
+    respond(out, tag, kind::FD, |out| put_u32(out, fd));
 }
 
 /// Append an ok/len response frame.
 pub fn encode_response_len(out: &mut Vec<u8>, tag: u64, n: u64) {
-    let start = begin_frame(out, RSP_MAGIC, kind::LEN, tag);
-    put_u64(out, n);
-    end_frame(out, start);
+    respond(out, tag, kind::LEN, |out| put_u64(out, n));
 }
 
 /// Append an ok/stat response frame.
 pub fn encode_response_stat(out: &mut Vec<u8>, tag: u64, meta: &Metadata) {
-    let start = begin_frame(out, RSP_MAGIC, kind::STAT, tag);
-    put_u64(out, meta.ino);
-    out.push(match meta.ftype {
-        FileType::File => 0,
-        FileType::Dir => 1,
+    respond(out, tag, kind::STAT, |out| {
+        put_u64(out, meta.ino);
+        out.push(match meta.ftype {
+            FileType::File => 0,
+            FileType::Dir => 1,
+        });
+        put_u64(out, meta.size);
+        put_u32(out, meta.nlink);
     });
-    put_u64(out, meta.size);
-    put_u32(out, meta.nlink);
-    end_frame(out, start);
 }
 
 /// Append an ok/names response frame. Returns `false` (encoding nothing)
@@ -678,27 +616,49 @@ pub fn encode_response_names(out: &mut Vec<u8>, tag: u64, names: &[String]) -> b
     if need > MAX_PAYLOAD {
         return false;
     }
-    let start = begin_frame(out, RSP_MAGIC, kind::NAMES, tag);
-    put_u32(out, names.len() as u32);
-    for n in names {
-        put_str(out, n);
-    }
-    end_frame(out, start);
+    respond(out, tag, kind::NAMES, |out| {
+        put_u32(out, names.len() as u32);
+        for n in names {
+            put_len_prefixed(out, n.as_bytes());
+        }
+    });
     true
 }
 
 /// Append an ok/data response frame.
 pub fn encode_response_data(out: &mut Vec<u8>, tag: u64, data: &[u8]) {
+    respond(out, tag, kind::DATA, |out| out.extend_from_slice(data));
+}
+
+/// Append the reply to a `Read`/`PRead` of `len` bytes (at most
+/// [`MAX_IO_LEN`]), filled in place: `read` gets the zeroed payload of
+/// an ok/data frame and returns how many bytes it read, and the payload
+/// is trimmed to that. On `Err` the frame is dropped and an error frame
+/// appended instead. No buffer but `out` is touched.
+pub fn encode_response_read(
+    out: &mut Vec<u8>,
+    tag: u64,
+    len: usize,
+    read: impl FnOnce(&mut [u8]) -> Result<usize, FsError>,
+) {
     let start = begin_frame(out, RSP_MAGIC, kind::DATA, tag);
-    out.extend_from_slice(data);
-    end_frame(out, start);
+    let body = out.len();
+    out.resize(body + len.min(MAX_IO_LEN), 0);
+    match read(&mut out[body..]) {
+        Ok(n) => {
+            out.truncate(body + n);
+            seal_frame(out, start);
+        }
+        Err(e) => {
+            out.truncate(start);
+            encode_response_err(out, tag, e);
+        }
+    }
 }
 
 /// Append an error response frame.
 pub fn encode_response_err(out: &mut Vec<u8>, tag: u64, err: FsError) {
-    let start = begin_frame(out, RSP_MAGIC, CODE_ERR, tag);
-    put_u32(out, err.errno() as u32);
-    end_frame(out, start);
+    respond(out, tag, CODE_ERR, |out| put_u32(out, err.errno() as u32));
 }
 
 /// Append an owned [`Response`] (tests and symmetry with decode; the
@@ -746,11 +706,8 @@ pub fn fserror_from_errno(errno: u32) -> Option<FsError> {
 /// Decode one response frame at the start of `buf`, returning the tag,
 /// the owned response, and the frame's total encoded length.
 pub fn decode_response_frame(buf: &[u8]) -> Option<(u64, Response, usize)> {
-    let (code, tag, payload, total) = verify_frame(buf, RSP_MAGIC)?;
-    let mut r = Reader {
-        buf: payload,
-        pos: 0,
-    };
+    let (code, tag, payload, total) = open_frame(buf, RSP_MAGIC)?;
+    let mut r = Reader::new(payload);
     let rsp = match code {
         kind::UNIT => Response::Unit,
         kind::FD => Response::Fd(r.u32()?),
@@ -772,16 +729,13 @@ pub fn decode_response_frame(buf: &[u8]) -> Option<(u64, Response, usize)> {
             })
         }
         kind::NAMES => {
-            let count = r.u32()? as usize;
             // Every name costs at least its 4-byte length prefix: a
             // count the remaining payload cannot possibly hold is
-            // corrupt — reject it before `Vec::with_capacity`.
-            if count > payload.len().saturating_sub(r.pos) / 4 {
-                return None;
-            }
+            // corrupt — `count` rejects it before `Vec::with_capacity`.
+            let count = r.count(4)?;
             let mut names = Vec::with_capacity(count);
             for _ in 0..count {
-                names.push(r.str_ref()?.to_string());
+                names.push(r.str()?.to_string());
             }
             Response::Names(names)
         }
@@ -801,20 +755,9 @@ pub fn decode_response_frame(buf: &[u8]) -> Option<(u64, Response, usize)> {
 /// with the right magic/version and a clamped length — the checksum is
 /// *not* checked here (the rest of the frame may not have arrived yet).
 pub fn frame_size_hint(hdr: &[u8], magic: u32) -> Option<(usize, usize)> {
-    if hdr.len() < HDR_LEN {
-        return None;
-    }
-    let mut r = Reader { buf: hdr, pos: 0 };
-    if r.u32()? != magic || r.u8()? != VERSION {
-        return None;
-    }
-    let _code = r.u8()?;
-    let _tag = r.u64()?;
-    let payload_len = r.u32()? as usize;
-    if payload_len > MAX_PAYLOAD {
-        return None;
-    }
-    Some((payload_len, HDR_LEN + payload_len + TRAILER_LEN))
+    header(hdr, magic)?;
+    let total = frame::peek_total(hdr, HDR_LEN, MAX_PAYLOAD)?;
+    Some((total - HDR_LEN - TRAILER_LEN, total))
 }
 
 #[cfg(test)]
@@ -930,7 +873,7 @@ mod tests {
         let start = begin_frame(&mut buf, RSP_MAGIC, kind::NAMES, 3);
         put_u32(&mut buf, 1 << 31);
         put_u32(&mut buf, 0);
-        end_frame(&mut buf, start);
+        seal_frame(&mut buf, start);
         assert!(decode_response_frame(&buf).is_none());
     }
 
@@ -954,10 +897,32 @@ mod tests {
     fn open_flags_outside_mask_rejected() {
         let mut buf = Vec::new();
         let start = begin_frame(&mut buf, REQ_MAGIC, op::OPEN, 5);
-        put_str(&mut buf, "/f");
+        put_len_prefixed(&mut buf, b"/f");
         buf.push(0x80);
-        end_frame(&mut buf, start);
+        seal_frame(&mut buf, start);
         assert!(decode_request_frame(&buf).is_none());
+    }
+
+    #[test]
+    fn in_place_read_reply_is_trimmed_or_replaced_by_its_error() {
+        let mut buf = Vec::new();
+        encode_response_unit(&mut buf, 1); // an earlier reply
+        let at = buf.len();
+        encode_response_read(&mut buf, 2, 100, |b| {
+            b[..3].copy_from_slice(b"abc");
+            Ok(3)
+        });
+        encode_response_read(&mut buf, 3, MAX_IO_LEN + 1, |b| {
+            assert_eq!(b.len(), MAX_IO_LEN, "clamped");
+            Err(FsError::IsDir)
+        });
+        let (_, _, n) = decode_response_frame(&buf).unwrap();
+        assert_eq!(n, at);
+        let (tag, rsp, m) = decode_response_frame(&buf[at..]).unwrap();
+        assert_eq!((tag, rsp), (2, Response::Data(b"abc".to_vec())));
+        let (tag, rsp, k) = decode_response_frame(&buf[at + m..]).unwrap();
+        assert_eq!((tag, rsp), (3, Response::Err(FsError::IsDir)));
+        assert_eq!(at + m + k, buf.len());
     }
 
     #[test]

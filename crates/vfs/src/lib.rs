@@ -9,8 +9,9 @@
 //! user/kernel crossing costs in the benchmarks, and a dentry cache used by
 //! the `ext4-sim` baseline. It also carries the workspace's one seeded
 //! PRNG, [`SplitMix64`], since every crate and test already depends on it,
-//! and the one frame [`checksum()`] both binary codecs (journal records,
-//! server wire frames) seal their bytes with.
+//! and the one framed codec both binary formats (journal records, server
+//! wire frames) are built on: [`frame`]'s byte writers, strict reader and
+//! sealed envelope, summed by the one frame [`checksum()`].
 //!
 //! Nothing in this crate knows about locking strategies or verification;
 //! those live in the `atomfs` and `crlh` crates respectively.
@@ -19,6 +20,7 @@ pub mod checksum;
 pub mod dcache;
 pub mod error;
 pub mod fd;
+pub mod frame;
 pub mod fs;
 pub mod metered;
 pub mod overhead;
