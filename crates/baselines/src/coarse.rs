@@ -1,135 +1,190 @@
 //! Coarse-grained comparison file systems.
 //!
-//! * [`SeqFs`] — a sequential tree behind one global mutex. This is the
-//!   DFSCQ stand-in: a correct-by-construction sequential file system that
-//!   cannot exploit multicore concurrency (the benchmarks additionally
-//!   wrap it in a managed-runtime overhead shim to model the Haskell
-//!   extraction cost the paper attributes DFSCQ's slowdown to).
-//! * [`RwTreeFs`] — the same tree behind a readers/writer lock, letting
-//!   read-only operations run in parallel. This is the tmpfs stand-in for
-//!   the single-threaded application experiments.
+//! * [`SeqFs`] — the CRL-H sequential specification ([`crlh::afs`] over
+//!   [`FsState`]) behind one global mutex. This is the DFSCQ stand-in: a
+//!   correct-by-construction sequential file system that cannot exploit
+//!   multicore concurrency, and the oracle of the POSIX differential
+//!   tests. The benchmarks wrap it in `OverheadFs` with the
+//!   managed-runtime profile (`atomfs_bench::setups`) to model the
+//!   Haskell extraction cost the paper attributes DFSCQ's slowdown to.
+//! * [`RwTreeFs`] — the same specification behind a readers/writer lock:
+//!   `stat`, `readdir` and `read` share the read lock. This is the tmpfs
+//!   stand-in for the single-threaded application experiments.
 //! * [`BigLockFs`] — a wrapper adding one global lock around *any* file
 //!   system; `BigLockFs<AtomFs>` is the paper's **AtomFS-biglock**
 //!   (§7.3), where every operation holds the big lock from start to
 //!   finish.
+//!
+//! [`SpecFs`] makes no decision of its own: each operation normalizes its
+//! path into an [`OpDesc`] that [`crlh::afs`] decides, so the stand-ins
+//! return exactly what the checker's specification returns.
 
 use parking_lot::{Mutex, RwLock};
 
+use atomfs_trace::{OpDesc, OpRet};
 use atomfs_vfs::path::normalize;
-use atomfs_vfs::{FileSystem, FileType, FsResult, Metadata};
+use atomfs_vfs::{FileSystem, FsError, FsResult, Metadata};
+use crlh::afs;
+use crlh::state::{FsState, Node, StateView};
 
-use crate::tree::Tree;
-
-/// Sequential file system: one mutex, no concurrency (DFSCQ-sim).
-pub struct SeqFs {
-    tree: Mutex<Tree>,
+/// The CRL-H specification run as a file system, behind the lock `L`.
+pub struct SpecFs<L> {
+    state: L,
 }
 
-impl Default for SeqFs {
+/// Sequential file system: the specification behind one mutex, no
+/// concurrency (DFSCQ-sim).
+pub type SeqFs = SpecFs<Mutex<FsState>>;
+
+/// Readers/writer file system (tmpfs-sim): the specification with
+/// concurrent readers and exclusive writers.
+pub type RwTreeFs = SpecFs<RwLock<FsState>>;
+
+/// A lock around the specification state.
+pub trait SpecLock: Send + Sync {
+    /// The name the file system reports.
+    const NAME: &'static str;
+
+    /// Lock `state`.
+    fn new(state: FsState) -> Self;
+
+    /// Run `f` on the state, shared with other readers where the lock
+    /// allows it.
+    fn read<R>(&self, f: impl FnOnce(&FsState) -> R) -> R;
+
+    /// Run `f` on the state alone.
+    fn write<R>(&self, f: impl FnOnce(&mut FsState) -> R) -> R;
+}
+
+impl SpecLock for Mutex<FsState> {
+    const NAME: &'static str = "seqfs";
+    fn new(state: FsState) -> Self {
+        Mutex::new(state)
+    }
+    fn read<R>(&self, f: impl FnOnce(&FsState) -> R) -> R {
+        f(&self.lock())
+    }
+    fn write<R>(&self, f: impl FnOnce(&mut FsState) -> R) -> R {
+        f(&mut self.lock())
+    }
+}
+
+impl SpecLock for RwLock<FsState> {
+    const NAME: &'static str = "rwtreefs";
+    fn new(state: FsState) -> Self {
+        RwLock::new(state)
+    }
+    fn read<R>(&self, f: impl FnOnce(&FsState) -> R) -> R {
+        f(&self.read())
+    }
+    fn write<R>(&self, f: impl FnOnce(&mut FsState) -> R) -> R {
+        f(&mut self.write())
+    }
+}
+
+impl<L: SpecLock> Default for SpecFs<L> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl SeqFs {
+impl<L: SpecLock> SpecFs<L> {
     /// Create an empty file system.
     pub fn new() -> Self {
-        SeqFs {
-            tree: Mutex::new(Tree::new()),
+        SpecFs {
+            state: L::new(FsState::new()),
         }
     }
+
+    /// Run a mutating `op` under the exclusive lock.
+    fn step(&self, op: OpDesc) -> FsResult<OpRet> {
+        into_result(self.state.write(|s| afs::step(s, &op)))
+    }
+
+    /// Decide a read-only `op` under the shared lock.
+    fn decide(&self, op: OpDesc) -> FsResult<OpRet> {
+        into_result(self.state.read(|s| afs::decide(s, &op).0))
+    }
 }
 
-impl FileSystem for SeqFs {
+fn into_result(ret: OpRet) -> FsResult<OpRet> {
+    match ret {
+        OpRet::Err(e) => Err(e),
+        ok => Ok(ok),
+    }
+}
+
+impl<L: SpecLock> FileSystem for SpecFs<L> {
     fn name(&self) -> &'static str {
-        "seqfs"
+        L::NAME
     }
     fn mknod(&self, path: &str) -> FsResult<()> {
-        self.tree.lock().create(&normalize(path)?, FileType::File)
+        let path = normalize(path)?;
+        self.step(OpDesc::Mknod { path }).map(drop)
     }
     fn mkdir(&self, path: &str) -> FsResult<()> {
-        self.tree.lock().create(&normalize(path)?, FileType::Dir)
+        let path = normalize(path)?;
+        self.step(OpDesc::Mkdir { path }).map(drop)
     }
     fn unlink(&self, path: &str) -> FsResult<()> {
-        self.tree.lock().remove(&normalize(path)?, false)
+        let path = normalize(path)?;
+        self.step(OpDesc::Unlink { path }).map(drop)
     }
     fn rmdir(&self, path: &str) -> FsResult<()> {
-        self.tree.lock().remove(&normalize(path)?, true)
+        let path = normalize(path)?;
+        self.step(OpDesc::Rmdir { path }).map(drop)
     }
     fn rename(&self, src: &str, dst: &str) -> FsResult<()> {
-        self.tree.lock().rename(&normalize(src)?, &normalize(dst)?)
+        let (src, dst) = (normalize(src)?, normalize(dst)?);
+        self.step(OpDesc::Rename { src, dst }).map(drop)
     }
+    /// The metadata of the node the walk reaches; `nlink` counts a
+    /// directory's child directories.
     fn stat(&self, path: &str) -> FsResult<Metadata> {
-        self.tree.lock().stat(&normalize(path)?)
+        let path = normalize(path)?;
+        self.state.read(|s| {
+            let ino = s.walk(&path)?;
+            Ok(match s.node(ino).ok_or(FsError::NotFound)? {
+                Node::File(f) => Metadata::file(ino, f.len() as u64),
+                Node::Dir(d) => {
+                    let subdirs = d
+                        .values()
+                        .filter(|c| matches!(s.node(**c), Some(Node::Dir(_))))
+                        .count() as u32;
+                    Metadata::dir(ino, d.len() as u64, subdirs)
+                }
+            })
+        })
     }
     fn readdir(&self, path: &str) -> FsResult<Vec<String>> {
-        self.tree.lock().readdir(&normalize(path)?)
-    }
-    fn read(&self, path: &str, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
-        self.tree.lock().read(&normalize(path)?, offset, buf)
-    }
-    fn write(&self, path: &str, offset: u64, data: &[u8]) -> FsResult<usize> {
-        self.tree.lock().write(&normalize(path)?, offset, data)
-    }
-    fn truncate(&self, path: &str, size: u64) -> FsResult<()> {
-        self.tree.lock().truncate(&normalize(path)?, size)
-    }
-}
-
-/// Readers/writer tree file system (tmpfs-sim): concurrent readers,
-/// exclusive writers.
-pub struct RwTreeFs {
-    tree: RwLock<Tree>,
-}
-
-impl Default for RwTreeFs {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RwTreeFs {
-    /// Create an empty file system.
-    pub fn new() -> Self {
-        RwTreeFs {
-            tree: RwLock::new(Tree::new()),
+        let path = normalize(path)?;
+        match self.decide(OpDesc::Readdir { path })? {
+            OpRet::Names(names) => Ok(names),
+            other => unreachable!("readdir returned {other}"),
         }
     }
-}
-
-impl FileSystem for RwTreeFs {
-    fn name(&self) -> &'static str {
-        "rwtreefs"
-    }
-    fn mknod(&self, path: &str) -> FsResult<()> {
-        self.tree.write().create(&normalize(path)?, FileType::File)
-    }
-    fn mkdir(&self, path: &str) -> FsResult<()> {
-        self.tree.write().create(&normalize(path)?, FileType::Dir)
-    }
-    fn unlink(&self, path: &str) -> FsResult<()> {
-        self.tree.write().remove(&normalize(path)?, false)
-    }
-    fn rmdir(&self, path: &str) -> FsResult<()> {
-        self.tree.write().remove(&normalize(path)?, true)
-    }
-    fn rename(&self, src: &str, dst: &str) -> FsResult<()> {
-        self.tree.write().rename(&normalize(src)?, &normalize(dst)?)
-    }
-    fn stat(&self, path: &str) -> FsResult<Metadata> {
-        self.tree.read().stat(&normalize(path)?)
-    }
-    fn readdir(&self, path: &str) -> FsResult<Vec<String>> {
-        self.tree.read().readdir(&normalize(path)?)
-    }
     fn read(&self, path: &str, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
-        self.tree.read().read(&normalize(path)?, offset, buf)
+        let path = normalize(path)?;
+        let len = buf.len();
+        match self.decide(OpDesc::Read { path, offset, len })? {
+            OpRet::Data(data) => {
+                buf[..data.len()].copy_from_slice(&data);
+                Ok(data.len())
+            }
+            other => unreachable!("read returned {other}"),
+        }
     }
     fn write(&self, path: &str, offset: u64, data: &[u8]) -> FsResult<usize> {
-        self.tree.write().write(&normalize(path)?, offset, data)
+        let path = normalize(path)?;
+        let data = data.to_vec();
+        match self.step(OpDesc::Write { path, offset, data })? {
+            OpRet::Written(n) => Ok(n),
+            other => unreachable!("write returned {other}"),
+        }
     }
     fn truncate(&self, path: &str, size: u64) -> FsResult<()> {
-        self.tree.write().truncate(&normalize(path)?, size)
+        let path = normalize(path)?;
+        self.step(OpDesc::Truncate { path, size }).map(drop)
     }
 }
 
@@ -206,7 +261,6 @@ impl<F: FileSystem> FileSystem for BigLockFs<F> {
 mod tests {
     use super::*;
     use atomfs_vfs::fs::FileSystemExt;
-    use atomfs_vfs::FsError;
     use std::sync::Arc;
 
     fn exercise(fs: &dyn FileSystem) {

@@ -30,14 +30,15 @@ use parking_lot::{Mutex, RwLock};
 use atomfs_vfs::path::normalize;
 use atomfs_vfs::{FileSystem, FileType, FsError, FsResult, Metadata};
 
-use crate::tree::{self, TNode};
+use crlh::afs::{truncate_bytes, write_bytes};
+use crlh::state::Node;
 
 const ROOT: u64 = 1;
 
 struct RNode {
     /// Set once the inode is unlinked; racing walkers must retry.
     deleted: bool,
-    node: TNode,
+    node: Node,
 }
 
 /// The traversal-retry file system.
@@ -64,7 +65,7 @@ impl RetryFs {
             ROOT,
             Arc::new(Mutex::new(RNode {
                 deleted: false,
-                node: TNode::Dir(Default::default()),
+                node: Node::new(FileType::Dir),
             })),
         );
         RetryFs {
@@ -79,7 +80,7 @@ impl RetryFs {
         self.table.read().get(&id).cloned()
     }
 
-    fn alloc(&self, node: TNode) -> u64 {
+    fn alloc(&self, node: Node) -> u64 {
         let id = self.next.fetch_add(1, Ordering::Relaxed);
         self.table.write().insert(
             id,
@@ -121,8 +122,8 @@ impl RetryFs {
                 return Err(FsError::NotFound);
             }
             cur = match &guard.node {
-                TNode::Dir(d) => *d.get(name).ok_or(FsError::NotFound)?,
-                TNode::File(_) => return Err(FsError::NotDir),
+                Node::Dir(d) => *d.get(name).ok_or(FsError::NotFound)?,
+                Node::File(_) => return Err(FsError::NotDir),
             };
         }
         Ok(cur)
@@ -133,7 +134,7 @@ impl RetryFs {
     fn with_node<T>(
         &self,
         comps: &[String],
-        mut f: impl FnMut(&mut TNode) -> FsResult<T>,
+        mut f: impl FnMut(&mut Node) -> FsResult<T>,
     ) -> FsResult<T> {
         loop {
             let start = self.read_seq();
@@ -161,7 +162,7 @@ impl RetryFs {
         &self,
         comps: &[String],
         root_err: FsError,
-        mut f: impl FnMut(&Self, &mut TNode, &str) -> FsResult<T>,
+        mut f: impl FnMut(&Self, &mut Node, &str) -> FsResult<T>,
     ) -> FsResult<T> {
         let Some((name, parent)) = comps.split_last() else {
             return Err(root_err);
@@ -182,7 +183,7 @@ impl RetryFs {
             if pguard.deleted || self.seq_changed(start) {
                 continue;
             }
-            if !matches!(pguard.node, TNode::Dir(_)) {
+            if !matches!(pguard.node, Node::Dir(_)) {
                 return Err(FsError::NotDir);
             }
             return f(self, &mut pguard.node, name);
@@ -252,8 +253,8 @@ impl FileSystem for RetryFs {
                 continue;
             }
             return Ok(match &guard.node {
-                TNode::File(f) => Metadata::file(id, f.len() as u64),
-                TNode::Dir(d) => {
+                Node::File(f) => Metadata::file(id, f.len() as u64),
+                Node::Dir(d) => {
                     // Count child directories for the link count; a child
                     // racing deletion is simply skipped (its unlink will
                     // invalidate this stat's seq check anyway).
@@ -264,7 +265,7 @@ impl FileSystem for RetryFs {
                         .filter_map(|c| self.get(*c))
                         .filter(|n| {
                             let g = n.lock();
-                            !g.deleted && matches!(g.node, TNode::Dir(_))
+                            !g.deleted && matches!(g.node, Node::Dir(_))
                         })
                         .count() as u32;
                     Metadata::dir(id, children.len() as u64, subdirs)
@@ -275,14 +276,14 @@ impl FileSystem for RetryFs {
 
     fn readdir(&self, path: &str) -> FsResult<Vec<String>> {
         self.with_node(&normalize(path)?, |node| match node {
-            TNode::Dir(d) => Ok(d.keys().cloned().collect()),
-            TNode::File(_) => Err(FsError::NotDir),
+            Node::Dir(d) => Ok(d.keys().cloned().collect()),
+            Node::File(_) => Err(FsError::NotDir),
         })
     }
 
     fn read(&self, path: &str, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
         self.with_node(&normalize(path)?, |node| match node {
-            TNode::File(f) => {
+            Node::File(f) => {
                 let off = offset as usize;
                 if off >= f.len() {
                     return Ok(0);
@@ -291,21 +292,21 @@ impl FileSystem for RetryFs {
                 buf[..n].copy_from_slice(&f[off..off + n]);
                 Ok(n)
             }
-            TNode::Dir(_) => Err(FsError::IsDir),
+            Node::Dir(_) => Err(FsError::IsDir),
         })
     }
 
     fn write(&self, path: &str, offset: u64, data: &[u8]) -> FsResult<usize> {
         self.with_node(&normalize(path)?, |node| match node {
-            TNode::File(f) => tree::write_bytes(f, offset, data),
-            TNode::Dir(_) => Err(FsError::IsDir),
+            Node::File(f) => write_bytes(f, offset, data),
+            Node::Dir(_) => Err(FsError::IsDir),
         })
     }
 
     fn truncate(&self, path: &str, size: u64) -> FsResult<()> {
         self.with_node(&normalize(path)?, |node| match node {
-            TNode::File(f) => tree::truncate_bytes(f, size),
-            TNode::Dir(_) => Err(FsError::IsDir),
+            Node::File(f) => truncate_bytes(f, size),
+            Node::Dir(_) => Err(FsError::IsDir),
         })
     }
 }
@@ -313,17 +314,13 @@ impl FileSystem for RetryFs {
 impl RetryFs {
     fn create(&self, comps: &[String], ftype: FileType) -> FsResult<()> {
         self.with_parent(comps, FsError::Exists, |fs, pnode, name| {
-            let TNode::Dir(d) = pnode else {
+            let Node::Dir(d) = pnode else {
                 unreachable!("checked")
             };
             if d.contains_key(name) {
                 return Err(FsError::Exists);
             }
-            let node = match ftype {
-                FileType::File => TNode::File(Vec::new()),
-                FileType::Dir => TNode::Dir(Default::default()),
-            };
-            let id = fs.alloc(node);
+            let id = fs.alloc(Node::new(ftype));
             d.insert(name.to_string(), id);
             Ok(())
         })
@@ -336,7 +333,7 @@ impl RetryFs {
             FsError::IsDir
         };
         self.with_parent(comps, root_err, |fs, pnode, name| {
-            let TNode::Dir(d) = pnode else {
+            let Node::Dir(d) = pnode else {
                 unreachable!("checked")
             };
             let Some(&child) = d.get(name) else {
@@ -348,9 +345,9 @@ impl RetryFs {
                 return Err(FsError::NotFound);
             }
             match (&cguard.node, want_dir) {
-                (TNode::File(_), true) => return Err(FsError::NotDir),
-                (TNode::Dir(_), false) => return Err(FsError::IsDir),
-                (TNode::Dir(sub), true) if !sub.is_empty() => return Err(FsError::NotEmpty),
+                (Node::File(_), true) => return Err(FsError::NotDir),
+                (Node::Dir(_), false) => return Err(FsError::IsDir),
+                (Node::Dir(sub), true) if !sub.is_empty() => return Err(FsError::NotEmpty),
                 _ => {}
             }
             cguard.deleted = true;
@@ -377,9 +374,9 @@ impl RetryFs {
             let pref = self.get(pid).ok_or(FsError::NotFound)?;
             let pguard = pref.lock();
             return match &pguard.node {
-                TNode::Dir(d) if d.contains_key(sn) => Ok(()),
-                TNode::Dir(_) => Err(FsError::NotFound),
-                TNode::File(_) => Err(FsError::NotDir),
+                Node::Dir(d) if d.contains_key(sn) => Ok(()),
+                Node::Dir(_) => Err(FsError::NotFound),
+                Node::File(_) => Err(FsError::NotDir),
             };
         }
         let sdir = self.walk(sp)?;
@@ -406,11 +403,11 @@ impl RetryFs {
             return Err(FsError::NotFound);
         }
         let sdir_entries = match &sguard.node {
-            TNode::Dir(d) => d,
-            TNode::File(_) => return Err(FsError::NotDir),
+            Node::Dir(d) => d,
+            Node::File(_) => return Err(FsError::NotDir),
         };
         if let Some(g) = &dguard {
-            if !matches!(g.node, TNode::Dir(_)) {
+            if !matches!(g.node, Node::Dir(_)) {
                 return Err(FsError::NotDir);
             }
         }
@@ -421,26 +418,26 @@ impl RetryFs {
             return Err(FsError::NotEmpty);
         }
         let ddir_entries = match dguard.as_ref().map(|g| &g.node).unwrap_or(&sguard.node) {
-            TNode::Dir(d) => d,
-            TNode::File(_) => unreachable!("checked"),
+            Node::Dir(d) => d,
+            Node::File(_) => unreachable!("checked"),
         };
         let dnode = ddir_entries.get(dn).copied();
         if dnode == Some(snode) {
             return Ok(());
         }
         let snode_ref = self.get(snode).ok_or(FsError::NotFound)?;
-        let s_is_dir = matches!(snode_ref.lock().node, TNode::Dir(_));
+        let s_is_dir = matches!(snode_ref.lock().node, Node::Dir(_));
         if let Some(d) = dnode {
             let dref2 = self.get(d).ok_or(FsError::NotFound)?;
             let mut dg = dref2.lock();
-            let d_is_dir = matches!(dg.node, TNode::Dir(_));
+            let d_is_dir = matches!(dg.node, Node::Dir(_));
             if s_is_dir && !d_is_dir {
                 return Err(FsError::NotDir);
             }
             if !s_is_dir && d_is_dir {
                 return Err(FsError::IsDir);
             }
-            if let TNode::Dir(sub) = &dg.node {
+            if let Node::Dir(sub) = &dg.node {
                 if !sub.is_empty() {
                     return Err(FsError::NotEmpty);
                 }
@@ -450,17 +447,17 @@ impl RetryFs {
             self.free(d);
         }
         // Perform the link surgery.
-        if let TNode::Dir(dd) = dguard
+        if let Node::Dir(dd) = dguard
             .as_mut()
             .map(|g| &mut g.node)
             .unwrap_or(&mut sguard.node)
         {
             dd.remove(dn);
         }
-        if let TNode::Dir(sd) = &mut sguard.node {
+        if let Node::Dir(sd) = &mut sguard.node {
             sd.remove(sn);
         }
-        if let TNode::Dir(dd) = dguard
+        if let Node::Dir(dd) = dguard
             .as_mut()
             .map(|g| &mut g.node)
             .unwrap_or(&mut sguard.node)

@@ -3,7 +3,7 @@
 //! Compares the per-operation cost of the three designs the paper
 //! discusses for meeting the non-bypassable criterion — lock coupling
 //! (AtomFS), one big lock, and Linux-VFS-style traversal retry — plus the
-//! sequential tree for reference, on an identical single-threaded
+//! sequential specification (`SeqFs`) for reference, on an identical single-threaded
 //! operation mix. (Multicore behaviour is covered by the `fig11_scalability`
 //! experiment via the lock simulator; this bench isolates the
 //! uncontended overhead each discipline pays.) Run with
@@ -50,7 +50,7 @@ fn bench_sync_ablation(t: &mut Table) {
 fn bench_deep_walk_ablation(t: &mut Table) {
     // Walk-dominated cost: stat at depth 12 compares a coupled walk
     // against a retry walk (which locks one inode at a time but checks
-    // the rename seqlock) and a plain tree descent.
+    // the rename seqlock) and a plain descent of the specification state.
     let depth = 12usize;
     let mk = |fs: &dyn FileSystem| {
         let mut path = String::new();

@@ -65,9 +65,93 @@ pub fn apply_aop(
 /// and whether it would change the state. Reads only the nodes the
 /// operation's paths name, so a view rolled back to concrete time
 /// serves as well as the abstract state itself.
-pub(crate) fn decide<S: StateView + ?Sized>(state: &S, op: &OpDesc) -> (OpRet, bool) {
+pub fn decide<S: StateView + ?Sized>(state: &S, op: &OpDesc) -> (OpRet, bool) {
     let (effects, ret) = compute(state, op, &mut |_| 0);
     (ret, !effects.is_empty())
+}
+
+/// Run `op` on `state` as one step of a sequential file system: the
+/// specification executed directly, with no checker around it.
+///
+/// `Write` and `Truncate` edit the file's bytes in place, deciding
+/// through the same helpers as [`apply_aop`], which would copy the whole
+/// file into a `SetData` effect. Every other operation goes through
+/// [`apply_aop`], and a created inode takes the next unused id; an
+/// unlink or rename first sets aside the bytes of the file it may
+/// remove, so no removal copies a file either. The state and the result
+/// are those [`apply_aop`] leaves and returns.
+pub fn step(state: &mut FsState, op: &OpDesc) -> OpRet {
+    let victim = match op {
+        OpDesc::Write { path, .. } | OpDesc::Truncate { path, .. } => {
+            return edit_in_place(state, path, op)
+        }
+        OpDesc::Unlink { path } | OpDesc::Rename { dst: path, .. } => state.walk(path).ok(),
+        _ => None,
+    };
+    // The file an unlink or rename may remove would be copied into the
+    // `SetData` that empties it. No removal decision reads file bytes,
+    // so they are set aside instead, and put back if the file survives.
+    let set_aside = victim.and_then(|ino| match state.map.get_mut(&ino) {
+        Some(Node::File(f)) => Some((ino, std::mem::take(f))),
+        _ => None,
+    });
+    let ino = fresh_id(state);
+    let (_, ret, diverged) = apply_aop(state, op, &mut |_| ino);
+    assert!(diverged.is_none(), "an unused id collided: {diverged:?}");
+    if let Some((ino, bytes)) = set_aside {
+        if let Some(Node::File(f)) = state.map.get_mut(&ino) {
+            *f = bytes;
+        }
+    }
+    ret
+}
+
+/// A `Write` or `Truncate` of the file at `comps`, edited in place.
+fn edit_in_place(state: &mut FsState, comps: &[String], op: &OpDesc) -> OpRet {
+    let ino = match resolve_file(&*state, comps) {
+        Ok((ino, _)) => ino,
+        Err(e) => return OpRet::Err(e),
+    };
+    match state.map.get_mut(&ino) {
+        Some(Node::File(f)) => edit_bytes(op, f),
+        _ => unreachable!("inode {ino} resolved to a file"),
+    }
+}
+
+/// The smallest id above every live inode. One operation creates at
+/// most one inode, so it is fresh for the whole operation.
+fn fresh_id(state: &FsState) -> Inum {
+    state.map.keys().next_back().map_or(state.root, |&id| id) + 1
+}
+
+/// Write `data` into a file's bytes `f` at `offset`, zero-filling any
+/// hole, and return the count written. An empty write returns 0 and
+/// changes nothing (the concrete write returns early); a write ending
+/// past [`MAX_FILE_SIZE`], or past `u64::MAX`, is `EFBIG` and changes
+/// nothing.
+pub fn write_bytes(f: &mut Vec<u8>, offset: u64, data: &[u8]) -> Result<usize, FsError> {
+    if data.is_empty() {
+        return Ok(0);
+    }
+    let end = offset
+        .checked_add(data.len() as u64)
+        .filter(|&end| end <= MAX_FILE_SIZE)
+        .ok_or(FsError::FileTooBig)? as usize;
+    if f.len() < end {
+        f.resize(end, 0);
+    }
+    f[offset as usize..end].copy_from_slice(data);
+    Ok(data.len())
+}
+
+/// Resize a file's bytes `f` to `size`, zero-filling growth. A size past
+/// [`MAX_FILE_SIZE`] is `EFBIG` and changes nothing.
+pub fn truncate_bytes(f: &mut Vec<u8>, size: u64) -> Result<(), FsError> {
+    if size > MAX_FILE_SIZE {
+        return Err(FsError::FileTooBig);
+    }
+    f.resize(size as usize, 0);
+    Ok(())
 }
 
 /// Resolve the parent components with walk semantics, then return the
@@ -107,8 +191,7 @@ fn compute<S: StateView + ?Sized>(
         OpDesc::Stat { path } => stat_spec(state, path),
         OpDesc::Readdir { path } => readdir_spec(state, path),
         OpDesc::Read { path, offset, len } => read_spec(state, path, *offset, *len),
-        OpDesc::Write { path, offset, data } => write_spec(state, path, *offset, data),
-        OpDesc::Truncate { path, size } => truncate_spec(state, path, *size),
+        OpDesc::Write { path, .. } | OpDesc::Truncate { path, .. } => edit_spec(state, path, op),
     }
 }
 
@@ -156,11 +239,10 @@ fn create_spec<S: StateView + ?Sized>(
     )
 }
 
-/// Effects that clear and remove inode `ino`, whose contents are `node`,
-/// preserving invertibility (non-empty files are emptied by a `SetData`
+/// Push the effects that clear and remove inode `ino`, whose contents
+/// are `node`, preserving invertibility (non-empty files are emptied by a `SetData`
 /// first, matching the concrete trace protocol).
-fn removal_effects(ino: Inum, node: &Node) -> Vec<MicroOp> {
-    let mut effects = Vec::new();
+fn push_removal(effects: &mut Vec<MicroOp>, ino: Inum, node: &Node) {
     if let Node::File(f) = node {
         if !f.is_empty() {
             effects.push(MicroOp::SetData {
@@ -174,7 +256,6 @@ fn removal_effects(ino: Inum, node: &Node) -> Vec<MicroOp> {
         ino,
         ftype: node.ftype(),
     });
-    effects
 }
 
 fn remove_spec<S: StateView + ?Sized>(
@@ -205,12 +286,13 @@ fn remove_spec<S: StateView + ?Sized>(
         Node::Dir(d) if !d.is_empty() => return err(FsError::NotEmpty),
         _ => {}
     }
-    let mut effects = vec![MicroOp::Del {
+    let mut effects = Vec::with_capacity(3);
+    effects.push(MicroOp::Del {
         parent: pid,
         name: name.clone(),
         child,
-    }];
-    effects.extend(removal_effects(child, &cnode));
+    });
+    push_removal(&mut effects, child, &cnode);
     (effects, OpRet::Ok)
 }
 
@@ -305,7 +387,7 @@ fn rename_spec<S: StateView + ?Sized>(
             name: dn.clone(),
             child: d,
         });
-        effects.extend(removal_effects(d, &dn_node));
+        push_removal(&mut effects, d, &dn_node);
     }
     effects.push(MicroOp::Del {
         parent: sdir,
@@ -367,79 +449,65 @@ fn read_spec<S: StateView + ?Sized>(
     }
 }
 
-fn write_spec<S: StateView + ?Sized>(
-    state: &S,
+/// Resolve the regular file a `Write` or `Truncate` edits: its id and
+/// bytes, or the error the operation returns (a walk error, or `EISDIR`).
+fn resolve_file<'s, S: StateView + ?Sized>(
+    state: &'s S,
     comps: &[String],
-    offset: u64,
-    data: &[u8],
-) -> (Vec<MicroOp>, OpRet) {
-    let (ino, node) = match resolve_node(state, comps) {
-        Ok(r) => r,
-        Err(e) => return err(e),
-    };
-    match &*node {
-        Node::File(f) => {
-            if data.is_empty() {
-                // The concrete write returns early without mutating.
-                return (Vec::new(), OpRet::Written(0));
-            }
-            let Some(end) = offset
-                .checked_add(data.len() as u64)
-                .filter(|&end| end <= MAX_FILE_SIZE)
-            else {
-                return err(FsError::FileTooBig);
-            };
-            let mut new = f.clone();
-            if new.len() < end as usize {
-                new.resize(end as usize, 0);
-            }
-            new[offset as usize..end as usize].copy_from_slice(data);
-            (
-                vec![MicroOp::SetData {
-                    ino,
-                    old: f.clone(),
-                    new,
-                }],
-                OpRet::Written(data.len()),
-            )
-        }
-        Node::Dir(_) => err(FsError::IsDir),
+) -> Result<(Inum, Cow<'s, [u8]>), FsError> {
+    match resolve_node(state, comps)? {
+        (ino, Cow::Borrowed(Node::File(f))) => Ok((ino, Cow::Borrowed(f))),
+        (ino, Cow::Owned(Node::File(f))) => Ok((ino, Cow::Owned(f))),
+        _ => Err(FsError::IsDir),
     }
 }
 
-fn truncate_spec<S: StateView + ?Sized>(
+/// Apply a `Write` or `Truncate` to the bytes `f` of the file it names,
+/// and return the operation's result. A refused edit leaves `f` as it
+/// was.
+fn edit_bytes(op: &OpDesc, f: &mut Vec<u8>) -> OpRet {
+    let ret = match op {
+        OpDesc::Write { offset, data, .. } => write_bytes(f, *offset, data).map(OpRet::Written),
+        OpDesc::Truncate { size, .. } => truncate_bytes(f, *size).map(|()| OpRet::Ok),
+        other => unreachable!("{} edits no file bytes", other.kind()),
+    };
+    ret.unwrap_or_else(OpRet::Err)
+}
+
+/// The effects and result of a `Write` or `Truncate` of the file at
+/// `comps`: one `SetData` from the old bytes to the edited ones.
+fn edit_spec<S: StateView + ?Sized>(
     state: &S,
     comps: &[String],
-    size: u64,
+    op: &OpDesc,
 ) -> (Vec<MicroOp>, OpRet) {
-    let (ino, node) = match resolve_node(state, comps) {
+    let (ino, old) = match resolve_file(state, comps) {
         Ok(r) => r,
         Err(e) => return err(e),
     };
-    match &*node {
-        Node::File(f) => {
-            if size > MAX_FILE_SIZE {
-                return err(FsError::FileTooBig);
-            }
-            let mut new = f.clone();
-            new.resize(size as usize, 0);
-            (
-                vec![MicroOp::SetData {
-                    ino,
-                    old: f.clone(),
-                    new,
-                }],
-                OpRet::Ok,
-            )
-        }
-        Node::Dir(_) => err(FsError::IsDir),
+    let mut new = old.to_vec();
+    let ret = edit_bytes(op, &mut new);
+    // A refused edit changes nothing, and neither does an empty write
+    // (the only write that returns 0).
+    if matches!(ret, OpRet::Err(_) | OpRet::Written(0)) {
+        return (Vec::new(), ret);
     }
+    (
+        vec![MicroOp::SetData {
+            ino,
+            old: old.into_owned(),
+            new,
+        }],
+        ret,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use atomfs_trace::ROOT_INUM;
+    use atomfs_vfs::rng::check_seeds;
+    use atomfs_vfs::SplitMix64;
 
     fn comps(s: &[&str]) -> Vec<String> {
         s.iter().map(|c| c.to_string()).collect()
@@ -664,10 +732,11 @@ mod tests {
 
     #[test]
     fn error_precedence_matches_concrete() {
-        // `rename` with a missing source inside an existing tree reports
-        // NotFound even when the destination parent is also missing —
-        // because the source branch is walked first... actually the
-        // common/branch order decides; verify a few interesting cases.
+        // `rename` decides in this order: renaming the root is EBUSY;
+        // a destination inside the source is EINVAL; then the common
+        // prefix of the two parents is walked, then the source branch,
+        // then the destination branch, and the first walk error wins;
+        // last, both parents must be directories (ENOTDIR).
         let mut s = FsState::new();
         apply(
             &mut s,
@@ -685,6 +754,34 @@ mod tests {
                 }
             ),
             OpRet::Err(FsError::InvalidArgument)
+        );
+        // A walk error beats the parent type check: the source parent
+        // `f` is a file, but the destination branch `m` is missing.
+        apply(
+            &mut s,
+            OpDesc::Mknod {
+                path: comps(&["f"]),
+            },
+        );
+        assert_eq!(
+            apply(
+                &mut s,
+                OpDesc::Rename {
+                    src: comps(&["f", "x"]),
+                    dst: comps(&["m", "n"]),
+                }
+            ),
+            OpRet::Err(FsError::NotFound)
+        );
+        assert_eq!(
+            apply(
+                &mut s,
+                OpDesc::Rename {
+                    src: comps(&["f", "x"]),
+                    dst: comps(&["d", "n"]),
+                }
+            ),
+            OpRet::Err(FsError::NotDir)
         );
         // Root renames are EBUSY before anything else.
         assert_eq!(
@@ -762,5 +859,72 @@ mod tests {
         assert!(s.node(4242).is_some());
         let d = s.node(ROOT_INUM).unwrap().as_dir().unwrap();
         assert_eq!(d.get("f"), Some(&4242));
+    }
+
+    /// A random op over a small namespace, weighted toward the byte
+    /// edits: writes past EOF (holes), empty writes, truncates up and
+    /// down, and edits at the `MAX_FILE_SIZE` bound, including offsets
+    /// whose end wraps `u64`.
+    fn random_op(rng: &mut SplitMix64) -> OpDesc {
+        const NAMES: [&[&str]; 6] = [&["a"], &["b"], &["a", "x"], &["a", "y"], &["b", "x"], &[]];
+        let path = |rng: &mut SplitMix64| comps(NAMES[rng.random_range(0..NAMES.len())]);
+        let offset = |rng: &mut SplitMix64, len: u64| match rng.random_range(0..8) {
+            0 => MAX_FILE_SIZE - len + 1,
+            1 => u64::MAX - rng.random_range(0..4),
+            2 => rng.random_range(16..64),
+            _ => rng.random_range(0..16),
+        };
+        match rng.random_range(0..12) {
+            0 => OpDesc::Mknod { path: path(rng) },
+            1 => OpDesc::Mkdir { path: path(rng) },
+            2 => OpDesc::Unlink { path: path(rng) },
+            3 => OpDesc::Rmdir { path: path(rng) },
+            4 => OpDesc::Rename {
+                src: path(rng),
+                dst: path(rng),
+            },
+            5 => OpDesc::Read {
+                path: path(rng),
+                offset: rng.random_range(0..48),
+                len: rng.random_range(0..24),
+            },
+            6 => OpDesc::Stat { path: path(rng) },
+            7 | 8 => {
+                let data = vec![rng.next_u64() as u8; rng.random_range(0..12)];
+                OpDesc::Write {
+                    path: path(rng),
+                    offset: offset(rng, data.len().max(1) as u64),
+                    data,
+                }
+            }
+            _ => OpDesc::Truncate {
+                path: path(rng),
+                size: match rng.random_range(0..6) {
+                    0 => MAX_FILE_SIZE + 1,
+                    1 => u64::MAX,
+                    _ => rng.random_range(0..64),
+                },
+            },
+        }
+    }
+
+    /// The sequential step and the checker's `apply_aop` cannot drift:
+    /// on every random script they return the same result and leave the
+    /// same state.
+    #[test]
+    fn step_matches_apply_aop() {
+        check_seeds(64, |rng| {
+            let mut stepped = FsState::new();
+            let mut applied = FsState::new();
+            for i in 0..rng.random_range(1..120) {
+                let op = random_op(rng);
+                let ret = step(&mut stepped, &op);
+                let ino = fresh_id(&applied);
+                let (_, want, diverged) = apply_aop(&mut applied, &op, &mut |_| ino);
+                assert!(diverged.is_none());
+                assert_eq!(ret, want, "op {i}: {op}");
+                assert_eq!(stepped, applied, "op {i}: {op}");
+            }
+        });
     }
 }

@@ -324,6 +324,9 @@ impl StateView for FsState {
         self.root
     }
 
+    // Inlined across crates, so a walk over the plain state folds the
+    // `Cow` away (without it `SeqFs`'s walk took twice as long).
+    #[inline]
     fn get(&self, id: Inum) -> Option<Cow<'_, Node>> {
         self.map.get(&id).map(Cow::Borrowed)
     }

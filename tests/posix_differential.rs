@@ -1,8 +1,10 @@
 //! Differential semantics testing: every file system in the workspace
 //! implements the same POSIX semantics, so the same single-threaded
 //! operation sequence must produce the *identical* result sequence on all
-//! of them. The sequential tree baseline (`SeqFs`, which is also the
-//! DFSCQ stand-in) acts as the executable oracle.
+//! of them. The oracle is the CRL-H specification itself: `SeqFs` (also
+//! the DFSCQ stand-in) runs `crlh::afs` behind a mutex, so these tests
+//! check the checker's spec against POSIX as well as each backend
+//! against the spec.
 
 use atomfs::AtomFs;
 use atomfs_baselines::{BigLockFs, RetryFs, RwTreeFs, SeqFs};
@@ -33,7 +35,7 @@ fn run_script(fs: &dyn FileSystem, seed: u64, count: usize) -> Vec<R> {
     for i in 0..count {
         let a = path(&mut rng);
         let b = path(&mut rng);
-        let r = match rng.random_range(0..12) {
+        let r = match rng.random_range(0..13) {
             0 => R::Unit(fs.mknod(&a)),
             1 => R::Unit(fs.mkdir(&a)),
             2 => R::Unit(fs.unlink(&a)),
@@ -54,6 +56,9 @@ fn run_script(fs: &dyn FileSystem, seed: u64, count: usize) -> Vec<R> {
             8 => R::Len(fs.write(&a, (i % 5) as u64, format!("w{i}").as_bytes())),
             9 => R::Unit(fs.truncate(&a, (i % 9) as u64)),
             10 => R::Unit(fs.rename(&a, &format!("{a}/sub"))), // EINVAL family
+            // Parents that may be files or missing: walk errors against
+            // the parents' type check.
+            11 => R::Unit(fs.rename(&format!("{a}/x"), &format!("{b}/y"))),
             _ => R::Stat(
                 fs.stat(&format!("{a}/deep/er"))
                     .map(|m| (m.ftype.is_dir(), m.size)),
@@ -70,27 +75,26 @@ fn setup(fs: &dyn FileSystem) {
     }
 }
 
+/// Every backend under test, each set up; the oracle is not among them.
+fn candidates() -> Vec<(&'static str, Box<dyn FileSystem>)> {
+    let all: Vec<(&str, Box<dyn FileSystem>)> = vec![
+        ("atomfs", Box::new(AtomFs::new())),
+        ("retryfs", Box::new(RetryFs::new())),
+        ("rwtreefs", Box::new(RwTreeFs::new())),
+        ("biglock", Box::new(BigLockFs::new(AtomFs::new()))),
+    ];
+    for (_, fs) in &all {
+        setup(fs.as_ref());
+    }
+    all
+}
+
 fn diff_all(seed: u64, count: usize) {
     let oracle = SeqFs::new();
     setup(&oracle);
     let expected = run_script(&oracle, seed, count);
-
-    let atomfs = AtomFs::new();
-    setup(&atomfs);
-    let retry = RetryFs::new();
-    setup(&retry);
-    let rwtree = RwTreeFs::new();
-    setup(&rwtree);
-    let biglock = BigLockFs::new(AtomFs::new());
-    setup(&biglock);
-
-    let candidates: Vec<(&str, Vec<R>)> = vec![
-        ("atomfs", run_script(&atomfs, seed, count)),
-        ("retryfs", run_script(&retry, seed, count)),
-        ("rwtreefs", run_script(&rwtree, seed, count)),
-        ("biglock", run_script(&biglock, seed, count)),
-    ];
-    for (name, got) in candidates {
+    for (name, fs) in candidates() {
+        let got = run_script(fs.as_ref(), seed, count);
         for (i, (g, e)) in got.iter().zip(expected.iter()).enumerate() {
             assert_eq!(
                 g, e,
@@ -110,6 +114,18 @@ fn differential_small_seeds() {
 #[test]
 fn differential_long_run() {
     diff_all(777, 3000);
+}
+
+/// Once diverged: the oracle checked that the source parent is a
+/// directory before it walked the destination branch, so it returned
+/// `ENOTDIR` where AtomFS and the specification return `ENOENT`.
+#[test]
+fn regression_rename_under_a_file_to_a_missing_parent() {
+    let oracle: (&str, Box<dyn FileSystem>) = ("seqfs", Box::new(SeqFs::new()));
+    for (name, fs) in candidates().into_iter().chain([oracle]) {
+        fs.mknod("/f").unwrap();
+        assert_eq!(fs.rename("/f/x", "/m/n"), Err(FsError::NotFound), "{name}");
+    }
 }
 
 /// Writes and truncates at the maximum file size and past it, including

@@ -4,7 +4,9 @@
 //! names its seed. Inputs that once failed are named tests below.
 //!
 //! * **differential**: random op scripts agree between AtomFS and the
-//!   sequential oracle (and the abstract specification itself);
+//!   sequential oracle `SeqFs` (the CRL-H abstract specification run
+//!   through `crlh::afs::step` behind a mutex), and between AtomFS and
+//!   the checker's own `crlh::afs::apply_aop`;
 //! * **roll-back**: applying random valid micro-op sequences and
 //!   unapplying them in reverse is the identity — the soundness core of
 //!   the abstraction relation;
@@ -123,7 +125,8 @@ fn setup(fs: &dyn FileSystem) {
     }
 }
 
-/// AtomFS and the sequential oracle agree on every script.
+/// AtomFS and the sequential oracle, the abstract specification run
+/// through `afs::step`, agree on every script.
 fn agrees_with_oracle(ops: &[Op]) {
     let a = AtomFs::new();
     setup(&a);
@@ -364,8 +367,9 @@ fn fastdir_matches_model() {
     });
 }
 
-/// The abstract spec agrees with the concrete AtomFS on sequential
-/// scripts: run ops on both, compare result strings.
+/// The abstract spec, as the checker applies it (`apply_aop`, which
+/// also builds the undo effects), agrees with the concrete AtomFS on
+/// sequential scripts: run ops on both, compare result strings.
 fn spec_refines_concrete(ops: &[Op]) {
     use atomfs_trace::{OpDesc, OpRet};
     let fs = AtomFs::new();
