@@ -2,20 +2,40 @@
 //!
 //! The paper's AtomFS stores file data in "a fixed-size array of indexes"
 //! per file over an in-memory block pool (§6). This module implements that
-//! pool: fixed-size blocks, allocated and freed through a free list, with
-//! per-block locks so data copies never serialize unrelated files. A file's
-//! inode holds an index array into this store (see
-//! [`crate::inode::FileData`]); the index array is bounded by
-//! [`MAX_BLOCKS_PER_FILE`], giving the same fixed maximum file size the
+//! pool: fixed-size blocks with per-block locks, so data copies never
+//! serialize unrelated files. A file's inode holds an index array into
+//! this store (see [`crate::inode::FileData`]); the index array is bounded
+//! by [`MAX_BLOCKS_PER_FILE`], giving the same fixed maximum file size the
 //! paper's layout implies.
+//!
+//! # What is shared, what is per thread
+//!
+//! * **Block access** shares nothing mutable. Blocks live in chunks of
+//!   1 024, created on first use; the chunk table is a slice of
+//!   `OnceLock`s sized for the whole capacity up front, so finding a
+//!   block is one acquire load — no lock, no reference count.
+//! * **Allocation and free** go through the core's per-thread magazine
+//!   allocator (`crate::magazine`): a thread frees into and allocates
+//!   from its own bounded magazine, and only a magazine's overflow or
+//!   refill (one in 32 operations at worst) takes the shared depot lock.
+//!   Fresh indices come from one atomic counter and are already zero; a
+//!   recycled block is zeroed as it is handed out, so [`BlockStore::alloc`]
+//!   always returns zeroes.
+//! * **`ENOSPC`** ([`FsError::NoSpace`]) fires only when every block of
+//!   the capacity is allocated: before failing, an allocation that finds
+//!   no fresh index left steals from every other thread's magazine.
 //!
 //! Concurrency contract: callers access a file's blocks only while holding
 //! that file's inode lock, so per-block locks are uncontended in practice;
 //! they exist so the store itself is safe regardless of caller discipline.
 
-use parking_lot::{Mutex, RwLock};
+use std::sync::OnceLock;
+
+use parking_lot::Mutex;
 
 use atomfs_vfs::{FsError, FsResult};
+
+use crate::magazine::Magazines;
 
 /// Bytes per block.
 pub const BLOCK_SIZE: usize = 4096;
@@ -34,8 +54,10 @@ const CHUNK_BLOCKS: usize = 1024;
 /// Index of a block within a [`BlockStore`].
 pub type BlockIdx = u32;
 
+type Block = Mutex<Box<[u8; BLOCK_SIZE]>>;
+
 struct Chunk {
-    blocks: Vec<Mutex<Box<[u8; BLOCK_SIZE]>>>,
+    blocks: Vec<Block>,
 }
 
 impl Chunk {
@@ -48,26 +70,23 @@ impl Chunk {
     }
 }
 
-/// A pool of fixed-size in-memory blocks with a free list.
+/// A pool of fixed-size in-memory blocks with a per-thread allocator.
 pub struct BlockStore {
-    chunks: RwLock<Vec<std::sync::Arc<Chunk>>>,
-    free: Mutex<FreeList>,
+    /// One slot per possible chunk, filled on the chunk's first allocation.
+    chunks: Box<[OnceLock<Box<Chunk>>]>,
+    free: Magazines<BlockIdx>,
     /// Maximum number of blocks this store may ever hold.
     capacity: usize,
-}
-
-#[derive(Default)]
-struct FreeList {
-    free: Vec<BlockIdx>,
-    next_unused: u32,
 }
 
 impl BlockStore {
     /// Create a store able to hold up to `capacity_blocks` blocks.
     pub fn new(capacity_blocks: usize) -> Self {
         BlockStore {
-            chunks: RwLock::new(Vec::new()),
-            free: Mutex::new(FreeList::default()),
+            chunks: (0..capacity_blocks.div_ceil(CHUNK_BLOCKS))
+                .map(|_| OnceLock::new())
+                .collect(),
+            free: Magazines::new(0, capacity_blocks),
             capacity: capacity_blocks,
         }
     }
@@ -77,59 +96,38 @@ impl BlockStore {
         self.capacity
     }
 
-    /// Number of currently allocated blocks.
+    /// Number of currently allocated blocks (exact when no thread is
+    /// allocating or freeing).
     pub fn allocated(&self) -> usize {
-        let f = self.free.lock();
-        f.next_unused as usize - f.free.len()
+        self.free.in_use()
     }
 
     /// Allocate one zeroed block.
     ///
     /// Returns [`FsError::NoSpace`] when the capacity is exhausted.
     pub fn alloc(&self) -> FsResult<BlockIdx> {
-        let idx = {
-            let mut f = self.free.lock();
-            if let Some(idx) = f.free.pop() {
-                idx
-            } else {
-                if f.next_unused as usize >= self.capacity {
-                    return Err(FsError::NoSpace);
-                }
-                let idx = f.next_unused;
-                f.next_unused += 1;
-                idx
-            }
-        };
-        // Ensure the backing chunk exists.
-        let chunk_no = idx as usize / CHUNK_BLOCKS;
-        {
-            let chunks = self.chunks.read();
-            if chunk_no < chunks.len() {
-                // Zero recycled blocks so allocation always returns zeroes.
-                let chunk = std::sync::Arc::clone(&chunks[chunk_no]);
-                drop(chunks);
-                chunk.blocks[idx as usize % CHUNK_BLOCKS].lock().fill(0);
-                return Ok(idx);
-            }
-        }
-        let mut chunks = self.chunks.write();
-        while chunks.len() <= chunk_no {
-            chunks.push(std::sync::Arc::new(Chunk::new()));
+        let (idx, fresh) = self.free.alloc().ok_or(FsError::NoSpace)?;
+        let chunk = self.chunks[idx as usize / CHUNK_BLOCKS].get_or_init(|| Box::new(Chunk::new()));
+        if !fresh {
+            // Zero recycled blocks so allocation always returns zeroes.
+            chunk.blocks[idx as usize % CHUNK_BLOCKS].lock().fill(0);
         }
         Ok(idx)
     }
 
-    /// Return a block to the free list.
+    /// Return a block to the calling thread's magazine.
     ///
     /// The caller must not use `idx` afterwards; the store may hand it to
     /// another file at any time.
     pub fn free(&self, idx: BlockIdx) {
-        self.free.lock().free.push(idx);
+        self.free.free(idx);
     }
 
-    fn chunk_of(&self, idx: BlockIdx) -> std::sync::Arc<Chunk> {
-        let chunks = self.chunks.read();
-        std::sync::Arc::clone(&chunks[idx as usize / CHUNK_BLOCKS])
+    fn block(&self, idx: BlockIdx) -> &Block {
+        let chunk = self.chunks[idx as usize / CHUNK_BLOCKS]
+            .get()
+            .expect("block was never allocated");
+        &chunk.blocks[idx as usize % CHUNK_BLOCKS]
     }
 
     /// Copy bytes out of block `idx` starting at `offset` into `buf`.
@@ -140,8 +138,7 @@ impl BlockStore {
     /// allocated — both indicate caller bugs, not recoverable conditions.
     pub fn read(&self, idx: BlockIdx, offset: usize, buf: &mut [u8]) {
         assert!(offset + buf.len() <= BLOCK_SIZE, "block read out of range");
-        let chunk = self.chunk_of(idx);
-        let block = chunk.blocks[idx as usize % CHUNK_BLOCKS].lock();
+        let block = self.block(idx).lock();
         buf.copy_from_slice(&block[offset..offset + buf.len()]);
     }
 
@@ -156,22 +153,22 @@ impl BlockStore {
             offset + data.len() <= BLOCK_SIZE,
             "block write out of range"
         );
-        let chunk = self.chunk_of(idx);
-        let mut block = chunk.blocks[idx as usize % CHUNK_BLOCKS].lock();
+        let mut block = self.block(idx).lock();
         block[offset..offset + data.len()].copy_from_slice(data);
     }
 
     /// Zero a byte range of block `idx`.
     pub fn zero(&self, idx: BlockIdx, offset: usize, len: usize) {
         assert!(offset + len <= BLOCK_SIZE, "block zero out of range");
-        let chunk = self.chunk_of(idx);
-        let mut block = chunk.blocks[idx as usize % CHUNK_BLOCKS].lock();
+        let mut block = self.block(idx).lock();
         block[offset..offset + len].fill(0);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     #[test]
@@ -240,26 +237,89 @@ mod tests {
         assert_eq!(&buf, b"far");
     }
 
+    /// Eight threads churn batches of up to 100 blocks, enough to spill
+    /// magazines into the depot and refill from it. Every block's flag
+    /// must flip false→true on alloc and true→false on free: a block
+    /// handed out twice at once fails the swap.
     #[test]
     fn concurrent_alloc_free() {
-        let store = std::sync::Arc::new(BlockStore::new(1024));
-        let mut handles = Vec::new();
-        for t in 0..8 {
-            let store = std::sync::Arc::clone(&store);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..200 {
-                    let b = store.alloc().unwrap();
-                    store.write(b, 0, &[t as u8, i as u8]);
-                    let mut buf = [0u8; 2];
-                    store.read(b, 0, &mut buf);
-                    assert_eq!(buf, [t as u8, i as u8]);
-                    store.free(b);
-                }
-            }));
-        }
+        use std::sync::atomic::{AtomicBool, Ordering};
+        const CAP: usize = 1024;
+        let store = Arc::new(BlockStore::new(CAP));
+        let held: Arc<Vec<AtomicBool>> =
+            Arc::new((0..CAP).map(|_| AtomicBool::new(false)).collect());
+        let handles: Vec<_> = (0..8usize)
+            .map(|t| {
+                let (store, held) = (Arc::clone(&store), Arc::clone(&held));
+                std::thread::spawn(move || {
+                    for round in 0..200usize {
+                        let n = (t * 7 + round * 13) % 100 + 1;
+                        let mine: Vec<BlockIdx> = (0..n).map(|_| store.alloc().unwrap()).collect();
+                        for (i, &b) in mine.iter().enumerate() {
+                            assert!(
+                                !held[b as usize].swap(true, Ordering::Relaxed),
+                                "block {b} handed out twice"
+                            );
+                            store.write(b, 0, &[t as u8, i as u8]);
+                        }
+                        for (i, &b) in mine.iter().enumerate() {
+                            let mut buf = [0u8; 2];
+                            store.read(b, 0, &mut buf);
+                            assert_eq!(buf, [t as u8, i as u8]);
+                            assert!(held[b as usize].swap(false, Ordering::Relaxed));
+                            store.free(b);
+                        }
+                    }
+                })
+            })
+            .collect();
         for h in handles {
             h.join().unwrap();
         }
         assert_eq!(store.allocated(), 0);
+    }
+
+    /// Run `f` on a new thread and return its result.
+    fn on_thread<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        std::thread::spawn(f).join().unwrap()
+    }
+
+    /// One thread fills the store and frees every block, leaving them in
+    /// its magazine and the depot; another thread then reaches the whole
+    /// capacity through depot batches and stealing.
+    #[test]
+    fn capacity_is_reachable_from_any_thread() {
+        let store = Arc::new(BlockStore::new(1000));
+        let s = Arc::clone(&store);
+        on_thread(move || {
+            let all: Vec<BlockIdx> = (0..1000).map(|_| s.alloc().unwrap()).collect();
+            assert_eq!(s.alloc(), Err(FsError::NoSpace));
+            all.into_iter().for_each(|b| s.free(b));
+        });
+        let s = Arc::clone(&store);
+        let mut got = on_thread(move || {
+            let got: Vec<BlockIdx> = (0..1000).map(|_| s.alloc().unwrap()).collect();
+            assert_eq!(s.alloc(), Err(FsError::NoSpace));
+            got
+        });
+        got.sort_unstable();
+        assert_eq!(got, (0..1000).collect::<Vec<_>>());
+        assert_eq!(store.allocated(), 1000);
+    }
+
+    /// Frees on one thread strand at most one magazine's worth of blocks
+    /// from another thread that allocates: the rest reach it through the
+    /// depot instead of fresh indices.
+    #[test]
+    fn stranding_is_bounded_by_one_magazine() {
+        let store = Arc::new(BlockStore::new(4096));
+        let s = Arc::clone(&store);
+        on_thread(move || {
+            let all: Vec<BlockIdx> = (0..1000).map(|_| s.alloc().unwrap()).collect();
+            all.into_iter().for_each(|b| s.free(b));
+        });
+        let s = Arc::clone(&store);
+        let fresh = on_thread(move || (0..1000).filter(|_| s.alloc().unwrap() >= 1000).count());
+        assert!(fresh <= crate::magazine::MAG_CAP, "{fresh} fresh blocks");
     }
 }

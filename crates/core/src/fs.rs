@@ -11,9 +11,11 @@ use crate::table::InodeTable;
 /// Sizing knobs for an [`AtomFs`] instance.
 #[derive(Debug, Clone, Copy)]
 pub struct AtomFsConfig {
-    /// Maximum number of live inodes.
+    /// Maximum number of live inodes. The live bitmap is preallocated
+    /// for it: one bit per inode.
     pub max_inodes: usize,
-    /// Maximum number of 4 KiB data blocks.
+    /// Maximum number of 4 KiB data blocks. The chunk table is
+    /// preallocated for it: 16 bytes per 1 024 blocks.
     pub max_blocks: usize,
     /// Whether path lookups may use the optimistic (seqlock-validated,
     /// rcu-walk-style) fast path before falling back to lock coupling.

@@ -16,6 +16,9 @@
 //!   by the optimistic fast path. The paper's prototype chains entries off
 //!   a hash array (§6); both are the same name→inode map. File data lives
 //!   in a **block store** with per-file index arrays ([`blocks`]).
+//! * **Per-thread allocation**: block indices and inode numbers come from
+//!   per-thread magazines over one shared depot, so two threads creating,
+//!   writing and deleting files share no lock in the steady state.
 //! * **Deadlock-free renames** (§5.2): couple down to the last common
 //!   inode of the two parent paths and hold it until both parent
 //!   directories are locked.
@@ -55,6 +58,7 @@ pub mod blocks;
 pub mod fastdir;
 pub mod fs;
 pub mod inode;
+pub(crate) mod magazine;
 pub mod metrics;
 pub mod ops;
 pub(crate) mod optwalk;

@@ -9,8 +9,26 @@
 //!
 //! Slots are reached by walking from the root through directory indexes,
 //! never by number: a parent's index owns its children's `Arc`s. The
-//! [`InodeTable`] only hands out inode numbers — recycled through a free
-//! list — and keeps a live bitmap that catches double frees.
+//! [`InodeTable`] only hands out inode numbers and keeps a live bitmap
+//! that catches double frees.
+//!
+//! # What is shared, what is per thread
+//!
+//! * **Numbers** come from the core's per-thread magazine allocator
+//!   (`crate::magazine`), the same one the block store uses: a thread
+//!   frees into and allocates from its own bounded magazine, and only a
+//!   magazine's overflow or refill takes the shared depot lock. A lone
+//!   thread reuses freed numbers last-in first-out, then takes fresh ones
+//!   in ascending order, so single-threaded numbering is deterministic.
+//! * **The live bitmap** is preallocated for the whole capacity, one
+//!   `AtomicU64` per 64 numbers, set and cleared with one atomic RMW per
+//!   alloc or free. A free of a number that is not live panics.
+//! * **`ENOSPC`** ([`FsError::NoSpace`]) fires when every number is live.
+//!   Numbers run `1..=capacity`, the root included, and capacity is
+//!   enforced where fresh numbers are issued; before failing, an
+//!   allocation steals from every other thread's magazine.
+//!   [`InodeTable::live`] is issued numbers minus free ones, a
+//!   diagnostic, not the bound.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,6 +40,7 @@ use atomfs_vfs::{FileType, FsError, FsResult, Metadata};
 
 use crate::fastdir::FastDir;
 use crate::inode::InodeData;
+use crate::magazine::Magazines;
 
 /// A shared, lockable, seqlock-versioned inode.
 pub type InodeRef = Arc<InodeSlot>;
@@ -190,58 +209,49 @@ impl std::fmt::Debug for InodeSlot {
 
 /// The root inode plus the inode-number allocator.
 pub struct InodeTable {
-    alloc: Mutex<AllocState>,
+    /// Free and fresh numbers `ROOT_INUM + 1..=capacity`.
+    nums: Magazines<Inum>,
+    /// One bit per inode number `0..=capacity`, set while the number is
+    /// live.
+    bits: Box<[AtomicU64]>,
     capacity: usize,
     /// The root directory; every other inode hangs off its index.
     root: InodeRef,
-}
-
-struct AllocState {
-    free: Vec<Inum>,
-    next: Inum,
-    live: usize,
-    /// One bit per inode number, set while the number is allocated.
-    bits: Vec<u64>,
-}
-
-impl AllocState {
-    /// Set `ino`'s live bit to `live`, returning its previous value.
-    fn set_live(&mut self, ino: Inum, live: bool) -> bool {
-        let (word, bit) = (ino as usize / 64, 1u64 << (ino % 64));
-        if self.bits.len() <= word {
-            self.bits.resize(word + 1, 0);
-        }
-        let was = self.bits[word] & bit != 0;
-        if live {
-            self.bits[word] |= bit;
-        } else {
-            self.bits[word] &= !bit;
-        }
-        was
-    }
 }
 
 impl InodeTable {
     /// Create a table with the root directory pre-allocated at
     /// [`ROOT_INUM`], able to hold up to `capacity` live inodes.
     pub fn new(capacity: usize) -> Self {
-        let mut alloc = AllocState {
-            free: Vec::new(),
-            next: ROOT_INUM + 1,
-            live: 1,
-            bits: Vec::new(),
-        };
-        alloc.set_live(ROOT_INUM, true);
-        InodeTable {
-            alloc: Mutex::new(alloc),
+        let first = ROOT_INUM as usize + 1;
+        let t = InodeTable {
+            nums: Magazines::new(first, capacity + 1),
+            bits: (0..(capacity + 1).max(first).div_ceil(64))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             capacity,
             root: Arc::new(InodeSlot::new(ROOT_INUM, FileType::Dir)),
-        }
+        };
+        t.set_live(ROOT_INUM, true);
+        t
     }
 
-    /// Number of live inodes (including the root).
+    /// Set `ino`'s live bit to `live`, returning its previous value. The
+    /// magazine locks order a free's clear before the number's next alloc.
+    fn set_live(&self, ino: Inum, live: bool) -> bool {
+        let (word, bit) = (&self.bits[ino as usize / 64], 1u64 << (ino % 64));
+        let prev = if live {
+            word.fetch_or(bit, Ordering::Relaxed)
+        } else {
+            word.fetch_and(!bit, Ordering::Relaxed)
+        };
+        prev & bit != 0
+    }
+
+    /// Number of live inodes (including the root): issued numbers minus
+    /// free ones, exact when no thread is allocating or freeing.
     pub fn live(&self) -> usize {
-        self.alloc.lock().live
+        1 + self.nums.in_use()
     }
 
     /// Maximum number of live inodes.
@@ -261,24 +271,9 @@ impl InodeTable {
 
     /// Allocate a fresh inode with empty contents of type `ftype`.
     pub fn alloc(&self, ftype: FileType) -> FsResult<(Inum, InodeRef)> {
-        let ino = {
-            let mut a = self.alloc.lock();
-            if a.live >= self.capacity {
-                return Err(FsError::NoSpace);
-            }
-            a.live += 1;
-            let ino = match a.free.pop() {
-                Some(ino) => ino,
-                None => {
-                    let ino = a.next;
-                    a.next += 1;
-                    ino
-                }
-            };
-            let was_live = a.set_live(ino, true);
-            debug_assert!(!was_live, "inode {ino} double-allocated");
-            ino
-        };
+        let (ino, _) = self.nums.alloc().ok_or(FsError::NoSpace)?;
+        let was_live = self.set_live(ino, true);
+        debug_assert!(!was_live, "inode {ino} double-allocated");
         Ok((ino, Arc::new(InodeSlot::new(ino, ftype))))
     }
 
@@ -292,17 +287,19 @@ impl InodeTable {
     /// confuse an old inode with its successor.
     pub fn free(&self, ino: Inum) {
         assert_ne!(ino, ROOT_INUM, "cannot free the root");
-        let mut a = self.alloc.lock();
-        assert!(a.set_live(ino, false), "double free of inode {ino}");
-        a.live -= 1;
-        a.free.push(ino);
+        assert!(
+            (ino as usize) < self.bits.len() * 64 && self.set_live(ino, false),
+            "double free of inode {ino}"
+        );
+        self.nums.free(ino);
     }
 
     /// Snapshot the numbers of all live inodes (diagnostics/tests only).
     pub fn live_inums(&self) -> Vec<Inum> {
-        let a = self.alloc.lock();
-        (0..a.bits.len() as Inum * 64)
-            .filter(|&ino| a.bits[ino as usize / 64] & (1 << (ino % 64)) != 0)
+        (0..self.bits.len() as Inum * 64)
+            .filter(|&ino| {
+                self.bits[ino as usize / 64].load(Ordering::Relaxed) & (1 << (ino % 64)) != 0
+            })
             .collect()
     }
 }
@@ -380,20 +377,43 @@ mod tests {
         t.free(a);
     }
 
+    /// Eight threads each allocate 500 numbers, then churn batches of up
+    /// to 100, enough to spill magazines into the depot and refill from
+    /// it. Every number's flag must flip false→true on alloc and
+    /// true→false on free: a number handed out twice at once fails the
+    /// swap.
     #[test]
     fn concurrent_alloc() {
-        let t = Arc::new(InodeTable::new(10_000));
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let t = Arc::clone(&t);
-            handles.push(std::thread::spawn(move || {
-                let mut inos = Vec::new();
-                for _ in 0..500 {
-                    inos.push(t.alloc(FileType::File).unwrap().0);
-                }
-                inos
-            }));
-        }
+        use std::sync::atomic::AtomicBool;
+        const CAP: usize = 10_000;
+        let t = Arc::new(InodeTable::new(CAP));
+        let live: Arc<Vec<AtomicBool>> =
+            Arc::new((0..=CAP).map(|_| AtomicBool::new(false)).collect());
+        let take = |t: &InodeTable, live: &[AtomicBool]| {
+            let ino = t.alloc(FileType::File).unwrap().0;
+            assert!(
+                !live[ino as usize].swap(true, Ordering::Relaxed),
+                "inode {ino} handed out twice"
+            );
+            ino
+        };
+        let handles: Vec<_> = (0..8usize)
+            .map(|k| {
+                let (t, live) = (Arc::clone(&t), Arc::clone(&live));
+                std::thread::spawn(move || {
+                    let kept: Vec<Inum> = (0..500).map(|_| take(&t, &live)).collect();
+                    for round in 0..200usize {
+                        let n = (k * 7 + round * 13) % 100 + 1;
+                        let mine: Vec<Inum> = (0..n).map(|_| take(&t, &live)).collect();
+                        for ino in mine {
+                            assert!(live[ino as usize].swap(false, Ordering::Relaxed));
+                            t.free(ino);
+                        }
+                    }
+                    kept
+                })
+            })
+            .collect();
         let mut all: Vec<Inum> = handles
             .into_iter()
             .flat_map(|h| h.join().unwrap())
@@ -402,6 +422,65 @@ mod tests {
         all.dedup();
         assert_eq!(all.len(), 4000, "inums must be unique");
         assert_eq!(t.live(), 4001);
+        for ino in all {
+            t.free(ino);
+        }
+        assert_eq!(t.live(), 1);
+    }
+
+    /// Run `f` on a new thread and return its result.
+    fn on_thread<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        std::thread::spawn(f).join().unwrap()
+    }
+
+    /// One thread takes every number and frees them all, leaving them in
+    /// its magazine and the depot; another thread then reaches the whole
+    /// capacity through depot batches and stealing.
+    #[test]
+    fn capacity_is_reachable_from_any_thread() {
+        let t = Arc::new(InodeTable::new(1000));
+        let t2 = Arc::clone(&t);
+        on_thread(move || {
+            let all: Vec<Inum> = (0..999)
+                .map(|_| t2.alloc(FileType::File).unwrap().0)
+                .collect();
+            assert_eq!(t2.alloc(FileType::File).unwrap_err(), FsError::NoSpace);
+            all.into_iter().for_each(|ino| t2.free(ino));
+        });
+        let t2 = Arc::clone(&t);
+        let mut got = on_thread(move || {
+            let got: Vec<Inum> = (0..999)
+                .map(|_| t2.alloc(FileType::File).unwrap().0)
+                .collect();
+            assert_eq!(t2.alloc(FileType::File).unwrap_err(), FsError::NoSpace);
+            got
+        });
+        got.sort_unstable();
+        assert_eq!(got, (2..=1000).collect::<Vec<_>>());
+        assert_eq!(t.live(), 1000);
+    }
+
+    /// Frees on one thread strand at most one magazine's worth of
+    /// numbers from another thread that allocates.
+    #[test]
+    fn stranding_is_bounded_by_one_magazine() {
+        let t = Arc::new(InodeTable::new(4096));
+        let t2 = Arc::clone(&t);
+        let high = on_thread(move || {
+            let all: Vec<Inum> = (0..1000)
+                .map(|_| t2.alloc(FileType::File).unwrap().0)
+                .collect();
+            let high = *all.iter().max().unwrap();
+            all.into_iter().for_each(|ino| t2.free(ino));
+            high
+        });
+        let t2 = Arc::clone(&t);
+        let fresh = on_thread(move || {
+            (0..1000)
+                .filter(|_| t2.alloc(FileType::File).unwrap().0 > high)
+                .count()
+        });
+        assert!(fresh <= crate::magazine::MAG_CAP, "{fresh} fresh numbers");
     }
 
     #[test]

@@ -84,6 +84,38 @@ mod create {
         fs.unlink("/a").unwrap();
         fs.mknod("/c").unwrap();
     }
+
+    /// One thread fills every inode and block and deletes it all, which
+    /// leaves the freed numbers and blocks in that thread's magazines and
+    /// the depot; a second thread must still reach the full capacity.
+    #[test]
+    fn capacity_is_reachable_from_any_thread() {
+        let fs = Arc::new(AtomFs::with_config(AtomFsConfig {
+            max_inodes: 200,
+            max_blocks: 199,
+            ..AtomFsConfig::default()
+        }));
+        let fill = |fs: Arc<AtomFs>, delete: bool| {
+            std::thread::spawn(move || {
+                for i in 0..199 {
+                    let path = format!("/f{i}");
+                    fs.mknod(&path).unwrap();
+                    fs.write(&path, 0, b"x").unwrap();
+                }
+                assert_eq!(fs.mknod("/g"), Err(FsError::NoSpace));
+                assert_eq!(fs.allocated_blocks(), 199);
+                if delete {
+                    (0..199).for_each(|i| fs.unlink(&format!("/f{i}")).unwrap());
+                }
+            })
+            .join()
+            .unwrap();
+        };
+        fill(Arc::clone(&fs), true);
+        assert_eq!((fs.live_inodes(), fs.allocated_blocks()), (1, 0));
+        fill(Arc::clone(&fs), false);
+        assert_eq!(fs.live_inodes(), 200);
+    }
 }
 
 mod remove {

@@ -48,9 +48,8 @@ pub mod dump;
 pub mod flightrec;
 pub mod metric;
 pub mod registry;
+pub mod shard;
 pub mod span;
-
-mod shard;
 
 pub mod hist {
     //! Bucket-scheme constants and helpers, shared by the histogram and

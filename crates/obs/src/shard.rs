@@ -1,11 +1,12 @@
-//! Thread-slot assignment for sharded metrics.
+//! Thread-slot assignment for everything sharded per thread.
 //!
-//! The same scheme as `atomfs_trace::ShardedSink`: every OS thread takes
-//! one process-global round-robin slot for its lifetime, and each metric
-//! maps the slot onto its own power-of-two shard array. A thread
-//! therefore always writes the same shard of a given metric, keeping the
-//! record path free of cross-thread cache-line traffic as long as threads
-//! at most lightly outnumber shards.
+//! Every OS thread takes one process-global round-robin slot for its
+//! lifetime, and each sharded structure maps the slot onto its own
+//! power-of-two shard array: this crate's metrics, the trace recorder's
+//! `ShardedSink` segments and the core's allocator magazines. A thread
+//! therefore always writes the same shard of a given structure, keeping
+//! the hot path free of cross-thread cache-line traffic as long as
+//! threads at most lightly outnumber shards.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -16,8 +17,10 @@ thread_local! {
     static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
-/// This thread's stable slot index.
-pub(crate) fn thread_slot() -> usize {
+/// This thread's stable slot index: assigned round-robin from one
+/// process-global counter on the thread's first call, then fixed for the
+/// thread's lifetime. Mask it with a power-of-two shard count minus one.
+pub fn thread_slot() -> usize {
     SLOT.with(|s| {
         let v = s.get();
         if v != usize::MAX {

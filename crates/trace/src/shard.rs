@@ -49,40 +49,21 @@
 //! (no events are lost or duplicated) but may split concurrent events
 //! across two takes such that their concatenation is not stamp-sorted.
 
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
+// The process-global round-robin slot of `atomfs_obs::shard`: a thread
+// keeps one slot for its lifetime, so every `ShardedSink` maps it to a
+// stable shard and long-lived emitter threads never migrate (which would
+// break the sorted-segment property).
+use atomfs_vfs::thread_slot;
 use parking_lot::Mutex;
 
 use crate::{Event, Inum, Tid, TraceSink};
 
 /// A recorded event with its global sequence stamp.
 pub type Stamped = (u64, Event);
-
-/// Round-robin assignment of OS threads to shard slots. Process-global:
-/// a thread keeps one slot for its lifetime, so every [`ShardedSink`]
-/// maps it to a stable shard and long-lived emitter threads never
-/// migrate (which would break the sorted-segment property).
-static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-fn thread_slot() -> usize {
-    SLOT.with(|s| {
-        let v = s.get();
-        if v != usize::MAX {
-            v
-        } else {
-            let v = NEXT_SLOT.fetch_add(1, Ordering::Relaxed);
-            s.set(v);
-            v
-        }
-    })
-}
 
 /// One per-thread segment. Padded to a cache line so shard locks on
 /// adjacent slots do not false-share.

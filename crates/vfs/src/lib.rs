@@ -34,3 +34,8 @@ pub use fs::{FileSystem, FileType, Metadata};
 pub use metered::MeteredFs;
 pub use path::{join, normalize, parent_and_name, split};
 pub use rng::SplitMix64;
+
+/// The process-global thread slot that every per-thread shard array in
+/// the workspace is indexed by (see [`atomfs_obs::shard`]), re-exported
+/// for `atomfs-trace`, which reaches `atomfs-obs` through this crate.
+pub use atomfs_obs::shard::thread_slot;
