@@ -16,6 +16,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use atomfs::blocks::BlockStore;
+use atomfs::epoch;
 use atomfs::fastdir::FastDir;
 use atomfs::inode::InodeData;
 use atomfs::table::{InodeRef, InodeTable};
@@ -118,7 +119,7 @@ impl BypassFs {
             .ok_or(FsError::NotFound)?;
         for name in comps {
             let child = match cur.dir() {
-                Ok(d) => d.lookup(name).map(|(ino, _)| ino),
+                Ok(d) => d.lookup(&epoch::pin(), name).map(|(ino, _)| ino),
                 Err(e) => {
                     self.emit(|| Event::Lp { tid });
                     self.unlock(tid, cur);
@@ -345,7 +346,7 @@ impl BypassFs {
         let p = self.walk(tid, parent)?;
         let outcome = match p.dir() {
             Err(e) => Err(e),
-            Ok(d) if d.lookup(name).is_some() => Err(FsError::Exists),
+            Ok(d) if d.lookup(&epoch::pin(), name).is_some() => Err(FsError::Exists),
             Ok(_) => Ok(()),
         };
         if let Err(e) = outcome {
@@ -412,7 +413,7 @@ impl BypassFs {
         };
         let p = self.walk(tid, parent)?;
         let child_ino = match p.dir() {
-            Ok(d) => d.lookup(name).map(|(ino, _)| ino),
+            Ok(d) => d.lookup(&epoch::pin(), name).map(|(ino, _)| ino),
             Err(e) => {
                 self.emit(|| Event::Lp { tid });
                 self.unlock(tid, p);
@@ -495,12 +496,13 @@ impl BypassFs {
             .lock(tid, ROOT_INUM, PathTag::Common)
             .ok_or(FsError::NotFound)?;
         let dir = p.dir().expect("root is a dir");
-        let Some((snode, snode_ref)) = dir.lookup(sn) else {
+        let guard = epoch::pin();
+        let Some((snode, snode_ref)) = dir.lookup(&guard, sn) else {
             self.emit(|| Event::Lp { tid });
             self.unlock(tid, p);
             return Err(FsError::NotFound);
         };
-        if dir.lookup(dn).is_some() {
+        if dir.lookup(&guard, dn).is_some() {
             self.emit(|| Event::Lp { tid });
             self.unlock(tid, p);
             return Err(FsError::Exists);

@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::sync::Arc;
 
+use atomfs::epoch;
 use atomfs::fastdir::FastDir;
 use atomfs::table::{InodeRef, InodeSlot};
 use atomfs_bench::report::{time_case, Table, TIMING_HEADER};
@@ -24,7 +25,8 @@ fn children(n: usize) -> Vec<InodeRef> {
         .collect()
 }
 
-/// 64 probes per call: the last column is lookups/s.
+/// 64 lockless probes per call under one epoch pin, as an optimistic
+/// walk makes them: the last column is lookups/s.
 fn bench_lookup(t: &mut Table) {
     for size in [16usize, 256, 4096, 16384] {
         let hash = FastDir::new();
@@ -36,8 +38,9 @@ fn bench_lookup(t: &mut Table) {
         let probe: Vec<String> = (0..64).map(|i| format!("entry{}", i * size / 64)).collect();
         let probes = probe.len() as u64;
         time_case(t, "dir_lookup", &format!("fastdir/{size}"), probes, || {
+            let guard = epoch::pin();
             for p in &probe {
-                black_box(hash.lookup(p).map(|(ino, _)| ino));
+                black_box(hash.lookup(&guard, p).map(|(ino, _)| ino));
             }
         });
         time_case(t, "dir_lookup", &format!("btreemap/{size}"), probes, || {

@@ -16,6 +16,9 @@
 //!   by the optimistic fast path. The paper's prototype chains entries off
 //!   a hash array (§6); both are the same name→inode map. File data lives
 //!   in a **block store** with per-file index arrays ([`blocks`]).
+//! * **Deferred frees** ([`epoch`]): a lockless reader pins an epoch, and
+//!   an unlinked inode or a replaced directory table is freed once every
+//!   reader pinned at its removal has left, so churn keeps memory bounded.
 //! * **Per-thread allocation**: block indices and inode numbers come from
 //!   per-thread magazines over one shared depot, so two threads creating,
 //!   writing and deleting files share no lock in the steady state.
@@ -55,6 +58,7 @@
 //! ```
 
 pub mod blocks;
+pub mod epoch;
 pub mod fastdir;
 pub mod fs;
 pub mod inode;

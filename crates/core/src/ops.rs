@@ -36,6 +36,7 @@ use atomfs_trace::{current_tid, Event, MicroOp, OpDesc, OpRet, PathTag, StatRet,
 use atomfs_vfs::path::normalize_ref;
 use atomfs_vfs::{FileSystem, FileType, FsError, FsResult, Metadata};
 
+use crate::epoch;
 use crate::fs::AtomFs;
 use crate::metrics::{FsMetrics, OpKind};
 use crate::walk::Locked;
@@ -161,7 +162,12 @@ impl AtomFs {
         p: &mut Locked,
         ftype: FileType,
     ) -> FsResult<()> {
-        if p.dir().expect("caller verified").lookup(name).is_some() {
+        let guard = epoch::pin();
+        if p.dir()
+            .expect("caller verified")
+            .lookup(&guard, name)
+            .is_some()
+        {
             return Err(FsError::Exists);
         }
         self.hint(tid, p.ino)?;
@@ -247,11 +253,14 @@ impl AtomFs {
         if let Err(e) = self.hint(tid, p.ino) {
             return Err(self.fail(tid, e, [p]));
         }
-        let Some((child_ino, child)) = p.dir().expect("caller verified").lookup(name) else {
+        let guard = epoch::pin();
+        let Some((child_ino, child)) = p.dir().expect("caller verified").lookup(&guard, name)
+        else {
             return Err(self.fail(tid, FsError::NotFound, [p]));
         };
         // Lock coupling continues into the victim (Figure 2's `lock(node)`).
         let mut c = self.lock_inode(tid, child_ino, child, PathTag::Common);
+        drop(guard);
         let cftype = c.ftype();
         if want_dir && cftype == FileType::File {
             return Err(self.fail(tid, FsError::NotDir, [c, p]));
@@ -337,7 +346,7 @@ impl AtomFs {
                 .walk(tid, sp, PathTag::Common)
                 .map_err(|(e, held)| self.fail(tid, e, [held]))?;
             let exists = match p.dir() {
-                Ok(d) => d.lookup(sn).is_some(),
+                Ok(d) => d.lookup(&epoch::pin(), sn).is_some(),
                 Err(e) => return Err(self.fail(tid, e, [p])),
             };
             if !exists {
@@ -398,7 +407,8 @@ impl AtomFs {
         if sdir.dir().is_err() || ddir.as_ref().is_some_and(|d| d.dir().is_err()) {
             return Err(self.fail(tid, FsError::NotDir, held!()));
         }
-        let Some((snode_ino, snode_ref)) = sdir.dir().expect("checked").lookup(sn) else {
+        let guard = epoch::pin();
+        let Some((snode_ino, snode_ref)) = sdir.dir().expect("checked").lookup(&guard, sn) else {
             return Err(self.fail(tid, FsError::NotFound, held!()));
         };
         if dst_is_ancestor_of_src {
@@ -411,7 +421,7 @@ impl AtomFs {
             .unwrap_or(&sdir)
             .dir()
             .expect("checked")
-            .lookup(dn);
+            .lookup(&guard, dn);
         if dnode_entry.is_some_and(|(ino, _)| ino == snode_ino) {
             // Same inode under both names (only possible with hard links,
             // which AtomFS does not support; kept for POSIX conformance).

@@ -55,11 +55,23 @@
 //!
 //! A claim that holds the chain's last node announces that lock itself
 //! (`locked`), and only an `ok` claim takes it into the trace. A walker
-//! on a retired directory index may hold a freed incarnation of a
-//! recycled inode number, whose lock must never reach the trace; a chain
-//! valid at the stamp proves every slot in it still linked, and a held
-//! slot cannot be freed, so the announced number names the incarnation
-//! actually locked. A refused claim releases its lock silently.
+//! pinned before an `unlink` or a table swap may still reach the removed
+//! inode through the index it read: its guard keeps that slot allocated,
+//! not linked, and its number may already name a new inode, so its lock
+//! must never reach the trace. A
+//! chain valid at the stamp proves every slot in it still linked, and a
+//! held slot cannot be freed, so the announced number names the
+//! incarnation actually locked. A refused claim releases its lock
+//! silently.
+//!
+//! # One epoch pin per operation
+//!
+//! Each fast-path operation pins the epoch ([`crate::epoch::pin`]) once,
+//! around its whole attempt loop and a mutation's locked tail, and every
+//! `&InodeRef` of a [`Chain`] borrows from that guard: no table the walk
+//! probes, and no inode it reaches through one, is freed before the
+//! operation unpins. Pinning writes only the thread's own epoch record
+//! and never waits, so it adds no scheduling point and no event.
 //!
 //! # Why mutations probe ancestor locks and reads do not
 //!
@@ -85,6 +97,7 @@ use atomfs_obs::{Span, SpanKind};
 use atomfs_trace::{Event, Inum, Tid};
 use atomfs_vfs::{FileType, FsError, FsResult, Metadata};
 
+use crate::epoch::{self, Guard};
 use crate::fs::AtomFs;
 use crate::table::{InodeRef, InodeSlot};
 use crate::walk::Locked;
@@ -97,8 +110,9 @@ pub(crate) const MAX_OPT_ATTEMPTS: usize = 3;
 
 /// One optimistic walk: each resolved inode with the (even) sequence
 /// number it was observed at. `chain[0]` is the root; `chain[i]` was
-/// read from `chain[i-1]`'s directory index.
-type Chain<'a> = Vec<(&'a InodeRef, u64)>;
+/// read from `chain[i-1]`'s directory index, borrowed under the
+/// operation's epoch guard `'g`.
+type Chain<'g> = Vec<(&'g InodeRef, u64)>;
 
 /// The inode numbers of `chain`, root first: what a claim records.
 fn inos(chain: &Chain<'_>) -> Vec<Inum> {
@@ -141,11 +155,16 @@ impl AtomFs {
     /// One optimistic walk attempt ([`Self::opt_resolve`]). An attempt
     /// abandoned mid-walk is recorded as one refused claim of the prefix
     /// it reached, and yields `None`.
-    fn opt_walk<'a>(&'a self, tid: Tid, comps: &[&str]) -> Option<(Chain<'a>, Option<FsError>)> {
+    fn opt_walk<'g>(
+        &'g self,
+        guard: &'g Guard,
+        tid: Tid,
+        comps: &[&str],
+    ) -> Option<(Chain<'g>, Option<FsError>)> {
         // Phase span: one optimistic walk attempt under the (sampled)
         // operation root; a mid-walk validation failure marks it failed.
         let mut sp = Span::child(SpanKind::OptWalk, "opt_resolve");
-        match self.opt_resolve(comps) {
+        match self.opt_resolve(guard, comps) {
             Ok(walked) => Some(walked),
             Err(prefix) => {
                 sp.fail();
@@ -165,13 +184,14 @@ impl AtomFs {
     /// plus `Some(error)` when the walk itself decided the outcome
     /// (missing entry, file used as directory), or `Err` with the prefix
     /// it reached when a hand-over-hand validation failed mid-walk.
-    fn opt_resolve<'a>(
-        &'a self,
+    fn opt_resolve<'g>(
+        &'g self,
+        guard: &'g Guard,
         comps: &[&str],
-    ) -> Result<(Chain<'a>, Option<FsError>), Chain<'a>> {
+    ) -> Result<(Chain<'g>, Option<FsError>), Chain<'g>> {
         let root = self.table.root_ref();
         let rseq = root.seq_read();
-        let mut chain: Chain<'a> = Vec::with_capacity(comps.len() + 1);
+        let mut chain: Chain<'g> = Vec::with_capacity(comps.len() + 1);
         chain.push((root, rseq));
         if rseq & 1 == 1 {
             return Err(chain);
@@ -184,7 +204,7 @@ impl AtomFs {
                 // chain validates.
                 return Ok((chain, Some(FsError::NotDir)));
             };
-            match index.lookup(name) {
+            match index.lookup(guard, name) {
                 None => {
                     // Missing entry: trustworthy iff `cur` hasn't changed,
                     // which the final chain validation re-checks.
@@ -270,8 +290,9 @@ impl AtomFs {
             return None;
         }
         self.count_attempt();
+        let guard = epoch::pin();
         for _ in 0..MAX_OPT_ATTEMPTS {
-            let Some((chain, end)) = self.opt_walk(tid, comps) else {
+            let Some((chain, end)) = self.opt_walk(&guard, tid, comps) else {
                 continue;
             };
             let out = match end {
@@ -298,8 +319,9 @@ impl AtomFs {
             return None;
         }
         self.count_attempt();
+        let guard = epoch::pin();
         for _ in 0..MAX_OPT_ATTEMPTS {
-            let Some((chain, end)) = self.opt_walk(tid, comps) else {
+            let Some((chain, end)) = self.opt_walk(&guard, tid, comps) else {
                 continue;
             };
             let out = match end {
@@ -336,8 +358,9 @@ impl AtomFs {
             return None;
         }
         self.count_attempt();
+        let guard = epoch::pin();
         for _ in 0..MAX_OPT_ATTEMPTS {
-            let Some((chain, end)) = self.opt_walk(tid, comps) else {
+            let Some((chain, end)) = self.opt_walk(&guard, tid, comps) else {
                 continue;
             };
             let lockless_err = match end {
@@ -429,8 +452,9 @@ impl AtomFs {
             return None;
         }
         self.count_attempt();
+        let guard = epoch::pin();
         for _ in 0..MAX_OPT_ATTEMPTS {
-            let Some((chain, end)) = self.opt_walk(tid, comps) else {
+            let Some((chain, end)) = self.opt_walk(&guard, tid, comps) else {
                 continue;
             };
             let &(node, _) = chain.last().expect("nonempty");
@@ -451,6 +475,8 @@ impl AtomFs {
                 continue;
             };
             self.count_hit();
+            // The tail runs inside this pin, so its own index reads and
+            // writes pin for the price of a counter.
             return Some(tail(locked));
         }
         self.count_fallback();
@@ -472,7 +498,7 @@ mod tests {
     /// The inode linked as `/name`.
     fn root_child(fs: &AtomFs, name: &str) -> InodeRef {
         let root = fs.table.root_ref().dir().unwrap();
-        InodeRef::clone(root.lookup(name).unwrap().1)
+        InodeRef::clone(root.lookup(&epoch::pin(), name).unwrap().1)
     }
 
     #[test]

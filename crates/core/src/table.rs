@@ -20,9 +20,12 @@
 //!   magazine's overflow or refill takes the shared depot lock. A lone
 //!   thread reuses freed numbers last-in first-out, then takes fresh ones
 //!   in ascending order, so single-threaded numbering is deterministic.
-//! * **The live bitmap** is preallocated for the whole capacity, one
-//!   `AtomicU64` per 64 numbers, set and cleared with one atomic RMW per
-//!   alloc or free. A free of a number that is not live panics.
+//! * **The live bitmap** is one `AtomicU64` per 64 numbers, set and
+//!   cleared with one atomic RMW per alloc or free. Its words come in
+//!   pages of 4 096 numbers, each created on the first alloc it
+//!   covers, so a table touches bitmap memory only for the numbers it
+//!   has issued, not for its whole capacity. A free of a number that is
+//!   not live panics.
 //! * **`ENOSPC`** ([`FsError::NoSpace`]) fires when every number is live.
 //!   Numbers run `1..=capacity`, the root included, and capacity is
 //!   enforced where fresh numbers are issued; before failing, an
@@ -31,7 +34,7 @@
 //!   diagnostic, not the bound.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -175,12 +178,11 @@ impl InodeSlot {
 impl Drop for InodeSlot {
     /// Dismantle the directory index iteratively before the field drops.
     ///
-    /// A directory's `FastDir` holds `Arc`s to its children (including
-    /// tombstoned and retired-table entries), so a deep chain whose links
-    /// are each kept alive only by the parent's index — the whole tree at
-    /// FS teardown, or a historically rmdir'd chain pinned by tombstones
-    /// at runtime — would otherwise free itself by nested drops, one
-    /// stack frame per level, and overflow on deep trees. The worklist
+    /// A directory's `FastDir` holds `Arc`s to its live children, so a
+    /// deep chain whose links are each kept alive only by the parent's
+    /// index — the whole tree at FS teardown — would otherwise free
+    /// itself by nested drops, one stack frame per level, and overflow on
+    /// deep trees. The worklist
     /// below transfers ownership of every such descendant up front: each
     /// popped slot's own index is emptied *before* the slot drops, so the
     /// nested `Drop` recursion bottoms out immediately.
@@ -188,11 +190,15 @@ impl Drop for InodeSlot {
         let Some(dir) = self.dir.as_ref() else {
             return;
         };
-        let mut pending = dir.drain_for_teardown();
+        // SAFETY: this inode is being dropped, and each popped child is
+        // owned here alone (`Arc::into_inner`), so no thread reads their
+        // indexes.
+        let mut pending = unsafe { dir.drain_for_teardown() };
         while let Some(child) = pending.pop() {
             if let Some(slot) = Arc::into_inner(child) {
                 if let Some(f) = slot.dir.as_ref() {
-                    pending.extend(f.drain_for_teardown());
+                    // SAFETY: as above; `slot` is owned here alone.
+                    pending.extend(unsafe { f.drain_for_teardown() });
                 }
                 // `slot` drops here: re-enters this impl with an already
                 // emptied index — constant depth.
@@ -207,13 +213,19 @@ impl std::fmt::Debug for InodeSlot {
     }
 }
 
+/// Inode numbers per page of the live bitmap.
+const PAGE_BITS: usize = 4096;
+
+/// One page of the live bitmap.
+type BitPage = [AtomicU64; PAGE_BITS / 64];
+
 /// The root inode plus the inode-number allocator.
 pub struct InodeTable {
     /// Free and fresh numbers `ROOT_INUM + 1..=capacity`.
     nums: Magazines<Inum>,
     /// One bit per inode number `0..=capacity`, set while the number is
-    /// live.
-    bits: Box<[AtomicU64]>,
+    /// live; a page is created by the first alloc in its range.
+    bits: Box<[OnceLock<Box<BitPage>>]>,
     capacity: usize,
     /// The root directory; every other inode hangs off its index.
     root: InodeRef,
@@ -226,8 +238,8 @@ impl InodeTable {
         let first = ROOT_INUM as usize + 1;
         let t = InodeTable {
             nums: Magazines::new(first, capacity + 1),
-            bits: (0..(capacity + 1).max(first).div_ceil(64))
-                .map(|_| AtomicU64::new(0))
+            bits: (0..(capacity + 1).max(first).div_ceil(PAGE_BITS))
+                .map(|_| OnceLock::new())
                 .collect(),
             capacity,
             root: Arc::new(InodeSlot::new(ROOT_INUM, FileType::Dir)),
@@ -238,12 +250,19 @@ impl InodeTable {
 
     /// Set `ino`'s live bit to `live`, returning its previous value. The
     /// magazine locks order a free's clear before the number's next alloc.
+    /// A number past the bitmap, or in a page never created, is not live.
     fn set_live(&self, ino: Inum, live: bool) -> bool {
-        let (word, bit) = (&self.bits[ino as usize / 64], 1u64 << (ino % 64));
+        let (page, bit) = (ino as usize / PAGE_BITS, 1u64 << (ino % 64));
+        let word = ino as usize % PAGE_BITS / 64;
         let prev = if live {
-            word.fetch_or(bit, Ordering::Relaxed)
+            self.bits[page].get_or_init(|| Box::new(std::array::from_fn(|_| AtomicU64::new(0))))
+                [word]
+                .fetch_or(bit, Ordering::Relaxed)
         } else {
-            word.fetch_and(!bit, Ordering::Relaxed)
+            match self.bits.get(page).and_then(OnceLock::get) {
+                Some(p) => p[word].fetch_and(!bit, Ordering::Relaxed),
+                None => 0,
+            }
         };
         prev & bit != 0
     }
@@ -287,20 +306,21 @@ impl InodeTable {
     /// confuse an old inode with its successor.
     pub fn free(&self, ino: Inum) {
         assert_ne!(ino, ROOT_INUM, "cannot free the root");
-        assert!(
-            (ino as usize) < self.bits.len() * 64 && self.set_live(ino, false),
-            "double free of inode {ino}"
-        );
+        assert!(self.set_live(ino, false), "double free of inode {ino}");
         self.nums.free(ino);
     }
 
     /// Snapshot the numbers of all live inodes (diagnostics/tests only).
     pub fn live_inums(&self) -> Vec<Inum> {
-        (0..self.bits.len() as Inum * 64)
-            .filter(|&ino| {
-                self.bits[ino as usize / 64].load(Ordering::Relaxed) & (1 << (ino % 64)) != 0
-            })
-            .collect()
+        let mut out = Vec::new();
+        for (p, page) in self.bits.iter().enumerate() {
+            for (w, word) in page.get().into_iter().flat_map(|p| p.iter()).enumerate() {
+                let base = (p * PAGE_BITS + w * 64) as Inum;
+                let bits = word.load(Ordering::Relaxed);
+                out.extend((0..64).filter(|b| bits & (1 << b) != 0).map(|b| base + b));
+            }
+        }
+        out
     }
 }
 
@@ -333,9 +353,9 @@ mod tests {
 
     /// Deep parent→child `Arc` chains must be dismantled iteratively.
     /// Two shapes on a 128 KiB stack: a live chain (FS teardown — every
-    /// link alive, each held by its parent's index) and a tombstone chain
-    /// (runtime history — every link rmdir'd deepest-first, pinned only
-    /// by the parent's tombstoned `FastDir` entry).
+    /// link alive, each held by its parent's index) and a removed chain
+    /// (every link rmdir'd deepest-first: each was retired at its rmdir,
+    /// so the indexes left to drop hold tombstones, not links).
     #[test]
     fn deep_chains_drop_without_recursion() {
         use crate::{AtomFs, AtomFsConfig};

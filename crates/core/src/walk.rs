@@ -34,6 +34,7 @@ use atomfs_obs::{Span, SpanKind};
 use atomfs_trace::{Event, Inum, PathTag, Tid, ROOT_INUM};
 use atomfs_vfs::{FsError, FsResult};
 
+use crate::epoch;
 use crate::fastdir::FastDir;
 use crate::fs::AtomFs;
 use crate::inode::InodeData;
@@ -304,7 +305,8 @@ impl AtomFs {
 
     /// Lock the child `name` of the locked directory `cur`.
     fn step(&self, tid: Tid, cur: &Locked, name: &str, tag: PathTag) -> Result<Locked, FsError> {
-        let (child_ino, child) = cur.dir()?.lookup(name).ok_or(FsError::NotFound)?;
+        let guard = epoch::pin();
+        let (child_ino, child) = cur.dir()?.lookup(&guard, name).ok_or(FsError::NotFound)?;
         Ok(self.lock_inode(tid, child_ino, child, tag))
     }
 }

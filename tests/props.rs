@@ -311,7 +311,7 @@ fn prefix_laws() {
 /// `(insert?, key, is_dir)` commands. Every insert links a fresh child
 /// of the given type (numbered by step, never reused), so a hit must
 /// return the very `InodeRef` inserted — not one a tombstone or a
-/// retired table still pins.
+/// retired table still points at.
 fn fastdir_agrees_with_model(cmds: &[(bool, u16, bool)]) {
     let dir = FastDir::new();
     let mut model = std::collections::BTreeMap::<String, InodeRef>::new();
@@ -336,8 +336,9 @@ fn fastdir_agrees_with_model(cmds: &[(bool, u16, bool)]) {
         assert_eq!(dir.len(), model.len());
         let expected_subdirs = model.values().filter(|c| c.dir().is_some()).count() as u32;
         assert_eq!(dir.subdirs(), expected_subdirs);
+        let guard = atomfs::epoch::pin();
         for (k, child) in &model {
-            let (ino, got) = dir.lookup(k).expect("model entry resolves");
+            let (ino, got) = dir.lookup(&guard, k).expect("model entry resolves");
             assert_eq!(ino, child.ino());
             assert!(Arc::ptr_eq(got, child), "{k} resolves to a stale child");
         }
