@@ -16,8 +16,12 @@
 //!   finish.
 //!
 //! [`SpecFs`] makes no decision of its own: each operation normalizes its
-//! path into an [`OpDesc`] that [`crlh::afs`] decides, so the stand-ins
-//! return exactly what the checker's specification returns.
+//! path and hands it to [`crlh::afs`], so the stand-ins return exactly
+//! what the checker's specification returns. Mutations run [`afs::step`]
+//! on an [`OpDesc`], which edits the state in place, and `readdir` runs
+//! [`afs::decide`]; `read` and `write` lend the caller's buffer and bytes
+//! to [`afs::read`] and [`afs::write`], so a file's bytes are copied only
+//! into the file or into the caller's buffer.
 
 use parking_lot::{Mutex, RwLock};
 
@@ -165,22 +169,11 @@ impl<L: SpecLock> FileSystem for SpecFs<L> {
     }
     fn read(&self, path: &str, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
         let path = normalize(path)?;
-        let len = buf.len();
-        match self.decide(OpDesc::Read { path, offset, len })? {
-            OpRet::Data(data) => {
-                buf[..data.len()].copy_from_slice(&data);
-                Ok(data.len())
-            }
-            other => unreachable!("read returned {other}"),
-        }
+        self.state.read(|s| afs::read(s, &path, offset, buf))
     }
     fn write(&self, path: &str, offset: u64, data: &[u8]) -> FsResult<usize> {
         let path = normalize(path)?;
-        let data = data.to_vec();
-        match self.step(OpDesc::Write { path, offset, data })? {
-            OpRet::Written(n) => Ok(n),
-            other => unreachable!("write returned {other}"),
-        }
+        self.state.write(|s| afs::write(s, &path, offset, data))
     }
     fn truncate(&self, path: &str, size: u64) -> FsResult<()> {
         let path = normalize(path)?;

@@ -1871,6 +1871,7 @@ fn predict_lock_sequence(op: &OpDesc, afs: &FsState) -> Vec<Inum> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::afs::step;
 
     fn comps(s: &[&str]) -> Vec<String> {
         s.iter().map(|c| c.to_string()).collect()
@@ -1879,26 +1880,17 @@ mod tests {
     #[test]
     fn predict_sequence_for_stat() {
         let mut afs = FsState::new();
-        let mut alloc = {
-            let mut n = 10;
-            move |_| {
-                n += 1;
-                n
-            }
-        };
-        apply_aop(
+        step(
             &mut afs,
             &OpDesc::Mkdir {
                 path: comps(&["a"]),
             },
-            &mut alloc,
         );
-        apply_aop(
+        step(
             &mut afs,
             &OpDesc::Mknod {
                 path: comps(&["a", "f"]),
             },
-            &mut alloc,
         );
         let seq = predict_lock_sequence(
             &OpDesc::Stat {
@@ -1920,22 +1912,14 @@ mod tests {
     #[test]
     fn predict_sequence_for_rename() {
         let mut afs = FsState::new();
-        let mut alloc = {
-            let mut n = 10;
-            move |_| {
-                n += 1;
-                n
-            }
-        };
         for p in [vec!["a"], vec!["b"]] {
-            apply_aop(&mut afs, &OpDesc::Mkdir { path: comps(&p) }, &mut alloc);
+            step(&mut afs, &OpDesc::Mkdir { path: comps(&p) });
         }
-        apply_aop(
+        step(
             &mut afs,
             &OpDesc::Mknod {
                 path: comps(&["a", "f"]),
             },
-            &mut alloc,
         );
         let seq = predict_lock_sequence(
             &OpDesc::Rename {

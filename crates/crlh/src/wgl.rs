@@ -16,9 +16,8 @@
 use std::collections::HashSet;
 
 use atomfs_trace::{OpDesc, OpRet, Tid};
-use atomfs_vfs::FileType;
 
-use crate::afs::apply_aop;
+use crate::afs::step;
 use crate::history::{HEvent, History};
 use crate::state::FsState;
 
@@ -120,15 +119,7 @@ fn dfs(
             continue;
         }
         let mut next_state = state.clone();
-        let mut next_id = next_state.map.keys().max().copied().unwrap_or(1) + 1;
-        let mut alloc = |_ft: FileType| {
-            let id = next_id;
-            next_id += 1;
-            id
-        };
-        let (_, ret, err) = apply_aop(&mut next_state, &rec.op, &mut alloc);
-        debug_assert!(err.is_none(), "WGL allocates fresh ids: {err:?}");
-        if ret != rec.ret {
+        if step(&mut next_state, &rec.op) != rec.ret {
             continue;
         }
         order.push((rec.tid, rec.op.clone(), rec.ret.clone()));

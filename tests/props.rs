@@ -4,9 +4,10 @@
 //! names its seed. Inputs that once failed are named tests below.
 //!
 //! * **differential**: random op scripts agree between AtomFS and the
-//!   sequential oracle `SeqFs` (the CRL-H abstract specification run
-//!   through `crlh::afs::step` behind a mutex), and between AtomFS and
-//!   the checker's own `crlh::afs::apply_aop`;
+//!   sequential oracle `SeqFs` (the CRL-H abstract specification behind
+//!   a mutex, its effects applied in place by `crlh::afs::step`), and
+//!   between AtomFS and the checker's own `crlh::afs::apply_aop` (the
+//!   same specification, its effects recorded as micro-ops);
 //! * **roll-back**: applying random valid micro-op sequences and
 //!   unapplying them in reverse is the identity — the soundness core of
 //!   the abstraction relation;
