@@ -7,6 +7,13 @@
 //! order before power was lost (the adversarial reordering that journal
 //! checksums exist to survive).
 //!
+//! The model writes through: a sector write lands in its page at once,
+//! and the open flush window keeps only what a crash needs to take it
+//! back — each write's LBA, and the prior content of a sector the write
+//! overwrote (on the journal's commit path, the rewritten tail sector of
+//! a shard's stream). A flush drops that log; a crash rebuilds each
+//! touched sector from it. Each durable byte is held once.
+//!
 //! The journal writes through the fallible [`BlockDevice`] trait rather
 //! than `Disk` directly, so a [`crate::faults::FaultyDisk`] can sit in
 //! between and inject errors; `Disk` itself is the perfect device whose
@@ -83,11 +90,12 @@ pub const SECTOR_SIZE: usize = 512;
 /// One sector's payload.
 pub type Sector = [u8; SECTOR_SIZE];
 
-/// Sectors per durable-store page (one allocation, one dirty bitmap).
+/// Sectors per store page (one allocation, one written bitmap).
 const PAGE_SECTORS: usize = 64;
 
-/// One page of durable sectors: a 32 KiB block plus a bitmap telling
-/// written sectors apart from never-written (zero-reading) ones.
+/// One page of sectors: a 32 KiB block plus a bitmap telling written
+/// sectors apart from never-written (zero-reading) ones. An unwritten
+/// sector's bytes are zero.
 struct Page {
     written: u64,
     data: Box<[Sector; PAGE_SECTORS]>,
@@ -102,40 +110,80 @@ impl Page {
     }
 }
 
-/// Store `data` as the durable contents of sector `lba`. Free function so
-/// flush/crash can drain the volatile queue while holding the same state
-/// borrow.
-fn insert_durable(durable: &mut Vec<Option<Page>>, lba: u64, data: &Sector) {
-    let (pi, si) = (lba as usize / PAGE_SECTORS, lba as usize % PAGE_SECTORS);
-    if pi >= durable.len() {
-        durable.resize_with(pi + 1, || None);
-    }
-    let page = durable[pi].get_or_insert_with(Page::zeroed);
-    page.data[si] = *data;
-    page.written |= 1 << si;
+/// Where sector `lba` lives: page index, sector index within the page.
+fn locate(lba: u64) -> (usize, usize) {
+    (lba as usize / PAGE_SECTORS, lba as usize % PAGE_SECTORS)
+}
+
+/// One write of the open flush window.
+struct Pending {
+    lba: u64,
+    /// Index into [`DiskState::priors`] of what the sector held before
+    /// this write; `None` when it held nothing (never written).
+    prior: Option<u32>,
 }
 
 #[derive(Default)]
 struct DiskState {
-    /// Durable contents, paged by LBA. Flushing a sector into a page is
-    /// an index plus a memcpy — this sits on the journal's group-commit
-    /// barrier, where a hashed store's per-sector probe cost was the
-    /// single largest slice of the commit.
-    durable: Vec<Option<Page>>,
-    /// Written but not yet flushed, in write order.
-    volatile: Vec<(u64, Sector)>,
+    /// Every sector as the drive reads it, paged by LBA: durable
+    /// contents overlaid with the open window's writes (newest wins).
+    /// A write is an index plus a memcpy — this sits on the journal's
+    /// group-commit path, where a hashed store's per-sector probe cost
+    /// was the single largest slice of the commit.
+    pages: Vec<Option<Page>>,
+    /// The open flush window's writes, in write order.
+    window: Vec<Pending>,
+    /// Prior contents of the sectors the open window overwrote.
+    priors: Vec<Sector>,
     writes: u64,
     flushes: u64,
 }
 
 impl DiskState {
-    fn durable_read(&self, lba: u64) -> Option<Sector> {
-        let (pi, si) = (lba as usize / PAGE_SECTORS, lba as usize % PAGE_SECTORS);
-        let page = self.durable.get(pi)?.as_ref()?;
-        if page.written & (1 << si) != 0 {
-            Some(page.data[si])
-        } else {
-            None
+    fn sector(&self, lba: u64) -> Option<&Sector> {
+        let (pi, si) = locate(lba);
+        let page = self.pages.get(pi)?.as_ref()?;
+        (page.written & (1 << si) != 0).then(|| &page.data[si])
+    }
+
+    /// Set sector `lba` to `data`, or back to never-written (zeroes).
+    fn store(&mut self, lba: u64, data: Option<&Sector>) {
+        let (pi, si) = locate(lba);
+        if pi >= self.pages.len() {
+            self.pages.resize_with(pi + 1, || None);
+        }
+        let page = self.pages[pi].get_or_insert_with(Page::zeroed);
+        match data {
+            Some(data) => {
+                page.data[si] = *data;
+                page.written |= 1 << si;
+            }
+            None => {
+                page.data[si] = [0u8; SECTOR_SIZE];
+                page.written &= !(1 << si);
+            }
+        }
+    }
+
+    /// Close the open window after a crash: each sector the window wrote
+    /// goes back to the last write `kept` selects (by write index), or
+    /// else to what it held before the window. The data of a write that
+    /// a later write to the same sector overwrote is that later write's
+    /// logged prior; the last write's data is in the page already.
+    fn crash_window(&mut self, kept: &[bool]) {
+        let window = std::mem::take(&mut self.window);
+        let priors = std::mem::take(&mut self.priors);
+        let mut order: Vec<usize> = (0..window.len()).collect();
+        // Stable: each sector's writes stay in write order.
+        order.sort_by_key(|&i| window[i].lba);
+        for writes in order.chunk_by(|&a, &b| window[a].lba == window[b].lba) {
+            let restore = match writes.iter().rposition(|&i| kept[i]) {
+                Some(k) if k + 1 == writes.len() => continue,
+                Some(k) => window[writes[k + 1]].prior,
+                None => window[writes[0]].prior,
+            };
+            let lba = window[writes[0]].lba;
+            self.store(lba, restore.map(|p| &priors[p as usize]));
         }
     }
 }
@@ -172,20 +220,23 @@ impl Disk {
     }
 
     /// Read sector `lba` (unwritten sectors read as zeroes), observing
-    /// the volatile cache like a real drive would.
+    /// the volatile cache like a real drive would: the newest write to
+    /// the sector wins over durable data.
     pub fn read(&self, lba: u64) -> Sector {
         let st = self.state.lock();
-        // The newest volatile write to this sector wins over durable data.
-        if let Some((_, data)) = st.volatile.iter().rev().find(|(l, _)| *l == lba) {
-            return *data;
-        }
-        st.durable_read(lba).unwrap_or([0u8; SECTOR_SIZE])
+        st.sector(lba).copied().unwrap_or([0u8; SECTOR_SIZE])
     }
 
     /// Write sector `lba` into the volatile cache.
     pub fn write(&self, lba: u64, data: &Sector) {
         let mut st = self.state.lock();
-        st.volatile.push((lba, *data));
+        let st = &mut *st;
+        let prior = st.sector(lba).copied().map(|old| {
+            st.priors.push(old);
+            (st.priors.len() - 1) as u32
+        });
+        st.window.push(Pending { lba, prior });
+        st.store(lba, Some(data));
         st.writes += 1;
     }
 
@@ -193,17 +244,12 @@ impl Disk {
     pub fn flush(&self) {
         let drained = {
             let mut st = self.state.lock();
-            let DiskState {
-                durable, volatile, ..
-            } = &mut *st;
-            for (lba, data) in volatile.iter() {
-                insert_durable(durable, *lba, data);
-            }
-            let drained = volatile.len();
-            // Clear in place: the queue's capacity is reused by the next
-            // burst of writes instead of being regrown from empty each
-            // cycle.
-            volatile.clear();
+            // The writes are in their pages already: durability is
+            // forgetting how to take them back. Clear in place, so the
+            // next window reuses the log's capacity.
+            let drained = st.window.len();
+            st.window.clear();
+            st.priors.clear();
             st.flushes += 1;
             drained
         };
@@ -222,17 +268,10 @@ impl Disk {
     /// `keep(i)` decides whether the drive happened to persist it anyway
     /// (indices are in write order). Pass `|_| false` for a clean
     /// power-cut, or a random predicate for adversarial reordering.
-    pub fn crash(&self, mut keep: impl FnMut(usize) -> bool) {
+    pub fn crash(&self, keep: impl FnMut(usize) -> bool) {
         let mut st = self.state.lock();
-        let DiskState {
-            durable, volatile, ..
-        } = &mut *st;
-        for (i, (lba, data)) in volatile.iter().enumerate() {
-            if keep(i) {
-                insert_durable(durable, *lba, data);
-            }
-        }
-        volatile.clear();
+        let kept: Vec<bool> = (0..st.window.len()).map(keep).collect();
+        st.crash_window(&kept);
     }
 
     /// Crash, keeping exactly the queued writes whose target LBA
@@ -243,15 +282,8 @@ impl Disk {
     /// region) is lost.
     pub fn crash_keep_lbas(&self, mut keep: impl FnMut(u64) -> bool) {
         let mut st = self.state.lock();
-        let DiskState {
-            durable, volatile, ..
-        } = &mut *st;
-        for (lba, data) in volatile.iter() {
-            if keep(*lba) {
-                insert_durable(durable, *lba, data);
-            }
-        }
-        volatile.clear();
+        let kept: Vec<bool> = st.window.iter().map(|w| keep(w.lba)).collect();
+        st.crash_window(&kept);
     }
 
     /// Total sector writes issued.
@@ -270,24 +302,46 @@ impl Disk {
     /// win on read, exactly like a real drive's cache would.
     pub fn corrupt_durable(&self, lba: u64, byte: usize, mask: u8) {
         let mut st = self.state.lock();
-        let (pi, si) = (lba as usize / PAGE_SECTORS, lba as usize % PAGE_SECTORS);
-        if pi >= st.durable.len() {
-            st.durable.resize_with(pi + 1, || None);
-        }
-        let page = st.durable[pi].get_or_insert_with(Page::zeroed);
-        page.written |= 1 << si;
-        page.data[si][byte % SECTOR_SIZE] ^= mask;
+        let st = &mut *st;
+        // A sector the open window wrote keeps its durable copy in the
+        // log, as its first write's prior (zeroes if it had none).
+        let durable = match st.window.iter().position(|w| w.lba == lba) {
+            Some(first) => {
+                let p = *st.window[first].prior.get_or_insert_with(|| {
+                    st.priors.push([0u8; SECTOR_SIZE]);
+                    (st.priors.len() - 1) as u32
+                });
+                &mut st.priors[p as usize]
+            }
+            None => {
+                let old = st.sector(lba).copied().unwrap_or([0u8; SECTOR_SIZE]);
+                st.store(lba, Some(&old));
+                let (pi, si) = locate(lba);
+                &mut st.pages[pi].as_mut().expect("just stored").data[si]
+            }
+        };
+        durable[byte % SECTOR_SIZE] ^= mask;
     }
 
     /// The highest LBA that currently holds durable data, if any.
     pub fn max_durable_lba(&self) -> Option<u64> {
         let st = self.state.lock();
-        for (pi, page) in st.durable.iter().enumerate().rev() {
-            if let Some(page) = page {
-                if page.written != 0 {
-                    let top = 63 - page.written.leading_zeros() as usize;
-                    return Some((pi * PAGE_SECTORS + top) as u64);
+        // Written sectors, less those only the open window wrote.
+        let unflushed_only = |lba: u64| {
+            st.window
+                .iter()
+                .find(|w| w.lba == lba)
+                .is_some_and(|w| w.prior.is_none())
+        };
+        for (pi, page) in st.pages.iter().enumerate().rev() {
+            let mut bits = page.as_ref().map_or(0, |p| p.written);
+            while bits != 0 {
+                let top = 63 - bits.leading_zeros() as usize;
+                let lba = (pi * PAGE_SECTORS + top) as u64;
+                if !unflushed_only(lba) {
+                    return Some(lba);
                 }
+                bits &= !(1 << top);
             }
         }
         None

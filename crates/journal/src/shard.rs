@@ -16,11 +16,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use atomfs_trace::{Inum, MicroOp};
+use atomfs_vfs::frame::Out;
+use atomfs_vfs::Checksum;
 
 use crate::device::{BlockDevice, DiskError, Sector, SECTOR_SIZE};
 use crate::health::{HealthCounters, RetryPolicy};
 use crate::recovery::DEFAULT_MAX_SKIPPED;
-use crate::wire::{encode_frame_parts, encode_quarantine_parts, FrameKind};
+use crate::wire::{self, FrameKind, Header, Payload};
 
 /// Hard ceiling on shard count (the on-disk layout stores the shard
 /// index in a `u16`, but 64 regions is already far past useful
@@ -97,8 +99,10 @@ pub fn shard_of(ino: Inum, shards: usize) -> usize {
 /// Frames are packed back-to-back into a byte stream laid over the
 /// region's sectors; appends rewrite the tail sector as it fills (write
 /// amplification traded for simplicity) under the retry policy, and
-/// position/sequence do not advance on failure. Each writer charges
-/// its own *per-shard* counter set.
+/// position/sequence do not advance on failure. A frame is streamed
+/// into sectors as it is encoded (`SectorStream`), so an append holds
+/// one sector of it, never the whole frame. Each writer charges its own
+/// *per-shard* counter set.
 pub struct ShardWriter {
     disk: Arc<dyn BlockDevice>,
     shard: u16,
@@ -163,13 +167,7 @@ impl ShardWriter {
         txn: u64,
         ops: &[(u64, MicroOp)],
     ) -> Result<(), DiskError> {
-        let bytes = encode_frame_parts(self.gen, self.shard, kind, epoch, self.seq, txn, ops);
-        if self.pos + bytes.len() as u64 > self.region_bytes {
-            return Err(DiskError::Gone);
-        }
-        self.write_bytes(&bytes)?;
-        self.seq += 1;
-        Ok(())
+        self.append(kind, epoch, txn, Payload::Ops(ops))
     }
 
     /// Append a [`FrameKind::Quarantine`] frame announcing that the
@@ -182,40 +180,151 @@ impl ShardWriter {
         mask: u64,
         windows: &[(u64, u64)],
     ) -> Result<(), DiskError> {
-        let bytes = encode_quarantine_parts(self.gen, self.shard, epoch, self.seq, mask, windows);
-        if self.pos + bytes.len() as u64 > self.region_bytes {
-            return Err(DiskError::Gone);
-        }
-        self.write_bytes(&bytes)?;
-        self.seq += 1;
-        Ok(())
+        self.append(
+            FrameKind::Quarantine,
+            epoch,
+            mask,
+            Payload::Windows(windows),
+        )
     }
 
-    fn write_bytes(&mut self, bytes: &[u8]) -> Result<(), DiskError> {
-        // Work on a copy of the tail image: on error nothing advances
-        // (position, sequence, or cache), so a retried append re-runs
-        // from identical state.
-        let mut tail = self.tail;
-        let mut written = 0usize;
-        while written < bytes.len() {
-            let off_bytes = self.pos as usize + written;
-            let lba = self.base_lba + (off_bytes / SECTOR_SIZE) as u64;
-            let off = off_bytes % SECTOR_SIZE;
-            let chunk = (SECTOR_SIZE - off).min(bytes.len() - written);
-            if off == 0 {
-                // Fresh sector: bytes past the stream tail are zeros,
-                // which can never decode as a frame.
-                tail = [0u8; SECTOR_SIZE];
-            }
-            tail[off..off + chunk].copy_from_slice(&bytes[written..written + chunk]);
-            let disk = &*self.disk;
-            // Each sector write individually rides out transient errors.
-            self.policy.run(&self.counters, || disk.write(lba, &tail))?;
-            written += chunk;
+    fn append(
+        &mut self,
+        kind: FrameKind,
+        epoch: u64,
+        txn: u64,
+        payload: Payload<'_>,
+    ) -> Result<(), DiskError> {
+        let len = payload.frame_len() as u64;
+        if self.pos + len > self.region_bytes {
+            return Err(DiskError::Gone);
         }
-        self.pos += bytes.len() as u64;
+        let header = Header {
+            gen: self.gen,
+            shard: self.shard,
+            kind,
+            epoch,
+            seq: self.seq,
+            txn,
+        };
+        let mut out = SectorStream::new(self);
+        wire::write_body(&header, &payload, &mut out);
+        let tail = out.seal()?;
+        self.pos += len;
+        self.seq += 1;
         self.tail = tail;
         Ok(())
+    }
+}
+
+/// A frame on its way into a shard's sectors: bytes are copied into a
+/// working image of the current sector, summed when the sector is
+/// complete (a field of a sector or more is summed from its source), and
+/// the sector is written (under the retry policy) as soon as it is full;
+/// [`SectorStream::seal`] appends the checksum trailer and writes the
+/// last, partial sector. It works on a copy of the writer's tail image:
+/// on error nothing advances (position, sequence, or cache), so a
+/// retried append re-runs from identical state.
+struct SectorStream<'w> {
+    w: &'w ShardWriter,
+    sector: Sector,
+    /// Next byte within `sector`.
+    off: usize,
+    /// Start of the frame's bytes in `sector` not yet summed.
+    unsummed: usize,
+    lba: u64,
+    /// The frame checksum, until the trailer starts.
+    sum: Option<Checksum>,
+    /// The first sector write that failed; later bytes are dropped.
+    failed: Option<DiskError>,
+}
+
+impl<'w> SectorStream<'w> {
+    fn new(w: &'w ShardWriter) -> Self {
+        let off = w.pos as usize % SECTOR_SIZE;
+        SectorStream {
+            w,
+            // A fresh sector starts zeroed: bytes past the stream tail
+            // are zeros, which can never decode as a frame.
+            sector: if off == 0 { [0u8; SECTOR_SIZE] } else { w.tail },
+            off,
+            unsummed: off,
+            lba: w.base_lba + w.pos / SECTOR_SIZE as u64,
+            sum: Some(wire::checksum_stream()),
+            failed: None,
+        }
+    }
+
+    /// Write the working sector to the device, each write individually
+    /// riding out transient errors.
+    fn write_sector(&mut self) {
+        let (disk, sector, lba) = (&*self.w.disk, &self.sector, self.lba);
+        if let Err(e) = self
+            .w
+            .policy
+            .run(&self.w.counters, || disk.write(lba, sector))
+        {
+            self.failed = Some(e);
+        }
+    }
+
+    /// Sum the trailer-covered bytes, write the trailer and the last
+    /// sector. Returns the new tail image.
+    fn seal(mut self) -> Result<Sector, DiskError> {
+        let mut sum = self.sum.take().expect("sealed once");
+        sum.update(&self.sector[self.unsummed..self.off]);
+        self.put(&sum.finish().to_le_bytes());
+        if self.off > 0 && self.failed.is_none() {
+            self.write_sector();
+        }
+        match self.failed {
+            Some(e) => Err(e),
+            None => Ok(self.sector),
+        }
+    }
+
+    /// [`Out::put`] of bytes that fill the working sector. A field
+    /// of a sector or more (a write's new bytes) is summed straight from
+    /// its source in one piece, after the frame bytes before it.
+    #[inline(never)]
+    fn put_across(&mut self, mut bytes: &[u8]) {
+        let presummed = bytes.len() >= SECTOR_SIZE;
+        if let (true, Some(sum)) = (presummed, &mut self.sum) {
+            sum.update(&self.sector[self.unsummed..self.off]);
+            sum.update(bytes);
+        }
+        while !bytes.is_empty() && self.failed.is_none() {
+            let n = (SECTOR_SIZE - self.off).min(bytes.len());
+            self.sector[self.off..self.off + n].copy_from_slice(&bytes[..n]);
+            self.off += n;
+            bytes = &bytes[n..];
+            if self.off == SECTOR_SIZE {
+                if let (false, Some(sum)) = (presummed, &mut self.sum) {
+                    sum.update(&self.sector[self.unsummed..]);
+                }
+                self.write_sector();
+                self.sector = [0u8; SECTOR_SIZE];
+                (self.off, self.unsummed) = (0, 0);
+                self.lba += 1;
+            }
+        }
+        if presummed {
+            self.unsummed = self.off;
+        }
+    }
+}
+
+impl Out for SectorStream<'_> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        // Most fields land inside the working sector: a fixed-size copy.
+        let end = self.off + bytes.len();
+        if end < SECTOR_SIZE {
+            self.sector[self.off..end].copy_from_slice(bytes);
+            self.off = end;
+        } else {
+            self.put_across(bytes);
+        }
     }
 }
 

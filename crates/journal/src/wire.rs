@@ -42,9 +42,18 @@
 //! namespace batches) take the one-lane path. A change to the sum is a
 //! change of format: [`MAGIC`] names it, and older frames are refused
 //! by their header, not read.
+//!
+//! # One encoder, two destinations
+//!
+//! A frame is encoded into a [`frame::Out`] as it is produced: a `Vec`
+//! ([`encode_frame_parts`]), or a shard's sectors
+//! ([`crate::shard::ShardWriter`]), which sums the bytes with the
+//! incremental [`atomfs_vfs::Checksum`] as they pass. The payload length
+//! is computed before the first byte, so the header needs no patching
+//! and the commit never holds a whole frame.
 
 use atomfs_trace::{Inum, MicroOp};
-use atomfs_vfs::frame::{self, put_len_prefixed, put_u16, put_u32, put_u64, Reader};
+use atomfs_vfs::frame::{self, put_len_prefixed, put_u16, put_u32, put_u64, Out, Reader};
 use atomfs_vfs::FileType;
 
 fn ftype_tag(f: FileType) -> u8 {
@@ -103,24 +112,24 @@ fn encoded_len(op: &MicroOp) -> usize {
 }
 
 /// Encode one micro-op as its redo record.
-fn encode_op(op: &MicroOp, out: &mut Vec<u8>) {
+fn encode_op(op: &MicroOp, out: &mut impl Out) {
     match op {
         MicroOp::Create { ino, ftype } => {
-            out.push(0);
+            out.put(&[0]);
             put_u64(out, *ino);
-            out.push(ftype_tag(*ftype));
+            out.put(&[ftype_tag(*ftype)]);
         }
         MicroOp::Remove { ino, ftype } => {
-            out.push(1);
+            out.put(&[1]);
             put_u64(out, *ino);
-            out.push(ftype_tag(*ftype));
+            out.put(&[ftype_tag(*ftype)]);
         }
         MicroOp::Ins {
             parent,
             name,
             child,
         } => {
-            out.push(2);
+            out.put(&[2]);
             put_u64(out, *parent);
             put_len_prefixed(out, name.as_bytes());
             put_u64(out, *child);
@@ -130,13 +139,13 @@ fn encode_op(op: &MicroOp, out: &mut Vec<u8>) {
             name,
             child,
         } => {
-            out.push(3);
+            out.put(&[3]);
             put_u64(out, *parent);
             put_len_prefixed(out, name.as_bytes());
             put_u64(out, *child);
         }
         MicroOp::SetData { ino, old, new } => {
-            out.push(4);
+            out.put(&[4]);
             put_u64(out, *ino);
             put_u32(out, old.len() as u32);
             put_u64(out, checksum(old));
@@ -191,6 +200,11 @@ const SEED: u64 = 0xcbf2_9ce4_8422_2325;
 /// seed. See the module docs.
 pub fn checksum(bytes: &[u8]) -> u64 {
     atomfs_vfs::checksum(SEED, bytes)
+}
+
+/// [`checksum`] over bytes fed in pieces.
+pub(crate) fn checksum_stream() -> atomfs_vfs::Checksum {
+    atomfs_vfs::Checksum::new(SEED)
 }
 
 /// Frame magic: "AJS4" little-endian (the 8-lane checksum; "AJS3"
@@ -282,10 +296,102 @@ pub struct Frame {
 /// Smallest encoding of one stamped op: stamp(8) + MIN_OP_BYTES.
 const MIN_STAMPED_OP_BYTES: usize = 8 + MIN_OP_BYTES;
 
+/// A frame's header fields. The payload length is not one of them: it
+/// follows from the [`Payload`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Header {
+    pub gen: u32,
+    pub shard: u16,
+    pub kind: FrameKind,
+    pub epoch: u64,
+    pub seq: u64,
+    pub txn: u64,
+}
+
+/// What a frame carries after its header.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Payload<'a> {
+    /// Stamped micro-ops (none for a seal), each logged as its redo
+    /// record: `count u32 | (stamp u64 | record)…`.
+    Ops(&'a [(u64, MicroOp)]),
+    /// A [`FrameKind::Quarantine`] frame's lost-stamp windows:
+    /// `count u32 | (lo u64 | hi u64)…`.
+    Windows(&'a [(u64, u64)]),
+}
+
+impl Payload<'_> {
+    /// Encoded payload bytes.
+    fn len(&self) -> usize {
+        4 + match self {
+            Payload::Ops(ops) => ops.iter().map(|(_, op)| 8 + encoded_len(op)).sum::<usize>(),
+            Payload::Windows(windows) => 16 * windows.len(),
+        }
+    }
+
+    /// Total encoded length of a frame carrying this payload: header,
+    /// payload and checksum trailer.
+    pub(crate) fn frame_len(&self) -> usize {
+        FRAME_HEADER + self.len() + frame::TRAILER_LEN
+    }
+}
+
+/// Write the fixed header of a frame whose payload is `payload_len`
+/// bytes.
+fn write_header(h: &Header, payload_len: usize, out: &mut impl Out) {
+    put_u32(out, MAGIC);
+    put_u32(out, h.gen);
+    put_u16(out, h.shard);
+    out.put(&[h.kind.tag(), 0]); // pad — must be zero, checked on decode
+    put_u64(out, h.epoch);
+    put_u64(out, h.seq);
+    put_u64(out, h.txn);
+    put_u32(out, payload_len as u32);
+}
+
+/// Write everything of a frame that its checksum trailer covers: the
+/// header, then the payload. The caller appends [`checksum`] of these
+/// bytes, little-endian, to seal it.
+pub(crate) fn write_body(h: &Header, payload: &Payload<'_>, out: &mut impl Out) {
+    debug_assert_eq!(
+        matches!(payload, Payload::Windows(_)),
+        h.kind.carries_windows()
+    );
+    write_header(h, payload.len(), out);
+    match payload {
+        Payload::Ops(ops) => {
+            debug_assert!(h.kind.carries_ops() || ops.is_empty());
+            put_u32(out, ops.len() as u32);
+            for (stamp, op) in *ops {
+                put_u64(out, *stamp);
+                encode_op(op, out);
+            }
+        }
+        Payload::Windows(windows) => {
+            debug_assert!(windows.iter().all(|&(lo, hi)| lo < hi));
+            put_u32(out, windows.len() as u32);
+            for (lo, hi) in *windows {
+                put_u64(out, *lo);
+                put_u64(out, *hi);
+            }
+        }
+    }
+}
+
+/// One frame in one buffer, sized up front: [`write_body`], then the
+/// checksum trailer.
+fn encode(h: &Header, payload: Payload<'_>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload.frame_len());
+    write_body(h, &payload, &mut out);
+    let sum = checksum(&out);
+    put_u64(&mut out, sum);
+    out
+}
+
 /// Encode one op-carrying (or sealing) frame from borrowed parts:
 /// header | payload | checksum trailer, the checksum covering everything
-/// before the trailer. The append path encodes its staged batch straight
-/// from the staging buffer; each `SetData` is logged as its redo record.
+/// before the trailer. Each `SetData` is logged as its redo record. The
+/// journal's own append path streams the same bytes into sectors
+/// (`write_body`); this is the one-buffer form.
 #[allow(clippy::too_many_arguments)]
 pub fn encode_frame_parts(
     gen: u32,
@@ -296,16 +402,15 @@ pub fn encode_frame_parts(
     txn: u64,
     ops: &[(u64, MicroOp)],
 ) -> Vec<u8> {
-    debug_assert!(kind.carries_ops() || ops.is_empty());
-    debug_assert!(!kind.carries_windows(), "use encode_quarantine_parts");
-    let payload_len = 4 + ops.iter().map(|(_, op)| 8 + encoded_len(op)).sum::<usize>();
-    build_frame(gen, shard, kind, epoch, seq, txn, payload_len, |out| {
-        put_u32(out, ops.len() as u32);
-        for (stamp, op) in ops {
-            put_u64(out, *stamp);
-            encode_op(op, out);
-        }
-    })
+    let h = Header {
+        gen,
+        shard,
+        kind,
+        epoch,
+        seq,
+        txn,
+    };
+    encode(&h, Payload::Ops(ops))
 }
 
 /// Encode a [`FrameKind::Quarantine`] frame: `mask` (the dead-shard
@@ -321,24 +426,15 @@ pub fn encode_quarantine_parts(
     mask: u64,
     windows: &[(u64, u64)],
 ) -> Vec<u8> {
-    debug_assert!(windows.iter().all(|&(lo, hi)| lo < hi));
-    let payload_len = 4 + 16 * windows.len();
-    build_frame(
+    let h = Header {
         gen,
         shard,
-        FrameKind::Quarantine,
+        kind: FrameKind::Quarantine,
         epoch,
         seq,
-        mask,
-        payload_len,
-        |out| {
-            put_u32(out, windows.len() as u32);
-            for (lo, hi) in windows {
-                put_u64(out, *lo);
-                put_u64(out, *hi);
-            }
-        },
-    )
+        txn: mask,
+    };
+    encode(&h, Payload::Windows(windows))
 }
 
 /// Sort half-open `[lo, hi)` lost-stamp windows and merge every pair that
@@ -355,36 +451,6 @@ pub(crate) fn coalesce_windows(windows: &mut Vec<(u64, u64)>) {
         }
         merge
     });
-}
-
-/// One buffer per frame: write the header with a placeholder payload
-/// length, let `payload` append straight after it, then [`frame::seal`]
-/// it. `payload_len` sizes the allocation up front.
-#[allow(clippy::too_many_arguments)]
-fn build_frame(
-    gen: u32,
-    shard: u16,
-    kind: FrameKind,
-    epoch: u64,
-    seq: u64,
-    txn: u64,
-    payload_len: usize,
-    payload: impl FnOnce(&mut Vec<u8>),
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload_len + frame::TRAILER_LEN);
-    put_u32(&mut out, MAGIC);
-    put_u32(&mut out, gen);
-    put_u16(&mut out, shard);
-    out.push(kind.tag());
-    out.push(0); // pad — must be zero, checked on decode
-    put_u64(&mut out, epoch);
-    put_u64(&mut out, seq);
-    put_u64(&mut out, txn);
-    put_u32(&mut out, 0); // payload_len, patched by the seal
-    debug_assert_eq!(out.len(), FRAME_HEADER);
-    payload(&mut out);
-    frame::seal(&mut out, 0, FRAME_HEADER, SEED);
-    out
 }
 
 /// Try to decode one frame at the start of `buf`.
@@ -569,9 +635,20 @@ mod tests {
 
     /// A frame around a hand-built payload, checksummed honestly.
     fn frame_with_payload(kind: FrameKind, txn: u64, payload: &[u8]) -> Vec<u8> {
-        build_frame(3, 2, kind, 17, 42, txn, payload.len(), |out| {
-            out.extend_from_slice(payload)
-        })
+        let h = Header {
+            gen: 3,
+            shard: 2,
+            kind,
+            epoch: 17,
+            seq: 42,
+            txn,
+        };
+        let mut out = Vec::new();
+        write_header(&h, payload.len(), &mut out);
+        out.extend_from_slice(payload);
+        let sum = checksum(&out);
+        put_u64(&mut out, sum);
+        out
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! sequence, checkable exactly with `crlh::FsState`.
 //!
 //! Mount-level properties run at one stream and at the default fan-out
-//! ([`SHARD_COUNTS`]).
+//! ([`SHARD_COUNTS`]). `FAULT_STORM_SEED=<n>` moves the random-crash
+//! sweep to a block of seeds derived from `n` (the CI fault-storm matrix
+//! fans one job out per seed); unset, seeds `0..12` run.
 
 use std::sync::Arc;
 
@@ -19,6 +21,17 @@ use atomfs_vfs::{FileSystem, SplitMix64};
 use crlh::FsState;
 
 const SHARD_COUNTS: [usize; 2] = [1, 4];
+
+/// Seeds of the random-crash sweep.
+fn seeds() -> Vec<u64> {
+    match std::env::var("FAULT_STORM_SEED") {
+        Ok(s) => {
+            let s: u64 = s.parse().expect("FAULT_STORM_SEED must be a u64");
+            (0..12).map(|k| (s << 32) | k).collect()
+        }
+        Err(_) => (0..12).collect(),
+    }
+}
 
 /// A JournaledFs whose mutation stream is also recorded in memory, so
 /// tests can compute every prefix state.
@@ -147,7 +160,10 @@ fn run_workload(h: &Harness, rng: &mut SplitMix64, ops: usize) -> Vec<usize> {
 
 #[test]
 fn recovery_is_prefix_consistent_and_durable() {
-    for (seed, shards) in (0..12u64).flat_map(|seed| SHARD_COUNTS.map(|n| (seed, n))) {
+    for (seed, shards) in seeds()
+        .into_iter()
+        .flat_map(|seed| SHARD_COUNTS.map(|n| (seed, n)))
+    {
         eprintln!("crash: seed {seed}, {shards} shard(s)");
         let mut rng = SplitMix64::new(seed);
         let h = Harness::new(shards);

@@ -9,13 +9,21 @@
 //! a redo write accepts, so the properties assert corruption can do
 //! neither.
 //!
+//! The journal streams each frame into its shard's sectors as it
+//! encodes; the same generators pin that the streamed log is byte for
+//! byte the one-buffer encodings laid end to end.
+//!
 //! Each property runs over seeds `0..CASES` through [`check_seeds`],
 //! drawing its input from a [`SplitMix64`]; a failure names its seed.
 
+use std::sync::Arc;
+
+use atomfs_journal::device::SECTOR_SIZE;
 use atomfs_journal::wire::{
     decode_frame, encode_frame_parts, encode_quarantine_parts, Frame, FrameKind, RedoOp,
     FRAME_HEADER, MAGIC,
 };
+use atomfs_journal::{BlockDevice, Disk, ShardConfig, ShardWriter};
 use atomfs_trace::MicroOp;
 use atomfs_vfs::rng::check_seeds;
 use atomfs_vfs::{FileType, SplitMix64};
@@ -74,11 +82,21 @@ fn gen_op(rng: &mut SplitMix64) -> MicroOp {
     }
 }
 
-/// One frame's encoding and the frame decoding must yield: seal kinds
-/// carry no ops (the format rejects a "seal" smuggling a payload),
-/// op-bearing kinds carry a small stamped batch of traced ops, which
-/// decode to their redo projection.
-fn gen_frame(rng: &mut SplitMix64) -> (Vec<u8>, Frame) {
+/// The fields of one frame: seal kinds carry no ops (the format rejects
+/// a "seal" smuggling a payload), op-bearing kinds carry a small
+/// stamped batch of traced ops, quarantine frames their windows.
+struct Parts {
+    kind: FrameKind,
+    gen: u32,
+    shard: u16,
+    epoch: u64,
+    seq: u64,
+    txn: u64,
+    ops: Vec<(u64, MicroOp)>,
+    windows: Vec<(u64, u64)>,
+}
+
+fn gen_parts(rng: &mut SplitMix64) -> Parts {
     let kind = match rng.random_range(0..5) {
         0 => FrameKind::Batch,
         1 => FrameKind::EpochSeal,
@@ -106,22 +124,94 @@ fn gen_frame(rng: &mut SplitMix64) -> (Vec<u8>, Frame) {
             lo += width;
         }
     }
-    let bytes = if kind == FrameKind::Quarantine {
-        encode_quarantine_parts(gen, shard, epoch, seq, txn, &windows)
-    } else {
-        encode_frame_parts(gen, shard, kind, epoch, seq, txn, &ops)
-    };
-    let frame = Frame {
+    Parts {
+        kind,
         gen,
         shard,
-        kind,
         epoch,
         seq,
         txn,
-        ops: ops.iter().map(|(s, op)| (*s, RedoOp::from(op))).collect(),
+        ops,
         windows,
+    }
+}
+
+fn encode(p: &Parts) -> Vec<u8> {
+    if p.kind == FrameKind::Quarantine {
+        encode_quarantine_parts(p.gen, p.shard, p.epoch, p.seq, p.txn, &p.windows)
+    } else {
+        encode_frame_parts(p.gen, p.shard, p.kind, p.epoch, p.seq, p.txn, &p.ops)
+    }
+}
+
+/// One frame's encoding and the frame decoding must yield: op-bearing
+/// kinds decode to the redo projection of their traced ops.
+fn gen_frame(rng: &mut SplitMix64) -> (Vec<u8>, Frame) {
+    let p = gen_parts(rng);
+    let frame = Frame {
+        gen: p.gen,
+        shard: p.shard,
+        kind: p.kind,
+        epoch: p.epoch,
+        seq: p.seq,
+        txn: p.txn,
+        ops: p.ops.iter().map(|(s, op)| (*s, RedoOp::from(op))).collect(),
+        windows: p.windows.clone(),
     };
-    (bytes, frame)
+    (encode(&p), frame)
+}
+
+#[test]
+fn streamed_frames_are_the_encoded_bytes() {
+    check_seeds(CASES, |rng| {
+        let disk = Arc::new(Disk::new());
+        let cfg = ShardConfig::default();
+        let shard = rng.random_range(0..cfg.shards);
+        let gen = rng.next_u64() as u32;
+        let mut w = ShardWriter::new(Arc::clone(&disk) as Arc<dyn BlockDevice>, shard, gen, &cfg);
+        let (mut want, mut sector_writes) = (Vec::new(), 0u64);
+        for _ in 0..rng.random_range(1..12) {
+            let mut p = gen_parts(rng);
+            (p.gen, p.shard, p.seq) = (gen, shard as u16, w.next_seq());
+            if !p.ops.is_empty() && rng.random_bool(0.3) {
+                // A page-sized write spans sectors, and lands anywhere
+                // in them.
+                let (ino, old) = (rng.next_u64(), byte_vec(rng, 0..40));
+                let new = byte_vec(rng, 0..3000);
+                p.ops
+                    .push((rng.next_u64(), MicroOp::SetData { ino, old, new }));
+            }
+            let bytes = encode(&p);
+            let (first, last) = (
+                want.len() / SECTOR_SIZE,
+                (want.len() + bytes.len() - 1) / SECTOR_SIZE,
+            );
+            sector_writes += (last - first + 1) as u64;
+            want.extend_from_slice(&bytes);
+            if p.kind == FrameKind::Quarantine {
+                w.append_quarantine(p.epoch, p.txn, &p.windows)
+            } else {
+                w.append_frame(p.kind, p.epoch, p.txn, &p.ops)
+            }
+            .expect("a perfect disk");
+            if rng.random_bool(0.3) {
+                disk.flush();
+            }
+        }
+        assert_eq!(w.position(), want.len() as u64);
+        // One write per sector each frame touches, as when a frame was
+        // cut from one buffer.
+        assert_eq!(disk.write_count(), sector_writes);
+        let base = cfg.region_base(shard);
+        let got: Vec<u8> = (0..want.len().div_ceil(SECTOR_SIZE) as u64)
+            .flat_map(|i| disk.read(base + i))
+            .collect();
+        assert_eq!(&got[..want.len()], &want[..], "streamed log differs");
+        assert!(
+            got[want.len()..].iter().all(|&b| b == 0),
+            "bytes past the tail"
+        );
+    });
 }
 
 #[test]

@@ -2,7 +2,8 @@
 //!
 //! Both binary formats — the journal's log frames (`atomfs_journal::wire`)
 //! and the server's RPC frames (`atomfs_server::wire`) — are built on this
-//! module: the little-endian writers (`put_*`), the strict [`Reader`],
+//! module: the little-endian writers (`put_*`, into any [`Out`]), the
+//! strict [`Reader`],
 //! which clamps every length or count it reads against the bytes present
 //! before anything is built from it, and the sealed envelope:
 //!
@@ -23,30 +24,45 @@ use crate::checksum::checksum;
 /// Byte length of the checksum trailer.
 pub const TRAILER_LEN: usize = 8;
 
-/// Append `v` little-endian.
-#[inline]
-pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Where encoded bytes go, in order, as they are produced: a `Vec`, or
+/// a writer that passes them on without holding the whole frame (the
+/// journal streams its frames into device sectors).
+pub trait Out {
+    /// Append `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Out for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
 }
 
 /// Append `v` little-endian.
 #[inline]
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+pub fn put_u16(out: &mut impl Out, v: u16) {
+    out.put(&v.to_le_bytes());
 }
 
 /// Append `v` little-endian.
 #[inline]
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+pub fn put_u32(out: &mut impl Out, v: u32) {
+    out.put(&v.to_le_bytes());
+}
+
+/// Append `v` little-endian.
+#[inline]
+pub fn put_u64(out: &mut impl Out, v: u64) {
+    out.put(&v.to_le_bytes());
 }
 
 /// Append `b` behind its length as a `u32`; [`Reader::len_prefixed`]
 /// reads it back.
 #[inline]
-pub fn put_len_prefixed(out: &mut Vec<u8>, b: &[u8]) {
+pub fn put_len_prefixed(out: &mut impl Out, b: &[u8]) {
     put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
+    out.put(b);
 }
 
 /// A strict little-endian reader over a byte slice. Every method returns

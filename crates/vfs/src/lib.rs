@@ -27,7 +27,7 @@ pub mod overhead;
 pub mod path;
 pub mod rng;
 
-pub use checksum::checksum;
+pub use checksum::{checksum, Checksum};
 pub use error::{FsError, FsResult};
 pub use fd::{Fd, FdTable, OpenOptions};
 pub use fs::{FileSystem, FileType, Metadata};
