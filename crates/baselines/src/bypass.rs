@@ -288,15 +288,15 @@ impl FileSystem for BypassFs {
             let ino = node.ino();
             let r = match node.guard.as_file_mut() {
                 Ok(f) => {
-                    let old = traced.then(|| f.snapshot(&self.store));
+                    let extent = traced.then(|| {
+                        MicroOp::write_extent(ino, f.size(), offset, data, |r| {
+                            f.copy_range(&self.store, r)
+                        })
+                    });
                     match f.write(&self.store, offset, data) {
                         Ok(n) => {
-                            if let Some(old) = old {
-                                let new = f.snapshot(&self.store);
-                                self.emit(|| Event::Mutate {
-                                    tid,
-                                    mop: MicroOp::SetData { ino, old, new },
-                                });
+                            if let Some(mop) = extent {
+                                self.emit(|| Event::Mutate { tid, mop });
                             }
                             Ok(n)
                         }
@@ -460,17 +460,12 @@ impl BypassFs {
         self.unlock(tid, p);
         let traced = self.sink.is_some();
         if let Ok(f) = c.guard.as_file_mut() {
-            let old = traced.then(|| f.snapshot(&self.store));
+            let clear = (traced && f.size() > 0).then(|| {
+                MicroOp::resize_extent(child_ino, f.size(), 0, |r| f.copy_range(&self.store, r))
+            });
             f.clear(&self.store);
-            if let Some(old) = old.filter(|o| !o.is_empty()) {
-                self.emit(|| Event::Mutate {
-                    tid,
-                    mop: MicroOp::SetData {
-                        ino: child_ino,
-                        old,
-                        new: Vec::new(),
-                    },
-                });
+            if let Some(mop) = clear {
+                self.emit(|| Event::Mutate { tid, mop });
             }
         }
         self.emit(|| Event::Mutate {

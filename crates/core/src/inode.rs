@@ -106,11 +106,11 @@ impl FileData {
         Ok(())
     }
 
-    /// Copy out the entire contents (used by instrumentation to record
-    /// roll-back effects).
-    pub fn snapshot(&self, store: &BlockStore) -> Vec<u8> {
-        let mut buf = vec![0u8; self.size as usize];
-        let n = self.read(store, 0, &mut buf);
+    /// Copy out the bytes in `range`, which lies within the file (used by
+    /// instrumentation to record the bytes an update overwrites).
+    pub fn copy_range(&self, store: &BlockStore, range: std::ops::Range<u64>) -> Vec<u8> {
+        let mut buf = vec![0u8; (range.end - range.start) as usize];
+        let n = self.read(store, range.start, &mut buf);
         debug_assert_eq!(n, buf.len());
         buf
     }
@@ -264,11 +264,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_matches_contents() {
+    fn copy_range_matches_contents() {
         let s = store();
         let mut f = FileData::default();
-        f.write(&s, 0, b"snapshot me").unwrap();
-        assert_eq!(f.snapshot(&s), b"snapshot me");
+        f.write(&s, 0, b"copy me out").unwrap();
+        assert_eq!(f.copy_range(&s, 0..11), b"copy me out");
+        assert_eq!(f.copy_range(&s, 5..7), b"me");
+        assert_eq!(f.copy_range(&s, 11..11), b"");
     }
 
     #[test]

@@ -302,23 +302,20 @@ impl AtomFs {
     /// roll-back requires.
     fn free_victim(&self, tid: Tid, v: &mut Locked) {
         let (ino, ftype) = (v.ino, v.ftype());
-        let old = match v.as_file() {
-            Ok(f) if self.is_traced() => Some(f.snapshot(&self.store)),
+        let clear = match v.as_file() {
+            Ok(f) if self.is_traced() && f.size() > 0 => {
+                Some(MicroOp::resize_extent(ino, f.size(), 0, |r| {
+                    f.copy_range(&self.store, r)
+                }))
+            }
             _ => None,
         };
         v.touch();
         if let Ok(f) = v.guard.as_file_mut() {
             f.clear(&self.store);
         }
-        if let Some(old) = old.filter(|o| !o.is_empty()) {
-            self.emit(|| Event::Mutate {
-                tid,
-                mop: MicroOp::SetData {
-                    ino,
-                    old,
-                    new: Vec::new(),
-                },
-            });
+        if let Some(mop) = clear {
+            self.emit(|| Event::Mutate { tid, mop });
         }
         self.emit(|| Event::Mutate {
             tid,
@@ -757,14 +754,12 @@ impl AtomFs {
             let ino = node.ino;
             let f = node.as_file_mut()?;
             fs.hint(tid, ino)?;
-            let old = traced.then(|| f.snapshot(&fs.store));
+            let extent = traced.then(|| {
+                MicroOp::write_extent(ino, f.size(), offset, data, |r| f.copy_range(&fs.store, r))
+            });
             let n = f.write(&fs.store, offset, data)?;
-            if let Some(old) = old {
-                let new = f.snapshot(&fs.store);
-                fs.emit(|| Event::Mutate {
-                    tid,
-                    mop: MicroOp::SetData { ino, old, new },
-                });
+            if let Some(mop) = extent {
+                fs.emit(|| Event::Mutate { tid, mop });
             }
             Ok(n)
         };
@@ -797,14 +792,12 @@ impl AtomFs {
             let ino = node.ino;
             let f = node.as_file_mut()?;
             fs.hint(tid, ino)?;
-            let old = traced.then(|| f.snapshot(&fs.store));
+            let extent = traced.then(|| {
+                MicroOp::resize_extent(ino, f.size(), size, |r| f.copy_range(&fs.store, r))
+            });
             f.truncate(&fs.store, size)?;
-            if let Some(old) = old {
-                let new = f.snapshot(&fs.store);
-                fs.emit(|| Event::Mutate {
-                    tid,
-                    mop: MicroOp::SetData { ino, old, new },
-                });
+            if let Some(mop) = extent {
+                fs.emit(|| Event::Mutate { tid, mop });
             }
             Ok(())
         };

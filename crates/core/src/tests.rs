@@ -180,7 +180,7 @@ mod remove {
                     .position(|m| matches!(m, MicroOp::Del { child, .. } if *child == victim))
                     .unwrap_or_else(|| panic!("{name}: no Del of the victim"));
                 assert!(
-                    matches!(&mops[del + 1], MicroOp::SetData { ino, old, new }
+                    matches!(&mops[del + 1], MicroOp::SetData { ino, off: 0, old, new, old_len: 10_000, new_len: 0 }
                         if *ino == victim && old.len() == 10_000 && new.is_empty()),
                     "{name}: {mops:?}"
                 );
@@ -191,6 +191,48 @@ mod remove {
                 );
             }
         }
+    }
+
+    /// A traced write or truncate records only the bytes it touched:
+    /// the range it overwrote or cut, and the bytes it wrote.
+    #[test]
+    fn traced_updates_record_extents() {
+        use atomfs_trace::{MicroOp, TraceSink};
+        let sink = Arc::new(BufferSink::new());
+        let fs = AtomFs::traced(Arc::clone(&sink) as Arc<dyn TraceSink>);
+        fs.mknod("/f").unwrap();
+        let file: Vec<u8> = (0..4096).map(|i| i as u8).collect();
+        fs.write("/f", 0, &file).unwrap();
+        let ino = fs.stat("/f").unwrap().ino;
+        sink.take();
+        fs.write("/f", 1024, &[7; 1024]).unwrap();
+        fs.write("/f", 4000, &[9; 200]).unwrap();
+        fs.truncate("/f", 10).unwrap();
+        let mops: Vec<MicroOp> = sink
+            .take()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::Mutate { mop, .. } => Some(mop),
+                _ => None,
+            })
+            .collect();
+        // The file before the truncate: 4200 bytes.
+        let mut before = file.clone();
+        before[1024..2048].fill(7);
+        before.resize(4000, 0);
+        before.extend([9; 200]);
+        assert_eq!(
+            mops,
+            [
+                MicroOp::write_extent(ino, 4096, 1024, &[7; 1024], |_| file[1024..2048].to_vec()),
+                MicroOp::write_extent(ino, 4096, 4000, &[9; 200], |_| file[4000..].to_vec()),
+                MicroOp::resize_extent(ino, 4200, 10, |_| before[10..].to_vec()),
+            ]
+        );
+        let MicroOp::SetData { old, new, .. } = &mops[0] else {
+            unreachable!()
+        };
+        assert_eq!((old.len(), new.len()), (1024, 1024));
     }
 
     #[test]

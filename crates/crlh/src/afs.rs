@@ -187,6 +187,17 @@ impl<'a> Edit<'a> {
             Edit::Truncate(size) => f.resize(size, 0),
         }
     }
+
+    /// This edit of file `ino`, whose bytes are `f`, as the extent that
+    /// records it.
+    fn extent(self, ino: Inum, f: &[u8]) -> MicroOp {
+        let read = |r: std::ops::Range<u64>| f[r.start as usize..r.end as usize].to_vec();
+        let len = f.len() as u64;
+        match self {
+            Edit::Write(at, data) => MicroOp::write_extent(ino, len, at as u64, data, read),
+            Edit::Truncate(size) => MicroOp::resize_extent(ino, len, size as u64, read),
+        }
+    }
 }
 
 /// One effect of a transition, as a spec reports it to its sink.
@@ -256,20 +267,13 @@ impl Effects for Record<'_> {
             },
             Effect::Remove(ino) => {
                 if let Some(f) = node(ino).as_file().filter(|f| !f.is_empty()) {
-                    self.effects.push(MicroOp::SetData {
-                        ino,
-                        old: f.clone(),
-                        new: Vec::new(),
-                    });
+                    self.effects.push(Edit::Truncate(0).extent(ino, f));
                 }
                 let ftype = node(ino).ftype();
                 MicroOp::Remove { ino, ftype }
             }
             Effect::Edit(ino, edit) => {
-                let old = node(ino).as_file().expect("the spec read a file").clone();
-                let mut new = old.clone();
-                edit.apply(&mut new);
-                MicroOp::SetData { ino, old, new }
+                edit.extent(ino, node(ino).as_file().expect("the spec read a file"))
             }
         };
         self.effects.push(op);

@@ -2102,14 +2102,7 @@ mod tests {
                 },
             },
             claim(a, &[1], true, true),
-            mutate(
-                b,
-                MicroOp::SetData {
-                    ino: 2,
-                    old: Vec::new(),
-                    new: data.clone(),
-                },
-            ),
+            mutate(b, MicroOp::replace(2, Vec::new(), data.clone())),
             Event::Lp { tid: b },
             Event::Unlock { tid: b, ino: 2 },
             Event::OpEnd {
@@ -2127,14 +2120,7 @@ mod tests {
             ),
             Event::Lp { tid: a },
             Event::Unlock { tid: a, ino: 1 },
-            mutate(
-                a,
-                MicroOp::SetData {
-                    ino: 2,
-                    old: data,
-                    new: Vec::new(),
-                },
-            ),
+            mutate(a, MicroOp::replace(2, data, Vec::new())),
             mutate(
                 a,
                 MicroOp::Remove {

@@ -29,7 +29,7 @@ use std::hash::BuildHasher;
 use atomfs_trace::{Inum, MicroOp, Tid};
 
 use crate::ghost::{is_provisional, Binding, ThreadPool};
-use crate::state::{FsState, Node, StateError, StateView};
+use crate::state::{splice_extent, FsState, Node, StateError, StateView};
 
 /// Compute the abstract state rolled back to "concrete time": undo the
 /// effects of every helped, undischarged operation in reverse Helplist
@@ -207,17 +207,16 @@ fn unapply_on(node: &mut Option<Node>, aid: Inum, mop: &MicroOp) -> Result<(), S
             Some(Node::File(_)) => Err(StateError(format!("ins into non-directory {parent}"))),
             None => Err(StateError(format!("ins into missing inode {parent}"))),
         },
-        // Undo a data write: contents must match the recorded new bytes.
-        MicroOp::SetData { ino, old, new } if *ino == aid => match node {
-            Some(Node::File(f)) => {
-                if f != new {
-                    return Err(StateError(format!(
-                        "setdata on {ino}: current contents differ from recorded old"
-                    )));
-                }
-                *f = old.clone();
-                Ok(())
-            }
+        // Undo a data write: contents must match the recorded new side.
+        MicroOp::SetData {
+            ino,
+            off,
+            old,
+            new,
+            old_len,
+            new_len,
+        } if *ino == aid => match node {
+            Some(Node::File(f)) => splice_extent(*ino, f, *off, (new, *new_len), (old, *old_len)),
             _ => Err(StateError(format!("setdata on non-file {ino}"))),
         },
         _ => Ok(()),
@@ -472,11 +471,7 @@ mod tests {
         // while the file inode AND its parent (whose entry sets differ?
         // they don't — only file content differs) are locked.
         shadow
-            .apply_micro(&MicroOp::SetData {
-                ino: 5,
-                old: vec![],
-                new: b"dirty".to_vec(),
-            })
+            .apply_micro(&MicroOp::replace(5, vec![], b"dirty".to_vec()))
             .unwrap();
         let mut binding = Binding::new();
         binding.bind(5, 5);
@@ -541,11 +536,7 @@ mod tests {
                 name: "f".into(),
                 child: p2,
             },
-            MicroOp::SetData {
-                ino: p2,
-                old: vec![],
-                new: b"xyz".to_vec(),
-            },
+            MicroOp::replace(p2, vec![], b"xyz".to_vec()),
         ];
         for e in &e1 {
             afs.apply_micro(e).unwrap();

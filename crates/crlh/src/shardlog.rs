@@ -9,7 +9,7 @@
 //! streams into the single totally-ordered mutation history recovery
 //! replays, and enforces the two properties sharding could silently
 //! break. It reads only stamps and transaction records, so the op
-//! payload is generic (the journal's is its redo-only record):
+//! payload is generic (the journal's is its redo record):
 //!
 //! 1. **Prefix exactness** ([`merge_stamped`]): the k-way merge accepts
 //!    only the contiguous stamp prefix `0, 1, 2, …`. The first missing

@@ -25,7 +25,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use atomfs_trace::{Inum, MicroOp, ROOT_INUM};
+use atomfs_trace::{micro, Inum, MicroOp, ROOT_INUM};
 use atomfs_vfs::{FileType, FsError};
 
 /// One inode's contents.
@@ -243,15 +243,16 @@ impl FsState {
                 },
                 _ => Err(StateError(format!("del from non-directory {parent}"))),
             },
-            MicroOp::SetData { ino, old, new } => match self.map.get_mut(ino) {
+            MicroOp::SetData {
+                ino,
+                off,
+                old,
+                new,
+                old_len,
+                new_len,
+            } => match self.map.get_mut(ino) {
                 Some(Node::File(f)) => {
-                    if f != old {
-                        return Err(StateError(format!(
-                            "setdata on {ino}: current contents differ from recorded old"
-                        )));
-                    }
-                    *f = new.clone();
-                    Ok(())
+                    splice_extent(*ino, f, *off, (old, *old_len), (new, *new_len))
                 }
                 _ => Err(StateError(format!("setdata on non-file {ino}"))),
             },
@@ -330,6 +331,30 @@ impl StateView for FsState {
     fn get(&self, id: Inum) -> Option<Cow<'_, Node>> {
         self.map.get(&id).map(Cow::Borrowed)
     }
+}
+
+/// Move file `ino`'s bytes `f` across one extent, from side `from` to
+/// side `to` (each a slice at `off` and a file length): check that `f`
+/// is `from`, then make it `to`. A failing check leaves `f` untouched.
+pub(crate) fn splice_extent(
+    ino: Inum,
+    f: &mut Vec<u8>,
+    off: u32,
+    (from, from_len): (&[u8], u32),
+    (to, to_len): (&[u8], u32),
+) -> Result<(), StateError> {
+    if !micro::side_matches(f, off, from, from_len) {
+        return Err(StateError(format!(
+            "setdata on {ino}: current contents differ from recorded old"
+        )));
+    }
+    if !micro::splice(f, off, to, to_len) {
+        return Err(StateError(format!(
+            "setdata on {ino}: {} bytes at {off} end past length {to_len}",
+            to.len()
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -411,11 +436,7 @@ mod tests {
                 name: "f".into(),
                 child: 3,
             },
-            MicroOp::SetData {
-                ino: 3,
-                old: vec![],
-                new: b"xyz".to_vec(),
-            },
+            MicroOp::replace(3, vec![], b"xyz".to_vec()),
         ];
         let initial = s.clone();
         for op in &ops {
@@ -445,11 +466,7 @@ mod tests {
             })
             .is_err());
         assert!(s
-            .apply_micro(&MicroOp::SetData {
-                ino: ROOT_INUM,
-                old: vec![],
-                new: vec![1]
-            })
+            .apply_micro(&MicroOp::replace(ROOT_INUM, vec![], vec![1]))
             .is_err());
         s.apply_micro(&MicroOp::Create {
             ino: 2,
@@ -457,12 +474,8 @@ mod tests {
         })
         .unwrap();
         assert!(
-            s.apply_micro(&MicroOp::SetData {
-                ino: 2,
-                old: vec![9],
-                new: vec![1]
-            })
-            .is_err(),
+            s.apply_micro(&MicroOp::replace(2, vec![9], vec![1]))
+                .is_err(),
             "old-content mismatch must be detected"
         );
     }
@@ -512,12 +525,8 @@ mod tests {
         })
         .unwrap();
         assert_eq!(a.canonical_fingerprint(), b.canonical_fingerprint());
-        b.apply_micro(&MicroOp::SetData {
-            ino: 1234,
-            old: vec![],
-            new: vec![1],
-        })
-        .unwrap();
+        b.apply_micro(&MicroOp::replace(1234, vec![], vec![1]))
+            .unwrap();
         assert_ne!(a.canonical_fingerprint(), b.canonical_fingerprint());
     }
 }

@@ -444,11 +444,7 @@ mod tests {
                 .unwrap();
         }
         state
-            .apply_micro(&MicroOp::SetData {
-                ino: 11,
-                old: vec![],
-                new: b"payload".to_vec(),
-            })
+            .apply_micro(&MicroOp::replace(11, vec![], b"payload".to_vec()))
             .unwrap();
         let fs = AtomFs::new();
         materialize(&fs, &state).unwrap();
@@ -653,6 +649,27 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_1k_write_into_a_4k_file_logs_1k_plus_a_fixed_header() {
+        for shards in SHARD_COUNTS {
+            let (_disk, _cfg, jfs) = fresh(shards);
+            jfs.mknod("/f").unwrap();
+            jfs.write("/f", 0, &[0xA5; 4096]).unwrap();
+            jfs.sync().unwrap();
+            let before = jfs.log_bytes();
+            jfs.write("/f", 1024, &[7; 1024]).unwrap();
+            jfs.sync().unwrap();
+            // One `Batch` frame (40-byte header, op count 4, stamp 8,
+            // extent record 37 besides its bytes, trailer 8), then an
+            // `EpochSeal` (40 + 4 + 8) on every shard.
+            let header = 97 + 52 * shards as u64;
+            assert_eq!(jfs.log_bytes() - before, 1024 + header, "{shards} shard(s)");
+            let mut buf = vec![0; 4096];
+            jfs.read("/f", 0, &mut buf).unwrap();
+            assert!(buf[1024..2048].iter().all(|&b| b == 7));
+        }
+    }
+
     /// A correctly checksummed `Batch` on shard 0: create and link `/f`,
     /// then at stamp `write_at` a redo write whose recorded old contents
     /// are not what the file holds.
@@ -681,11 +698,7 @@ mod tests {
             ),
             (
                 write_at,
-                MicroOp::SetData {
-                    ino: 5,
-                    old: b"not what the file holds".to_vec(),
-                    new: b"forged".to_vec(),
-                },
+                MicroOp::replace(5, b"not what the file holds".to_vec(), b"forged".to_vec()),
             ),
         ];
         w.append_frame(FrameKind::Batch, 1, 0, &ops).unwrap();

@@ -92,6 +92,13 @@ impl ShardBuf {
     fn is_empty(&self) -> bool {
         self.plain.is_empty() && self.intents.is_empty() && self.seals.is_empty()
     }
+
+    /// Drop the staged ops, keeping the capacity for a later epoch.
+    fn clear(&mut self) {
+        self.plain.clear();
+        self.intents.clear();
+        self.seals.clear();
+    }
 }
 
 /// Cumulative commit-phase timings of one mount, added by the commit
@@ -238,8 +245,11 @@ pub struct ShardedJournalSink {
     sealed_stamp: AtomicU64,
     /// Held by the sync leader for its whole commit. An `Arc` so the
     /// election can take it with `try_lock_arc`, whose guard exists only
-    /// on success.
-    commit_lock: Arc<Mutex<()>>,
+    /// on success. It guards one spare staging buffer per shard: the cut
+    /// swaps each shard's buffer with its cleared spare, and the commit
+    /// clears what it wrote, so staging reuses its capacity across
+    /// epochs instead of growing fresh vectors every epoch.
+    commit_lock: Arc<Mutex<Vec<ShardBuf>>>,
     /// Group-commit rendezvous: bumped (under its lock) after every
     /// leader commit completes — success or failure — then broadcast.
     /// Followers whose stamps an in-flight commit cannot cover park here
@@ -331,7 +341,11 @@ impl ShardedJournalSink {
             open_epoch: AtomicU64::new(1),
             sealed_epoch: AtomicU64::new(0),
             sealed_stamp: AtomicU64::new(0),
-            commit_lock: Arc::new(Mutex::new(())),
+            commit_lock: Arc::new(Mutex::new(
+                (0..cfg.shard_count())
+                    .map(|_| ShardBuf::default())
+                    .collect(),
+            )),
             commit_gen: Mutex::new(0),
             commit_cv: Condvar::new(),
             phases: Mutex::new(CommitPhases::default()),
@@ -798,10 +812,10 @@ impl ShardedJournalSink {
                 }
             }
             match self.elect() {
-                Some(guard) => {
+                Some(mut spares) => {
                     self.batching_window();
-                    let result = self.commit_locked(false);
-                    drop(guard);
+                    let result = self.commit_locked(&mut spares, false);
+                    drop(spares);
                     self.wake_followers();
                     result?;
                 }
@@ -823,7 +837,7 @@ impl ShardedJournalSink {
 
     /// Try to become the sync leader: the commit lock's guard, or `None`
     /// (leaving the current leader's lock held) if a commit is running.
-    fn elect(&self) -> Option<ArcMutexGuard<RawMutex, ()>> {
+    fn elect(&self) -> Option<ArcMutexGuard<RawMutex, Vec<ShardBuf>>> {
         self.commit_lock.try_lock_arc()
     }
 
@@ -871,21 +885,24 @@ impl ShardedJournalSink {
     /// shard carries at least one frame of the checkpoint generation.
     pub fn commit(&self, force: bool) -> Result<(), DiskError> {
         let result = {
-            let _c = self.commit_lock.lock();
-            self.commit_locked(force)
+            let mut spares = self.commit_lock.lock();
+            self.commit_locked(&mut spares, force)
         };
         self.wake_followers();
         result
     }
 
-    /// Commit body; the caller holds `commit_lock`.
-    fn commit_locked(&self, force: bool) -> Result<(), DiskError> {
+    /// Commit body; `spares` are the buffers `commit_lock` guards.
+    fn commit_locked(&self, spares: &mut [ShardBuf], force: bool) -> Result<(), DiskError> {
         // Always-recorded commit span (one per group commit, not per op).
         // Children — the cut, per-shard slice writes, the flush barrier —
         // hang off it.
         let mut sp = Span::root(SpanKind::EpochCut, "group_commit");
         let mut t = CommitPhases::default();
-        let r = self.commit_locked_inner(force, &mut sp, &mut t);
+        let r = self.commit_locked_inner(spares, force, &mut sp, &mut t);
+        for b in spares.iter_mut() {
+            b.clear();
+        }
         let mut total = self.phases.lock();
         total.commits += 1;
         total.cut_ns += t.cut_ns;
@@ -900,6 +917,7 @@ impl ShardedJournalSink {
 
     fn commit_locked_inner(
         &self,
+        spares: &mut [ShardBuf],
         force: bool,
         sp: &mut Span,
         t: &mut CommitPhases,
@@ -910,10 +928,10 @@ impl ShardedJournalSink {
 
         // Phase 1 — the cut. Drain open rename transactions (so no
         // intent/seal pair straddles the epoch), then atomically swap
-        // every shard's buffer and advance the epoch. Dead shards'
-        // buffers are taken too: anything staged into them (ops that
-        // raced the quarantine) is discarded into recorded loss windows
-        // below rather than silently forgotten.
+        // every shard's buffer with its empty spare and advance the
+        // epoch. Dead shards' buffers are taken too: anything staged into
+        // them (ops that raced the quarantine) is discarded into recorded
+        // loss windows below rather than silently forgotten.
         let cut = timed(&mut t.cut_ns, || {
             self.txns.drain();
             let w = self.cut.write();
@@ -925,12 +943,10 @@ impl ShardedJournalSink {
                 (covered, None)
             } else {
                 let epoch = self.open_epoch.fetch_add(1, Ordering::Relaxed);
-                let taken: Vec<ShardBuf> = self
-                    .shards
-                    .iter()
-                    .map(|s| std::mem::take(&mut *s.buf.lock()))
-                    .collect();
-                (covered, Some((epoch, taken)))
+                for (s, spare) in self.shards.iter().zip(spares.iter_mut()) {
+                    std::mem::swap(&mut *s.buf.lock(), spare);
+                }
+                (covered, Some(epoch))
             };
             drop(w);
             self.txns.release();
@@ -938,10 +954,10 @@ impl ShardedJournalSink {
         });
 
         let (covered, staged) = cut;
-        if let Some((epoch, _)) = &staged {
-            sp.set_epoch(*epoch);
+        if let Some(epoch) = staged {
+            sp.set_epoch(epoch);
         }
-        let Some((epoch, taken)) = staged else {
+        let Some(epoch) = staged else {
             // Nothing staged: sync degenerates to a flush barrier.
             let flush_failed = timed(&mut t.flush_ns, || self.flush_pass());
             if let Some(&(_, cause, _)) = flush_failed.first() {
@@ -962,6 +978,7 @@ impl ShardedJournalSink {
         // typical epoch. Every slice is attempted even after one fails:
         // each healthy shard keeps as much durable history as its device
         // allows.
+        let taken: &[ShardBuf] = spares;
         let mut new_lost: Vec<u64> = Vec::new();
         let mut redirect_seals: Vec<u64> = Vec::new();
         let mut failed: Vec<(usize, DiskError, u64)> = Vec::new();
@@ -1146,9 +1163,9 @@ impl ShardedJournalSink {
 
 impl TraceSink for ShardedJournalSink {
     fn emit(&self, event: Event) {
-        // Mutations carry the full old/new payload; taking them by value
-        // moves that payload straight into the staging buffer instead of
-        // cloning it (the hot path — every write stages two snapshots).
+        // Mutations carry their bytes (an extent's old and new ranges);
+        // taking them by value moves them straight into the staging
+        // buffer instead of cloning them (the hot path: every write).
         match event {
             Event::Mutate { tid, mop } => self.on_mutate(tid, mop),
             other => self.emit_ref(&other),

@@ -8,8 +8,9 @@
 //! * [`device::Disk`] — a simulated block device whose crash model
 //!   includes out-of-order partial persistence of unflushed writes;
 //! * [`wire`] — a checksummed, generation- and epoch-stamped binary
-//!   frame format for micro-operation batches, logged redo-only (a
-//!   write keeps its new bytes and a digest of the old);
+//!   frame format for micro-operation batches, a file update logged as
+//!   a redo extent (the bytes it wrote, and a digest of the range it
+//!   overwrote);
 //! * [`shard`] / [`group_commit`] — the log: `N` independent append
 //!   streams (`ShardConfig { shards: 1.. }`, shard chosen by inode
 //!   hash), each with its own device region, sequence space, and

@@ -21,8 +21,9 @@
 //!    granularity, mount-wide.
 //!
 //! 3. **Replay** ([`replay`]): namespace ops apply as traced; a redo
-//!    `SetData` installs its new bytes only once the file's length and
-//!    digest match what the write overwrote ([`crate::wire::RedoOp`]).
+//!    `SetData` splices its new bytes in only once the file's length and
+//!    the digest of the overwritten range match what the extent
+//!    recorded ([`crate::wire::RedoOp`]).
 //!
 //! **Quarantine windows** relax the gap rule in exactly one, explicitly
 //! licensed way: when a shard was quarantined at run time, the commit
@@ -41,6 +42,7 @@
 
 use atomfs_obs::dump::{self, TriggerCause};
 use atomfs_obs::{Span, SpanKind};
+use atomfs_trace::micro;
 use atomfs_vfs::frame;
 use crlh::state::{FsState, Node, StateError};
 
@@ -556,25 +558,37 @@ pub fn resolve(mut scans: Vec<ShardScan>) -> ShardedRecovered {
 
 /// Apply one recovered op. A namespace op goes through
 /// [`FsState::apply_micro`]. A redo `SetData` first checks the replay
-/// precondition `apply_micro` checks with full bytes: the file holds what
-/// the write overwrote, here its length and digest. Only then does it
-/// install `new`. A failing apply leaves the state untouched.
+/// precondition `apply_micro` checks with the old bytes themselves: the
+/// file is `old_len` bytes long and holds, at `off`, what the extent
+/// overwrote, here by the range's digest. Only then does it splice `new`
+/// in. A failing apply leaves the state untouched.
 fn apply_redo(state: &mut FsState, op: &RedoOp) -> Result<(), StateError> {
     match op {
         RedoOp::Ns(mop) => state.apply_micro(mop),
         RedoOp::SetData {
             ino,
+            off,
             old_len,
+            new_len,
+            overwritten,
             old_digest,
             new,
         } => match state.map.get_mut(ino) {
-            Some(Node::File(f)) if f.len() == *old_len as usize && checksum(f) == *old_digest => {
-                f.clone_from(new);
-                Ok(())
+            Some(Node::File(f)) => {
+                // An empty range sits anywhere, even past the end.
+                let range = match *overwritten as usize {
+                    0 => Some(&[][..]),
+                    n => f.get(*off as usize..*off as usize + n),
+                };
+                let base = f.len() == *old_len as usize
+                    && range.is_some_and(|r| checksum(r) == *old_digest);
+                if base && micro::splice(f, *off, new, *new_len) {
+                    return Ok(());
+                }
+                Err(StateError(format!(
+                    "setdata on {ino}: current contents differ from recorded old"
+                )))
             }
-            Some(Node::File(_)) => Err(StateError(format!(
-                "setdata on {ino}: current contents differ from recorded old"
-            ))),
             _ => Err(StateError(format!("setdata on non-file {ino}"))),
         },
     }
@@ -1000,13 +1014,12 @@ mod tests {
     }
 
     #[test]
-    fn redo_set_data_checks_length_and_digest_of_the_old_contents() {
-        let write = |old: &[u8], new: &[u8]| {
-            RedoOp::from(&MicroOp::SetData {
-                ino: 7,
-                old: old.to_vec(),
-                new: new.to_vec(),
-            })
+    fn redo_set_data_checks_length_and_digest_of_the_overwritten_range() {
+        let write = |len: usize, off: u64, data: &[u8], base: &[u8]| {
+            let base = base.to_vec();
+            RedoOp::from(&MicroOp::write_extent(7, len as u64, off, data, |r| {
+                base[r.start as usize..r.end as usize].to_vec()
+            }))
         };
         let mut state = FsState::new();
         state
@@ -1015,21 +1028,29 @@ mod tests {
                 ftype: FileType::File,
             })
             .unwrap();
-        apply_redo(&mut state, &write(b"", b"first")).unwrap();
-        apply_redo(&mut state, &write(b"first", b"second")).unwrap();
-        // Same length, other bytes; other length; a directory target.
+        apply_redo(&mut state, &write(0, 0, b"first", b"")).unwrap();
+        apply_redo(&mut state, &write(5, 1, b"ILS", b"first")).unwrap();
+        // A hole past the end, zero-filled.
+        apply_redo(&mut state, &write(5, 7, b"!", b"fILSt")).unwrap();
+        let file = b"fILSt\0\0!".to_vec();
+        assert_eq!(state.node(7).and_then(Node::as_file), Some(&file));
+        // Same length, other bytes in the range; other length; a
+        // directory target.
         let before = state.clone();
-        assert!(apply_redo(&mut state, &write(b"FIRST!", b"x")).is_err());
-        assert!(apply_redo(&mut state, &write(b"second!", b"x")).is_err());
-        assert!(apply_redo(&mut state, &write(b"", b"x")).is_err());
+        assert!(apply_redo(&mut state, &write(8, 1, b"x", b"f?LSt\0\0!")).is_err());
+        assert!(apply_redo(&mut state, &write(9, 1, b"x", b"fILSt\0\0!?")).is_err());
+        assert!(apply_redo(&mut state, &write(0, 0, b"x", b"")).is_err());
         assert_eq!(state, before, "a refused redo leaves the state untouched");
-        assert_eq!(
-            state.node(7).and_then(Node::as_file),
-            Some(&b"second".to_vec())
-        );
+        let shrink =
+            MicroOp::resize_extent(7, 8, 2, |r| file[r.start as usize..r.end as usize].to_vec());
+        apply_redo(&mut state, &RedoOp::from(&shrink)).unwrap();
+        assert_eq!(state.node(7).and_then(Node::as_file), Some(&b"fI".to_vec()));
         let on_dir = RedoOp::SetData {
             ino: ROOT_INUM,
+            off: 0,
             old_len: 0,
+            new_len: 1,
+            overwritten: 0,
             old_digest: checksum(b""),
             new: b"x".to_vec(),
         };

@@ -9,34 +9,40 @@
 //! checksum seed, the record schema, and the strictness rules (seal
 //! frames carry no ops, quarantine windows are well-formed).
 //!
-//! # Records are redo-only
+//! # Records are redo extents
 //!
-//! The trace's [`MicroOp::SetData`] carries a file's whole old *and* new
-//! contents, because the checker rolls writes back. Recovery only ever
-//! redoes, so the log keeps the new bytes and replaces the old ones by
-//! their length and [`checksum`]:
+//! The trace's [`MicroOp::SetData`] is an extent: the bytes a write or
+//! truncate touched, on both sides, because the checker rolls updates
+//! back. Recovery only ever redoes, so the log keeps the new side and
+//! replaces the old bytes by their length and [`checksum`]:
 //!
 //! ```text
-//! tag 4 | ino u64 | old_len u32 | old_digest u64 | new_len u32 | new bytes
+//! tag 4 | ino u64 | off u32 | old_len u32 | new_len u32
+//!       | overwritten u32 | old_digest u64 | new_bytes_len u32 | new bytes
 //! ```
 //!
-//! Namespace ops (`Create`, `Remove`, `Ins`, `Del`) are logged as traced.
-//! Decoding yields a [`RedoOp`], the redo projection of the traced op.
+//! A 1 KiB write into a 4 KiB file logs its 1 KiB and 37 bytes of
+//! record around it, not the file. Namespace ops (`Create`, `Remove`,
+//! `Ins`, `Del`) are logged as traced. Decoding yields a [`RedoOp`], the
+//! redo projection of the traced op.
 //! The two guards have different jobs. The frame checksum guards
 //! *integrity*: a record that decodes is the record that was written.
-//! The digest guards the *replay precondition*: the file must hold what
-//! the write overwrote, which [`crate::recovery`] checks before it
-//! installs `new`. That precondition is what `FsState::apply_micro`
-//! checks with the full old bytes; length plus a 64-bit digest catches a
-//! mismatched base without logging it.
+//! The digest guards the *replay precondition*: the file must be
+//! `old_len` bytes long and hold, at `off`, what the update overwrote,
+//! which [`crate::recovery`] checks before it splices `new` in. That
+//! precondition is what `FsState::apply_micro` checks with the old
+//! bytes themselves; a length plus a 64-bit digest of the range catches
+//! a mismatched base without logging it. Decoding also refuses an
+//! extent whose ranges end past its lengths, so replay never indexes
+//! out of a file.
 //!
 //! # The checksum
 //!
 //! Both guards are [`checksum`]: the workspace's one word checksum
 //! ([`atomfs_vfs::checksum()`]) under the journal's own seed, so a server
 //! wire frame never verifies as a journal frame. On a page-sized write
-//! the commit sums the bytes twice — the old contents for the digest,
-//! then the whole frame — and recovery sums them again, so the sum runs
+//! the commit sums the bytes twice — the overwritten range for the
+//! digest, then the whole frame — and recovery sums them again, so the sum runs
 //! eight independent lanes over 64-byte blocks instead of one chain of
 //! dependent multiplies. Frames shorter than a block (seals, most
 //! namespace batches) take the one-lane path. A change to the sum is a
@@ -76,12 +82,16 @@ fn ftype_from(tag: u8) -> Option<FileType> {
 pub enum RedoOp {
     /// A namespace op (`Create`, `Remove`, `Ins` or `Del`), as traced.
     Ns(MicroOp),
-    /// A [`MicroOp::SetData`] without its old contents: `old_len` and
-    /// `old_digest` are the length and [`checksum`] of the bytes the
-    /// write overwrote.
+    /// A [`MicroOp::SetData`] extent without its old bytes: the file
+    /// goes from `old_len` to `new_len` bytes and holds `new` at `off`.
+    /// `old_digest` is the [`checksum`] of the `overwritten` bytes at
+    /// `off` that the extent replaced.
     SetData {
         ino: Inum,
+        off: u32,
         old_len: u32,
+        new_len: u32,
+        overwritten: u32,
         old_digest: u64,
         new: Vec<u8>,
     },
@@ -91,23 +101,36 @@ impl From<&MicroOp> for RedoOp {
     /// The redo projection: what the log keeps of `op`.
     fn from(op: &MicroOp) -> Self {
         match op {
-            MicroOp::SetData { ino, old, new } => RedoOp::SetData {
+            MicroOp::SetData {
+                ino,
+                off,
+                old,
+                new,
+                old_len,
+                new_len,
+            } => RedoOp::SetData {
                 ino: *ino,
-                old_len: old.len() as u32,
+                off: *off,
+                old_len: *old_len,
+                new_len: *new_len,
+                overwritten: old.len() as u32,
                 old_digest: checksum(old),
-                new: new.clone(),
+                new: new.to_vec(),
             },
             ns => RedoOp::Ns(ns.clone()),
         }
     }
 }
 
+/// Bytes of a redo `SetData` record besides its new bytes.
+const SET_DATA_HEADER: usize = 1 + 8 + 4 + 4 + 4 + 4 + 8 + 4;
+
 /// Encoded size of `op`, so a frame's buffer is allocated once.
 fn encoded_len(op: &MicroOp) -> usize {
     match op {
         MicroOp::Create { .. } | MicroOp::Remove { .. } => MIN_OP_BYTES,
         MicroOp::Ins { name, .. } | MicroOp::Del { name, .. } => 1 + 8 + 4 + name.len() + 8,
-        MicroOp::SetData { new, .. } => 1 + 8 + 4 + 8 + 4 + new.len(),
+        MicroOp::SetData { new, .. } => SET_DATA_HEADER + new.len(),
     }
 }
 
@@ -144,9 +167,19 @@ fn encode_op(op: &MicroOp, out: &mut impl Out) {
             put_len_prefixed(out, name.as_bytes());
             put_u64(out, *child);
         }
-        MicroOp::SetData { ino, old, new } => {
+        MicroOp::SetData {
+            ino,
+            off,
+            old,
+            new,
+            old_len,
+            new_len,
+        } => {
             out.put(&[4]);
             put_u64(out, *ino);
+            put_u32(out, *off);
+            put_u32(out, *old_len);
+            put_u32(out, *new_len);
             put_u32(out, old.len() as u32);
             put_u64(out, checksum(old));
             put_len_prefixed(out, new);
@@ -175,12 +208,24 @@ fn decode_op(r: &mut Reader<'_>) -> Option<RedoOp> {
             child: r.u64()?,
         },
         4 => {
+            let (ino, off) = (r.u64()?, r.u32()?);
+            let (old_len, new_len, overwritten) = (r.u32()?, r.u32()?, r.u32()?);
+            let old_digest = r.u64()?;
+            let new = r.len_prefixed()?;
+            // Each side's bytes must lie within its file length.
+            let fits = |n: usize, len: u32| n == 0 || off as usize + n <= len as usize;
+            if !fits(overwritten as usize, old_len) || !fits(new.len(), new_len) {
+                return None;
+            }
             return Some(RedoOp::SetData {
-                ino: r.u64()?,
-                old_len: r.u32()?,
-                old_digest: r.u64()?,
-                new: r.len_prefixed()?.to_vec(),
-            })
+                ino,
+                off,
+                old_len,
+                new_len,
+                overwritten,
+                old_digest,
+                new: new.to_vec(),
+            });
         }
         _ => return None,
     }))
@@ -196,7 +241,7 @@ const MIN_OP_BYTES: usize = 10;
 const SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The frame checksum, and the digest a redo `SetData` keeps of the
-/// bytes it overwrote: [`atomfs_vfs::checksum()`] under the journal's
+/// range it overwrote: [`atomfs_vfs::checksum()`] under the journal's
 /// seed. See the module docs.
 pub fn checksum(bytes: &[u8]) -> u64 {
     atomfs_vfs::checksum(SEED, bytes)
@@ -207,10 +252,10 @@ pub(crate) fn checksum_stream() -> atomfs_vfs::Checksum {
     atomfs_vfs::Checksum::new(SEED)
 }
 
-/// Frame magic: "AJS4" little-endian (the 8-lane checksum; "AJS3"
-/// frames carried the one-lane sum). There is no reader for the
-/// earlier formats.
-pub const MAGIC: u32 = 0x34534a41;
+/// Frame magic: "AJS5" little-endian (extent `SetData` records;
+/// "AJS4" frames logged whole files, and "AJS3" frames carried the
+/// one-lane sum). There is no reader for the earlier formats.
+pub const MAGIC: u32 = 0x35534a41;
 
 /// Fixed frame header size:
 /// `MAGIC u32 | gen u32 | shard u16 | kind u8 | pad u8 | epoch u64 | seq u64 | txn u64 | payload_len u32`.
@@ -389,7 +434,7 @@ fn encode(h: &Header, payload: Payload<'_>) -> Vec<u8> {
 
 /// Encode one op-carrying (or sealing) frame from borrowed parts:
 /// header | payload | checksum trailer, the checksum covering everything
-/// before the trailer. Each `SetData` is logged as its redo record. The
+/// before the trailer. Each `SetData` is logged as its redo extent. The
 /// journal's own append path streams the same bytes into sectors
 /// (`write_body`); this is the one-buffer form.
 #[allow(clippy::too_many_arguments)]
@@ -583,8 +628,11 @@ mod tests {
             },
             MicroOp::SetData {
                 ino: 9,
-                old: b"before".to_vec(),
-                new: vec![0xEE; 1000],
+                off: 2,
+                old: b"before"[..].into(),
+                new: vec![0xEE; 1000].into(),
+                old_len: 8,
+                new_len: 1002,
             },
             MicroOp::Del {
                 parent: 1,
@@ -669,7 +717,10 @@ mod tests {
             frame.ops[2].1,
             RedoOp::SetData {
                 ino: 9,
-                old_len: 6,
+                off: 2,
+                old_len: 8,
+                new_len: 1002,
+                overwritten: 6,
                 old_digest: checksum(b"before"),
                 new: vec![0xEE; 1000],
             }
@@ -678,7 +729,36 @@ mod tests {
         let mut rec = Vec::new();
         encode_op(op, &mut rec);
         assert_eq!(rec.len(), encoded_len(op));
-        assert_eq!(rec.len(), 1 + 8 + 4 + 8 + 4 + 1000);
+        assert_eq!(rec.len(), SET_DATA_HEADER + 1000);
+    }
+
+    #[test]
+    fn extents_ending_past_their_lengths_are_rejected() {
+        // Honestly checksummed, structurally complete, and out of range:
+        // replay would index past the file, so decode refuses the frame.
+        let extent = |off: u32, old_len: u32, old: usize, new_len: u32, new: usize| {
+            let op = MicroOp::SetData {
+                ino: 9,
+                off,
+                old: vec![1; old].into(),
+                new: vec![2; new].into(),
+                old_len,
+                new_len,
+            };
+            let mut payload = Vec::new();
+            put_u32(&mut payload, 1);
+            put_u64(&mut payload, 5);
+            encode_op(&op, &mut payload);
+            decode_frame(&frame_with_payload(FrameKind::Batch, 0, &payload))
+        };
+        assert!(extent(2, 8, 6, 8, 6).is_some());
+        assert!(extent(u32::MAX, 8, 0, 8, 0).is_some(), "an empty side");
+        assert!(extent(3, 8, 6, 9, 6).is_none(), "old side past old_len");
+        assert!(extent(3, 9, 6, 8, 6).is_none(), "new side past new_len");
+        assert!(
+            extent(u32::MAX, 8, 1, 8, 0).is_none(),
+            "offset far past the end"
+        );
     }
 
     #[test]
@@ -689,9 +769,9 @@ mod tests {
 
     #[test]
     fn previous_format_magic_is_not_a_frame() {
-        // An "AJS3" frame, otherwise well-formed and honestly checksummed.
+        // An "AJS4" frame, otherwise well-formed and honestly checksummed.
         let (mut bytes, _) = sample(FrameKind::Batch);
-        bytes[..4].copy_from_slice(&0x33534a41u32.to_le_bytes());
+        bytes[..4].copy_from_slice(&0x34534a41u32.to_le_bytes());
         let end = bytes.len() - 8;
         let sum = checksum(&bytes[..end]);
         bytes[end..].copy_from_slice(&sum.to_le_bytes());

@@ -5,9 +5,11 @@
 //! clamped length/count fields) catches every corruption the fault layer
 //! can inject. The stakes: a forged `RenameIntent`/`RenameSeal` with a
 //! different `(txn, epoch)` could pair with the wrong transaction at
-//! recovery, and a forged `old_len`/`old_digest` would change which base
-//! a redo write accepts, so the properties assert corruption can do
-//! neither.
+//! recovery, and a forged offset, length or digest in a `SetData`
+//! extent would change which base a redo write accepts or where it
+//! lands, so the properties assert corruption can do neither. Extents
+//! built from random writes and truncates of random files decode and
+//! replay to the file the traced extent makes.
 //!
 //! The journal streams each frame into its shard's sectors as it
 //! encodes; the same generators pin that the streamed log is byte for
@@ -19,6 +21,7 @@
 use std::sync::Arc;
 
 use atomfs_journal::device::SECTOR_SIZE;
+use atomfs_journal::recovery::replay;
 use atomfs_journal::wire::{
     decode_frame, encode_frame_parts, encode_quarantine_parts, Frame, FrameKind, RedoOp,
     FRAME_HEADER, MAGIC,
@@ -27,6 +30,7 @@ use atomfs_journal::{BlockDevice, Disk, ShardConfig, ShardWriter};
 use atomfs_trace::MicroOp;
 use atomfs_vfs::rng::check_seeds;
 use atomfs_vfs::{FileType, SplitMix64};
+use crlh::FsState;
 
 /// Seeds per property.
 const CASES: u64 = 256;
@@ -74,12 +78,38 @@ fn gen_op(rng: &mut SplitMix64) -> MicroOp {
             name: name(rng),
             child: rng.next_u64(),
         },
-        _ => MicroOp::SetData {
-            ino: rng.next_u64(),
-            old: byte_vec(rng, 0..40),
-            new: byte_vec(rng, 0..40),
-        },
+        _ => gen_extent(rng, 0..40),
     }
+}
+
+/// A well-formed `SetData` extent, each side's bytes within its length,
+/// with `new` drawn from `new_len`.
+fn gen_extent(rng: &mut SplitMix64, new_len: std::ops::Range<usize>) -> MicroOp {
+    let off = rng.random_range(0..64) as u32;
+    let (old, new) = (byte_vec(rng, 0..40), byte_vec(rng, new_len));
+    MicroOp::SetData {
+        ino: rng.next_u64(),
+        off,
+        old_len: off + old.len() as u32 + rng.random_range(0..8) as u32,
+        new_len: off + new.len() as u32 + rng.random_range(0..8) as u32,
+        old: old.into(),
+        new: new.into(),
+    }
+}
+
+/// A random file and a random write or truncate of it: the file, and
+/// the extent that records the edit.
+fn gen_edit(rng: &mut SplitMix64) -> (Vec<u8>, MicroOp) {
+    let file = byte_vec(rng, 0..200);
+    let len = file.len() as u64;
+    let read = |r: std::ops::Range<u64>| file[r.start as usize..r.end as usize].to_vec();
+    let op = if rng.random_bool(0.7) {
+        let off = rng.random_range(0..len + 32);
+        MicroOp::write_extent(7, len, off, &byte_vec(rng, 0..100), read)
+    } else {
+        MicroOp::resize_extent(7, len, rng.random_range(0..len + 64), read)
+    };
+    (file, op)
 }
 
 /// The fields of one frame: seal kinds carry no ops (the format rejects
@@ -176,10 +206,7 @@ fn streamed_frames_are_the_encoded_bytes() {
             if !p.ops.is_empty() && rng.random_bool(0.3) {
                 // A page-sized write spans sectors, and lands anywhere
                 // in them.
-                let (ino, old) = (rng.next_u64(), byte_vec(rng, 0..40));
-                let new = byte_vec(rng, 0..3000);
-                p.ops
-                    .push((rng.next_u64(), MicroOp::SetData { ino, old, new }));
+                p.ops.push((rng.next_u64(), gen_extent(rng, 0..3000)));
             }
             let bytes = encode(&p);
             let (first, last) = (
@@ -284,18 +311,59 @@ fn frame_arbitrary_bytes_never_panic() {
 }
 
 #[test]
-fn old_len_and_old_digest_bit_flips_never_forge_a_frame() {
+fn extent_roundtrip_replays_to_the_traced_file() {
     check_seeds(CASES, |rng| {
-        let op = MicroOp::SetData {
-            ino: rng.next_u64(),
-            old: byte_vec(rng, 0..40),
-            new: byte_vec(rng, 0..40),
-        };
-        let bytes = encode_frame_parts(1, 0, FrameKind::Batch, 1, 0, 0, &[(rng.next_u64(), op)]);
-        // count u32 | stamp u64 | tag u8 | ino u64, then old_len u32 and
-        // old_digest u64.
+        let (file, extent) = gen_edit(rng);
+        let ops = [
+            MicroOp::Create {
+                ino: 7,
+                ftype: FileType::File,
+            },
+            MicroOp::replace(7, Vec::new(), file),
+            extent,
+        ];
+        let stamped: Vec<(u64, MicroOp)> = ops
+            .iter()
+            .cloned()
+            .enumerate()
+            .map(|(i, op)| (i as u64, op))
+            .collect();
+        let bytes = encode_frame_parts(1, 0, FrameKind::Batch, 1, 0, 0, &stamped);
+        let (frame, _) = decode_frame(&bytes).expect("valid frame decodes");
+        let mut traced = FsState::new();
+        for op in &ops {
+            traced.apply_micro(op).unwrap();
+        }
+        assert_eq!(replay(&frame.ops).expect("the redo extents replay"), traced);
+    });
+}
+
+#[test]
+fn extent_truncations_never_decode() {
+    check_seeds(CASES, |rng| {
+        let (_, extent) = gen_edit(rng);
+        let bytes = encode_frame_parts(1, 0, FrameKind::Batch, 1, 0, 0, &[(0, extent)]);
+        // Every cut inside the record, and a few in the trailer.
+        for cut in FRAME_HEADER..bytes.len() {
+            assert!(
+                decode_frame(&bytes[..cut]).is_none(),
+                "cut at {cut} of {} decoded",
+                bytes.len()
+            );
+        }
+    });
+}
+
+#[test]
+fn extent_field_bit_flips_never_forge_a_frame() {
+    check_seeds(CASES, |rng| {
+        let (_, extent) = gen_edit(rng);
+        let bytes =
+            encode_frame_parts(1, 0, FrameKind::Batch, 1, 0, 0, &[(rng.next_u64(), extent)]);
+        // count u32 | stamp u64 | tag u8 | ino u64, then off u32,
+        // old_len u32, new_len u32, overwritten u32 and old_digest u64.
         let field = FRAME_HEADER + 4 + 8 + 1 + 8;
-        for byte in field..field + 4 + 8 {
+        for byte in field..field + 4 + 4 + 4 + 4 + 8 {
             for bit in 0..8 {
                 let mut bad = bytes.clone();
                 bad[byte] ^= 1 << bit;

@@ -7,8 +7,6 @@
 //! carries the whole walked chain — the walk's own reads change no state,
 //! so they need no events of their own.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Inum, MicroOp, OpDesc, OpRet, Tid};
 
 /// Which logical path of the current operation a lock acquisition extends.
@@ -19,7 +17,7 @@ use crate::{Inum, MicroOp, OpDesc, OpRet, Tid};
 /// and the destination branch (`Dst`). The CRL-H ghost `Descriptor` keeps a
 /// *pair* of lock paths for renames (`SrcPath`, `DestPath`, §5.2); the tag
 /// tells the checker which one each lock extends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathTag {
     /// The shared prefix (all locks of non-rename operations).
     Common,
@@ -30,7 +28,7 @@ pub enum PathTag {
 }
 
 /// One atomic step of an instrumented execution.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
     /// Thread `tid` invokes operation `op`. Initializes the thread-pool
     /// ghost entry to `AopState::Pending(op)` with an empty descriptor.

@@ -6,17 +6,13 @@
 //! the CRL-H thread pool ghost state (the `(aop, args)` of the paper's
 //! `AopState`), and as the alphabet of the generic linearizability checker.
 
-use serde::{Deserialize, Serialize};
-
 use atomfs_vfs::{FileType, FsError, Metadata};
 
 /// A logical thread identifier assigned by the harness.
 ///
 /// The paper's ghost thread pool maps thread IDs to descriptors; traces use
 /// the same identifiers so the checker can rebuild that pool.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Tid(pub u32);
 
 impl std::fmt::Display for Tid {
@@ -29,7 +25,7 @@ impl std::fmt::Display for Tid {
 pub type Comps = Vec<String>;
 
 /// Abstract description of one file system operation and its arguments.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpDesc {
     /// Create an empty regular file.
     Mknod { path: Comps },
@@ -137,7 +133,7 @@ impl std::fmt::Display for OpDesc {
 
 /// Stat result in abstract terms (inode numbers are implementation detail,
 /// so only shape-relevant fields are compared by the checkers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatRet {
     /// File or directory.
     pub is_dir: bool,
@@ -156,7 +152,7 @@ impl StatRet {
 }
 
 /// The result of an operation, in abstract terms.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpRet {
     /// Success with no payload (mknod/mkdir/unlink/rmdir/rename/truncate).
     Ok,

@@ -12,9 +12,7 @@ use std::fmt;
 pub type FsResult<T> = Result<T, FsError>;
 
 /// A file system error, mirroring POSIX errno values.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FsError {
     /// `ENOENT`: a path component (or the final entry) does not exist.
     NotFound,

@@ -12,7 +12,7 @@
 use crate::error::FsResult;
 
 /// Type of an inode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FileType {
     /// A regular file.
     File,

@@ -391,14 +391,7 @@ fn helped_write_behind_a_rename(during: &[Event]) -> Vec<Event> {
     ];
     trace.extend_from_slice(during);
     trace.extend([
-        mutate(
-            writer,
-            MicroOp::SetData {
-                ino: 3,
-                old: Vec::new(),
-                new: data,
-            },
-        ),
+        mutate(writer, MicroOp::replace(3, Vec::new(), data)),
         Event::Lp { tid: writer },
         unlock(writer, 3),
         end(writer, OpRet::Written(3)),

@@ -10,7 +10,8 @@
 //!   same specification, its effects recorded as micro-ops);
 //! * **roll-back**: applying random valid micro-op sequences and
 //!   unapplying them in reverse is the identity — the soundness core of
-//!   the abstraction relation;
+//!   the abstraction relation; a file's extents agree with whole-file
+//!   replacement and each inverts to the file before it;
 //! * **paths**: normalization is idempotent and round-trips;
 //! * **directory index**: a directory's hashed index behaves like a
 //!   model map;
@@ -219,11 +220,7 @@ fn rollback_roundtrips(rng: &mut SplitMix64, steps: usize) {
                 }
             }
             2 => match state.node(pick) {
-                Some(Node::File(f)) => MicroOp::SetData {
-                    ino: pick,
-                    old: f.clone(),
-                    new: vec![byte(rng); rng.random_range(0..32)],
-                },
+                Some(Node::File(f)) => random_edit(rng, pick, f).0,
                 _ => continue,
             },
             _ => {
@@ -262,6 +259,72 @@ fn rollback_roundtrips(rng: &mut SplitMix64, steps: usize) {
         replay.apply_micro(op).unwrap();
     }
     assert_eq!(replay, snapshot);
+}
+
+/// A random edit of file `ino`, whose bytes are `f`: a write (possibly
+/// empty, or past the end), a truncate up or down, or a clear. Returns
+/// the extent that records it and the file after it, as the spec's
+/// byte edits compute it.
+fn random_edit(rng: &mut SplitMix64, ino: u64, f: &[u8]) -> (MicroOp, Vec<u8>) {
+    let len = f.len() as u64;
+    let read = |r: std::ops::Range<u64>| f[r.start as usize..r.end as usize].to_vec();
+    let mut after = f.to_vec();
+    let op = match rng.random_range(0..4) {
+        0 | 1 => {
+            let off = rng.random_range(0..len + 16);
+            let data = vec![byte(rng); rng.random_range(0..48)];
+            crlh::afs::write_bytes(&mut after, off, &data).unwrap();
+            MicroOp::write_extent(ino, len, off, &data, read)
+        }
+        2 => {
+            let size = rng.random_range(0..len + 32);
+            crlh::afs::truncate_bytes(&mut after, size).unwrap();
+            MicroOp::resize_extent(ino, len, size, read)
+        }
+        _ => {
+            after.clear();
+            MicroOp::resize_extent(ino, len, 0, read)
+        }
+    };
+    (op, after)
+}
+
+/// Random write/truncate/clear sequences give the same file through
+/// extents as through whole-file replacement, each extent inverts to
+/// the file before it, and unapplying every extent in reverse empties
+/// the file again.
+#[test]
+fn extents_agree_with_whole_file_replacement() {
+    check_seeds(CASES, |rng| {
+        let create = MicroOp::Create {
+            ino: 2,
+            ftype: FileType::File,
+        };
+        let (mut by_extent, mut by_file) = (FsState::new(), FsState::new());
+        by_extent.apply_micro(&create).unwrap();
+        by_file.apply_micro(&create).unwrap();
+        let file = |s: &FsState| s.node(2).and_then(Node::as_file).unwrap().clone();
+        let mut extents = Vec::new();
+        for _ in 0..rng.random_range(1..40) {
+            let before = file(&by_extent);
+            let (extent, after) = random_edit(rng, 2, &before);
+            assert_eq!(extent.inverse().inverse(), extent);
+            by_extent.apply_micro(&extent).unwrap();
+            by_file
+                .apply_micro(&MicroOp::replace(2, before.clone(), after.clone()))
+                .unwrap();
+            assert_eq!(file(&by_extent), after, "{extent}");
+            assert_eq!(by_extent, by_file);
+            let mut undone = by_extent.clone();
+            undone.unapply_micro(&extent).unwrap();
+            assert_eq!(file(&undone), before, "{extent} does not invert");
+            extents.push(extent);
+        }
+        for extent in extents.iter().rev() {
+            by_extent.unapply_micro(extent).unwrap();
+        }
+        assert_eq!(file(&by_extent), b"");
+    });
 }
 
 #[test]

@@ -2,7 +2,8 @@
 //! wire frames.
 //!
 //! A fixed corpus — one journal frame of each `FrameKind` (the `Batch`
-//! carrying all five micro-op kinds, a non-empty `SetData` among them),
+//! carrying all five micro-op kinds, a non-empty `SetData` extent among
+//! them),
 //! one request of each opcode, one response of each kind — is encoded
 //! and compared with bytes captured from an earlier build of the codecs.
 //! Short frames are pinned as full hex, long ones by length and sum.
@@ -64,8 +65,11 @@ fn journal_corpus() -> Vec<(&'static str, Vec<u8>)> {
             102,
             MicroOp::SetData {
                 ino: 7,
-                old: b"old contents".to_vec(),
-                new: filler(300, 3),
+                off: 4,
+                old: b"old contents"[..].into(),
+                new: filler(300, 3).into(),
+                old_len: 16,
+                new_len: 304,
             },
         ),
         (
@@ -248,13 +252,13 @@ fn corpus() -> Vec<(String, Vec<u8>)> {
 }
 
 /// The bytes of [`corpus`], captured from the codecs as of journal
-/// magic "AJS4" and wire version 2.
+/// magic "AJS5" and wire version 2.
 const PINS: &[(&str, &str)] = &[
-    ("journal Batch", "487 bytes, sum f331d3e11a4ddd9b"),
-    ("journal EpochSeal", "414a5334030000000100010011000000000000002b00000000000000000000000000000004000000000000002d95ead70899bd8d"),
-    ("journal RenameIntent", "414a5334030000000000020012000000000000000500000000000000bc0a0000000000004000000002000000c80000000000000003010000000000000001000000610900000000000000c9000000000000000202000000000000000100000062090000000000000026b217b2ae75f476"),
-    ("journal RenameSeal", "414a5334030000000200030012000000000000000600000000000000bc0a00000000000004000000000000005237725c64c76168"),
-    ("journal Quarantine", "414a53340300000000000400130000000000000007000000000000000a0000000000000024000000020000000a000000000000000e0000000000000014000000000000001500000000000000a2de0aa315a8c77f"),
+    ("journal Batch", "499 bytes, sum 9d43c312f8f76bb6"),
+    ("journal EpochSeal", "414a5335030000000100010011000000000000002b0000000000000000000000000000000400000000000000d3eb3addf50a6b12"),
+    ("journal RenameIntent", "414a5335030000000000020012000000000000000500000000000000bc0a0000000000004000000002000000c80000000000000003010000000000000001000000610900000000000000c90000000000000002020000000000000001000000620900000000000000cbc4e8cdef0e4c89"),
+    ("journal RenameSeal", "414a5335030000000200030012000000000000000600000000000000bc0a0000000000000400000000000000240eaf4783b48e59"),
+    ("journal Quarantine", "414a53350300000000000400130000000000000007000000000000000a0000000000000024000000020000000a000000000000000e00000000000000140000000000000015000000000000004c58f19d602760c0"),
     ("request Mknod", "414652510200007766554433221106000000020000002f61e4dc4dea6dc430ae"),
     ("request Mkdir", "414652510201017766554433221106000000020000002f64b1e3e73953edbaeb"),
     ("request Unlink", "414652510202027766554433221106000000020000002f61e5d2b1168026fefe"),
@@ -281,7 +285,7 @@ const PINS: &[(&str, &str)] = &[
 
 #[test]
 fn format_versions_are_unchanged() {
-    assert_eq!(MAGIC.to_le_bytes(), *b"AJS4");
+    assert_eq!(MAGIC.to_le_bytes(), *b"AJS5");
     assert_eq!(VERSION, 2);
 }
 
