@@ -1,53 +1,18 @@
 //! Allocation counts on the checker's clean path. A lockless claim is
 //! decided on the abstract state in place, so what it allocates depends
 //! on the path it names, not on the size of the tree; and a clean
-//! streaming run allocates only for what the replay must keep. A
-//! counting global allocator pins both. It counts per thread, so tests
-//! running beside each other do not disturb the figures.
+//! streaming run allocates only for what the replay must keep. The
+//! shared counting allocator (`atomfs_obs::alloc`) pins both. It counts
+//! per thread, so tests running beside each other do not disturb the
+//! figures.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use atomfs::AtomFs;
+use atomfs_obs::alloc::{measure, Counting};
 use atomfs_trace::{CursorStats, Event, ShardedSink, Stamped, TraceSink};
 use atomfs_vfs::{FileSystem, SplitMix64};
 use crlh::{CheckerConfig, LpChecker, StreamChecker, StreamConfig};
-
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump() {
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments,
-// so `System`'s guarantees hold; the counter is a const-initialised
-// thread-local `Cell` and touches no allocated memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        System.alloc_zeroed(layout)
-    }
-}
 
 #[global_allocator]
 static A: Counting = Counting;
@@ -81,9 +46,7 @@ fn stat_claim_allocs(files: usize) -> u64 {
         )),
         "the stat must complete as a lockless claim: {stat:?}"
     );
-    let before = allocs();
-    checker.feed_all_stamped(&stat);
-    let spent = allocs() - before;
+    let spent = measure(|| checker.feed_all_stamped(&stat)).allocs;
     assert!(
         checker.violations().is_empty(),
         "{:?}",
@@ -157,20 +120,21 @@ fn clean_streaming_check_allocates_at_most_half_as_often() {
         .count();
     assert!(ops >= OPS, "every call ends one operation");
     let mut checker = StreamChecker::new(StreamConfig::default());
-    let before = allocs();
-    for batch in events.chunks(256) {
-        let end = batch.last().expect("non-empty chunk").0 + 1;
-        checker.ingest(
-            batch,
-            CursorStats {
-                watermark: end,
-                frontier: end,
-                released: end,
-                buffered: 0,
-            },
-        );
-    }
-    let per_op = (allocs() - before) as f64 / ops as f64;
+    let spent = measure(|| {
+        for batch in events.chunks(256) {
+            let end = batch.last().expect("non-empty chunk").0 + 1;
+            checker.ingest(
+                batch,
+                CursorStats {
+                    watermark: end,
+                    frontier: end,
+                    released: end,
+                    buffered: 0,
+                },
+            );
+        }
+    });
+    let per_op = spent.allocs as f64 / ops as f64;
     assert!(
         checker.violations().is_empty(),
         "{:?}",

@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use atomfs::AtomFs;
-use atomfs_trace::{Event, FanoutSink, MicroOp, TraceSink};
+use atomfs_trace::{FanoutSink, TraceSink};
 use atomfs_vfs::fs::FileSystemExt;
 use atomfs_vfs::{FileSystem, FsError, FsResult, Metadata};
 
@@ -318,18 +318,6 @@ pub fn materialize(fs: &dyn FileSystem, state: &crlh::FsState) -> FsResult<()> {
         }
     }
     Ok(())
-}
-
-/// Extract just the mutation stream from a recorded trace (used by the
-/// crash-consistency tests).
-pub fn mutations_of(events: &[Event]) -> Vec<MicroOp> {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            Event::Mutate { mop, .. } => Some(mop.clone()),
-            _ => None,
-        })
-        .collect()
 }
 
 #[cfg(test)]

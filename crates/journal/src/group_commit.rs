@@ -867,6 +867,16 @@ impl ShardedJournalSink {
     /// average, and in 55–63 % of windows the stamp is still moving when
     /// the window closes. That wait is most of what a synced RPC pays
     /// beyond the commit itself (ROADMAP, "Known debts").
+    ///
+    /// The window still stays, for its yield rather than its batching. A
+    /// build without it kept every check (6 alternating pairs per
+    /// workload at `--seconds 10`, every run correct, none failed), but
+    /// on one CPU `rpc_serial_mixed` `op_p50_us` went from 15.1 to
+    /// 21.2 µs (+40 %, worse in 5 of 6 pairs), past the benchmark's 25 %
+    /// bound. On two CPUs `local_write_sync` gained: `ops_per_s` 233k →
+    /// 256k (6 of 6) and `op_p99_us` 119 → 111 µs. So the yield is what
+    /// keeps the serial RPC in its fast p50 mode, and a replacement
+    /// window must keep a yield.
     fn batching_window(&self) {
         let deadline = std::time::Instant::now() + BATCH_WINDOW_CAP;
         let mut prev = self.stamp.load(Ordering::Relaxed);

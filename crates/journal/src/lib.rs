@@ -56,7 +56,7 @@ pub mod wire;
 
 pub use device::{BlockDevice, Disk, DiskError, DiskOp};
 pub use faults::{FaultPlan, FaultStats, FaultyDisk};
-pub use fs::{materialize, mutations_of, JournaledFs, RecoveryStats};
+pub use fs::{materialize, JournaledFs, RecoveryStats};
 pub use group_commit::{CommitPhases, ShardedJournalSink};
 pub use health::{Health, HealthCounters, HealthReport, RecoverySummary, RetryPolicy};
 pub use metrics::register_sharded_journal_metrics;

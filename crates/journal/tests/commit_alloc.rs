@@ -2,66 +2,22 @@
 //! writes through to its pages, so a flush barrier allocates nothing,
 //! and a commit streams each frame into sectors, so a `sync` allocates
 //! about the pages its log growth lands in: no whole-frame buffer and no
-//! per-sector volatile copy. A counting global allocator pins both; it
-//! counts per thread (the syncing thread leads its own commit), so tests
-//! running beside each other do not disturb the figures.
+//! per-sector volatile copy. The shared counting allocator
+//! (`atomfs_obs::alloc`) pins both; it counts per thread (the syncing
+//! thread leads its own commit), so tests running beside each other do
+//! not disturb the figures.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use atomfs_journal::device::SECTOR_SIZE;
 use atomfs_journal::{BlockDevice, Disk, JournaledFs, ShardConfig};
+use atomfs_obs::alloc::{measure, Counting};
 use atomfs_vfs::FileSystem;
-
-struct Counting;
-
-thread_local! {
-    static BYTES: Cell<usize> = const { Cell::new(0) };
-}
-
-fn bump(bytes: usize) {
-    let _ = BYTES.try_with(|c| c.set(c.get() + bytes));
-}
-
-fn allocated() -> usize {
-    BYTES.with(Cell::get)
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments,
-// so `System`'s guarantees hold; the counter is a const-initialised
-// thread-local `Cell` and touches no allocated memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size());
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size());
-        System.alloc_zeroed(layout)
-    }
-}
 
 #[global_allocator]
 static A: Counting = Counting;
 
 const KIB: usize = 1024;
-
-/// The bytes `f` allocates on this thread.
-fn bytes_of<R>(f: impl FnOnce() -> R) -> usize {
-    let before = allocated();
-    let r = f();
-    let spent = allocated() - before;
-    drop(r);
-    spent
-}
 
 #[test]
 fn flush_barrier_allocates_nothing() {
@@ -71,9 +27,9 @@ fn flush_barrier_allocates_nothing() {
         for lba in 0..300 {
             disk.write(lba % 200, &[round; SECTOR_SIZE]);
         }
-        assert_eq!(bytes_of(|| disk.flush()), 0, "round {round}");
+        assert_eq!(measure(|| disk.flush()).bytes, 0, "round {round}");
     }
-    assert_eq!(bytes_of(|| disk.flush()), 0, "empty barrier");
+    assert_eq!(measure(|| disk.flush()).bytes, 0, "empty barrier");
 }
 
 #[test]
@@ -89,7 +45,7 @@ fn sync_allocates_about_its_durable_growth() {
         staged += chunk.len();
     }
     let before = fs.log_bytes();
-    let spent = bytes_of(|| fs.sync().expect("a perfect disk"));
+    let spent = measure(|| fs.sync().expect("a perfect disk")).bytes;
     let growth = (fs.log_bytes() - before) as usize;
     assert!(
         growth > staged,

@@ -15,10 +15,12 @@
 
 use std::sync::Arc;
 
-use atomfs_journal::{mutations_of, BlockDevice, Disk, JournaledFs, ShardConfig};
+use atomfs_journal::{BlockDevice, Disk, JournaledFs, ShardConfig};
 use atomfs_trace::{BufferSink, MicroOp, TraceSink};
 use atomfs_vfs::{FileSystem, SplitMix64};
-use crlh::FsState;
+
+mod common;
+use common::{fs_matches_state, mutations, prefix_states};
 
 const SHARD_COUNTS: [usize; 2] = [1, 4];
 
@@ -65,59 +67,12 @@ impl Harness {
     }
 
     fn mutations(&self) -> Vec<MicroOp> {
-        mutations_of(&self.recorder.snapshot())
+        mutations(&self.recorder)
     }
 
     fn recover(&self) -> (JournaledFs, atomfs_journal::RecoveryStats) {
         JournaledFs::recover_sharded(Arc::clone(&self.disk), self.cfg).expect("recovery succeeds")
     }
-}
-
-/// All states reachable by prefixes of `muts` (index = prefix length).
-fn prefix_states(muts: &[MicroOp]) -> Vec<FsState> {
-    let mut states = Vec::with_capacity(muts.len() + 1);
-    let mut s = FsState::new();
-    states.push(s.clone());
-    for m in muts {
-        s.apply_micro(m).expect("recorded stream replays");
-        states.push(s.clone());
-    }
-    states
-}
-
-/// Canonical content comparison between a recovered live FS and an
-/// abstract state: same tree shape, names, and file bytes.
-fn fs_matches_state(fs: &dyn FileSystem, state: &FsState) -> bool {
-    fn walk(fs: &dyn FileSystem, state: &FsState, id: u64, path: &str) -> bool {
-        match state.node(id) {
-            Some(crlh::Node::Dir(entries)) => {
-                let Ok(mut names) = fs.readdir(path) else {
-                    return false;
-                };
-                names.sort();
-                let mut expected: Vec<&String> = entries.keys().collect();
-                expected.sort();
-                if names.iter().collect::<Vec<_>>() != expected {
-                    return false;
-                }
-                entries.iter().all(|(name, child)| {
-                    walk(fs, state, *child, &atomfs_vfs::path::join(path, name))
-                })
-            }
-            Some(crlh::Node::File(data)) => {
-                let Ok(meta) = fs.stat(path) else {
-                    return false;
-                };
-                if meta.size != data.len() as u64 {
-                    return false;
-                }
-                let mut buf = vec![0u8; data.len()];
-                matches!(fs.read(path, 0, &mut buf), Ok(n) if n == data.len() && buf == *data)
-            }
-            None => false,
-        }
-    }
-    walk(fs, state, state.root, "/")
 }
 
 fn run_workload(h: &Harness, rng: &mut SplitMix64, ops: usize) -> Vec<usize> {
@@ -335,7 +290,7 @@ fn crash_between_rename_intent_and_seal_discards_the_rename() {
         // The commit appends the epoch's frames — intent to the source
         // shard, seal to the destination shard — then fails the flush.
         assert!(jfs.sync().is_err(), "flush cannot succeed under this plan");
-        let muts = mutations_of(&recorder.snapshot());
+        let muts = mutations(&recorder);
         drop(jfs);
         let (lo, hi) = (cfg.region_base(seal_shard), cfg.region_base(seal_shard + 1));
         disk.crash_keep_lbas(|lba| keep_seal || !(lo..hi).contains(&lba));

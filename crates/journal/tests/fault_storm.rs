@@ -17,9 +17,11 @@ use std::sync::Arc;
 
 use atomfs_journal::wire::RedoOp;
 use atomfs_journal::{Disk, FaultPlan, FaultyDisk, Health, JournaledFs, ShardConfig};
-use atomfs_trace::{BufferSink, Event, MicroOp, TraceSink};
+use atomfs_trace::{BufferSink, MicroOp, TraceSink};
 use atomfs_vfs::{FileSystem, FsError, SplitMix64};
-use crlh::FsState;
+
+mod common;
+use common::{fs_matches_state, mutations, prefix_states};
 
 fn seeds() -> Vec<u64> {
     match std::env::var("FAULT_STORM_SEED") {
@@ -38,64 +40,6 @@ fn schedules() -> impl Iterator<Item = (u64, ShardConfig)> {
         .into_iter()
         .flat_map(|seed| SHARD_COUNTS.map(|n| (seed, ShardConfig::with_shards(n))))
         .inspect(|(seed, cfg)| eprintln!("storm: seed {seed}, {} shard(s)", cfg.shards))
-}
-
-/// All states reachable by prefixes of `muts` (index = prefix length).
-fn prefix_states(muts: &[MicroOp]) -> Vec<FsState> {
-    let mut states = Vec::with_capacity(muts.len() + 1);
-    let mut s = FsState::new();
-    states.push(s.clone());
-    for m in muts {
-        s.apply_micro(m).expect("recorded stream replays");
-        states.push(s.clone());
-    }
-    states
-}
-
-/// Canonical content comparison between a recovered live FS and an
-/// abstract state: same tree shape, names, and file bytes.
-fn fs_matches_state(fs: &dyn FileSystem, state: &FsState) -> bool {
-    fn walk(fs: &dyn FileSystem, state: &FsState, id: u64, path: &str) -> bool {
-        match state.node(id) {
-            Some(crlh::Node::Dir(entries)) => {
-                let Ok(mut names) = fs.readdir(path) else {
-                    return false;
-                };
-                names.sort();
-                let mut expected: Vec<&String> = entries.keys().collect();
-                expected.sort();
-                if names.iter().collect::<Vec<_>>() != expected {
-                    return false;
-                }
-                entries.iter().all(|(name, child)| {
-                    walk(fs, state, *child, &atomfs_vfs::path::join(path, name))
-                })
-            }
-            Some(crlh::Node::File(data)) => {
-                let Ok(meta) = fs.stat(path) else {
-                    return false;
-                };
-                if meta.size != data.len() as u64 {
-                    return false;
-                }
-                let mut buf = vec![0u8; data.len()];
-                matches!(fs.read(path, 0, &mut buf), Ok(n) if n == data.len() && buf == *data)
-            }
-            None => false,
-        }
-    }
-    walk(fs, state, state.root, "/")
-}
-
-fn mutations(recorder: &BufferSink) -> Vec<MicroOp> {
-    recorder
-        .snapshot()
-        .iter()
-        .filter_map(|e| match e {
-            Event::Mutate { mop, .. } => Some(mop.clone()),
-            _ => None,
-        })
-        .collect()
 }
 
 struct StormOutcome {

@@ -42,7 +42,15 @@
 //! an HTTP `/metrics` endpoint) and [`Registry::snapshot`] (a structured
 //! [`Snapshot`] with quantile lookups and a JSON serialization) for
 //! benchmark reports such as `BENCH_obs.json`.
+//!
+//! # Allocation counts
+//!
+//! [`alloc::Counting`] is the workspace's one counting global allocator.
+//! A test binary opts in with one `#[global_allocator]` line and pins
+//! what a code path allocates on its thread with [`alloc::measure`]. No
+//! product binary opts in.
 
+pub mod alloc;
 pub mod clock;
 pub mod dump;
 pub mod flightrec;

@@ -1,41 +1,18 @@
 //! Steady-state allocation test for the reply hot path.
 //!
-//! A counting global allocator wraps `System`; the test models a
-//! connection thread's loop over its two reused buffers — refill the
-//! frame buffer with the next request, decode it borrowed, fill a `read`
-//! reply in place in the output buffer, and `clear()` the output once a
-//! window is flushed. After warming both buffers to the capacity their
-//! roles need, the loop runs many more times and the allocation counter
-//! must not move at all. This pins the "zero allocation in steady state"
+//! The shared counting allocator (`atomfs_obs::alloc`) counts this
+//! thread's allocations; the test models a connection thread's loop
+//! over its two reused buffers — refill the frame buffer with the next
+//! request, decode it borrowed, fill a `read` reply in place in the
+//! output buffer, and `clear()` the output once a window is flushed.
+//! After warming both buffers to the capacity their roles need, the
+//! loop runs many more times and the allocation count must not move at
+//! all. This pins the "zero allocation in steady state"
 //! claim as a regression test rather than a code comment.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use atomfs_obs::alloc::{measure, Counting};
 use atomfs_server::wire::{self, decode_request_frame, encode_request_frame, ReqView};
 use atomfs_vfs::FsError;
-
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-}
 
 #[global_allocator]
 static A: Counting = Counting;
@@ -137,11 +114,12 @@ fn steady_state_reply_path_allocates_nothing() {
         hot_cycle(&mut frame, &mut out, &requests, &file);
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..1000 {
-        hot_cycle(&mut frame, &mut out, &requests, &file);
-    }
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let delta = measure(|| {
+        for _ in 0..1000 {
+            hot_cycle(&mut frame, &mut out, &requests, &file);
+        }
+    })
+    .allocs;
     assert_eq!(
         delta, 0,
         "hot reply path allocated {delta} times over 1000 warmed cycles"

@@ -4,62 +4,19 @@
 //! the connection's reused send buffer, takes the read role and reads
 //! its reply through the reused frame buffer, so a warm serial `stat`
 //! round trip over loopback allocates nothing on the calling thread and
-//! a `read` allocates once — the bytes the reply hands back. A counting
-//! global allocator counts only the calling thread's allocations; the
-//! server's connection thread runs in the same process and is pinned by
-//! `alloc_steady.rs`.
+//! a `read` allocates once — the bytes the reply hands back. The shared
+//! counting allocator (`atomfs_obs::alloc`) counts only the calling
+//! thread's allocations; the server's connection thread runs in the same
+//! process and is pinned by `alloc_steady.rs`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use atomfs_obs::alloc::{measure, Counting};
 use atomfs_server::{serve, RemoteFs, RpcClient, ServerConfig};
 use atomfs_vfs::{FileSystem, FsError, FsResult, Metadata};
 
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static COUNTED: Cell<bool> = const { Cell::new(false) };
-}
-
-fn count() {
-    if COUNTED.try_with(Cell::get).unwrap_or(false) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc_zeroed(layout)
-    }
-}
-
 #[global_allocator]
 static A: Counting = Counting;
-
-/// This thread's allocations while `f` runs.
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    COUNTED.with(|c| c.set(true));
-    f();
-    COUNTED.with(|c| c.set(false));
-    ALLOCS.load(Ordering::Relaxed) - before
-}
 
 const FILE_LEN: u64 = 4096;
 
@@ -124,22 +81,24 @@ fn warm_serial_calls_allocate_nothing_per_stat_and_once_per_read() {
     }
 
     const CALLS: u64 = 1000;
-    let stats = allocations(|| {
+    let stats = measure(|| {
         for _ in 0..CALLS {
             assert_eq!(fs.stat("/f").unwrap().size, FILE_LEN);
         }
-    });
+    })
+    .allocs;
     assert_eq!(
         stats, 0,
         "{CALLS} warm stat round trips allocated {stats} times"
     );
 
-    let reads = allocations(|| {
+    let reads = measure(|| {
         for i in 0..CALLS {
             let n = fs.read("/f", i % FILE_LEN, &mut buf).unwrap();
             assert!(n > 0);
         }
-    });
+    })
+    .allocs;
     assert_eq!(
         reads, CALLS,
         "{CALLS} warm read round trips allocated {reads} times, want one each"

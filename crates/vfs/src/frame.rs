@@ -212,31 +212,10 @@ pub fn open(
 mod tests {
     use super::*;
     use crate::rng::{check_seeds, SplitMix64};
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
+    use atomfs_obs::alloc::{measure, Counting};
 
     /// Counts this thread's allocations, so one test can assert that a
     /// call allocated nothing while the others run in parallel.
-    struct Counting;
-
-    thread_local! {
-        static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    unsafe impl GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-            System.alloc(layout)
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-
     #[global_allocator]
     static A: Counting = Counting;
 
@@ -323,14 +302,15 @@ mod tests {
         put_u32(&mut count, u32::MAX);
         put_u32(&mut count, 0);
 
-        let before = ALLOCS.with(Cell::get);
-        assert!(open(&past_buffer, HDR, MAX, SEED).is_none());
-        assert!(open(&past_max, HDR, MAX, SEED).is_none());
-        assert!(peek_total(&past_max, HDR, MAX).is_none());
-        assert!(open(&huge, HDR, usize::MAX, SEED).is_none());
-        assert!(Reader::new(&count).count(1).is_none());
-        assert!(Reader::new(&count).len_prefixed().is_none());
-        assert_eq!(ALLOCS.with(Cell::get), before, "a refusal allocated");
+        let spent = measure(|| {
+            assert!(open(&past_buffer, HDR, MAX, SEED).is_none());
+            assert!(open(&past_max, HDR, MAX, SEED).is_none());
+            assert!(peek_total(&past_max, HDR, MAX).is_none());
+            assert!(open(&huge, HDR, usize::MAX, SEED).is_none());
+            assert!(Reader::new(&count).count(1).is_none());
+            assert!(Reader::new(&count).len_prefixed().is_none());
+        });
+        assert_eq!(spent.allocs, 0, "a refusal allocated");
     }
 
     #[test]
