@@ -18,8 +18,7 @@ use std::sync::Arc;
 use atomfs::blocks::BlockStore;
 use atomfs::epoch;
 use atomfs::fastdir::FastDir;
-use atomfs::inode::InodeData;
-use atomfs::table::{InodeRef, InodeTable};
+use atomfs::table::{InodeRef, InodeTable, SlotGuard};
 use atomfs_trace::{
     current_tid, Event, Inum, MicroOp, OpDesc, OpRet, PathTag, StatRet, Tid, TraceSink, ROOT_INUM,
 };
@@ -47,18 +46,17 @@ pub struct BypassFs {
 }
 
 struct Held {
-    slot: InodeRef,
-    guard: parking_lot::ArcMutexGuard<parking_lot::RawMutex, InodeData>,
+    guard: SlotGuard,
 }
 
 impl Held {
     fn ino(&self) -> Inum {
-        self.slot.ino()
+        self.guard.slot().ino()
     }
 
     /// The held directory's index, or `ENOTDIR`.
     fn dir(&self) -> FsResult<&FastDir> {
-        self.slot.dir().ok_or(FsError::NotDir)
+        self.guard.slot().dir().ok_or(FsError::NotDir)
     }
 }
 
@@ -101,7 +99,7 @@ impl BypassFs {
         let slot = self.inodes.lock().get(&ino).cloned()?;
         let guard = slot.lock_owned();
         self.emit(|| Event::Lock { tid, ino, tag });
-        Some(Held { slot, guard })
+        Some(Held { guard })
     }
 
     fn unlock(&self, tid: Tid, held: Held) {
@@ -217,7 +215,7 @@ impl FileSystem for BypassFs {
         });
         let result = (|| {
             let node = self.walk(tid, &comps)?;
-            let meta = node.slot.metadata(&node.guard);
+            let meta = node.guard.slot().metadata(&node.guard);
             self.emit(|| Event::Lp { tid });
             self.unlock(tid, node);
             Ok(meta)

@@ -26,6 +26,11 @@
 //!   `free(node)` does). An exiting thread seals what it holds and leaves
 //!   it to whichever thread advances next.
 //!
+//! A retired object is either a `Box` (a replaced directory table) or an
+//! `Arc` (an unlinked inode's last index reference). Both are kept as the
+//! pointer they already are, behind a [`Garbage`] of two words and a
+//! tag, so a retire allocates nothing beyond its bag's amortised growth.
+//!
 //! Sealing in batches keeps the shared lines — the epoch word and the
 //! other threads' records — off the per-retire path, and freeing two at a
 //! time keeps a whole bag's frees off any one operation: a retire is a
@@ -44,7 +49,7 @@ use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::ptr;
 use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The global epoch.
 static EPOCH: AtomicU64 = AtomicU64::new(0);
@@ -221,8 +226,26 @@ pub fn pin() -> Guard {
         .unwrap_or_else(|_| Guard::enter(Record::acquire(), true))
 }
 
-/// One retired object, dropped when its bag is freed.
-type Garbage = Box<dyn Send>;
+/// One retired object, dropped when its bag is freed: the owning
+/// pointer it was retired as, with no box around it.
+pub enum Garbage {
+    /// A uniquely owned object, freed with its box.
+    Boxed(Box<dyn Send>),
+    /// One reference to a shared object, freed when the last one drops.
+    Shared(Arc<dyn Send + Sync>),
+}
+
+impl<T: Send + 'static> From<Box<T>> for Garbage {
+    fn from(obj: Box<T>) -> Self {
+        Garbage::Boxed(obj)
+    }
+}
+
+impl<T: Send + Sync + 'static> From<Arc<T>> for Garbage {
+    fn from(obj: Arc<T>) -> Self {
+        Garbage::Shared(obj)
+    }
+}
 
 /// Objects retired before one seal.
 struct Bag {
@@ -253,8 +276,8 @@ fn ripe(bags: &mut VecDeque<Bag>, now: u64) -> Vec<Bag> {
 /// Free `obj` once no thread pinned now can still reach it. The caller
 /// must already have unlinked it: a thread that pins after this call
 /// must not be able to find it.
-pub fn retire<T: Send + 'static>(obj: Box<T>) {
-    let mut obj = Some(obj as Garbage);
+pub fn retire(obj: impl Into<Garbage>) {
+    let mut obj = Some(obj.into());
     // One visit to the thread's locals: push, and take out what is ripe.
     let mut ripe: [Option<Garbage>; FREE_PER_RETIRE] = Default::default();
     let full = LOCAL.try_with(|l| {
@@ -367,6 +390,29 @@ pub(crate) mod tests {
             try_advance();
         }
         assert_eq!(weak.upgrade().as_deref(), Some(&7), "freed under a pin");
+        drop(guard);
+        flush();
+        assert!(weak.upgrade().is_none(), "not freed after the grace period");
+    }
+
+    /// An unlinked inode is retired as the `Arc` it is: alive while a
+    /// reader is pinned, freed after the grace period.
+    #[test]
+    fn retired_inode_outlives_a_pinned_reader() {
+        use crate::table::InodeSlot;
+        use atomfs_vfs::FileType;
+        let slot = Arc::new(InodeSlot::new(5, FileType::File));
+        let weak = Arc::downgrade(&slot);
+        let guard = pin();
+        retire(slot);
+        for _ in 0..100 {
+            try_advance();
+        }
+        assert_eq!(
+            weak.upgrade().map(|s| s.ino()),
+            Some(5),
+            "freed under a pin"
+        );
         drop(guard);
         flush();
         assert!(weak.upgrade().is_none(), "not freed after the grace period");

@@ -311,7 +311,7 @@ impl FastDir {
                         // tombstone, never drops it (`Table::drop`), so
                         // ownership moves to the retired copy; the bits
                         // stay for readers pinned before the `TOMB` CAS.
-                        epoch::retire(Box::new(unsafe { std::ptr::read(&**child) }));
+                        epoch::retire(unsafe { std::ptr::read(&**child) });
                         return Some(ino);
                     }
                 }

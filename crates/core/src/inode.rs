@@ -4,24 +4,30 @@
 //! [`BlockStore`]. A directory's entries live in its slot's
 //! [`FastDir`](crate::fastdir::FastDir), outside the lock, so its
 //! [`InodeData`] carries nothing. The enclosing
-//! [`crate::table::InodeSlot`] wraps each [`InodeData`] in a
+//! [`crate::table::InodeSlot`] holds each [`InodeData`] inline in a
 //! `parking_lot::Mutex` — the paper's per-inode lock — so everything here
 //! is written for single-threaded access under that lock.
 
-use atomfs_vfs::{FileType, FsError, FsResult};
+use atomfs_vfs::{FileType, FsError, FsResult, InlineVec};
 
 use crate::blocks::{BlockIdx, BlockStore, BLOCK_SIZE, MAX_FILE_SIZE};
+
+/// Block indices a file keeps inline, inside its inode slot.
+pub const INLINE_BLOCKS: usize = 4;
 
 /// File contents: a size plus a bounded index array into the block store.
 ///
 /// The paper describes "a fixed-size array of indexes for file data
-/// storage" (§6); the array here grows on demand but is capped at
-/// [`MAX_FILE_SIZE`] bytes, preserving the fixed maximum file size while
-/// not charging every small file the full array.
+/// storage" (§6). Here the first [`INLINE_BLOCKS`] indices are that
+/// array, inline in the inode, so a file of up to 16 KiB costs no heap
+/// block of its own. A larger file moves its indices to one heap buffer
+/// the write that grows it past them reserves whole; the array is capped
+/// at [`MAX_FILE_SIZE`] bytes, the fixed maximum file size the paper's
+/// layout implies.
 #[derive(Debug, Default)]
 pub struct FileData {
     size: u64,
-    blocks: Vec<BlockIdx>,
+    blocks: InlineVec<BlockIdx, INLINE_BLOCKS>,
 }
 
 impl FileData {
@@ -59,11 +65,8 @@ impl FileData {
             .checked_add(data.len() as u64)
             .filter(|&end| end <= MAX_FILE_SIZE)
             .ok_or(FsError::FileTooBig)? as usize;
-        let blocks_needed = end.div_ceil(BLOCK_SIZE);
-        while self.blocks.len() < blocks_needed {
-            // New blocks come zeroed, which implements hole filling.
-            self.blocks.push(store.alloc()?);
-        }
+        // New blocks come zeroed, which implements hole filling.
+        self.grow(store, end)?;
         let mut done = 0;
         while done < data.len() {
             let pos = offset as usize + done;
@@ -84,9 +87,7 @@ impl FileData {
         }
         if size < self.size {
             let keep = (size as usize).div_ceil(BLOCK_SIZE);
-            for idx in self.blocks.drain(keep..) {
-                store.free(idx);
-            }
+            self.free_from(store, keep);
             // Zero the tail of the last kept block so later extension
             // reads back zeroes.
             if !(size as usize).is_multiple_of(BLOCK_SIZE) {
@@ -97,13 +98,32 @@ impl FileData {
             }
             self.size = size;
         } else if size > self.size {
-            let blocks_needed = (size as usize).div_ceil(BLOCK_SIZE);
-            while self.blocks.len() < blocks_needed {
-                self.blocks.push(store.alloc()?);
-            }
+            self.grow(store, size as usize)?;
             self.size = size;
         }
         Ok(())
+    }
+
+    /// Allocate the blocks that cover `end` bytes, reserving the index
+    /// room for all of them at once: a write that takes a file past its
+    /// inline indices spills them with one allocation, however far it
+    /// reaches.
+    fn grow(&mut self, store: &BlockStore, end: usize) -> FsResult<()> {
+        let needed = end.div_ceil(BLOCK_SIZE);
+        self.blocks
+            .reserve(needed.saturating_sub(self.blocks.len()));
+        while self.blocks.len() < needed {
+            self.blocks.push(store.alloc()?);
+        }
+        Ok(())
+    }
+
+    /// Free every block from index `keep` on.
+    fn free_from(&mut self, store: &BlockStore, keep: usize) {
+        for &idx in self.blocks.get(keep..).unwrap_or_default() {
+            store.free(idx);
+        }
+        self.blocks.truncate(keep);
     }
 
     /// Copy out the bytes in `range`, which lies within the file (used by
@@ -117,9 +137,7 @@ impl FileData {
 
     /// Release all blocks back to the store (called on unlink).
     pub fn clear(&mut self, store: &BlockStore) {
-        for idx in self.blocks.drain(..) {
-            store.free(idx);
-        }
+        self.free_from(store, 0);
         self.size = 0;
     }
 }
@@ -173,6 +191,41 @@ mod tests {
 
     fn store() -> BlockStore {
         BlockStore::new(4096)
+    }
+
+    /// The inline index keeps a file's contents the size of the old
+    /// size-plus-`Vec` layout.
+    #[test]
+    fn file_data_stays_four_words() {
+        assert_eq!(std::mem::size_of::<FileData>(), 32);
+    }
+
+    /// A file crosses its inline indices and back: its bytes survive the
+    /// spill, and truncating under the inline count frees the blocks.
+    #[test]
+    fn spilled_index_reads_back_and_truncates() {
+        let s = store();
+        let mut f = FileData::default();
+        let n = BLOCK_SIZE * (INLINE_BLOCKS + 2) + 3;
+        let data: Vec<u8> = (0..n).map(|i| (i % 253) as u8).collect();
+        f.write(&s, 0, &data[..BLOCK_SIZE]).unwrap();
+        assert!(!f.blocks.spilled());
+        f.write(&s, 0, &data).unwrap();
+        assert!(f.blocks.spilled());
+        assert_eq!(s.allocated(), INLINE_BLOCKS + 3);
+        let mut buf = vec![0u8; n];
+        assert_eq!(f.read(&s, 0, &mut buf), n);
+        assert_eq!(buf, data);
+        f.truncate(&s, BLOCK_SIZE as u64 + 1).unwrap();
+        assert_eq!(s.allocated(), 2);
+        f.truncate(&s, (BLOCK_SIZE * (INLINE_BLOCKS + 1)) as u64)
+            .unwrap();
+        let mut buf = vec![0xEEu8; BLOCK_SIZE * (INLINE_BLOCKS + 1)];
+        f.read(&s, 0, &mut buf);
+        assert_eq!(buf[..=BLOCK_SIZE], data[..=BLOCK_SIZE]);
+        assert!(buf[BLOCK_SIZE + 1..].iter().all(|&b| b == 0));
+        f.clear(&s);
+        assert_eq!(s.allocated(), 0);
     }
 
     #[test]

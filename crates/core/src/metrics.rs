@@ -21,14 +21,21 @@
 //!   countdown. Fast-path lock counting and walk depth ride the same
 //!   per-op flag, so `atomfs_op_ns`, `atomfs_lock_acquired_total` and
 //!   `atomfs_walk_depth` are 1/N estimates of the true totals.
-//! * **Contention is exact.** A blocked acquisition already costs a
-//!   context switch, so the slow path always records its wait time and
-//!   increments `atomfs_lock_contended_total` — rare events are precisely
-//!   the ones sampling would lose. Error counts are exact for the same
-//!   reason.
-//! * **No clock read on the uncontended lock path.** Acquisition first
-//!   tries `try_lock`; only when that fails does the slow path read the
-//!   clock around the blocking acquire.
+//! * **Contention is counted on every acquisition, unsampled.** A
+//!   blocked acquisition already costs a context switch, so the slow path
+//!   always records its wait time and increments
+//!   `atomfs_lock_contended_total` — rare events are precisely the ones
+//!   sampling would lose. Error counts are exact for the same reason.
+//!   The count is exact up to one race: an acquisition first *probes*
+//!   the lock word (`is_locked`, a load) and then locks, and the lock can
+//!   change hands in the few nanoseconds between. A release there counts
+//!   a contended acquisition that did not wait; a take there leaves a
+//!   wait uncounted.
+//! * **No clock read on the uncontended lock path.** Only when the probe
+//!   saw the lock held does the slow path read the clock around the
+//!   blocking acquire. The probe is not a `try_lock`: the workspace's
+//!   `parking_lot` stand-in releases a lock held by another thread when
+//!   its `try_lock` fails (the root `clippy.toml` forbids the call).
 //! * **Hold times are sampled** 1-in-[`HOLD_SAMPLE`] of the observed
 //!   ops' acquisitions, so the common case pays no clock read at unlock
 //!   either.
@@ -353,10 +360,10 @@ impl FsMetrics {
     }
 
     /// Record a contended acquisition and the time spent blocked. The
-    /// wait and the contended count are exact (a blocked acquisition
+    /// wait and the contended count are unsampled (a blocked acquisition
     /// already paid for a context switch; rare events are what sampling
-    /// would lose); the acquired count stays sampled so it remains a
-    /// consistent 1/N estimate.
+    /// would lose; module docs for the probe's race); the acquired count
+    /// stays sampled so it remains a consistent 1/N estimate.
     #[inline]
     pub fn lock_slow(&self, class: LockClass, wait_ns: u64) {
         if Self::observed() {

@@ -179,7 +179,7 @@ impl AtomFs {
         let pino = p.ino;
         let inserted = p.dir_insert(name, &iref);
         debug_assert!(inserted, "existence was checked under the same lock");
-        debug_assert!(p.slot.seq_read() % 2 == 1, "seq moves before the Ins");
+        debug_assert!(p.slot().seq_read() % 2 == 1, "seq moves before the Ins");
         self.emit(|| Event::Mutate {
             tid,
             mop: MicroOp::Ins {
@@ -274,7 +274,7 @@ impl AtomFs {
         let pino = p.ino;
         let removed = p.dir_remove(name);
         debug_assert_eq!(removed, Some(child_ino));
-        debug_assert!(p.slot.seq_read() % 2 == 1, "seq moves before the Del");
+        debug_assert!(p.slot().seq_read() % 2 == 1, "seq moves before the Del");
         self.emit(|| Event::Mutate {
             tid,
             mop: MicroOp::Del {
@@ -474,7 +474,7 @@ impl AtomFs {
         if let Some(mut d) = dnode {
             let removed = ddir.as_mut().unwrap_or(&mut sdir).dir_remove(dn);
             debug_assert_eq!(removed, Some(d.ino));
-            debug_assert!(ddir.as_ref().unwrap_or(&sdir).slot.seq_read() % 2 == 1);
+            debug_assert!(ddir.as_ref().unwrap_or(&sdir).slot().seq_read() % 2 == 1);
             self.emit(|| Event::Mutate {
                 tid,
                 mop: MicroOp::Del {
@@ -488,7 +488,7 @@ impl AtomFs {
         }
         let removed = sdir.dir_remove(sn);
         debug_assert_eq!(removed, Some(snode_ino));
-        debug_assert!(sdir.slot.seq_read() % 2 == 1);
+        debug_assert!(sdir.slot().seq_read() % 2 == 1);
         self.emit(|| Event::Mutate {
             tid,
             mop: MicroOp::Del {
@@ -500,9 +500,9 @@ impl AtomFs {
         let inserted = ddir
             .as_mut()
             .unwrap_or(&mut sdir)
-            .dir_insert(dn, &snode.slot);
+            .dir_insert(dn, snode.slot());
         debug_assert!(inserted, "destination entry was removed or absent");
-        debug_assert!(ddir.as_ref().unwrap_or(&sdir).slot.seq_read() % 2 == 1);
+        debug_assert!(ddir.as_ref().unwrap_or(&sdir).slot().seq_read() % 2 == 1);
         self.emit(|| Event::Mutate {
             tid,
             mop: MicroOp::Ins {
@@ -675,7 +675,7 @@ impl AtomFs {
         });
         let result = match self.opt_stat(tid, &comps) {
             Some(r) => r,
-            None => self.with_node(tid, &comps, |node| Ok(node.slot.metadata(&node.guard))),
+            None => self.with_node(tid, &comps, |node| Ok(node.slot().metadata(&node.guard))),
         };
         self.emit(|| Event::OpEnd {
             tid,

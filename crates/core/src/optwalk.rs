@@ -95,7 +95,8 @@ use std::sync::atomic::{fence, Ordering};
 
 use atomfs_obs::{Span, SpanKind};
 use atomfs_trace::{Event, Inum, Tid};
-use atomfs_vfs::{FileType, FsError, FsResult, Metadata};
+use atomfs_vfs::path::INLINE_COMPS;
+use atomfs_vfs::{FileType, FsError, FsResult, InlineVec, Metadata};
 
 use crate::epoch::{self, Guard};
 use crate::fs::AtomFs;
@@ -111,8 +112,9 @@ pub(crate) const MAX_OPT_ATTEMPTS: usize = 3;
 /// One optimistic walk: each resolved inode with the (even) sequence
 /// number it was observed at. `chain[0]` is the root; `chain[i]` was
 /// read from `chain[i-1]`'s directory index, borrowed under the
-/// operation's epoch guard `'g`.
-type Chain<'g> = Vec<(&'g InodeRef, u64)>;
+/// operation's epoch guard `'g`. It sits on the stack for a path of up
+/// to [`INLINE_COMPS`] components, like the path itself.
+type Chain<'g> = InlineVec<(&'g InodeRef, u64), { INLINE_COMPS + 1 }>;
 
 /// The inode numbers of `chain`, root first: what a claim records.
 fn inos(chain: &Chain<'_>) -> Vec<Inum> {
@@ -122,16 +124,8 @@ fn inos(chain: &Chain<'_>) -> Vec<Inum> {
 /// [`inos`], lent to `f` from the stack when the chain is no deeper than
 /// typical paths, so a claim allocates only in a sink that records it.
 fn with_inos<R>(chain: &Chain<'_>, f: impl FnOnce(&[Inum]) -> R) -> R {
-    let mut buf = [0; 16];
-    match buf.get_mut(..chain.len()) {
-        Some(head) => {
-            for (ino, &(slot, _)) in head.iter_mut().zip(chain) {
-                *ino = slot.ino();
-            }
-            f(head)
-        }
-        None => f(&inos(chain)),
-    }
+    let buf: InlineVec<Inum, 16> = chain.iter().map(|&(slot, _)| slot.ino()).collect();
+    f(&buf)
 }
 
 /// Re-check every recorded sequence counter. Sequence numbers are
@@ -152,25 +146,27 @@ fn ancestors_unlocked(chain: &Chain<'_>) -> bool {
 }
 
 impl AtomFs {
-    /// One optimistic walk attempt ([`Self::opt_resolve`]). An attempt
-    /// abandoned mid-walk is recorded as one refused claim of the prefix
-    /// it reached, and yields `None`.
+    /// One optimistic walk attempt ([`Self::opt_resolve`]) into `chain`,
+    /// which it clears first. An attempt abandoned mid-walk is recorded
+    /// as one refused claim of the prefix it reached, and yields `None`.
     fn opt_walk<'g>(
         &'g self,
         guard: &'g Guard,
         tid: Tid,
         comps: &[&str],
-    ) -> Option<(Chain<'g>, Option<FsError>)> {
+        chain: &mut Chain<'g>,
+    ) -> Option<Option<FsError>> {
         // Phase span: one optimistic walk attempt under the (sampled)
         // operation root; a mid-walk validation failure marks it failed.
         let mut sp = Span::child(SpanKind::OptWalk, "opt_resolve");
-        match self.opt_resolve(guard, comps) {
-            Ok(walked) => Some(walked),
-            Err(prefix) => {
+        chain.truncate(0);
+        match self.opt_resolve(guard, comps, chain) {
+            Ok(end) => Some(end),
+            Err(()) => {
                 sp.fail();
                 self.emit(|| Event::OptValidate {
                     tid,
-                    chain: inos(&prefix),
+                    chain: inos(chain),
                     locked: false,
                     ok: false,
                 });
@@ -180,21 +176,23 @@ impl AtomFs {
         }
     }
 
-    /// Walk `comps` locklessly from the root. Returns the observed chain
-    /// plus `Some(error)` when the walk itself decided the outcome
-    /// (missing entry, file used as directory), or `Err` with the prefix
-    /// it reached when a hand-over-hand validation failed mid-walk.
+    /// Walk `comps` locklessly from the root, recording the observed
+    /// chain in `chain`. Returns `Some(error)` when the walk itself
+    /// decided the outcome (missing entry, file used as directory), or
+    /// `Err` when a hand-over-hand validation failed mid-walk, leaving in
+    /// `chain` the prefix it reached.
     fn opt_resolve<'g>(
         &'g self,
         guard: &'g Guard,
         comps: &[&str],
-    ) -> Result<(Chain<'g>, Option<FsError>), Chain<'g>> {
+        chain: &mut Chain<'g>,
+    ) -> Result<Option<FsError>, ()> {
         let root = self.table.root_ref();
         let rseq = root.seq_read();
-        let mut chain: Chain<'g> = Vec::with_capacity(comps.len() + 1);
+        chain.reserve(comps.len() + 1);
         chain.push((root, rseq));
         if rseq & 1 == 1 {
-            return Err(chain);
+            return Err(());
         }
         for name in comps {
             let &(cur, cur_seq) = chain.last().expect("chain starts at root");
@@ -202,13 +200,13 @@ impl AtomFs {
                 // A file on the path: `ENOTDIR`, decided locklessly. The
                 // slot's type never changes, so this holds whenever the
                 // chain validates.
-                return Ok((chain, Some(FsError::NotDir)));
+                return Ok(Some(FsError::NotDir));
             };
             match index.lookup(guard, name) {
                 None => {
                     // Missing entry: trustworthy iff `cur` hasn't changed,
                     // which the final chain validation re-checks.
-                    return Ok((chain, Some(FsError::NotFound)));
+                    return Ok(Some(FsError::NotFound));
                 }
                 Some((_, child)) => {
                     let cseq = child.seq_read();
@@ -217,13 +215,13 @@ impl AtomFs {
                     // sequence means a writer is mid-update in it.
                     fence(Ordering::Acquire);
                     if cseq & 1 == 1 || cur.seq_read() != cur_seq {
-                        return Err(chain);
+                        return Err(());
                     }
                     chain.push((child, cseq));
                 }
             }
         }
-        Ok((chain, None))
+        Ok(None)
     }
 
     /// Claim a fast-path completion, decided by a validation at the
@@ -291,8 +289,9 @@ impl AtomFs {
         }
         self.count_attempt();
         let guard = epoch::pin();
+        let mut chain = Chain::new();
         for _ in 0..MAX_OPT_ATTEMPTS {
-            let Some((chain, end)) = self.opt_walk(&guard, tid, comps) else {
+            let Some(end) = self.opt_walk(&guard, tid, comps, &mut chain) else {
                 continue;
             };
             let out = match end {
@@ -320,8 +319,9 @@ impl AtomFs {
         }
         self.count_attempt();
         let guard = epoch::pin();
+        let mut chain = Chain::new();
         for _ in 0..MAX_OPT_ATTEMPTS {
-            let Some((chain, end)) = self.opt_walk(&guard, tid, comps) else {
+            let Some(end) = self.opt_walk(&guard, tid, comps, &mut chain) else {
                 continue;
             };
             let out = match end {
@@ -359,8 +359,9 @@ impl AtomFs {
         }
         self.count_attempt();
         let guard = epoch::pin();
+        let mut chain = Chain::new();
         for _ in 0..MAX_OPT_ATTEMPTS {
-            let Some((chain, end)) = self.opt_walk(&guard, tid, comps) else {
+            let Some(end) = self.opt_walk(&guard, tid, comps, &mut chain) else {
                 continue;
             };
             let lockless_err = match end {
@@ -453,8 +454,9 @@ impl AtomFs {
         }
         self.count_attempt();
         let guard = epoch::pin();
+        let mut chain = Chain::new();
         for _ in 0..MAX_OPT_ATTEMPTS {
-            let Some((chain, end)) = self.opt_walk(&guard, tid, comps) else {
+            let Some(end) = self.opt_walk(&guard, tid, comps, &mut chain) else {
                 continue;
             };
             let &(node, _) = chain.last().expect("nonempty");

@@ -1,11 +1,13 @@
 //! Inodes and the inode-number allocator.
 //!
-//! Each inode is an [`InodeSlot`]: the paper's per-inode lock
-//! (`Arc<Mutex<InodeData>>`, whose `lock_arc` gives the owned guards the
-//! lock-coupling walker needs) plus the optimistic-walk state — a
-//! sequence counter (seqlock discipline: odd = write in progress), a
-//! packed metadata word for lockless `stat`, and, for directories, the
-//! [`FastDir`] that is the directory's only name→inode index.
+//! Each inode is an [`InodeSlot`], one heap block behind its
+//! [`InodeRef`]: the paper's per-inode lock (a `Mutex<InodeData>` held
+//! inline) plus the optimistic-walk state — a sequence counter (seqlock
+//! discipline: odd = write in progress), a packed metadata word for
+//! lockless `stat`, and, for directories, the [`FastDir`] that is the
+//! directory's only name→inode index. A [`SlotGuard`] is the owned lock
+//! the lock-coupling walker carries from step to step: the borrowed
+//! guard and the `InodeRef` that keeps its slot alive.
 //!
 //! Slots are reached by walking from the root through directory indexes,
 //! never by number: a parent's index owns its children's `Arc`s. The
@@ -55,9 +57,8 @@ const META_DIR: u64 = 1 << 63;
 /// sidecar state read by the optimistic walk.
 pub struct InodeSlot {
     ino: Inum,
-    /// The lock-protected contents. `Arc`-wrapped separately so
-    /// `Mutex::lock_arc` can produce owned guards.
-    pub(crate) data: Arc<Mutex<InodeData>>,
+    /// The lock-protected contents, inline in the slot.
+    data: Mutex<InodeData>,
     /// Seqlock: even = stable, odd = a mutation is in progress under the
     /// inode lock. Bumped to odd at the first mutation of a critical
     /// section and back to even (with `meta`/`dir` coherent) just before
@@ -78,7 +79,7 @@ impl InodeSlot {
         let is_dir = ftype.is_dir();
         InodeSlot {
             ino,
-            data: Arc::new(Mutex::new(InodeData::new(ftype))),
+            data: Mutex::new(InodeData::new(ftype)),
             seq: AtomicU64::new(0),
             meta: AtomicU64::new(if is_dir { META_DIR } else { 0 }),
             dir: is_dir.then(FastDir::new),
@@ -90,16 +91,16 @@ impl InodeSlot {
         self.ino
     }
 
-    /// Lock the contents (convenience for non-coupled single-inode
-    /// access; the walker uses `lock_arc` on `InodeSlot::data`).
+    /// Lock the contents for the length of a borrow of the slot (the
+    /// walker keeps [`SlotGuard`]s instead: [`InodeSlot::lock_owned`]).
     pub fn lock(&self) -> MutexGuard<'_, InodeData> {
         self.data.lock()
     }
 
-    /// Lock the contents with an owned (Arc-backed) guard, for walkers
-    /// that need to store the guard past the borrow of the slot.
-    pub fn lock_owned(&self) -> parking_lot::ArcMutexGuard<parking_lot::RawMutex, InodeData> {
-        parking_lot::Mutex::lock_arc(&self.data)
+    /// Lock the contents with an owned guard, which keeps the slot alive
+    /// and may outlive the borrow it was taken through.
+    pub fn lock_owned(self: &Arc<Self>) -> SlotGuard {
+        SlotGuard::new(self)
     }
 
     /// Whether any thread currently holds this inode's lock (used by the
@@ -204,6 +205,54 @@ impl Drop for InodeSlot {
                 // emptied index — constant depth.
             }
         }
+    }
+}
+
+/// An owned lock of one inode: the guard over its contents, and the
+/// [`InodeRef`] that keeps the slot holding the lock alive. Dropping it
+/// unlocks, then drops the reference.
+pub struct SlotGuard {
+    // Declared before `slot`, so it drops (unlocks) first.
+    guard: MutexGuard<'static, InodeData>,
+    slot: InodeRef,
+}
+
+impl SlotGuard {
+    /// Block until `slot`'s lock is held.
+    fn new(slot: &InodeRef) -> Self {
+        let slot = InodeRef::clone(slot);
+        let guard = slot.data.lock();
+        // SAFETY: the guard borrows the mutex inside the slot's `Arc`
+        // allocation, which does not move and is freed only when its last
+        // reference drops. `SlotGuard` keeps one such reference in
+        // `slot`, never hands the `'static` guard out, and drops the
+        // guard before that reference (field order), so the borrow ends
+        // while the mutex is still alive.
+        let guard = unsafe {
+            std::mem::transmute::<MutexGuard<'_, InodeData>, MutexGuard<'static, InodeData>>(guard)
+        };
+        SlotGuard { guard, slot }
+    }
+
+    /// The locked slot.
+    #[inline]
+    pub fn slot(&self) -> &InodeRef {
+        &self.slot
+    }
+}
+
+impl std::ops::Deref for SlotGuard {
+    type Target = InodeData;
+    #[inline]
+    fn deref(&self) -> &InodeData {
+        &self.guard
+    }
+}
+
+impl std::ops::DerefMut for SlotGuard {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut InodeData {
+        &mut self.guard
     }
 }
 

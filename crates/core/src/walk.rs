@@ -26,9 +26,9 @@
 //!
 //! Each step resolves the child in the locked directory's index
 //! ([`FastDir`]), which hands back the child's `InodeRef` directly: the
-//! walk never looks an inode up by number.
-
-use parking_lot::{ArcMutexGuard, RawMutex};
+//! walk never looks an inode up by number. A step's lock is a
+//! [`SlotGuard`]: the mutex lives inside the slot, so taking it clones
+//! one `Arc` and allocates nothing.
 
 use atomfs_obs::{Span, SpanKind};
 use atomfs_trace::{Event, Inum, PathTag, Tid, ROOT_INUM};
@@ -39,7 +39,7 @@ use crate::fastdir::FastDir;
 use crate::fs::AtomFs;
 use crate::inode::InodeData;
 use crate::metrics::LockClass;
-use crate::table::InodeRef;
+use crate::table::{InodeRef, SlotGuard};
 
 /// An inode whose lock is held by the current thread.
 ///
@@ -50,10 +50,9 @@ use crate::table::InodeRef;
 pub(crate) struct Locked {
     /// The inode's number.
     pub ino: Inum,
-    /// The slot, for seqlock/fast-index maintenance while mutating.
-    pub slot: InodeRef,
-    /// The owned guard over the inode's contents.
-    pub guard: ArcMutexGuard<RawMutex, InodeData>,
+    /// The owned guard over the inode's contents; its slot serves the
+    /// seqlock and the fast index while mutating.
+    pub guard: SlotGuard,
     /// Clock reading at acquisition when this acquisition was sampled for
     /// hold-time measurement; 0 for the unsampled common case.
     hold_start: u64,
@@ -117,19 +116,25 @@ impl std::ops::DerefMut for Locked {
 }
 
 impl Locked {
+    /// The locked slot.
+    #[inline]
+    pub(crate) fn slot(&self) -> &InodeRef {
+        self.guard.slot()
+    }
+
     /// Enter the seqlock write window if not already in it. Must be
     /// called before any mutation of the guarded data that bypasses
     /// `DerefMut` (e.g. direct `guard` access).
     pub(crate) fn touch(&mut self) {
         if !self.dirty {
             self.dirty = true;
-            self.slot.write_begin();
+            self.slot().write_begin();
         }
     }
 
     /// This locked directory's index, or `ENOTDIR`.
     pub(crate) fn dir(&self) -> FsResult<&FastDir> {
-        self.slot.dir().ok_or(FsError::NotDir)
+        self.slot().dir().ok_or(FsError::NotDir)
     }
 
     /// Insert `name -> child` into this locked directory's index inside
@@ -162,33 +167,26 @@ impl AtomFs {
     /// a retired directory index may hold a freed incarnation of a
     /// recycled inode number, whose lock must never reach the trace.
     ///
-    /// Metrics discipline: `try_lock` first, so the uncontended fast path
-    /// never reads the clock — wait time is only measured when the
-    /// acquisition actually blocked. The lock class (root/dir/file) is
-    /// attributed after acquisition, when the file type can be read under
-    /// the lock.
+    /// Metrics discipline: probe the lock word first, so the uncontended
+    /// path never reads the clock — wait time is only measured when the
+    /// probe saw the lock held. The probe is a load, not a `try_lock`, and
+    /// races with the holder's release (see [`crate::metrics`]). The lock
+    /// class (root/dir/file) is attributed after acquisition, when the
+    /// file type can be read under the lock.
     pub(crate) fn lock_silent(&self, ino: Inum, iref: &InodeRef) -> Locked {
-        match self.m() {
-            None => Locked {
-                ino,
-                slot: InodeRef::clone(iref),
-                guard: parking_lot::Mutex::lock_arc(&iref.data),
-                hold_start: 0,
-                dirty: false,
-                leak: LeakGuard::armed(),
-            },
+        let (guard, hold_start) = match self.m() {
+            None => (iref.lock_owned(), 0),
             Some(m) => {
-                let (guard, waited) = match parking_lot::Mutex::try_lock_arc(&iref.data) {
-                    Some(g) => (g, None),
-                    None => {
-                        // Blocked acquisition: spanned (uncontended takes
-                        // are not), so a sampled op's trace shows exactly
-                        // where it waited and for how long.
-                        let _sp = Span::child(SpanKind::Lock, "lock_wait");
-                        let t0 = m.now();
-                        let g = parking_lot::Mutex::lock_arc(&iref.data);
-                        (g, Some(m.now().saturating_sub(t0)))
-                    }
+                let (guard, waited) = if iref.is_locked() {
+                    // Blocked acquisition: spanned (uncontended takes are
+                    // not), so a sampled op's trace shows exactly where it
+                    // waited and for how long.
+                    let _sp = Span::child(SpanKind::Lock, "lock_wait");
+                    let t0 = m.now();
+                    let g = iref.lock_owned();
+                    (g, Some(m.now().saturating_sub(t0)))
+                } else {
+                    (iref.lock_owned(), None)
                 };
                 let class = LockClass::of(ino, guard.ftype());
                 match waited {
@@ -198,15 +196,15 @@ impl AtomFs {
                 // `.max(1)` keeps a sampled acquisition at virtual time 0
                 // distinguishable from the unsampled sentinel.
                 let hold_start = if m.sample_hold() { m.now().max(1) } else { 0 };
-                Locked {
-                    ino,
-                    slot: InodeRef::clone(iref),
-                    guard,
-                    hold_start,
-                    dirty: false,
-                    leak: LeakGuard::armed(),
-                }
+                (guard, hold_start)
             }
+        };
+        Locked {
+            ino,
+            guard,
+            hold_start,
+            dirty: false,
+            leak: LeakGuard::armed(),
         }
     }
 
@@ -226,7 +224,7 @@ impl AtomFs {
     /// strictly before the mutex is released.
     pub(crate) fn release(&self, mut locked: Locked) {
         if locked.dirty {
-            locked.slot.write_end(&locked.guard);
+            locked.slot().write_end(&locked.guard);
             locked.dirty = false;
         }
         if locked.hold_start != 0 {
@@ -405,6 +403,54 @@ mod tests {
         );
     }
 
+    /// A metered acquisition of a lock another thread holds waits for the
+    /// release, and counts as contended.
+    #[test]
+    fn contended_acquisition_waits_and_is_counted() {
+        use crate::metrics::FsMetrics;
+        use atomfs_obs::{ClockSource, Registry};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::{Arc, Barrier};
+        let reg = Registry::new();
+        let metrics = FsMetrics::register(&reg, ClockSource::monotonic());
+        let fs = Arc::new(AtomFs::new().with_metrics(metrics));
+        fs.mknod("/f").unwrap();
+        let slot = {
+            let guard = epoch::pin();
+            let root = fs.table.root_ref().dir().unwrap();
+            InodeRef::clone(root.lookup(&guard, "f").unwrap().1)
+        };
+        let contended = || reg.snapshot().counter("atomfs_lock_contended_total");
+        let before = contended();
+        let held = slot.lock();
+        let (started, done) = (Arc::new(Barrier::new(2)), Arc::new(AtomicBool::new(false)));
+        let writer = std::thread::spawn({
+            let (fs, started, done) = (Arc::clone(&fs), Arc::clone(&started), Arc::clone(&done));
+            move || {
+                started.wait();
+                assert_eq!(fs.write("/f", 0, b"x"), Ok(1));
+                done.store(true, Ordering::SeqCst);
+            }
+        });
+        started.wait();
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        assert!(
+            !done.load(Ordering::SeqCst),
+            "the write finished while its inode's lock was held"
+        );
+        assert!(
+            slot.is_locked(),
+            "the waiting write released the holder's lock"
+        );
+        drop(held);
+        writer.join().unwrap();
+        assert!(done.load(Ordering::SeqCst));
+        assert!(
+            contended() > before,
+            "the blocked acquisition was not counted"
+        );
+    }
+
     #[test]
     fn unlock_republishes_seqlock_state() {
         let fs = AtomFs::new();
@@ -412,11 +458,11 @@ mod tests {
         let tid = current_tid();
         let slot = {
             let mut locked = fs.walk(tid, &["d"], PathTag::Common).unwrap();
-            let seq_before = locked.slot.seq_read();
+            let seq_before = locked.slot().seq_read();
             // Mutating through the guard enters the write window...
             let child = fs.table.alloc(atomfs_vfs::FileType::File).unwrap().1;
             assert!(locked.dir_insert("f", &child));
-            let slot = InodeRef::clone(&locked.slot);
+            let slot = InodeRef::clone(locked.slot());
             assert_eq!(slot.seq_read(), seq_before + 1, "seq odd inside window");
             fs.unlock(tid, locked);
             assert_eq!(slot.seq_read(), seq_before + 2, "seq even after unlock");

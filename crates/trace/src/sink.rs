@@ -113,10 +113,20 @@ impl TraceSink for NullSink {
 ///
 /// [`BufferSink::len`]/[`BufferSink::is_empty`] read a relaxed atomic
 /// counter, so progress polling never touches the buffer mutex.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct BufferSink {
     events: Mutex<Vec<Event>>,
     count: AtomicUsize,
+}
+
+/// Prints the event count only: formatting the buffer would go through
+/// the mutex while an emitter may hold it.
+impl std::fmt::Debug for BufferSink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BufferSink")
+            .field("len", &self.len())
+            .finish()
+    }
 }
 
 impl BufferSink {
@@ -260,6 +270,18 @@ mod tests {
         assert_eq!(events[0].tid(), Tid(1));
         assert_eq!(events[1].tid(), Tid(2));
         assert!(sink.is_empty());
+    }
+
+    /// Formatting a sink while an emitter holds its mutex leaves the
+    /// mutex held: `Debug` reads the counter, not the buffer.
+    #[test]
+    fn debug_leaves_a_held_buffer_locked() {
+        let sink = BufferSink::new();
+        sink.emit(Event::Lp { tid: Tid(1) });
+        let held = sink.events.lock();
+        assert_eq!(format!("{sink:?}"), "BufferSink { len: 1 }");
+        assert!(sink.events.is_locked(), "Debug released the emitter's lock");
+        drop(held);
     }
 
     #[test]

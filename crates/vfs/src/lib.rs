@@ -11,7 +11,8 @@
 //! PRNG, [`SplitMix64`], since every crate and test already depends on it,
 //! and the one framed codec both binary formats (journal records, server
 //! wire frames) are built on: [`frame`]'s byte writers, strict reader and
-//! sealed envelope, summed by the one frame [`checksum()`].
+//! sealed envelope, summed by the one frame [`checksum()`]. [`InlineVec`]
+//! is the one inline-or-spill list the core's hot paths keep on the stack.
 //!
 //! Nothing in this crate knows about locking strategies or verification;
 //! those live in the `atomfs` and `crlh` crates respectively.
@@ -22,6 +23,7 @@ pub mod error;
 pub mod fd;
 pub mod frame;
 pub mod fs;
+pub mod inline;
 pub mod metered;
 pub mod overhead;
 pub mod path;
@@ -31,6 +33,7 @@ pub use checksum::{checksum, Checksum};
 pub use error::{FsError, FsResult};
 pub use fd::{Fd, FdTable, OpenOptions};
 pub use fs::{FileSystem, FileType, Metadata};
+pub use inline::InlineVec;
 pub use metered::MeteredFs;
 pub use path::{join, normalize, parent_and_name, split};
 pub use rng::SplitMix64;

@@ -6,11 +6,23 @@
 //! into components, removing `.`, resolving `..` lexically, and validating
 //! component names. The file systems then resolve the cleaned component
 //! list against their trees (in AtomFS's case, with lock coupling).
+//!
+//! [`normalize_ref`], the lookup path's parser, borrows its components
+//! from the path and keeps up to [`INLINE_COMPS`] of them on the stack,
+//! so parsing a path of ordinary depth allocates nothing.
 
 use crate::error::{FsError, FsResult};
+use crate::inline::InlineVec;
 
 /// Maximum length of a single path component, mirroring Linux `NAME_MAX`.
 pub const MAX_NAME_LEN: usize = 255;
+
+/// Components a [`Comps`] holds on the stack before it spills to the heap.
+pub const INLINE_COMPS: usize = 8;
+
+/// A path's components, borrowed from the path string: inline up to
+/// [`INLINE_COMPS`] deep, one heap buffer past that.
+pub type Comps<'a> = InlineVec<&'a str, INLINE_COMPS>;
 
 /// Validate a single path component.
 ///
@@ -57,29 +69,27 @@ pub fn validate_name(name: &str) -> FsResult<()> {
 /// assert!(normalize("relative").is_err());
 /// ```
 pub fn normalize(path: &str) -> FsResult<Vec<String>> {
-    Ok(normalize_ref(path)?
-        .into_iter()
-        .map(str::to_string)
-        .collect())
+    Ok(normalize_ref(path)?.iter().map(|c| c.to_string()).collect())
 }
 
-/// Like [`normalize`], but the components borrow from `path` — the hot
-/// lookup path does zero heap allocation per component (one `Vec` of fat
-/// pointers per call, nothing per component).
+/// Like [`normalize`], but the components borrow from `path` and sit on
+/// the stack up to [`INLINE_COMPS`] deep: the hot lookup path allocates
+/// nothing for a path of ordinary depth, and one buffer for a deeper one.
 ///
 /// # Examples
 ///
 /// ```
 /// use atomfs_vfs::path::normalize_ref;
-/// assert_eq!(normalize_ref("/a//b/./c").unwrap(), vec!["a", "b", "c"]);
-/// assert_eq!(normalize_ref("/a/../b").unwrap(), vec!["b"]);
+/// assert_eq!(normalize_ref("/a//b/./c").unwrap()[..], ["a", "b", "c"]);
+/// assert_eq!(normalize_ref("/a/../b").unwrap()[..], ["b"]);
 /// assert!(normalize_ref("relative").is_err());
 /// ```
-pub fn normalize_ref(path: &str) -> FsResult<Vec<&str>> {
+#[inline]
+pub fn normalize_ref(path: &str) -> FsResult<Comps<'_>> {
     if !path.starts_with('/') {
         return Err(FsError::InvalidArgument);
     }
-    let mut out: Vec<&str> = Vec::new();
+    let mut out = Comps::new();
     for comp in path.split('/') {
         match comp {
             "" | "." => {}
@@ -265,7 +275,7 @@ mod tests {
         ] {
             assert_eq!(
                 normalize(p).unwrap(),
-                normalize_ref(p).unwrap(),
+                normalize_ref(p).unwrap()[..],
                 "mismatch for {p}"
             );
         }
@@ -273,6 +283,89 @@ mod tests {
         assert_eq!(normalize_ref("/a\0b"), Err(FsError::InvalidArgument));
         let long = format!("/{}", "x".repeat(MAX_NAME_LEN + 1));
         assert_eq!(normalize_ref(&long), Err(FsError::NameTooLong));
+    }
+
+    /// The parser as it was before its components moved to the stack:
+    /// one `Vec` per call. The reference for the differential below.
+    fn normalize_vec(path: &str) -> FsResult<Vec<&str>> {
+        if !path.starts_with('/') {
+            return Err(FsError::InvalidArgument);
+        }
+        let mut out: Vec<&str> = Vec::new();
+        for comp in path.split('/') {
+            match comp {
+                "" | "." => {}
+                ".." => {
+                    out.pop();
+                }
+                name => {
+                    if name.len() > MAX_NAME_LEN {
+                        return Err(FsError::NameTooLong);
+                    }
+                    if name.bytes().any(|b| b == 0) {
+                        return Err(FsError::InvalidArgument);
+                    }
+                    out.push(name);
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// `..` at a depth past the inline capacity pops from the heap buffer,
+    /// and the components left read back in order.
+    #[test]
+    fn dotdot_pops_past_the_inline_depth() {
+        let deep: String = (0..INLINE_COMPS + 4).map(|i| format!("/d{i}")).collect();
+        let comps = normalize_ref(&deep).unwrap();
+        assert!(comps.spilled());
+        assert_eq!(comps.len(), INLINE_COMPS + 4);
+        let back = format!("{deep}/../../../../../..");
+        let comps = normalize_ref(&back).unwrap();
+        assert_eq!(comps.len(), INLINE_COMPS - 2);
+        let want: Vec<String> = (0..INLINE_COMPS - 2).map(|i| format!("d{i}")).collect();
+        assert_eq!(comps[..], want);
+        let again = format!("{back}/x/y/z/w");
+        assert_eq!(
+            normalize_ref(&again).unwrap()[..],
+            normalize_vec(&again).unwrap()[..]
+        );
+    }
+
+    /// Seeded random paths (up to three times the inline depth, with
+    /// `.`, `..`, empty, over-long and NUL components) parse the same as
+    /// with the `Vec` parser.
+    #[test]
+    fn normalize_ref_matches_the_vec_parser() {
+        crate::rng::check_seeds(256, |rng| {
+            let long = "n".repeat(MAX_NAME_LEN + 1);
+            let mut path = String::new();
+            if rng.random_bool(0.95) {
+                path.push('/');
+            }
+            for _ in 0..rng.random_range(0..3 * INLINE_COMPS) {
+                let comp = match rng.random_range(0u32..20) {
+                    0 => "",
+                    1 => ".",
+                    2..=5 => "..",
+                    6 => {
+                        if rng.random_bool(0.1) {
+                            long.as_str()
+                        } else {
+                            "n"
+                        }
+                    }
+                    7 if rng.random_bool(0.1) => "a\0b",
+                    k => ["a", "b", "c", "dd", "eee"][k as usize % 5],
+                };
+                path.push_str(comp);
+                path.push('/');
+            }
+            match (normalize_ref(&path), normalize_vec(&path)) {
+                (Ok(got), Ok(want)) => assert_eq!(got[..], want[..], "{path:?}"),
+                (got, want) => assert_eq!(got.map(|_| ()), want.map(|_| ()), "{path:?}"),
+            };
+        });
     }
 
     #[test]
